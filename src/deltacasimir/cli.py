@@ -52,7 +52,6 @@ class SweepSpec:
     fixed: float = 0.0
     methods: tuple[str, ...] = ("canonical", "lifshitz")
     tol: float = FORCE_TOL
-    cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA
 
     def __post_init__(self):
         if self.variable not in ("d", "That"):
@@ -72,9 +71,7 @@ class SweepSpec:
                 raise DomainError(f"unknown method {m!r}")
 
     def grid(self):
-        if self.spacing == "log":
-            return np.geomspace(self.min, self.max, self.points)
-        return np.linspace(self.min, self.max, self.points)
+        return _grid(self.min, self.max, self.points, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ class OutputRecord:
     evals: int
     converged: bool
     units: str
-    tol: float | None = None
     cutoff_lambda: float | None = None
 
     def force_row(self):
@@ -191,18 +187,18 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args):
-    """Apply precedence: CLI flag > config file > default."""
+def _resolve(args, **defaults):
+    """Apply precedence: CLI flag > config file > default (``defaults`` overrides
+    DEFAULTS for one subcommand)."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    defaults = {**DEFAULTS, **defaults}
     casts = {"tol": float, "cutoff_lambda": float, "jobs": int, "units": str, "out": str}
     for key, cast in casts.items():
         if hasattr(args, key) and getattr(args, key) is None:
             if key in cfg:
                 setattr(args, key, cast(cfg[key]))
-            elif key in DEFAULTS:
-                setattr(args, key, DEFAULTS[key])
-    if getattr(args, "tol", None) is None:
-        args.tol = DEFAULTS["tol"]
+            elif key in defaults:
+                setattr(args, key, defaults[key])
 
 
 def _units(args) -> UnitsConvention:
@@ -238,7 +234,7 @@ def _force_record(d, that, method, tol, units) -> OutputRecord:
     est = fv.estimate
     return OutputRecord(d=d, That=that, method=method, value=units.apply(fv.value),
                         err=est.abs_error_estimate, evals=est.evaluations,
-                        converged=est.converged, units=units.value, tol=tol)
+                        converged=est.converged, units=units.value)
 
 
 def _cmd_force(args) -> int:
@@ -260,15 +256,11 @@ def _entropy_record(d, that, method, lam, zero_mode, tol, units) -> OutputRecord
     est = ev.estimate
     return OutputRecord(d=d, That=that, method=ev.method, value=ev.value,
                         err=est.abs_error_estimate, evals=est.evaluations,
-                        converged=est.converged, units=units.value, tol=tol,
-                        cutoff_lambda=lam)
+                        converged=est.converged, units=units.value, cutoff_lambda=lam)
 
 
 def _cmd_entropy(args) -> int:
-    if args.tol is None:
-        cfg = _load_config(args.config) if args.config else {}
-        args.tol = float(cfg["tol"]) if "tol" in cfg else DEFAULTS["entropy_tol"]
-    _resolve(args)
+    _resolve(args, tol=DEFAULTS["entropy_tol"])
     methods = _parse_methods(args.method)
     units = _units(args)
     recs = [_entropy_record(args.d, args.That, m, args.cutoff_lambda,
@@ -285,77 +277,58 @@ def _grid(lo, hi, n, spacing):
     return np.linspace(lo, hi, n)
 
 
-def _figure_out(args, name, header, rows, meta):
-    path = f"{args.out_dir}/{name}"
-    with open(path, "w", newline="") as fh:
-        _write_csv(fh, header, rows)
-    return path
+# id -> (grid axis, min, max, default points, schema, default units, note);
+# every grid is log spaced.  Each figure's default units are its caption
+# normalization; an explicit flag or config entry still wins.
+FIGURES = {
+    "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale",
+          "force in units hbar*gamma^2/v^3 vs dimensionless distance"),
+    "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale",
+          "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
+          "differs from figure 1 by 4*pi"),
+    "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless",
+           "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)"),
+    "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless",
+           "canonical entropy at infrared cutoff Lambda={lam:g}"),
+}
 
 
 def _cmd_figure(args) -> int:
-    # each figure has its own caption normalization as the built-in default,
-    # but an explicit flag or config entry still wins
-    explicit_units = args.units is not None
-    if not explicit_units and args.config:
-        explicit_units = "units" in _load_config(args.config)
-    _resolve(args)
-    units = _units(args) if explicit_units else None
+    axis, lo, hi, default_points, schema, units, note = FIGURES[args.id]
+    _resolve(args, units=units)
+    u = _units(args).value
     that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
         else DEFAULTS["figure_that_set"]
-    jobs = args.jobs or 1
+    points = args.points or default_points
+    grid = [float(x) for x in _grid(lo, hi, points, "log")]
+    lam = args.cutoff_lambda
+    methods = ("canonical", "lifshitz")
+
+    # (CSV name, task function, tasks) for each file of the figure
+    if args.id == "1":
+        series = [(f"figure1_{m}.csv", _force_task, [(d, 0.0, m, args.tol, u) for d in grid])
+                  for m in methods]
+    elif args.id == "2":
+        series = [(f"figure2_{m}_That{t:g}.csv", _force_task,
+                   [(d, t, m, args.tol, u) for d in grid]) for t in that_set for m in methods]
+    elif args.id == "3a":
+        series = [(f"figure3a_That{t:g}.csv", _density_task, [(d, t) for d in grid])
+                  for t in that_set]
+    else:
+        series = [(f"figure3b_That{t:g}.csv", _entropy_task,
+                   [(d, t, lam, DEFAULTS["entropy_tol"], u) for d in grid]) for t in that_set]
     files = []
     ok = True
+    for name, fn, tasks in series:
+        rows = _run_tasks(fn, tasks, args.jobs or 1)
+        ok &= all(r[schema.index("converged")] for r in rows)
+        files.append(f"{args.out_dir}/{name}")
+        with open(files[-1], "w", newline="") as fh:
+            _write_csv(fh, schema, rows)
 
-    if args.id == "1":
-        u = units or UnitsConvention.FIG1_SCALE
-        d_grid = _grid(0.1, 10.0, args.points or 60, "log")
-        for method in ("canonical", "lifshitz"):
-            tasks = [(float(d), 0.0, method, args.tol, u.value) for d in d_grid]
-            rows = _run_tasks(_force_task, tasks, jobs)
-            ok &= all(r[6] for r in rows)
-            files.append(_figure_out(args, f"figure1_{method}.csv", FORCE_SCHEMA, rows, None))
-        note = "force in units hbar*gamma^2/v^3 vs dimensionless distance"
-    elif args.id == "2":
-        u = units or UnitsConvention.FIG2_SCALE
-        d_grid = _grid(0.1, 10.0, args.points or 60, "log")
-        for that in that_set:
-            for method in ("canonical", "lifshitz"):
-                tasks = [(float(d), that, method, args.tol, u.value) for d in d_grid]
-                rows = _run_tasks(_force_task, tasks, jobs)
-                ok &= all(r[6] for r in rows)
-                files.append(_figure_out(args, f"figure2_{method}_That{that:g}.csv",
-                                         FORCE_SCHEMA, rows, None))
-        note = ("force in units hbar*gamma^2/(4*pi*v^3); this normalization "
-                "differs from figure 1 by 4*pi")
-    elif args.id == "3a":
-        d_grid = _grid(0.5, 100.0, args.points or 48, "log")
-        for that in that_set:
-            tasks = [(float(dt), that) for dt in d_grid]
-            rows = _run_tasks(_density_task, tasks, jobs)
-            ok &= all(r[5] for r in rows)
-            files.append(_figure_out(args, f"figure3a_That{that:g}.csv",
-                                     DENSITY_SCHEMA, rows, None))
-        note = "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)"
-    else:  # 3b
-        lam = args.cutoff_lambda
-        d_grid = _grid(0.5, 20.0, args.points or 24, "log")
-        u = units or UnitsConvention.RAW_DIMENSIONLESS
-        for that in that_set:
-            tasks = [(float(d), that, lam, DEFAULTS["entropy_tol"], u.value) for d in d_grid]
-            rows = _run_tasks(_entropy_task, tasks, jobs)
-            ok &= all(r[7] for r in rows)
-            files.append(_figure_out(args, f"figure3b_That{that:g}.csv",
-                                     ENTROPY_SCHEMA, rows, None))
-        note = f"canonical entropy at infrared cutoff Lambda={lam:g}"
-
-    grids = {
-        "1": {"d": [0.1, 10.0], "spacing": "log", "points": args.points or 60},
-        "2": {"d": [0.1, 10.0], "spacing": "log", "points": args.points or 60},
-        "3a": {"dtilde": [0.5, 100.0], "spacing": "log", "points": args.points or 48},
-        "3b": {"d": [0.5, 20.0], "spacing": "log", "points": args.points or 24},
-    }
     meta = _meta(args, figure=args.id, files=[f.rsplit("/", 1)[-1] for f in files],
-                 That_set=list(that_set), grid=grids[args.id], note=note)
+                 That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
+                 note=note.format(lam=lam))
     with open(f"{args.out_dir}/figure{args.id}_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -408,8 +381,7 @@ def _cmd_sweep(args) -> int:
     _resolve(args)
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
                      points=args.points, spacing=args.spacing, fixed=args.fixed,
-                     methods=tuple(_parse_methods(args.method)), tol=args.tol,
-                     cutoff_lambda=args.cutoff_lambda)
+                     methods=tuple(_parse_methods(args.method)), tol=args.tol)
     rows = run_sweep(spec, jobs=args.jobs or 1, units=_units(args))
     meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
                  variable=spec.variable, min=spec.min, max=spec.max,
@@ -496,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", type=float, required=True,
                    help="value of the other coordinate")
     p.add_argument("--method", default="both")
-    p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None)
     _add_common(p)
     p.set_defaults(fn=_cmd_sweep)
 

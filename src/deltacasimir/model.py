@@ -9,6 +9,7 @@ entropies are plain numbers with k_B = 1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,12 +49,17 @@ class PhysicalParams:
 class DimensionlessPoint:
     """Dimensionless separation ``d = gamma*a/v**2`` and temperature
     ``That = v*T/(hbar*gamma)``; the pair fixes every computation up to the
-    overall force scale."""
+    overall force scale.  Any real number (int, float, numpy scalar) is
+    accepted and stored as given; bool and non-real values are rejected."""
 
     d: float
     That: float = 0.0
 
     def __post_init__(self):
+        for name in ("d", "That"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {x!r}")
         if not (math.isfinite(self.d) and self.d > 0):
             raise DomainError(f"d must be finite and strictly positive, got {self.d!r}")
         if not (math.isfinite(self.That) and self.That >= 0):

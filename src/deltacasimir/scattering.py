@@ -93,38 +93,24 @@ def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
     return ScatteringCoefficients(B=b, C=c, D=dk, G=g)
 
 
-def coefficients_linear_solve(q: float, d: float,
-                              incidence: str = "left") -> ScatteringCoefficients:
+def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
     """B, C, D, G from the 4x4 boundary-matching system, no closed form.
 
     Unknowns are matched by continuity of phi and the unit jump of phi' at
-    the barriers x = -d/2 and x = +d/2.  ``incidence`` selects a unit wave
-    coming from the left or from the right; the symmetric potential makes
-    both give the same coefficients, which the closed form relies on.
+    the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
+    from the left.
     """
     _check_qd(q, d)
-    if incidence not in ("left", "right"):
-        raise DomainError(f"incidence must be 'left' or 'right', got {incidence!r}")
     p = cmath.exp(0.5j * q * d)
     iq = 1j * q
-    if incidence == "left":
-        # unknowns [B, C, D, G]; unit wave e^{iqx} incoming on region I
-        a = np.array([
-            [p,            -1.0 / p,  -p,        0.0],        # phi continuous at -d/2
-            [iq * p - p,   iq / p,    -iq * p,   0.0],        # phi' jump at -d/2
-            [0.0,          p,         1.0 / p,   -p],         # phi continuous at +d/2
-            [0.0,          -iq * p,   iq / p,    iq * p - p], # phi' jump at +d/2
-        ], dtype=complex)
-        rhs = np.array([-1.0 / p, (1.0 + iq) / p, 0.0, 0.0], dtype=complex)
-    else:
-        # unit wave e^{-iqx} incoming on region III; regions mirror x -> -x
-        a = np.array([
-            [p,            -1.0 / p,  -p,        0.0],        # phi continuous at +d/2
-            [iq * p - p,   iq / p,    -iq * p,   0.0],        # phi' jump at +d/2
-            [0.0,          p,         1.0 / p,   -p],         # phi continuous at -d/2
-            [0.0,          -iq * p,   iq / p,    iq * p - p], # phi' jump at -d/2
-        ], dtype=complex)
-        rhs = np.array([-1.0 / p, (1.0 + iq) / p, 0.0, 0.0], dtype=complex)
+    # unknowns [B, C, D, G]
+    a = np.array([
+        [p,            -1.0 / p,  -p,        0.0],        # phi continuous at -d/2
+        [iq * p - p,   iq / p,    -iq * p,   0.0],        # phi' jump at -d/2
+        [0.0,          p,         1.0 / p,   -p],         # phi continuous at +d/2
+        [0.0,          -iq * p,   iq / p,    iq * p - p], # phi' jump at +d/2
+    ], dtype=complex)
+    rhs = np.array([-1.0 / p, (1.0 + iq) / p, 0.0, 0.0], dtype=complex)
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:

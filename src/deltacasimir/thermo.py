@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .forces import DEFAULT_CUTOFF_LAMBDA
 from .model import DimensionlessPoint
 from .numerics import (
     QuadratureEstimate,
@@ -52,9 +53,6 @@ __all__ = [
 
 ENTROPY_TOL = 1e-6
 ENTROPY_INNER_TOL = 1e-8
-DEFAULT_CUTOFF_LAMBDA = 100.0
-
-ENTROPY_METHODS = ("canonical", "lifshitz", "lifshitz_no_zero_mode")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from deltacasimir import (
@@ -54,6 +55,9 @@ def test_dimensionless_point_validation():
         DimensionlessPoint(d=0.0)
     with pytest.raises(DomainError):
         DimensionlessPoint(d=1.0, That=-1.0)
+    for bad in (True, np.bool_(True), "1", None, 1j):
+        with pytest.raises(DomainError):
+            DimensionlessPoint(d=1.0, That=bad)
 
 
 def test_round_trip_scaling_exact_for_binary_factor():

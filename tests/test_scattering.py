@@ -62,17 +62,6 @@ def test_flux_identities_randomized():
         assert abs(co.flux_residual) <= 1e-12
 
 
-def test_left_right_incidence_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        q = float(rng.uniform(1e-3, 50.0))
-        d = float(rng.uniform(1e-2, 20.0))
-        left = coefficients_linear_solve(q, d, incidence="left")
-        right = coefficients_linear_solve(q, d, incidence="right")
-        assert abs(left.C - right.C) <= 1e-14
-        assert abs(left.D - right.D) <= 1e-14
-
-
 def test_kernel_long_wavelength_value():
     k = kernel(0.0, 1.0)
     assert k.value == pytest.approx(2.0 / 9.0 - 1.0, abs=1e-15)
@@ -126,8 +115,6 @@ def test_domain_errors():
         coefficients_closed_form(0.0, 1.0)
     with pytest.raises(DomainError):
         coefficients_closed_form(1.0, -1.0)
-    with pytest.raises(DomainError):
-        coefficients_linear_solve(1.0, 1.0, incidence="up")
     with pytest.raises(DomainError):
         kernel(-1.0, 1.0)
     with pytest.raises(DomainError):
