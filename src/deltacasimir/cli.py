@@ -151,7 +151,7 @@ def _meta(args, **extra):
     m = {
         "tool": "deltacasimir",
         "version": __version__,
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else "",
+        "command": " ".join(args.argv),
         "defaults": {k: (list(v) if isinstance(v, tuple) else v) for k, v in DEFAULTS.items()},
     }
     for key in ("tol", "units", "jobs", "cutoff_lambda"):
@@ -304,27 +304,32 @@ def _cmd_figure(args) -> int:
     lam = args.cutoff_lambda
     methods = ("canonical", "lifshitz")
 
-    # (CSV name, task function, tasks) for each file of the figure
+    # one task function per figure, and (CSV name, tasks) for each of its files
     if args.id == "1":
-        series = [(f"figure1_{m}.csv", _force_task, [(d, 0.0, m, args.tol, u) for d in grid])
+        fn = _force_task
+        series = [(f"figure1_{m}.csv", [(d, 0.0, m, args.tol, u) for d in grid])
                   for m in methods]
     elif args.id == "2":
-        series = [(f"figure2_{m}_That{t:g}.csv", _force_task,
-                   [(d, t, m, args.tol, u) for d in grid]) for t in that_set for m in methods]
+        fn = _force_task
+        series = [(f"figure2_{m}_That{t:g}.csv", [(d, t, m, args.tol, u) for d in grid])
+                  for t in that_set for m in methods]
     elif args.id == "3a":
-        series = [(f"figure3a_That{t:g}.csv", _density_task, [(d, t) for d in grid])
-                  for t in that_set]
+        fn = _density_task
+        series = [(f"figure3a_That{t:g}.csv", [(d, t) for d in grid]) for t in that_set]
     else:
-        series = [(f"figure3b_That{t:g}.csv", _entropy_task,
-                   [(d, t, lam, DEFAULTS["entropy_tol"], u) for d in grid]) for t in that_set]
+        fn = _entropy_task
+        series = [(f"figure3b_That{t:g}.csv", [(d, t, lam, DEFAULTS["entropy_tol"], u)
+                                                for d in grid]) for t in that_set]
+    # one pool for the whole figure; its rows come back in task order
+    rows = _run_tasks(fn, [t for _, tasks in series for t in tasks], args.jobs or 1)
     files = []
     ok = True
-    for name, fn, tasks in series:
-        rows = _run_tasks(fn, tasks, args.jobs or 1)
-        ok &= all(r[schema.index("converged")] for r in rows)
+    for i, (name, _) in enumerate(series):
+        part = rows[i * points:(i + 1) * points]
+        ok &= all(r[schema.index("converged")] for r in part)
         files.append(f"{args.out_dir}/{name}")
         with open(files[-1], "w", newline="") as fh:
-            _write_csv(fh, schema, rows)
+            _write_csv(fh, schema, part)
 
     meta = _meta(args, figure=args.id, files=[f.rsplit("/", 1)[-1] for f in files],
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
@@ -483,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(argv)
+    args.argv = argv   # recorded as the metadata's "command"
     try:
         return args.fn(args)
     except DomainError as exc:

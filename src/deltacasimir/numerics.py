@@ -16,6 +16,10 @@ Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an
 exception.  All engines are deterministic: identical inputs give
 bit-identical results on one platform.
+
+``import deltacasimir`` does not load scipy: ``scipy.special`` supplies only
+the cosine integral of the tail cross-check, and :func:`sici` imports it on
+the first canonical force (or :func:`cosine_integral`) call.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .errors import DomainError
 
@@ -137,7 +140,17 @@ _GK_WG = np.array([
 
 _EPS_FLOOR = 1e-16
 _MAX_EVALS = 8_000_000
-_GK_CHUNK = 65536
+# panels per integrand call; bounds each call's temporaries at about 1 MB
+_GK_CHUNK = 8192
+
+
+def sici(x):
+    """scipy.special.sici(x) = (Si(x), Ci(x)).  scipy.special is imported on
+    the first call rather than with this module: it is the costliest import
+    of the package, and only the oscillatory-tail cross-check needs it."""
+    from scipy.special import sici as _sici
+
+    return _sici(x)
 
 
 def _gk_apply(f, lo, hi):

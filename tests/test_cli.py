@@ -1,9 +1,10 @@
 import json
 import math
+import sys
 
 import pytest
 
-from deltacasimir import DomainError
+from deltacasimir import DomainError, cli
 from deltacasimir.cli import SweepSpec, main, run_sweep
 
 
@@ -177,6 +178,41 @@ def test_sweep_jobs_pool_matches_serial(tmp_path, capsys):
     run(capsys, *args, "--jobs", "1", "--out", str(f1))
     run(capsys, *args, "--jobs", "2", "--out", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(self)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    args = ["figure", "--id", "3a", "--points", "4"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pool"
+    serial.mkdir()
+    pooled.mkdir()
+    assert run(capsys, *args, "--jobs", "1", "--out-dir", str(serial))[0] == 0
+    assert not pools
+    assert run(capsys, *args, "--jobs", "2", "--out-dir", str(pooled))[0] == 0
+    assert len(pools) == 1
+    names = sorted(f.name for f in serial.glob("*.csv"))
+    assert len(names) == 3
+    assert sorted(f.name for f in pooled.glob("*.csv")) == names
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+def test_meta_records_the_parsed_argv(tmp_path, capsys, monkeypatch):
+    # programmatic callers pass argv; sys.argv belongs to someone else
+    monkeypatch.setattr(sys, "argv", ["x", "--unrelated"])
+    _, out, _ = run(capsys, "force", "--d", "1", "--method", "lifshitz", "--json")
+    assert json.loads(out)["meta"]["command"] == "force --d 1 --method lifshitz --json"
+    run(capsys, "figure", "--id", "3a", "--points", "2", "--That-set", "1",
+        "--out-dir", str(tmp_path))
+    meta = json.loads((tmp_path / "figure3a_meta.json").read_text())
+    assert meta["command"] == f"figure --id 3a --points 2 --That-set 1 --out-dir {tmp_path}"
 
 
 def test_sweep_spec_type():

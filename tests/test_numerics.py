@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +192,27 @@ def test_cosine_integral_domain():
         cosine_integral(0.0)
     with pytest.raises(DomainError):
         cosine_integral(-3.0)
+
+
+def test_scipy_special_loads_on_first_canonical_force():
+    # a fresh interpreter: importing the package (CLI included) leaves
+    # scipy.special unloaded; the tail cross-check of the first canonical
+    # force loads it, and numerics.sici stays the module attribute it calls
+    code = (
+        "import sys\n"
+        "import deltacasimir.cli\n"
+        "from deltacasimir import DimensionlessPoint, casimir_force, numerics\n"
+        "print('scipy.special' in sys.modules)\n"
+        "casimir_force(DimensionlessPoint(1.0, 0.0), 'canonical')\n"
+        "print('scipy.special' in sys.modules, callable(vars(numerics).get('sici')))\n"
+    )
+    import deltacasimir
+    src = os.path.dirname(os.path.dirname(deltacasimir.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:2] == ["False", "True True"]
 
 
 # ------------------------------------------------------------------- series
