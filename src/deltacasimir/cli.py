@@ -361,9 +361,15 @@ def _density_task(task):
 
 
 def _run_tasks(fn, tasks, jobs):
-    """Evaluate tasks with a worker pool; output order follows input order."""
+    """Evaluate tasks with a worker pool of at most one worker per task;
+    output order follows input order."""
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
+    if fn is _force_task and any(t[2] == "canonical" for t in tasks):
+        # the canonical tail check loads scipy.special (numerics.sici); load it
+        # once here so the forked workers inherit it instead of each loading it
+        import scipy.special  # noqa: F401
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 

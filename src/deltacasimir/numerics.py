@@ -24,6 +24,7 @@ the first canonical force (or :func:`cosine_integral`) call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,8 +141,11 @@ _GK_WG = np.array([
 
 _EPS_FLOOR = 1e-16
 _MAX_EVALS = 8_000_000
-# panels per integrand call; bounds each call's temporaries at about 1 MB
-_GK_CHUNK = 8192
+# panels per integrand call: 256 x 15 nodes make 30 KiB float64 temporaries,
+# which stay in cache and sit below glibc's 128 KiB mmap and trim thresholds,
+# so the integrands' buffers are reused from the heap instead of being mapped,
+# faulted in and unmapped again on every call
+_GK_CHUNK = 256
 
 
 def sici(x):
@@ -165,8 +169,15 @@ def _gk_apply(f, lo, hi):
     n = lo.size
     vals = np.empty(n)
     errs = np.empty(n)
-    for i0 in range(0, n, _GK_CHUNK):
-        sl = slice(i0, min(i0 + _GK_CHUNK, n))
+    # the weighted sums are BLAS dot products whose rounding depends on a
+    # panel's place in its block (dgemv sums rows in groups of 4, and a
+    # one-row block takes the plain dot path), so a lone last panel joins
+    # the block before it: then every block size that is a multiple of 4
+    # gives the same bits
+    i0 = 0
+    for i1 in [*range(_GK_CHUNK, n - 1, _GK_CHUNK), n]:
+        sl = slice(i0, i1)
+        i0 = i1
         a, b = lo[sl], hi[sl]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
@@ -404,10 +415,10 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol, *,
 
 
 def cosine_integral(x: float) -> float:
-    """Ci(x) = -integral_x^inf cos(t)/t dt for x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+    """Ci(x) = -integral_x^inf cos(t)/t dt for real x > 0 of any type but bool."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
         raise DomainError(f"cosine_integral requires x > 0, got {x!r}")
-    return float(sici(x)[1])
+    return float(sici(float(x))[1])
 
 
 def sum_exponential_series(term, n_start: int = 1, tol: float = 1e-12,
@@ -491,8 +502,12 @@ def thermal_weight(q, That):
 def _thermal_weight_raw(q, That):
     """thermal_weight on an array that may contain q = 0 (limit 1)."""
     q = np.asarray(q, float)
-    u = q / (2.0 * That)
-    out = np.ones_like(u)
-    m = u > 0
-    out[m] = 2.0 * u[m] * np.exp(-u[m]) / (-np.expm1(-2.0 * u[m]))
-    return out * out
+    u = np.atleast_1d(q / (2.0 * That))
+    b = 2.0 * u
+    e = np.negative(u)
+    b *= np.exp(e, out=e)
+    np.multiply(u, -2.0, out=e)
+    np.negative(np.expm1(e, out=e), out=e)
+    out = np.divide(b, e, out=np.ones_like(u), where=u > 0)
+    out *= out
+    return out if q.ndim else out[0]

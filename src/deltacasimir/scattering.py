@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +69,18 @@ class KernelValue:
     d: float
 
 
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_qd(q, d, allow_zero_q=False):
-    if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0):
+    """Validate one (q, d) pair of any real type except bool; return it as floats."""
+    if not (_is_real(d) and math.isfinite(d) and d > 0):
         raise DomainError(f"d must be finite and > 0, got {d!r}")
-    qmin_ok = q >= 0 if allow_zero_q else q > 0
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and qmin_ok):
+    if not (_is_real(q) and math.isfinite(q) and (q >= 0 if allow_zero_q else q > 0)):
         cmp = ">= 0" if allow_zero_q else "> 0"
         raise DomainError(f"q must be finite and {cmp}, got {q!r}")
+    return float(q), float(d)
 
 
 def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
@@ -83,7 +89,7 @@ def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
     No intermediate exceeds ~q^2, so the evaluation stays in range for
     q up to 1e8 and far beyond.
     """
-    _check_qd(q, d)
+    q, d = _check_qd(q, d)
     qd = q * d
     den = (2.0 * q + 1j) ** 2 + cmath.exp(2j * qd)
     c = 2.0 * q * (2.0 * q + 1j) / den
@@ -100,7 +106,7 @@ def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
     the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
     from the left.
     """
-    _check_qd(q, d)
+    q, d = _check_qd(q, d)
     p = cmath.exp(0.5j * q * d)
     iq = 1j * q
     # unknowns [B, C, D, G]
@@ -131,17 +137,38 @@ def flux_deficit(q, d):
         W = 4 (sin(dq) + 2q cos(dq))^2 + 16 q^4
 
     both free of cancellation; the q -> 0 limit is 1 - 2/(d+2)^2.
+
+    The terms are accumulated in place, in the order and association of
+    the formulas above; only the power-of-two factors move across a
+    product, which is exact, so (4s)s and 4(s*s) are the same float.
     """
     q_in = q
     q = np.atleast_1d(np.asarray(q, float))
-    s = np.sin(q * d)
-    c = np.cos(q * d)
-    sc = s + 2.0 * q * c
-    w = 4.0 * sc * sc + 16.0 * q ** 4
-    n = 4.0 * s * s + 16.0 * q * s * c + 8.0 * q * q * (1.0 - 2.0 * s * s)
+    c = q * d
+    s = np.sin(c)
+    np.cos(c, out=c)
+    ss = s * s
+    w = 2.0 * q
+    w *= c
+    w += s                                  # sin(dq) + 2q cos(dq)
+    w *= w
+    w *= 4.0
+    t = q ** 4
+    t *= 16.0
+    w += t
+    n = np.multiply(ss, 4.0)
+    np.multiply(q, 16.0, out=t)
+    t *= s
+    t *= c
+    n += t                                  # 4 s^2 + 16 q s c
+    np.multiply(q, 8.0, out=t)
+    t *= q
+    ss *= 2.0
+    np.subtract(1.0, ss, out=ss)
+    t *= ss
+    n += t                                  # + 8 q^2 (1 - 2 s^2)
     out = np.full(q.shape, (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0)))
-    m = q > 1e-130
-    out[m] = n[m] / w[m]
+    np.divide(n, w, out=out, where=q > 1e-130)
     if np.isscalar(q_in) or getattr(q_in, "ndim", 1) == 0:
         return float(out[0])
     return out
@@ -150,5 +177,5 @@ def flux_deficit(q, d):
 def kernel(q: float, d: float) -> KernelValue:
     """Force kernel K(q, d) = |C|^2 + |D|^2 - 1; q = 0 returns the
     long-wavelength limit 2/(d+2)^2 - 1."""
-    _check_qd(q, d, allow_zero_q=True)
-    return KernelValue(value=-flux_deficit(float(q), float(d)), q=float(q), d=float(d))
+    q, d = _check_qd(q, d, allow_zero_q=True)
+    return KernelValue(value=-flux_deficit(q, d), q=q, d=d)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -202,6 +204,41 @@ def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
     assert sorted(f.name for f in pooled.glob("*.csv")) == names
     for name in names:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
+    widths = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *a, **kw):
+            widths.append(max_workers)
+            super().__init__(max_workers, *a, **kw)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
+               "--jobs", "8", "--out-dir", str(tmp_path))[0] == 0
+    assert widths == [2]
+
+
+def test_force_pool_loads_scipy_special_in_the_parent():
+    # a fresh interpreter: a pool of canonical force tasks loads scipy.special
+    # before it forks, so the workers inherit it; an entropy-density pool
+    # never needs scipy and stays without it
+    code = (
+        "import sys\n"
+        "from deltacasimir import cli\n"
+        "cli._run_tasks(cli._density_task, [(1.0, 0.5), (2.0, 0.5)], 2)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "tasks = [(d, 0.0, 'canonical', cli.FORCE_TOL, 'raw_dimensionless') for d in (1.0, 2.0)]\n"
+        "cli._run_tasks(cli._force_task, tasks, 2)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:2] == ["False", "True"]
 
 
 def test_meta_records_the_parsed_argv(tmp_path, capsys, monkeypatch):

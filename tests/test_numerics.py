@@ -2,17 +2,23 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from deltacasimir import (
+    DimensionlessPoint,
     DomainError,
     OscillatorySpec,
     bose_factor,
+    casimir_force,
     cosine_integral,
+    entropy_density_canonical,
+    flux_deficit,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
+    numerics,
     sum_exponential_series,
     thermal_weight,
 )
@@ -194,6 +200,15 @@ def test_cosine_integral_domain():
         cosine_integral(-3.0)
 
 
+def test_cosine_integral_takes_any_real_type_but_bool():
+    assert cosine_integral(np.float32(2.0)) == cosine_integral(2.0) == pytest.approx(CI_2, rel=1e-12)
+    assert cosine_integral(np.float32(0.1)) == cosine_integral(float(np.float32(0.1)))
+    assert cosine_integral(np.int64(10)) == cosine_integral(10) == cosine_integral(10.0)
+    for x in (True, np.bool_(True)):
+        with pytest.raises(DomainError):
+            cosine_integral(x)
+
+
 def test_scipy_special_loads_on_first_canonical_force():
     # a fresh interpreter: importing the package (CLI included) leaves
     # scipy.special unloaded; the tail cross-check of the first canonical
@@ -290,6 +305,68 @@ def test_domain_validation():
         thermal_weight(-1.0, 1.0)
     with pytest.raises(DomainError):
         thermal_weight(1.0, -2.0)
+
+
+# ---------------------------------------------- GK blocks and thermal weight
+
+def _thermal_weight_raw_reference(q, That):
+    # the masked-gather evaluation that the whole-array one replaced, verbatim
+    q = np.asarray(q, float)
+    u = q / (2.0 * That)
+    out = np.ones_like(u)
+    m = u > 0
+    out[m] = 2.0 * u[m] * np.exp(-u[m]) / (-np.expm1(-2.0 * u[m]))
+    return out * out
+
+
+@pytest.mark.parametrize("That", [0.01, 0.5, 2.0, 2])
+def test_thermal_weight_raw_is_bit_identical_to_reference(That):
+    qs = np.concatenate([[0.0, 1e-140], np.geomspace(1e-3, 1e4, 2001)])
+    got = numerics._thermal_weight_raw(qs, That)
+    assert got.tobytes() == _thermal_weight_raw_reference(qs, That).tobytes()
+    for q in (0.0, 1e-140, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
+        a, b = numerics._thermal_weight_raw(q, That), _thermal_weight_raw_reference(q, That)
+        assert type(a) is type(b) and a.tobytes() == b.tobytes()
+
+
+def _gk_in_blocks(monkeypatch, chunk, n):
+    def f(q):
+        return numerics._thermal_weight_raw(q, 0.5) * flux_deficit(q, 3.0)
+
+    monkeypatch.setattr(numerics, "_GK_CHUNK", chunk)
+    edges = np.linspace(0.0, 20.0, n + 1)
+    return numerics._gk_apply(f, edges[:-1], edges[1:])
+
+
+@pytest.mark.parametrize("n", [1, 513, 1000, 1003])
+@pytest.mark.parametrize("chunk", [8, 256])
+def test_gk_block_size_does_not_change_the_bits(monkeypatch, chunk, n):
+    # any block size that is a multiple of dgemv's 4-row groups, with a lone
+    # last panel folded into the block before it (n = 513); blocks of 7
+    # panels would move the K15 sums of about 1 panel in 6
+    ref = _gk_in_blocks(monkeypatch, 8192, n)
+    got = _gk_in_blocks(monkeypatch, chunk, n)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2] == ref[2] == 15 * n
+
+
+@pytest.mark.parametrize("call", [
+    lambda: entropy_density_canonical(20.0, 2.0),
+    lambda: casimir_force(DimensionlessPoint(200.0, 0.0), "canonical"),
+], ids=["entropy_density", "canonical_force"])
+def test_kernel_blocks_keep_temporaries_small(call):
+    # tracemalloc sees numpy's buffers: block-sized temporaries (8192-panel
+    # blocks) peak near 3 MiB on these calls, 256-panel ones near 0.4 MiB
+    call()   # the first canonical force imports scipy.special; keep it untraced
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------- determinism

@@ -119,3 +119,54 @@ def test_domain_errors():
         kernel(-1.0, 1.0)
     with pytest.raises(DomainError):
         kernel(1.0, 0.0)
+
+
+# ------------------------------------------------- in-place kernel, bit for bit
+
+def _flux_deficit_reference(q, d):
+    # the temporaries-per-term evaluation that the in-place one replaced, verbatim
+    q_in = q
+    q = np.atleast_1d(np.asarray(q, float))
+    s = np.sin(q * d)
+    c = np.cos(q * d)
+    sc = s + 2.0 * q * c
+    w = 4.0 * sc * sc + 16.0 * q ** 4
+    n = 4.0 * s * s + 16.0 * q * s * c + 8.0 * q * q * (1.0 - 2.0 * s * s)
+    out = np.full(q.shape, (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0)))
+    m = q > 1e-130
+    out[m] = n[m] / w[m]
+    if np.isscalar(q_in) or getattr(q_in, "ndim", 1) == 0:
+        return float(out[0])
+    return out
+
+
+KERNEL_QS = np.concatenate([[0.0, 1e-140], np.geomspace(1e-3, 1e4, 2001)])
+
+
+@pytest.mark.parametrize("d", [0.1, 1.0, 200.0, 2, np.float32(0.3)])
+def test_flux_deficit_is_bit_identical_to_reference(d):
+    got = flux_deficit(KERNEL_QS, d)
+    ref = _flux_deficit_reference(KERNEL_QS, d)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    for q in (0.0, 1e-140, 1e-3, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
+        a, b = flux_deficit(q, d), _flux_deficit_reference(q, d)
+        assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# ----------------------------------------------------------- input types
+
+@pytest.mark.parametrize("q,d", [(np.float32(1.0), 1.0), (1.0, np.float32(1.0)),
+                                 (np.int64(2), 3), (2, np.float64(0.5))])
+def test_any_real_input_type_gives_the_float_answer(q, d):
+    assert kernel(q, d) == kernel(float(q), float(d))
+    assert coefficients_closed_form(q, d) == coefficients_closed_form(float(q), float(d))
+    assert coefficients_linear_solve(q, d) == coefficients_linear_solve(float(q), float(d))
+
+
+def test_bool_inputs_are_rejected():
+    for q, d in ((True, 1.0), (1.0, True), (np.bool_(True), 1.0)):
+        with pytest.raises(DomainError):
+            kernel(q, d)
+        with pytest.raises(DomainError):
+            coefficients_closed_form(q, d)
