@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .forces import DEFAULT_CUTOFF_LAMBDA, FORCE_TOL, asymptotic_force, casimir_force
+from .forces import DEFAULT_CUTOFF_LAMBDA, FORCE_TOL, METHODS, asymptotic_force, casimir_force
 from .model import DimensionlessPoint, UnitsConvention
 from .scattering import coefficients_closed_form, coefficients_linear_solve, kernel
 from .thermo import (
@@ -50,7 +50,7 @@ class SweepSpec:
     points: int
     spacing: str = "linear"        # or "log"
     fixed: float = 0.0
-    methods: tuple[str, ...] = ("canonical", "lifshitz")
+    methods: tuple[str, ...] = METHODS
     tol: float = FORCE_TOL
 
     def __post_init__(self):
@@ -67,7 +67,7 @@ class SweepSpec:
         if not self.methods:
             raise DomainError("empty method set")
         for m in self.methods:
-            if m not in ("canonical", "lifshitz"):
+            if m not in METHODS:
                 raise DomainError(f"unknown method {m!r}")
 
     def grid(self):
@@ -163,12 +163,12 @@ def _meta(args, **extra):
 
 def _parse_methods(text):
     if text is None or text == "both":
-        return ["canonical", "lifshitz"]
+        return list(METHODS)
     methods = [t for t in text.split(",") if t]
     if not methods:
         raise DomainError("empty method set")
     for mth in methods:
-        if mth not in ("canonical", "lifshitz"):
+        if mth not in METHODS:
             raise DomainError(f"unknown method {mth!r}")
     return methods
 
@@ -277,24 +277,55 @@ def _grid(lo, hi, n, spacing):
     return np.linspace(lo, hi, n)
 
 
-# id -> (grid axis, min, max, default points, schema, default units, note);
-# every grid is log spaced.  Each figure's default units are its caption
-# normalization; an explicit flag or config entry still wins.
+def _force_task(task):
+    d, that, method, tol, units_value = task
+    return _force_record(d, that, method, tol, UnitsConvention(units_value)).force_row()
+
+
+def _entropy_task(task):
+    d, that, lam, tol, units_value = task
+    return _entropy_record(d, that, "canonical", lam, True, tol,
+                           UnitsConvention(units_value)).entropy_row()
+
+
+def _density_task(task):
+    dt, that = task
+    dens = entropy_density_canonical(dt, that)
+    est = dens.estimate
+    return [dt, that, dens.value, est.abs_error_estimate, est.evaluations, est.converged]
+
+
+# id -> (grid axis, min, max, default points, schema, default units, note,
+# task function, series); every grid is log spaced.  Each figure's default
+# units are its caption normalization; an explicit flag or config entry still
+# wins.  series(grid, That set, tol, units, Lambda) gives the CSV name and
+# the tasks of each of the figure's files.
 FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale",
-          "force in units hbar*gamma^2/v^3 vs dimensionless distance"),
+          "force in units hbar*gamma^2/v^3 vs dimensionless distance", _force_task,
+          lambda grid, thats, tol, u, lam: [
+              (f"figure1_{m}.csv", [(d, 0.0, m, tol, u) for d in grid]) for m in METHODS]),
     "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale",
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
-          "differs from figure 1 by 4*pi"),
+          "differs from figure 1 by 4*pi", _force_task,
+          lambda grid, thats, tol, u, lam: [
+              (f"figure2_{m}_That{t:g}.csv", [(d, t, m, tol, u) for d in grid])
+              for t in thats for m in METHODS]),
     "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless",
-           "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)"),
+           "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
+           _density_task,
+           lambda grid, thats, tol, u, lam: [
+               (f"figure3a_That{t:g}.csv", [(d, t) for d in grid]) for t in thats]),
     "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless",
-           "canonical entropy at infrared cutoff Lambda={lam:g}"),
+           "canonical entropy at infrared cutoff Lambda={lam:g}", _entropy_task,
+           lambda grid, thats, tol, u, lam: [
+               (f"figure3b_That{t:g}.csv",
+                [(d, t, lam, DEFAULTS["entropy_tol"], u) for d in grid]) for t in thats]),
 }
 
 
 def _cmd_figure(args) -> int:
-    axis, lo, hi, default_points, schema, units, note = FIGURES[args.id]
+    axis, lo, hi, default_points, schema, units, note, task, make_series = FIGURES[args.id]
     _resolve(args, units=units)
     u = _units(args).value
     that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
@@ -302,26 +333,9 @@ def _cmd_figure(args) -> int:
     points = args.points or default_points
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
     lam = args.cutoff_lambda
-    methods = ("canonical", "lifshitz")
-
-    # one task function per figure, and (CSV name, tasks) for each of its files
-    if args.id == "1":
-        fn = _force_task
-        series = [(f"figure1_{m}.csv", [(d, 0.0, m, args.tol, u) for d in grid])
-                  for m in methods]
-    elif args.id == "2":
-        fn = _force_task
-        series = [(f"figure2_{m}_That{t:g}.csv", [(d, t, m, args.tol, u) for d in grid])
-                  for t in that_set for m in methods]
-    elif args.id == "3a":
-        fn = _density_task
-        series = [(f"figure3a_That{t:g}.csv", [(d, t) for d in grid]) for t in that_set]
-    else:
-        fn = _entropy_task
-        series = [(f"figure3b_That{t:g}.csv", [(d, t, lam, DEFAULTS["entropy_tol"], u)
-                                                for d in grid]) for t in that_set]
+    series = make_series(grid, that_set, args.tol, u, lam)
     # one pool for the whole figure; its rows come back in task order
-    rows = _run_tasks(fn, [t for _, tasks in series for t in tasks], args.jobs or 1)
+    rows = _run_tasks(task, [t for _, tasks in series for t in tasks], args.jobs or 1)
     files = []
     ok = True
     for i, (name, _) in enumerate(series):
@@ -342,34 +356,12 @@ def _cmd_figure(args) -> int:
     return EXIT_OK if ok else EXIT_NONCONVERGED
 
 
-def _force_task(task):
-    d, that, method, tol, units_value = task
-    return _force_record(d, that, method, tol, UnitsConvention(units_value)).force_row()
-
-
-def _entropy_task(task):
-    d, that, lam, tol, units_value = task
-    return _entropy_record(d, that, "canonical", lam, True, tol,
-                           UnitsConvention(units_value)).entropy_row()
-
-
-def _density_task(task):
-    dt, that = task
-    dens = entropy_density_canonical(dt, that)
-    est = dens.estimate
-    return [dt, that, dens.value, est.abs_error_estimate, est.evaluations, est.converged]
-
-
 def _run_tasks(fn, tasks, jobs):
     """Evaluate tasks with a worker pool of at most one worker per task;
     output order follows input order."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
-    if fn is _force_task and any(t[2] == "canonical" for t in tasks):
-        # the canonical tail check loads scipy.special (numerics.sici); load it
-        # once here so the forked workers inherit it instead of each loading it
-        import scipy.special  # noqa: F401
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 

@@ -44,7 +44,7 @@ from .numerics import (
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import flux_deficit
+from .scattering import _is_real, flux_deficit
 
 __all__ = [
     "FORCE_TOL",
@@ -87,9 +87,11 @@ class FreeEnergyValue:
     estimate: QuadratureEstimate
 
 
-def _require_d(d):
-    if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0):
+def _require_d(d) -> float:
+    """Validate d (any real type but bool) and return it as a float."""
+    if not (_is_real(d) and math.isfinite(d) and d > 0):
         raise DomainError(f"d must be finite and > 0, got {d!r}")
+    return float(d)
 
 
 def _zero_t_integrand(d):
@@ -117,7 +119,7 @@ def _finite_t_integrand(d, that):
 
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the real-frequency mode sum."""
-    _require_d(d)
+    d = _require_d(d)
     spec = OscillatorySpec.for_rate(2.0 * d)
     est = integrate_oscillatory_tail(_zero_t_integrand(d), spec, tol)
     return ForceValue(est.value, "canonical", DimensionlessPoint(d, 0.0), est)
@@ -125,7 +127,7 @@ def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
 
 def force_zero_t_lifshitz(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the imaginary-axis integral."""
-    _require_d(d)
+    d = _require_d(d)
     c = -0.25 / math.pi
 
     def g(z):
@@ -159,8 +161,12 @@ def force_finite_t_canonical(point: DimensionlessPoint, tol: float = FORCE_TOL) 
 
 
 def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -> ForceValue:
-    """Finite-temperature force from the Matsubara sum; cutoff independent."""
-    d, that = point.d, point.That
+    """Finite-temperature force from the Matsubara sum; cutoff independent.
+
+    d and That are read as floats, so a float32 or integer point sums the
+    series in float64 like its float twin.
+    """
+    d, that = float(point.d), float(point.That)
     if that <= 0:
         raise DomainError("force_finite_t_lifshitz requires That > 0 "
                           "(use force_zero_t_lifshitz at That = 0)")
@@ -170,7 +176,7 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
         e = math.exp(-c * n * d)
         return 4.0 * math.pi * n * that * that * e / ((1.0 + c * n) ** 2 - e)
 
-    s = sum_exponential_series(term, 1, tol)
+    s = sum_exponential_series(term, tol)
     value = -(s.value + that / (2.0 * (d + 2.0)))
     est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.converged)
     return ForceValue(value, "lifshitz", point, est)
@@ -187,8 +193,9 @@ def free_energy_lifshitz(point: DimensionlessPoint,
                          cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA,
                          tol: float = 1e-12) -> FreeEnergyValue:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
-    cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf."""
-    d, that = point.d, point.That
+    cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
+    d and That are read as floats, as in ``force_finite_t_lifshitz``."""
+    d, that = float(point.d), float(point.That)
     if that <= 0:
         raise DomainError("free_energy_lifshitz requires That > 0")
     if not (math.isfinite(cutoff_lambda) and cutoff_lambda > 0):
@@ -198,7 +205,7 @@ def free_energy_lifshitz(point: DimensionlessPoint,
     def term(n):
         return math.log1p(-math.exp(-c * n * d) / (1.0 + c * n) ** 2)
 
-    s = sum_exponential_series(term, 1, tol)
+    s = sum_exponential_series(term, tol)
     value = that * s.value + 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
     est = QuadratureEstimate(value, that * s.abs_error_estimate, s.evaluations, s.converged)
     return FreeEnergyValue(value, cutoff_lambda, point, est)

@@ -193,8 +193,8 @@ def entropy_lifshitz(point: DimensionlessPoint,
         e = math.exp(-c * n * d)
         return c * n * (c * n * d + d + 2.0) * e / ((c * n + 1.0) * ((c * n + 1.0) ** 2 - e))
 
-    s1 = sum_exponential_series(log_term, 1, tol)
-    s2 = sum_exponential_series(slope_term, 1, tol)
+    s1 = sum_exponential_series(log_term, tol)
+    s2 = sum_exponential_series(slope_term, tol)
     value = s1.value - s2.value
     if include_zero_mode:
         value += -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5

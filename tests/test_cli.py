@@ -220,25 +220,28 @@ def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
     assert widths == [2]
 
 
-def test_force_pool_loads_scipy_special_in_the_parent():
-    # a fresh interpreter: a pool of canonical force tasks loads scipy.special
-    # before it forks, so the workers inherit it; an entropy-density pool
-    # never needs scipy and stays without it
+def test_runtime_never_imports_scipy(tmp_path):
+    # a fresh interpreter runs every path that used to load scipy: the CLI
+    # import, canonical forces at zero and finite temperature (the tail's
+    # Si/Ci cross-check), the cosine integral and a pooled figure
     code = (
         "import sys\n"
-        "from deltacasimir import cli\n"
-        "cli._run_tasks(cli._density_task, [(1.0, 0.5), (2.0, 0.5)], 2)\n"
-        "print('scipy.special' in sys.modules)\n"
-        "tasks = [(d, 0.0, 'canonical', cli.FORCE_TOL, 'raw_dimensionless') for d in (1.0, 2.0)]\n"
-        "cli._run_tasks(cli._force_task, tasks, 2)\n"
-        "print('scipy.special' in sys.modules)\n"
+        "import deltacasimir.cli\n"
+        "from deltacasimir import DimensionlessPoint, casimir_force, cosine_integral\n"
+        "for that in (0.0, 0.5):\n"
+        "    assert casimir_force(DimensionlessPoint(1.0, that), 'canonical').estimate.converged\n"
+        "cosine_integral(2.0)\n"
+        "assert deltacasimir.cli.main(['figure', '--id', '1', '--points', '3', '--jobs', '2',\n"
+        f"                               '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[:2] == ["False", "True"]
+    assert out.split("\n")[-2] == "[]"
+    assert len(list(tmp_path.glob("figure1_*.csv"))) == 2
 
 
 def test_meta_records_the_parsed_argv(tmp_path, capsys, monkeypatch):

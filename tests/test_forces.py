@@ -153,6 +153,26 @@ def test_finite_t_lifshitz_rejects_zero_temperature():
         force_finite_t_lifshitz(DimensionlessPoint(1.0, 0.0))
 
 
+@pytest.mark.parametrize("d, that", [
+    (np.float32(0.3), np.float32(1.0)),
+    (np.float32(1.0), np.float32(0.5)),
+    (2, 1),
+    (np.int64(2), np.int64(1)),
+], ids=["float32", "float32_half", "int", "int64"])
+def test_typed_inputs_match_their_float_twin(d, that):
+    # a float32 That used to run the whole Matsubara series in float32
+    # (off by 1.4e-8 at (0.3, 1) with converged=True), and a numpy d was
+    # refused by the zero-temperature routes
+    typed, twin = DimensionlessPoint(d, that), DimensionlessPoint(float(d), float(that))
+    for fn in (force_finite_t_lifshitz, free_energy_lifshitz,
+               lambda p: force_zero_t_canonical(p.d), lambda p: force_zero_t_lifshitz(p.d),
+               lambda p: casimir_force(p, "lifshitz")):
+        got, want = fn(typed), fn(twin)
+        assert type(got.value) is float
+        assert got.value.hex() == want.value.hex()
+        assert got.estimate == want.estimate
+
+
 # -------------------------------------------------------------- free energy
 
 def test_free_energy_value():
