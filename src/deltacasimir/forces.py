@@ -183,10 +183,12 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
 
 
 def force_lifshitz_zero_mode_term(point: DimensionlessPoint) -> float:
-    """The zero-frequency contribution -That/(2(d+2)) to the Matsubara force."""
-    if point.That < 0:
+    """The zero-frequency contribution -That/(2(d+2)) to the Matsubara force;
+    d and That are read as floats."""
+    d, that = float(point.d), float(point.That)
+    if that < 0:
         raise DomainError("That must be nonnegative")
-    return -point.That / (2.0 * (point.d + 2.0))
+    return -that / (2.0 * (d + 2.0))
 
 
 def free_energy_lifshitz(point: DimensionlessPoint,
@@ -212,11 +214,13 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 
 
 def asymptotic_force(point: DimensionlessPoint, method: str) -> float:
-    """Long-distance (d >> 1) asymptote: -That/(2d) Lifshitz, -That/(4d) canonical."""
+    """Long-distance (d >> 1) asymptote: -That/(2d) Lifshitz, -That/(4d) canonical;
+    d and That are read as floats."""
+    d, that = float(point.d), float(point.That)
     if method == "lifshitz":
-        return -point.That / (2.0 * point.d)
+        return -that / (2.0 * d)
     if method == "canonical":
-        return -point.That / (4.0 * point.d)
+        return -that / (4.0 * d)
     raise DomainError(f"method must be one of {METHODS}, got {method!r}")
 
 

@@ -1,0 +1,67 @@
+"""Exact half-Lifshitz oracles for the canonical entropy and its density.
+
+The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, analytic in
+the upper half q-plane.  Splitting the canonical weight q(1+n) into
+(q/2) coth(q/2That) + q/2 rotates the coth half onto the Matsubara sum, so
+
+    s_can(d, That)     = -(1/2) dS_L/dd (d, That)
+    S_can(d, That; L)  = (1/2) [S_L(d, That) - S_L(L, That)]
+
+with S_L the Lifshitz entropy with its zero mode kept (the cutoff of the
+zero mode cancels).  With c = 4 pi That, a = c n and y = e^{-ad}/(1+a)^2,
+
+    S_L = -(1/2) log[2 pi That (d+2)/L] - 1/2
+          + sum_n { -log(1-y) - a((1+a)d+2) y / [(1+a)(1-y)] }
+    s_can = 1/(4(d+2))
+          + sum_n { a y/(1-y) - a^2 ((1+a)d+2) y / [2(1+a)(1-y)^2] }.
+
+Everything is float64: the terms are formed with expm1/log1p so 1-y keeps
+its digits at small a, and summed exactly with math.fsum.  The series needs
+about 60/(c d) terms.  At small That*d its partial sums grow to O(1/That)
+and cancel down to an O(That) density, so each term's rounding shows:
+against an 80-bit extended-precision sum of the same series (itself within
+3e-18 of mpmath), the float64 density is off by up to 0.8 eps sum|terms|
+(9.7e-16 at d = 0.0186, That = 0.001) where the program is within 1e-18.
+``density_identity`` therefore also returns a rounding allowance,
+2 eps (sum|terms| + 1/(4(d+2))).
+"""
+import math
+
+import numpy as np
+
+
+def _terms(d, that):
+    c = 4.0 * math.pi * that
+    a = c * np.arange(1.0, math.ceil(60.0 / (c * d)) + 10.0)
+    log_y = -a * d - 2.0 * np.log1p(a)
+    y = np.exp(log_y)
+    one_minus_y = -np.expm1(log_y)
+    return a, y, one_minus_y, (1.0 + a) * d + 2.0
+
+
+def entropy_lifshitz_series(d, that, cutoff_lambda):
+    """Lifshitz entropy with the zero mode kept, summed directly."""
+    a, y, omy, p = _terms(d, that)
+    terms = -np.log(omy) - a * p * y / ((1.0 + a) * omy)
+    zero_mode = -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5
+    return zero_mode + math.fsum(terms)
+
+
+def density_identity(d, that):
+    """-(1/2) dS_L/dd: the exact canonical entropy density at (d, That).
+
+    Returns (value, rounding): the allowance for value's float64 rounding is
+    at least 2.5x every error measured against the extended-precision sum.
+    """
+    a, y, omy, p = _terms(d, that)
+    g = y / omy
+    terms = a * g - a * a * p * g / (2.0 * (1.0 + a) * omy)
+    head = 0.25 / (d + 2.0)
+    rounding = 2.0 * np.finfo(float).eps * (math.fsum(np.abs(terms)) + head)
+    return head + math.fsum(terms), rounding
+
+
+def entropy_identity(d, that, cutoff_lambda):
+    """(1/2)[S_L(d) - S_L(Lambda)]: the exact canonical entropy with cutoff Lambda."""
+    return 0.5 * (entropy_lifshitz_series(d, that, cutoff_lambda)
+                  - entropy_lifshitz_series(cutoff_lambda, that, cutoff_lambda))

@@ -171,6 +171,12 @@ def test_typed_inputs_match_their_float_twin(d, that):
         assert type(got.value) is float
         assert got.value.hex() == want.value.hex()
         assert got.estimate == want.estimate
+    # the bare-float helpers: a float32 point gave an np.float32, 2.6e-8 off at (0.3, 1)
+    for fn in (force_lifshitz_zero_mode_term, lambda p: asymptotic_force(p, "lifshitz"),
+               lambda p: asymptotic_force(p, "canonical")):
+        got, want = fn(typed), fn(twin)
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 # -------------------------------------------------------------- free energy

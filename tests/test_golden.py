@@ -1,11 +1,14 @@
 """Golden bytes of the figure CSVs.
 
 Each case runs ``deltacasimir figure`` in process and compares the sha256 of
-every CSV it writes against a hash recorded at commit a576f6b, where each
-CSV of a figure had its own worker pool.  The hashes are tied to this
-platform's libm and BLAS: on another machine the last printed digit of a
-value may differ, and the hashes must then be recorded again there from a
-known-good tree, not copied from a failing run.
+every CSV it writes against a recorded hash.  The figure 1 and 2 hashes
+were recorded at commit a576f6b, where each CSV of a figure had its own
+worker pool.  The figure 3a and 3b hashes were recorded again when the
+entropy density's seed panels widened from a quarter period to one: values
+moved by at most 4.2e-13, and the ``evals`` column changed.  The hashes are
+tied to this platform's libm and BLAS: on another machine the last printed
+digit of a value may differ, and the hashes must then be recorded again
+there from a known-good tree, not copied from a failing run.
 """
 import hashlib
 
@@ -27,12 +30,12 @@ GOLDEN = {
         "figure2_lifshitz_That2.csv": "e2c3dc4d45c93bdc19cb7e98d5cd94269cd93c1116ad343a93d9d83bcc847d56",
     },
     ("figure", "--id", "3a", "--jobs", "1"): {
-        "figure3a_That0.5.csv": "086c6004607dd91a6ba2de0c0617f79199e3312312041be8b0e357099d5fe551",
-        "figure3a_That1.csv": "ec6e976f744bb249a98cdc1faa84a4e76e388daa7b2eae5db856f58b17072c2c",
-        "figure3a_That2.csv": "9cec94fb4f08d5b713e86b0648671b1c2165cc6f5d278d16d74713a888c289c2",
+        "figure3a_That0.5.csv": "5af088e7ea6c08eff56852c5b8174715d9929b52fff03b099883ae7d98541083",
+        "figure3a_That1.csv": "726dd0ef67361f6d86ae14cc2ae70b7978d0ac0d71160835648cf7fe2b890ada",
+        "figure3a_That2.csv": "2b65582ee6d7b335453b192210fc37d9696447902a891866f695de9b7a8d999e",
     },
     ("figure", "--id", "3b", "--points", "2", "--That-set", "1"): {
-        "figure3b_That1.csv": "a639e40ba08cdd1af342297b4f3bd5c106003acd4913f2f9267aa062521e6c7f",
+        "figure3b_That1.csv": "7ee6b39e52e8b92eb1d4e9219fcd24ea7041304a51fc4eb69b38ff1c1c8ca60e",
     },
 }
 # the pooled run must write the serial run's bytes

@@ -1,7 +1,9 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from oracles import density_identity, entropy_identity, entropy_lifshitz_series
 from scipy.integrate import simpson
 
 from deltacasimir import (
@@ -14,6 +16,7 @@ from deltacasimir import (
     force_finite_t_canonical,
     thermal_weight,
 )
+from deltacasimir.cli import main
 from deltacasimir.scattering import flux_deficit
 
 # mpmath, 40 digits
@@ -90,6 +93,9 @@ def test_density_resolves_narrow_resonances():
     dens = entropy_density_canonical(dtilde, that, tol=1e-9)
     assert dens.estimate.converged
     assert dens.value == pytest.approx(oracle, abs=5e-7)
+    # the exact density: the trapezoid oracle above is itself 2.8e-8 off it
+    exact, rounding = density_identity(dtilde, that)
+    assert abs(dens.value - exact) <= dens.estimate.abs_error_estimate + rounding
 
 
 def test_density_validation():
@@ -97,6 +103,99 @@ def test_density_validation():
         entropy_density_canonical(0.0, 1.0)
     with pytest.raises(DomainError):
         entropy_density_canonical(1.0, 0.0)
+
+
+def test_bool_inputs_are_rejected():
+    # isinstance(True, int) holds, so True used to run as 1
+    for args in ((True, 1.0), (1.0, True), (1.0, 1.0, True)):
+        with pytest.raises(DomainError):
+            entropy_density_canonical(*args)
+    with pytest.raises(DomainError):
+        entropy_canonical(DimensionlessPoint(1.0, 1.0), tol=True)
+    with pytest.raises(DomainError):
+        entropy_lifshitz_temperature_slope(DimensionlessPoint(10.0, 2.0), delta=True)
+
+
+# ------------------------------------------------ exact half-Lifshitz identity
+# s_can(d) = -(1/2) dS_L/dd and S_can = (1/2)[S_L(d) - S_L(Lambda)], zero mode
+# kept (tests/oracles.py).
+
+@pytest.mark.parametrize("d, that", [(100.0, 0.01), (1.0, 1.0), (0.3, 0.5)])
+def test_density_identity_matches_mpmath_derivative(d, that):
+    mpmath = pytest.importorskip("mpmath")
+
+    def entropy_lifshitz_mp(x):
+        c = 4 * mpmath.pi * that
+        total = -mpmath.log(2 * mpmath.pi * that * (x + 2) / 100) / 2 - mpmath.mpf(1) / 2
+        n = 1
+        while c * n * x < 100:
+            a = c * n
+            y = mpmath.exp(-a * x) / (1 + a) ** 2
+            total += -mpmath.log(1 - y) - a * ((1 + a) * x + 2) * y / ((1 + a) * (1 - y))
+            n += 1
+        return total
+
+    with mpmath.workdps(40):
+        want = -mpmath.diff(entropy_lifshitz_mp, mpmath.mpf(d)) / 2
+    got, rounding = density_identity(d, that)
+    assert abs(got - float(want)) <= rounding
+
+
+def test_lifshitz_series_oracle_matches_mpmath():
+    for that, want in SL_ZERO_MODE_D1_L100.items():
+        assert entropy_lifshitz_series(1.0, that, 100.0) == pytest.approx(want, rel=1e-14)
+
+
+# Converged densities farther from the identity than their own estimate,
+# (d, That) -> (error, estimate).  At That = 0.001 the seed panels are
+# 2.5 That = 0.0025 wide, and the cavity resonances at q ~ pi/(d+2) are
+# ~2e-6 wide at these d: both GK rules step over them, so the panel's
+# error estimate never sees the dip.
+IDENTITY_MISSES = {("107.7", 0.001): (1.1e-12, 4.1e-14), ("200", 0.001): (9.9e-8, 1.3e-9)}
+
+
+def _identity_grid():
+    for that in (0.001, 0.003, 0.03, 0.3, 1.0, 3.0):
+        for d in np.geomspace(0.01, 200.0, 17):
+            key = (f"{d:.4g}", that)
+            marks = ()
+            if key in IDENTITY_MISSES:
+                marks = pytest.mark.xfail(strict=True, reason="resonance missed: off by "
+                                          "%.1e with an estimate of %.1e" % IDENTITY_MISSES[key])
+            yield pytest.param(float(d), that, marks=marks, id="%s-%g" % key)
+
+
+@pytest.mark.parametrize("d, that", list(_identity_grid()))
+def test_density_within_its_estimate_of_the_identity(d, that):
+    dens = entropy_density_canonical(d, that)
+    exact, rounding = density_identity(d, that)
+    assert not dens.estimate.converged \
+        or abs(dens.value - exact) <= dens.estimate.abs_error_estimate + rounding
+
+
+@pytest.fixture(scope="module")
+def figure3a_rows(tmp_path_factory):
+    out = tmp_path_factory.mktemp("figure3a")
+    assert main(["figure", "--id", "3a", "--out-dir", str(out)]) == 0
+    rows = []
+    for path in sorted(out.glob("figure3a_*.csv")):
+        with open(path, newline="") as fh:
+            rows += list(csv.DictReader(fh))
+    return rows
+
+
+def test_figure3a_rows_within_their_estimate_of_the_identity(figure3a_rows):
+    assert len(figure3a_rows) == 3 * 48
+    for row in figure3a_rows:
+        d, that, value, err = (float(row[k]) for k in ("dtilde", "That", "value", "err"))
+        exact, rounding = density_identity(d, that)
+        assert row["converged"] == "true"
+        assert abs(value - exact) <= err + rounding
+
+
+def test_figure3a_density_evaluations_stay_within_budget(figure3a_rows):
+    # one-period seed panels; quarter-period seeds took 2,613,930 evaluations here
+    assert sum(int(row["evals"]) for row in figure3a_rows) <= 1_050_000
 
 
 # --------------------------------------------------------- canonical entropy
@@ -146,6 +245,13 @@ def test_entropy_canonical_positive_finite_difference_in_temperature():
     lo = entropy_canonical(DimensionlessPoint(1.0, 0.75), 100.0, tol=1e-8)
     hi = entropy_canonical(DimensionlessPoint(1.0, 1.25), 100.0, tol=1e-8)
     assert hi.value - lo.value > lo.estimate.abs_error_estimate + hi.estimate.abs_error_estimate
+
+
+@pytest.mark.parametrize("d, that", [(0.5, 0.01), (20.0, 0.01), (0.5, 0.5), (20.0, 2.0)])
+def test_entropy_within_its_estimate_of_the_identity(d, that):
+    s = entropy_canonical(DimensionlessPoint(d, that), 100.0)
+    assert s.estimate.converged
+    assert abs(s.value - entropy_identity(d, that, 100.0)) <= s.estimate.abs_error_estimate
 
 
 # ------------------------------------------------- Maxwell-relation crosscheck
