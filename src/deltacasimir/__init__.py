@@ -39,6 +39,7 @@ from .scattering import (
 from .forces import (
     DEFAULT_CUTOFF_LAMBDA,
     FORCE_TOL,
+    LIFSHITZ_TOL,
     ForceValue,
     FreeEnergyValue,
     asymptotic_force,
@@ -85,6 +86,7 @@ __all__ = [
     "kernel",
     "flux_deficit",
     "FORCE_TOL",
+    "LIFSHITZ_TOL",
     "DEFAULT_CUTOFF_LAMBDA",
     "ForceValue",
     "FreeEnergyValue",

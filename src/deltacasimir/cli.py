@@ -25,7 +25,14 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from .forces import DEFAULT_CUTOFF_LAMBDA, FORCE_TOL, METHODS, asymptotic_force, casimir_force
+from .forces import (
+    DEFAULT_CUTOFF_LAMBDA,
+    FORCE_TOL,
+    LIFSHITZ_TOL,
+    METHODS,
+    asymptotic_force,
+    casimir_force,
+)
 from .model import DimensionlessPoint, UnitsConvention
 from .scattering import coefficients_closed_form, coefficients_linear_solve, kernel
 from .thermo import (
@@ -64,11 +71,7 @@ class SweepSpec:
             raise DomainError("sweep requires points >= 2")
         if self.min <= 0 and (self.spacing == "log" or self.variable == "d"):
             raise DomainError("sweep minimum must be positive for d and for log spacing")
-        if not self.methods:
-            raise DomainError("empty method set")
-        for m in self.methods:
-            if m not in METHODS:
-                raise DomainError(f"unknown method {m!r}")
+        _check_methods(self.methods)
 
     def grid(self):
         return _grid(self.min, self.max, self.points, self.spacing)
@@ -161,16 +164,20 @@ def _meta(args, **extra):
     return m
 
 
-def _parse_methods(text):
-    if text is None or text == "both":
-        return list(METHODS)
-    methods = [t for t in text.split(",") if t]
+def _check_methods(methods):
+    """Return ``methods`` if it is a nonempty sequence of known method names."""
     if not methods:
         raise DomainError("empty method set")
     for mth in methods:
         if mth not in METHODS:
             raise DomainError(f"unknown method {mth!r}")
     return methods
+
+
+def _parse_methods(text):
+    if text is None or text == "both":
+        return list(METHODS)
+    return _check_methods([t for t in text.split(",") if t])
 
 
 def _load_config(path):
@@ -252,7 +259,10 @@ def _entropy_record(d, that, method, lam, zero_mode, tol, units) -> OutputRecord
     if method == "canonical":
         ev = entropy_canonical(point, lam, tol)
     else:
-        ev = entropy_lifshitz(point, lam, include_zero_mode=zero_mode)
+        # each of its two Matsubara series is summed to the tol it is given,
+        # so half the budget bounds their sum; the series are cheap, so never
+        # below their default accuracy
+        ev = entropy_lifshitz(point, lam, zero_mode, min(0.5 * tol, LIFSHITZ_TOL))
     est = ev.estimate
     return OutputRecord(d=d, That=that, method=ev.method, value=ev.value,
                         err=est.abs_error_estimate, evals=est.evaluations,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_real
 from .model import DimensionlessPoint
 from .numerics import (
     OscillatorySpec,
@@ -44,10 +44,11 @@ from .numerics import (
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import _is_real, flux_deficit
+from .scattering import flux_deficit
 
 __all__ = [
     "FORCE_TOL",
+    "LIFSHITZ_TOL",
     "DEFAULT_CUTOFF_LAMBDA",
     "ForceValue",
     "FreeEnergyValue",
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 FORCE_TOL = 1e-10
+LIFSHITZ_TOL = 1e-12          # default of the Matsubara free energy and entropy
 DEFAULT_CUTOFF_LAMBDA = 100.0
 
 METHODS = ("canonical", "lifshitz")
@@ -85,13 +87,6 @@ class FreeEnergyValue:
     cutoff_lambda: float
     point: DimensionlessPoint
     estimate: QuadratureEstimate
-
-
-def _require_d(d) -> float:
-    """Validate d (any real type but bool) and return it as a float."""
-    if not (_is_real(d) and math.isfinite(d) and d > 0):
-        raise DomainError(f"d must be finite and > 0, got {d!r}")
-    return float(d)
 
 
 def _zero_t_integrand(d):
@@ -119,7 +114,7 @@ def _finite_t_integrand(d, that):
 
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the real-frequency mode sum."""
-    d = _require_d(d)
+    d = require_real("d", d)
     spec = OscillatorySpec.for_rate(2.0 * d)
     est = integrate_oscillatory_tail(_zero_t_integrand(d), spec, tol)
     return ForceValue(est.value, "canonical", DimensionlessPoint(d, 0.0), est)
@@ -127,7 +122,7 @@ def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
 
 def force_zero_t_lifshitz(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the imaginary-axis integral."""
-    d = _require_d(d)
+    d = require_real("d", d)
     c = -0.25 / math.pi
 
     def g(z):
@@ -163,13 +158,11 @@ def force_finite_t_canonical(point: DimensionlessPoint, tol: float = FORCE_TOL) 
 def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -> ForceValue:
     """Finite-temperature force from the Matsubara sum; cutoff independent.
 
-    d and That are read as floats, so a float32 or integer point sums the
-    series in float64 like its float twin.
+    Needs That > 0 (``force_zero_t_lifshitz`` covers That = 0).  d and That
+    are read as floats, so a float32 or integer point sums the series in
+    float64 like its float twin.
     """
-    d, that = float(point.d), float(point.That)
-    if that <= 0:
-        raise DomainError("force_finite_t_lifshitz requires That > 0 "
-                          "(use force_zero_t_lifshitz at That = 0)")
+    d, that = float(point.d), require_real("That", point.That)
     c = 4.0 * math.pi * that
 
     def term(n):
@@ -186,22 +179,17 @@ def force_lifshitz_zero_mode_term(point: DimensionlessPoint) -> float:
     """The zero-frequency contribution -That/(2(d+2)) to the Matsubara force;
     d and That are read as floats."""
     d, that = float(point.d), float(point.That)
-    if that < 0:
-        raise DomainError("That must be nonnegative")
     return -that / (2.0 * (d + 2.0))
 
 
 def free_energy_lifshitz(point: DimensionlessPoint,
                          cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA,
-                         tol: float = 1e-12) -> FreeEnergyValue:
+                         tol: float = LIFSHITZ_TOL) -> FreeEnergyValue:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
     cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
     d and That are read as floats, as in ``force_finite_t_lifshitz``."""
-    d, that = float(point.d), float(point.That)
-    if that <= 0:
-        raise DomainError("free_energy_lifshitz requires That > 0")
-    if not (math.isfinite(cutoff_lambda) and cutoff_lambda > 0):
-        raise DomainError(f"cutoff_lambda must be finite and > 0, got {cutoff_lambda!r}")
+    d, that = float(point.d), require_real("That", point.That)
+    cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
     c = 4.0 * math.pi * that
 
     def term(n):

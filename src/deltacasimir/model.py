@@ -9,11 +9,10 @@ entropies are plain numbers with k_B = 1).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import require_real
 
 __all__ = [
     "PhysicalParams",
@@ -28,7 +27,7 @@ __all__ = [
 class PhysicalParams:
     """Physical inputs: barrier separation ``a``, barrier strength ``gamma``
     (velocity^2/length), propagation speed ``v``, temperature ``T`` (k_B = 1)
-    and ``hbar``."""
+    and ``hbar``, each stored as a float."""
 
     a: float
     gamma: float
@@ -37,12 +36,9 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("a", "gamma", "v", "hbar"):
-            x = getattr(self, name)
-            if not (math.isfinite(x) and x > 0):
-                raise DomainError(f"{name} must be finite and strictly positive, got {x!r}")
-        if not (math.isfinite(self.T) and self.T >= 0):
-            raise DomainError(f"T must be finite and nonnegative, got {self.T!r}")
+        for name in ("a", "gamma", "v", "T", "hbar"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name),
+                                                        inclusive=name == "T"))
 
 
 @dataclass(frozen=True)
@@ -56,14 +52,8 @@ class DimensionlessPoint:
     That: float = 0.0
 
     def __post_init__(self):
-        for name in ("d", "That"):
-            x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {x!r}")
-        if not (math.isfinite(self.d) and self.d > 0):
-            raise DomainError(f"d must be finite and strictly positive, got {self.d!r}")
-        if not (math.isfinite(self.That) and self.That >= 0):
-            raise DomainError(f"That must be finite and nonnegative, got {self.That!r}")
+        require_real("d", self.d)
+        require_real("That", self.That, inclusive=True)
 
 
 class UnitsConvention(Enum):

@@ -23,12 +23,11 @@ cross-check are computed here (:func:`sici`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_real
 
 __all__ = [
     "QuadratureEstimate",
@@ -62,28 +61,28 @@ class OscillatorySpec:
 
     ``angular_rate`` is omega (2*d for the force integrands),
     ``switch_point`` is where half-period panel handling begins and must
-    cover at least one full oscillation period 2*pi/omega.
+    cover at least one full oscillation period 2*pi/omega.  Both are
+    stored as given, like ``DimensionlessPoint``'s fields: a float32 rate
+    keeps the canonical force's float32 fault until ROADMAP item 2 makes
+    the point coerce its coordinates.
     """
 
     angular_rate: float
     switch_point: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.angular_rate) and self.angular_rate > 0):
-            raise DomainError(f"angular_rate must be positive, got {self.angular_rate!r}")
-        if not (math.isfinite(self.switch_point) and self.switch_point > 0):
-            raise DomainError(f"switch_point must be positive, got {self.switch_point!r}")
-        if self.switch_point < 2.0 * math.pi / self.angular_rate:
+        omega = require_real("angular_rate", self.angular_rate)
+        if require_real("switch_point", self.switch_point) < 2.0 * math.pi / omega:
             raise DomainError(
                 "switch_point must cover one full oscillation period "
-                f"2*pi/angular_rate = {2.0 * math.pi / self.angular_rate:g}"
+                f"2*pi/angular_rate = {2.0 * math.pi / omega:g}"
             )
 
     @classmethod
     def for_rate(cls, angular_rate: float, min_switch: float = 10.0) -> "OscillatorySpec":
         """Default spec: switch at max(min_switch, 4*pi/angular_rate)."""
-        if not (math.isfinite(angular_rate) and angular_rate > 0):
-            raise DomainError(f"angular_rate must be positive, got {angular_rate!r}")
+        require_real("angular_rate", angular_rate)
+        require_real("min_switch", min_switch)
         q0 = max(min_switch, 4.0 * math.pi / angular_rate)
         return cls(angular_rate, q0)
 
@@ -146,6 +145,7 @@ _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
 _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
 _MAX_BLOCKS = 80            # decay blocks of a smooth semi-infinite integral
 _MAX_HALF_PERIODS = 20000   # half-period panels of an oscillatory tail
+_MAX_TERMS = 10_000_000     # terms of one exponential series
 
 
 def sici(x):
@@ -265,10 +265,7 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     Running out of blocks (``_MAX_BLOCKS``) or evaluations (``_MAX_EVALS``)
     reports converged=False, never a silently truncated value.
     """
-    if not (math.isfinite(decay_scale) and decay_scale > 0):
-        raise DomainError(f"decay_scale must be positive, got {decay_scale!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
     w = 7.0 * decay_scale
     value = 0.0
     err = 0.0
@@ -342,8 +339,7 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol) -> QuadratureEstim
     compared against the accelerated tail; disagreement beyond the combined
     error estimates clears ``converged``.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    tol = require_real("tol", tol)
     omega = spec.angular_rate
     q0 = spec.switch_point
     half = math.pi / omega
@@ -440,22 +436,18 @@ def cosine_integral(x: float) -> float:
     continued fraction of E1(ix) beyond; absolute error at most 5e-16
     wherever |Ci| < 1.
     """
-    if isinstance(x, bool) or not (isinstance(x, numbers.Real) and math.isfinite(x) and x > 0):
-        raise DomainError(f"cosine_integral requires x > 0, got {x!r}")
-    return sici(float(x))[1]
+    return sici(require_real("x", x))[1]
 
 
-def sum_exponential_series(term, tol: float = 1e-12, *,
-                           max_terms: int = 10_000_000) -> QuadratureEstimate:
+def sum_exponential_series(term, tol: float = 1e-12) -> QuadratureEstimate:
     """Sum term(n) for n >= 1 assuming eventual geometric decay.
 
     Terms are added until the geometric remainder bound
     |t_n| * r/(1 - r), with r the last observed ratio (capped at 0.95),
     drops below ``tol`` on two consecutive terms.  ``evaluations`` records
-    the truncation index; exceeding ``max_terms`` reports non-convergence.
+    the truncation index; exceeding ``_MAX_TERMS`` reports non-convergence.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    tol = require_real("tol", tol)
     total = 0.0
     sum_abs = 0.0
     prev = None
@@ -463,7 +455,7 @@ def sum_exponential_series(term, tol: float = 1e-12, *,
     rem = math.inf
     n = 1
     evals = 0
-    while evals < max_terms:
+    while evals < _MAX_TERMS:
         t = float(term(n))
         evals += 1
         total += t
@@ -488,6 +480,17 @@ def sum_exponential_series(term, tol: float = 1e-12, *,
     return QuadratureEstimate(total, err + _EPS_FLOOR * sum_abs, evals, False)
 
 
+def _positive_q(q):
+    """q > 0 as a float array: a scalar goes through ``require_real``, an
+    array is checked elementwise."""
+    if np.ndim(q) == 0:
+        return np.asarray(require_real("q", q))
+    q = np.asarray(q, float)
+    if not np.all(np.isfinite(q)) or not np.all(q > 0):
+        raise DomainError("q must be finite and > 0 everywhere")
+    return q
+
+
 def bose_factor(q, That):
     """Thermal occupancy boost 1/(1 - exp(-q/That)) for q > 0, That > 0.
 
@@ -495,13 +498,9 @@ def bose_factor(q, That):
     That/q + 1/2 + O(q/That) comes out to full relative precision.
     Accepts scalars or arrays.
     """
-    q_arr = np.asarray(q, float)
-    if not np.all(np.isfinite(q_arr)) or not np.all(q_arr > 0):
-        raise DomainError("bose_factor requires q > 0")
-    if not (math.isfinite(That) and That > 0):
-        raise DomainError(f"bose_factor requires That > 0, got {That!r}")
+    q_arr, That = _positive_q(q), require_real("That", That)
     out = 1.0 / (-np.expm1(-q_arr / That))
-    return float(out) if np.isscalar(q) or getattr(q, "ndim", 1) == 0 else out
+    return float(out) if q_arr.ndim == 0 else out
 
 
 def thermal_weight(q, That):
@@ -512,15 +511,8 @@ def thermal_weight(q, That):
     underflows to exactly 0 (never NaN) once e^{-u} is subnormal.
     Accepts scalars or arrays.
     """
-    q_arr = np.asarray(q, float)
-    if not np.all(np.isfinite(q_arr)) or not np.all(q_arr > 0):
-        raise DomainError("thermal_weight requires q > 0")
-    if not (math.isfinite(That) and That > 0):
-        raise DomainError(f"thermal_weight requires That > 0, got {That!r}")
-    u = q_arr / (2.0 * That)
-    b = 2.0 * u * np.exp(-u) / (-np.expm1(-2.0 * u))
-    out = b * b
-    return float(out) if np.isscalar(q) or getattr(q, "ndim", 1) == 0 else out
+    out = _thermal_weight_raw(_positive_q(q), require_real("That", That))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _thermal_weight_raw(q, That):

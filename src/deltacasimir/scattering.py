@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError
+from .errors import SingularSystemError, require_real
 
 __all__ = [
     "ScatteringCoefficients",
@@ -69,27 +68,13 @@ class KernelValue:
     d: float
 
 
-def _is_real(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _check_qd(q, d, allow_zero_q=False):
-    """Validate one (q, d) pair of any real type except bool; return it as floats."""
-    if not (_is_real(d) and math.isfinite(d) and d > 0):
-        raise DomainError(f"d must be finite and > 0, got {d!r}")
-    if not (_is_real(q) and math.isfinite(q) and (q >= 0 if allow_zero_q else q > 0)):
-        cmp = ">= 0" if allow_zero_q else "> 0"
-        raise DomainError(f"q must be finite and {cmp}, got {q!r}")
-    return float(q), float(d)
-
-
 def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
     """Closed-form B, C, D, G at wavenumber q > 0, separation d > 0.
 
     No intermediate exceeds ~q^2, so the evaluation stays in range for
     q up to 1e8 and far beyond.
     """
-    q, d = _check_qd(q, d)
+    q, d = require_real("q", q), require_real("d", d)
     qd = q * d
     den = (2.0 * q + 1j) ** 2 + cmath.exp(2j * qd)
     c = 2.0 * q * (2.0 * q + 1j) / den
@@ -106,7 +91,7 @@ def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
     the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
     from the left.
     """
-    q, d = _check_qd(q, d)
+    q, d = require_real("q", q), require_real("d", d)
     p = cmath.exp(0.5j * q * d)
     iq = 1j * q
     # unknowns [B, C, D, G]
@@ -177,5 +162,5 @@ def flux_deficit(q, d):
 def kernel(q: float, d: float) -> KernelValue:
     """Force kernel K(q, d) = |C|^2 + |D|^2 - 1; q = 0 returns the
     long-wavelength limit 2/(d+2)^2 - 1."""
-    q, d = _check_qd(q, d, allow_zero_q=True)
+    q, d = require_real("q", q, inclusive=True), require_real("d", d)
     return KernelValue(value=-flux_deficit(q, d), q=q, d=d)

@@ -105,6 +105,26 @@ def test_entropy_canonical_positive(capsys):
     assert float(out.strip().split("\n")[1].split(",")[4]) >= 0.0
 
 
+def test_entropy_default_bytes(capsys):
+    code, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1")
+    assert code == 0
+    assert out == (
+        "d,That,method,lambda,value,err,evals,converged,units\n"
+        "1,1,canonical,100,0.88159000402159116,2.5000003718686131e-07,559170,true,"
+        "raw_dimensionless\n"
+        "1,1,lifshitz,100,0.33434016119038013,3.1877591492660245e-23,6,true,"
+        "raw_dimensionless\n")
+
+
+def test_entropy_lifshitz_honours_tol(capsys):
+    # --tol once left the Matsubara sums at their default: err 2.0e-12 here.
+    # Each of the two series gets half the budget, so the row's err <= tol.
+    code, out, _ = run(capsys, "entropy", "--d", "0.05", "--That", "0.001",
+                       "--method", "lifshitz", "--tol", "2e-14")
+    row = out.strip().split("\n")[1].split(",")
+    assert (code, row[7]) == (0, "true") and float(row[5]) <= 2e-14
+
+
 def test_empty_method_set_is_usage_error(capsys):
     code, _, err = run(capsys, "force", "--d", "1", "--That", "0", "--method", "")
     assert code == 2

@@ -270,8 +270,9 @@ def test_series_matsubara_force_sum():
     assert est.value == pytest.approx(oracle, rel=1e-13)
 
 
-def test_series_nonconvergence_reported():
-    est = sum_exponential_series(lambda n: 1.0 / n, 1e-12, max_terms=1000)
+def test_series_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
+    est = sum_exponential_series(lambda n: 1.0 / n, 1e-12)
     assert not est.converged
     assert est.evaluations == 1000
 
