@@ -259,10 +259,8 @@ def _entropy_record(d, that, method, lam, zero_mode, tol, units) -> OutputRecord
     if method == "canonical":
         ev = entropy_canonical(point, lam, tol)
     else:
-        # each of its two Matsubara series is summed to the tol it is given,
-        # so half the budget bounds their sum; the series are cheap, so never
-        # below their default accuracy
-        ev = entropy_lifshitz(point, lam, zero_mode, min(0.5 * tol, LIFSHITZ_TOL))
+        # the series are cheap, so never below their default accuracy
+        ev = entropy_lifshitz(point, lam, zero_mode, min(tol, LIFSHITZ_TOL))
     est = ev.estimate
     return OutputRecord(d=d, That=that, method=ev.method, value=ev.value,
                         err=est.abs_error_estimate, evals=est.evaluations,

@@ -443,9 +443,11 @@ def sum_exponential_series(term, tol: float = 1e-12) -> QuadratureEstimate:
     """Sum term(n) for n >= 1 assuming eventual geometric decay.
 
     Terms are added until the geometric remainder bound
-    |t_n| * r/(1 - r), with r the last observed ratio (capped at 0.95),
-    drops below ``tol`` on two consecutive terms.  ``evaluations`` records
-    the truncation index; exceeding ``_MAX_TERMS`` reports non-convergence.
+    |t_n| * r/(1 - r), with r the last observed ratio, plus the rounding
+    floor ``_EPS_FLOOR * sum|t_n|`` drops below ``tol`` on two consecutive
+    terms.  ``evaluations`` records the truncation index.  Non-convergence
+    is reported once the remainder is below a floor that alone exceeds
+    ``tol``, or after ``_MAX_TERMS`` terms.
     """
     tol = require_real("tol", tol)
     total = 0.0
@@ -465,9 +467,13 @@ def sum_exponential_series(term, tol: float = 1e-12) -> QuadratureEstimate:
                 rem = 0.0
                 consec += 1
             elif abs(t) < prev:
-                r = min(abs(t) / prev, 0.95)
+                r = abs(t) / prev
                 rem = abs(t) * r / (1.0 - r)
-                consec = consec + 1 if rem + _EPS_FLOOR * sum_abs <= tol else 0
+                floor = _EPS_FLOOR * sum_abs
+                if rem <= floor and floor > tol:
+                    # more terms cannot bring the estimate below tol
+                    return QuadratureEstimate(total, rem + floor, evals, False)
+                consec = consec + 1 if rem + floor <= tol else 0
             else:
                 rem = math.inf
                 consec = 0

@@ -80,17 +80,19 @@ def entropy_density_canonical(dtilde: float, That: float,
                               tol: float = ENTROPY_INNER_TOL) -> EntropyDensity:
     """Entropy density in separation at (dtilde, That).
 
-    The csch^2 weight kills the integrand beyond q ~ 40 That (u = 20).  The
-    kernel oscillates with period pi/dtilde, so panels are seeded one period
-    wide (narrower only where 2.5 That or q_max/8 is) and refined
-    adaptively.  Below q ~ 1 each period holds a cavity resonance, at
+    The csch^2 weight decays like 4 u^2 e^{-2u} (u = q/2That), so the
+    integral stops at q_max = 2 That u, with u the smallest multiple of 0.5
+    (at most 20) whose truncation bound is below tol/1000.  The kernel
+    oscillates with period pi/dtilde, so panels are seeded one period wide
+    (narrower only where 2.5 That or q_max/8 is) and refined adaptively.
+    Below q ~ 1 each period holds a cavity resonance, at
     sin(dtilde q) + 2q cos(dtilde q) = 0: a dip of area -pi/(dtilde+2) and
     width ~ 2q^2/(dtilde+2), far narrower than its seed panel at large
     dtilde; the bisection finds it from that panel's GK error.  A dip that
     falls between all of a panel's nodes goes unseen: at That = 0.001 and
-    dtilde >= 100 (seed width 2.5 That) the value misses its estimate.  The
-    truncation remainder beyond q_max is bounded analytically and added to
-    the error estimate.
+    dtilde = 200 (seed width 2.5 That) the value misses its estimate.  The
+    truncation bound is added to the error estimate, and the panels get
+    the rest of tol.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
     its zero mode kept (see the README).  The tests use that identity as
@@ -98,7 +100,16 @@ def entropy_density_canonical(dtilde: float, That: float,
     """
     dtilde, That = require_real("dtilde", dtilde), require_real("That", That)
     tol = require_real("tol", tol)
-    q_max = 40.0 * That
+    # |flux_deficit| <= 1/(2 q^2) for q > 0 (it is -2 Re[x/(1-x)] with
+    # |x| = 1/(1+4q^2)) and int_{q_c}^inf tw dq <= 8 That e^{-2u}(u^2+u+1),
+    # q_c = 2 That u, so (1/2pi) times the tail beyond q_c is at most
+    # tail_bound(u) = e^{-2u}(u^2+u+1) / (2pi That u^2)
+    for k in range(1, 41):
+        u = 0.5 * k
+        tail_bound = math.exp(-2.0 * u) * (u * u + u + 1.0) / (2.0 * math.pi * That * u * u)
+        if tail_bound <= 1e-3 * tol:
+            break
+    q_max = 2.0 * That * u
     w = min(math.pi / dtilde, 2.5 * That, q_max / 8.0)
     n = min(int(math.ceil(q_max / w)), 300000)
     inv_2pi = 0.5 / math.pi
@@ -107,12 +118,7 @@ def entropy_density_canonical(dtilde: float, That: float,
         q = np.asarray(q, float)
         return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, dtilde)
 
-    # |flux_deficit| <= 2 + 1/(2 q^2); int_{q_max}^inf tw dq <= 8 That e^{-2u}(u^2+u+1), u = 20
-    u = q_max / (2.0 * That)
-    mbound = 2.0 + 0.5 / (q_max * q_max)
-    tail_bound = inv_2pi * mbound * 8.0 * That * math.exp(-2.0 * u) * (u * u + u + 1.0)
-
-    v, e, ne, ok = _adaptive_gk(f, np.linspace(0.0, q_max, n + 1), tol)
+    v, e, ne, ok = _adaptive_gk(f, np.linspace(0.0, q_max, n + 1), tol - tail_bound)
     err = e + tail_bound
     est = QuadratureEstimate(v, err, ne, ok and err <= tol)
     return EntropyDensity(value=v, dtilde=dtilde, That=That, estimate=est)
@@ -123,9 +129,11 @@ def entropy_canonical(point: DimensionlessPoint,
                       tol: float = ENTROPY_TOL) -> EntropyValue:
     """Canonical entropy: distance integral of the density from d to Lambda.
 
-    The outer integral runs on log-spaced adaptive panels (the density falls
-    like 1/(4 dt), so log spacing equidistributes the work).  Each inner
-    density is asked for inner_tol = min(ENTROPY_INNER_TOL,
+    The outer integral runs in log distance, where dt times the density is
+    smooth and tends to 1/4, so it starts from one GK15 panel on
+    [log d, log Lambda] and the adaptive bisection splits only where that
+    panel's error asks for it: every outer node costs a full density.  Each
+    inner density is asked for inner_tol = min(ENTROPY_INNER_TOL,
     tol/(4 (Lambda - d))), and (Lambda - d) * inner_tol is charged to the
     reported estimate.
 
@@ -167,9 +175,8 @@ def entropy_canonical(point: DimensionlessPoint,
             out[i] = dens.value * dt
         return out
 
-    lo, hi = math.log(d), math.log(cutoff_lambda)
-    n0 = max(4, int(math.ceil(hi - lo)))
-    v, e, n_outer, ok = _adaptive_gk(g, np.linspace(lo, hi, n0 + 1), 0.75 * tol)
+    edges = [math.log(d), math.log(cutoff_lambda)]
+    v, e, n_outer, ok = _adaptive_gk(g, edges, 0.75 * tol)
     err = e + (cutoff_lambda - d) * inner_tol
     evals = inner_evals[0]
     converged = ok and inner_all_ok[0] and err <= tol
@@ -188,6 +195,7 @@ def entropy_lifshitz(point: DimensionlessPoint,
     """
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
+    tol = require_real("tol", tol)
     c = 4.0 * math.pi * that
 
     def log_term(n):
@@ -198,8 +206,9 @@ def entropy_lifshitz(point: DimensionlessPoint,
         e = math.exp(-c * n * d)
         return c * n * (c * n * d + d + 2.0) * e / ((c * n + 1.0) * ((c * n + 1.0) ** 2 - e))
 
-    s1 = sum_exponential_series(log_term, tol)
-    s2 = sum_exponential_series(slope_term, tol)
+    # the error estimate is the sum of the two series' estimates
+    s1 = sum_exponential_series(log_term, 0.5 * tol)
+    s2 = sum_exponential_series(slope_term, 0.5 * tol)
     value = s1.value - s2.value
     if include_zero_mode:
         value += -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5

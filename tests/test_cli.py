@@ -110,7 +110,7 @@ def test_entropy_default_bytes(capsys):
     assert code == 0
     assert out == (
         "d,That,method,lambda,value,err,evals,converged,units\n"
-        "1,1,canonical,100,0.88159000402159116,2.5000003718686131e-07,559170,true,"
+        "1,1,canonical,100,0.88159000401963783,2.5466434288240166e-07,112695,true,"
         "raw_dimensionless\n"
         "1,1,lifshitz,100,0.33434016119038013,3.1877591492660245e-23,6,true,"
         "raw_dimensionless\n")

@@ -4,8 +4,12 @@ Each case runs ``deltacasimir figure`` in process and compares the sha256 of
 every CSV it writes against a recorded hash.  The figure 1 and 2 hashes
 were recorded at commit a576f6b, where each CSV of a figure had its own
 worker pool.  The figure 3a and 3b hashes were recorded again when the
-entropy density's seed panels widened from a quarter period to one: values
-moved by at most 4.2e-13, and the ``evals`` column changed.  The hashes are
+entropy density's seed panels widened from a quarter period to one (values
+moved by at most 4.2e-13), and again when the density took its q cut-off
+from its tolerance and the entropy's distance integral started from one
+seed panel: the 3a values moved by at most 2.2e-12 and stay within 2.2e-12
+of the exact density, the two 3b values by at most 4.8e-13 from the exact
+entropy, and both ``evals`` columns changed.  The hashes are
 tied to this platform's libm and BLAS: on another machine the last printed
 digit of a value may differ, and the hashes must then be recorded again
 there from a known-good tree, not copied from a failing run.
@@ -30,12 +34,12 @@ GOLDEN = {
         "figure2_lifshitz_That2.csv": "e2c3dc4d45c93bdc19cb7e98d5cd94269cd93c1116ad343a93d9d83bcc847d56",
     },
     ("figure", "--id", "3a", "--jobs", "1"): {
-        "figure3a_That0.5.csv": "5af088e7ea6c08eff56852c5b8174715d9929b52fff03b099883ae7d98541083",
-        "figure3a_That1.csv": "726dd0ef67361f6d86ae14cc2ae70b7978d0ac0d71160835648cf7fe2b890ada",
-        "figure3a_That2.csv": "2b65582ee6d7b335453b192210fc37d9696447902a891866f695de9b7a8d999e",
+        "figure3a_That0.5.csv": "f2c2899155adaf7f5ab22e08344cdf61c8c83b2ee5906426dc7c2b7706b1a9d6",
+        "figure3a_That1.csv": "a70680737255a0bdbb763748608b08156dc6dc8a828c3a699dc43e996c7b4d27",
+        "figure3a_That2.csv": "6f3b134a1d599c4083aa11837ce2bc8acdb9022c05b0e8c22123a53344d51789",
     },
     ("figure", "--id", "3b", "--points", "2", "--That-set", "1"): {
-        "figure3b_That1.csv": "7ee6b39e52e8b92eb1d4e9219fcd24ea7041304a51fc4eb69b38ff1c1c8ca60e",
+        "figure3b_That1.csv": "6c7d7e9e1c853f1aa032f2ac43f0416384cdc3d06d0eeb23ca8d1a60e0253f4f",
     },
 }
 # the pooled run must write the serial run's bytes

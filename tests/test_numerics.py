@@ -270,6 +270,26 @@ def test_series_matsubara_force_sum():
     assert est.value == pytest.approx(oracle, rel=1e-13)
 
 
+def test_series_remainder_bounds_a_slow_tail():
+    # ratio 0.99: the true tail after term N is 99 times term N; a ratio
+    # capped at 0.95 once claimed 19 times
+    r = 0.99
+    est = sum_exponential_series(lambda n: r ** n, 1e-8)
+    assert est.converged
+    assert est.abs_error_estimate >= r ** (est.evaluations + 1) / (1.0 - r)
+
+
+def test_series_stops_at_its_rounding_floor():
+    # the floor 1e-16 sum|t_n| = 1e-7 exceeds tol, so no number of terms
+    # can converge: the sum stops near term 37,000, where its remainder
+    # drops below the floor, instead of running on to the underflow of
+    # its terms near term 760,000
+    est = sum_exponential_series(lambda n: 1e6 * 0.999 ** n, 1e-10)
+    assert not est.converged
+    assert est.evaluations < 50_000
+    assert est.value == pytest.approx(999e6, rel=1e-12)
+
+
 def test_series_nonconvergence_reported(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
     est = sum_exponential_series(lambda n: 1.0 / n, 1e-12)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltacasimir import (
     DomainError,
@@ -101,6 +103,15 @@ def test_kernel_lower_bound_and_tail():
         vals = -flux_deficit(qs, d)
         assert np.all(vals >= -1.0)
         assert np.all(qs * qs * np.abs(vals) <= 1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(q=st.floats(1e-3, 1e3), d=st.floats(0.01, 300.0))
+def test_flux_deficit_below_half_over_q_squared(q, d):
+    # fd = -2 Re[x/(1-x)] with |x| = 1/(1+4q^2), so |fd| <= 2|x|/(1-|x|) =
+    # 1/(2q^2), an equality at the cavity resonances; the entropy density's
+    # q cut-off rests on it
+    assert 2.0 * q * q * abs(flux_deficit(q, d)) <= 1.0 + 1e-12
 
 
 def test_flux_deficit_vectorized_matches_scalar():
