@@ -6,7 +6,16 @@ Canonical route: the force is a real-frequency mode sum,
 
 (the bracket is ``scattering.flux_deficit``; the Bose factor drops to 1 at
 That = 0).  The integrand oscillates like cos(2dq)/(2q) at large q, so it
-goes through ``integrate_oscillatory_tail`` with angular rate 2d.
+goes through ``integrate_oscillatory_tail`` with angular rate 2d.  The
+bracket is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, so the integrand is
+Re h with h = (1/pi) w x/(1-x) and w the Bose-weighted q.  For Re q > 0 and
+Im q >= 0, |x| < 1, and the Bose poles q = 2 pi i n That lie on Re q = 0:
+h is analytic there and decays like e^{-2d Im q}.  The engine integrates
+the head [0, Q] on the real axis and the tail along Re q = Q, which is
+exact; the force is still the real-frequency mode sum.  A real integrand
+that is not Re h (a Python-int That truncates the Bose weight of
+``_finite_t_integrand`` today) fails the engine's agreement check and
+reports converged=False.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -112,11 +121,30 @@ def _finite_t_integrand(d, that):
     return f
 
 
+def _continuation(d, that):
+    """h(q) = (1/pi) w(q) x/(1-x), x = e^{2iqd}/(2iq-1)^2, for complex q:
+    the integrand is Re h on the real axis, with w = q at That = 0 and
+    q/(1 - e^{-q/That}) above."""
+    def h(q):
+        x = np.exp(2j * d * q) / (2j * q - 1.0) ** 2
+        w = q if that == 0 else q / -np.expm1(-q / that)
+        return w * x / (math.pi * (1.0 - x))
+
+    return h
+
+
+def _canonical_force(f, d, that, tol):
+    """The mode-sum integral of f: the head [0, Q] on the real axis, the tail
+    along Re q = Q with Q = max(1, one period pi/d)."""
+    omega = 2.0 * d
+    spec = OscillatorySpec(omega, max(1.0, 2.0 * math.pi / float(omega)))
+    return integrate_oscillatory_tail(f, spec, tol, continuation=_continuation(d, that))
+
+
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the real-frequency mode sum."""
     d = require_real("d", d)
-    spec = OscillatorySpec.for_rate(2.0 * d)
-    est = integrate_oscillatory_tail(_zero_t_integrand(d), spec, tol)
+    est = _canonical_force(_zero_t_integrand(d), d, 0.0, tol)
     return ForceValue(est.value, "canonical", DimensionlessPoint(d, 0.0), est)
 
 
@@ -148,10 +176,7 @@ def force_finite_t_canonical(point: DimensionlessPoint, tol: float = FORCE_TOL) 
     if point.That == 0.0:
         return force_zero_t_canonical(point.d, tol)
     d, that = point.d, point.That
-    # push the switch point past the thermal scale so the tail fit sees an
-    # essentially constant Bose factor
-    spec = OscillatorySpec.for_rate(2.0 * d, min_switch=max(10.0, 8.0 * that))
-    est = integrate_oscillatory_tail(_finite_t_integrand(d, that), spec, tol)
+    est = _canonical_force(_finite_t_integrand(d, that), d, that, tol)
     return ForceValue(est.value, "canonical", point, est)
 
 

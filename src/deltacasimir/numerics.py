@@ -7,9 +7,10 @@ dedicated engine:
   (``integrate_smooth_semi_infinite``),
 * integrands that oscillate like cos(omega*q)/q at large q
   (``integrate_oscillatory_tail``), handled by adaptive quadrature up to a
-  switch point and half-period panels plus nonlinear sequence acceleration
-  beyond it, with an independent cosine-integral closed form as a
-  consistency cross-check,
+  switch point; beyond it, along the line Re q = Q when the caller gives
+  an analytic continuation, else by half-period panels plus nonlinear
+  sequence acceleration with an independent cosine-integral closed form
+  as a consistency cross-check,
 * exponentially convergent series (``sum_exponential_series``).
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
@@ -17,8 +18,8 @@ reported through the ``converged`` flag, never by silent truncation or an
 exception.  All engines are deterministic: identical inputs give
 bit-identical results on one platform.
 
-The package needs numpy only: the sine and cosine integrals of the tail
-cross-check are computed here (:func:`sici`).
+The package needs numpy only: the sine and cosine integrals of the
+half-period tail's cross-check are computed here (:func:`sici`).
 """
 from __future__ import annotations
 
@@ -59,9 +60,12 @@ class QuadratureEstimate:
 class OscillatorySpec:
     """Shape parameters of a cos(omega*q)/q style tail.
 
-    ``angular_rate`` is omega (2*d for the force integrands),
-    ``switch_point`` is where half-period panel handling begins and must
-    cover at least one full oscillation period 2*pi/omega.  Both are
+    ``angular_rate`` is omega (2*d for the force integrands).
+    ``switch_point`` Q ends the real-axis head and starts the tail: the
+    half-period panels, or the line Re q = Q when the integral has a
+    continuation.  It must cover at least one full oscillation period
+    2*pi/omega, over which the continuation's agreement check or the
+    cosine-integral check samples the integrand.  Both are
     stored as given, like ``DimensionlessPoint``'s fields: a float32 rate
     keeps the canonical force's float32 fault until ROADMAP item 2 makes
     the point coerce its coordinates.
@@ -146,6 +150,9 @@ _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
 _MAX_BLOCKS = 80            # decay blocks of a smooth semi-infinite integral
 _MAX_HALF_PERIODS = 20000   # half-period panels of an oscillatory tail
 _MAX_TERMS = 10_000_000     # terms of one exponential series
+# |f - Re h| allowed between an oscillatory integrand and its continuation,
+# relative to 1 + max|f|
+_AGREEMENT = 1e-12
 
 
 def sici(x):
@@ -217,19 +224,25 @@ def _adaptive_gk(f, edges, tol, max_evals=_MAX_EVALS):
 
     Each round splits every panel whose error exceeds its share of the
     budget, so narrow features (the kernel's cavity resonances) get resolved
-    locally.  Returns (value, error, evaluations, converged).
+    locally.  No round starts that would take the evaluations past
+    ``max_evals``; seed panels that alone would pass it are not evaluated
+    (value 0, error inf).  Returns (value, error, evaluations, converged).
     """
     edges = np.asarray(edges, float)
+    if 15 * (edges.size - 1) > max_evals:
+        return 0.0, math.inf, 0, False
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
     vals, errs, evals = _gk_apply(f, lo, hi)
     for _ in range(_MAX_ROUNDS):
         total_err = float(errs.sum())
-        if total_err <= tol or evals >= max_evals:
+        if total_err <= tol:
             break
         share = tol / (2.0 * lo.size)
         mask = errs > share
-        if not mask.any():
+        n_split = int(np.count_nonzero(mask))
+        # a round evaluates two halves of every split panel
+        if not n_split or evals + 30 * n_split > max_evals:
             break
         la, ha = lo[mask], hi[mask]
         mid = 0.5 * (la + ha)
@@ -266,6 +279,12 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     reports converged=False, never a silently truncated value.
     """
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
+    return _smooth_blocks(f, decay_scale, tol, _MAX_EVALS)
+
+
+def _smooth_blocks(f, decay_scale, tol, max_evals):
+    """``integrate_smooth_semi_infinite`` on a budget of ``max_evals``
+    integrand evaluations."""
     w = 7.0 * decay_scale
     value = 0.0
     err = 0.0
@@ -277,7 +296,7 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
         a = j * w
         btol = tol * max(0.5 ** (j + 3), 1.0 / 256.0)
         v, e, ne, ok = _adaptive_gk(f, np.linspace(a, a + w, 9), btol,
-                                    max_evals=max(1, _MAX_EVALS - evals))
+                                    max_evals=max_evals - evals)
         value += v
         err += e
         evals += ne
@@ -323,21 +342,36 @@ def _wynn_epsilon(sums):
     return best[-1], delta
 
 
-def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol) -> QuadratureEstimate:
+def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
+                               continuation=None) -> QuadratureEstimate:
     """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
 
     The head [0, Q] is done by adaptive panels seeded at half the
-    oscillation half-period.  Beyond Q the integral is summed over panels
-    between consecutive zeros of cos(omega*q); the alternating partial sums
-    are extrapolated with Wynn's epsilon algorithm evaluated on a trailing
-    window, and the drift between the estimates at N and N/2 panels supplies
-    the error estimate (the plain epsilon increment is overoptimistic for
-    the non-alternating 1/q^2 component).
+    oscillation half-period.
 
-    Independently, A and the sin coefficient are fitted from tail samples
-    and the leading closed form -A*Ci(omega*Q) + B*(pi/2 - Si(omega*Q)) is
-    compared against the accelerated tail; disagreement beyond the combined
-    error estimates clears ``converged``.
+    With a ``continuation`` h, the tail [Q, inf) is taken on a rotated
+    contour.  h must accept a complex ndarray, be analytic on the quarter
+    plane Re q >= Q, Im q >= 0, have Re h = f on the real axis, and decay
+    like e^{-omega Im q} (the force integrands' h is analytic there because
+    |x| < 1 and the Bose poles lie on Re q = 0; see ``forces``).  Then
+    int_Q^inf f dq = -int_0^inf Im h(Q + it) dt exactly (the arc at
+    infinity vanishes), an exponentially decaying integral done by
+    ``integrate_smooth_semi_infinite``'s blocks with decay scale 1/omega.  An agreement check replaces the cosine-integral check
+    below: |f - Re h| <= 1e-12 (1 + max|f|) at 48 points over one period
+    beyond Q, or ``converged`` is cleared.  It catches a real integrand
+    that is not Re h, such as one computed in a truncated or lower
+    precision type.  Head, check and tail share one ``_MAX_EVALS``.
+
+    Without one, the tail is summed over panels between consecutive zeros
+    of cos(omega*q); the alternating partial sums are extrapolated with
+    Wynn's epsilon algorithm evaluated on a trailing window, and the drift
+    between the estimates at N and N/2 panels supplies the error estimate
+    (the plain epsilon increment is overoptimistic for the non-alternating
+    1/q^2 component).  Independently, A and the sin coefficient are fitted
+    from tail samples and the leading closed form
+    -A*Ci(omega*Q) + B*(pi/2 - Si(omega*Q)) is compared against the
+    accelerated tail; disagreement beyond the combined error estimates
+    clears ``converged``.
     """
     tol = require_real("tol", tol)
     omega = spec.angular_rate
@@ -346,8 +380,10 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol) -> QuadratureEstim
 
     wseed = min(0.5 * half, q0 / 8.0)
     nseed = min(int(math.ceil(q0 / wseed)), 300000)
-    head_v, head_e, head_n, head_ok = _adaptive_gk(f, np.linspace(0.0, q0, nseed + 1),
-                                                   0.5 * tol)
+    head_edges = np.linspace(0.0, q0, nseed + 1)
+    if continuation is not None:
+        return _rotated_tail(f, continuation, omega, q0, head_edges, tol)
+    head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, 0.5 * tol)
     evals = head_n
 
     # stub panel up to the first zero of cos(omega q) strictly beyond Q
@@ -356,7 +392,7 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol) -> QuadratureEstim
     while z0 <= q0:
         z0 += half
     stub_v, stub_e, stub_n, stub_ok = _adaptive_gk(f, np.array([q0, z0]), 0.125 * tol,
-                                                   max_evals=max(1, _MAX_EVALS - evals))
+                                                   max_evals=_MAX_EVALS - evals)
     evals += stub_n
 
     tail_tol = 0.25 * tol
@@ -427,6 +463,26 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol) -> QuadratureEstim
     err = head_e + stub_e + best_err
     converged = head_ok and stub_ok and tail_ok and consistent and err <= tol
     return QuadratureEstimate(value, err, evals, converged)
+
+
+def _rotated_tail(f, h, omega, q0, head_edges, tol):
+    """``integrate_oscillatory_tail`` with a continuation h of f."""
+    nchk = 48
+    qs = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
+    fq = np.asarray(f(qs), float)
+    mismatch = float(np.max(np.abs(fq - np.real(h(qs + 0j)))))
+    agree = mismatch <= _AGREEMENT * (1.0 + float(np.max(np.abs(fq))))
+    evals = 2 * nchk
+    head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, 0.5 * tol,
+                                                   max_evals=_MAX_EVALS - evals)
+    evals += head_n
+    # int_Q^inf h dq = i int_0^inf h(Q + it) dt, whose real part is the tail
+    tail = _smooth_blocks(lambda t: -np.imag(h(q0 + 1j * np.asarray(t, float))),
+                          1.0 / omega, 0.5 * tol, _MAX_EVALS - evals)
+    value = head_v + tail.value
+    err = head_e + tail.abs_error_estimate
+    converged = agree and head_ok and tail.converged and err <= tol
+    return QuadratureEstimate(value, err, evals + tail.evaluations, converged)
 
 
 def cosine_integral(x: float) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import force_identity
 from scipy.integrate import simpson
 
 from deltacasimir import (
@@ -124,6 +125,51 @@ def test_finite_t_canonical_value_and_brute_oracle():
     oracle = brute_force_mode_sum(1.0, 1.0)
     assert fv.value == pytest.approx(oracle, abs=5e-9)
     assert fv.value == pytest.approx(FC_FINITE_11, abs=5e-11)
+
+
+# the Bose-weighted mode sum itself, by mpmath quadosc at 30 digits
+# (about 10 s each, so recorded here)
+MODE_SUM_MPMATH = {(0.3, 0.5): "-0.0899125556427896389819417044459",
+                   (1.0, 1.0): "-0.0944869222071092673713752890022"}
+
+
+@pytest.mark.parametrize("d, that", sorted(MODE_SUM_MPMATH))
+def test_force_identity_matches_mpmath(d, that):
+    # (1/2)[F(d, 0) + F_L(d, That)] at 40 digits, and the mode sum it equals
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        dm, tm = mpmath.mpf(d), mpmath.mpf(that)
+        zero_t = -mpmath.quad(lambda z: z / (mpmath.exp(dm * z) * (1 + z) ** 2 - 1),
+                              [0, 1, 1 / dm, mpmath.inf]) / (4 * mpmath.pi)
+        c = 4 * mpmath.pi * tm
+        matsubara = -(mpmath.nsum(lambda n: tm * c * n / (mpmath.exp(c * n * dm) * (1 + c * n) ** 2 - 1),
+                                  [1, mpmath.inf]) + tm / (2 * (dm + 2)))
+        exact = (zero_t + matsubara) / 2
+        assert abs(exact - mpmath.mpf(MODE_SUM_MPMATH[d, that])) <= 1e-28
+        assert abs(force_identity(d, that) - exact) <= 4e-16 * abs(exact)
+        assert abs(force_identity(d, 0.0) - zero_t) <= 4e-16 * abs(zero_t)
+
+
+def _within_estimate_of_the_identity(d, that):
+    est = casimir_force(DimensionlessPoint(d, that), "canonical").estimate
+    exact = force_identity(d, that)
+    # the oracle's terms have one sign: a few ulp of rounding
+    return est.converged, abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact)
+
+
+@pytest.mark.parametrize("that", [0.0, 0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
+def test_canonical_force_within_its_estimate_of_the_identity(that):
+    # the Wynn-accelerated tail under-reported its error at d >= 9.5 here,
+    # up to 15x at (93.36, 2)
+    for d in np.geomspace(0.01, 200.0, 14):
+        assert _within_estimate_of_the_identity(float(d), that) == (True, True), d
+
+
+@pytest.mark.parametrize("that", [0.0, 0.5, 1.0, 2.0])
+def test_figure_1_and_2_rows_within_their_estimate_of_the_identity(that):
+    # the default grid of figures 1 (That = 0) and 2
+    for d in np.geomspace(0.1, 10.0, 60):
+        assert _within_estimate_of_the_identity(float(d), that) == (True, True), d
 
 
 def test_finite_t_lifshitz_zero_mode_term():

@@ -1,9 +1,13 @@
 """Golden bytes of the figure CSVs.
 
 Each case runs ``deltacasimir figure`` in process and compares the sha256 of
-every CSV it writes against a recorded hash.  The figure 1 and 2 hashes
-were recorded at commit a576f6b, where each CSV of a figure had its own
-worker pool.  The figure 3a and 3b hashes were recorded again when the
+every CSV it writes against a recorded hash.  The figure 1 and 2 Lifshitz
+hashes were recorded at commit a576f6b, where each CSV of a figure had its
+own worker pool.  The canonical ones were recorded again when the force's
+tail beyond Q moved from half-period panels with Wynn's epsilon to the
+rotated contour Re q = Q: the values moved by at most 2.5e-11, every row
+now lies within 5.2e-14 of the exact force and within its own error
+estimate, and the ``evals`` column changed.  The figure 3a and 3b hashes were recorded again when the
 entropy density's seed panels widened from a quarter period to one (values
 moved by at most 4.2e-13), and again when the density took its q cut-off
 from its tolerance and the entropy's distance integral started from one
@@ -22,13 +26,13 @@ from deltacasimir.cli import main
 
 GOLDEN = {
     ("figure", "--id", "1", "--jobs", "1"): {
-        "figure1_canonical.csv": "97eda498956f846d82d7346ee9679795eb29c04a5298692667fa720a557c59ee",
+        "figure1_canonical.csv": "6bbe1f2d64c616807a4291bf32021b25c4bbdc5279953410540b2efb7f5ca8a4",
         "figure1_lifshitz.csv": "c4b58e895cb37bca82161775d0eb8b66fe72aa1a8e427aa154c443274c5c9168",
     },
     ("figure", "--id", "2", "--jobs", "1"): {
-        "figure2_canonical_That0.5.csv": "489ce128394558c80eb940308043256ef9e76b64166206e0f9364755dfa8ccaf",
-        "figure2_canonical_That1.csv": "5c1b88bcdbb7779665a13088336767d0dbdb00e485477c6783412601e56906ed",
-        "figure2_canonical_That2.csv": "8a04fe9d2c8028a0138ce610a129790cc545b8956a85f456c32fe16e30f00397",
+        "figure2_canonical_That0.5.csv": "65e658254244507829daa686c988dbaffdb4985181218601d497afbbeb7395ba",
+        "figure2_canonical_That1.csv": "f21c1521b1adbae145a4048dd96721b523abbcf3eacd364e31680e159a1f4d37",
+        "figure2_canonical_That2.csv": "9159ea9c3c753f37c7b84c4378e75c9d0e09dd2c46c13af7a35a2e3469efd2ee",
         "figure2_lifshitz_That0.5.csv": "ac0a3ea5e849d332c6c144bf134edfeba5719dcbd4d1d0b0439a759e94cfa2de",
         "figure2_lifshitz_That1.csv": "2d8910a342d7ef79ed7e5a25354ee3c6a985185080c2d23c9307a2ecb86d394d",
         "figure2_lifshitz_That2.csv": "e2c3dc4d45c93bdc19cb7e98d5cd94269cd93c1116ad343a93d9d83bcc847d56",

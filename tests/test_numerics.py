@@ -116,11 +116,81 @@ def test_oscillatory_sinc():
     assert est.value == pytest.approx(math.pi / 2.0, abs=2e-9)
 
 
+def _lorentz_cos(q, omega=1.0):
+    return np.cos(omega * q) / (1.0 + q * q)
+
+
+def _lorentz_exp(q, omega=1.0):
+    # continuation of _lorentz_cos: analytic for Re q > 0 (poles at q = +-i)
+    return np.exp(1j * omega * q) / (1.0 + q * q)
+
+
 def test_oscillatory_lorentz_cos():
-    f = lambda q: np.cos(np.asarray(q, float)) / (1.0 + np.asarray(q, float) ** 2)
-    est = integrate_oscillatory_tail(f, OscillatorySpec.for_rate(1.0), 1e-9)
+    est = integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec.for_rate(1.0), 1e-9)
     assert est.converged
     assert est.value == pytest.approx(math.pi / (2.0 * math.e), abs=2e-9)
+
+
+@pytest.mark.parametrize("omega, q0", [(1.0, 2.0 * math.pi), (1.0, 30.0), (3.0, 2.1),
+                                       (20.0, 1.0)])
+def test_oscillatory_tail_on_the_rotated_contour(omega, q0):
+    # int_0^inf cos(omega q)/(1+q^2) dq = (pi/2) e^{-omega}
+    spec = OscillatorySpec(omega, q0)
+    est = integrate_oscillatory_tail(lambda q: _lorentz_cos(q, omega), spec, 1e-11,
+                                     continuation=lambda q: _lorentz_exp(q, omega))
+    assert est.converged and est.abs_error_estimate <= 1e-11
+    assert abs(est.value - 0.5 * math.pi * math.exp(-omega)) <= est.abs_error_estimate
+    # no half-period panels: the whole integral costs under 1,000 evaluations
+    assert est.evaluations <= 1000
+
+
+def test_oscillatory_continuation_of_another_integrand_is_refused():
+    # h with the wrong sign is not a continuation of f: its contour tail is
+    # the tail of -f, and the real-axis agreement check must say so
+    spec = OscillatorySpec.for_rate(1.0, min_switch=1.0)
+    est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-10,
+                                     continuation=lambda q: -_lorentz_exp(q))
+    assert not est.converged
+    assert est.value != pytest.approx(math.pi / (2.0 * math.e), abs=1e-6)
+    # a mismatch at rounding level passes
+    est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-10,
+                                     continuation=lambda q: _lorentz_exp(q) * (1.0 + 1e-15))
+    assert est.converged
+
+
+def _noisy(x):
+    # e^{-x} with a 1e-9 relative ripple of period 6e-9: no panel width the
+    # bisection can reach resolves it, so the error estimate never gets small
+    return np.exp(-x) * (1.0 + 1e-9 * np.sin(1e9 * x))
+
+
+def test_adaptive_rounds_stop_at_the_evaluation_budget():
+    from deltacasimir.numerics import _adaptive_gk
+    for budget in (1_000, 20_000, 50_000):
+        value, err, evals, ok = _adaptive_gk(_noisy, np.linspace(0.0, 5.0, 9), 1e-15,
+                                             max_evals=budget)
+        assert not ok and evals <= budget
+        # the round that was refused would have doubled the work
+        assert evals > budget / 2
+    # seed panels that alone pass the budget are not evaluated
+    assert _adaptive_gk(_noisy, np.linspace(0.0, 5.0, 9), 1e-15, max_evals=100) == \
+        (0.0, math.inf, 0, False)
+
+
+def test_engines_share_one_evaluation_budget(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
+    est = integrate_smooth_semi_infinite(_noisy, 1.0, 1e-15)
+    assert not est.converged and est.evaluations <= 30_000
+    # head, agreement check and rotated tail of one integral draw on one budget
+    est = integrate_oscillatory_tail(lambda q: _noisy(q) * _lorentz_cos(q),
+                                     OscillatorySpec.for_rate(1.0), 1e-15,
+                                     continuation=_lorentz_exp)
+    assert not est.converged and est.evaluations <= 30_000
+    # the np.float32 force point: its float32 Bose weight is noise at 1e-7
+    # (its head alone spent 10,219,953 evaluations against 8,000,000 once)
+    pt = DimensionlessPoint(np.float32(143.7), np.float32(2.0))
+    est = casimir_force(pt, "canonical").estimate
+    assert not est.converged and est.evaluations <= 30_000
 
 
 @pytest.mark.parametrize("omega", [0.2, 2.0, 20.0])
@@ -233,12 +303,17 @@ def test_sici_absolute_error_near_ci_zero_and_branch_switch(x):
 
 
 def test_tail_check_looks_sici_up_by_module_name(monkeypatch):
-    # the benchmark's tracer times Si/Ci by replacing numerics.sici
+    # the benchmark's tracer times Si/Ci by replacing numerics.sici; only an
+    # integrand without a continuation takes the cosine-integral check
     calls = []
     sici = numerics.sici
     monkeypatch.setattr(numerics, "sici", lambda x: calls.append(x) or sici(x))
+    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec.for_rate(1.0), 1e-9)
+    assert calls == [4.0 * math.pi]   # omega * Q = max(10, 4 pi/omega)
+    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec.for_rate(1.0), 1e-9,
+                               continuation=_lorentz_exp)
     casimir_force(DimensionlessPoint(1.0, 0.0), "canonical")
-    assert calls == [20.0]   # omega * Q = 2d * max(10, 2 pi/d)
+    assert calls == [4.0 * math.pi]
 
 
 # ------------------------------------------------------------------- series
