@@ -4,7 +4,8 @@ Three families of computation recur in this package and each gets a
 dedicated engine:
 
 * smooth integrands on [0, inf) with exponential decay
-  (``integrate_smooth_semi_infinite``),
+  (``integrate_smooth_semi_infinite``), handled by one adaptive integral
+  after the substitution x = L s/(1-s) onto [0, 1),
 * integrands that oscillate like cos(omega*q)/q at large q
   (``integrate_oscillatory_tail``), handled by adaptive quadrature up to a
   switch point; beyond it, along the line Re q = Q when the caller gives
@@ -82,14 +83,6 @@ class OscillatorySpec:
                 f"2*pi/angular_rate = {2.0 * math.pi / omega:g}"
             )
 
-    @classmethod
-    def for_rate(cls, angular_rate: float, min_switch: float = 10.0) -> "OscillatorySpec":
-        """Default spec: switch at max(min_switch, 4*pi/angular_rate)."""
-        require_real("angular_rate", angular_rate)
-        require_real("min_switch", min_switch)
-        q0 = max(min_switch, 4.0 * math.pi / angular_rate)
-        return cls(angular_rate, q0)
-
 
 # 15-point Kronrod nodes on [-1, 1]; the embedded 7-point Gauss rule sits on
 # the odd indices.
@@ -147,9 +140,12 @@ _GK_CHUNK = 256
 # caps on the work of one engine call; hitting one reports converged=False
 _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
 _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
-_MAX_BLOCKS = 80            # decay blocks of a smooth semi-infinite integral
 _MAX_HALF_PERIODS = 20000   # half-period panels of an oscillatory tail
 _MAX_TERMS = 10_000_000     # terms of one exponential series
+# a smooth semi-infinite integral maps x = L s/(1-s) with L = 4 decay
+# lengths, and its integrand is zero past 200 decay lengths
+_MAP_LENGTHS = 4.0
+_DECAY_CUT = 200.0
 # |f - Re h| allowed between an oscillatory integrand and its continuation,
 # relative to 1 + max|f|
 _AGREEMENT = 1e-12
@@ -269,45 +265,51 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     f : callable
         Vectorized integrand, |f(x)| <= M*exp(-x/decay_scale) for large x.
     decay_scale : float
-        Positive decay length; blocks of width 7*decay_scale are integrated
-        adaptively until the running block is negligible.
+        Positive decay length.  The substitution x = L s/(1-s) with
+        L = 4*decay_scale maps [0, inf) onto [0, 1), where f(x) L/(1-s)^2
+        is smooth and vanishes at s = 1 with all its derivatives: one
+        adaptive integral from 8 equal seed panels covers it.  f is not
+        evaluated beyond x_c = 200 decay lengths, where e^{-200} < 1e-86
+        has made it zero.
     tol : float
-        Absolute tolerance.  The geometric remainder bound from the last two
-        blocks is folded into the reported error estimate.
+        Absolute tolerance.  x_c times the largest |f| seen on
+        [x_c/2, x_c) is added to the error estimate: it is zero for all
+        practical purposes when f decays as promised, and it keeps an
+        integrand that does not decay from converging to its truncation.
 
-    Running out of blocks (``_MAX_BLOCKS``) or evaluations (``_MAX_EVALS``)
+    Running out of bisection rounds or evaluations (``_MAX_EVALS``)
     reports converged=False, never a silently truncated value.
     """
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
-    return _smooth_blocks(f, decay_scale, tol, _MAX_EVALS)
+    return _smooth_mapped(f, decay_scale, tol, _MAX_EVALS)
 
 
-def _smooth_blocks(f, decay_scale, tol, max_evals):
+def _smooth_mapped(f, decay_scale, tol, max_evals):
     """``integrate_smooth_semi_infinite`` on a budget of ``max_evals``
     integrand evaluations."""
-    w = 7.0 * decay_scale
-    value = 0.0
-    err = 0.0
-    evals = 0
-    all_ok = True
-    prev = None
-    converged = False
-    for j in range(_MAX_BLOCKS):
-        a = j * w
-        btol = tol * max(0.5 ** (j + 3), 1.0 / 256.0)
-        v, e, ne, ok = _adaptive_gk(f, np.linspace(a, a + w, 9), btol,
-                                    max_evals=max_evals - evals)
-        value += v
-        err += e
-        evals += ne
-        all_ok &= ok
-        if prev is not None and abs(v) <= 0.1 * tol:
-            r = 0.0 if prev == 0.0 else min(abs(v) / abs(prev), 0.9)
-            err += abs(v) * r / (1.0 - r)
-            converged = all_ok and err <= tol
-            break
-        prev = abs(v)
-    return QuadratureEstimate(value, err, evals, converged)
+    decay_scale = float(decay_scale)
+    scale = _MAP_LENGTHS * decay_scale
+    x_cut = _DECAY_CUT * decay_scale
+    s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
+    witness = 0.0
+
+    def g(s):
+        nonlocal witness
+        out = np.zeros(s.shape)
+        m = s < s_cut
+        sm = s[m]
+        jac = scale / (1.0 - sm)
+        x = jac * sm
+        fx = np.asarray(f(x), float)
+        out[m] = fx * (jac / (1.0 - sm))
+        far = x >= 0.5 * x_cut
+        if far.any():
+            witness = max(witness, x_cut * float(np.max(np.abs(fx[far]))))
+        return out
+
+    v, e, n, ok = _adaptive_gk(g, np.linspace(0.0, 1.0, 9), tol, max_evals=max_evals)
+    err = e + witness
+    return QuadratureEstimate(v, err, n, ok and err <= tol)
 
 
 def _wynn_epsilon(sums):
@@ -353,11 +355,13 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     contour.  h must accept a complex ndarray, be analytic on the quarter
     plane Re q >= Q, Im q >= 0, have Re h = f on the real axis, and decay
     like e^{-omega Im q} (the force integrands' h is analytic there because
-    |x| < 1 and the Bose poles lie on Re q = 0; see ``forces``).  Then
+    |x| < 1 and the Bose poles lie on Re q = 0; see ``forces``, and
+    ``thermo`` for the entropy density's).  Then
     int_Q^inf f dq = -int_0^inf Im h(Q + it) dt exactly (the arc at
     infinity vanishes), an exponentially decaying integral done by
-    ``integrate_smooth_semi_infinite``'s blocks with decay scale 1/omega.  An agreement check replaces the cosine-integral check
-    below: |f - Re h| <= 1e-12 (1 + max|f|) at 48 points over one period
+    ``integrate_smooth_semi_infinite``'s mapped adaptive integral with
+    decay scale 1/omega.  An agreement check replaces the cosine-integral
+    check below: |f - Re h| <= 1e-12 (1 + max|f|) at 48 points over one period
     beyond Q, or ``converged`` is cleared.  It catches a real integrand
     that is not Re h, such as one computed in a truncated or lower
     precision type.  Head, check and tail share one ``_MAX_EVALS``.
@@ -477,7 +481,7 @@ def _rotated_tail(f, h, omega, q0, head_edges, tol):
                                                    max_evals=_MAX_EVALS - evals)
     evals += head_n
     # int_Q^inf h dq = i int_0^inf h(Q + it) dt, whose real part is the tail
-    tail = _smooth_blocks(lambda t: -np.imag(h(q0 + 1j * np.asarray(t, float))),
+    tail = _smooth_mapped(lambda t: -np.imag(h(q0 + 1j * np.asarray(t, float))),
                           1.0 / omega, 0.5 * tol, _MAX_EVALS - evals)
     value = head_v + tail.value
     err = head_e + tail.abs_error_estimate

@@ -33,9 +33,11 @@ from .errors import DomainError, require_real
 from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL
 from .model import DimensionlessPoint
 from .numerics import (
+    OscillatorySpec,
     QuadratureEstimate,
     _adaptive_gk,
     _thermal_weight_raw,
+    integrate_oscillatory_tail,
     sum_exponential_series,
 )
 from .scattering import flux_deficit
@@ -53,6 +55,9 @@ __all__ = [
 
 ENTROPY_TOL = 1e-6
 ENTROPY_INNER_TOL = 1e-8
+# the density's q-integral leaves the real axis at one period pi/dtilde when
+# its cut-off q_max spans more periods than this
+_ROTATE_PERIODS = 16
 
 
 @dataclass(frozen=True)
@@ -76,30 +81,23 @@ class EntropyDensity:
     estimate: QuadratureEstimate
 
 
-def entropy_density_canonical(dtilde: float, That: float,
-                              tol: float = ENTROPY_INNER_TOL) -> EntropyDensity:
-    """Entropy density in separation at (dtilde, That).
+def _density_continuation(dtilde, That):
+    """h(q) = -(u/sinh u)^2 x/(pi (1-x)), u = q/(2 That) and
+    x = e^{2iq dtilde}/(2iq-1)^2, for complex q: the density's integrand is
+    Re h on the real axis.  The weight is (2u e^{-u}/(1 - e^{-2u}))^2, the
+    expm1 form of ``_thermal_weight_raw``."""
+    def h(q):
+        u = q / (2.0 * That)
+        b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
+        x = np.exp(2j * dtilde * q) / (2j * q - 1.0) ** 2
+        return -b * b * x / (math.pi * (1.0 - x))
 
-    The csch^2 weight decays like 4 u^2 e^{-2u} (u = q/2That), so the
-    integral stops at q_max = 2 That u, with u the smallest multiple of 0.5
-    (at most 20) whose truncation bound is below tol/1000.  The kernel
-    oscillates with period pi/dtilde, so panels are seeded one period wide
-    (narrower only where 2.5 That or q_max/8 is) and refined adaptively.
-    Below q ~ 1 each period holds a cavity resonance, at
-    sin(dtilde q) + 2q cos(dtilde q) = 0: a dip of area -pi/(dtilde+2) and
-    width ~ 2q^2/(dtilde+2), far narrower than its seed panel at large
-    dtilde; the bisection finds it from that panel's GK error.  A dip that
-    falls between all of a panel's nodes goes unseen: at That = 0.001 and
-    dtilde = 200 (seed width 2.5 That) the value misses its estimate.  The
-    truncation bound is added to the error estimate, and the panels get
-    the rest of tol.
+    return h
 
-    The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
-    its zero mode kept (see the README).  The tests use that identity as
-    the oracle for this function on d in [0.01, 200], That in [0.001, 3].
-    """
-    dtilde, That = require_real("dtilde", dtilde), require_real("That", That)
-    tol = require_real("tol", tol)
+
+def _thermal_cutoff(That, tol):
+    """(q_max, tail_bound): the density's q cut-off at (That, tol) and the
+    bound on the integral it drops."""
     # |flux_deficit| <= 1/(2 q^2) for q > 0 (it is -2 Re[x/(1-x)] with
     # |x| = 1/(1+4q^2)) and int_{q_c}^inf tw dq <= 8 That e^{-2u}(u^2+u+1),
     # q_c = 2 That u, so (1/2pi) times the tail beyond q_c is at most
@@ -109,16 +107,64 @@ def entropy_density_canonical(dtilde: float, That: float,
         tail_bound = math.exp(-2.0 * u) * (u * u + u + 1.0) / (2.0 * math.pi * That * u * u)
         if tail_bound <= 1e-3 * tol:
             break
-    q_max = 2.0 * That * u
-    w = min(math.pi / dtilde, 2.5 * That, q_max / 8.0)
-    n = min(int(math.ceil(q_max / w)), 300000)
+    return 2.0 * That * u, tail_bound
+
+
+def entropy_density_canonical(dtilde: float, That: float,
+                              tol: float = ENTROPY_INNER_TOL) -> EntropyDensity:
+    """Entropy density in separation at (dtilde, That).
+
+    The csch^2 weight decays like 4 u^2 e^{-2u} (u = q/2That), so the
+    integral stops at q_max = 2 That u, with u the smallest multiple of 0.5
+    (at most 20) whose truncation bound is below tol/1000.  The kernel
+    oscillates with period pi/dtilde.
+
+    When q_max spans more than 16 periods, [0, pi/dtilde] is integrated on
+    the real axis and the rest along Re q = pi/dtilde by
+    ``integrate_oscillatory_tail`` with the continuation
+    ``_density_continuation``, exactly as the canonical force's tail: the
+    integrand is -(1/pi) (u/sinh u)^2 Re[x/(1-x)] with |x| < 1 for
+    Im q >= 0, and the csch^2 poles lie on Re q = 0.  The contour passes
+    above every cavity resonance beyond pi/dtilde, and no truncation
+    bound is needed.
+
+    Otherwise [0, q_max] is integrated on the real axis: panels are seeded
+    one period wide (narrower only where 2.5 That or q_max/8 is) and
+    refined adaptively.  Below q ~ 1 each period holds a cavity resonance,
+    at sin(dtilde q) + 2q cos(dtilde q) = 0, near q_m = m pi/(dtilde+2): a
+    dip of width ~ 2 q_m^2/(dtilde+2), far narrower than its seed panel at
+    large dtilde.  Extra seed edges at q_m +- 4 q_m^2/(dtilde+2) give each
+    dip a panel of its own.  The truncation bound is added to the error
+    estimate, and the panels get the rest of tol.
+
+    The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
+    its zero mode kept (see the README).  The tests use that identity as
+    the oracle for this function on d in [0.01, 200], That in [0.001, 3].
+    """
+    dtilde, That = require_real("dtilde", dtilde), require_real("That", That)
+    tol = require_real("tol", tol)
+    q_max, tail_bound = _thermal_cutoff(That, tol)
+    period = math.pi / dtilde
     inv_2pi = 0.5 / math.pi
 
     def f(q):
         q = np.asarray(q, float)
         return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, dtilde)
 
-    v, e, ne, ok = _adaptive_gk(f, np.linspace(0.0, q_max, n + 1), tol - tail_bound)
+    if q_max > _ROTATE_PERIODS * period:
+        est = integrate_oscillatory_tail(f, OscillatorySpec(2.0 * dtilde, period), tol,
+                                         continuation=_density_continuation(dtilde, That))
+        return EntropyDensity(value=est.value, dtilde=dtilde, That=That, estimate=est)
+
+    w = min(period, 2.5 * That, q_max / 8.0)
+    n = min(int(math.ceil(q_max / w)), 300000)
+    q_m = np.arange(1.0, min(1.0, q_max) * (dtilde + 2.0) / math.pi) * (math.pi / (dtilde + 2.0))
+    half_width = 4.0 * q_m * q_m / (dtilde + 2.0)
+    dips = np.concatenate([q_m - half_width, q_m + half_width])
+    # np.sort, not np.unique: the first np.unique call imports numpy.ma (13 ms)
+    edges = np.sort(np.concatenate([np.linspace(0.0, q_max, n + 1),
+                                    dips[(dips > 0.0) & (dips < q_max)]]))
+    v, e, ne, ok = _adaptive_gk(f, edges, tol - tail_bound)
     err = e + tail_bound
     est = QuadratureEstimate(v, err, ne, ok and err <= tol)
     return EntropyDensity(value=v, dtilde=dtilde, That=That, estimate=est)

@@ -292,11 +292,11 @@ def test_criterion_12_quadrature_error_honesty(capsys):
     ci2 = 0.4229808287748649956986
     ci05 = -0.1777840788066129013358   # Ci(0.5), mpmath
     oscillatory = [
-        (masked_sinc, OscillatorySpec.for_rate(1.0), math.pi / 2.0),
+        (masked_sinc, OscillatorySpec(1.0, 4.0 * math.pi), math.pi / 2.0),
         (lambda q: np.cos(np.asarray(q, float)) / (1.0 + np.asarray(q, float) ** 2),
-         OscillatorySpec.for_rate(1.0), math.pi / (2.0 * math.e)),
-        (cos_over_2q, OscillatorySpec.for_rate(2.0), -ci2 / 2.0),
-        (halfcos_over_q, OscillatorySpec.for_rate(0.5), -ci05),
+         OscillatorySpec(1.0, 4.0 * math.pi), math.pi / (2.0 * math.e)),
+        (cos_over_2q, OscillatorySpec(2.0, 10.0), -ci2 / 2.0),
+        (halfcos_over_q, OscillatorySpec(0.5, 8.0 * math.pi), -ci05),
         (lambda q: np.exp(-np.asarray(q, float)) * np.sin(2.0 * np.asarray(q, float)),
          OscillatorySpec(2.0, 10.0), 0.4),
     ]

@@ -72,6 +72,30 @@ def test_smooth_zero_function():
     assert est.value == 0.0
 
 
+def test_smooth_reports_the_evaluation_cap(monkeypatch):
+    # e^{-x} cos(40 x) needs 10,500 evaluations at tol 1e-13
+    f = lambda x: np.exp(-x) * np.cos(40.0 * x)
+    assert integrate_smooth_semi_infinite(f, 1.0, 1e-13).converged
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 1_000)
+    est = integrate_smooth_semi_infinite(f, 1.0, 1e-13)
+    assert not est.converged and est.evaluations <= 1_000
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda x: np.ones_like(x), math.inf),
+    (np.cos, math.nan),
+    (lambda x: 1.0 / (1.0 + x) ** 2, 1.0),
+], ids=["one", "cos", "inverse_square"])
+def test_smooth_integrand_that_does_not_decay_is_not_converged(f, exact):
+    # blocks of 7 decay lengths once ran into a block cap here; the mapped
+    # integral stops evaluating at 200 decay lengths, and what f still is
+    # beyond 100 keeps it from converging to the truncated integral
+    est = integrate_smooth_semi_infinite(f, 1.0, 1e-10)
+    assert not est.converged
+    if math.isfinite(exact):
+        assert abs(est.value - exact) <= est.abs_error_estimate
+
+
 def test_smooth_rejects_bad_args():
     with pytest.raises(DomainError):
         integrate_smooth_semi_infinite(lambda x: x, 0.0, 1e-10)
@@ -90,7 +114,7 @@ def test_oscillatory_cos_over_q():
         out[m] = np.cos(2.0 * q[m]) / (2.0 * q[m])
         return out
 
-    spec = OscillatorySpec.for_rate(2.0)
+    spec = OscillatorySpec(2.0, 10.0)
     est = integrate_oscillatory_tail(f, spec, 1e-9)
     assert est.converged
     assert est.value == pytest.approx(-CI_2 / 2.0, abs=1e-9)
@@ -111,7 +135,7 @@ def test_oscillatory_sinc():
         out[m] = np.sin(q[m]) / q[m]
         return out
 
-    est = integrate_oscillatory_tail(f, OscillatorySpec.for_rate(1.0), 1e-9)
+    est = integrate_oscillatory_tail(f, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9)
     assert est.converged
     assert est.value == pytest.approx(math.pi / 2.0, abs=2e-9)
 
@@ -126,7 +150,7 @@ def _lorentz_exp(q, omega=1.0):
 
 
 def test_oscillatory_lorentz_cos():
-    est = integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec.for_rate(1.0), 1e-9)
+    est = integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9)
     assert est.converged
     assert est.value == pytest.approx(math.pi / (2.0 * math.e), abs=2e-9)
 
@@ -147,7 +171,7 @@ def test_oscillatory_tail_on_the_rotated_contour(omega, q0):
 def test_oscillatory_continuation_of_another_integrand_is_refused():
     # h with the wrong sign is not a continuation of f: its contour tail is
     # the tail of -f, and the real-axis agreement check must say so
-    spec = OscillatorySpec.for_rate(1.0, min_switch=1.0)
+    spec = OscillatorySpec(1.0, 4.0 * math.pi)
     est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-10,
                                      continuation=lambda q: -_lorentz_exp(q))
     assert not est.converged
@@ -183,7 +207,7 @@ def test_engines_share_one_evaluation_budget(monkeypatch):
     assert not est.converged and est.evaluations <= 30_000
     # head, agreement check and rotated tail of one integral draw on one budget
     est = integrate_oscillatory_tail(lambda q: _noisy(q) * _lorentz_cos(q),
-                                     OscillatorySpec.for_rate(1.0), 1e-15,
+                                     OscillatorySpec(1.0, 4.0 * math.pi), 1e-15,
                                      continuation=_lorentz_exp)
     assert not est.converged and est.evaluations <= 30_000
     # the np.float32 force point: its float32 Bose weight is noise at 1e-7
@@ -221,8 +245,8 @@ def test_oscillatory_spec_validation():
         OscillatorySpec(angular_rate=0.0, switch_point=10.0)
     with pytest.raises(DomainError):
         OscillatorySpec(angular_rate=0.2, switch_point=5.0)  # < one period
-    spec = OscillatorySpec.for_rate(0.2)
-    assert spec.switch_point >= 2.0 * math.pi / 0.2
+    # exactly one period is enough
+    assert OscillatorySpec(0.2, 2.0 * math.pi / 0.2).switch_point == 10.0 * math.pi
 
 
 # ------------------------------------------------------------ cosine integral
@@ -308,9 +332,9 @@ def test_tail_check_looks_sici_up_by_module_name(monkeypatch):
     calls = []
     sici = numerics.sici
     monkeypatch.setattr(numerics, "sici", lambda x: calls.append(x) or sici(x))
-    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec.for_rate(1.0), 1e-9)
-    assert calls == [4.0 * math.pi]   # omega * Q = max(10, 4 pi/omega)
-    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec.for_rate(1.0), 1e-9,
+    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9)
+    assert calls == [4.0 * math.pi]   # omega * Q
+    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9,
                                continuation=_lorentz_exp)
     casimir_force(DimensionlessPoint(1.0, 0.0), "canonical")
     assert calls == [4.0 * math.pi]
@@ -491,5 +515,5 @@ def test_bit_identical_reruns():
         out[m] = np.sin(q[m]) / q[m]
         return out
 
-    spec = OscillatorySpec.for_rate(1.0)
+    spec = OscillatorySpec(1.0, 4.0 * math.pi)
     assert integrate_oscillatory_tail(g, spec, 1e-9) == integrate_oscillatory_tail(g, spec, 1e-9)

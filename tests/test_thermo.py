@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import density_identity, entropy_identity, entropy_lifshitz_series
 from scipy.integrate import simpson
 
 from deltacasimir import (
+    ENTROPY_INNER_TOL,
     DimensionlessPoint,
     DomainError,
     entropy_canonical,
@@ -16,6 +19,7 @@ from deltacasimir import (
     force_finite_t_canonical,
     thermal_weight,
 )
+from deltacasimir import thermo
 from deltacasimir.cli import main
 from deltacasimir.scattering import flux_deficit
 
@@ -146,29 +150,45 @@ def test_lifshitz_series_oracle_matches_mpmath():
         assert entropy_lifshitz_series(1.0, that, 100.0) == pytest.approx(want, rel=1e-14)
 
 
-# Converged densities farther from the identity than their own estimate,
-# (d, That) -> (error, estimate).  At That = 0.001 the seed panels are
-# 2.5 That = 0.0025 wide, and the cavity resonances at q ~ pi/(d+2) are
-# ~2e-6 wide at this d: both GK rules step over them, so the panel's error
-# estimate never sees the dip.  (107.7, 0.001) missed the same way until the
-# tolerance-derived cut-off moved its seed edges; that it passes now is luck
-# of the edges, not a fix.
-IDENTITY_MISSES = {("200", 0.001): (9.9e-8, 1.3e-9)}
+# Points of 91 log-spaced d in [0.01, 200] where the real-axis density once
+# converged farther from the identity than its estimate (worst: 9.7e-8 off
+# with an estimate of 6.9e-9 at (200, 0.001)).  Their seed panels were 2.5
+# That wide, and the cavity resonances near q_m = m pi/(d+2), ~2 q_m^2/(d+2)
+# wide, fell between all 15 GK nodes; the seed edges at
+# q_m +- 4 q_m^2/(d+2) now give each dip a panel of its own.
+RESONANCE_POINTS = [(143.76803242933602, 0.001), (160.49132084575888, 0.001),
+                    (179.15988437468857, 0.001), (66.54842383978487, 0.002),
+                    (74.28942485875669, 0.002), (92.57749823138782, 0.002)]
 
 
 def _identity_grid():
     for that in (0.001, 0.003, 0.03, 0.3, 1.0, 3.0):
         for d in np.geomspace(0.01, 200.0, 17):
-            key = (f"{d:.4g}", that)
-            marks = ()
-            if key in IDENTITY_MISSES:
-                marks = pytest.mark.xfail(strict=True, reason="resonance missed: off by "
-                                          "%.1e with an estimate of %.1e" % IDENTITY_MISSES[key])
-            yield pytest.param(float(d), that, marks=marks, id="%s-%g" % key)
+            yield pytest.param(float(d), that, id=f"{d:.4g}-{that:g}")
+    for d, that in RESONANCE_POINTS:
+        yield pytest.param(d, that, id=f"{d:.4g}-{that:g}")
 
 
 @pytest.mark.parametrize("d, that", list(_identity_grid()))
 def test_density_within_its_estimate_of_the_identity(d, that):
+    dens = entropy_density_canonical(d, that)
+    exact, rounding = density_identity(d, that)
+    assert not dens.estimate.converged \
+        or abs(dens.value - exact) <= dens.estimate.abs_error_estimate + rounding
+
+
+def _rotates(d, that):
+    """Whether the density at (d, That) leaves the real axis."""
+    q_max = thermo._thermal_cutoff(that, ENTROPY_INNER_TOL)[0]
+    return q_max > thermo._ROTATE_PERIODS * math.pi / d
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["real_axis", "rotated"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(log_d=st.floats(-2.0, math.log10(200.0)), log_that=st.floats(-3.0, math.log10(3.0)))
+def test_density_property_within_its_estimate_of_the_identity(rotated, log_d, log_that):
+    d, that = min(10.0 ** log_d, 200.0), min(10.0 ** log_that, 3.0)
+    assume(that * d >= 1e-5 and _rotates(d, that) == rotated)
     dens = entropy_density_canonical(d, that)
     exact, rounding = density_identity(d, that)
     assert not dens.estimate.converged \
