@@ -12,10 +12,15 @@ Re h with h = (1/pi) w x/(1-x) and w the Bose-weighted q.  For Re q > 0 and
 Im q >= 0, |x| < 1, and the Bose poles q = 2 pi i n That lie on Re q = 0:
 h is analytic there and decays like e^{-2d Im q}.  The engine integrates
 the head [0, Q] on the real axis and the tail along Re q = Q, which is
-exact; the force is still the real-frequency mode sum.  A real integrand
-that is not Re h (a Python-int That truncates the Bose weight of
-``_finite_t_integrand`` today) fails the engine's agreement check and
-reports converged=False.
+exact; the force is still the real-frequency mode sum.  The head is one
+period, Q = pi/d.  At That > 0 the Bose weight differs from q only for
+q below ~10 That, so the head gets seed edges at That 2^k, k = -1..5:
+without them, at That <~ 3e-4, that region lies inside the first seed
+panel, below its first node, and the thermal part is dropped with
+converged=True.  A real integrand that is not Re h (a Python-int That
+truncates the Bose weight of ``_finite_t_integrand`` today, and an
+np.float32 point computes it in float32) fails the engine's agreement
+check and reports converged=False.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -135,10 +140,13 @@ def _continuation(d, that):
 
 def _canonical_force(f, d, that, tol):
     """The mode-sum integral of f: the head [0, Q] on the real axis, the tail
-    along Re q = Q with Q = max(1, one period pi/d)."""
+    along Re q = Q, with Q = pi/d one period.  At That > 0 the head has extra
+    seed edges at That 2^k, k = -1..5, where the Bose weight departs from q."""
     omega = 2.0 * d
-    spec = OscillatorySpec(omega, max(1.0, 2.0 * math.pi / float(omega)))
-    return integrate_oscillatory_tail(f, spec, tol, continuation=_continuation(d, that))
+    spec = OscillatorySpec(omega, 2.0 * math.pi / float(omega))
+    seeds = [that * 2.0 ** k for k in range(-1, 6)] if that > 0 else ()
+    return integrate_oscillatory_tail(f, spec, tol, continuation=_continuation(d, that),
+                                      head_seeds=seeds)
 
 
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:

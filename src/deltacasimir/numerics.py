@@ -345,11 +345,14 @@ def _wynn_epsilon(sums):
 
 
 def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
-                               continuation=None) -> QuadratureEstimate:
+                               continuation=None, head_seeds=()) -> QuadratureEstimate:
     """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
 
     The head [0, Q] is done by adaptive panels seeded at half the
-    oscillation half-period.
+    oscillation half-period, or Q/8 where that is narrower.  The points of
+    ``head_seeds`` that lie in (0, Q) become extra seed edges: the canonical
+    force puts them where its Bose weight departs from q, a feature far
+    narrower than a seed panel at low temperature.
 
     With a ``continuation`` h, the tail [Q, inf) is taken on a rotated
     contour.  h must accept a complex ndarray, be analytic on the quarter
@@ -364,7 +367,10 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     check below: |f - Re h| <= 1e-12 (1 + max|f|) at 48 points over one period
     beyond Q, or ``converged`` is cleared.  It catches a real integrand
     that is not Re h, such as one computed in a truncated or lower
-    precision type.  Head, check and tail share one ``_MAX_EVALS``.
+    precision type.  After a failed check the head's tolerance is
+    max(tol/2, Q * mismatch), not tol/2: f is known no better than that,
+    and the result is not converged either way.  Head, check and tail
+    share one ``_MAX_EVALS``.
 
     Without one, the tail is summed over panels between consecutive zeros
     of cos(omega*q); the alternating partial sums are extrapolated with
@@ -384,7 +390,10 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
 
     wseed = min(0.5 * half, q0 / 8.0)
     nseed = min(int(math.ceil(q0 / wseed)), 300000)
-    head_edges = np.linspace(0.0, q0, nseed + 1)
+    seeds = np.asarray(head_seeds, float)
+    # a seed on an edge makes a zero-width panel: value 0, error 0, never split
+    head_edges = np.sort(np.concatenate([np.linspace(0.0, q0, nseed + 1),
+                                         seeds[(seeds > 0.0) & (seeds < q0)]]))
     if continuation is not None:
         return _rotated_tail(f, continuation, omega, q0, head_edges, tol)
     head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, 0.5 * tol)
@@ -470,14 +479,20 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
 
 
 def _rotated_tail(f, h, omega, q0, head_edges, tol):
-    """``integrate_oscillatory_tail`` with a continuation h of f."""
+    """``integrate_oscillatory_tail`` with a continuation h of f.
+
+    The agreement check runs first.  When it fails, the head is refined
+    only to Q times the largest |f - Re h| it measured: refining further
+    cannot make f better known than that.
+    """
     nchk = 48
     qs = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
     fq = np.asarray(f(qs), float)
     mismatch = float(np.max(np.abs(fq - np.real(h(qs + 0j)))))
     agree = mismatch <= _AGREEMENT * (1.0 + float(np.max(np.abs(fq))))
     evals = 2 * nchk
-    head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, 0.5 * tol,
+    head_tol = 0.5 * tol if agree else max(0.5 * tol, q0 * mismatch)
+    head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, head_tol,
                                                    max_evals=_MAX_EVALS - evals)
     evals += head_n
     # int_Q^inf h dq = i int_0^inf h(Q + it) dt, whose real part is the tail

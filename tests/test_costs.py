@@ -37,11 +37,22 @@ def test_density_over_the_figure3a_grid():
 
 # 107,988 and 7,623 when the tail beyond Q = max(10, 8 That, 4 pi/2d) ran on
 # half-period panels with Wynn's epsilon, 15,321 and 1,161 when the contour
-# tail was integrated in blocks of 7 decay lengths; both values are within
-# 1e-15 of the exact force (were 4.3e-12 and 8.3e-12 with Wynn's epsilon)
-@pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 14_961), (10.0, 2.0, 801)])
+# tail was integrated in blocks of 7 decay lengths, 14,961 and 801 while the
+# head ran to Q = max(1, pi/d) from quarter-period seed panels; both values
+# are within 1e-15 of the exact force (were 4.3e-12 and 8.3e-12 with Wynn's
+# epsilon)
+@pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 786), (10.0, 2.0, 486)])
 def test_canonical_force(d, that, evals):
     assert casimir_force(DimensionlessPoint(d, that), "canonical").estimate.evaluations == evals
+
+
+def test_canonical_force_that_fails_its_continuation_check():
+    # the float32 Bose weight is not Re h to 1e-12, so the head is refined only
+    # to what the check measured: 5,252,391 evaluations when it was refined
+    # toward tol, which the float32 integrand cannot meet
+    pt = DimensionlessPoint(np.float32(143.7), np.float32(2.0))
+    est = casimir_force(pt, "canonical").estimate
+    assert not est.converged and est.evaluations <= 1_000
 
 
 def test_zero_t_lifshitz_force():

@@ -172,6 +172,20 @@ def test_figure_1_and_2_rows_within_their_estimate_of_the_identity(that):
         assert _within_estimate_of_the_identity(float(d), that) == (True, True), d
 
 
+# That*d >= 1e-6 keeps the oracle's series under 4.8e6 terms (0.7 s each)
+LOW_T_PROBE = [(d, that) for d in (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+               for that in (1e-5, 1e-4, 3e-4, 1e-3, 1e-2) if that * d >= 1e-6]
+
+
+@pytest.mark.parametrize("d, that", LOW_T_PROBE)
+def test_low_temperature_force_within_its_estimate_of_the_identity(d, that):
+    # the Bose weight differs from q only for q below ~10 That; when that lay
+    # inside the first seed panel of the head, below its first node, the
+    # thermal part was dropped with converged=True: 1.3e-8 off at (0.1, 3e-4)
+    # with an estimate of 1.2e-11
+    assert _within_estimate_of_the_identity(d, that) == (True, True)
+
+
 def test_finite_t_lifshitz_zero_mode_term():
     assert force_lifshitz_zero_mode_term(DimensionlessPoint(1.0, 1.0)) == pytest.approx(-1.0 / 6.0, rel=1e-15)
 

@@ -26,6 +26,11 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   2.0e-12 of the exact density, and the two 3b values moved by at most
   2.5e-13 and lie within 2.3e-13 of the exact entropy.  Every row lies
   within its own estimate, and the ``evals`` columns changed.
+* The figure 1 and 2 canonical hashes were recorded again when the force's
+  head became one period [0, pi/d] with seed edges at the thermal scale:
+  the 240 values moved by at most 1.8e-16 (in units hbar gamma^2/v^3),
+  every row converged and lies within 1.7e-16 of the exact force and
+  within its own estimate, and the ``evals`` columns changed.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -39,13 +44,13 @@ from deltacasimir.cli import main
 
 GOLDEN = {
     ("figure", "--id", "1", "--jobs", "1"): {
-        "figure1_canonical.csv": "ea1eb682f81afd42c3dd51d5f2ce8a703ee6c75336ab7eabcd85208502e29278",
+        "figure1_canonical.csv": "664cf6b8dc816bcc401f7309c02e340ad5df88daa13968a7c4139e0b68beaa52",
         "figure1_lifshitz.csv": "eac3f6fb2ae5ec1c26e0b44d67f4109a4604bd3bb69648d63fea53cd48c76ced",
     },
     ("figure", "--id", "2", "--jobs", "1"): {
-        "figure2_canonical_That0.5.csv": "7ddbfd5f0b092f6a35bfcd8ae43e8027ca8e6490f16751fcdc06b93f28372687",
-        "figure2_canonical_That1.csv": "0d2dbfc95a70e0d0a4c33c6944d35af9c5bbfcb52a64cdbf1e473695dd906fa4",
-        "figure2_canonical_That2.csv": "1804c9a06393fadef304e5939c0effc806ad0fb3b5ee8563033ea1ffe0879beb",
+        "figure2_canonical_That0.5.csv": "7cb58cfd43dc41b3a9bfa39bc59553a2ef74c7e83bc9910534d48f58a82713d3",
+        "figure2_canonical_That1.csv": "b1ff6ae4f5742e652b3406defd77e8822748560f6849e882c08f93f0a5e5be3d",
+        "figure2_canonical_That2.csv": "dab1c1389710247f1b5c1ccd75fb46388cd375f5657509d942b96ecd550522a7",
         "figure2_lifshitz_That0.5.csv": "ac0a3ea5e849d332c6c144bf134edfeba5719dcbd4d1d0b0439a759e94cfa2de",
         "figure2_lifshitz_That1.csv": "2d8910a342d7ef79ed7e5a25354ee3c6a985185080c2d23c9307a2ecb86d394d",
         "figure2_lifshitz_That2.csv": "e2c3dc4d45c93bdc19cb7e98d5cd94269cd93c1116ad343a93d9d83bcc847d56",
