@@ -12,15 +12,21 @@ Re h with h = (1/pi) w x/(1-x) and w the Bose-weighted q.  For Re q > 0 and
 Im q >= 0, |x| < 1, and the Bose poles q = 2 pi i n That lie on Re q = 0:
 h is analytic there and decays like e^{-2d Im q}.  The engine integrates
 the head [0, Q] on the real axis and the tail along Re q = Q, which is
-exact; the force is still the real-frequency mode sum.  The head is one
-period, Q = pi/d.  At That > 0 the Bose weight differs from q only for
-q below ~10 That, so the head gets seed edges at That 2^k, k = -1..5:
-without them, at That <~ 3e-4, that region lies inside the first seed
-panel, below its first node, and the thermal part is dropped with
-converged=True.  A real integrand that is not Re h (a Python-int That
-truncates the Bose weight of ``_finite_t_integrand`` today, and an
-np.float32 point computes it in float32) fails the engine's agreement
-check and reports converged=False.
+exact; the force is still the real-frequency mode sum.  The head spans at
+least one period, Q = max(pi/d, 1.5 pi/(d+2)): for d >= 4 the line
+Re q = Q then passes midway between the first two cavity resonances,
+near q_m = m pi/(d+2), instead of close to the first one.  The resonances
+in the head, each ~2 q_m^2/(d+2) wide, get graded seed edges
+(``scattering.resonance_edges``) if narrower than 0.4 pi/(d+2), so the
+seed pass resolves them; the wider ones need no extra edges.  At
+That > 0 the Bose weight differs from q only for q below ~10 That, so the
+head also gets seed edges at That 2^k, k = -1..5: without them, at
+That <~ 3e-4, that region lies inside the first seed panel, below its
+first node, and the thermal part is dropped with converged=True.  A real
+integrand that is not Re h (a Python-int That truncates the Bose weight of
+``_finite_t_integrand`` today, and an np.float32 point computes it in
+float32) fails the engine's agreement check and reports converged=False
+with an infinite error estimate.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -58,7 +64,7 @@ from .numerics import (
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import flux_deficit
+from .scattering import contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "FORCE_TOL",
@@ -140,13 +146,15 @@ def _continuation(d, that):
 
 def _canonical_force(f, d, that, tol):
     """The mode-sum integral of f: the head [0, Q] on the real axis, the tail
-    along Re q = Q, with Q = pi/d one period.  At That > 0 the head has extra
-    seed edges at That 2^k, k = -1..5, where the Bose weight departs from q."""
-    omega = 2.0 * d
-    spec = OscillatorySpec(omega, 2.0 * math.pi / float(omega))
-    seeds = [that * 2.0 ** k for k in range(-1, 6)] if that > 0 else ()
-    return integrate_oscillatory_tail(f, spec, tol, continuation=_continuation(d, that),
-                                      head_seeds=seeds)
+    along Re q = Q = ``contour_switch(d)``.  The head has seed edges around
+    its cavity resonances (``resonance_edges``) and, at That > 0, at
+    That 2^k, k = -1..5, where the Bose weight departs from q."""
+    q0 = contour_switch(d)
+    seeds = resonance_edges(d, q0)
+    if that > 0:
+        seeds = np.concatenate([seeds, that * 2.0 ** np.arange(-1.0, 6.0)])
+    return integrate_oscillatory_tail(f, OscillatorySpec(2.0 * d, q0), tol,
+                                      continuation=_continuation(d, that), head_seeds=seeds)
 
 
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:

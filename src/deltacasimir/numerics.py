@@ -350,9 +350,11 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
 
     The head [0, Q] is done by adaptive panels seeded at half the
     oscillation half-period, or Q/8 where that is narrower.  The points of
-    ``head_seeds`` that lie in (0, Q) become extra seed edges: the canonical
-    force puts them where its Bose weight departs from q, a feature far
-    narrower than a seed panel at low temperature.
+    ``head_seeds`` that lie in (0, Q) become extra seed edges: the callers
+    put them around the cavity resonances below Q, far narrower than a seed
+    panel at large d, and the canonical force also where its Bose weight
+    departs from q, a feature far narrower than a seed panel at low
+    temperature.
 
     With a ``continuation`` h, the tail [Q, inf) is taken on a rotated
     contour.  h must accept a complex ndarray, be analytic on the quarter
@@ -369,8 +371,9 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     that is not Re h, such as one computed in a truncated or lower
     precision type.  After a failed check the head's tolerance is
     max(tol/2, Q * mismatch), not tol/2: f is known no better than that,
-    and the result is not converged either way.  Head, check and tail
-    share one ``_MAX_EVALS``.
+    and the result is not converged either way; its error estimate is inf,
+    since nothing bounds what the tail misses by integrating h instead of
+    f.  Head, check and tail share one ``_MAX_EVALS``.
 
     Without one, the tail is summed over panels between consecutive zeros
     of cos(omega*q); the alternating partial sums are extrapolated with
@@ -483,7 +486,9 @@ def _rotated_tail(f, h, omega, q0, head_edges, tol):
 
     The agreement check runs first.  When it fails, the head is refined
     only to Q times the largest |f - Re h| it measured: refining further
-    cannot make f better known than that.
+    cannot make f better known than that.  The tail then integrates h, which
+    is not the continuation of f, and nothing bounds the difference: the
+    error estimate is inf, as for a panel ``_adaptive_gk`` did not evaluate.
     """
     nchk = 48
     qs = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
@@ -499,7 +504,7 @@ def _rotated_tail(f, h, omega, q0, head_edges, tol):
     tail = _smooth_mapped(lambda t: -np.imag(h(q0 + 1j * np.asarray(t, float))),
                           1.0 / omega, 0.5 * tol, _MAX_EVALS - evals)
     value = head_v + tail.value
-    err = head_e + tail.abs_error_estimate
+    err = head_e + tail.abs_error_estimate if agree else math.inf
     converged = agree and head_ok and tail.converged and err <= tol
     return QuadratureEstimate(value, err, evals + tail.evaluations, converged)
 

@@ -159,6 +159,47 @@ def flux_deficit(q, d):
     return out
 
 
+def resonance_edges(d, q_hi):
+    """Quadrature seed edges that bracket the cavity resonances below min(1, q_hi).
+
+    Below q ~ 1 the flux deficit has a sharp resonance in every period, at
+    sin(dq) + 2q cos(dq) = 0, near q_m = m pi/(d+2) with width
+    gamma_m = 2 q_m^2/(d+2).  Each gets the edges q_m +- gamma_m 4^k for
+    k = 0, 1, ... while gamma_m 4^k < 0.4 pi/(d+2): panels that grow by 4x
+    away from the resonance, so an adaptive integral resolves it in its
+    seed pass instead of bisecting toward it from a period-wide panel.
+    Only resonances narrower than 0.4 pi/(d+2) get edges, which is
+    q_m < sqrt(0.2 pi) ~ 0.79 at any d.  The wider ones need none: a seed
+    panel at most one period pi/d wide spans only a few of their widths,
+    and the seed pass resolves them as it does any smooth bump.
+    Returns an unsorted float array (empty when no resonance qualifies).
+    """
+    d = float(d)
+    step = math.pi / (d + 2.0)
+    q_m = step * np.arange(1.0, min(1.0, q_hi) / step)
+    gamma = 2.0 * q_m * q_m / (d + 2.0)
+    cap = 0.4 * step
+    edges = [np.empty(0)]
+    # gamma grows with m, so the resonances still graded form a prefix
+    while n := int(np.count_nonzero(gamma < cap)):
+        q_m, gamma = q_m[:n], gamma[:n]
+        edges += [q_m - gamma, q_m + gamma]
+        gamma = 4.0 * gamma
+    return np.concatenate(edges)
+
+
+def contour_switch(d):
+    """Q = max(pi/d, 1.5 pi/(d+2)), where a contour tail leaves the real axis.
+
+    Q covers at least one period pi/d of the flux deficit, and for d >= 4
+    it lies midway between the first two resonances, pi/(d+2) and
+    2 pi/(d+2): the line Re q = Q then keeps clear of both poles just below
+    the real axis, where pi/d lies within ~2 pi/d^2 of the first one.
+    """
+    d = float(d)
+    return max(math.pi / d, 1.5 * math.pi / (d + 2.0))
+
+
 def kernel(q: float, d: float) -> KernelValue:
     """Force kernel K(q, d) = |C|^2 + |D|^2 - 1; q = 0 returns the
     long-wavelength limit 2/(d+2)^2 - 1."""

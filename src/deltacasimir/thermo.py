@@ -40,7 +40,7 @@ from .numerics import (
     integrate_oscillatory_tail,
     sum_exponential_series,
 )
-from .scattering import flux_deficit
+from .scattering import contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "ENTROPY_TOL",
@@ -55,8 +55,8 @@ __all__ = [
 
 ENTROPY_TOL = 1e-6
 ENTROPY_INNER_TOL = 1e-8
-# the density's q-integral leaves the real axis at one period pi/dtilde when
-# its cut-off q_max spans more periods than this
+# the density's q-integral leaves the real axis at ``contour_switch`` when its
+# cut-off q_max spans more periods pi/dtilde than this
 _ROTATE_PERIODS = 16
 
 
@@ -119,22 +119,29 @@ def entropy_density_canonical(dtilde: float, That: float,
     (at most 20) whose truncation bound is below tol/1000.  The kernel
     oscillates with period pi/dtilde.
 
-    When q_max spans more than 16 periods, [0, pi/dtilde] is integrated on
-    the real axis and the rest along Re q = pi/dtilde by
+    Below q ~ 1 each period holds a cavity resonance, at
+    sin(dtilde q) + 2q cos(dtilde q) = 0, near q_m = m pi/(dtilde+2): a dip
+    of width ~ 2 q_m^2/(dtilde+2), far narrower than a period at large
+    dtilde.  Every real-axis stretch gets the graded seed edges of
+    ``scattering.resonance_edges`` around the dips it holds that are
+    narrower than 0.4 pi/(dtilde+2) (q_m <~ 0.79), so the seed pass
+    resolves them instead of bisection.  The wider dips span a sizeable
+    share of their seed panel, which resolves them without extra edges.
+
+    When q_max spans more than 16 periods, the head [0, Q] with
+    Q = ``contour_switch(dtilde)`` = max(pi/dtilde, 1.5 pi/(dtilde+2)) is
+    integrated on the real axis and the rest along Re q = Q by
     ``integrate_oscillatory_tail`` with the continuation
     ``_density_continuation``, exactly as the canonical force's tail: the
     integrand is -(1/pi) (u/sinh u)^2 Re[x/(1-x)] with |x| < 1 for
-    Im q >= 0, and the csch^2 poles lie on Re q = 0.  The contour passes
-    above every cavity resonance beyond pi/dtilde, and no truncation
-    bound is needed.
+    Im q >= 0, and the csch^2 poles lie on Re q = 0.  For
+    dtilde >= 4 the contour leaves the real axis midway between the first
+    two resonances, passes above every later one, and no truncation bound
+    is needed.
 
     Otherwise [0, q_max] is integrated on the real axis: panels are seeded
     one period wide (narrower only where 2.5 That or q_max/8 is) and
-    refined adaptively.  Below q ~ 1 each period holds a cavity resonance,
-    at sin(dtilde q) + 2q cos(dtilde q) = 0, near q_m = m pi/(dtilde+2): a
-    dip of width ~ 2 q_m^2/(dtilde+2), far narrower than its seed panel at
-    large dtilde.  Extra seed edges at q_m +- 4 q_m^2/(dtilde+2) give each
-    dip a panel of its own.  The truncation bound is added to the error
+    refined adaptively.  The truncation bound is added to the error
     estimate, and the panels get the rest of tol.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
@@ -152,18 +159,18 @@ def entropy_density_canonical(dtilde: float, That: float,
         return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, dtilde)
 
     if q_max > _ROTATE_PERIODS * period:
-        est = integrate_oscillatory_tail(f, OscillatorySpec(2.0 * dtilde, period), tol,
-                                         continuation=_density_continuation(dtilde, That))
+        q0 = contour_switch(dtilde)
+        est = integrate_oscillatory_tail(f, OscillatorySpec(2.0 * dtilde, q0), tol,
+                                         continuation=_density_continuation(dtilde, That),
+                                         head_seeds=resonance_edges(dtilde, q0))
         return EntropyDensity(value=est.value, dtilde=dtilde, That=That, estimate=est)
 
     w = min(period, 2.5 * That, q_max / 8.0)
     n = min(int(math.ceil(q_max / w)), 300000)
-    q_m = np.arange(1.0, min(1.0, q_max) * (dtilde + 2.0) / math.pi) * (math.pi / (dtilde + 2.0))
-    half_width = 4.0 * q_m * q_m / (dtilde + 2.0)
-    dips = np.concatenate([q_m - half_width, q_m + half_width])
+    dips = resonance_edges(dtilde, q_max)
     # np.sort, not np.unique: the first np.unique call imports numpy.ma (13 ms)
     edges = np.sort(np.concatenate([np.linspace(0.0, q_max, n + 1),
-                                    dips[(dips > 0.0) & (dips < q_max)]]))
+                                    dips[dips < q_max]]))
     v, e, ne, ok = _adaptive_gk(f, edges, tol - tail_bound)
     err = e + tail_bound
     est = QuadratureEstimate(v, err, ne, ok and err <= tol)

@@ -106,14 +106,16 @@ def test_entropy_canonical_positive(capsys):
 
 
 def test_entropy_default_bytes(capsys):
-    # the canonical value is 1.6e-13 from the exact entropy 0.8815900040215714
+    # the canonical value is 1.8e-12 from the exact entropy 0.8815900040215714
     # (oracles.entropy_identity); it was 0.88159000401963783, 1.9e-12 off, in
-    # 112,695 evaluations, before the density left the real axis at one period
+    # 112,695 evaluations, before the density left the real axis at one period,
+    # and 0.88159000402000065, 1.6e-12 off, in 7,131 evaluations, before the
+    # density's resonances got graded seed edges
     code, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1")
     assert code == 0
     assert out == (
         "d,That,method,lambda,value,err,evals,converged,units\n"
-        "1,1,canonical,100,0.88159000402000065,2.5466427893355544e-07,7131,true,"
+        "1,1,canonical,100,0.88159000401977117,2.5466403324120009e-07,7056,true,"
         "raw_dimensionless\n"
         "1,1,lifshitz,100,0.33434016119038013,3.1877591492660245e-23,6,true,"
         "raw_dimensionless\n")
@@ -241,6 +243,21 @@ def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
     assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
                "--jobs", "8", "--out-dir", str(tmp_path))[0] == 0
     assert widths == [2]
+
+
+def test_pool_dispatches_about_four_chunks_per_worker(tmp_path, capsys, monkeypatch):
+    chunks = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kw):
+            chunks.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kw)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # 3 x 5 rows on 2 workers: chunks of ceil(15/8) = 2 rows
+    assert run(capsys, "figure", "--id", "3a", "--points", "5", "--jobs", "2",
+               "--out-dir", str(tmp_path))[0] == 0
+    assert chunks == [2]
 
 
 def test_runtime_never_imports_scipy(tmp_path):

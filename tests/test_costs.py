@@ -1,14 +1,32 @@
-"""Kernel-evaluation counts of the hot paths.
+"""Kernel-evaluation and GK pass counts of the hot paths.
 
 Evaluation counts are deterministic, so they make an exact regression
 signal where wall times do not.  The entropy paths get upper bounds with 2%
 slack; the force paths, which no entropy change may move, are pinned exactly.
+Pass counts, the number of ``numerics._gk_apply`` calls (one per seed pass
+and per bisection round), are deterministic too: call overhead, not
+evaluations, sets the cost of a single force or density.
 """
 import numpy as np
 import pytest
 
 from deltacasimir import DimensionlessPoint, casimir_force, entropy_canonical, \
-    entropy_density_canonical, force_zero_t_lifshitz
+    entropy_density_canonical, force_zero_t_lifshitz, numerics
+
+
+def _gk_passes(monkeypatch, fn):
+    """The number of ``numerics._gk_apply`` calls made by fn()."""
+    passes = [0]
+    gk_apply = numerics._gk_apply
+
+    def counting(*args):
+        passes[0] += 1
+        return gk_apply(*args)
+
+    monkeypatch.setattr(numerics, "_gk_apply", counting)
+    fn()
+    return passes[0]
+
 
 # the points of one benchmark entropy_grid pass that compute: 6 float32-rounded
 # log-spaced d in [0.5, 20] x That in {0.01, 0.5, 2}, plus (1, 0.01), less the
@@ -20,15 +38,16 @@ ENTROPY_GRID = [(d, t) for t in (0.01, 0.5, 2.0) for d in _ENTROPY_D
 
 def test_canonical_entropy_over_the_benchmark_grid():
     # 7,715,670 with one GK15 seed panel per e-fold of distance and q_max = 40 That;
-    # 1,855,230 with every density on the real axis out to q_max
+    # 1,855,230 with every density on the real axis out to q_max; 300,441
+    # before the densities got graded seed edges around their resonances
     total = sum(entropy_canonical(DimensionlessPoint(d, t), 100.0).estimate.evaluations
                 for d, t in ENTROPY_GRID)
-    assert total <= 1.02 * 300_441
+    assert total <= 1.02 * 277_026
 
 
 def test_density_over_the_figure3a_grid():
     # 973,980 with q_max = 40 That; 705,810 with every density on the real
-    # axis out to q_max
+    # axis out to q_max; 59,355 with graded seed edges around the resonances
     grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
     total = sum(entropy_density_canonical(d, t).estimate.evaluations
                 for t in (0.5, 1.0, 2.0) for d in grid)
@@ -38,12 +57,28 @@ def test_density_over_the_figure3a_grid():
 # 107,988 and 7,623 when the tail beyond Q = max(10, 8 That, 4 pi/2d) ran on
 # half-period panels with Wynn's epsilon, 15,321 and 1,161 when the contour
 # tail was integrated in blocks of 7 decay lengths, 14,961 and 801 while the
-# head ran to Q = max(1, pi/d) from quarter-period seed panels; both values
-# are within 1e-15 of the exact force (were 4.3e-12 and 8.3e-12 with Wynn's
-# epsilon)
-@pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 786), (10.0, 2.0, 486)])
+# head ran to Q = max(1, pi/d) from quarter-period seed panels, 786 and 486
+# while it ran to Q = pi/d with no seed edges around its resonance; both
+# values are within 1e-15 of the exact force (were 4.3e-12 and 8.3e-12 with
+# Wynn's epsilon)
+@pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 666), (10.0, 2.0, 546)])
 def test_canonical_force(d, that, evals):
     assert casimir_force(DimensionlessPoint(d, that), "canonical").estimate.evaluations == evals
+
+
+# 13 and 15 passes when the head [0, pi/d] found the resonance near
+# pi/(d+2) by bisection and the line Re q = pi/d passed 1.6e-4 from it
+@pytest.mark.parametrize("d, that", [(200.0, 0.0), (200.0, 2.0)])
+def test_canonical_force_passes(monkeypatch, d, that):
+    pt = DimensionlessPoint(d, that)
+    assert _gk_passes(monkeypatch, lambda: casimir_force(pt, "canonical")) == 3
+
+
+# 10 and 8 passes before the rotated head got seed edges around its
+# resonance and the real-axis density's dips were graded
+@pytest.mark.parametrize("dtilde, that, passes", [(100.0, 0.5, 3), (100.0, 0.01, 1)])
+def test_density_passes(monkeypatch, dtilde, that, passes):
+    assert _gk_passes(monkeypatch, lambda: entropy_density_canonical(dtilde, that)) <= passes
 
 
 def test_canonical_force_that_fails_its_continuation_check():

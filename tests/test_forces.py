@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import force_identity
 from scipy.integrate import simpson
 
@@ -184,6 +186,42 @@ def test_low_temperature_force_within_its_estimate_of_the_identity(d, that):
     # thermal part was dropped with converged=True: 1.3e-8 off at (0.1, 3e-4)
     # with an estimate of 1.2e-11
     assert _within_estimate_of_the_identity(d, that) == (True, True)
+
+
+@pytest.mark.parametrize("log_d_lo, log_d_hi", [(-3.0, math.log10(4.0)),
+                                                (math.log10(4.0), math.log10(200.0))],
+                         ids=["Q=pi/d", "Q=1.5pi/(d+2)"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(0.0, 1.0), log_that=st.none() | st.floats(-3.0, math.log10(5.0)))
+def test_canonical_force_property_within_its_estimate_of_the_identity(log_d_lo, log_d_hi,
+                                                                      u, log_that):
+    # both sides of d = 4, where the tail's line Re q = Q moves from one
+    # period pi/d to midway between the first two resonances
+    d = 10.0 ** (log_d_lo + u * (log_d_hi - log_d_lo))
+    that = 0.0 if log_that is None else min(10.0 ** log_that, 5.0)
+    assume(that == 0.0 or that * d >= 1e-4)
+    converged, within = _within_estimate_of_the_identity(d, that)
+    assert within or not converged
+
+
+# force_sweep's points whose coordinates have another type than float: d is
+# one of 24 float32-rounded log-spaced values in [0.1, 200]
+_SWEEP_D = [float(np.float32(x)) for x in np.geomspace(0.1, 200.0, 24)]
+TYPED_SWEEP_POINTS = [(_SWEEP_D[4], 1), (_SWEEP_D[12], 2), (_SWEEP_D[20], 1),
+                      (_SWEEP_D[8], np.int64(2)), (_SWEEP_D[16], np.int64(1)),
+                      (np.float32(_SWEEP_D[22]), np.float32(2.0))]
+
+
+@pytest.mark.parametrize("d, that", TYPED_SWEEP_POINTS,
+                         ids=["int-0.375", "int-5.28", "int-74.2", "int64-1.41", "int64-19.8",
+                              "float32-143.7"])
+def test_failed_continuation_check_reports_an_estimate_that_bounds_the_error(d, that):
+    # an integer That truncates the Bose weight and a float32 point computes
+    # it in float32, so f is not Re h and the contour tail integrates h; the
+    # estimate covered only the quadrature: 1.6e-3 at (0.375, 1), 3.4e-2 off
+    est = casimir_force(DimensionlessPoint(d, that), "canonical").estimate
+    assert not est.converged
+    assert est.abs_error_estimate >= abs(est.value - force_identity(float(d), float(that)))
 
 
 def test_finite_t_lifshitz_zero_mode_term():

@@ -13,6 +13,7 @@ from deltacasimir import (
     flux_deficit,
     kernel,
 )
+from deltacasimir.scattering import resonance_edges
 
 
 def test_long_wavelength_limit():
@@ -163,6 +164,31 @@ def test_flux_deficit_is_bit_identical_to_reference(d):
     for q in (0.0, 1e-140, 1e-3, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
         a, b = flux_deficit(q, d), _flux_deficit_reference(q, d)
         assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# ----------------------------------------------------------- resonance edges
+
+@pytest.mark.parametrize("d", [4.0, 20.0, 200.0])
+def test_resonance_edges_bracket_each_resonance_in_graded_panels(d):
+    step = math.pi / (d + 2.0)
+    edges = np.sort(resonance_edges(d, 1.0))
+    for m in range(1, math.ceil(1.0 / step)):
+        q_m = m * step
+        gamma = 2.0 * q_m * q_m / (d + 2.0)
+        near = edges[np.abs(edges - q_m) < 0.5 * step] - q_m
+        if gamma >= 0.4 * step:
+            assert near.size == 0
+            continue
+        # offsets +-gamma 4^k for k = 0, 1, ... while below 0.4 pi/(d+2)
+        k = np.arange(near.size // 2)
+        assert near.size and np.allclose(near[near > 0], gamma * 4.0 ** k, rtol=1e-12)
+        assert np.allclose(near[near < 0], -gamma * 4.0 ** k[::-1], rtol=1e-12)
+        assert near.max() < 0.4 * step <= 4.0 * near.max()
+        # the resonance, a root of sin(dq) + 2q cos(dq), lies in the innermost panel
+        lo, hi = q_m - gamma, q_m + gamma
+        assert (math.sin(d * lo) + 2.0 * lo * math.cos(d * lo)) \
+            * (math.sin(d * hi) + 2.0 * hi * math.cos(d * hi)) < 0
+    assert resonance_edges(d, 0.9 * step).size == 0
 
 
 # ----------------------------------------------------------- input types

@@ -154,8 +154,8 @@ def test_lifshitz_series_oracle_matches_mpmath():
 # converged farther from the identity than its estimate (worst: 9.7e-8 off
 # with an estimate of 6.9e-9 at (200, 0.001)).  Their seed panels were 2.5
 # That wide, and the cavity resonances near q_m = m pi/(d+2), ~2 q_m^2/(d+2)
-# wide, fell between all 15 GK nodes; the seed edges at
-# q_m +- 4 q_m^2/(d+2) now give each dip a panel of its own.
+# wide, fell between all 15 GK nodes; graded seed edges around each dip
+# (``scattering.resonance_edges``) now give it panels of its own.
 RESONANCE_POINTS = [(143.76803242933602, 0.001), (160.49132084575888, 0.001),
                     (179.15988437468857, 0.001), (66.54842383978487, 0.002),
                     (74.28942485875669, 0.002), (92.57749823138782, 0.002)]
