@@ -18,7 +18,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -374,6 +373,7 @@ def _run_tasks(fn, tasks, jobs):
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor   # 20 ms to import; serial runs skip it
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / (4 * jobs))))
 

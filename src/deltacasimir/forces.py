@@ -157,6 +157,15 @@ def _canonical_force(f, d, that, tol):
                                       continuation=_continuation(d, that), head_seeds=seeds)
 
 
+def _matsubara(c, d, n):
+    """(a, g = y/(1-y)) at indices n: a = c n, y = e^{-ad}/(1+a)^2, 1 - y by expm1.
+    (1+a)^2 - e^{-ad} >= a(2+a) gives g <= e^{-ad}/(a(2+a)), each series'
+    majorant; log(1-y) = -log1p(g) keeps its digits at every y."""
+    a = c * n
+    log_y = -d * a - 2.0 * np.log1p(a)
+    return a, np.exp(log_y) / -np.expm1(log_y)
+
+
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the real-frequency mode sum."""
     d = require_real("d", d)
@@ -206,11 +215,11 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
     d, that = float(point.d), require_real("That", point.That)
     c = 4.0 * math.pi * that
 
-    def term(n):
-        e = math.exp(-c * n * d)
-        return 4.0 * math.pi * n * that * that * e / ((1.0 + c * n) ** 2 - e)
+    def terms(n):
+        a, g = _matsubara(c, d, n)
+        return that * a * g
 
-    s = sum_exponential_series(term, tol)
+    s = sum_exponential_series(terms, 0.5 * that, math.exp(-c * d), tol)
     value = -(s.value + that / (2.0 * (d + 2.0)))
     est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.converged)
     return ForceValue(value, "lifshitz", point, est)
@@ -233,12 +242,12 @@ def free_energy_lifshitz(point: DimensionlessPoint,
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
     c = 4.0 * math.pi * that
 
-    def term(n):
-        return math.log1p(-math.exp(-c * n * d) / (1.0 + c * n) ** 2)
+    def terms(n):
+        return -that * np.log1p(_matsubara(c, d, n)[1])
 
-    s = sum_exponential_series(term, tol)
-    value = that * s.value + 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
-    est = QuadratureEstimate(value, that * s.abs_error_estimate, s.evaluations, s.converged)
+    s = sum_exponential_series(terms, 0.5 * that / c, math.exp(-c * d), tol)
+    value = s.value + 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
+    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.converged)
     return FreeEnergyValue(value, cutoff_lambda, point, est)
 
 

@@ -12,7 +12,8 @@ dedicated engine:
   an analytic continuation, else by half-period panels plus nonlinear
   sequence acceleration with an independent cosine-integral closed form
   as a consistency cross-check,
-* exponentially convergent series (``sum_exponential_series``).
+* series with a geometric majorant |t_n| <= K r^n
+  (``sum_exponential_series``), summed to a term count it fixes in advance.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an
@@ -24,6 +25,7 @@ half-period tail's cross-check are computed here (:func:`sici`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +144,7 @@ _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
 _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
 _MAX_HALF_PERIODS = 20000   # half-period panels of an oscillatory tail
 _MAX_TERMS = 10_000_000     # terms of one exponential series
+_SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # a smooth semi-infinite integral maps x = L s/(1-s) with L = 4 decay
 # lengths, and its integrand is zero past 200 decay lengths
 _MAP_LENGTHS = 4.0
@@ -519,51 +522,40 @@ def cosine_integral(x: float) -> float:
     return sici(require_real("x", x))[1]
 
 
-def sum_exponential_series(term, tol: float = 1e-12) -> QuadratureEstimate:
-    """Sum term(n) for n >= 1 assuming eventual geometric decay.
+def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> QuadratureEstimate:
+    """Sum terms(n), n >= 1, given |terms(n)| <= scale * ratio**n.
 
-    Terms are added until the geometric remainder bound
-    |t_n| * r/(1 - r), with r the last observed ratio, plus the rounding
-    floor ``_EPS_FLOOR * sum|t_n|`` drops below ``tol`` on two consecutive
-    terms.  ``evaluations`` records the truncation index.  Non-convergence
-    is reported once the remainder is below a floor that alone exceeds
-    ``tol``, or after ``_MAX_TERMS`` terms.
+    ``terms`` maps a float array of indices to the terms.  N, fixed before
+    any term is evaluated, is the least count whose remainder bound
+    scale * ratio**(N+1)/(1 - ratio) is at most tol/1000.  The N terms are
+    evaluated in blocks of 2^16 and summed exactly by one ``math.fsum``;
+    the estimate adds ``_EPS_FLOOR * sum|t_n|`` to that bound.  Past
+    ``_MAX_TERMS`` terms, or for ratio >= 1 (estimate inf), converged=False.
     """
     tol = require_real("tol", tol)
-    total = 0.0
+    scale = require_real("scale", scale, inclusive=True)
+    ratio = require_real("ratio", ratio, inclusive=True)
+    if ratio >= 1.0:
+        n_terms = math.inf
+    elif ratio == 0.0 or scale == 0.0:
+        n_terms = 1
+    else:   # in logs, so that neither tol/1000 nor the bound underflows
+        log_rem = math.log(tol) - math.log(1e3) - math.log(scale) + math.log1p(-ratio)
+        n_terms = max(1, math.ceil(log_rem / math.log(ratio)) - 1)
+    n = min(n_terms, _MAX_TERMS)
     sum_abs = 0.0
-    prev = None
-    consec = 0
-    rem = math.inf
-    n = 1
-    evals = 0
-    while evals < _MAX_TERMS:
-        t = float(term(n))
-        evals += 1
-        total += t
-        sum_abs += abs(t)
-        if prev is not None:
-            if abs(t) == 0.0:
-                rem = 0.0
-                consec += 1
-            elif abs(t) < prev:
-                r = abs(t) / prev
-                rem = abs(t) * r / (1.0 - r)
-                floor = _EPS_FLOOR * sum_abs
-                if rem <= floor and floor > tol:
-                    # more terms cannot bring the estimate below tol
-                    return QuadratureEstimate(total, rem + floor, evals, False)
-                consec = consec + 1 if rem + floor <= tol else 0
-            else:
-                rem = math.inf
-                consec = 0
-            if consec >= 2:
-                err = rem + _EPS_FLOOR * sum_abs
-                return QuadratureEstimate(total, err, evals, err <= tol)
-        prev = abs(t)
-        n += 1
-    err = rem if math.isfinite(rem) else abs(prev if prev is not None else 0.0)
-    return QuadratureEstimate(total, err + _EPS_FLOOR * sum_abs, evals, False)
+
+    def blocks():
+        nonlocal sum_abs
+        for n0 in range(1, n + 1, _SERIES_BLOCK):
+            t = terms(np.arange(n0, min(n0 + _SERIES_BLOCK, n + 1), dtype=float))
+            sum_abs += float(np.abs(t).sum())
+            yield t.tolist()
+
+    total = math.fsum(itertools.chain.from_iterable(blocks()))
+    rem = scale * ratio ** (n + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    err = rem + _EPS_FLOOR * sum_abs
+    return QuadratureEstimate(total, err, n, n_terms <= _MAX_TERMS and err <= tol)
 
 
 def _positive_q(q):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_real
-from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL
+from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _matsubara
 from .model import DimensionlessPoint
 from .numerics import (
     OscillatorySpec,
@@ -251,17 +251,15 @@ def entropy_lifshitz(point: DimensionlessPoint,
     tol = require_real("tol", tol)
     c = 4.0 * math.pi * that
 
-    def log_term(n):
-        return -math.log1p(-math.exp(-c * n * d) / (1.0 + c * n) ** 2)
+    def log_terms(n):
+        return np.log1p(_matsubara(c, d, n)[1])
 
-    def slope_term(n):
-        # multiplied through by e^{-x} so nothing overflows at large n
-        e = math.exp(-c * n * d)
-        return c * n * (c * n * d + d + 2.0) * e / ((c * n + 1.0) * ((c * n + 1.0) ** 2 - e))
+    def slope_terms(n):
+        a, g = _matsubara(c, d, n)
+        return a * ((1.0 + a) * d + 2.0) * g / (1.0 + a)
 
-    # the error estimate is the sum of the two series' estimates
-    s1 = sum_exponential_series(log_term, 0.5 * tol)
-    s2 = sum_exponential_series(slope_term, 0.5 * tol)
+    s1 = sum_exponential_series(log_terms, 0.5 / c, math.exp(-c * d), 0.5 * tol)
+    s2 = sum_exponential_series(slope_terms, 0.5 * (d + 2.0), math.exp(-c * d), 0.5 * tol)
     value = s1.value - s2.value
     if include_zero_mode:
         value += -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5

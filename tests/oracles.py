@@ -16,7 +16,9 @@ zero mode cancels).  With c = 4 pi That, a = c n and y = e^{-ad}/(1+a)^2,
           + sum_n { a y/(1-y) - a^2 ((1+a)d+2) y / [2(1+a)(1-y)^2] }.
 
 Everything is float64: the terms are formed with expm1/log1p so 1-y keeps
-its digits at small a, and summed exactly with math.fsum, block by block.
+its digits at small a, log(1-y) comes from whichever of y and 1-y holds
+more digits, and the terms are summed exactly with math.fsum, block by
+block.
 The series needs about 60/(c d) terms.  At small That*d its partial sums
 grow to O(1/That) and cancel down to an O(That) density, so each term's
 rounding shows:
@@ -24,7 +26,8 @@ against an 80-bit extended-precision sum of the same series (itself within
 3e-18 of mpmath), the float64 density is off by up to 0.8 eps sum|terms|
 (9.7e-16 at d = 0.0186, That = 0.001) where the program is within 1e-18.
 ``density_identity`` therefore also returns a rounding allowance,
-2 eps (sum|terms| + 1/(4(d+2))).
+2 eps (sum|terms| + 1/(4(d+2))), and so do the two Lifshitz series,
+``entropy_lifshitz_series`` and ``force_lifshitz_series``.
 
 The same rotation gives the canonical force,
 
@@ -72,11 +75,24 @@ def _series(d, that, term):
     return math.fsum(parts), sum_abs
 
 
+def _log1m(y, omy):
+    """log(1-y) from 1-y where y > 1/2 and from y below: log(omy) alone
+    loses up to eps per term where y is small, 3e-13 of the entropy's sum
+    at (d, That) = (0.01, 0.001)."""
+    return np.where(y > 0.5, np.log(omy), np.log1p(-y))
+
+
 def entropy_lifshitz_series(d, that, cutoff_lambda):
-    """Lifshitz entropy with the zero mode kept, summed directly."""
-    total, _ = _series(d, that, lambda a, y, omy, p: -np.log(omy) - a * p * y / ((1.0 + a) * omy))
+    """Lifshitz entropy with the zero mode kept, summed directly.
+
+    Returns (value, rounding): the allowance for value's float64 rounding,
+    2 eps (sum|log terms| + sum|slope terms| + |value|).
+    """
+    logs, logs_abs = _series(d, that, lambda a, y, omy, p: -_log1m(y, omy))
+    slopes, slopes_abs = _series(d, that, lambda a, y, omy, p: a * p * y / ((1.0 + a) * omy))
     zero_mode = -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5
-    return zero_mode + total
+    value = zero_mode + (logs - slopes)
+    return value, 2.0 * np.finfo(float).eps * (logs_abs + slopes_abs + abs(value))
 
 
 def density_identity(d, that):
@@ -97,8 +113,8 @@ def density_identity(d, that):
 
 def entropy_identity(d, that, cutoff_lambda):
     """(1/2)[S_L(d) - S_L(Lambda)]: the exact canonical entropy with cutoff Lambda."""
-    return 0.5 * (entropy_lifshitz_series(d, that, cutoff_lambda)
-                  - entropy_lifshitz_series(cutoff_lambda, that, cutoff_lambda))
+    return 0.5 * (entropy_lifshitz_series(d, that, cutoff_lambda)[0]
+                  - entropy_lifshitz_series(cutoff_lambda, that, cutoff_lambda)[0])
 
 
 def force_lifshitz_zero_t(d):
@@ -112,9 +128,14 @@ def force_lifshitz_zero_t(d):
 
 
 def force_lifshitz_series(d, that):
-    """F_L(d, That), the Matsubara force with its zero mode."""
-    total, _ = _series(d, that, lambda a, y, omy, p: a * y / omy)
-    return -(that * total + that / (2.0 * (d + 2.0)))
+    """F_L(d, That), the Matsubara force with its zero mode.
+
+    Returns (value, rounding): the allowance for value's float64 rounding,
+    2 eps (That sum|terms| + |value|).
+    """
+    total, total_abs = _series(d, that, lambda a, y, omy, p: a * y / omy)
+    value = -(that * total + that / (2.0 * (d + 2.0)))
+    return value, 2.0 * np.finfo(float).eps * (that * total_abs + abs(value))
 
 
 def force_identity(d, that):
@@ -122,4 +143,4 @@ def force_identity(d, that):
     zero_t = force_lifshitz_zero_t(d)
     if that == 0.0:
         return zero_t
-    return 0.5 * (zero_t + force_lifshitz_series(d, that))
+    return 0.5 * (zero_t + force_lifshitz_series(d, that)[0])

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent import futures
 
 import pytest
 
@@ -110,14 +111,18 @@ def test_entropy_default_bytes(capsys):
     # (oracles.entropy_identity); it was 0.88159000401963783, 1.9e-12 off, in
     # 112,695 evaluations, before the density left the real axis at one period,
     # and 0.88159000402000065, 1.6e-12 off, in 7,131 evaluations, before the
-    # density's resonances got graded seed edges
+    # density's resonances got graded seed edges.  The Lifshitz value is
+    # 5.0e-17 from the exact 0.33434016119038013033 (mpmath, 40 digits) and
+    # within its estimate; it was the correctly rounded value with an
+    # estimate of 3.2e-23 from 6 terms before the series fixed its term count
+    # in advance
     code, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1")
     assert code == 0
     assert out == (
         "d,That,method,lambda,value,err,evals,converged,units\n"
         "1,1,canonical,100,0.88159000401977117,2.5466403324120009e-07,7056,true,"
         "raw_dimensionless\n"
-        "1,1,lifshitz,100,0.33434016119038013,3.1877591492660245e-23,6,true,"
+        "1,1,lifshitz,100,0.33434016119038018,6.530502514019327e-17,4,true,"
         "raw_dimensionless\n")
 
 
@@ -210,12 +215,12 @@ def test_sweep_jobs_pool_matches_serial(tmp_path, capsys):
 def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
     pools = []
 
-    class CountingPool(cli.ProcessPoolExecutor):
+    class CountingPool(futures.ProcessPoolExecutor):
         def __init__(self, *a, **kw):
             pools.append(self)
             super().__init__(*a, **kw)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
     args = ["figure", "--id", "3a", "--points", "4"]
     serial, pooled = tmp_path / "serial", tmp_path / "pool"
     serial.mkdir()
@@ -234,12 +239,12 @@ def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
 def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
     widths = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *a, **kw):
             widths.append(max_workers)
             super().__init__(max_workers, *a, **kw)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
                "--jobs", "8", "--out-dir", str(tmp_path))[0] == 0
     assert widths == [2]
@@ -248,16 +253,39 @@ def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
 def test_pool_dispatches_about_four_chunks_per_worker(tmp_path, capsys, monkeypatch):
     chunks = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(futures.ProcessPoolExecutor):
         def map(self, fn, *iterables, chunksize=1, **kw):
             chunks.append(chunksize)
             return super().map(fn, *iterables, chunksize=chunksize, **kw)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     # 3 x 5 rows on 2 workers: chunks of ceil(15/8) = 2 rows
     assert run(capsys, "figure", "--id", "3a", "--points", "5", "--jobs", "2",
                "--out-dir", str(tmp_path))[0] == 0
     assert chunks == [2]
+
+
+def _fresh_python(code):
+    """stdout of ``python -c code`` in a fresh interpreter that imports the
+    package from this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+def test_serial_commands_never_import_the_process_pool():
+    # the pool's module costs about 20 ms to import; only --jobs N > 1 needs it
+    code = (
+        "import sys\n"
+        "import deltacasimir.cli\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "deltacasimir.cli.main(['force', '--d', '1', '--That', '1'])\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    out = _fresh_python(code).split("\n")
+    assert (out[0], out[-2]) == ("False", "False")
 
 
 def test_runtime_never_imports_scipy(tmp_path):
@@ -275,12 +303,7 @@ def test_runtime_never_imports_scipy(tmp_path):
         f"                               '--out-dir', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    assert out.split("\n")[-2] == "[]"
+    assert _fresh_python(code).split("\n")[-2] == "[]"
     assert len(list(tmp_path.glob("figure1_*.csv"))) == 2
 
 

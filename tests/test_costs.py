@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from deltacasimir import DimensionlessPoint, casimir_force, entropy_canonical, \
-    entropy_density_canonical, force_zero_t_lifshitz, numerics
+    entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
+    force_zero_t_lifshitz, numerics
 
 
 def _gk_passes(monkeypatch, fn):
@@ -93,3 +94,15 @@ def test_canonical_force_that_fails_its_continuation_check():
 def test_zero_t_lifshitz_force():
     # 480 in blocks of 7 decay lengths: 4 blocks of 8 seed panels
     assert force_zero_t_lifshitz(1.0).estimate.evaluations == 120
+
+
+# The Matsubara series fix their term count from (K, r, tol) before they
+# evaluate a term, so the counts are exact.  An observed-ratio stopping
+# rule took 3, 794 and 210,060 terms here, the last one too few for tol.
+@pytest.mark.parametrize("fn, evals", [
+    (lambda: force_finite_t_lifshitz(DimensionlessPoint(1.0, 1.0), 1e-10), 2),
+    (lambda: entropy_lifshitz(DimensionlessPoint(0.5, 0.01)), 1_235),
+    (lambda: force_finite_t_lifshitz(DimensionlessPoint(0.01, 0.001), 1e-14), 322_487),
+], ids=["force-1-1", "entropy-0.5-0.01", "force-0.01-0.001"])
+def test_matsubara_series_terms(fn, evals):
+    assert fn().estimate.evaluations == evals

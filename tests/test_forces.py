@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import force_identity
+from oracles import force_identity, force_lifshitz_series
 from scipy.integrate import simpson
 
 from deltacasimir import (
@@ -191,7 +191,7 @@ def test_low_temperature_force_within_its_estimate_of_the_identity(d, that):
 @pytest.mark.parametrize("log_d_lo, log_d_hi", [(-3.0, math.log10(4.0)),
                                                 (math.log10(4.0), math.log10(200.0))],
                          ids=["Q=pi/d", "Q=1.5pi/(d+2)"])
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(u=st.floats(0.0, 1.0), log_that=st.none() | st.floats(-3.0, math.log10(5.0)))
 def test_canonical_force_property_within_its_estimate_of_the_identity(log_d_lo, log_d_hi,
                                                                       u, log_that):
@@ -251,6 +251,32 @@ def test_finite_t_lifshitz_rejects_zero_temperature():
         force_finite_t_lifshitz(DimensionlessPoint(1.0, 0.0))
 
 
+def _lifshitz_force_within_its_estimate(d, that, tol):
+    est = force_finite_t_lifshitz(DimensionlessPoint(d, that), tol).estimate
+    want, rounding = force_lifshitz_series(d, that)
+    return est.converged, abs(est.value - want) <= est.abs_error_estimate + rounding
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-10])
+def test_long_lifshitz_force_series_within_its_estimate(tol):
+    # about 3e5 terms: a stopping rule on observed term ratios reported
+    # converged with estimates 1.0e-14 and 1.0e-10 here, 1.5e-13 and
+    # 1.0025e-10 off the exact series
+    assert _lifshitz_force_within_its_estimate(0.01, 0.001, tol) == (True, True)
+
+
+# That*d >= 1e-5 keeps the oracle's series under 4.8e5 terms
+@settings(max_examples=20)
+@given(u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       tol=st.sampled_from([1e-14, 1e-12, 1e-10]))
+def test_lifshitz_force_property_within_its_estimate(u, v, tol):
+    d = min(1e-3 * 2e5 ** u, 200.0)
+    that = min(1e-5 * 5e5 ** v, 5.0)
+    assume(that * d >= 1e-5)
+    converged, within = _lifshitz_force_within_its_estimate(d, that, tol)
+    assert within or not converged
+
+
 @pytest.mark.parametrize("d, that", [
     (np.float32(0.3), np.float32(1.0)),
     (np.float32(1.0), np.float32(0.5)),
@@ -300,6 +326,13 @@ def test_free_energy_sum_dies_at_large_d():
     fe = free_energy_lifshitz(pt, cutoff_lambda=100.0)
     closed = 0.5 * math.log(2.0 * math.pi * 502.0 / 100.0)
     assert fe.value == pytest.approx(closed, rel=1e-12)
+
+
+def test_free_energy_estimate_within_tol_at_high_temperature():
+    # the series was once summed to tol and its estimate then scaled by
+    # That: converged=True came with an estimate of 4.3e-12 here
+    est = free_energy_lifshitz(DimensionlessPoint(0.001, 5.0), 100.0, 1e-12).estimate
+    assert est.converged and est.abs_error_estimate <= 1e-12
 
 
 def test_force_lifshitz_is_cutoff_free_while_free_energy_is_not():

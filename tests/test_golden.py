@@ -39,6 +39,15 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   (moved by at most 8.8e-17, in units hbar gamma^2/v^3), the 3a densities
   within 2.0e-12 (moved by at most 4.1e-13), the two 3b entropies within
   1.6e-13 (moved by at most 6.8e-14); the ``evals`` columns changed.
+* The figure 2 Lifshitz hashes were recorded again when the Matsubara
+  series took a term count fixed in advance from a geometric majorant,
+  with remainder below tol/1000, instead of stopping on observed term
+  ratios.  The 180 values moved by at most 3.8e-11 (in units
+  hbar gamma^2/v^3; they were up to 3.8e-11 from the exact series),
+  every row converged and lies within 6.4e-15 of
+  ``oracles.force_lifshitz_series`` and within its own estimate, and the
+  ``err`` and ``evals`` columns changed.  The figure 1 hashes did not
+  change: its Lifshitz force at That = 0 is an integral, not a series.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -59,9 +68,9 @@ GOLDEN = {
         "figure2_canonical_That0.5.csv": "7eaaaefe114a94790e9141009fe4bced2a76c0d9297c57210ee3c23ec910da61",
         "figure2_canonical_That1.csv": "f1cd11db78977bed79a844c247991537224578d9cd5d164b4c14dbb215ec9a29",
         "figure2_canonical_That2.csv": "7105bc9c34b9094b33aa73e8a00e3bce7cb7f898bab017114fc311ac22004e06",
-        "figure2_lifshitz_That0.5.csv": "ac0a3ea5e849d332c6c144bf134edfeba5719dcbd4d1d0b0439a759e94cfa2de",
-        "figure2_lifshitz_That1.csv": "2d8910a342d7ef79ed7e5a25354ee3c6a985185080c2d23c9307a2ecb86d394d",
-        "figure2_lifshitz_That2.csv": "e2c3dc4d45c93bdc19cb7e98d5cd94269cd93c1116ad343a93d9d83bcc847d56",
+        "figure2_lifshitz_That0.5.csv": "720e2b1461797ad56c1d647f0033a56044eea9c3e4a1afa5cc4c0d3d49b46a96",
+        "figure2_lifshitz_That1.csv": "30faf04b46e72c6a17395e4adbedc8db4ceee57fa782708098cf7b9bb613adad",
+        "figure2_lifshitz_That2.csv": "ff0f14f2845f20cd207686e045753d71bf16a2ccaf44e1b1d84e0c48e2bfe218",
     },
     ("figure", "--id", "3a", "--jobs", "1"): {
         "figure3a_That0.5.csv": "dc2423809d61749c773cc2d473e395bd85fa8665379923ae717a0841c6866bb1",

@@ -107,8 +107,14 @@ ROWS = [
     Row("integrate_smooth_semi_infinite.tol",
         lambda x: integrate_smooth_semi_infinite(_smooth, 1.0, x), TOL),
     Row("cosine_integral.x", cosine_integral, 3.0, span=(1e-3, 1e4)),
-    Row("sum_exponential_series.tol", lambda x: sum_exponential_series(lambda n: 0.5 ** n, x),
-        TOL, span=(1e-15, 2.0)),
+    Row("sum_exponential_series.scale",
+        lambda x: sum_exponential_series(lambda n: 0.5 ** n, x, 0.5, TOL), 1.0, inclusive=True,
+        span=(1.0, 100.0)),
+    Row("sum_exponential_series.ratio",
+        lambda x: sum_exponential_series(lambda n: 0.5 ** n, 1.0, x, TOL), 0.5, inclusive=True),
+    Row("sum_exponential_series.tol",
+        lambda x: sum_exponential_series(lambda n: 0.5 ** n, 1.0, 0.5, x), TOL,
+        span=(1e-15, 2.0)),
     Row("bose_factor.q", lambda x: bose_factor(x, 0.5), 2.0, span=(1e-6, 100.0)),
     Row("bose_factor.That", lambda x: bose_factor(0.75, x), 2.0, span=(0.01, 100.0)),
     Row("thermal_weight.q", lambda x: thermal_weight(x, 0.5), 2.0, span=(1e-6, 100.0)),
@@ -239,7 +245,7 @@ def _drawn(span):
 
 
 @pytest.mark.parametrize("name", [r.name for r in ROWS if r.span])
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@settings(max_examples=6)
 @given(data=st.data())
 def test_typed_input_gives_the_float_result_everywhere(name, data):
     row = BY_NAME[name]

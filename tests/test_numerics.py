@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -348,57 +349,104 @@ def test_tail_check_looks_sici_up_by_module_name(monkeypatch):
 # ------------------------------------------------------------------- series
 
 def test_series_geometric():
-    est = sum_exponential_series(lambda n: 0.5 ** n, 1e-12)
+    est = sum_exponential_series(lambda n: 0.5 ** n, 1.0, 0.5, 1e-12)
     assert est.converged
     assert est.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_series_zero():
-    est = sum_exponential_series(lambda n: 0.0, 1e-12)
-    assert est.converged
+    est = sum_exponential_series(np.zeros_like, 0.0, 0.5, 1e-12)
+    assert est.converged and est.evaluations == 1
     assert est.value == 0.0
 
 
 def test_series_matsubara_force_sum():
-    # direct-summation oracle to n = 1e4 (terms die after a handful anyway)
+    # direct-summation oracle to n = 1e4 (terms die after a handful anyway);
+    # the terms a y/(1-y), a = 4 pi n, y = e^{-a}/(1+a)^2 are below e^{-a}/2
     c = 4.0 * math.pi
 
     def term(n):
         e = math.exp(-c * n)
         return c * n * e / ((1.0 + c * n) ** 2 - e)
 
+    def terms(n):
+        e = np.exp(-c * n)
+        return c * n * e / ((1.0 + c * n) ** 2 - e)
+
     oracle = sum(term(n) for n in range(1, 10001))
     assert oracle == pytest.approx(2.381101555807226e-07, rel=1e-13)
-    est = sum_exponential_series(term, 1e-20)
+    est = sum_exponential_series(terms, 0.5, math.exp(-c), 1e-20)
     assert est.converged
     assert est.value == pytest.approx(oracle, rel=1e-13)
 
 
 def test_series_remainder_bounds_a_slow_tail():
-    # ratio 0.99: the true tail after term N is 99 times term N; a ratio
-    # capped at 0.95 once claimed 19 times
+    # ratio 0.99: the true tail after term N is 99 times term N; an observed
+    # ratio capped at 0.95 once claimed 19 times
     r = 0.99
-    est = sum_exponential_series(lambda n: r ** n, 1e-8)
+    est = sum_exponential_series(lambda n: r ** n, 1.0, r, 1e-8)
     assert est.converged
     assert est.abs_error_estimate >= r ** (est.evaluations + 1) / (1.0 - r)
+    exact = Fraction(r) / (1 - Fraction(r))   # of the float r
+    assert abs(Fraction(est.value) - exact) <= est.abs_error_estimate
 
 
-def test_series_stops_at_its_rounding_floor():
-    # the floor 1e-16 sum|t_n| = 1e-7 exceeds tol, so no number of terms
-    # can converge: the sum stops near term 37,000, where its remainder
-    # drops below the floor, instead of running on to the underflow of
-    # its terms near term 760,000
-    est = sum_exponential_series(lambda n: 1e6 * 0.999 ** n, 1e-10)
+def test_series_term_count_is_fixed_before_any_term():
+    # N is the least count whose remainder bound r^(N+1)/(1-r) is within
+    # tol/1000; the terms are asked for once, in one block of indices 1..N
+    r, tol = 0.9, 1e-9
+    calls = []
+
+    def terms(n):
+        calls.append(n.copy())
+        return r ** n
+
+    est = sum_exponential_series(terms, 1.0, r, tol)
+    n = est.evaluations
+    assert r ** (n + 1) / (1.0 - r) <= 1e-3 * tol < r ** n / (1.0 - r)
+    assert len(calls) == 1 and calls[0].tolist() == list(range(1, n + 1))
+
+
+def test_series_sums_its_blocks_exactly():
+    # 2^16-term blocks, fed to one fsum: the total is the exactly rounded sum
+    # of all the terms, not a sum of rounded block sums
+    r = 1.0 - 1e-5
+    calls = []
+
+    def terms(n):
+        calls.append(n.size)
+        return np.cos(n) * r ** n
+
+    est = sum_exponential_series(terms, 1.0, r, 1e-8)
+    assert calls[:-1] == [2 ** 16] * (len(calls) - 1) and len(calls) > 1
+    assert est.value == math.fsum(terms(np.arange(1.0, est.evaluations + 1)).tolist())
+
+
+def test_series_reports_its_rounding_floor():
+    # the floor 1e-16 sum|t_n| = 1e-7 exceeds tol, so the fixed count of
+    # 50,631 terms cannot converge; an observed-ratio stopping rule once
+    # stopped near term 37,000 instead
+    est = sum_exponential_series(lambda n: 1e6 * 0.999 ** n, 1e6, 0.999, 1e-10)
     assert not est.converged
-    assert est.evaluations < 50_000
+    assert est.evaluations == 50_631
     assert est.value == pytest.approx(999e6, rel=1e-12)
 
 
 def test_series_nonconvergence_reported(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
-    est = sum_exponential_series(lambda n: 1.0 / n, 1e-12)
+    r = 0.9999
+    est = sum_exponential_series(lambda n: r ** n, 1.0, r, 1e-12)
     assert not est.converged
     assert est.evaluations == 1000
+    assert est.abs_error_estimate >= r ** 1001 / (1.0 - r)
+
+
+def test_series_without_a_geometric_bound_is_not_converged(monkeypatch):
+    # ratio 1 (e^{-cd} rounded up, at That*d below 1e-17) bounds no remainder
+    monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
+    est = sum_exponential_series(lambda n: 1.0 / n, 1.0, 1.0, 1e-12)
+    assert not est.converged
+    assert est.evaluations == 1000 and est.abs_error_estimate == math.inf
 
 
 # ------------------------------------------------------- thermal weight, bose

@@ -106,7 +106,7 @@ def test_kernel_lower_bound_and_tail():
         assert np.all(qs * qs * np.abs(vals) <= 1.0)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(q=st.floats(1e-3, 1e3), d=st.floats(0.01, 300.0))
 def test_flux_deficit_below_half_over_q_squared(q, d):
     # fd = -2 Re[x/(1-x)] with |x| = 1/(1+4q^2), so |fd| <= 2|x|/(1-|x|) =

@@ -7,6 +7,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from deltacasimir import DimensionlessPoint, entropy_lifshitz, force_finite_t_lifshitz, \
+    forces, free_energy_lifshitz, thermo
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -23,3 +26,23 @@ def test_every_tracer_patch_target_is_bound():
     for mod_name, attr, *_ in patches:
         mod = importlib.import_module(f"deltacasimir.{mod_name}")
         assert callable(getattr(mod, attr, None)), f"deltacasimir.{mod_name}.{attr}"
+
+
+def test_every_matsubara_series_goes_through_a_traced_name(monkeypatch):
+    # the tracer's numerics.series span wraps forces.sum_exponential_series
+    # and thermo.sum_exponential_series: a caller that reached the engine
+    # through numerics would empty the span without failing anything
+    calls = []
+    for mod in (forces, thermo):
+        def counting(*args, _engine=mod.sum_exponential_series, _name=mod.__name__, **kw):
+            calls.append(_name)
+            return _engine(*args, **kw)
+
+        monkeypatch.setattr(mod, "sum_exponential_series", counting)
+    pt = DimensionlessPoint(1.0, 0.5)
+    force_finite_t_lifshitz(pt)
+    assert calls == ["deltacasimir.forces"]
+    free_energy_lifshitz(pt)
+    assert calls[1:] == ["deltacasimir.forces"]
+    entropy_lifshitz(pt)
+    assert calls[2:] == ["deltacasimir.thermo"] * 2
