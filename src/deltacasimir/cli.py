@@ -1,11 +1,22 @@
 """Command-line front end.
 
-Subcommands: ``scattering``, ``force``, ``entropy``, ``figure``, ``sweep``.
+Subcommands and the shared flags each takes; all six take --json and
+--config, and --help lists the rest of their inputs:
+
+    scattering  --out
+    force       --tol --units --out
+    entropy     --tol --out           (entropy rows are dimensionless)
+    sweep       --tol --units --out --jobs
+    asymptote   --units --out
+    figure      --tol --units --jobs  (one CSV per curve, in --out-dir)
+
 Every numeric row echoes its inputs; CSV output uses '.' decimals and 17
 significant digits so identical command lines reproduce identical bytes.
-A metadata sidecar (<out>.meta.json) records the tool version and the full
-effective configuration.  Exit codes: 0 success, 2 usage or domain error,
-3 numerical non-convergence (rows are still emitted, flagged converged=false).
+A force row's value and err are both in its units convention.  A metadata
+sidecar (<out>.meta.json) records the tool version and the effective value
+of each flag the command reads.  Exit codes: 0 success, 2 usage or domain
+error, 3 numerical non-convergence (rows are still emitted, flagged
+converged=false).
 
 Configuration precedence: command-line flags > --config file (key=value
 lines) > built-in defaults.
@@ -35,6 +46,7 @@ from .forces import (
 from .model import DimensionlessPoint, UnitsConvention
 from .scattering import coefficients_closed_form, coefficients_linear_solve, kernel
 from .thermo import (
+    ENTROPY_INNER_TOL,
     ENTROPY_TOL,
     entropy_canonical,
     entropy_density_canonical,
@@ -76,28 +88,6 @@ class SweepSpec:
         return _grid(self.min, self.max, self.points, self.spacing)
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One numeric result row with its full input provenance."""
-
-    d: float
-    That: float
-    method: str
-    value: float
-    err: float
-    evals: int
-    converged: bool
-    units: str
-    cutoff_lambda: float | None = None
-
-    def force_row(self):
-        return [self.d, self.That, self.method, self.value, self.err,
-                self.evals, self.converged, self.units]
-
-    def entropy_row(self):
-        return [self.d, self.That, self.method, self.cutoff_lambda, self.value,
-                self.err, self.evals, self.converged, self.units]
-
 FORCE_SCHEMA = ["d", "That", "method", "value", "err", "evals", "converged", "units"]
 ENTROPY_SCHEMA = ["d", "That", "method", "lambda", "value", "err", "evals",
                   "converged", "units"]
@@ -131,22 +121,34 @@ def _write_csv(stream, header, rows):
         w.writerow([_fmt(x) for x in row])
 
 
-def _emit(rows, header, args, meta):
-    """Print records (CSV or JSON) and optionally write CSV + sidecar."""
-    if getattr(args, "json", False):
-        recs = [dict(zip(header, row)) for row in rows]
-        print(json.dumps({"records": recs, "meta": meta}, indent=2, sort_keys=True))
+def _exit_code(header, rows) -> int:
+    """EXIT_NONCONVERGED if any row's ``converged`` column is false."""
+    if "converged" in header and not all(r[header.index("converged")] for r in rows):
+        return EXIT_NONCONVERGED
+    return EXIT_OK
+
+
+def _print_json(header, rows, meta):
+    recs = [dict(zip(header, row)) for row in rows]
+    print(json.dumps({"records": recs, "meta": meta}, indent=2, sort_keys=True))
+
+
+def _emit(rows, header, args, meta) -> int:
+    """Print records (CSV or JSON), optionally write CSV + sidecar, and
+    return the exit code."""
+    if args.json:
+        _print_json(header, rows, meta)
     else:
         buf = io.StringIO()
         _write_csv(buf, header, rows)
         sys.stdout.write(buf.getvalue())
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             _write_csv(fh, header, rows)
-        with open(out + ".meta.json", "w") as fh:
+        with open(args.out + ".meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return _exit_code(header, rows)
 
 
 def _meta(args, **extra):
@@ -196,7 +198,7 @@ def _load_config(path):
 def _resolve(args, **defaults):
     """Apply precedence: CLI flag > config file > default (``defaults`` overrides
     DEFAULTS for one subcommand)."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _load_config(args.config) if args.config else {}
     defaults = {**DEFAULTS, **defaults}
     casts = {"tol": float, "cutoff_lambda": float, "jobs": int, "units": str, "out": str}
     for key, cast in casts.items():
@@ -212,6 +214,40 @@ def _units(args) -> UnitsConvention:
         return UnitsConvention(args.units)
     except ValueError as exc:
         raise DomainError(f"unknown units convention {args.units!r}") from exc
+
+
+# ------------------------------------------------- one row function per quantity
+
+def _force_row(task):
+    """(d, That, method, tol, units) -> FORCE_SCHEMA row; value and err are
+    both in the units convention."""
+    d, that, method, tol, units = task
+    fv = casimir_force(DimensionlessPoint(d, that), method, tol)
+    est, scale = fv.estimate, UnitsConvention(units)
+    return [d, that, method, scale.apply(fv.value), scale.apply(est.abs_error_estimate),
+            est.evaluations, est.converged, units]
+
+
+def _entropy_row(task):
+    """(d, That, method, Lambda, zero_mode, tol) -> ENTROPY_SCHEMA row."""
+    d, that, method, lam, zero_mode, tol = task
+    point = DimensionlessPoint(d, that)
+    if method == "canonical":
+        ev = entropy_canonical(point, lam, tol)
+    else:
+        # the series are cheap, so never below their default accuracy
+        ev = entropy_lifshitz(point, lam, zero_mode, min(tol, LIFSHITZ_TOL))
+    est = ev.estimate
+    return [d, that, ev.method, lam, ev.value, est.abs_error_estimate, est.evaluations,
+            est.converged, UnitsConvention.RAW_DIMENSIONLESS.value]
+
+
+def _density_row(task):
+    """(dtilde, That, tol) -> DENSITY_SCHEMA row."""
+    dt, that, tol = task
+    dens = entropy_density_canonical(dt, that, tol)
+    est = dens.estimate
+    return [dt, that, dens.value, est.abs_error_estimate, est.evaluations, est.converged]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -231,51 +267,26 @@ def _cmd_scattering(args) -> int:
     meta = _meta(args, q=q, d=d, schema=SCATTERING_SCHEMA,
                  max_closed_vs_solve=max(abs(closed.B - solved.B), abs(closed.C - solved.C),
                                          abs(closed.D - solved.D), abs(closed.G - solved.G)))
-    _emit([row], SCATTERING_SCHEMA, args, meta)
-    return EXIT_OK
-
-
-def _force_record(d, that, method, tol, units) -> OutputRecord:
-    fv = casimir_force(DimensionlessPoint(d, that), method, tol)
-    est = fv.estimate
-    return OutputRecord(d=d, That=that, method=method, value=units.apply(fv.value),
-                        err=est.abs_error_estimate, evals=est.evaluations,
-                        converged=est.converged, units=units.value)
+    return _emit([row], SCATTERING_SCHEMA, args, meta)
 
 
 def _cmd_force(args) -> int:
     _resolve(args)
     methods = _parse_methods(args.method)
-    units = _units(args)
-    recs = [_force_record(args.d, args.That, m, args.tol, units) for m in methods]
+    units = _units(args).value
+    rows = [_force_row((args.d, args.That, m, args.tol, units)) for m in methods]
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, d=args.d, That=args.That)
-    _emit([r.force_row() for r in recs], FORCE_SCHEMA, args, meta)
-    return EXIT_OK if all(r.converged for r in recs) else EXIT_NONCONVERGED
-
-
-def _entropy_record(d, that, method, lam, zero_mode, tol, units) -> OutputRecord:
-    point = DimensionlessPoint(d, that)
-    if method == "canonical":
-        ev = entropy_canonical(point, lam, tol)
-    else:
-        # the series are cheap, so never below their default accuracy
-        ev = entropy_lifshitz(point, lam, zero_mode, min(tol, LIFSHITZ_TOL))
-    est = ev.estimate
-    return OutputRecord(d=d, That=that, method=ev.method, value=ev.value,
-                        err=est.abs_error_estimate, evals=est.evaluations,
-                        converged=est.converged, units=units.value, cutoff_lambda=lam)
+    return _emit(rows, FORCE_SCHEMA, args, meta)
 
 
 def _cmd_entropy(args) -> int:
     _resolve(args, tol=DEFAULTS["entropy_tol"])
     methods = _parse_methods(args.method)
-    units = _units(args)
-    recs = [_entropy_record(args.d, args.That, m, args.cutoff_lambda,
-                            args.zero_mode, args.tol, units) for m in methods]
+    rows = [_entropy_row((args.d, args.That, m, args.cutoff_lambda, args.zero_mode, args.tol))
+            for m in methods]
     meta = _meta(args, schema=ENTROPY_SCHEMA, methods=methods, d=args.d,
                  That=args.That, zero_mode=args.zero_mode)
-    _emit([r.entropy_row() for r in recs], ENTROPY_SCHEMA, args, meta)
-    return EXIT_OK if all(r.converged for r in recs) else EXIT_NONCONVERGED
+    return _emit(rows, ENTROPY_SCHEMA, args, meta)
 
 
 def _grid(lo, hi, n, spacing):
@@ -284,56 +295,39 @@ def _grid(lo, hi, n, spacing):
     return np.linspace(lo, hi, n)
 
 
-def _force_task(task):
-    d, that, method, tol, units_value = task
-    return _force_record(d, that, method, tol, UnitsConvention(units_value)).force_row()
-
-
-def _entropy_task(task):
-    d, that, lam, tol, units_value = task
-    return _entropy_record(d, that, "canonical", lam, True, tol,
-                           UnitsConvention(units_value)).entropy_row()
-
-
-def _density_task(task):
-    dt, that = task
-    dens = entropy_density_canonical(dt, that)
-    est = dens.estimate
-    return [dt, that, dens.value, est.abs_error_estimate, est.evaluations, est.converged]
-
-
-# id -> (grid axis, min, max, default points, schema, default units, note,
-# task function, series); every grid is log spaced.  Each figure's default
-# units are its caption normalization; an explicit flag or config entry still
-# wins.  series(grid, That set, tol, units, Lambda) gives the CSV name and
-# the tasks of each of the figure's files.
+# id -> (grid axis, min, max, default points, schema, default units, default
+# tol, note, row function, series); every grid is log spaced.  Each figure's
+# default units are its caption normalization and its default tol is its
+# quantity's; an explicit flag or config entry still wins.  series(grid,
+# That set, tol, units, Lambda) gives the CSV name and the tasks of each of
+# the figure's files.
 FIGURES = {
-    "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale",
-          "force in units hbar*gamma^2/v^3 vs dimensionless distance", _force_task,
+    "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale", FORCE_TOL,
+          "force in units hbar*gamma^2/v^3 vs dimensionless distance", _force_row,
           lambda grid, thats, tol, u, lam: [
               (f"figure1_{m}.csv", [(d, 0.0, m, tol, u) for d in grid]) for m in METHODS]),
-    "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale",
+    "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale", FORCE_TOL,
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
-          "differs from figure 1 by 4*pi", _force_task,
+          "differs from figure 1 by 4*pi", _force_row,
           lambda grid, thats, tol, u, lam: [
               (f"figure2_{m}_That{t:g}.csv", [(d, t, m, tol, u) for d in grid])
               for t in thats for m in METHODS]),
-    "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless",
+    "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless", ENTROPY_INNER_TOL,
            "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
-           _density_task,
+           _density_row,
            lambda grid, thats, tol, u, lam: [
-               (f"figure3a_That{t:g}.csv", [(d, t) for d in grid]) for t in thats]),
-    "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless",
-           "canonical entropy at infrared cutoff Lambda={lam:g}", _entropy_task,
+               (f"figure3a_That{t:g}.csv", [(d, t, tol) for d in grid]) for t in thats]),
+    "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless", ENTROPY_TOL,
+           "canonical entropy at infrared cutoff Lambda={lam:g}", _entropy_row,
            lambda grid, thats, tol, u, lam: [
                (f"figure3b_That{t:g}.csv",
-                [(d, t, lam, DEFAULTS["entropy_tol"], u) for d in grid]) for t in thats]),
+                [(d, t, "canonical", lam, True, tol) for d in grid]) for t in thats]),
 }
 
 
 def _cmd_figure(args) -> int:
-    axis, lo, hi, default_points, schema, units, note, task, make_series = FIGURES[args.id]
-    _resolve(args, units=units)
+    axis, lo, hi, default_points, schema, units, tol, note, row, make_series = FIGURES[args.id]
+    _resolve(args, units=units, tol=tol)
     u = _units(args).value
     that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
         else DEFAULTS["figure_that_set"]
@@ -342,15 +336,12 @@ def _cmd_figure(args) -> int:
     lam = args.cutoff_lambda
     series = make_series(grid, that_set, args.tol, u, lam)
     # one pool for the whole figure; its rows come back in task order
-    rows = _run_tasks(task, [t for _, tasks in series for t in tasks], args.jobs or 1)
+    rows = _run_tasks(row, [t for _, tasks in series for t in tasks], args.jobs or 1)
     files = []
-    ok = True
     for i, (name, _) in enumerate(series):
-        part = rows[i * points:(i + 1) * points]
-        ok &= all(r[schema.index("converged")] for r in part)
         files.append(f"{args.out_dir}/{name}")
         with open(files[-1], "w", newline="") as fh:
-            _write_csv(fh, schema, part)
+            _write_csv(fh, schema, rows[i * points:(i + 1) * points])
 
     meta = _meta(args, figure=args.id, files=[f.rsplit("/", 1)[-1] for f in files],
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
@@ -358,9 +349,11 @@ def _cmd_figure(args) -> int:
     with open(f"{args.out_dir}/figure{args.id}_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for f in files:
-        print(f)
-    return EXIT_OK if ok else EXIT_NONCONVERGED
+    if args.json:
+        _print_json(schema, rows, meta)
+    else:
+        print("\n".join(files))
+    return _exit_code(schema, rows)
 
 
 def _run_tasks(fn, tasks, jobs):
@@ -389,7 +382,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
             else:
                 d, that = spec.fixed, float(x)
             tasks.append((d, that, method, spec.tol, units.value))
-    return _run_tasks(_force_task, tasks, jobs)
+    return _run_tasks(_force_row, tasks, jobs)
 
 
 def _cmd_sweep(args) -> int:
@@ -401,33 +394,36 @@ def _cmd_sweep(args) -> int:
     meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
                  variable=spec.variable, min=spec.min, max=spec.max,
                  points=spec.points, spacing=spec.spacing, fixed=spec.fixed)
-    _emit(rows, FORCE_SCHEMA, args, meta)
-    return EXIT_OK if all(r[6] for r in rows) else EXIT_NONCONVERGED
+    return _emit(rows, FORCE_SCHEMA, args, meta)
 
 
 def _cmd_asymptote(args) -> int:
     _resolve(args)
     methods = _parse_methods(args.method)
     units = _units(args)
-    rows = []
-    for method in methods:
-        v = asymptotic_force(DimensionlessPoint(args.d, args.That), method)
-        rows.append([args.d, args.That, method, units.apply(v), 0.0, 0, True, units.value])
-    _emit(rows, FORCE_SCHEMA, args, _meta(args, schema=FORCE_SCHEMA))
-    return EXIT_OK
+    point = DimensionlessPoint(args.d, args.That)
+    rows = [[args.d, args.That, m, units.apply(asymptotic_force(point, m)), 0.0, 0, True,
+             units.value] for m in methods]
+    return _emit(rows, FORCE_SCHEMA, args, _meta(args, schema=FORCE_SCHEMA))
 
 
 # ---------------------------------------------------------------- entry point
 
-def _add_common(p, tol_default=None):
-    p.add_argument("--tol", type=float, default=tol_default, help="absolute tolerance")
-    p.add_argument("--units", default=None,
-                   choices=[u.value for u in UnitsConvention],
-                   help="output normalization for forces")
-    p.add_argument("--out", default=None, help="write CSV here plus a .meta.json sidecar")
-    p.add_argument("--json", action="store_true", help="emit records as JSON on stdout")
-    p.add_argument("--jobs", type=int, default=None, help="worker pool width (1 = serial)")
-    p.add_argument("--config", default=None, help="key=value config file")
+# the flags some subcommands share; each subcommand takes those it reads
+_FLAGS = {
+    "--tol": dict(type=float, help="absolute tolerance"),
+    "--units": dict(choices=[u.value for u in UnitsConvention],
+                    help="output normalization for forces (value and err)"),
+    "--out": dict(help="write CSV here plus a .meta.json sidecar"),
+    "--json": dict(action="store_true", help="emit records as JSON on stdout"),
+    "--jobs": dict(type=int, help="worker pool width (1 = serial)"),
+    "--config": dict(help="key=value config file"),
+}
+
+
+def _add_flags(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scattering", help="mode amplitudes B, C, D, G and the force kernel")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
-    _add_common(p)
+    _add_flags(p, "--out", "--json", "--config")
     p.set_defaults(fn=_cmd_scattering)
 
     p = sub.add_parser("force", help="Casimir force at one (d, That)")
@@ -449,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--That", type=float, default=0.0)
     p.add_argument("--method", default="both",
                    help="canonical, lifshitz, both, or a comma list")
-    _add_common(p)
+    _add_flags(p, "--tol", "--units", "--out", "--json", "--config")
     p.set_defaults(fn=_cmd_force)
 
-    p = sub.add_parser("entropy", help="Casimir entropy at one (d, That)")
+    p = sub.add_parser("entropy", help="Casimir entropy at one (d, That), dimensionless")
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--That", type=float, required=True)
     p.add_argument("--method", default="both")
@@ -461,17 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-mode", dest="zero_mode",
                    action=argparse.BooleanOptionalAction, default=True,
                    help="keep the zero-frequency term in the Lifshitz entropy")
-    _add_common(p)
+    _add_flags(p, "--tol", "--out", "--json", "--config")
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("figure", help="reproduce the data behind a figure")
-    p.add_argument("--id", required=True, choices=["1", "2", "3a", "3b"])
+    p.add_argument("--id", required=True, choices=list(FIGURES))
     p.add_argument("--out-dir", default=".")
     p.add_argument("--points", type=int, default=None, help="grid size override")
     p.add_argument("--That-set", dest="That_set", default=None,
                    help="comma list of temperatures (default 0.5,1,2)")
     p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None)
-    _add_common(p)
+    _add_flags(p, "--tol", "--units", "--json", "--jobs", "--config")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("sweep", help="force sweep over d or That")
@@ -483,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", type=float, required=True,
                    help="value of the other coordinate")
     p.add_argument("--method", default="both")
-    _add_common(p)
+    _add_flags(p, "--tol", "--units", "--out", "--json", "--jobs", "--config")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("asymptote", help="long-distance asymptotic force")
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--That", type=float, required=True)
     p.add_argument("--method", default="both")
-    _add_common(p)
+    _add_flags(p, "--units", "--out", "--json", "--config")
     p.set_defaults(fn=_cmd_asymptote)
 
     return ap
@@ -503,10 +499,7 @@ def main(argv=None) -> int:
     args.argv = argv   # recorded as the metadata's "command"
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from concurrent import futures
@@ -415,3 +416,138 @@ def test_config_file_precedence(tmp_path, capsys):
     _, out2, _ = run(capsys, "force", "--d", "1", "--That", "0", "--method", "lifshitz",
                      "--config", str(cfg), "--units", "raw_dimensionless")
     assert out2.strip().split("\n")[1].split(",")[7] == "raw_dimensionless"
+
+
+def _rows(csv_text):
+    lines = csv_text.strip().split("\n")
+    return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+
+
+def test_force_err_is_in_the_units_of_value(capsys):
+    # fig2_scale once rescaled the value but left err in hbar*gamma^2/v^3
+    argv = ["force", "--d", "1", "--That", "1"]
+    raw = _rows(run(capsys, *argv)[1])
+    fig2 = _rows(run(capsys, *argv, "--units", "fig2_scale")[1])
+    scale = cli.UnitsConvention.FIG2_SCALE
+    for r, f in zip(raw, fig2):
+        assert float(f["err"]) == scale.apply(float(r["err"]))
+        assert float(f["err"]) == pytest.approx(4.0 * math.pi * float(r["err"]), rel=1e-15)
+        assert float(f["value"]) == scale.apply(float(r["value"]))
+
+
+@pytest.mark.parametrize("fig, default_tol, tol", [("3a", 1e-8, 1e-6), ("3b", 1e-6, 1e-4)])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_figure_honours_tol(fig, default_tol, tol, via_config, tmp_path, capsys):
+    # --tol once reached only figures 1 and 2; 3a and 3b ran at fixed defaults
+    def evals_and_meta(*extra):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        out.mkdir()
+        assert main(["figure", "--id", fig, "--points", "2", "--That-set", "1",
+                     "--out-dir", str(out), *extra]) == 0
+        capsys.readouterr()
+        rows = _rows((out / f"figure{fig}_That1.csv").read_text())
+        meta = json.loads((out / f"figure{fig}_meta.json").read_text())
+        return [int(r["evals"]) for r in rows], meta["tol"]
+
+    if via_config:
+        cfg = tmp_path / "tol.conf"
+        cfg.write_text(f"tol={tol}\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--tol", str(tol)]
+    default_evals, default_meta_tol = evals_and_meta()
+    evals, meta_tol = evals_and_meta(*extra)
+    assert (default_meta_tol, meta_tol) == (default_tol, tol)
+    assert all(e < d for e, d in zip(evals, default_evals))
+
+
+# each subcommand's inputs, the flags it reads (with a value, or None for a
+# switch) and the shared flags it does not take
+FLAGS = {
+    "scattering": (["--q", "1", "--d", "1"],
+                   {"--out": "x.csv", "--json": None, "--config": "c"},
+                   ["--tol", "--units", "--jobs"]),
+    "force": (["--d", "1"],
+              {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
+               "--config": "c", "--That": "1", "--method": "lifshitz"},
+              ["--jobs"]),
+    "entropy": (["--d", "1", "--That", "1"],
+                {"--tol": "1e-6", "--out": "x.csv", "--json": None, "--config": "c",
+                 "--method": "lifshitz", "--lambda": "50", "--zero-mode": None,
+                 "--no-zero-mode": None},
+                ["--units", "--jobs"]),
+    # figure has no --out: argparse reads it as the prefix of --out-dir
+    "figure": (["--id", "3a"],
+               {"--tol": "1e-8", "--units": "fig2_scale", "--json": None, "--jobs": "2",
+                "--config": "c", "--out-dir": ".", "--points": "2", "--That-set": "1",
+                "--lambda": "50"},
+               []),
+    "sweep": (["--variable", "d", "--min", "1", "--max", "2", "--points", "2", "--fixed", "0"],
+              {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
+               "--jobs": "2", "--config": "c", "--spacing": "log", "--method": "lifshitz"},
+              []),
+    "asymptote": (["--d", "100", "--That", "2"],
+                  {"--units": "fig2_scale", "--out": "x.csv", "--json": None, "--config": "c",
+                   "--method": "lifshitz"},
+                  ["--tol", "--jobs"]),
+}
+
+
+@pytest.mark.parametrize("command", list(FLAGS))
+def test_help_lists_only_the_flags_each_subcommand_reads(command, capsys):
+    required, reads, _ = FLAGS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"--help", *required[::2], *reads}
+    for flag, value in reads.items():
+        args = cli.build_parser().parse_args(
+            [command, *required, flag, *([] if value is None else [value])])
+        assert args.command == command
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, _, dead) in FLAGS.items()
+                                           for f in dead])
+def test_each_subcommand_rejects_the_flags_it_does_not_read(command, flag, capsys):
+    required, _, _ = FLAGS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scattering", "--q", "1", "--d", "1"],
+    ["force", "--d", "1", "--That", "1", "--units", "fig2_scale"],
+    ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
+    ["sweep", "--variable", "That", "--min", "0.5", "--max", "2", "--points", "2",
+     "--fixed", "1", "--method", "lifshitz"],
+    ["asymptote", "--d", "100", "--That", "2"],
+    ["figure", "--id", "3a", "--points", "2", "--That-set", "1,2"],
+], ids=lambda argv: argv[0])
+def test_json_records_equal_the_csv_rows(argv, tmp_path, capsys):
+    if argv[0] == "figure":
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    code, csv_out, _ = run(capsys, *argv)
+    code_json, json_out, _ = run(capsys, *argv, "--json")
+    if argv[0] == "figure":
+        csv_rows = [row for name in csv_out.split() for row in _rows(open(name).read())]
+    else:
+        csv_rows = _rows(csv_out)
+    records = json.loads(json_out)["records"]
+    assert code == code_json == 0
+    assert len(records) == len(csv_rows) > 0
+    assert [{k: cli._fmt(v) for k, v in rec.items()} for rec in records] == csv_rows
+
+
+def test_entropy_rows_are_always_dimensionless(tmp_path, capsys):
+    # a units convention scales forces; it once relabelled entropies too
+    cfg = tmp_path / "units.conf"
+    cfg.write_text("units=fig2_scale\n")
+    _, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1", "--config", str(cfg))
+    assert {r["units"] for r in _rows(out)} == {"raw_dimensionless"}
+    assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
+               "--units", "fig2_scale", "--out-dir", str(tmp_path))[0] == 0
+    rows = _rows((tmp_path / "figure3b_That1.csv").read_text())
+    assert {r["units"] for r in rows} == {"raw_dimensionless"}

@@ -48,6 +48,12 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   ``oracles.force_lifshitz_series`` and within its own estimate, and the
   ``err`` and ``evals`` columns changed.  The figure 1 hashes did not
   change: its Lifshitz force at That = 0 is an integral, not a series.
+* The six figure 2 hashes were recorded again when the ``err`` column was
+  put in the units of the ``value`` column, hbar gamma^2/(4 pi v^3) (it
+  had stayed in hbar gamma^2/v^3).  In each of the 360 rows every other
+  column kept its bytes, and ``err`` became
+  ``UnitsConvention.FIG2_SCALE.apply`` of the previous one: 4 pi times it,
+  to 2.2e-16.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -65,12 +71,12 @@ GOLDEN = {
         "figure1_lifshitz.csv": "eac3f6fb2ae5ec1c26e0b44d67f4109a4604bd3bb69648d63fea53cd48c76ced",
     },
     ("figure", "--id", "2", "--jobs", "1"): {
-        "figure2_canonical_That0.5.csv": "7eaaaefe114a94790e9141009fe4bced2a76c0d9297c57210ee3c23ec910da61",
-        "figure2_canonical_That1.csv": "f1cd11db78977bed79a844c247991537224578d9cd5d164b4c14dbb215ec9a29",
-        "figure2_canonical_That2.csv": "7105bc9c34b9094b33aa73e8a00e3bce7cb7f898bab017114fc311ac22004e06",
-        "figure2_lifshitz_That0.5.csv": "720e2b1461797ad56c1d647f0033a56044eea9c3e4a1afa5cc4c0d3d49b46a96",
-        "figure2_lifshitz_That1.csv": "30faf04b46e72c6a17395e4adbedc8db4ceee57fa782708098cf7b9bb613adad",
-        "figure2_lifshitz_That2.csv": "ff0f14f2845f20cd207686e045753d71bf16a2ccaf44e1b1d84e0c48e2bfe218",
+        "figure2_canonical_That0.5.csv": "6a49d60346d0640ed70040cc9276ad9c80c57523c5ff2d56caa9a306b9b5129e",
+        "figure2_canonical_That1.csv": "34e32137f8e4d102afeb991385341aaa31e1c9345af4e947c2a986b297581abd",
+        "figure2_canonical_That2.csv": "c884c643bd3871e14803d6bbc220a22987bfe8f6d3da29b729518014aaef7e56",
+        "figure2_lifshitz_That0.5.csv": "54ebc26535a6b0e4dcbbfc6b7b9b34614e5ea66cc4335962391a32d0a014c6ea",
+        "figure2_lifshitz_That1.csv": "2138aabea40665dbb493e3692efda10371f23d53300bbd21b2381400b0a18c7b",
+        "figure2_lifshitz_That2.csv": "1fcac32ce95b72266de5df14b131d647c07434fd631f089d94521af8c5409d09",
     },
     ("figure", "--id", "3a", "--jobs", "1"): {
         "figure3a_That0.5.csv": "dc2423809d61749c773cc2d473e395bd85fa8665379923ae717a0841c6866bb1",

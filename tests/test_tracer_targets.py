@@ -7,7 +7,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from deltacasimir import DimensionlessPoint, entropy_lifshitz, force_finite_t_lifshitz, \
+from deltacasimir import DimensionlessPoint, cli, entropy_lifshitz, force_finite_t_lifshitz, \
     forces, free_energy_lifshitz, thermo
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -46,3 +46,34 @@ def test_every_matsubara_series_goes_through_a_traced_name(monkeypatch):
     assert calls[1:] == ["deltacasimir.forces"]
     entropy_lifshitz(pt)
     assert calls[2:] == ["deltacasimir.thermo"] * 2
+
+
+def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys):
+    # the tracer's cli.tasks is len(args[1]) of cli._run_tasks, its cli.write
+    # span is one cli._write_csv call per file, and under --jobs 1 its
+    # thermo.density span wraps cli.entropy_density_canonical
+    seen = {"tasks": [], "written": [], "density": 0}
+
+    def run_tasks(fn, tasks, jobs, _orig=cli._run_tasks):
+        seen["tasks"].append(len(tasks))
+        return _orig(fn, tasks, jobs)
+
+    def write_csv(stream, header, rows, _orig=cli._write_csv):
+        seen["written"].append(len(rows))
+        return _orig(stream, header, rows)
+
+    def density(*args, _orig=cli.entropy_density_canonical, **kw):
+        seen["density"] += 1
+        return _orig(*args, **kw)
+
+    monkeypatch.setattr(cli, "_run_tasks", run_tasks)
+    monkeypatch.setattr(cli, "_write_csv", write_csv)
+    monkeypatch.setattr(cli, "entropy_density_canonical", density)
+    assert cli.main(["figure", "--id", "3a", "--points", "2", "--That-set", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    files = list(tmp_path.glob("*.csv"))
+    rows_on_disk = sum(len(f.read_text().strip().split("\n")) - 1 for f in files)
+    assert seen["tasks"] == [rows_on_disk] == [2]
+    assert len(seen["written"]) == len(files) == 1
+    assert sum(seen["written"]) == seen["density"] == rows_on_disk
