@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -101,7 +102,6 @@ DEFAULTS = {
     "cutoff_lambda": DEFAULT_CUTOFF_LAMBDA,
     "units": "raw_dimensionless",
     "jobs": 1,
-    "zero_mode": True,
     "figure_that_set": (0.5, 1.0, 2.0),
 }
 
@@ -156,7 +156,6 @@ def _meta(args, **extra):
         "tool": "deltacasimir",
         "version": __version__,
         "command": " ".join(args.argv),
-        "defaults": {k: (list(v) if isinstance(v, tuple) else v) for k, v in DEFAULTS.items()},
     }
     for key in ("tol", "units", "jobs", "cutoff_lambda"):
         if hasattr(args, key):
@@ -329,6 +328,8 @@ def _cmd_figure(args) -> int:
     axis, lo, hi, default_points, schema, units, tol, note, row, make_series = FIGURES[args.id]
     _resolve(args, units=units, tol=tol)
     u = _units(args).value
+    if not os.path.isdir(args.out_dir):
+        raise DomainError(f"--out-dir {args.out_dir!r} is not a directory")
     that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
         else DEFAULTS["figure_that_set"]
     points = args.points or default_points
@@ -346,6 +347,11 @@ def _cmd_figure(args) -> int:
     meta = _meta(args, figure=args.id, files=[f.rsplit("/", 1)[-1] for f in files],
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
                  note=note.format(lam=lam))
+    # every id takes --units and --lambda; only force rows read the one, entropy rows the other
+    if schema is not FORCE_SCHEMA:
+        del meta["units"]
+    if schema is not ENTROPY_SCHEMA:
+        del meta["cutoff_lambda"]
     with open(f"{args.out_dir}/figure{args.id}_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,10 +8,8 @@ dedicated engine:
   after the substitution x = L s/(1-s) onto [0, 1),
 * integrands that oscillate like cos(omega*q)/q at large q
   (``integrate_oscillatory_tail``), handled by adaptive quadrature up to a
-  switch point; beyond it, along the line Re q = Q when the caller gives
-  an analytic continuation, else by half-period panels plus nonlinear
-  sequence acceleration with an independent cosine-integral closed form
-  as a consistency cross-check,
+  switch point Q and, beyond it, along the line Re q = Q with the
+  caller's analytic continuation of the integrand,
 * series with a geometric majorant |t_n| <= K r^n
   (``sum_exponential_series``), summed to a term count it fixes in advance.
 
@@ -20,8 +18,8 @@ reported through the ``converged`` flag, never by silent truncation or an
 exception.  All engines are deterministic: identical inputs give
 bit-identical results on one platform.
 
-The package needs numpy only: the sine and cosine integrals of the
-half-period tail's cross-check are computed here (:func:`sici`).
+The package needs numpy only: the sine and cosine integrals behind
+:func:`cosine_integral` are computed here (:func:`sici`).
 """
 from __future__ import annotations
 
@@ -64,14 +62,12 @@ class OscillatorySpec:
     """Shape parameters of a cos(omega*q)/q style tail.
 
     ``angular_rate`` is omega (2*d for the force integrands).
-    ``switch_point`` Q ends the real-axis head and starts the tail: the
-    half-period panels, or the line Re q = Q when the integral has a
-    continuation.  It must cover at least one full oscillation period
-    2*pi/omega, over which the continuation's agreement check or the
-    cosine-integral check samples the integrand.  Both are
-    stored as given, like ``DimensionlessPoint``'s fields: a float32 rate
-    keeps the canonical force's float32 fault until ROADMAP item 2 makes
-    the point coerce its coordinates.
+    ``switch_point`` Q ends the real-axis head and starts the tail on the
+    line Re q = Q.  It must cover at least one full oscillation period
+    2*pi/omega, over which the continuation's agreement check samples the
+    integrand.  Both are stored as given, like ``DimensionlessPoint``'s
+    fields: a float32 rate keeps the canonical force's float32 fault until
+    ROADMAP item 2 makes the point coerce its coordinates.
     """
 
     angular_rate: float
@@ -142,7 +138,6 @@ _GK_CHUNK = 256
 # caps on the work of one engine call; hitting one reports converged=False
 _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
 _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
-_MAX_HALF_PERIODS = 20000   # half-period panels of an oscillatory tail
 _MAX_TERMS = 10_000_000     # terms of one exponential series
 _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # a smooth semi-infinite integral maps x = L s/(1-s) with L = 4 decay
@@ -315,6 +310,7 @@ def _smooth_mapped(f, decay_scale, tol, max_evals):
     return QuadratureEstimate(v, err, n, ok and err <= tol)
 
 
+# unused by the engines: the benchmark's tracer binds it, and a test's Ci(10) oracle uses it
 def _wynn_epsilon(sums):
     """Wynn's epsilon extrapolation of a sequence of partial sums.
 
@@ -348,7 +344,7 @@ def _wynn_epsilon(sums):
 
 
 def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
-                               continuation=None, head_seeds=()) -> QuadratureEstimate:
+                               continuation, head_seeds=()) -> QuadratureEstimate:
     """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
 
     The head [0, Q] is done by adaptive panels seeded at half the
@@ -359,140 +355,38 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     departs from q, a feature far narrower than a seed panel at low
     temperature.
 
-    With a ``continuation`` h, the tail [Q, inf) is taken on a rotated
-    contour.  h must accept a complex ndarray, be analytic on the quarter
-    plane Re q >= Q, Im q >= 0, have Re h = f on the real axis, and decay
-    like e^{-omega Im q} (the force integrands' h is analytic there because
-    |x| < 1 and the Bose poles lie on Re q = 0; see ``forces``, and
-    ``thermo`` for the entropy density's).  Then
+    The tail [Q, inf) is taken on a rotated contour with the
+    ``continuation`` h.  h must accept a complex ndarray, be analytic on
+    the quarter plane Re q >= Q, Im q >= 0, have Re h = f on the real axis,
+    and decay like e^{-omega Im q} (the force integrands' h is analytic
+    there because |x| < 1 and the Bose poles lie on Re q = 0; see
+    ``forces``, and ``thermo`` for the entropy density's).  Then
     int_Q^inf f dq = -int_0^inf Im h(Q + it) dt exactly (the arc at
     infinity vanishes), an exponentially decaying integral done by
     ``integrate_smooth_semi_infinite``'s mapped adaptive integral with
-    decay scale 1/omega.  An agreement check replaces the cosine-integral
-    check below: |f - Re h| <= 1e-12 (1 + max|f|) at 48 points over one period
-    beyond Q, or ``converged`` is cleared.  It catches a real integrand
-    that is not Re h, such as one computed in a truncated or lower
-    precision type.  After a failed check the head's tolerance is
-    max(tol/2, Q * mismatch), not tol/2: f is known no better than that,
-    and the result is not converged either way; its error estimate is inf,
-    since nothing bounds what the tail misses by integrating h instead of
-    f.  Head, check and tail share one ``_MAX_EVALS``.
+    decay scale 1/omega.
 
-    Without one, the tail is summed over panels between consecutive zeros
-    of cos(omega*q); the alternating partial sums are extrapolated with
-    Wynn's epsilon algorithm evaluated on a trailing window, and the drift
-    between the estimates at N and N/2 panels supplies the error estimate
-    (the plain epsilon increment is overoptimistic for the non-alternating
-    1/q^2 component).  Independently, A and the sin coefficient are fitted
-    from tail samples and the leading closed form
-    -A*Ci(omega*Q) + B*(pi/2 - Si(omega*Q)) is compared against the
-    accelerated tail; disagreement beyond the combined error estimates
-    clears ``converged``.
+    An agreement check runs first: |f - Re h| <= 1e-12 (1 + max|f|) at 48
+    points over one period beyond Q, or ``converged`` is cleared.  It
+    catches a real integrand that is not Re h, such as one computed in a
+    truncated or lower precision type.  After a failed check the head is
+    refined only to max(tol/2, Q * mismatch), not tol/2: refining further
+    cannot make f better known than that.  The tail then integrates h,
+    which is not the continuation of f, and nothing bounds the difference:
+    the error estimate is inf, as for a panel ``_adaptive_gk`` did not
+    evaluate.  Check, head and tail share one ``_MAX_EVALS``.
     """
     tol = require_real("tol", tol)
     omega = spec.angular_rate
     q0 = spec.switch_point
-    half = math.pi / omega
+    h = continuation
 
-    wseed = min(0.5 * half, q0 / 8.0)
+    wseed = min(0.5 * math.pi / omega, q0 / 8.0)
     nseed = min(int(math.ceil(q0 / wseed)), 300000)
     seeds = np.asarray(head_seeds, float)
     # a seed on an edge makes a zero-width panel: value 0, error 0, never split
     head_edges = np.sort(np.concatenate([np.linspace(0.0, q0, nseed + 1),
                                          seeds[(seeds > 0.0) & (seeds < q0)]]))
-    if continuation is not None:
-        return _rotated_tail(f, continuation, omega, q0, head_edges, tol)
-    head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, 0.5 * tol)
-    evals = head_n
-
-    # stub panel up to the first zero of cos(omega q) strictly beyond Q
-    m0 = math.ceil(omega * q0 / math.pi - 0.5)
-    z0 = (m0 + 0.5) * math.pi / omega
-    while z0 <= q0:
-        z0 += half
-    stub_v, stub_e, stub_n, stub_ok = _adaptive_gk(f, np.array([q0, z0]), 0.125 * tol,
-                                                   max_evals=_MAX_EVALS - evals)
-    evals += stub_n
-
-    tail_tol = 0.25 * tol
-    sums: list[float] = []
-    ests: list[tuple[int, float]] = []
-    total = 0.0
-    perr = 0.0
-    best_est = None
-    best_err = math.inf
-    tail_ok = False
-    prev_batch_abs = None
-    n_done = 0
-    batch = 64
-    while n_done < _MAX_HALF_PERIODS and evals < _MAX_EVALS:
-        nb = min(batch, _MAX_HALF_PERIODS - n_done)
-        edges = z0 + (n_done + np.arange(nb + 1)) * half
-        v, e, ne = _gk_apply(f, edges[:-1], edges[1:])
-        evals += ne
-        run = total + np.cumsum(v)
-        sums.extend(run.tolist())
-        total = float(run[-1])
-        perr += float(e.sum())
-        n_done += nb
-
-        batch_abs = float(np.abs(v).sum())
-        if (prev_batch_abs is not None and batch_abs <= 0.125 * tail_tol
-                and batch_abs <= prev_batch_abs):
-            # dead tail (exponential decay, or identically zero): plain sum
-            r = 0.0 if prev_batch_abs == 0.0 else min(batch_abs / prev_batch_abs, 0.9)
-            rem = batch_abs * r / (1.0 - r)
-            if perr + rem <= tail_tol:
-                best_est, best_err, tail_ok = total, perr + rem, True
-                break
-        prev_batch_abs = batch_abs
-
-        est, delta = _wynn_epsilon(sums[-40:])
-        halves = [e2 for (n2, e2) in ests if n2 <= n_done // 2]
-        ests.append((n_done, est))
-        if halves:
-            cand = abs(est - halves[-1]) + delta + perr
-            if cand < best_err:
-                best_est, best_err = est, cand
-            if cand <= tail_tol:
-                tail_ok = True
-                break
-    if best_est is None:
-        best_est = total
-        best_err = perr + (abs(sums[-1] - sums[-2]) if len(sums) > 1 else math.inf)
-
-    # independent consistency check of the accelerated tail against the
-    # cosine-integral closed form for the fitted leading oscillation
-    nfit = 48
-    qs = q0 + (np.arange(nfit) + 0.5) * (4.0 * half / nfit)
-    gq = np.asarray(f(qs), float) * qs
-    evals += nfit
-    basis = np.column_stack([np.cos(omega * qs), np.sin(omega * qs)])
-    coef, *_ = np.linalg.lstsq(basis, gq, rcond=None)
-    resid = gq - basis @ coef
-    c2 = float(np.max(np.abs(resid) * qs))
-    si_q, ci_q = sici(omega * q0)
-    closed = -coef[0] * ci_q + coef[1] * (0.5 * math.pi - si_q)
-    closed_err = c2 / q0 + 1e-13 * (1.0 + abs(coef[0]) + abs(coef[1]))
-    tail_total = stub_v + best_est
-    slack = 3.0 * (best_err + stub_e + closed_err) + 1e-12 * (1.0 + abs(tail_total) + abs(closed))
-    consistent = abs(tail_total - closed) <= slack
-
-    value = head_v + stub_v + best_est
-    err = head_e + stub_e + best_err
-    converged = head_ok and stub_ok and tail_ok and consistent and err <= tol
-    return QuadratureEstimate(value, err, evals, converged)
-
-
-def _rotated_tail(f, h, omega, q0, head_edges, tol):
-    """``integrate_oscillatory_tail`` with a continuation h of f.
-
-    The agreement check runs first.  When it fails, the head is refined
-    only to Q times the largest |f - Re h| it measured: refining further
-    cannot make f better known than that.  The tail then integrates h, which
-    is not the continuation of f, and nothing bounds the difference: the
-    error estimate is inf, as for a panel ``_adaptive_gk`` did not evaluate.
-    """
     nchk = 48
     qs = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
     fq = np.asarray(f(qs), float)

@@ -248,6 +248,46 @@ def test_criterion_11_maxwell_relation(capsys):
            f"(worst abs diff {worst:.2e})")
 
 
+def _masked_sinc(q):
+    q = np.asarray(q, float)
+    out = np.ones(q.shape)
+    m = q > 0
+    out[m] = np.sin(q[m]) / q[m]
+    return out
+
+
+def _cos_over_2q(q):
+    q = np.asarray(q, float)
+    out = np.zeros(q.shape)
+    m = q >= 1.0
+    out[m] = np.cos(2.0 * q[m]) / (2.0 * q[m])
+    return out
+
+
+def _halfcos_over_q(q):
+    q = np.asarray(q, float)
+    out = np.zeros(q.shape)
+    m = q >= 1.0
+    out[m] = np.cos(0.5 * q[m]) / q[m]
+    return out
+
+
+_CI2 = 0.4229808287748649956986
+_CI05 = -0.1777840788066129013358   # Ci(0.5), mpmath
+# criterion 12's oscillatory integrals: (f, continuation of f beyond Q, spec, exact)
+OSCILLATORY_INTEGRALS = [
+    (_masked_sinc, lambda q: -1j * np.exp(1j * q) / q,
+     OscillatorySpec(1.0, 4.0 * math.pi), math.pi / 2.0),
+    (lambda q: np.cos(np.asarray(q, float)) / (1.0 + np.asarray(q, float) ** 2),
+     lambda q: np.exp(1j * q) / (1.0 + q * q),
+     OscillatorySpec(1.0, 4.0 * math.pi), math.pi / (2.0 * math.e)),
+    (_cos_over_2q, lambda q: np.exp(2j * q) / (2.0 * q), OscillatorySpec(2.0, 10.0), -_CI2 / 2.0),
+    (_halfcos_over_q, lambda q: np.exp(0.5j * q) / q, OscillatorySpec(0.5, 8.0 * math.pi), -_CI05),
+    (lambda q: np.exp(-np.asarray(q, float)) * np.sin(2.0 * np.asarray(q, float)),
+     lambda q: -1j * np.exp((2j - 1.0) * q), OscillatorySpec(2.0, 10.0), 0.4),
+]
+
+
 def test_criterion_12_quadrature_error_honesty(capsys):
     sqrt_pi = math.sqrt(math.pi)
     smooth = [
@@ -268,39 +308,6 @@ def test_criterion_12_quadrature_error_honesty(capsys):
         (lambda x: (1.0 + x) * np.exp(-x), 1.0, 2.0),
     ]
 
-    def masked_sinc(q):
-        q = np.asarray(q, float)
-        out = np.ones(q.shape)
-        m = q > 0
-        out[m] = np.sin(q[m]) / q[m]
-        return out
-
-    def cos_over_2q(q):
-        q = np.asarray(q, float)
-        out = np.zeros(q.shape)
-        m = q >= 1.0
-        out[m] = np.cos(2.0 * q[m]) / (2.0 * q[m])
-        return out
-
-    def halfcos_over_q(q):
-        q = np.asarray(q, float)
-        out = np.zeros(q.shape)
-        m = q >= 1.0
-        out[m] = np.cos(0.5 * q[m]) / q[m]
-        return out
-
-    ci2 = 0.4229808287748649956986
-    ci05 = -0.1777840788066129013358   # Ci(0.5), mpmath
-    oscillatory = [
-        (masked_sinc, OscillatorySpec(1.0, 4.0 * math.pi), math.pi / 2.0),
-        (lambda q: np.cos(np.asarray(q, float)) / (1.0 + np.asarray(q, float) ** 2),
-         OscillatorySpec(1.0, 4.0 * math.pi), math.pi / (2.0 * math.e)),
-        (cos_over_2q, OscillatorySpec(2.0, 10.0), -ci2 / 2.0),
-        (halfcos_over_q, OscillatorySpec(0.5, 8.0 * math.pi), -ci05),
-        (lambda q: np.exp(-np.asarray(q, float)) * np.sin(2.0 * np.asarray(q, float)),
-         OscillatorySpec(2.0, 10.0), 0.4),
-    ]
-
     count = 0
     worst = 0.0
     failures = []
@@ -316,8 +323,8 @@ def test_criterion_12_quadrature_error_honesty(capsys):
             worst = max(worst, true_err / max(est.abs_error_estimate, 1e-300))
         else:
             failures.append(f"smooth[{i}]: did not converge")
-    for i, (f, spec, exact) in enumerate(oscillatory):
-        est = integrate_oscillatory_tail(f, spec, 1e-9)
+    for i, (f, h, spec, exact) in enumerate(OSCILLATORY_INTEGRALS):
+        est = integrate_oscillatory_tail(f, spec, 1e-9, h)
         count += 1
         if est.converged:
             true_err = abs(est.value - exact)

@@ -319,6 +319,38 @@ def test_meta_records_the_parsed_argv(tmp_path, capsys, monkeypatch):
     assert meta["command"] == f"figure --id 3a --points 2 --That-set 1 --out-dir {tmp_path}"
 
 
+def test_scattering_meta_records_only_what_scattering_reads(tmp_path, capsys):
+    # every sidecar once carried a copy of cli.DEFAULTS, tol, units and jobs included
+    out = tmp_path / "s.csv"
+    run(capsys, "scattering", "--q", "1", "--d", "1", "--out", str(out))
+    meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+    assert set(meta) == {"tool", "version", "command", "q", "d", "schema",
+                         "max_closed_vs_solve"}
+
+
+@pytest.mark.parametrize("fig, flags", [("1", {"units"}), ("3a", set()),
+                                        ("3b", {"cutoff_lambda"})])
+def test_figure_meta_records_units_and_lambda_only_where_rows_read_them(
+        tmp_path, capsys, fig, flags):
+    assert run(capsys, "figure", "--id", fig, "--points", "2", "--That-set", "1",
+               "--out-dir", str(tmp_path))[0] == 0
+    meta = json.loads((tmp_path / f"figure{fig}_meta.json").read_text())
+    assert "defaults" not in meta
+    assert {"tol", "jobs"} | flags <= set(meta)
+    assert not ({"units", "cutoff_lambda"} - flags) & set(meta)
+
+
+def test_figure_checks_its_out_dir_before_computing(tmp_path, capsys, monkeypatch):
+    # it once computed every row and then failed to open the first CSV
+    calls = []
+    run_tasks = cli._run_tasks
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a) or run_tasks(*a))
+    code, out, err = run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
+                         "--out-dir", str(tmp_path / "missing"))
+    assert code == 2 and not calls and not out
+    assert "missing" in err
+
+
 def test_sweep_spec_type():
     spec = SweepSpec(variable="That", min=0.5, max=2.0, points=3, spacing="log",
                      fixed=1.0, methods=("lifshitz",))

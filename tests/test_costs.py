@@ -9,10 +9,11 @@ evaluations, sets the cost of a single force or density.
 """
 import numpy as np
 import pytest
+from test_acceptance import OSCILLATORY_INTEGRALS
 
 from deltacasimir import DimensionlessPoint, casimir_force, entropy_canonical, \
     entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
-    force_zero_t_lifshitz, numerics
+    force_zero_t_lifshitz, integrate_oscillatory_tail, numerics
 
 
 def _gk_passes(monkeypatch, fn):
@@ -89,6 +90,14 @@ def test_canonical_force_that_fails_its_continuation_check():
     pt = DimensionlessPoint(np.float32(143.7), np.float32(2.0))
     est = casimir_force(pt, "canonical").estimate
     assert not est.converged and est.evaluations <= 1_000
+
+
+# criterion 12's five oscillatory integrals at tol 1e-9; 2,103-3,033 each when
+# their tails ran on half-period panels with Wynn's epsilon
+@pytest.mark.parametrize("i, evals", enumerate([336, 366, 1_131, 1_266, 411]))
+def test_oscillatory_integrals(i, evals):
+    f, h, spec, _ = OSCILLATORY_INTEGRALS[i]
+    assert integrate_oscillatory_tail(f, spec, 1e-9, h).evaluations == evals
 
 
 def test_zero_t_lifshitz_force():

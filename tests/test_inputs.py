@@ -71,8 +71,10 @@ def _params(**kw):
     return p, to_dimensionless(p)
 
 
-def _cos_tail(rate):
-    return lambda q: np.cos(rate * q) / (1.0 + q)
+def _cos_tail(spec, tol):
+    """cos(2q)/(1+q) over [0, inf), its tail taken as e^{2iq}/(1+q)."""
+    return integrate_oscillatory_tail(lambda q: np.cos(2.0 * q) / (1.0 + q), spec, tol,
+                                      lambda q: np.exp(2j * q) / (1.0 + q))
 
 
 def _smooth(x):
@@ -93,15 +95,9 @@ ROWS = [
         span=(0.01, 100.0)),
     Row("kernel.q", lambda x: kernel(x, 1.5), 2.0, inclusive=True, span=(0.0, 100.0)),
     Row("kernel.d", lambda x: kernel(0.75, x), 2.0, span=(0.01, 100.0)),
-    Row("OscillatorySpec.angular_rate",
-        lambda x: integrate_oscillatory_tail(_cos_tail(2.0), OscillatorySpec(x, 10.0), 1e-8),
-        2.0),
-    Row("OscillatorySpec.switch_point",
-        lambda x: integrate_oscillatory_tail(_cos_tail(2.0), OscillatorySpec(2.0, x), 1e-8),
-        12.0),
-    Row("integrate_oscillatory_tail.tol",
-        lambda x: integrate_oscillatory_tail(_cos_tail(2.0), OscillatorySpec(2.0, 10.0), x),
-        TOL),
+    Row("OscillatorySpec.angular_rate", lambda x: _cos_tail(OscillatorySpec(x, 10.0), 1e-8), 2.0),
+    Row("OscillatorySpec.switch_point", lambda x: _cos_tail(OscillatorySpec(2.0, x), 1e-8), 12.0),
+    Row("integrate_oscillatory_tail.tol", lambda x: _cos_tail(OscillatorySpec(2.0, 10.0), x), TOL),
     Row("integrate_smooth_semi_infinite.decay_scale",
         lambda x: integrate_smooth_semi_infinite(_smooth, x, 1e-10), 1.0),
     Row("integrate_smooth_semi_infinite.tol",
@@ -183,7 +179,6 @@ assert len(BY_NAME) == len(ROWS)
 
 # (row, kind) pairs that still differ from the float twin
 XFAIL = {
-    ("OscillatorySpec.angular_rate", "float32"): "OscillatorySpec stores a float32 field as given",
     ("force_finite_t_canonical.d", "float32"): "float32 d keeps a float32 integrand",
     **{("force_finite_t_canonical.That", k): "the Bose weight takes That's dtype"
        for k in ("int", "int64", "float32")},

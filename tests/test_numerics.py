@@ -116,27 +116,26 @@ def test_oscillatory_cos_over_q():
         return out
 
     spec = OscillatorySpec(2.0, 10.0)
-    est = integrate_oscillatory_tail(f, spec, 1e-9)
+    est = integrate_oscillatory_tail(f, spec, 1e-9, lambda q: np.exp(2j * q) / (2.0 * q))
     assert est.converged
     assert est.value == pytest.approx(-CI_2 / 2.0, abs=1e-9)
 
 
-def test_oscillatory_degenerate_exponential():
-    spec = OscillatorySpec(angular_rate=2.0, switch_point=10.0)
-    est = integrate_oscillatory_tail(lambda q: np.exp(-np.asarray(q, float)), spec, 1e-10)
-    assert est.converged
-    assert est.value == pytest.approx(1.0, abs=1e-10)
+def _sinc(q):
+    q = np.asarray(q, float)
+    out = np.ones(q.shape)
+    m = q > 0
+    out[m] = np.sin(q[m]) / q[m]
+    return out
+
+
+def _sinc_exp(q):
+    # continuation of _sinc beyond q = 0: Re(-i e^{iq}/q) = sin(q)/q
+    return -1j * np.exp(1j * q) / q
 
 
 def test_oscillatory_sinc():
-    def f(q):
-        q = np.asarray(q, float)
-        out = np.ones(q.shape)
-        m = q > 0
-        out[m] = np.sin(q[m]) / q[m]
-        return out
-
-    est = integrate_oscillatory_tail(f, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9)
+    est = integrate_oscillatory_tail(_sinc, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9, _sinc_exp)
     assert est.converged
     assert est.value == pytest.approx(math.pi / 2.0, abs=2e-9)
 
@@ -151,7 +150,8 @@ def _lorentz_exp(q, omega=1.0):
 
 
 def test_oscillatory_lorentz_cos():
-    est = integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9)
+    est = integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9,
+                                     _lorentz_exp)
     assert est.converged
     assert est.value == pytest.approx(math.pi / (2.0 * math.e), abs=2e-9)
 
@@ -223,12 +223,11 @@ def test_engines_share_one_evaluation_budget(monkeypatch):
     assert not est.converged and est.evaluations <= 30_000
 
 
-@pytest.mark.parametrize("omega", [0.2, 2.0, 20.0])
-@pytest.mark.parametrize("q0", [5.0, 50.0])
-def test_oscillatory_closed_form_consistency(omega, q0):
-    # acceleration vs the -A*Ci(omega*Q) closed form for pure A cos(omega q)/q
-    if q0 < 2.0 * math.pi / omega:
-        pytest.skip("switch point below one full period violates the spec invariant")
+# every (Q, omega) in {5, 50} x {0.2, 2, 20} whose Q covers one period 2 pi/omega
+@pytest.mark.parametrize("q0, omega", [(50.0, 0.2), (5.0, 2.0), (50.0, 2.0), (5.0, 20.0),
+                                       (50.0, 20.0)])
+def test_oscillatory_closed_form_consistency(q0, omega):
+    # the -A*Ci(omega) closed form for A cos(omega q)/q, masked below q = 1
     amp = 0.7
 
     def f(q):
@@ -239,11 +238,11 @@ def test_oscillatory_closed_form_consistency(omega, q0):
         return out
 
     spec = OscillatorySpec(angular_rate=omega, switch_point=q0)
-    est = integrate_oscillatory_tail(f, spec, 1e-9)
-    # converged implies the internal cross-check against -A Ci(omega Q) passed
+    est = integrate_oscillatory_tail(f, spec, 1e-9, lambda q: amp * np.exp(1j * omega * q) / q)
     assert est.converged
     expected = -amp * cosine_integral(omega * 1.0)
     assert est.value == pytest.approx(expected, abs=5e-9)
+    assert abs(est.value - expected) <= est.abs_error_estimate
 
 
 def test_oscillatory_spec_validation():
@@ -330,20 +329,6 @@ def test_sici_absolute_error_near_ci_zero_and_branch_switch(x):
     with mpmath.workdps(40):
         for g, want in zip(numerics.sici(x), _mp_sici(mpmath, x)):
             assert float(abs(g - want)) <= 1e-15
-
-
-def test_tail_check_looks_sici_up_by_module_name(monkeypatch):
-    # the benchmark's tracer times Si/Ci by replacing numerics.sici; only an
-    # integrand without a continuation takes the cosine-integral check
-    calls = []
-    sici = numerics.sici
-    monkeypatch.setattr(numerics, "sici", lambda x: calls.append(x) or sici(x))
-    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9)
-    assert calls == [4.0 * math.pi]   # omega * Q
-    integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9,
-                               continuation=_lorentz_exp)
-    casimir_force(DimensionlessPoint(1.0, 0.0), "canonical")
-    assert calls == [4.0 * math.pi]
 
 
 # ------------------------------------------------------------------- series
@@ -561,12 +546,6 @@ def test_bit_identical_reruns():
     b = integrate_smooth_semi_infinite(f, 1.0, 1e-11)
     assert a == b
 
-    def g(q):
-        q = np.asarray(q, float)
-        out = np.ones(q.shape)
-        m = q > 0
-        out[m] = np.sin(q[m]) / q[m]
-        return out
-
     spec = OscillatorySpec(1.0, 4.0 * math.pi)
-    assert integrate_oscillatory_tail(g, spec, 1e-9) == integrate_oscillatory_tail(g, spec, 1e-9)
+    assert integrate_oscillatory_tail(_sinc, spec, 1e-9, _sinc_exp) == \
+        integrate_oscillatory_tail(_sinc, spec, 1e-9, _sinc_exp)
