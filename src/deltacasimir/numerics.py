@@ -7,11 +7,18 @@ dedicated engine:
   (``integrate_smooth_semi_infinite``), handled by one adaptive integral
   after the substitution x = L s/(1-s) onto [0, 1),
 * integrands that oscillate like cos(omega*q)/q at large q
-  (``integrate_oscillatory_tail``), handled by adaptive quadrature up to a
+  (``integrate_oscillatory_tail``), integrated on the real axis up to a
   switch point Q and, beyond it, along the line Re q = Q with the
-  caller's analytic continuation of the integrand,
+  caller's analytic continuation of the integrand, mapped as above: both
+  stretches are one adaptive integral, whose seed pass also checks the
+  continuation against the integrand,
 * series with a geometric majorant |t_n| <= K r^n
   (``sum_exponential_series``), summed to a term count it fixes in advance.
+
+The integrals share one Gauss-Kronrod 15 engine: ``_gk_apply`` evaluates
+many panels per integrand call, and ``_refine`` bisects the panels whose
+error is above their share of the tolerance; ``_adaptive_gk`` is a seed
+pass followed by ``_refine``.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an
@@ -127,6 +134,9 @@ _GK_WG = np.array([
     0.2797053914892766679014677714237796,
     0.1294849661688696932706114326790820,
 ])
+# columns: the K15 weights, and K15 minus G7, whose nodes are the odd ones
+_GK_W = np.stack([_GK_WK, _GK_WK], axis=1)
+_GK_W[1::2, 1] -= _GK_WG
 
 _EPS_FLOOR = 1e-16
 _EULER_GAMMA = 0.57721566490153286061
@@ -141,8 +151,10 @@ _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
 _MAX_TERMS = 10_000_000     # terms of one exponential series
 _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # a smooth semi-infinite integral maps x = L s/(1-s) with L = 4 decay
-# lengths, and its integrand is zero past 200 decay lengths
+# lengths onto 8 equal seed panels of [0, 1), and its integrand is zero past
+# 200 decay lengths
 _MAP_LENGTHS = 4.0
+_MAP_EDGES = np.linspace(0.0, 1.0, 9)
 _DECAY_CUT = 200.0
 # |f - Re h| allowed between an oscillatory integrand and its continuation,
 # relative to 1 + max|f|
@@ -181,22 +193,19 @@ def sici(x):
 
 
 def _gk_apply(f, lo, hi):
-    """Gauss-Kronrod 15 on many panels at once.
+    """Gauss-Kronrod 15 on the panels [lo, hi], float arrays, at once.
 
     ``f`` must accept a 1-D ndarray.  Returns (values, error estimates,
     evaluation count); the per-panel error estimate is |K15 - G7| plus a
     rounding floor, which overestimates the true K15 error on smooth panels.
     """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
     n = lo.size
     vals = np.empty(n)
     errs = np.empty(n)
-    # the weighted sums are BLAS dot products whose rounding depends on a
-    # panel's place in its block (dgemv sums rows in groups of 4, and a
-    # one-row block takes the plain dot path), so a lone last panel joins
-    # the block before it: then every block size that is a multiple of 4
-    # gives the same bits
+    # one dgemm per block gives K15 and K15 - G7 together; its sums do not
+    # depend on a panel's place in its block unless the block is one row,
+    # which takes the plain dot path, so a lone last panel joins the block
+    # before it: then every block size gives the same bits
     i0 = 0
     for i1 in [*range(_GK_CHUNK, n - 1, _GK_CHUNK), n]:
         sl = slice(i0, i1)
@@ -204,54 +213,59 @@ def _gk_apply(f, lo, hi):
         a, b = lo[sl], hi[sl]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _GK_NODES[None, :]
+        x = mid[:, None] + half[:, None] * _GK_NODES
         y = np.asarray(f(x.ravel()), float).reshape(x.shape)
-        ik = half * (y @ _GK_WK)
-        ig = half * (y[:, 1::2] @ _GK_WG)
-        vals[sl] = ik
-        errs[sl] = np.abs(ik - ig) + _EPS_FLOOR * half * np.abs(y).sum(axis=1)
+        kd = y @ _GK_W
+        vals[sl] = half * kd[:, 0]
+        errs[sl] = half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))
     return vals, errs, 15 * n
 
 
 def _adaptive_gk(f, edges, tol, max_evals=_MAX_EVALS):
-    """Adaptive bisection driven by the per-panel GK15 estimates.
+    """Adaptive GK15 on the panels between consecutive ``edges``.
 
-    Each round splits every panel whose error exceeds its share of the
-    budget, so narrow features (the kernel's cavity resonances) get resolved
-    locally.  No round starts that would take the evaluations past
-    ``max_evals``; seed panels that alone would pass it are not evaluated
-    (value 0, error inf).  Returns (value, error, evaluations, converged).
+    One seed pass over the panels, then ``_refine``.  Seed panels that alone
+    would take the evaluations past ``max_evals`` are not evaluated (value
+    0, error inf).  Returns (value, error, evaluations, converged).
     """
     edges = np.asarray(edges, float)
     if 15 * (edges.size - 1) > max_evals:
         return 0.0, math.inf, 0, False
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    vals, errs, evals = _gk_apply(f, lo, hi)
+    lo, hi = edges[:-1], edges[1:]
+    return _refine(f, lo, hi, *_gk_apply(f, lo, hi), tol, max_evals)
+
+
+def _refine(f, lo, hi, vals, errs, evals, tol, max_evals):
+    """Bisection rounds on the panels [lo, hi] whose GK15 values and errors
+    are ``vals`` and ``errs``, after ``evals`` evaluations.
+
+    Each round splits every panel whose error exceeds its share
+    tol/(2 n) of the budget and evaluates only the two halves of each, so
+    narrow features (the kernel's cavity resonances) get resolved locally.
+    No round starts that would take the evaluations past ``max_evals``.
+    The value is summed in panel order.  Returns (value, error,
+    evaluations, converged).
+    """
+    err = float(errs.sum())
     for _ in range(_MAX_ROUNDS):
-        total_err = float(errs.sum())
-        if total_err <= tol:
+        if err <= tol:
             break
-        share = tol / (2.0 * lo.size)
-        mask = errs > share
-        n_split = int(np.count_nonzero(mask))
+        split = errs > tol / (2.0 * lo.size)
+        n_split = int(np.count_nonzero(split))
         # a round evaluates two halves of every split panel
         if not n_split or evals + 30 * n_split > max_evals:
             break
-        la, ha = lo[mask], hi[mask]
-        mid = 0.5 * (la + ha)
-        clo = np.concatenate([la, mid])
-        chi = np.concatenate([mid, ha])
-        cvals, cerrs, ne = _gk_apply(f, clo, chi)
+        keep = ~split
+        a, b = lo[split], hi[split]
+        mid = 0.5 * (a + b)
+        lo = np.concatenate([lo[keep], a, mid])
+        hi = np.concatenate([hi[keep], mid, b])
+        cvals, cerrs, ne = _gk_apply(f, lo[-2 * n_split:], hi[-2 * n_split:])
         evals += ne
-        keep = ~mask
-        lo = np.concatenate([lo[keep], clo])
-        hi = np.concatenate([hi[keep], chi])
         vals = np.concatenate([vals[keep], cvals])
         errs = np.concatenate([errs[keep], cerrs])
-    order = np.argsort(lo, kind="stable")
-    value = float(vals[order].sum())
-    err = float(errs.sum())
+        err = float(errs.sum())
+    value = float(vals[np.argsort(lo, kind="stable")].sum())
     return value, err, evals, err <= tol
 
 
@@ -279,20 +293,24 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     reports converged=False, never a silently truncated value.
     """
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
-    return _smooth_mapped(f, decay_scale, tol, _MAX_EVALS)
+    g, witness = _mapped_integrand(f, decay_scale)
+    v, e, n, ok = _adaptive_gk(g, _MAP_EDGES, tol, _MAX_EVALS)
+    err = e + witness()
+    return QuadratureEstimate(v, err, n, ok and err <= tol)
 
 
-def _smooth_mapped(f, decay_scale, tol, max_evals):
-    """``integrate_smooth_semi_infinite`` on a budget of ``max_evals``
-    integrand evaluations."""
-    decay_scale = float(decay_scale)
+def _mapped_integrand(f, decay_scale):
+    """(g, witness): g(s) = f(x) dx/ds with x = L s/(1-s), L = 4 decay
+    lengths, which maps [0, inf) onto [0, 1).  g is 0 from x_c = 200 decay
+    lengths on, where f is not evaluated; witness() is x_c times the largest
+    |f| seen so far on [x_c/2, x_c)."""
     scale = _MAP_LENGTHS * decay_scale
     x_cut = _DECAY_CUT * decay_scale
     s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
-    witness = 0.0
+    far_max = 0.0
 
     def g(s):
-        nonlocal witness
+        nonlocal far_max
         out = np.zeros(s.shape)
         m = s < s_cut
         sm = s[m]
@@ -302,12 +320,10 @@ def _smooth_mapped(f, decay_scale, tol, max_evals):
         out[m] = fx * (jac / (1.0 - sm))
         far = x >= 0.5 * x_cut
         if far.any():
-            witness = max(witness, x_cut * float(np.max(np.abs(fx[far]))))
+            far_max = max(far_max, float(np.abs(fx[far]).max()))
         return out
 
-    v, e, n, ok = _adaptive_gk(g, np.linspace(0.0, 1.0, 9), tol, max_evals=max_evals)
-    err = e + witness
-    return QuadratureEstimate(v, err, n, ok and err <= tol)
+    return g, lambda: x_cut * far_max
 
 
 # unused by the engines: the benchmark's tracer binds it, and a test's Ci(10) oracle uses it
@@ -347,13 +363,12 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
                                continuation, head_seeds=()) -> QuadratureEstimate:
     """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
 
-    The head [0, Q] is done by adaptive panels seeded at half the
-    oscillation half-period, or Q/8 where that is narrower.  The points of
-    ``head_seeds`` that lie in (0, Q) become extra seed edges: the callers
-    put them around the cavity resonances below Q, far narrower than a seed
-    panel at large d, and the canonical force also where its Bose weight
-    departs from q, a feature far narrower than a seed panel at low
-    temperature.
+    The head [0, Q] is seeded at half the oscillation half-period, or Q/8
+    where that is narrower.  The points of ``head_seeds`` that lie in
+    (0, Q) become extra seed edges: the callers put them around the cavity
+    resonances below Q, far narrower than a seed panel at large d, and the
+    canonical force also where its Bose weight departs from q, a feature
+    far narrower than a seed panel at low temperature.
 
     The tail [Q, inf) is taken on a rotated contour with the
     ``continuation`` h.  h must accept a complex ndarray, be analytic on
@@ -362,48 +377,82 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     there because |x| < 1 and the Bose poles lie on Re q = 0; see
     ``forces``, and ``thermo`` for the entropy density's).  Then
     int_Q^inf f dq = -int_0^inf Im h(Q + it) dt exactly (the arc at
-    infinity vanishes), an exponentially decaying integral done by
-    ``integrate_smooth_semi_infinite``'s mapped adaptive integral with
-    decay scale 1/omega.
+    infinity vanishes): an exponentially decaying integral, mapped onto
+    s in [0, 1) as in ``integrate_smooth_semi_infinite`` with decay scale
+    1/omega, truncation witness included.
 
-    An agreement check runs first: |f - Re h| <= 1e-12 (1 + max|f|) at 48
-    points over one period beyond Q, or ``converged`` is cleared.  It
-    catches a real integrand that is not Re h, such as one computed in a
-    truncated or lower precision type.  After a failed check the head is
-    refined only to max(tol/2, Q * mismatch), not tol/2: refining further
-    cannot make f better known than that.  The tail then integrates h,
-    which is not the continuation of f, and nothing bounds the difference:
-    the error estimate is inf, as for a panel ``_adaptive_gk`` did not
-    evaluate.  Check, head and tail share one ``_MAX_EVALS``.
+    Head and tail are one adaptive integral: the tail's 8 seed panels sit on
+    x = Q + s in [Q, Q+1) after the head's edges, and one integrand calls f
+    on the head's nodes and -Im h on the tail's, each only when it has any.
+    ``converged`` needs the joint error estimate of all the panels, plus the
+    tail's truncation witness, to be at most tol, so bisection spends the
+    budget wherever the estimate asks for it rather than half on each side.
+
+    The agreement check rides on the seed pass: f and h are also taken at
+    48 points over one period beyond Q, appended to that pass's calls, and
+    |f - Re h| <= 1e-12 (1 + max|f|) there or ``converged`` is cleared.
+    It catches a real integrand that is not Re h, such as one computed in a
+    truncated or lower precision type.  After a failed check the panels are
+    refined only to max(tol, Q * mismatch + tol/2), not tol: refining
+    further cannot make f better known than that.  The tail then integrates
+    h, which is not the continuation of f, and nothing bounds the
+    difference: the error estimate is inf, as for a panel
+    ``_adaptive_gk`` did not evaluate.  All passes share one
+    ``_MAX_EVALS``.
     """
     tol = require_real("tol", tol)
-    omega = spec.angular_rate
-    q0 = spec.switch_point
+    omega = float(spec.angular_rate)
+    q0 = float(spec.switch_point)
     h = continuation
 
     wseed = min(0.5 * math.pi / omega, q0 / 8.0)
     nseed = min(int(math.ceil(q0 / wseed)), 300000)
     seeds = np.asarray(head_seeds, float)
     # a seed on an edge makes a zero-width panel: value 0, error 0, never split
-    head_edges = np.sort(np.concatenate([np.linspace(0.0, q0, nseed + 1),
-                                         seeds[(seeds > 0.0) & (seeds < q0)]]))
+    edges = np.sort(np.concatenate([np.linspace(0.0, q0, nseed + 1),
+                                    seeds[(seeds > 0.0) & (seeds < q0)]]))
+    edges = np.concatenate([edges, q0 + _MAP_EDGES[1:]])
     nchk = 48
-    qs = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
-    fq = np.asarray(f(qs), float)
-    mismatch = float(np.max(np.abs(fq - np.real(h(qs + 0j)))))
-    agree = mismatch <= _AGREEMENT * (1.0 + float(np.max(np.abs(fq))))
-    evals = 2 * nchk
-    head_tol = 0.5 * tol if agree else max(0.5 * tol, q0 * mismatch)
-    head_v, head_e, head_n, head_ok = _adaptive_gk(f, head_edges, head_tol,
-                                                   max_evals=_MAX_EVALS - evals)
-    evals += head_n
-    # int_Q^inf h dq = i int_0^inf h(Q + it) dt, whose real part is the tail
-    tail = _smooth_mapped(lambda t: -np.imag(h(q0 + 1j * np.asarray(t, float))),
-                          1.0 / omega, 0.5 * tol, _MAX_EVALS - evals)
-    value = head_v + tail.value
-    err = head_e + tail.abs_error_estimate if agree else math.inf
-    converged = agree and head_ok and tail.converged and err <= tol
-    return QuadratureEstimate(value, err, evals + tail.evaluations, converged)
+    q_chk = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
+    chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
+
+    def on_line(t):   # -Im h(Q + it); the first call also takes h(q_chk)
+        if len(chk) == 1:
+            hz = h(np.concatenate([q0 + 1j * t, q_chk + 0j]))
+            chk.append(hz[t.size:])
+            return -np.imag(hz[:t.size])
+        return -np.imag(h(q0 + 1j * t))
+
+    tail, witness = _mapped_integrand(on_line, 1.0 / omega)
+
+    def g(x):
+        # f on the head's nodes, the mapped tail on the rest; the first call
+        # also takes f and h at q_chk, whether or not it has nodes of each
+        first = not chk
+        head = x < q0
+        out = np.empty(x.shape)
+        if first or head.any():
+            qh = x[head]
+            fx = np.asarray(f(np.concatenate([qh, q_chk]) if first else qh), float)
+            if first:
+                chk.append(fx[qh.size:])
+            out[head] = fx[:qh.size]
+        if first or not head.all():
+            out[~head] = tail(x[~head] - q0)
+        return out
+
+    evals = 15 * (edges.size - 1) + 2 * nchk
+    if evals > _MAX_EVALS:
+        return QuadratureEstimate(0.0, math.inf, 0, False)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs, _ = _gk_apply(g, lo, hi)
+    fq, hq = chk
+    mismatch = float(np.abs(fq - hq.real).max())
+    agree = mismatch <= _AGREEMENT * (1.0 + float(np.abs(fq).max()))
+    target = tol if agree else max(tol, q0 * mismatch + 0.5 * tol)
+    value, err, evals, ok = _refine(g, lo, hi, vals, errs, evals, target, _MAX_EVALS)
+    err = err + witness() if agree else math.inf
+    return QuadratureEstimate(value, err, evals, agree and ok and err <= tol)
 
 
 def cosine_integral(x: float) -> float:

@@ -116,44 +116,36 @@ def flux_deficit(q, d):
     """1 - |C|^2 - |D|^2 = -K, vectorized over q (q >= 0 allowed).
 
     This is the quantity weighted by the occupancy factors in every force
-    and entropy integrand.  Evaluated as N/W with
+    and entropy integrand.  It is N/W with
 
         N = 4 sin^2(dq) + 8q sin(2dq) + 8q^2 cos(2dq)
-        W = 4 (sin(dq) + 2q cos(dq))^2 + 16 q^4
+        W = 4 a^2 + 16 q^4,    a = sin(dq) + 2q cos(dq),
 
-    both free of cancellation; the q -> 0 limit is 1 - 2/(d+2)^2.
+    and since 4a^2 = 4 sin^2 + 16q sin cos + 16q^2 cos^2, N = 4a^2 - 8q^2:
 
-    The terms are accumulated in place, in the order and association of
-    the formulas above; only the power-of-two factors move across a
-    product, which is exact, so (4s)s and 4(s*s) are the same float.
+        flux_deficit = (a^2 - 2q^2) / (a^2 + 4q^4).
+
+    The denominator has no cancellation, and the numerator cancels only
+    where the deficit itself crosses 0; the q -> 0 limit is
+    1 - 2/(d+2)^2.  The terms are accumulated in place.
     """
     q_in = q
     q = np.atleast_1d(np.asarray(q, float))
     c = q * d
-    s = np.sin(c)
+    a = np.sin(c)
     np.cos(c, out=c)
-    ss = s * s
-    w = 2.0 * q
-    w *= c
-    w += s                                  # sin(dq) + 2q cos(dq)
-    w *= w
+    c *= q
+    c *= 2.0
+    a += c                                  # sin(dq) + 2q cos(dq)
+    a *= a
+    qq = q * q
+    w = qq * qq
     w *= 4.0
-    t = q ** 4
-    t *= 16.0
-    w += t
-    n = np.multiply(ss, 4.0)
-    np.multiply(q, 16.0, out=t)
-    t *= s
-    t *= c
-    n += t                                  # 4 s^2 + 16 q s c
-    np.multiply(q, 8.0, out=t)
-    t *= q
-    ss *= 2.0
-    np.subtract(1.0, ss, out=ss)
-    t *= ss
-    n += t                                  # + 8 q^2 (1 - 2 s^2)
+    w += a                                  # a^2 + 4q^4
+    qq *= 2.0
+    a -= qq                                 # a^2 - 2q^2
     out = np.full(q.shape, (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0)))
-    np.divide(n, w, out=out, where=q > 1e-130)
+    np.divide(a, w, out=out, where=q > 1e-130)
     if np.isscalar(q_in) or getattr(q_in, "ndim", 1) == 0:
         return float(out[0])
     return out

@@ -111,8 +111,10 @@ def test_entropy_default_bytes(capsys):
     # the canonical value is 1.8e-12 from the exact entropy 0.8815900040215714
     # (oracles.entropy_identity); it was 0.88159000401963783, 1.9e-12 off, in
     # 112,695 evaluations, before the density left the real axis at one period,
-    # and 0.88159000402000065, 1.6e-12 off, in 7,131 evaluations, before the
-    # density's resonances got graded seed edges.  The Lifshitz value is
+    # 0.88159000402000065, 1.6e-12 off, in 7,131 evaluations, before the
+    # density's resonances got graded seed edges, and 0.88159000401977117 in
+    # 7,056 evaluations before the rotated densities' head and contour tail
+    # became one adaptive integral.  The Lifshitz value is
     # 5.0e-17 from the exact 0.33434016119038013033 (mpmath, 40 digits) and
     # within its estimate; it was the correctly rounded value with an
     # estimate of 3.2e-23 from 6 terms before the series fixed its term count
@@ -121,7 +123,7 @@ def test_entropy_default_bytes(capsys):
     assert code == 0
     assert out == (
         "d,That,method,lambda,value,err,evals,converged,units\n"
-        "1,1,canonical,100,0.88159000401977117,2.5466403324120009e-07,7056,true,"
+        "1,1,canonical,100,0.88159000401977106,2.5466403324276239e-07,7026,true,"
         "raw_dimensionless\n"
         "1,1,lifshitz,100,0.33434016119038018,6.530502514019327e-17,4,true,"
         "raw_dimensionless\n")

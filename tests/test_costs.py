@@ -41,7 +41,8 @@ ENTROPY_GRID = [(d, t) for t in (0.01, 0.5, 2.0) for d in _ENTROPY_D
 def test_canonical_entropy_over_the_benchmark_grid():
     # 7,715,670 with one GK15 seed panel per e-fold of distance and q_max = 40 That;
     # 1,855,230 with every density on the real axis out to q_max; 300,441
-    # before the densities got graded seed edges around their resonances
+    # before the densities got graded seed edges around their resonances;
+    # 276,726 since the rotated densities' head and tail are one integral
     total = sum(entropy_canonical(DimensionlessPoint(d, t), 100.0).estimate.evaluations
                 for d, t in ENTROPY_GRID)
     assert total <= 1.02 * 277_026
@@ -49,7 +50,8 @@ def test_canonical_entropy_over_the_benchmark_grid():
 
 def test_density_over_the_figure3a_grid():
     # 973,980 with q_max = 40 That; 705,810 with every density on the real
-    # axis out to q_max; 59,355 with graded seed edges around the resonances
+    # axis out to q_max; 59,355 with graded seed edges around the resonances,
+    # 59,085 since the rotated densities' head and tail are one integral
     grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
     total = sum(entropy_density_canonical(d, t).estimate.evaluations
                 for t in (0.5, 1.0, 2.0) for d in grid)
@@ -62,18 +64,49 @@ def test_density_over_the_figure3a_grid():
 # head ran to Q = max(1, pi/d) from quarter-period seed panels, 786 and 486
 # while it ran to Q = pi/d with no seed edges around its resonance; both
 # values are within 1e-15 of the exact force (were 4.3e-12 and 8.3e-12 with
-# Wynn's epsilon)
+# Wynn's epsilon).  Head and contour tail becoming one adaptive integral did
+# not move either count.
 @pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 666), (10.0, 2.0, 546)])
 def test_canonical_force(d, that, evals):
     assert casimir_force(DimensionlessPoint(d, that), "canonical").estimate.evaluations == evals
 
 
 # 13 and 15 passes when the head [0, pi/d] found the resonance near
-# pi/(d+2) by bisection and the line Re q = pi/d passed 1.6e-4 from it
+# pi/(d+2) by bisection and the line Re q = pi/d passed 1.6e-4 from it;
+# 3 and 3 while the head and the contour tail were two adaptive integrals
 @pytest.mark.parametrize("d, that", [(200.0, 0.0), (200.0, 2.0)])
 def test_canonical_force_passes(monkeypatch, d, that):
     pt = DimensionlessPoint(d, that)
-    assert _gk_passes(monkeypatch, lambda: casimir_force(pt, "canonical")) == 3
+    assert _gk_passes(monkeypatch, lambda: casimir_force(pt, "canonical")) == 2
+
+
+# the 96 float points of one benchmark force_sweep pass: 24 float32-rounded
+# log-spaced d in [0.1, 200] x That in {0, 0.5, 1, 2}
+_FORCE_D = [float(np.float32(x)) for x in np.geomspace(0.1, 200.0, 24)]
+FORCE_SWEEP = [(d, t) for t in (0.0, 0.5, 1.0, 2.0) for d in _FORCE_D]
+
+
+def test_force_sweep_passes(monkeypatch):
+    # 253 while head and contour tail were two adaptive integrals with a
+    # separate agreement check
+    def sweep():
+        for d, t in FORCE_SWEEP:
+            casimir_force(DimensionlessPoint(d, t), "canonical")
+
+    assert _gk_passes(monkeypatch, sweep) == 153
+
+
+def test_figure3a_passes(monkeypatch):
+    # 363 while head and contour tail were two adaptive integrals with a
+    # separate agreement check
+    grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
+
+    def densities():
+        for t in (0.5, 1.0, 2.0):
+            for d in grid:
+                entropy_density_canonical(d, t)
+
+    assert _gk_passes(monkeypatch, densities) == 258
 
 
 # 10 and 8 passes before the rotated head got seed edges around its
@@ -84,8 +117,8 @@ def test_density_passes(monkeypatch, dtilde, that, passes):
 
 
 def test_canonical_force_that_fails_its_continuation_check():
-    # the float32 Bose weight is not Re h to 1e-12, so the head is refined only
-    # to what the check measured: 5,252,391 evaluations when it was refined
+    # the float32 Bose weight is not Re h to 1e-12, so the panels are refined
+    # only to what the check measured: 5,252,391 evaluations when it was refined
     # toward tol, which the float32 integrand cannot meet
     pt = DimensionlessPoint(np.float32(143.7), np.float32(2.0))
     est = casimir_force(pt, "canonical").estimate
@@ -93,8 +126,9 @@ def test_canonical_force_that_fails_its_continuation_check():
 
 
 # criterion 12's five oscillatory integrals at tol 1e-9; 2,103-3,033 each when
-# their tails ran on half-period panels with Wynn's epsilon
-@pytest.mark.parametrize("i, evals", enumerate([336, 366, 1_131, 1_266, 411]))
+# their tails ran on half-period panels with Wynn's epsilon, and 336, 366,
+# 1,131, 1,266 and 411 while head and contour tail were two adaptive integrals
+@pytest.mark.parametrize("i, evals", enumerate([336, 366, 1_101, 1_206, 411]))
 def test_oscillatory_integrals(i, evals):
     f, h, spec, _ = OSCILLATORY_INTEGRALS[i]
     assert integrate_oscillatory_tail(f, spec, 1e-9, h).evaluations == evals

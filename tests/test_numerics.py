@@ -177,7 +177,7 @@ def test_oscillatory_continuation_of_another_integrand_is_refused():
                                      continuation=lambda q: -_lorentz_exp(q))
     assert not est.converged
     assert est.value != pytest.approx(math.pi / (2.0 * math.e), abs=1e-6)
-    # after a failed check the head is refined only to Q times the measured
+    # after a failed check the panels are refined only to Q times the measured
     # mismatch: refined toward tol = 1e-15, it took 4,904,466 evaluations
     est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-15,
                                      continuation=lambda q: -_lorentz_exp(q))

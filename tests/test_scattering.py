@@ -133,37 +133,36 @@ def test_domain_errors():
         kernel(1.0, 0.0)
 
 
-# ------------------------------------------------- in-place kernel, bit for bit
-
-def _flux_deficit_reference(q, d):
-    # the temporaries-per-term evaluation that the in-place one replaced, verbatim
-    q_in = q
-    q = np.atleast_1d(np.asarray(q, float))
-    s = np.sin(q * d)
-    c = np.cos(q * d)
-    sc = s + 2.0 * q * c
-    w = 4.0 * sc * sc + 16.0 * q ** 4
-    n = 4.0 * s * s + 16.0 * q * s * c + 8.0 * q * q * (1.0 - 2.0 * s * s)
-    out = np.full(q.shape, (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0)))
-    m = q > 1e-130
-    out[m] = n[m] / w[m]
-    if np.isscalar(q_in) or getattr(q_in, "ndim", 1) == 0:
-        return float(out[0])
-    return out
-
+# ------------------------------------------------ kernel against 40 digits
 
 KERNEL_QS = np.concatenate([[0.0, 1e-140], np.geomspace(1e-3, 1e4, 2001)])
 
 
 @pytest.mark.parametrize("d", [0.1, 1.0, 200.0, 2, np.float32(0.3)])
-def test_flux_deficit_is_bit_identical_to_reference(d):
+def test_flux_deficit_matches_mpmath(d):
+    # flux_deficit evaluates (a^2 - 2q^2)/(a^2 + 4q^4), a = sin(dq) + 2q cos(dq);
+    # the oracle is the expanded N/W of the scattering module docstring
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
     got = flux_deficit(KERNEL_QS, d)
-    ref = _flux_deficit_reference(KERNEL_QS, d)
-    assert got.dtype == ref.dtype
-    assert got.tobytes() == ref.tobytes()
+    # a float32 d still gives a float32 array (ROADMAP item 2 casts d)
+    assert got.dtype == (np.float32 if isinstance(d, np.float32) else np.float64)
+    rel = max(1e-12, float(np.finfo(got.dtype).eps))
+    dm = mpmath.mpf(float(d))
+    for q, v in zip(KERNEL_QS, got):
+        if q == 0.0:
+            exact = 1 - 2 / (dm + 2) ** 2
+        else:
+            qm = mpmath.mpf(float(q))
+            s, c = mpmath.sin(dm * qm), mpmath.cos(dm * qm)
+            n = 4 * s * s + 8 * qm * mpmath.sin(2 * dm * qm) + 8 * qm * qm * mpmath.cos(2 * dm * qm)
+            a = s + 2 * qm * c
+            assert abs(n - (4 * a * a - 8 * qm * qm)) <= mpmath.mpf(10) ** -35 * (1 + abs(n))
+            exact = n / (4 * a * a + 16 * qm ** 4)
+        assert abs(float(v) - float(exact)) <= rel * max(1.0, abs(float(exact)))
     for q in (0.0, 1e-140, 1e-3, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
-        a, b = flux_deficit(q, d), _flux_deficit_reference(q, d)
-        assert type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+        a = flux_deficit(q, d)
+        assert type(a) is float and a == flux_deficit(np.array([float(q)]), d)[0]
 
 
 # ----------------------------------------------------------- resonance edges

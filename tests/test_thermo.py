@@ -299,6 +299,27 @@ def test_density_matches_force_derivative(dtilde, that):
     assert abs(dens.value - fd) <= 1e-4
 
 
+@settings(max_examples=30, deadline=None)
+@given(log_d=st.floats(-1.0, math.log10(50.0)), log_that=st.floats(math.log10(0.05),
+                                                                   math.log10(3.0)))
+def test_density_property_is_minus_the_temperature_derivative_of_the_force(log_d, log_that):
+    # the 5-point central difference D5 of -F_can in That against the density:
+    # D5 carries 18/12 of each force's estimate over delta, and |D5 - D3|
+    # bounds its truncation error by the 3-point difference's, far larger
+    d, that = min(10.0 ** log_d, 50.0), min(10.0 ** log_that, 3.0)
+    delta = 1e-3 * that
+    forces = [force_finite_t_canonical(DimensionlessPoint(d, that + k * delta))
+              for k in (-2, -1, 1, 2)]
+    fm2, fm1, fp1, fp2 = (f.value for f in forces)
+    d5 = -(fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * delta)
+    d3 = -(fp1 - fm1) / (2.0 * delta)
+    dens = entropy_density_canonical(d, that)
+    assert dens.estimate.converged and all(f.estimate.converged for f in forces)
+    bound = dens.estimate.abs_error_estimate \
+        + 1.5 / delta * max(f.estimate.abs_error_estimate for f in forces) + abs(d5 - d3)
+    assert abs(dens.value - d5) <= bound
+
+
 # ----------------------------------------------------------- Lifshitz entropy
 
 def test_lifshitz_entropy_diverges_without_zero_temperature_limit():
