@@ -23,12 +23,15 @@ def require_real(name, x, low=0.0, inclusive=False) -> float:
     floating scalars.  bool (numpy's included), strings, None and complex
     numbers are refused.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    if type(x) is float:    # the common case, without the slower numbers.Real test
+        v = x
+    elif isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {x!r}")
-    try:
-        v = float(x)
-    except OverflowError:   # an int beyond the float range
-        v = math.inf
+    else:
+        try:
+            v = float(x)
+        except OverflowError:   # an int beyond the float range
+            v = math.inf
     if not (math.isfinite(v) and (v >= low if inclusive else v > low)):
         raise DomainError(f"{name} must be finite and {'>=' if inclusive else '>'} "
                           f"{low!r}, got {x!r}")

@@ -87,6 +87,8 @@ LIFSHITZ_TOL = 1e-12          # default of the Matsubara free energy and entropy
 DEFAULT_CUTOFF_LAMBDA = 100.0
 
 METHODS = ("canonical", "lifshitz")
+# the canonical force's head has seed edges at That times these, 2^k for k = -1..5
+_BOSE_SEEDS = 2.0 ** np.arange(-1.0, 6.0)
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,9 @@ def _finite_t_integrand(d, that):
 
     def f(q):
         q = np.asarray(q, float)
-        qb = np.full(q.shape, that)
-        m = q > 0
-        qb[m] = q[m] / (-np.expm1(-q[m] / that))   # q * bose_factor, -> That at q=0
+        # q * bose_factor, -> That at q = 0, in That's type (an int That truncates)
+        qb = np.divide(q, -np.expm1(-q / that), out=np.full(q.shape, that), where=q > 0,
+                       casting="unsafe")
         return c * qb * flux_deficit(q, d)
 
     return f
@@ -152,7 +154,7 @@ def _canonical_force(f, d, that, tol):
     q0 = contour_switch(d)
     seeds = resonance_edges(d, q0)
     if that > 0:
-        seeds = np.concatenate([seeds, that * 2.0 ** np.arange(-1.0, 6.0)])
+        seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
     return integrate_oscillatory_tail(f, OscillatorySpec(2.0 * d, q0), tol,
                                       continuation=_continuation(d, that), head_seeds=seeds)
 
@@ -182,10 +184,7 @@ def force_zero_t_lifshitz(d: float, tol: float = FORCE_TOL) -> ForceValue:
         z = np.asarray(z, float)
         # e^{dz}(1+z)^2 - 1 written via expm1 so the z -> 0 endpoint is regular
         den = np.expm1(d * z) * (1.0 + z) ** 2 + z * (2.0 + z)
-        out = np.full(z.shape, 1.0 / (d + 2.0))
-        m = z > 0
-        out[m] = z[m] / den[m]
-        return c * out
+        return c * np.divide(z, den, out=np.full(z.shape, 1.0 / (d + 2.0)), where=z > 0)
 
     est = integrate_smooth_semi_infinite(g, 1.0 / d, tol)
     return ForceValue(est.value, "lifshitz", DimensionlessPoint(d, 0.0), est)

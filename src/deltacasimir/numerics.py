@@ -17,8 +17,15 @@ dedicated engine:
 
 The integrals share one Gauss-Kronrod 15 engine: ``_gk_apply`` evaluates
 many panels per integrand call, and ``_refine`` bisects the panels whose
-error is above their share of the tolerance; ``_adaptive_gk`` is a seed
-pass followed by ``_refine``.
+error is above their share of the tolerance.  ``_refine`` is one loop over
+several integrals at once: each panel carries the index of its integral,
+its segment, and each integral keeps its own tolerance share, stopping
+test, ``_MAX_EVALS`` and ``_MAX_ROUNDS`` caps and panel-order sums, so an
+integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
+seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
+oscillatory integrals' panels, integrand and agreement checks around it;
+``_adaptive_gk`` and ``integrate_oscillatory_tail`` are their batches of
+one.  The entropy densities of one outer round are one batch.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an
@@ -159,6 +166,9 @@ _DECAY_CUT = 200.0
 # |f - Re h| allowed between an oscillatory integrand and its continuation,
 # relative to 1 + max|f|
 _AGREEMENT = 1e-12
+# where an oscillatory integrand is checked against its continuation: 48
+# points spread over the period beyond Q, at (k + 1/2)/48 of it
+_CHECK_POINTS = np.arange(48) + 0.5
 
 
 def sici(x):
@@ -192,16 +202,18 @@ def sici(x):
     return 0.5 * math.pi + e1.imag, -e1.real
 
 
-def _gk_apply(f, lo, hi):
+def _gk_apply(f, lo, hi, seg=None):
     """Gauss-Kronrod 15 on the panels [lo, hi], float arrays, at once.
 
-    ``f`` must accept a 1-D ndarray.  Returns (values, error estimates,
-    evaluation count); the per-panel error estimate is |K15 - G7| plus a
-    rounding floor, which overestimates the true K15 error on smooth panels.
+    ``f`` must accept a 1-D ndarray.  Given ``seg``, f is called as
+    f(x, s): with one segment index for all panels, s is that int; with an
+    array of each panel's segment index, s gives each node's.  Returns
+    (values, error estimates, evaluation count); the per-panel error
+    estimate is |K15 - G7| plus a rounding floor, which overestimates the
+    true K15 error on smooth panels.
     """
     n = lo.size
-    vals = np.empty(n)
-    errs = np.empty(n)
+    parts = []
     # one dgemm per block gives K15 and K15 - G7 together; its sums do not
     # depend on a panel's place in its block unless the block is one row,
     # which takes the plain dot path, so a lone last panel joins the block
@@ -213,60 +225,167 @@ def _gk_apply(f, lo, hi):
         a, b = lo[sl], hi[sl]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _GK_NODES
-        y = np.asarray(f(x.ravel()), float).reshape(x.shape)
+        x = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+        if seg is None:
+            y = f(x)
+        else:
+            y = f(x, seg if isinstance(seg, int) else np.repeat(seg[sl], 15))
+        y = np.asarray(y, float).reshape(-1, 15)
         kd = y @ _GK_W
-        vals[sl] = half * kd[:, 0]
-        errs[sl] = half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))
-    return vals, errs, 15 * n
+        parts.append((half * kd[:, 0],
+                      half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))))
+    if len(parts) == 1:
+        return *parts[0], 15 * n
+    return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts]), 15 * n
 
 
-def _adaptive_gk(f, edges, tol, max_evals=_MAX_EVALS):
-    """Adaptive GK15 on the panels between consecutive ``edges``.
+def _adaptive_gk(f, edges, tol, max_evals=None):
+    """Adaptive GK15 of one integral on the panels between consecutive
+    ``edges``: ``_gk_segments`` with one segment and an f of x alone.
+    Returns (value, error, evaluations, converged)."""
+    v, e, n, ok = _gk_segments(lambda x, _: f(x), np.asarray(edges, float), None, [tol],
+                               max_evals)
+    return float(v[0]), float(e[0]), n[0], bool(ok[0])
 
-    One seed pass over the panels, then ``_refine``.  Seed panels that alone
-    would take the evaluations past ``max_evals`` are not evaluated (value
-    0, error inf).  Returns (value, error, evaluations, converged).
+
+def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
+    """Adaptive GK15 of several integrals at once: one seed pass and one
+    ``_refine`` loop for all of them.
+
+    Integral s runs over the panels between consecutive ``edges`` whose
+    ``seg`` is s (at least two edges each, sorted within a segment,
+    segments 0, 1, ... in order; seg None for a single integral) to the
+    absolute tolerance
+    tol[s], or to the tolerances ``tol()`` returns after the seed pass
+    when tol is callable; f(x, s) gets the segment index of the nodes (see
+    ``_gk_apply``).  An integral whose seed panels and ``checks`` extra
+    points alone would take it past ``max_evals`` (default ``_MAX_EVALS``)
+    evaluations is not evaluated: value 0, error inf, 0 evaluations.
+    Returns lists (value, error, evaluations, converged), one entry per
+    integral.
     """
-    edges = np.asarray(edges, float)
-    if 15 * (edges.size - 1) > max_evals:
-        return 0.0, math.inf, 0, False
+    max_evals = _MAX_EVALS if max_evals is None else max_evals
     lo, hi = edges[:-1], edges[1:]
-    return _refine(f, lo, hi, *_gk_apply(f, lo, hi), tol, max_evals)
+    if seg is None:
+        counts = [lo.size]
+    else:   # the panels between two edges of one segment
+        same = seg[1:] == seg[:-1]
+        lo, hi, seg = lo[same], hi[same], seg[1:][same]
+        counts = np.bincount(seg).tolist()
+    fits = [15 * c + checks <= max_evals for c in counts]
+    if not all(fits):
+        keep = np.repeat(fits, counts)
+        lo, hi = lo[keep], hi[keep]
+        if not lo.size:
+            return [0.0] * len(fits), [math.inf] * len(fits), [0] * len(fits), fits
+        seg = seg[keep]
+        counts = [c * ok for c, ok in zip(counts, fits)]
+    vals, errs, _ = _gk_apply(f, lo, hi, 0 if seg is None else seg)
+    evals = [(15 * c + checks) * ok for c, ok in zip(counts, fits)]
+    value, err, evals, ok = _refine(f, lo, hi, seg, counts, vals, errs, evals,
+                                    tol() if callable(tol) else tol, max_evals)
+    for i, fit in enumerate(fits):
+        if not fit:
+            err[i], ok[i] = math.inf, False
+    return value, err, evals, ok
 
 
-def _refine(f, lo, hi, vals, errs, evals, tol, max_evals):
-    """Bisection rounds on the panels [lo, hi] whose GK15 values and errors
-    are ``vals`` and ``errs``, after ``evals`` evaluations.
+def _seed_edges(stop, n, extra, extra_seg):
+    """Seed edges of several integrals: integral s gets the n[s] + 1 points
+    of np.linspace(0, stop[s], n[s] + 1), bit for bit (i * (stop/n), then
+    stop), and the points of ``extra`` whose ``extra_seg`` is s, sorted;
+    ``stop`` and ``n`` are lists.  Returns (edges, seg); for a single
+    integral extra_seg and seg are None.  A point on a grid edge makes a
+    zero-width panel: value 0, error 0, never split."""
+    if len(n) == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
+        return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop, extra])), None
+    seg = np.arange(len(n)).repeat(n)
+    first = [0, *itertools.accumulate(n)]
+    i0, step = np.array([first[:-1], [x / k for x, k in zip(stop, n)]])[:, seg]
+    edges = np.concatenate([(np.arange(first[-1]) - i0) * step, stop, extra])
+    seg = np.concatenate([seg, np.arange(len(n)), extra_seg])
+    order = np.lexsort((edges, seg))
+    return edges[order], seg[order]
+
+
+def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
+    """Bisection rounds on the panels [lo, hi] of several integrals, whose
+    GK15 values and errors are ``vals`` and ``errs``; ``seg`` gives each
+    panel's integral (non-decreasing; None for a single integral), and
+    integral s has counts[s] panels, has spent evals[s] evaluations and
+    asks for tol[s] (lists; counts and evals are updated in place).
 
     Each round splits every panel whose error exceeds its share
-    tol/(2 n) of the budget and evaluates only the two halves of each, so
-    narrow features (the kernel's cavity resonances) get resolved locally.
-    No round starts that would take the evaluations past ``max_evals``.
-    The value is summed in panel order.  Returns (value, error,
-    evaluations, converged).
+    tol[s]/(2 counts[s]) of its integral's budget and evaluates the two
+    halves of all of them in one ``_gk_apply`` pass, so narrow features
+    (the kernel's cavity resonances) get resolved locally.  An integral
+    stops for good when its error sum is at most its tol, when it has no
+    panel to split, or when a round would take its evaluations past
+    ``max_evals``; no integral gets more than ``_MAX_ROUNDS`` rounds.  Its
+    panels keep the order a lone integral gives them (kept panels, then
+    left halves, then right halves), and its error and value are numpy
+    sums over its panels alone, the value in panel order: an integral gets
+    the same bits in any batch.  Returns lists (value, error, evaluations,
+    converged).
     """
-    err = float(errs.sum())
+    m = len(counts)
+    bounds = [0, *itertools.accumulate(counts)]
+    # a panel of integral s is split when its error is above share[s]; inf
+    # once the integral is done
+    err, share = [], []
+    for i, t in enumerate(tol):
+        err.append(errs[bounds[i]:bounds[i + 1]].sum())
+        share.append(t / (2.0 * counts[i]) if err[i] > t else math.inf)
     for _ in range(_MAX_ROUNDS):
-        if err <= tol:
+        if min(share) == math.inf:
             break
-        split = errs > tol / (2.0 * lo.size)
-        n_split = int(np.count_nonzero(split))
-        # a round evaluates two halves of every split panel
-        if not n_split or evals + 30 * n_split > max_evals:
+        if seg is None:
+            split = errs > share[0]
+            n_split = [int(np.count_nonzero(split))]
+        else:
+            split = errs > np.repeat(share, counts)
+            n_split = np.bincount(seg[split], minlength=m).tolist()
+        over = []
+        for i, k in enumerate(n_split):
+            # a round evaluates two halves of every split panel
+            if k and evals[i] + 30 * k <= max_evals:
+                evals[i] += 30 * k
+            elif share[i] != math.inf:
+                share[i] = math.inf
+                if k:
+                    over.append(i)
+                    n_split[i] = 0
+        if over:
+            split &= np.repeat([k > 0 for k in n_split], counts)
+        if not any(n_split):
             break
         keep = ~split
         a, b = lo[split], hi[split]
         mid = 0.5 * (a + b)
+        s = 0 if seg is None else np.concatenate([seg[split]] * 2)
+        cvals, cerrs, _ = _gk_apply(f, np.concatenate([a, mid]), np.concatenate([mid, b]), s)
         lo = np.concatenate([lo[keep], a, mid])
         hi = np.concatenate([hi[keep], mid, b])
-        cvals, cerrs, ne = _gk_apply(f, lo[-2 * n_split:], hi[-2 * n_split:])
-        evals += ne
         vals = np.concatenate([vals[keep], cvals])
         errs = np.concatenate([errs[keep], cerrs])
-        err = float(errs.sum())
-    value = float(vals[np.argsort(lo, kind="stable")].sum())
-    return value, err, evals, err <= tol
+        if seg is not None:   # each integral's kept panels, then left halves, then right halves
+            seg = np.concatenate([seg[keep], s])
+            order = np.argsort(3 * seg + np.repeat([0, 1, 2], [lo.size - s.size, a.size, a.size]),
+                               kind="stable")
+            lo, hi, vals, errs, seg = lo[order], hi[order], vals[order], errs[order], seg[order]
+        for i, k in enumerate(n_split):
+            counts[i] += k
+        bounds = [0, *itertools.accumulate(counts)]
+        for i, k in enumerate(n_split):
+            if k:
+                err[i] = errs[bounds[i]:bounds[i + 1]].sum()
+                share[i] = tol[i] / (2.0 * counts[i]) if err[i] > tol[i] else math.inf
+    ordered = vals[np.argsort(lo, kind="stable") if seg is None else np.lexsort((lo, seg))]
+    value, converged = [], []
+    for i, t in enumerate(tol):
+        value.append(ordered[bounds[i]:bounds[i + 1]].sum())
+        converged.append(err[i] <= t)
+    return value, err, evals, converged
 
 
 def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
@@ -293,37 +412,57 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     reports converged=False, never a silently truncated value.
     """
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
-    g, witness = _mapped_integrand(f, decay_scale)
+    g, witness = _mapped_integrand(lambda x, _: f(x), [decay_scale])
     v, e, n, ok = _adaptive_gk(g, _MAP_EDGES, tol, _MAX_EVALS)
-    err = e + witness()
+    err = e + witness()[0]
     return QuadratureEstimate(v, err, n, ok and err <= tol)
 
 
 def _mapped_integrand(f, decay_scale):
-    """(g, witness): g(s) = f(x) dx/ds with x = L s/(1-s), L = 4 decay
-    lengths, which maps [0, inf) onto [0, 1).  g is 0 from x_c = 200 decay
-    lengths on, where f is not evaluated; witness() is x_c times the largest
-    |f| seen so far on [x_c/2, x_c)."""
-    scale = _MAP_LENGTHS * decay_scale
-    x_cut = _DECAY_CUT * decay_scale
+    """(g, witness): g(s, seg) = f(x, seg) dx/ds with x = L s/(1-s),
+    L = 4 decay lengths decay_scale[seg] (a list, one per segment), which
+    maps [0, inf) onto [0, 1); seg is the segment index of the points, one
+    int or one per point (see ``_gk_apply``).  g is 0 from x_c = 200 decay
+    lengths on, where f is not evaluated; witness() is the list, per
+    segment, of x_c times the largest |f| seen so far on [x_c/2, x_c)."""
+    scale = [_MAP_LENGTHS * x for x in decay_scale]
+    x_cut = [_DECAY_CUT * x for x in decay_scale]
+    per_seg = (scale, np.array(scale)), (x_cut, np.array(x_cut))
     s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
-    far_max = 0.0
+    far_max = np.zeros(len(x_cut))
 
-    def g(s):
-        nonlocal far_max
+    def g(s, seg=0):
         out = np.zeros(s.shape)
         m = s < s_cut
         sm = s[m]
-        jac = scale / (1.0 - sm)
+        seg = _subset(seg, m)
+        rest = 1.0 - sm
+        jac = _at(per_seg[0], seg) / rest
         x = jac * sm
-        fx = np.asarray(f(x), float)
-        out[m] = fx * (jac / (1.0 - sm))
-        far = x >= 0.5 * x_cut
+        fx = np.asarray(f(x, seg), float)
+        out[m] = fx * (jac / rest)
+        far = x >= 0.5 * _at(per_seg[1], seg)
         if far.any():
-            far_max = max(far_max, float(np.abs(fx[far]).max()))
+            if isinstance(seg, int):
+                far_max[seg] = max(far_max[seg], np.abs(fx[far]).max())
+            else:
+                np.maximum.at(far_max, seg[far], np.abs(fx[far]))
         return out
 
-    return g, lambda: x_cut * far_max
+    return g, lambda: (per_seg[1][1] * far_max).tolist()
+
+
+def _at(values, s):
+    """Per-segment values at segment index s (see ``_gk_apply``), from
+    ``values`` = (list, array) of the same numbers: a float for one index,
+    an array for one index per point."""
+    return values[0][s] if isinstance(s, int) else values[1][s]
+
+
+def _subset(seg, mask):
+    """The segment indices of the points selected by ``mask``: seg[mask],
+    or seg itself when it is one index for all points."""
+    return seg if isinstance(seg, int) else seg[mask]
 
 
 # unused by the engines: the benchmark's tracer binds it, and a test's Ci(10) oracle uses it
@@ -398,61 +537,99 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     h, which is not the continuation of f, and nothing bounds the
     difference: the error estimate is inf, as for a panel
     ``_adaptive_gk`` did not evaluate.  All passes share one
-    ``_MAX_EVALS``.
+    ``_MAX_EVALS``.  This is ``_oscillatory_segments`` with one integral.
     """
     tol = require_real("tol", tol)
-    omega = float(spec.angular_rate)
-    q0 = float(spec.switch_point)
-    h = continuation
-
-    wseed = min(0.5 * math.pi / omega, q0 / 8.0)
-    nseed = min(int(math.ceil(q0 / wseed)), 300000)
     seeds = np.asarray(head_seeds, float)
-    # a seed on an edge makes a zero-width panel: value 0, error 0, never split
-    edges = np.sort(np.concatenate([np.linspace(0.0, q0, nseed + 1),
-                                    seeds[(seeds > 0.0) & (seeds < q0)]]))
-    edges = np.concatenate([edges, q0 + _MAP_EDGES[1:]])
-    nchk = 48
-    q_chk = q0 + (np.arange(nchk) + 0.5) * (2.0 * math.pi / omega / nchk)
+    v, e, n, ok = _oscillatory_segments(
+        lambda q, _: f(q), lambda z, _: continuation(z), [float(spec.angular_rate)],
+        [float(spec.switch_point)], tol, seeds, None)
+    return QuadratureEstimate(float(v[0]), float(e[0]), n[0], bool(ok[0]))
+
+
+def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
+    """``integrate_oscillatory_tail`` of several integrals at once: integral
+    s has angular rate omega[s] and switch point q0[s] (lists), the head
+    seeds seeds[seeds_seg == s] (seeds_seg None for a single integral) and
+    the tolerance tol; f(q, s) and h(z, s) get the segment index of the
+    points (see ``_gk_apply``).  The integrals share one seed pass and one
+    ``_refine`` loop, and each keeps its own agreement check, refinement
+    target, witness and ``_MAX_EVALS``.  Returns lists (value, error,
+    evaluations, converged).
+    """
+    m = len(q0)
+    nseed, period, decay = [], [], []
+    for w, q in zip(omega, q0):
+        nseed.append(min(int(math.ceil(q / min(0.5 * math.pi / w, q / 8.0))), 300000))
+        period.append(2.0 * math.pi / w / _CHECK_POINTS.size)
+        decay.append(1.0 / w)
+    q0a = np.array(q0)
+    inside = (seeds > 0.0) & (seeds < (q0[0] if seeds_seg is None else q0a[seeds_seg]))
+    # the tail's 8 seed panels on x = Q + s in [Q, Q+1) follow the head's edges
+    extra = np.concatenate([seeds[inside], (q0a[:, None] + _MAP_EDGES[1:]).ravel()])
+    if seeds_seg is not None:
+        seeds_seg = np.concatenate([seeds_seg[inside], np.arange(m).repeat(8)])
+    edges, seg = _seed_edges(q0, nseed, extra, seeds_seg)
+    q_chk = (q0a[:, None] + _CHECK_POINTS * np.array(period)[:, None]).ravel()
+    q0p = (q0, q0a)
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
 
-    def on_line(t):   # -Im h(Q + it); the first call also takes h(q_chk)
+    def with_checks(s):   # the segment indices of some points, then of q_chk
+        if isinstance(s, int):
+            return s
+        return np.concatenate([s, np.repeat(np.arange(m), _CHECK_POINTS.size)])
+
+    def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
+        z = _at(q0p, s) + 1j * t
         if len(chk) == 1:
-            hz = h(np.concatenate([q0 + 1j * t, q_chk + 0j]))
+            hz = h(np.concatenate([z, q_chk + 0j]), with_checks(s))
             chk.append(hz[t.size:])
             return -np.imag(hz[:t.size])
-        return -np.imag(h(q0 + 1j * t))
+        return -np.imag(h(z, s))
 
-    tail, witness = _mapped_integrand(on_line, 1.0 / omega)
+    tail, witness = _mapped_integrand(on_line, decay)
 
-    def g(x):
+    def g(x, s):
         # f on the head's nodes, the mapped tail on the rest; the first call
         # also takes f and h at q_chk, whether or not it has nodes of each
         first = not chk
-        head = x < q0
+        head = x < _at(q0p, s)
+        n_head = np.count_nonzero(head)
+        if not first and n_head == x.size:
+            return f(x, s)
         out = np.empty(x.shape)
-        if first or head.any():
-            qh = x[head]
-            fx = np.asarray(f(np.concatenate([qh, q_chk]) if first else qh), float)
+        if first or n_head:
+            qh, sh = x[head], _subset(s, head)
             if first:
+                fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
                 chk.append(fx[qh.size:])
+            else:
+                fx = np.asarray(f(qh, sh), float)
             out[head] = fx[:qh.size]
-        if first or not head.all():
-            out[~head] = tail(x[~head] - q0)
+        if first or n_head < x.size:
+            on = ~head
+            st = _subset(s, on)
+            out[on] = tail(x[on] - _at(q0p, st), st)
         return out
 
-    evals = 15 * (edges.size - 1) + 2 * nchk
-    if evals > _MAX_EVALS:
-        return QuadratureEstimate(0.0, math.inf, 0, False)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs, _ = _gk_apply(g, lo, hi)
-    fq, hq = chk
-    mismatch = float(np.abs(fq - hq.real).max())
-    agree = mismatch <= _AGREEMENT * (1.0 + float(np.abs(fq).max()))
-    target = tol if agree else max(tol, q0 * mismatch + 0.5 * tol)
-    value, err, evals, ok = _refine(g, lo, hi, vals, errs, evals, target, _MAX_EVALS)
-    err = err + witness() if agree else math.inf
-    return QuadratureEstimate(value, err, evals, agree and ok and err <= tol)
+    agree = [False] * m
+
+    def target():
+        # the check: |f - Re h| within 1e-12 (1 + max|f|) at q_chk; after a
+        # failed one, refining beyond Q * mismatch + tol/2 is wasted
+        fq = chk[0].reshape(m, -1)
+        mismatch = np.abs(fq - chk[1].reshape(m, -1).real).max(axis=1).tolist()
+        targets = []
+        for i, y in enumerate(np.abs(fq).max(axis=1).tolist()):
+            agree[i] = mismatch[i] <= _AGREEMENT * (1.0 + y)
+            targets.append(tol if agree[i] else max(tol, q0[i] * mismatch[i] + 0.5 * tol))
+        return targets
+
+    value, err, evals, ok = _gk_segments(g, edges, seg, target, _MAX_EVALS, 2 * _CHECK_POINTS.size)
+    for i, w in enumerate(witness()):
+        err[i] = err[i] + w if agree[i] else math.inf
+        ok[i] = agree[i] and ok[i] and err[i] <= tol
+    return value, err, evals, ok
 
 
 def cosine_integral(x: float) -> float:
@@ -539,12 +716,15 @@ def thermal_weight(q, That):
 def _thermal_weight_raw(q, That):
     """thermal_weight on an array that may contain q = 0 (limit 1)."""
     q = np.asarray(q, float)
-    u = np.atleast_1d(q / (2.0 * That))
+    u = q / (2.0 * That)
+    if not q.ndim:
+        u = u.reshape(1)
     b = 2.0 * u
     e = np.negative(u)
     b *= np.exp(e, out=e)
     np.multiply(u, -2.0, out=e)
     np.negative(np.expm1(e, out=e), out=e)
-    out = np.divide(b, e, out=np.ones_like(u), where=u > 0)
+    pos = u > 0
+    out = np.divide(b, e, out=b) if pos.all() else np.divide(b, e, out=np.ones_like(u), where=pos)
     out *= out
     return out if q.ndim else out[0]

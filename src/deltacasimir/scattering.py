@@ -22,6 +22,7 @@ as q -> 0, where all the individually O(1) terms cancel to O(q^2).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -127,10 +128,13 @@ def flux_deficit(q, d):
 
     The denominator has no cancellation, and the numerator cancels only
     where the deficit itself crosses 0; the q -> 0 limit is
-    1 - 2/(d+2)^2.  The terms are accumulated in place.
+    1 - 2/(d+2)^2.  The terms are accumulated in place.  ``d`` is a
+    scalar, or an array of q's shape that gives each q its own separation.
     """
-    q_in = q
-    q = np.atleast_1d(np.asarray(q, float))
+    q = np.asarray(q, float)
+    scalar = q.ndim == 0
+    if scalar:
+        q = q.reshape(1)
     c = q * d
     a = np.sin(c)
     np.cos(c, out=c)
@@ -144,11 +148,20 @@ def flux_deficit(q, d):
     w += a                                  # a^2 + 4q^4
     qq *= 2.0
     a -= qq                                 # a^2 - 2q^2
-    out = np.full(q.shape, (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0)))
-    np.divide(a, w, out=out, where=q > 1e-130)
-    if np.isscalar(q_in) or getattr(q_in, "ndim", 1) == 0:
-        return float(out[0])
-    return out
+    big = q > 1e-130
+    if getattr(d, "ndim", 0):   # one separation per q: its limit where q ~ 0
+        out = np.empty(q.shape)
+        if not big.all():
+            out[~big] = _deficit_at_zero(d[~big])
+    else:
+        out = np.full(q.shape, _deficit_at_zero(d))
+    np.divide(a, w, out=out, where=big)
+    return float(out[0]) if scalar else out
+
+
+def _deficit_at_zero(d):
+    """The q -> 0 limit of the flux deficit, 1 - 2/(d+2)^2."""
+    return (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0))
 
 
 def resonance_edges(d, q_hi):
@@ -178,6 +191,37 @@ def resonance_edges(d, q_hi):
         edges += [q_m - gamma, q_m + gamma]
         gamma = 4.0 * gamma
     return np.concatenate(edges)
+
+
+def resonance_edge_sets(d, q_hi):
+    """``resonance_edges`` of every separation in the list ``d`` at once,
+    below min(1, q_hi[i]) for d[i], in one vectorized pass.
+
+    Returns (edges, owner): owner[j] is the index in ``d`` of the
+    separation whose resonance edges[j] brackets.  The edges of each
+    separation are those ``resonance_edges`` gives it, bit for bit (in
+    another order).  A single separation is handed to ``resonance_edges``
+    itself, and its owner is None.
+    """
+    if len(d) == 1:
+        return resonance_edges(d[0], q_hi[0]), None
+    step = [math.pi / (x + 2.0) for x in d]
+    # np.arange(1.0, y) holds the ceil(y - 1) whole numbers 1.0, 2.0, ...
+    count = [max(math.ceil(min(1.0, y) / h - 1.0), 0) for y, h in zip(q_hi, step)]
+    owner = np.arange(len(d)).repeat(count)
+    h, m0, d2 = np.array([step, [0, *itertools.accumulate(count)][:-1],
+                          [x + 2.0 for x in d]])[:, owner]
+    q_m = h * (np.arange(1, owner.size + 1) - m0)
+    gamma = 2.0 * q_m * q_m / d2
+    cap = 0.4 * h
+    # the edges gamma_m 4^k (exact products) below the cap, for every k
+    # up to the largest count of levels
+    levels = max(math.ceil(math.log(float((cap / gamma).max()), 4)) + 1, 0) if owner.size else 0
+    widths = gamma[:, None] * 4.0 ** np.arange(levels)
+    graded = widths < cap[:, None]
+    rows = np.nonzero(graded)[0]
+    widths, q_m, owner = widths[graded], q_m[rows], owner[rows]
+    return np.concatenate([q_m - widths, q_m + widths]), np.concatenate([owner, owner])
 
 
 def contour_switch(d):

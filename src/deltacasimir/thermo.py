@@ -34,14 +34,16 @@ from .errors import DomainError, require_real
 from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _matsubara
 from .model import DimensionlessPoint
 from .numerics import (
-    OscillatorySpec,
     QuadratureEstimate,
     _adaptive_gk,
+    _at,
+    _gk_segments,
+    _oscillatory_segments,
+    _seed_edges,
     _thermal_weight_raw,
-    integrate_oscillatory_tail,
     sum_exponential_series,
 )
-from .scattering import contour_switch, flux_deficit, resonance_edges
+from .scattering import contour_switch, flux_deficit, resonance_edge_sets
 
 __all__ = [
     "ENTROPY_TOL",
@@ -74,7 +76,10 @@ class EntropyValue:
 
 @dataclass(frozen=True)
 class EntropyDensity:
-    """-dF/dThat at separation dtilde: the integrand of the distance integral."""
+    """-dF/dThat at separation dtilde: the integrand of the distance integral.
+
+    For an array of separations, ``value`` and ``dtilde`` are arrays (see
+    ``entropy_density_canonical``)."""
 
     value: float
     dtilde: float
@@ -83,17 +88,29 @@ class EntropyDensity:
 
 
 def _density_continuation(dtilde, That):
-    """h(q) = -(u/sinh u)^2 x/(pi (1-x)), u = q/(2 That) and
-    x = e^{2iq dtilde}/(2iq-1)^2, for complex q: the density's integrand is
-    Re h on the real axis.  The weight is (2u e^{-u}/(1 - e^{-2u}))^2, the
-    expm1 form of ``_thermal_weight_raw``."""
-    def h(q):
+    """h(q, s) = -(u/sinh u)^2 x/(pi (1-x)), u = q/(2 That) and
+    x = e^{2iq d}/(2iq-1)^2 with d = ``_at(dtilde, s)``, for
+    complex q: the density's integrand is Re h on the real axis.  The
+    weight is (2u e^{-u}/(1 - e^{-2u}))^2, the expm1 form of
+    ``_thermal_weight_raw``."""
+    def h(q, s):
         u = q / (2.0 * That)
         b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
-        x = np.exp(2j * dtilde * q) / (2j * q - 1.0) ** 2
+        x = np.exp(2j * _at(dtilde, s) * q) / (2j * q - 1.0) ** 2
         return -b * b * x / (math.pi * (1.0 - x))
 
     return h
+
+
+def _density_integrand(dtilde, That):
+    """f(q, s), the density's integrand (1/2pi) (u/sinh u)^2 times the flux
+    deficit at the separation d = ``_at(dtilde, s)``."""
+    inv_2pi = 0.5 / math.pi
+
+    def f(q, s):
+        return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, _at(dtilde, s))
+
+    return f
 
 
 @functools.lru_cache(maxsize=256)
@@ -113,9 +130,16 @@ def _thermal_cutoff(That, tol):
     return 2.0 * That * u, tail_bound
 
 
-def entropy_density_canonical(dtilde: float, That: float,
+def entropy_density_canonical(dtilde, That: float,
                               tol: float = ENTROPY_INNER_TOL) -> EntropyDensity:
     """Entropy density in separation at (dtilde, That).
+
+    ``dtilde`` is a number, or a 1-D array of separations whose q-integrals
+    are all taken in one adaptive loop per kind below (real axis, rotated),
+    each with its own tolerance, stopping test and caps: every element gets
+    the bits its scalar call gives.  For an array, ``value``, ``dtilde``
+    and the estimate's ``value``, ``abs_error_estimate`` and ``converged``
+    are arrays over it, and ``evaluations`` is their total, an int.
 
     The csch^2 weight decays like 4 u^2 e^{-2u} (u = q/2That), so the
     integral stops at q_max = 2 That u, with u the smallest multiple of 0.5
@@ -126,15 +150,16 @@ def entropy_density_canonical(dtilde: float, That: float,
     sin(dtilde q) + 2q cos(dtilde q) = 0, near q_m = m pi/(dtilde+2): a dip
     of width ~ 2 q_m^2/(dtilde+2), far narrower than a period at large
     dtilde.  Every real-axis stretch gets the graded seed edges of
-    ``scattering.resonance_edges`` around the dips it holds that are
+    ``scattering.resonance_edges`` (an array's from one vectorized pass,
+    ``resonance_edge_sets``) around the dips it holds that are
     narrower than 0.4 pi/(dtilde+2) (q_m <~ 0.79), so the seed pass
     resolves them instead of bisection.  The wider dips span a sizeable
     share of their seed panel, which resolves them without extra edges.
 
     When q_max spans more than 16 periods, the head [0, Q] with
     Q = ``contour_switch(dtilde)`` = max(pi/dtilde, 1.5 pi/(dtilde+2)) is
-    integrated on the real axis and the rest along Re q = Q by
-    ``integrate_oscillatory_tail`` with the continuation
+    integrated on the real axis and the rest along Re q = Q as
+    ``integrate_oscillatory_tail`` does, with the continuation
     ``_density_continuation``, exactly as the canonical force's tail: the
     integrand is -(1/pi) (u/sinh u)^2 Re[x/(1-x)] with |x| < 1 for
     Im q >= 0, and the csch^2 poles lie on Re q = 0.  For
@@ -151,33 +176,65 @@ def entropy_density_canonical(dtilde: float, That: float,
     its zero mode kept (see the README).  The tests use that identity as
     the oracle for this function on d in [0.01, 200], That in [0.001, 3].
     """
-    dtilde, That = require_real("dtilde", dtilde), require_real("That", That)
-    tol = require_real("tol", tol)
+    scalar = np.ndim(dtilde) == 0
+    d = [require_real("dtilde", dtilde)] if scalar else _separations(dtilde)
+    That, tol = require_real("That", That), require_real("tol", tol)
     q_max, tail_bound = _thermal_cutoff(That, tol)
-    period = math.pi / dtilde
-    inv_2pi = 0.5 / math.pi
+    rotated = [q_max > _ROTATE_PERIODS * (math.pi / x) for x in d]
+    # one batch per kind of q-integral, each yielding its results in d's order
+    results = {}
+    for kind, densities in ((True, _rotated_densities), (False, _real_axis_densities)):
+        dt = [x for x, r in zip(d, rotated) if r is kind]
+        if dt:
+            results[kind] = zip(*densities((dt, np.array(dt)), That, tol, q_max, tail_bound))
+    value, err, evals, ok = zip(*[next(results[r]) for r in rotated])
+    if scalar:
+        est = QuadratureEstimate(float(value[0]), float(err[0]), evals[0], bool(ok[0]))
+        return EntropyDensity(value=est.value, dtilde=d[0], That=That, estimate=est)
+    est = QuadratureEstimate(np.array(value, float), np.array(err, float), sum(evals),
+                             np.array(ok, bool))
+    return EntropyDensity(value=est.value, dtilde=np.array(d), That=That, estimate=est)
 
-    def f(q):
-        q = np.asarray(q, float)
-        return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, dtilde)
 
-    if q_max > _ROTATE_PERIODS * period:
-        q0 = contour_switch(dtilde)
-        est = integrate_oscillatory_tail(f, OscillatorySpec(2.0 * dtilde, q0), tol,
-                                         continuation=_density_continuation(dtilde, That),
-                                         head_seeds=resonance_edges(dtilde, q0))
-        return EntropyDensity(value=est.value, dtilde=dtilde, That=That, estimate=est)
+def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
+    """The densities at the separations dtilde = (list, array) whose
+    q-integral takes the contour beyond Q: lists (value, error,
+    evaluations, converged)."""
+    q0 = [contour_switch(x) for x in dtilde[0]]
+    seeds, owner = resonance_edge_sets(dtilde[0], q0)
+    return _oscillatory_segments(_density_integrand(dtilde, That),
+                                 _density_continuation(dtilde, That),
+                                 [2.0 * x for x in dtilde[0]], q0, tol, seeds, owner)
 
-    w = min(period, 2.5 * That, q_max / 8.0)
-    n = min(int(math.ceil(q_max / w)), 300000)
-    dips = resonance_edges(dtilde, q_max)
-    # np.sort, not np.unique: the first np.unique call imports numpy.ma (13 ms)
-    edges = np.sort(np.concatenate([np.linspace(0.0, q_max, n + 1),
-                                    dips[dips < q_max]]))
-    v, e, ne, ok = _adaptive_gk(f, edges, tol - tail_bound)
-    err = e + tail_bound
-    est = QuadratureEstimate(v, err, ne, ok and err <= tol)
-    return EntropyDensity(value=v, dtilde=dtilde, That=That, estimate=est)
+
+def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
+    """The densities at the separations dtilde = (list, array) whose
+    q-integral stays on the real axis up to q_max: lists (value, error,
+    evaluations, converged)."""
+    dt = dtilde[0]
+    n = [min(int(math.ceil(q_max / min(math.pi / x, 2.5 * That, q_max / 8.0))), 300000)
+         for x in dt]
+    dips, owner = resonance_edge_sets(dt, [q_max] * len(dt))
+    below = dips < q_max
+    edges, seg = _seed_edges([q_max] * len(dt), n, dips[below],
+                             None if owner is None else owner[below])
+    v, e, ne, ok = _gk_segments(_density_integrand(dtilde, That), edges, seg,
+                                [tol - tail_bound] * len(dt))
+    e = [x + tail_bound for x in e]
+    return v, e, ne, [a and x <= tol for a, x in zip(ok, e)]
+
+
+def _separations(dtilde):
+    """A non-empty 1-D array of real separations, each finite and > 0, as a
+    list of floats."""
+    d = np.asarray(dtilde)
+    if d.ndim != 1 or not d.size or d.dtype.kind not in "iuf":
+        raise DomainError(f"dtilde must be a number or a non-empty 1-D array of reals, "
+                          f"got {dtilde!r}")
+    d = d.astype(float)
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise DomainError(f"every dtilde must be finite and > 0, got {dtilde!r}")
+    return d.tolist()
 
 
 def entropy_canonical(point: DimensionlessPoint,
@@ -189,9 +246,11 @@ def entropy_canonical(point: DimensionlessPoint,
     smooth and tends to 1/4, so it starts from one GK15 panel on
     [log d, log Lambda] and the adaptive bisection splits only where that
     panel's error asks for it: every outer node costs a full density.  Each
-    inner density is asked for inner_tol = min(ENTROPY_INNER_TOL,
-    tol/(4 (Lambda - d))), and (Lambda - d) * inner_tol is charged to the
-    reported estimate.
+    round of the outer integral makes one ``entropy_density_canonical``
+    call with the separations of all its nodes, whose q-integrals share
+    one adaptive loop per kind.  Each inner density is asked for
+    inner_tol = min(ENTROPY_INNER_TOL, tol/(4 (Lambda - d))), and
+    (Lambda - d) * inner_tol is charged to the reported estimate.
 
     The flux deficit is at most 1 and (1/2pi) int_0^inf (u/sinh u)^2 dq =
     pi That/6 (u = q/2That), so at every temperature
@@ -209,7 +268,8 @@ def entropy_canonical(point: DimensionlessPoint,
     # The one type test outside require_real: a That that is no int or float
     # (np.int64, np.float32) stays refused until ROADMAP item 2's single
     # q-integral makes this entropy cheap.  On the nested quadrature, accepting
-    # it turns two fail-fast entropy_grid points into real work (+21% wall_s).
+    # it turns two fail-fast entropy_grid points into real work: their two
+    # entropies cost 7% of the other 17 points' (in process, 2-vCPU x86 host).
     if not isinstance(point.That, (int, float)):
         raise DomainError(f"That must be an int or float here, got {point.That!r}")
     d, that = float(point.d), require_real("That", point.That)
@@ -221,15 +281,12 @@ def entropy_canonical(point: DimensionlessPoint,
     inner_all_ok = [True]
 
     def g(ts):
-        ts = np.atleast_1d(np.asarray(ts, float))
-        out = np.empty(ts.shape)
-        for i, t in enumerate(ts):
-            dt = math.exp(t)
-            dens = entropy_density_canonical(dt, that, inner_tol)
-            inner_evals[0] += dens.estimate.evaluations
-            inner_all_ok[0] &= dens.estimate.converged
-            out[i] = dens.value * dt
-        return out
+        # one density call per outer round: every node's separation at once
+        dts = np.array([math.exp(t) for t in ts.tolist()])
+        dens = entropy_density_canonical(dts, that, inner_tol)
+        inner_evals[0] += dens.estimate.evaluations
+        inner_all_ok[0] &= bool(dens.estimate.converged.all())
+        return dens.value * dts
 
     edges = [math.log(d), math.log(cutoff_lambda)]
     v, e, n_outer, ok = _adaptive_gk(g, edges, 0.75 * tol)

@@ -48,6 +48,17 @@ def test_canonical_entropy_over_the_benchmark_grid():
     assert total <= 1.02 * 277_026
 
 
+def test_entropy_grid_passes(monkeypatch):
+    # 841 while every outer node made its own density call (555 calls, each
+    # with its own seed pass and rounds); one density call per outer round,
+    # one adaptive loop per kind of q-integral in it
+    def entropies():
+        for d, t in ENTROPY_GRID:
+            entropy_canonical(DimensionlessPoint(d, t), 100.0)
+
+    assert _gk_passes(monkeypatch, entropies) == 95
+
+
 def test_density_over_the_figure3a_grid():
     # 973,980 with q_max = 40 That; 705,810 with every density on the real
     # axis out to q_max; 59,355 with graded seed edges around the resonances,

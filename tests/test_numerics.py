@@ -207,6 +207,34 @@ def test_adaptive_rounds_stop_at_the_evaluation_budget():
         (0.0, math.inf, 0, False)
 
 
+def test_a_batch_gives_each_integral_its_own_bits_and_budget():
+    # _gk_segments integrates several integrals in one loop; each one keeps
+    # its own tolerance share, stopping test and evaluation budget, so a
+    # batch gives every member the result of its lone call, including the
+    # noisy one that runs out of evaluations and the one whose seed panels
+    # alone are over the budget
+    from deltacasimir.numerics import _adaptive_gk, _gk_segments
+    fs = [lambda x: np.exp(-x), _noisy, lambda x: np.cos(7.0 * x) / (1.0 + x * x),
+          lambda x: np.sin(x)]
+    edge_sets = [np.linspace(0.0, 5.0, 9), np.linspace(0.0, 5.0, 9), np.linspace(0.0, 3.0, 4),
+                 np.linspace(0.0, 1.0, 2000)]
+    tols, budget = [1e-13, 1e-15, 1e-12, 1e-12], 20_000
+    lone = [_adaptive_gk(f, e, t, max_evals=budget) for f, e, t in zip(fs, edge_sets, tols)]
+
+    def f(x, s):
+        out = np.empty(x.shape)
+        for i, fi in enumerate(fs):
+            out[s == i] = fi(x[s == i])
+        return out
+
+    batch = _gk_segments(f, np.concatenate(edge_sets),
+                         np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols, budget)
+    for i, want in enumerate(lone):
+        assert (float(batch[0][i]), float(batch[1][i]), batch[2][i], bool(batch[3][i])) == want
+    assert [ok for *_, ok in lone] == [True, False, True, False]
+    assert lone[1][2] > budget / 2 and lone[3] == (0.0, math.inf, 0, False)
+
+
 def test_engines_share_one_evaluation_budget(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
     est = integrate_smooth_semi_infinite(_noisy, 1.0, 1e-15)

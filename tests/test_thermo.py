@@ -120,6 +120,61 @@ def test_bool_inputs_are_rejected():
         entropy_lifshitz_temperature_slope(DimensionlessPoint(10.0, 2.0), delta=True)
 
 
+# ------------------------------------------------ an array of separations
+
+FIGURE3A_D = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _assert_batch_gives_the_scalar_bits(ds, that):
+    batch = entropy_density_canonical(np.array(ds), that)
+    singles = [entropy_density_canonical(d, that) for d in ds]
+    est = batch.estimate
+    assert type(est.evaluations) is int
+    assert est.evaluations == sum(s.estimate.evaluations for s in singles)
+    assert batch.value.shape == est.abs_error_estimate.shape == est.converged.shape == (len(ds),)
+    for i, single in enumerate(singles):
+        assert batch.dtilde[i] == single.dtilde
+        assert _bits(batch.value[i]) == _bits(est.value[i]) == _bits(single.value)
+        assert _bits(est.abs_error_estimate[i]) == _bits(single.estimate.abs_error_estimate)
+        assert est.converged[i] == single.estimate.converged
+    return singles
+
+
+@pytest.mark.parametrize("that", [0.5, 1.0, 2.0])
+def test_array_of_separations_gives_the_scalar_bits(that):
+    # figure 3a's grid, where both kinds of q-integral occur in one batch
+    assert {_rotates(d, that) for d in FIGURE3A_D} == {False, True}
+    _assert_batch_gives_the_scalar_bits(FIGURE3A_D, that)
+
+
+def test_cold_array_of_separations_gives_the_scalar_bits():
+    _assert_batch_gives_the_scalar_bits(FIGURE3A_D, 0.01)
+
+
+def test_reversed_array_of_separations_gives_the_scalar_bits():
+    _assert_batch_gives_the_scalar_bits(FIGURE3A_D[::-1], 1.0)
+
+
+def test_batch_member_out_of_rounds_leaves_the_others_their_bits(monkeypatch):
+    # one bisection round: some densities stop short of tol, on their own and
+    # in the batch alike, and the rest still converge with their own bits
+    from deltacasimir import numerics
+    monkeypatch.setattr(numerics, "_MAX_ROUNDS", 1)
+    singles = _assert_batch_gives_the_scalar_bits(FIGURE3A_D, 0.5)
+    assert {s.estimate.converged for s in singles} == {False, True}
+
+
+@pytest.mark.parametrize("dtilde", [np.array([]), np.array([[1.0]]), np.array([True]),
+                                    np.array([1.0, -1.0]), [1.0, math.inf], ["1"]])
+def test_array_of_separations_is_validated(dtilde):
+    with pytest.raises(DomainError):
+        entropy_density_canonical(dtilde, 1.0)
+
+
 # ------------------------------------------------ exact half-Lifshitz identity
 # s_can(d) = -(1/2) dS_L/dd and S_can = (1/2)[S_L(d) - S_L(Lambda)], zero mode
 # kept (tests/oracles.py).

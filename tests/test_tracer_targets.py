@@ -7,17 +7,24 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from deltacasimir import DimensionlessPoint, cli, entropy_lifshitz, force_finite_t_lifshitz, \
-    forces, free_energy_lifshitz, thermo
+import numpy as np
+
+from deltacasimir import DimensionlessPoint, cli, entropy_canonical, \
+    entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, forces, \
+    free_energy_lifshitz, thermo
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _patches():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.PATCHES
+    return tracer
+
+
+def _patches():
+    return _tracer().PATCHES
 
 
 def test_every_tracer_patch_target_is_bound():
@@ -77,3 +84,29 @@ def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys
     assert seen["tasks"] == [rows_on_disk] == [2]
     assert len(seen["written"]) == len(files) == 1
     assert sum(seen["written"]) == seen["density"] == rows_on_disk
+
+
+def test_entropy_reaches_its_densities_only_through_the_traced_name():
+    # the tracer's thermo.density span wraps thermo.entropy_density_canonical
+    # and adds up estimate.evaluations: a canonical entropy that reached its
+    # densities another way would empty the span without failing anything.
+    # It makes one density call per round of its outer integral, which the
+    # numerics.adaptive span sees as a call plus its rounds (two at the cold
+    # point of acceptance criterion 8)
+    tracer = _tracer()
+    tr = tracer.Tracer()
+    with tracer.patched(tr):
+        est = entropy_canonical(DimensionlessPoint(1.0, 0.01), 100.0).estimate
+    density, outer = tr.stats["thermo.density"], tr.stats["numerics.adaptive"]
+    assert outer["calls"] == 1 and outer["rounds"] >= 1
+    assert density["calls"] == outer["calls"] + outer["rounds"]
+    assert density["evals"] == est.evaluations
+
+
+def test_array_density_evaluations_are_a_plain_int():
+    # the tracer's counter adds estimate.evaluations into a float; a numpy
+    # array there would turn the density span's evals into an array
+    est = entropy_density_canonical(np.array([0.5, 5.0, 50.0]), 1.0).estimate
+    assert type(est.evaluations) is int
+    assert est.evaluations == sum(entropy_density_canonical(d, 1.0).estimate.evaluations
+                                  for d in (0.5, 5.0, 50.0))
