@@ -23,15 +23,14 @@ def require_real(name, x, low=0.0, inclusive=False) -> float:
     floating scalars.  bool (numpy's included), strings, None and complex
     numbers are refused.
     """
-    if type(x) is float:    # the common case, without the slower numbers.Real test
-        v = x
-    elif isinstance(x, bool) or not isinstance(x, numbers.Real):
+    # float first: isinstance tries the tuple in order, and a float, the
+    # common case, passes without numbers.Real's slower registry lookup
+    if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):
         raise DomainError(f"{name} must be a real number, got {x!r}")
-    else:
-        try:
-            v = float(x)
-        except OverflowError:   # an int beyond the float range
-            v = math.inf
+    try:
+        v = float(x)
+    except OverflowError:   # an int beyond the float range
+        v = math.inf
     if not (math.isfinite(v) and (v >= low if inclusive else v > low)):
         raise DomainError(f"{name} must be finite and {'>=' if inclusive else '>'} "
                           f"{low!r}, got {x!r}")

@@ -152,7 +152,7 @@ def _canonical_force(f, d, that, tol):
     its cavity resonances (``resonance_edges``) and, at That > 0, at
     That 2^k, k = -1..5, where the Bose weight departs from q."""
     q0 = contour_switch(d)
-    seeds = resonance_edges(d, q0)
+    seeds = resonance_edges([d], [q0])[0]
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
     return integrate_oscillatory_tail(f, OscillatorySpec(2.0 * d, q0), tol,

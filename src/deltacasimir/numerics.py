@@ -202,18 +202,19 @@ def sici(x):
     return 0.5 * math.pi + e1.imag, -e1.real
 
 
-def _gk_apply(f, lo, hi, seg=None):
+def _gk_apply(f, lo, hi, seg):
     """Gauss-Kronrod 15 on the panels [lo, hi], float arrays, at once.
 
-    ``f`` must accept a 1-D ndarray.  Given ``seg``, f is called as
-    f(x, s): with one segment index for all panels, s is that int; with an
-    array of each panel's segment index, s gives each node's.  Returns
-    (values, error estimates, evaluation count); the per-panel error
-    estimate is |K15 - G7| plus a rounding floor, which overestimates the
-    true K15 error on smooth panels.
+    ``f`` is called as f(x, s) on a 1-D ndarray of nodes x: s is ``seg``
+    when that is one segment index (an int) for all panels, and each node's
+    index when seg is an array of the panels' indices.  Returns (values,
+    error estimates, evaluation count); the per-panel error estimate is
+    |K15 - G7| plus a rounding floor, which overestimates the true K15
+    error on smooth panels.
     """
     n = lo.size
-    parts = []
+    vals = np.empty(n)
+    errs = np.empty(n)
     # one dgemm per block gives K15 and K15 - G7 together; its sums do not
     # depend on a panel's place in its block unless the block is one row,
     # which takes the plain dot path, so a lone last panel joins the block
@@ -225,26 +226,20 @@ def _gk_apply(f, lo, hi, seg=None):
         a, b = lo[sl], hi[sl]
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        x = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
-        if seg is None:
-            y = f(x)
-        else:
-            y = f(x, seg if isinstance(seg, int) else np.repeat(seg[sl], 15))
-        y = np.asarray(y, float).reshape(-1, 15)
+        x = mid[:, None] + half[:, None] * _GK_NODES
+        s = seg if isinstance(seg, int) else np.repeat(seg[sl], 15)
+        y = np.asarray(f(x.ravel(), s), float).reshape(x.shape)
         kd = y @ _GK_W
-        parts.append((half * kd[:, 0],
-                      half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))))
-    if len(parts) == 1:
-        return *parts[0], 15 * n
-    return np.concatenate([v for v, _ in parts]), np.concatenate([e for _, e in parts]), 15 * n
+        vals[sl] = half * kd[:, 0]
+        errs[sl] = half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))
+    return vals, errs, 15 * n
 
 
 def _adaptive_gk(f, edges, tol, max_evals=None):
     """Adaptive GK15 of one integral on the panels between consecutive
-    ``edges``: ``_gk_segments`` with one segment and an f of x alone.
-    Returns (value, error, evaluations, converged)."""
-    v, e, n, ok = _gk_segments(lambda x, _: f(x), np.asarray(edges, float), None, [tol],
-                               max_evals)
+    ``edges``: ``_gk_segments`` with the one segment 0, so f is called as
+    f(x, 0).  Returns (value, error, evaluations, converged)."""
+    v, e, n, ok = _gk_segments(f, np.asarray(edges, float), 0, [tol], max_evals)
     return float(v[0]), float(e[0]), n[0], bool(ok[0])
 
 
@@ -254,25 +249,25 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
 
     Integral s runs over the panels between consecutive ``edges`` whose
     ``seg`` is s (at least two edges each, sorted within a segment,
-    segments 0, 1, ... in order; seg None for a single integral) to the
-    absolute tolerance
-    tol[s], or to the tolerances ``tol()`` returns after the seed pass
-    when tol is callable; f(x, s) gets the segment index of the nodes (see
-    ``_gk_apply``).  An integral whose seed panels and ``checks`` extra
-    points alone would take it past ``max_evals`` (default ``_MAX_EVALS``)
-    evaluations is not evaluated: value 0, error inf, 0 evaluations.
-    Returns lists (value, error, evaluations, converged), one entry per
-    integral.
+    segments 0, 1, ... in order; seg is the int 0 for a single integral)
+    to the absolute tolerance tol[s], or to the tolerances ``tol()``
+    returns after the seed pass when tol is callable; f(x, s) gets the
+    segment index of the nodes (see ``_gk_apply``).  An integral whose
+    seed panels and ``checks`` extra points alone would take it past
+    ``max_evals`` (default ``_MAX_EVALS``) evaluations is not evaluated:
+    value 0, error inf, 0 evaluations.  Returns lists (value, error,
+    evaluations, converged), one entry per integral.
     """
     max_evals = _MAX_EVALS if max_evals is None else max_evals
     lo, hi = edges[:-1], edges[1:]
-    if seg is None:
+    if isinstance(seg, int):
         counts = [lo.size]
     else:   # the panels between two edges of one segment
         same = seg[1:] == seg[:-1]
         lo, hi, seg = lo[same], hi[same], seg[1:][same]
         counts = np.bincount(seg).tolist()
-    fits = [15 * c + checks <= max_evals for c in counts]
+    evals = [15 * c + checks for c in counts]
+    fits = [e <= max_evals for e in evals]
     if not all(fits):
         keep = np.repeat(fits, counts)
         lo, hi = lo[keep], hi[keep]
@@ -280,8 +275,8 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
             return [0.0] * len(fits), [math.inf] * len(fits), [0] * len(fits), fits
         seg = seg[keep]
         counts = [c * ok for c, ok in zip(counts, fits)]
-    vals, errs, _ = _gk_apply(f, lo, hi, 0 if seg is None else seg)
-    evals = [(15 * c + checks) * ok for c, ok in zip(counts, fits)]
+        evals = [e * ok for e, ok in zip(evals, fits)]
+    vals, errs, _ = _gk_apply(f, lo, hi, seg)
     value, err, evals, ok = _refine(f, lo, hi, seg, counts, vals, errs, evals,
                                     tol() if callable(tol) else tol, max_evals)
     for i, fit in enumerate(fits):
@@ -290,20 +285,24 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
     return value, err, evals, ok
 
 
-def _seed_edges(stop, n, extra, extra_seg):
-    """Seed edges of several integrals: integral s gets the n[s] + 1 points
-    of np.linspace(0, stop[s], n[s] + 1), bit for bit (i * (stop/n), then
-    stop), and the points of ``extra`` whose ``extra_seg`` is s, sorted;
-    ``stop`` and ``n`` are lists.  Returns (edges, seg); for a single
-    integral extra_seg and seg are None.  A point on a grid edge makes a
+def _seed_edges(stop, n, extra, extra_seg, ends=np.zeros(1)):
+    """Seed edges of several integrals: integral s gets the n[s] points
+    i * (stop[s]/n[s]) of np.linspace(0, stop[s], n[s] + 1), bit for bit,
+    the points stop[s] + ``ends`` (0 gives linspace's last point), and the
+    points of ``extra`` whose ``extra_seg`` is s, sorted; ``stop`` and
+    ``n`` are lists.  Returns (edges, seg); for a single integral seg is
+    the int 0, and extra_seg is not read.  A point on a grid edge makes a
     zero-width panel: value 0, error 0, never split."""
-    if len(n) == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
-        return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop, extra])), None
-    seg = np.arange(len(n)).repeat(n)
+    m = len(n)
+    if m == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
+        return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop[0] + ends,
+                                       extra])), 0
+    ends = np.add.outer(stop, ends).ravel()
+    seg = np.arange(m).repeat(n)
     first = [0, *itertools.accumulate(n)]
     i0, step = np.array([first[:-1], [x / k for x, k in zip(stop, n)]])[:, seg]
-    edges = np.concatenate([(np.arange(first[-1]) - i0) * step, stop, extra])
-    seg = np.concatenate([seg, np.arange(len(n)), extra_seg])
+    edges = np.concatenate([(np.arange(first[-1]) - i0) * step, ends, extra])
+    seg = np.concatenate([seg, np.arange(m).repeat(ends.size // m), extra_seg])
     order = np.lexsort((edges, seg))
     return edges[order], seg[order]
 
@@ -311,7 +310,7 @@ def _seed_edges(stop, n, extra, extra_seg):
 def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
     """Bisection rounds on the panels [lo, hi] of several integrals, whose
     GK15 values and errors are ``vals`` and ``errs``; ``seg`` gives each
-    panel's integral (non-decreasing; None for a single integral), and
+    panel's integral (non-decreasing; the int 0 for a single integral), and
     integral s has counts[s] panels, has spent evals[s] evaluations and
     asks for tol[s] (lists; counts and evals are updated in place).
 
@@ -328,59 +327,57 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
     the same bits in any batch.  Returns lists (value, error, evaluations,
     converged).
     """
-    m = len(counts)
-    bounds = [0, *itertools.accumulate(counts)]
+    one = isinstance(seg, int)
     # a panel of integral s is split when its error is above share[s]; inf
     # once the integral is done
-    err, share = [], []
-    for i, t in enumerate(tol):
-        err.append(errs[bounds[i]:bounds[i + 1]].sum())
-        share.append(t / (2.0 * counts[i]) if err[i] > t else math.inf)
+    bounds, err, share = [0], [], []
+    for c, t in zip(counts, tol):
+        bounds.append(bounds[-1] + c)
+        err.append(errs[bounds[-2]:bounds[-1]].sum())
+        share.append(t / (2.0 * c) if err[-1] > t else math.inf)
     for _ in range(_MAX_ROUNDS):
         if min(share) == math.inf:
             break
-        if seg is None:
+        if one:
             split = errs > share[0]
             n_split = [int(np.count_nonzero(split))]
         else:
             split = errs > np.repeat(share, counts)
-            n_split = np.bincount(seg[split], minlength=m).tolist()
-        over = []
+            n_split = np.bincount(seg[split], minlength=len(counts)).tolist()
+        over = False
         for i, k in enumerate(n_split):
             # a round evaluates two halves of every split panel
             if k and evals[i] + 30 * k <= max_evals:
                 evals[i] += 30 * k
-            elif share[i] != math.inf:
+            elif share[i] != math.inf:   # nothing to split, or no budget for it
                 share[i] = math.inf
-                if k:
-                    over.append(i)
-                    n_split[i] = 0
-        if over:
-            split &= np.repeat([k > 0 for k in n_split], counts)
+                over |= k > 0
+                n_split[i] = 0
         if not any(n_split):
             break
+        if over:
+            split &= np.repeat([k > 0 for k in n_split], counts)
         keep = ~split
         a, b = lo[split], hi[split]
         mid = 0.5 * (a + b)
-        s = 0 if seg is None else np.concatenate([seg[split]] * 2)
-        cvals, cerrs, _ = _gk_apply(f, np.concatenate([a, mid]), np.concatenate([mid, b]), s)
         lo = np.concatenate([lo[keep], a, mid])
         hi = np.concatenate([hi[keep], mid, b])
+        s = seg if one else np.concatenate([seg[split]] * 2)
+        cvals, cerrs, _ = _gk_apply(f, lo[-2 * a.size:], hi[-2 * a.size:], s)
         vals = np.concatenate([vals[keep], cvals])
         errs = np.concatenate([errs[keep], cerrs])
-        if seg is not None:   # each integral's kept panels, then left halves, then right halves
+        if not one:   # each integral's kept, left and right panels in turn
             seg = np.concatenate([seg[keep], s])
             order = np.argsort(3 * seg + np.repeat([0, 1, 2], [lo.size - s.size, a.size, a.size]),
                                kind="stable")
             lo, hi, vals, errs, seg = lo[order], hi[order], vals[order], errs[order], seg[order]
         for i, k in enumerate(n_split):
             counts[i] += k
-        bounds = [0, *itertools.accumulate(counts)]
-        for i, k in enumerate(n_split):
+            bounds[i + 1] = bounds[i] + counts[i]
             if k:
                 err[i] = errs[bounds[i]:bounds[i + 1]].sum()
                 share[i] = tol[i] / (2.0 * counts[i]) if err[i] > tol[i] else math.inf
-    ordered = vals[np.argsort(lo, kind="stable") if seg is None else np.lexsort((lo, seg))]
+    ordered = vals[lo.argsort(kind="stable") if one else np.lexsort((lo, seg))]
     value, converged = [], []
     for i, t in enumerate(tol):
         value.append(ordered[bounds[i]:bounds[i + 1]].sum())
@@ -425,23 +422,21 @@ def _mapped_integrand(f, decay_scale):
     int or one per point (see ``_gk_apply``).  g is 0 from x_c = 200 decay
     lengths on, where f is not evaluated; witness() is the list, per
     segment, of x_c times the largest |f| seen so far on [x_c/2, x_c)."""
-    scale = [_MAP_LENGTHS * x for x in decay_scale]
-    x_cut = [_DECAY_CUT * x for x in decay_scale]
-    per_seg = (scale, np.array(scale)), (x_cut, np.array(x_cut))
+    decay = np.array(decay_scale)
     s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
-    far_max = np.zeros(len(x_cut))
+    far_max = np.zeros(decay.size)
 
-    def g(s, seg=0):
+    def g(s, seg):
         out = np.zeros(s.shape)
         m = s < s_cut
         sm = s[m]
         seg = _subset(seg, m)
         rest = 1.0 - sm
-        jac = _at(per_seg[0], seg) / rest
+        jac = _MAP_LENGTHS * decay[seg] / rest
         x = jac * sm
         fx = np.asarray(f(x, seg), float)
         out[m] = fx * (jac / rest)
-        far = x >= 0.5 * _at(per_seg[1], seg)
+        far = x >= 0.5 * (_DECAY_CUT * decay[seg])
         if far.any():
             if isinstance(seg, int):
                 far_max[seg] = max(far_max[seg], np.abs(fx[far]).max())
@@ -449,14 +444,7 @@ def _mapped_integrand(f, decay_scale):
                 np.maximum.at(far_max, seg[far], np.abs(fx[far]))
         return out
 
-    return g, lambda: (per_seg[1][1] * far_max).tolist()
-
-
-def _at(values, s):
-    """Per-segment values at segment index s (see ``_gk_apply``), from
-    ``values`` = (list, array) of the same numbers: a float for one index,
-    an array for one index per point."""
-    return values[0][s] if isinstance(s, int) else values[1][s]
+    return g, lambda: (_DECAY_CUT * decay * far_max).tolist()
 
 
 def _subset(seg, mask):
@@ -543,35 +531,29 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     seeds = np.asarray(head_seeds, float)
     v, e, n, ok = _oscillatory_segments(
         lambda q, _: f(q), lambda z, _: continuation(z), [float(spec.angular_rate)],
-        [float(spec.switch_point)], tol, seeds, None)
+        [float(spec.switch_point)], tol, seeds, 0)
     return QuadratureEstimate(float(v[0]), float(e[0]), n[0], bool(ok[0]))
 
 
 def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
     """``integrate_oscillatory_tail`` of several integrals at once: integral
     s has angular rate omega[s] and switch point q0[s] (lists), the head
-    seeds seeds[seeds_seg == s] (seeds_seg None for a single integral) and
-    the tolerance tol; f(q, s) and h(z, s) get the segment index of the
-    points (see ``_gk_apply``).  The integrals share one seed pass and one
-    ``_refine`` loop, and each keeps its own agreement check, refinement
-    target, witness and ``_MAX_EVALS``.  Returns lists (value, error,
-    evaluations, converged).
+    seeds seeds[seeds_seg == s] (seeds_seg is the int 0 for a single
+    integral) and the tolerance tol; f(q, s) and h(z, s) get the segment
+    index of the points (see ``_gk_apply``).  The integrals share one seed
+    pass and one ``_refine`` loop, and each keeps its own agreement check,
+    refinement target, witness and ``_MAX_EVALS``.  Returns lists (value,
+    error, evaluations, converged).
     """
     m = len(q0)
-    nseed, period, decay = [], [], []
-    for w, q in zip(omega, q0):
-        nseed.append(min(int(math.ceil(q / min(0.5 * math.pi / w, q / 8.0))), 300000))
-        period.append(2.0 * math.pi / w / _CHECK_POINTS.size)
-        decay.append(1.0 / w)
+    nseed = [min(int(math.ceil(q / min(0.5 * math.pi / w, q / 8.0))), 300000)
+             for w, q in zip(omega, q0)]
     q0a = np.array(q0)
-    inside = (seeds > 0.0) & (seeds < (q0[0] if seeds_seg is None else q0a[seeds_seg]))
+    inside = (seeds > 0.0) & (seeds < q0a[seeds_seg])
     # the tail's 8 seed panels on x = Q + s in [Q, Q+1) follow the head's edges
-    extra = np.concatenate([seeds[inside], (q0a[:, None] + _MAP_EDGES[1:]).ravel()])
-    if seeds_seg is not None:
-        seeds_seg = np.concatenate([seeds_seg[inside], np.arange(m).repeat(8)])
-    edges, seg = _seed_edges(q0, nseed, extra, seeds_seg)
-    q_chk = (q0a[:, None] + _CHECK_POINTS * np.array(period)[:, None]).ravel()
-    q0p = (q0, q0a)
+    edges, seg = _seed_edges(q0, nseed, seeds[inside], _subset(seeds_seg, inside), _MAP_EDGES)
+    period = [2.0 * math.pi / w / _CHECK_POINTS.size for w in omega]
+    q_chk = (q0a[:, None] + np.multiply.outer(period, _CHECK_POINTS)).ravel()
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
 
     def with_checks(s):   # the segment indices of some points, then of q_chk
@@ -580,25 +562,22 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
         return np.concatenate([s, np.repeat(np.arange(m), _CHECK_POINTS.size)])
 
     def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
-        z = _at(q0p, s) + 1j * t
+        z = q0a[s] + 1j * t
         if len(chk) == 1:
             hz = h(np.concatenate([z, q_chk + 0j]), with_checks(s))
             chk.append(hz[t.size:])
             return -np.imag(hz[:t.size])
         return -np.imag(h(z, s))
 
-    tail, witness = _mapped_integrand(on_line, decay)
+    tail, witness = _mapped_integrand(on_line, [1.0 / w for w in omega])
 
     def g(x, s):
         # f on the head's nodes, the mapped tail on the rest; the first call
         # also takes f and h at q_chk, whether or not it has nodes of each
         first = not chk
-        head = x < _at(q0p, s)
-        n_head = np.count_nonzero(head)
-        if not first and n_head == x.size:
-            return f(x, s)
+        head = x < q0a[s]
         out = np.empty(x.shape)
-        if first or n_head:
+        if first or head.any():
             qh, sh = x[head], _subset(s, head)
             if first:
                 fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
@@ -606,10 +585,10 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
             else:
                 fx = np.asarray(f(qh, sh), float)
             out[head] = fx[:qh.size]
-        if first or n_head < x.size:
+        if first or not head.all():
             on = ~head
             st = _subset(s, on)
-            out[on] = tail(x[on] - _at(q0p, st), st)
+            out[on] = tail(x[on] - q0a[st], st)
         return out
 
     agree = [False] * m
@@ -716,15 +695,12 @@ def thermal_weight(q, That):
 def _thermal_weight_raw(q, That):
     """thermal_weight on an array that may contain q = 0 (limit 1)."""
     q = np.asarray(q, float)
-    u = q / (2.0 * That)
-    if not q.ndim:
-        u = u.reshape(1)
+    u = np.atleast_1d(q / (2.0 * That))
     b = 2.0 * u
     e = np.negative(u)
     b *= np.exp(e, out=e)
     np.multiply(u, -2.0, out=e)
     np.negative(np.expm1(e, out=e), out=e)
-    pos = u > 0
-    out = np.divide(b, e, out=b) if pos.all() else np.divide(b, e, out=np.ones_like(u), where=pos)
+    out = np.divide(b, e, out=np.ones_like(u), where=u > 0)
     out *= out
     return out if q.ndim else out[0]

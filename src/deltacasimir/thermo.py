@@ -36,14 +36,14 @@ from .model import DimensionlessPoint
 from .numerics import (
     QuadratureEstimate,
     _adaptive_gk,
-    _at,
     _gk_segments,
     _oscillatory_segments,
     _seed_edges,
+    _subset,
     _thermal_weight_raw,
     sum_exponential_series,
 )
-from .scattering import contour_switch, flux_deficit, resonance_edge_sets
+from .scattering import contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "ENTROPY_TOL",
@@ -89,14 +89,14 @@ class EntropyDensity:
 
 def _density_continuation(dtilde, That):
     """h(q, s) = -(u/sinh u)^2 x/(pi (1-x)), u = q/(2 That) and
-    x = e^{2iq d}/(2iq-1)^2 with d = ``_at(dtilde, s)``, for
-    complex q: the density's integrand is Re h on the real axis.  The
-    weight is (2u e^{-u}/(1 - e^{-2u}))^2, the expm1 form of
-    ``_thermal_weight_raw``."""
+    x = e^{2iq d}/(2iq-1)^2 with d = dtilde[s] (an array of separations,
+    s a segment index as in ``numerics._gk_apply``), for complex q: the
+    density's integrand is Re h on the real axis.  The weight is
+    (2u e^{-u}/(1 - e^{-2u}))^2, the expm1 form of ``_thermal_weight_raw``."""
     def h(q, s):
         u = q / (2.0 * That)
         b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
-        x = np.exp(2j * _at(dtilde, s) * q) / (2j * q - 1.0) ** 2
+        x = np.exp(2j * dtilde[s] * q) / (2j * q - 1.0) ** 2
         return -b * b * x / (math.pi * (1.0 - x))
 
     return h
@@ -104,11 +104,11 @@ def _density_continuation(dtilde, That):
 
 def _density_integrand(dtilde, That):
     """f(q, s), the density's integrand (1/2pi) (u/sinh u)^2 times the flux
-    deficit at the separation d = ``_at(dtilde, s)``."""
+    deficit at the separation dtilde[s] (as in ``_density_continuation``)."""
     inv_2pi = 0.5 / math.pi
 
     def f(q, s):
-        return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, _at(dtilde, s))
+        return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, dtilde[s])
 
     return f
 
@@ -150,11 +150,11 @@ def entropy_density_canonical(dtilde, That: float,
     sin(dtilde q) + 2q cos(dtilde q) = 0, near q_m = m pi/(dtilde+2): a dip
     of width ~ 2 q_m^2/(dtilde+2), far narrower than a period at large
     dtilde.  Every real-axis stretch gets the graded seed edges of
-    ``scattering.resonance_edges`` (an array's from one vectorized pass,
-    ``resonance_edge_sets``) around the dips it holds that are
-    narrower than 0.4 pi/(dtilde+2) (q_m <~ 0.79), so the seed pass
-    resolves them instead of bisection.  The wider dips span a sizeable
-    share of their seed panel, which resolves them without extra edges.
+    ``scattering.resonance_edges`` (an array's from one vectorized pass)
+    around the dips it holds that are narrower than 0.4 pi/(dtilde+2)
+    (q_m <~ 0.79), so the seed pass resolves them instead of bisection.
+    The wider dips span a sizeable share of their seed panel, which
+    resolves them without extra edges.
 
     When q_max spans more than 16 periods, the head [0, Q] with
     Q = ``contour_switch(dtilde)`` = max(pi/dtilde, 1.5 pi/(dtilde+2)) is
@@ -186,7 +186,7 @@ def entropy_density_canonical(dtilde, That: float,
     for kind, densities in ((True, _rotated_densities), (False, _real_axis_densities)):
         dt = [x for x, r in zip(d, rotated) if r is kind]
         if dt:
-            results[kind] = zip(*densities((dt, np.array(dt)), That, tol, q_max, tail_bound))
+            results[kind] = zip(*densities(dt, That, tol, q_max, tail_bound))
     value, err, evals, ok = zip(*[next(results[r]) for r in rotated])
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), evals[0], bool(ok[0]))
@@ -197,29 +197,27 @@ def entropy_density_canonical(dtilde, That: float,
 
 
 def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
-    """The densities at the separations dtilde = (list, array) whose
-    q-integral takes the contour beyond Q: lists (value, error,
-    evaluations, converged)."""
-    q0 = [contour_switch(x) for x in dtilde[0]]
-    seeds, owner = resonance_edge_sets(dtilde[0], q0)
-    return _oscillatory_segments(_density_integrand(dtilde, That),
-                                 _density_continuation(dtilde, That),
-                                 [2.0 * x for x in dtilde[0]], q0, tol, seeds, owner)
+    """The densities at the separations dtilde (a list) whose q-integral
+    takes the contour beyond Q: lists (value, error, evaluations,
+    converged)."""
+    q0 = [contour_switch(x) for x in dtilde]
+    seeds, owner = resonance_edges(dtilde, q0)
+    d = np.array(dtilde)
+    return _oscillatory_segments(_density_integrand(d, That), _density_continuation(d, That),
+                                 [2.0 * x for x in dtilde], q0, tol, seeds, owner)
 
 
 def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
-    """The densities at the separations dtilde = (list, array) whose
-    q-integral stays on the real axis up to q_max: lists (value, error,
-    evaluations, converged)."""
-    dt = dtilde[0]
+    """The densities at the separations dtilde (a list) whose q-integral
+    stays on the real axis up to q_max: lists (value, error, evaluations,
+    converged)."""
     n = [min(int(math.ceil(q_max / min(math.pi / x, 2.5 * That, q_max / 8.0))), 300000)
-         for x in dt]
-    dips, owner = resonance_edge_sets(dt, [q_max] * len(dt))
+         for x in dtilde]
+    dips, owner = resonance_edges(dtilde, [q_max] * len(dtilde))
     below = dips < q_max
-    edges, seg = _seed_edges([q_max] * len(dt), n, dips[below],
-                             None if owner is None else owner[below])
-    v, e, ne, ok = _gk_segments(_density_integrand(dtilde, That), edges, seg,
-                                [tol - tail_bound] * len(dt))
+    edges, seg = _seed_edges([q_max] * len(dtilde), n, dips[below], _subset(owner, below))
+    v, e, ne, ok = _gk_segments(_density_integrand(np.array(dtilde), That), edges, seg,
+                                [tol - tail_bound] * len(dtilde))
     e = [x + tail_bound for x in e]
     return v, e, ne, [a and x <= tol for a, x in zip(ok, e)]
 
@@ -280,7 +278,7 @@ def entropy_canonical(point: DimensionlessPoint,
     inner_evals = [0]
     inner_all_ok = [True]
 
-    def g(ts):
+    def g(ts, _):
         # one density call per outer round: every node's separation at once
         dts = np.array([math.exp(t) for t in ts.tolist()])
         dens = entropy_density_canonical(dts, that, inner_tol)

@@ -58,7 +58,7 @@ def test_smooth_lifshitz_integrand():
     # composite-panel oracle at ~10x the engine's node density
     from deltacasimir.numerics import _gk_apply
     edges = np.linspace(0.0, 80.0, 4001)
-    vals, _, _ = _gk_apply(f, edges[:-1], edges[1:])
+    vals, _, _ = _gk_apply(lambda z, _: f(z), edges[:-1], edges[1:], 0)
     oracle = float(vals.sum())
     assert oracle == pytest.approx(LIFSHITZ_INTEGRAND_D1, abs=1e-14)
 
@@ -197,14 +197,14 @@ def _noisy(x):
 def test_adaptive_rounds_stop_at_the_evaluation_budget():
     from deltacasimir.numerics import _adaptive_gk
     for budget in (1_000, 20_000, 50_000):
-        value, err, evals, ok = _adaptive_gk(_noisy, np.linspace(0.0, 5.0, 9), 1e-15,
-                                             max_evals=budget)
+        value, err, evals, ok = _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9),
+                                             1e-15, max_evals=budget)
         assert not ok and evals <= budget
         # the round that was refused would have doubled the work
         assert evals > budget / 2
     # seed panels that alone pass the budget are not evaluated
-    assert _adaptive_gk(_noisy, np.linspace(0.0, 5.0, 9), 1e-15, max_evals=100) == \
-        (0.0, math.inf, 0, False)
+    assert _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9), 1e-15,
+                        max_evals=100) == (0.0, math.inf, 0, False)
 
 
 def test_a_batch_gives_each_integral_its_own_bits_and_budget():
@@ -219,7 +219,8 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget():
     edge_sets = [np.linspace(0.0, 5.0, 9), np.linspace(0.0, 5.0, 9), np.linspace(0.0, 3.0, 4),
                  np.linspace(0.0, 1.0, 2000)]
     tols, budget = [1e-13, 1e-15, 1e-12, 1e-12], 20_000
-    lone = [_adaptive_gk(f, e, t, max_evals=budget) for f, e, t in zip(fs, edge_sets, tols)]
+    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t, max_evals=budget)
+            for f, e, t in zip(fs, edge_sets, tols)]
 
     def f(x, s):
         out = np.empty(x.shape)
@@ -303,10 +304,10 @@ def test_cosine_integral_mid_x_panel_oracle():
     z0 = (m0 + 0.5) * math.pi
     while z0 <= x:
         z0 += math.pi
-    f = lambda t: -np.cos(np.asarray(t, float)) / np.asarray(t, float)
-    stub, _, _ = _gk_apply(f, np.array([x]), np.array([z0]))
+    f = lambda t, _: -np.cos(np.asarray(t, float)) / np.asarray(t, float)
+    stub, _, _ = _gk_apply(f, np.array([x]), np.array([z0]), 0)
     edges = z0 + np.arange(201) * math.pi
-    vals, _, _ = _gk_apply(f, edges[:-1], edges[1:])
+    vals, _, _ = _gk_apply(f, edges[:-1], edges[1:], 0)
     est, delta = _wynn_epsilon(list(stub[0] + np.cumsum(vals))[-40:])
     assert delta <= 1e-13
     assert est == pytest.approx(CI_10, abs=1e-12)
@@ -527,12 +528,12 @@ def test_thermal_weight_raw_is_bit_identical_to_reference(That):
 
 
 def _gk_in_blocks(monkeypatch, chunk, n):
-    def f(q):
+    def f(q, _):
         return numerics._thermal_weight_raw(q, 0.5) * flux_deficit(q, 3.0)
 
     monkeypatch.setattr(numerics, "_GK_CHUNK", chunk)
     edges = np.linspace(0.0, 20.0, n + 1)
-    return numerics._gk_apply(f, edges[:-1], edges[1:])
+    return numerics._gk_apply(f, edges[:-1], edges[1:], 0)
 
 
 @pytest.mark.parametrize("n", [1, 513, 1000, 1003])

@@ -13,7 +13,7 @@ from deltacasimir import (
     flux_deficit,
     kernel,
 )
-from deltacasimir.scattering import contour_switch, resonance_edge_sets, resonance_edges
+from deltacasimir.scattering import contour_switch, resonance_edges
 
 
 def test_long_wavelength_limit():
@@ -170,7 +170,9 @@ def test_flux_deficit_matches_mpmath(d):
 @pytest.mark.parametrize("d", [4.0, 20.0, 200.0])
 def test_resonance_edges_bracket_each_resonance_in_graded_panels(d):
     step = math.pi / (d + 2.0)
-    edges = np.sort(resonance_edges(d, 1.0))
+    edges, owner = resonance_edges([d], [1.0])
+    assert owner == 0
+    edges = np.sort(edges)
     for m in range(1, math.ceil(1.0 / step)):
         q_m = m * step
         gamma = 2.0 * q_m * q_m / (d + 2.0)
@@ -187,21 +189,22 @@ def test_resonance_edges_bracket_each_resonance_in_graded_panels(d):
         lo, hi = q_m - gamma, q_m + gamma
         assert (math.sin(d * lo) + 2.0 * lo * math.cos(d * lo)) \
             * (math.sin(d * hi) + 2.0 * hi * math.cos(d * hi)) < 0
-    assert resonance_edges(d, 0.9 * step).size == 0
+    assert resonance_edges([d], [0.9 * step])[0].size == 0
 
 
-def test_resonance_edge_sets_are_each_separations_resonance_edges():
-    # one vectorized pass over a batch gives every separation the sorted edges
-    # of its own resonance_edges call, bit for bit: d from none to 40
-    # resonances below 1, up to both kinds of q_hi a density uses
+def test_resonance_edges_of_a_batch_are_each_separations_own():
+    # a batch takes one vectorized pass, a lone separation a loop over the
+    # levels; both give every separation the same sorted edges, bit for bit:
+    # d from none to 40 resonances below 1, up to both kinds of q_hi a
+    # density uses
     ds = [float(x) for x in np.geomspace(0.05, 300.0, 37)] + [4.0, 4.0]
     q_hi = [contour_switch(d) if i % 2 else 2.7 for i, d in enumerate(ds)]
-    edges, owner = resonance_edge_sets(ds, q_hi)
+    edges, owner = resonance_edges(ds, q_hi)
     assert edges.size > 500
     for i, (d, q) in enumerate(zip(ds, q_hi)):
-        assert np.sort(edges[owner == i]).tobytes() == np.sort(resonance_edges(d, q)).tobytes()
-    one, none = resonance_edge_sets([20.0], [2.7])
-    assert none is None and one.tobytes() == resonance_edges(20.0, 2.7).tobytes()
+        lone, one = resonance_edges([d], [q])
+        assert one == 0
+        assert np.sort(edges[owner == i]).tobytes() == np.sort(lone).tobytes()
 
 
 # ----------------------------------------------------------- input types
