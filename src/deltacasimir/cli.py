@@ -241,12 +241,20 @@ def _entropy_row(task):
             est.converged, UnitsConvention.RAW_DIMENSIONLESS.value]
 
 
-def _density_row(task):
-    """(dtilde, That, tol) -> DENSITY_SCHEMA row."""
-    dt, that, tol = task
-    dens = entropy_density_canonical(dt, that, tol)
+def _one_row(task):
+    """(row function, its task) -> [that row]: a figure task of one row."""
+    fn, task = task
+    return [fn(task)]
+
+
+def _density_rows(task):
+    """(dtilde list, That, tol) -> DENSITY_SCHEMA rows, from one array call."""
+    dts, that, tol = task
+    dens = entropy_density_canonical(np.array(dts), that, tol)
     est = dens.estimate
-    return [dt, that, dens.value, est.abs_error_estimate, est.evaluations, est.converged]
+    cols = zip(dts, dens.value.tolist(), est.abs_error_estimate.tolist(),
+               dens.evaluations.tolist(), est.converged.tolist())
+    return [[dt, that, v, e, n, ok] for dt, v, e, n, ok in cols]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -295,32 +303,35 @@ def _grid(lo, hi, n, spacing):
 
 
 # id -> (grid axis, min, max, default points, schema, default units, default
-# tol, note, row function, series); every grid is log spaced.  Each figure's
+# tol, note, task function, series); every grid is log spaced.  Each figure's
 # default units are its caption normalization and its default tol is its
 # quantity's; an explicit flag or config entry still wins.  series(grid,
 # That set, tol, units, Lambda) gives the CSV name and the tasks of each of
-# the figure's files.
+# the figure's files; the task function maps a task to its rows (3a: a
+# whole curve from one array call).
 FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale", FORCE_TOL,
-          "force in units hbar*gamma^2/v^3 vs dimensionless distance", _force_row,
+          "force in units hbar*gamma^2/v^3 vs dimensionless distance", _one_row,
           lambda grid, thats, tol, u, lam: [
-              (f"figure1_{m}.csv", [(d, 0.0, m, tol, u) for d in grid]) for m in METHODS]),
+              (f"figure1_{m}.csv", [(_force_row, (d, 0.0, m, tol, u)) for d in grid])
+              for m in METHODS]),
     "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale", FORCE_TOL,
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
-          "differs from figure 1 by 4*pi", _force_row,
+          "differs from figure 1 by 4*pi", _one_row,
           lambda grid, thats, tol, u, lam: [
-              (f"figure2_{m}_That{t:g}.csv", [(d, t, m, tol, u) for d in grid])
+              (f"figure2_{m}_That{t:g}.csv", [(_force_row, (d, t, m, tol, u)) for d in grid])
               for t in thats for m in METHODS]),
     "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless", ENTROPY_INNER_TOL,
            "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
-           _density_row,
+           _density_rows,
            lambda grid, thats, tol, u, lam: [
-               (f"figure3a_That{t:g}.csv", [(d, t, tol) for d in grid]) for t in thats]),
+               (f"figure3a_That{t:g}.csv", [(grid, t, tol)]) for t in thats]),
     "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless", ENTROPY_TOL,
-           "canonical entropy at infrared cutoff Lambda={lam:g}", _entropy_row,
+           "canonical entropy at infrared cutoff Lambda={lam:g}", _one_row,
            lambda grid, thats, tol, u, lam: [
                (f"figure3b_That{t:g}.csv",
-                [(d, t, "canonical", lam, True, tol) for d in grid]) for t in thats]),
+                [(_entropy_row, (d, t, "canonical", lam, True, tol)) for d in grid])
+               for t in thats]),
 }
 
 
@@ -330,19 +341,27 @@ def _cmd_figure(args) -> int:
     u = _units(args).value
     if not os.path.isdir(args.out_dir):
         raise DomainError(f"--out-dir {args.out_dir!r} is not a directory")
-    that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
-        else DEFAULTS["figure_that_set"]
-    points = args.points or default_points
+    try:
+        that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
+            else DEFAULTS["figure_that_set"]
+    except ValueError as exc:
+        raise DomainError(f"--That-set must be a comma list of numbers, "
+                          f"got {args.That_set!r}") from exc
+    points = default_points if args.points is None else args.points
+    if points < 1:
+        raise DomainError(f"--points must be >= 1, got {points}")
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
     lam = args.cutoff_lambda
     series = make_series(grid, that_set, args.tol, u, lam)
-    # one pool for the whole figure; its rows come back in task order
-    rows = _run_tasks(row, [t for _, tasks in series for t in tasks], args.jobs or 1)
-    files = []
-    for i, (name, _) in enumerate(series):
+    # one pool for the whole figure; its tasks' rows come back in task order
+    results = iter(_run_tasks(row, [t for _, tasks in series for t in tasks], args.jobs or 1))
+    files, rows = [], []
+    for name, tasks in series:
+        file_rows = [r for _ in tasks for r in next(results)]
         files.append(f"{args.out_dir}/{name}")
         with open(files[-1], "w", newline="") as fh:
-            _write_csv(fh, schema, rows[i * points:(i + 1) * points])
+            _write_csv(fh, schema, file_rows)
+        rows += file_rows
 
     meta = _meta(args, figure=args.id, files=[f.rsplit("/", 1)[-1] for f in files],
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
@@ -365,10 +384,10 @@ def _cmd_figure(args) -> int:
 def _run_tasks(fn, tasks, jobs):
     """Evaluate tasks with a worker pool of at most one worker per task;
     output order follows input order.  Tasks go to the workers in about four
-    chunks per worker: one round trip per chunk, not per task.  Where rows
+    chunks per worker: one round trip per chunk, not per task.  Where tasks
     cost unequal amounts (figure 3b), a worker may idle while the other
     finishes its last chunk; that costs about what the saved round trips
-    gain."""
+    gain.  A figure 3a task is a whole curve: three tasks in all."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]

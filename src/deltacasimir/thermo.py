@@ -78,13 +78,15 @@ class EntropyValue:
 class EntropyDensity:
     """-dF/dThat at separation dtilde: the integrand of the distance integral.
 
-    For an array of separations, ``value`` and ``dtilde`` are arrays (see
-    ``entropy_density_canonical``)."""
+    ``evaluations`` counts the integrand evaluations spent on this separation.
+    For an array of separations, ``value``, ``dtilde`` and ``evaluations``
+    are arrays (see ``entropy_density_canonical``)."""
 
     value: float
     dtilde: float
     That: float
     estimate: QuadratureEstimate
+    evaluations: int
 
 
 def _density_continuation(dtilde, That):
@@ -137,9 +139,11 @@ def entropy_density_canonical(dtilde, That: float,
     ``dtilde`` is a number, or a 1-D array of separations whose q-integrals
     are all taken in one adaptive loop per kind below (real axis, rotated),
     each with its own tolerance, stopping test and caps: every element gets
-    the bits its scalar call gives.  For an array, ``value``, ``dtilde``
-    and the estimate's ``value``, ``abs_error_estimate`` and ``converged``
-    are arrays over it, and ``evaluations`` is their total, an int.
+    the bits its scalar call gives.  For an array, ``value``, ``dtilde``,
+    ``evaluations`` and the estimate's ``value``, ``abs_error_estimate``
+    and ``converged`` are arrays over it: each element of ``evaluations``
+    is its scalar call's ``estimate.evaluations``, and the estimate's
+    ``evaluations`` is their total, an int.
 
     The csch^2 weight decays like 4 u^2 e^{-2u} (u = q/2That), so the
     integral stops at q_max = 2 That u, with u the smallest multiple of 0.5
@@ -190,10 +194,10 @@ def entropy_density_canonical(dtilde, That: float,
     value, err, evals, ok = zip(*[next(results[r]) for r in rotated])
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), evals[0], bool(ok[0]))
-        return EntropyDensity(value=est.value, dtilde=d[0], That=That, estimate=est)
+        return EntropyDensity(est.value, d[0], That, est, evals[0])
     est = QuadratureEstimate(np.array(value, float), np.array(err, float), sum(evals),
                              np.array(ok, bool))
-    return EntropyDensity(value=est.value, dtilde=np.array(d), That=That, estimate=est)
+    return EntropyDensity(est.value, np.array(d), That, est, np.array(evals))
 
 
 def _rotated_densities(dtilde, That, tol, q_max, tail_bound):

@@ -262,8 +262,9 @@ def test_pool_dispatches_about_four_chunks_per_worker(tmp_path, capsys, monkeypa
             return super().map(fn, *iterables, chunksize=chunksize, **kw)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
-    # 3 x 5 rows on 2 workers: chunks of ceil(15/8) = 2 rows
-    assert run(capsys, "figure", "--id", "3a", "--points", "5", "--jobs", "2",
+    # figure 1 keeps one task per row: 2 x 8 rows on 2 workers, chunks of
+    # ceil(16/8) = 2 rows
+    assert run(capsys, "figure", "--id", "1", "--points", "8", "--jobs", "2",
                "--out-dir", str(tmp_path))[0] == 0
     assert chunks == [2]
 
@@ -351,6 +352,36 @@ def test_figure_checks_its_out_dir_before_computing(tmp_path, capsys, monkeypatc
                          "--out-dir", str(tmp_path / "missing"))
     assert code == 2 and not calls and not out
     assert "missing" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"),
+                                         ("--That-set", "1,,2"), ("--That-set", "one")])
+def test_figure_rejects_bad_grid_inputs(flag, value, tmp_path, capsys, monkeypatch):
+    # --points 0 once gave the default 48 points, --points -3 and an empty
+    # --That-set entry a traceback
+    calls = []
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
+    code, out, err = run(capsys, "figure", "--id", "3a", flag, value,
+                         "--out-dir", str(tmp_path))
+    assert code == 2 and not calls and not out
+    assert err.startswith("error: ") and flag in err
+
+
+def test_figure3a_json_records_are_plain(tmp_path, capsys):
+    # a curve's densities come from one array call: a numpy scalar in its rows
+    # would print True in the CSV and break the JSON
+    argv = ["figure", "--id", "3a", "--points", "3", "--That-set", "1",
+            "--out-dir", str(tmp_path)]
+    code, out, _ = run(capsys, *argv, "--json")
+    records = json.loads(out)["records"]
+    assert code == 0 and len(records) == 3
+    assert out.count('"converged": true') == 3
+    assert {type(v) for rec in records for v in rec.values()} == {float, int, bool}
+    csv_rows = _rows((tmp_path / "figure3a_That1.csv").read_text())
+    assert [{k: cli._fmt(v) for k, v in rec.items()} for rec in records] == csv_rows
+    assert {r["converged"] for r in csv_rows} == {"true"}
+    rows = cli._density_rows(([0.5, 5.0], 1.0, 1e-8))
+    assert {type(x) for row in rows for x in row} == {float, int, bool}
 
 
 def test_sweep_spec_type():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from test_acceptance import OSCILLATORY_INTEGRALS
 
-from deltacasimir import DimensionlessPoint, casimir_force, entropy_canonical, \
+from deltacasimir import DimensionlessPoint, casimir_force, cli, entropy_canonical, \
     entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
     force_zero_t_lifshitz, integrate_oscillatory_tail, numerics
 
@@ -118,6 +118,21 @@ def test_figure3a_passes(monkeypatch):
                 entropy_density_canonical(d, t)
 
     assert _gk_passes(monkeypatch, densities) == 258
+
+
+def test_figure3a_command(tmp_path, monkeypatch, capsys):
+    # 144 tasks and 258 passes while every row made its own scalar density
+    # call; one task and one array call per curve spend the same evaluations
+    tasks = []
+    run_tasks = cli._run_tasks
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts, jobs: tasks.append(len(ts))
+                        or run_tasks(fn, ts, jobs))
+    argv = ["figure", "--id", "3a", "--jobs", "1", "--out-dir", str(tmp_path)]
+    assert _gk_passes(monkeypatch, lambda: cli.main(argv)) == 15
+    capsys.readouterr()
+    evals = [int(line.split(",")[4]) for f in tmp_path.glob("*.csv")
+             for line in f.read_text().split()[1:]]
+    assert tasks == [3] and len(evals) == 144 and sum(evals) == 59_085
 
 
 # 10 and 8 passes before the rotated head got seed edges around its

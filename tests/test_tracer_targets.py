@@ -58,7 +58,8 @@ def test_every_matsubara_series_goes_through_a_traced_name(monkeypatch):
 def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys):
     # the tracer's cli.tasks is len(args[1]) of cli._run_tasks, its cli.write
     # span is one cli._write_csv call per file, and under --jobs 1 its
-    # thermo.density span wraps cli.entropy_density_canonical
+    # thermo.density span wraps cli.entropy_density_canonical.  A figure 3a
+    # curve is one task and one array density call
     seen = {"tasks": [], "written": [], "density": 0}
 
     def run_tasks(fn, tasks, jobs, _orig=cli._run_tasks):
@@ -76,14 +77,14 @@ def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(cli, "_run_tasks", run_tasks)
     monkeypatch.setattr(cli, "_write_csv", write_csv)
     monkeypatch.setattr(cli, "entropy_density_canonical", density)
-    assert cli.main(["figure", "--id", "3a", "--points", "2", "--That-set", "1",
+    assert cli.main(["figure", "--id", "3a", "--points", "3", "--That-set", "1,2",
                      "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     files = list(tmp_path.glob("*.csv"))
     rows_on_disk = sum(len(f.read_text().strip().split("\n")) - 1 for f in files)
-    assert seen["tasks"] == [rows_on_disk] == [2]
-    assert len(seen["written"]) == len(files) == 1
-    assert sum(seen["written"]) == seen["density"] == rows_on_disk
+    assert seen["tasks"] == [len(files)] == [2]
+    assert len(seen["written"]) == seen["density"] == len(files)
+    assert sum(seen["written"]) == rows_on_disk == 6
 
 
 def test_entropy_reaches_its_densities_only_through_the_traced_name():
@@ -106,7 +107,10 @@ def test_entropy_reaches_its_densities_only_through_the_traced_name():
 def test_array_density_evaluations_are_a_plain_int():
     # the tracer's counter adds estimate.evaluations into a float; a numpy
     # array there would turn the density span's evals into an array
-    est = entropy_density_canonical(np.array([0.5, 5.0, 50.0]), 1.0).estimate
+    # the CLI's evals column takes each separation's own count
+    dens = entropy_density_canonical(np.array([0.5, 5.0, 50.0]), 1.0)
+    est = dens.estimate
     assert type(est.evaluations) is int
-    assert est.evaluations == sum(entropy_density_canonical(d, 1.0).estimate.evaluations
-                                  for d in (0.5, 5.0, 50.0))
+    assert dens.evaluations.tolist() == [
+        entropy_density_canonical(d, 1.0).estimate.evaluations for d in (0.5, 5.0, 50.0)]
+    assert est.evaluations == sum(dens.evaluations.tolist())
