@@ -206,6 +206,8 @@ def _resolve(args, **defaults):
                 setattr(args, key, cast(cfg[key]))
             elif key in defaults:
                 setattr(args, key, defaults[key])
+    if getattr(args, "jobs", 1) < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _units(args) -> UnitsConvention:
@@ -248,13 +250,15 @@ def _one_row(task):
 
 
 def _density_rows(task):
-    """(dtilde list, That, tol) -> DENSITY_SCHEMA rows, from one array call."""
-    dts, that, tol = task
-    dens = entropy_density_canonical(np.array(dts), that, tol)
-    est = dens.estimate
-    cols = zip(dts, dens.value.tolist(), est.abs_error_estimate.tolist(),
-               dens.evaluations.tolist(), est.converged.tolist())
-    return [[dt, that, v, e, n, ok] for dt, v, e, n, ok in cols]
+    """(dtilde list, That set, tol) -> DENSITY_SCHEMA rows, one array call per That."""
+    dts, thats, tol = task
+    rows = []
+    for that in thats:
+        dens = entropy_density_canonical(np.array(dts), that, tol)
+        cols = zip(dts, dens.value.tolist(), dens.estimate.abs_error_estimate.tolist(),
+                   dens.evaluations.tolist(), dens.estimate.converged.tolist())
+        rows += [[dt, that, v, e, n, ok] for dt, v, e, n, ok in cols]
+    return rows
 
 
 # ---------------------------------------------------------------- subcommands
@@ -303,40 +307,36 @@ def _grid(lo, hi, n, spacing):
 
 
 # id -> (grid axis, min, max, default points, schema, default units, default
-# tol, note, task function, series); every grid is log spaced.  Each figure's
-# default units are its caption normalization and its default tol is its
-# quantity's; an explicit flag or config entry still wins.  series(grid,
-# That set, tol, units, Lambda) gives the CSV name and the tasks of each of
-# the figure's files; the task function maps a task to its rows (3a: a
-# whole curve from one array call).
+# tol, note, CSV name, task function, tasks); every grid is log spaced.  Each
+# figure's default units are its caption normalization and its default tol is
+# its quantity's; an explicit flag or config entry still wins.  tasks(grid,
+# That set, tol, units, Lambda) lists the figure's tasks, the task function maps
+# a task to its rows and a row goes to the CSV name.format(*row).  1, 2 and 3b
+# make one task per row; 3a makes one for all its curves, whose array calls
+# cost less than starting a pool.
 FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale", FORCE_TOL,
-          "force in units hbar*gamma^2/v^3 vs dimensionless distance", _one_row,
-          lambda grid, thats, tol, u, lam: [
-              (f"figure1_{m}.csv", [(_force_row, (d, 0.0, m, tol, u)) for d in grid])
-              for m in METHODS]),
+          "force in units hbar*gamma^2/v^3 vs dimensionless distance",
+          "figure1_{2}.csv", _one_row, lambda grid, thats, tol, u, lam: [
+              (_force_row, (d, 0.0, m, tol, u)) for m in METHODS for d in grid]),
     "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale", FORCE_TOL,
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
-          "differs from figure 1 by 4*pi", _one_row,
+          "differs from figure 1 by 4*pi", "figure2_{2}_That{1:g}.csv", _one_row,
           lambda grid, thats, tol, u, lam: [
-              (f"figure2_{m}_That{t:g}.csv", [(_force_row, (d, t, m, tol, u)) for d in grid])
-              for t in thats for m in METHODS]),
+              (_force_row, (d, t, m, tol, u)) for t in thats for m in METHODS for d in grid]),
     "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless", ENTROPY_INNER_TOL,
            "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
-           _density_rows,
-           lambda grid, thats, tol, u, lam: [
-               (f"figure3a_That{t:g}.csv", [(grid, t, tol)]) for t in thats]),
+           "figure3a_That{1:g}.csv", _density_rows,
+           lambda grid, thats, tol, u, lam: [(grid, thats, tol)]),
     "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless", ENTROPY_TOL,
-           "canonical entropy at infrared cutoff Lambda={lam:g}", _one_row,
-           lambda grid, thats, tol, u, lam: [
-               (f"figure3b_That{t:g}.csv",
-                [(_entropy_row, (d, t, "canonical", lam, True, tol)) for d in grid])
-               for t in thats]),
+           "canonical entropy at infrared cutoff Lambda={lam:g}",
+           "figure3b_That{1:g}.csv", _one_row, lambda grid, thats, tol, u, lam: [
+               (_entropy_row, (d, t, "canonical", lam, True, tol)) for t in thats for d in grid]),
 }
 
 
 def _cmd_figure(args) -> int:
-    axis, lo, hi, default_points, schema, units, tol, note, row, make_series = FIGURES[args.id]
+    axis, lo, hi, default_points, schema, units, tol, note, name, row, tasks = FIGURES[args.id]
     _resolve(args, units=units, tol=tol)
     u = _units(args).value
     if not os.path.isdir(args.out_dir):
@@ -347,25 +347,25 @@ def _cmd_figure(args) -> int:
     except ValueError as exc:
         raise DomainError(f"--That-set must be a comma list of numbers, "
                           f"got {args.That_set!r}") from exc
+    if len({f"{t:g}" for t in that_set}) < len(that_set):
+        raise DomainError(f"--That-set {args.That_set!r} gives two curves the same CSV name")
     points = default_points if args.points is None else args.points
     if points < 1:
         raise DomainError(f"--points must be >= 1, got {points}")
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
-    lam = args.cutoff_lambda
-    series = make_series(grid, that_set, args.tol, u, lam)
     # one pool for the whole figure; its tasks' rows come back in task order
-    results = iter(_run_tasks(row, [t for _, tasks in series for t in tasks], args.jobs or 1))
-    files, rows = [], []
-    for name, tasks in series:
-        file_rows = [r for _ in tasks for r in next(results)]
-        files.append(f"{args.out_dir}/{name}")
-        with open(files[-1], "w", newline="") as fh:
+    figure_tasks = tasks(grid, that_set, args.tol, u, args.cutoff_lambda)
+    rows = [r for rs in _run_tasks(row, figure_tasks, args.jobs) for r in rs]
+    files = {}   # CSV name -> its rows; files follow the order of their first rows
+    for r in rows:
+        files.setdefault(name.format(*r), []).append(r)
+    for csv_name, file_rows in files.items():
+        with open(f"{args.out_dir}/{csv_name}", "w", newline="") as fh:
             _write_csv(fh, schema, file_rows)
-        rows += file_rows
 
-    meta = _meta(args, figure=args.id, files=[f.rsplit("/", 1)[-1] for f in files],
+    meta = _meta(args, figure=args.id, files=list(files),
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
-                 note=note.format(lam=lam))
+                 note=note.format(lam=args.cutoff_lambda))
     # every id takes --units and --lambda; only force rows read the one, entropy rows the other
     if schema is not FORCE_SCHEMA:
         del meta["units"]
@@ -377,7 +377,7 @@ def _cmd_figure(args) -> int:
     if args.json:
         _print_json(schema, rows, meta)
     else:
-        print("\n".join(files))
+        print("\n".join(f"{args.out_dir}/{f}" for f in files))
     return _exit_code(schema, rows)
 
 
@@ -387,7 +387,7 @@ def _run_tasks(fn, tasks, jobs):
     chunks per worker: one round trip per chunk, not per task.  Where tasks
     cost unequal amounts (figure 3b), a worker may idle while the other
     finishes its last chunk; that costs about what the saved round trips
-    gain.  A figure 3a task is a whole curve: three tasks in all."""
+    gain.  Figure 3a is one task, so it never starts a pool."""
     jobs = min(jobs, len(tasks))
     if jobs <= 1:
         return [fn(t) for t in tasks]
@@ -415,7 +415,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
                      points=args.points, spacing=args.spacing, fixed=args.fixed,
                      methods=tuple(_parse_methods(args.method)), tol=args.tol)
-    rows = run_sweep(spec, jobs=args.jobs or 1, units=_units(args))
+    rows = run_sweep(spec, jobs=args.jobs, units=_units(args))
     meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
                  variable=spec.variable, min=spec.min, max=spec.max,
                  points=spec.points, spacing=spec.spacing, fixed=spec.fixed)
@@ -441,7 +441,7 @@ _FLAGS = {
                     help="output normalization for forces (value and err)"),
     "--out": dict(help="write CSV here plus a .meta.json sidecar"),
     "--json": dict(action="store_true", help="emit records as JSON on stdout"),
-    "--jobs": dict(type=int, help="worker pool width (1 = serial)"),
+    "--jobs": dict(type=int, help="worker pool width (1 = serial; figure 3a is one task)"),
     "--config": dict(help="key=value config file"),
 }
 

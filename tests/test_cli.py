@@ -224,7 +224,8 @@ def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
             super().__init__(*a, **kw)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
-    args = ["figure", "--id", "3a", "--points", "4"]
+    # figure 1 keeps one task per row, so its two curves share one pool
+    args = ["figure", "--id", "1", "--points", "4"]
     serial, pooled = tmp_path / "serial", tmp_path / "pool"
     serial.mkdir()
     pooled.mkdir()
@@ -233,10 +234,32 @@ def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
     assert run(capsys, *args, "--jobs", "2", "--out-dir", str(pooled))[0] == 0
     assert len(pools) == 1
     names = sorted(f.name for f in serial.glob("*.csv"))
-    assert len(names) == 3
+    assert len(names) == 2
     assert sorted(f.name for f in pooled.glob("*.csv")) == names
     for name in names:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+def test_figure3a_never_starts_a_pool(tmp_path, capsys, monkeypatch):
+    # its curves are one task: three array density calls cost less than a pool
+    class NoPool:
+        def __init__(self, *a, **kw):
+            raise AssertionError("figure 3a started a process pool")
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
+    outputs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / jobs
+        out_dir.mkdir()
+        code, out, _ = run(capsys, "figure", "--id", "3a", "--jobs", jobs, "--json",
+                           "--out-dir", str(out_dir))
+        doc = json.loads(out)
+        sidecar = json.loads((out_dir / "figure3a_meta.json").read_text())
+        assert code == 0 and doc["meta"] == sidecar
+        del sidecar["command"], sidecar["jobs"]
+        csvs = {f.name: f.read_bytes() for f in out_dir.glob("*.csv")}
+        outputs.append((doc["records"], sidecar, csvs))
+    assert outputs[0] == outputs[1] and len(outputs[0][2]) == 3
 
 
 def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
@@ -354,17 +377,45 @@ def test_figure_checks_its_out_dir_before_computing(tmp_path, capsys, monkeypatc
     assert "missing" in err
 
 
+@pytest.mark.parametrize("fig", ["2", "3a"])
 @pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"),
-                                         ("--That-set", "1,,2"), ("--That-set", "one")])
-def test_figure_rejects_bad_grid_inputs(flag, value, tmp_path, capsys, monkeypatch):
+                                         ("--That-set", "1,,2"), ("--That-set", "one"),
+                                         ("--That-set", "1,1"), ("--That-set", "0.5,0.5000001")])
+def test_figure_rejects_bad_grid_inputs(fig, flag, value, tmp_path, capsys, monkeypatch):
     # --points 0 once gave the default 48 points, --points -3 and an empty
-    # --That-set entry a traceback
+    # --That-set entry a traceback; 1,1 wrote one CSV twice and listed it twice
+    # in the sidecar, and 0.5,0.5000001 (both 0.5 under :g) overwrote a curve
     calls = []
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
-    code, out, err = run(capsys, "figure", "--id", "3a", flag, value,
+    code, out, err = run(capsys, "figure", "--id", fig, flag, value,
                          "--out-dir", str(tmp_path))
-    assert code == 2 and not calls and not out
+    assert code == 2 and not calls and not out and not list(tmp_path.iterdir())
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "3a", "--points", "2", "--That-set", "1"],
+    ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
+     "--fixed", "0.5", "--method", "lifshitz"],
+], ids=lambda argv: argv[0])
+def test_jobs_below_one_is_rejected(argv, via_config, jobs, tmp_path, capsys, monkeypatch):
+    # both once ran serially: `args.jobs or 1` made 0 into 1, and _run_tasks
+    # ran anything at or below 1 in process
+    calls = []
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
+    if via_config:
+        cfg = tmp_path / "jobs.conf"
+        cfg.write_text(f"jobs={jobs}\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--jobs", jobs]
+    if argv[0] == "figure":
+        extra += ["--out-dir", str(tmp_path)]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2 and not calls and not out
+    assert err.startswith("error: ") and "--jobs" in err
 
 
 def test_figure3a_json_records_are_plain(tmp_path, capsys):
@@ -380,7 +431,8 @@ def test_figure3a_json_records_are_plain(tmp_path, capsys):
     csv_rows = _rows((tmp_path / "figure3a_That1.csv").read_text())
     assert [{k: cli._fmt(v) for k, v in rec.items()} for rec in records] == csv_rows
     assert {r["converged"] for r in csv_rows} == {"true"}
-    rows = cli._density_rows(([0.5, 5.0], 1.0, 1e-8))
+    rows = cli._density_rows(([0.5, 5.0], (1.0, 2.0), 1e-8))
+    assert [row[:2] for row in rows] == [[0.5, 1.0], [5.0, 1.0], [0.5, 2.0], [5.0, 2.0]]
     assert {type(x) for row in rows for x in row} == {float, int, bool}
 
 

@@ -122,7 +122,8 @@ def test_figure3a_passes(monkeypatch):
 
 def test_figure3a_command(tmp_path, monkeypatch, capsys):
     # 144 tasks and 258 passes while every row made its own scalar density
-    # call; one task and one array call per curve spend the same evaluations
+    # call, then 3 tasks while each curve was one; one task with one array
+    # call per curve spends the same evaluations
     tasks = []
     run_tasks = cli._run_tasks
     monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts, jobs: tasks.append(len(ts))
@@ -132,7 +133,28 @@ def test_figure3a_command(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     evals = [int(line.split(",")[4]) for f in tmp_path.glob("*.csv")
              for line in f.read_text().split()[1:]]
-    assert tasks == [3] and len(evals) == 144 and sum(evals) == 59_085
+    assert tasks == [1] and len(evals) == 144 and sum(evals) == 59_085
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fig, count", [("1", 120), ("2", 360), ("3a", 1), ("3b", 72)])
+def test_figure_task_counts(fig, count, tmp_path, monkeypatch):
+    # each default figure row is a task except figure 3a's, whose curves are
+    # one task (3 tasks while each curve was one, 144 while each row was):
+    # splitting it again would put a process pool back in front of 15 ms of work
+    tasks = []
+
+    def stop(fn, ts, jobs):
+        tasks.append(len(ts))
+        raise _Stop
+
+    monkeypatch.setattr(cli, "_run_tasks", stop)
+    with pytest.raises(_Stop):
+        cli.main(["figure", "--id", fig, "--jobs", "2", "--out-dir", str(tmp_path)])
+    assert tasks == [count]
 
 
 # 10 and 8 passes before the rotated head got seed edges around its

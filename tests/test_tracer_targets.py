@@ -58,8 +58,8 @@ def test_every_matsubara_series_goes_through_a_traced_name(monkeypatch):
 def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys):
     # the tracer's cli.tasks is len(args[1]) of cli._run_tasks, its cli.write
     # span is one cli._write_csv call per file, and under --jobs 1 its
-    # thermo.density span wraps cli.entropy_density_canonical.  A figure 3a
-    # curve is one task and one array density call
+    # thermo.density span wraps cli.entropy_density_canonical.  Figure 3a is
+    # one task, with one array density call per curve
     seen = {"tasks": [], "written": [], "density": 0}
 
     def run_tasks(fn, tasks, jobs, _orig=cli._run_tasks):
@@ -82,8 +82,8 @@ def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     files = list(tmp_path.glob("*.csv"))
     rows_on_disk = sum(len(f.read_text().strip().split("\n")) - 1 for f in files)
-    assert seen["tasks"] == [len(files)] == [2]
-    assert len(seen["written"]) == seen["density"] == len(files)
+    assert seen["tasks"] == [1]
+    assert len(seen["written"]) == seen["density"] == len(files) == 2
     assert sum(seen["written"]) == rows_on_disk == 6
 
 
