@@ -7,12 +7,14 @@ Pass counts, the number of ``numerics._gk_apply`` calls (one per seed pass
 and per bisection round), are deterministic too: call overhead, not
 evaluations, sets the cost of a single force or density.
 """
+import hashlib
+
 import numpy as np
 import pytest
 from test_acceptance import OSCILLATORY_INTEGRALS
 
-from deltacasimir import DimensionlessPoint, casimir_force, cli, entropy_canonical, \
-    entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
+from deltacasimir import DimensionlessPoint, DomainError, casimir_force, cli, \
+    entropy_canonical, entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
     force_zero_t_lifshitz, integrate_oscillatory_tail, numerics
 
 
@@ -105,6 +107,57 @@ def test_force_sweep_passes(monkeypatch):
             casimir_force(DimensionlessPoint(d, t), "canonical")
 
     assert _gk_passes(monkeypatch, sweep) == 153
+
+
+def _estimates_digest(estimates):
+    """SHA-256 over each estimate's value and error bits, evaluations and flag."""
+    h = hashlib.sha256()
+    for e in estimates:
+        h.update(f"{float(e.value).hex()} {float(e.abs_error_estimate).hex()} "
+                 f"{e.evaluations} {e.converged}\n".encode())
+    return h.hexdigest()
+
+
+# Every bit of the benchmark's computing points, both routes: the engine's
+# bookkeeping may get cheaper, but no value, error, count or flag may move.
+# Recorded before the batch engine's per-pass overhead was cut.
+def test_entropy_grid_bits():
+    ests = [f(DimensionlessPoint(d, t), 100.0).estimate
+            for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
+    assert _estimates_digest(ests) == \
+        "aa68011d169be38c92f4544d65f1fcf02129dba3f8bab5099426f4dcf3088c5a"
+
+
+def test_force_sweep_bits():
+    ests = [casimir_force(DimensionlessPoint(d, t), route).estimate
+            for d, t in FORCE_SWEEP for route in ("canonical", "lifshitz")]
+    assert _estimates_digest(ests) == \
+        "c39b49d44b6e52bc759dc0c442f25d9604c9d84978e1310a05a09a283690c493"
+
+
+# the benchmark's typed force_sweep points: (That as passed, index into _FORCE_D,
+# canonical evaluations, Lifshitz evaluations).  The canonical force computes
+# an int That's Bose weight in int and a float32 point in float32, fails its
+# continuation check and says so, until ROADMAP item 2's typed inputs.
+@pytest.mark.parametrize("that, i, canonical, lifshitz", [
+    (1, 4, 411, 6), (2, 12, 366, 1), (1, 20, 486, 1),
+    (np.int64(2), 8, 366, 1), (np.int64(1), 16, 426, 1), (np.float32(2.0), 22, 516, 1),
+], ids=["int-1", "int-2", "int-3", "int64-1", "int64-2", "float32"])
+def test_typed_force_sweep_points(that, i, canonical, lifshitz):
+    d = np.float32(_FORCE_D[i]) if isinstance(that, np.float32) else _FORCE_D[i]
+    pt = DimensionlessPoint(d, that)
+    can, lif = (casimir_force(pt, route).estimate for route in ("canonical", "lifshitz"))
+    assert (can.converged, can.evaluations) == (False, canonical)
+    assert (lif.converged, lif.evaluations) == (True, lifshitz)
+
+
+# the benchmark's np.int64 and np.float32 entropy_grid points
+@pytest.mark.parametrize("that, i", [(np.int64(2), 1), (np.float32(2.0), 3)],
+                         ids=["int64", "float32"])
+def test_typed_entropy_grid_points_are_refused(that, i):
+    d = np.float32(_ENTROPY_D[i]) if isinstance(that, np.float32) else _ENTROPY_D[i]
+    with pytest.raises(DomainError):
+        entropy_canonical(DimensionlessPoint(d, that), 100.0)
 
 
 def test_figure3a_passes(monkeypatch):

@@ -168,6 +168,21 @@ def test_batch_member_out_of_rounds_leaves_the_others_their_bits(monkeypatch):
     assert {s.estimate.converged for s in singles} == {False, True}
 
 
+@settings(max_examples=25, deadline=None)
+@given(log_d=st.lists(st.floats(math.log(0.01), math.log(200.0)), min_size=2, max_size=12),
+       that=st.floats(1e-3, 3.0), tol=st.sampled_from([1e-8, 2.5e-9]))
+def test_batch_property_gives_every_member_its_lone_bits(log_d, that, tol):
+    ds = [min(max(math.exp(x), 0.01), 200.0) for x in log_d]
+    batch = entropy_density_canonical(np.array(ds), that, tol)
+    est = batch.estimate
+    for i, d in enumerate(ds):
+        lone = entropy_density_canonical(d, that, tol).estimate
+        assert _bits(est.value[i]) == _bits(lone.value)
+        assert _bits(est.abs_error_estimate[i]) == _bits(lone.abs_error_estimate)
+        assert batch.evaluations[i] == lone.evaluations
+        assert est.converged[i] == lone.converged
+
+
 @pytest.mark.parametrize("dtilde", [np.array([]), np.array([[1.0]]), np.array([True]),
                                     np.array([1.0, -1.0]), [1.0, math.inf], ["1"]])
 def test_array_of_separations_is_validated(dtilde):
