@@ -203,7 +203,10 @@ def _resolve(args, **defaults):
     for key, cast in casts.items():
         if hasattr(args, key) and getattr(args, key) is None:
             if key in cfg:
-                setattr(args, key, cast(cfg[key]))
+                try:
+                    setattr(args, key, cast(cfg[key]))
+                except ValueError as exc:
+                    raise DomainError(f"config key {key}: not a number: {cfg[key]!r}") from exc
             elif key in defaults:
                 setattr(args, key, defaults[key])
     if getattr(args, "jobs", 1) < 1:

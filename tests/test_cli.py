@@ -535,6 +535,21 @@ def test_config_file_precedence(tmp_path, capsys):
     assert out2.strip().split("\n")[1].split(",")[7] == "raw_dimensionless"
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["force", "--d", "1", "--That", "0", "--method", "lifshitz"], "tol"),
+    (["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"], "cutoff_lambda"),
+    (["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
+      "--fixed", "0.5", "--method", "lifshitz"], "jobs"),
+], ids=lambda x: x if isinstance(x, str) else x[0])
+def test_non_numeric_config_value_is_an_error_line(argv, key, tmp_path, capsys):
+    # a ValueError traceback with exit 1 while the cast ran outside DomainError
+    cfg = tmp_path / "dc.conf"
+    cfg.write_text(f"{key}=tiny\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
 def _rows(csv_text):
     lines = csv_text.strip().split("\n")
     return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
