@@ -213,25 +213,25 @@ def _gk_apply(f, lo, hi, seg):
     error on smooth panels.
     """
     n = lo.size
-    vals = np.empty(n)
-    errs = np.empty(n)
+    out = []
     # one dgemm per block gives K15 and K15 - G7 together; its sums do not
     # depend on a panel's place in its block unless the block is one row,
     # which takes the plain dot path, so a lone last panel joins the block
     # before it: then every block size gives the same bits
     i0 = 0
     for i1 in [*range(_GK_CHUNK, n - 1, _GK_CHUNK), n]:
-        sl = slice(i0, i1)
-        i0 = i1
-        a, b = lo[sl], hi[sl]
-        mid = 0.5 * (a + b)
+        a, b = lo[i0:i1], hi[i0:i1]
         half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _GK_NODES
-        s = seg if isinstance(seg, int) else np.repeat(seg[sl], 15)
+        x = np.multiply.outer(half, _GK_NODES)
+        x += (0.5 * (a + b))[:, None]
+        s = seg if isinstance(seg, int) else np.repeat(seg[i0:i1], 15)
+        i0 = i1
         y = np.asarray(f(x.ravel(), s), float).reshape(x.shape)
         kd = y @ _GK_W
-        vals[sl] = half * kd[:, 0]
-        errs[sl] = half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))
+        err = np.abs(kd[:, 1])
+        err += _EPS_FLOOR * np.abs(y).sum(axis=1)
+        out.append((half * kd[:, 0], np.multiply(half, err, out=err)))
+    vals, errs = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
     return vals, errs, 15 * n
 
 
@@ -290,21 +290,20 @@ def _seed_edges(stop, n, extra, extra_seg, ends=np.zeros(1)):
     i * (stop[s]/n[s]) of np.linspace(0, stop[s], n[s] + 1), bit for bit,
     the points stop[s] + ``ends`` (0 gives linspace's last point), and the
     points of ``extra`` whose ``extra_seg`` is s, sorted; ``stop`` and
-    ``n`` are lists.  Returns (edges, seg); for a single integral seg is
-    the int 0, and extra_seg is not read.  A point on a grid edge makes a
-    zero-width panel: value 0, error 0, never split."""
-    m = len(n)
-    if m == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
+    ``n`` are lists or 1-D arrays.  Returns (edges, seg); for a single
+    integral seg is the int 0, and extra_seg is not read.  A point on a
+    grid edge makes a zero-width panel: value 0, error 0, never split."""
+    if len(n) == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
         return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop[0] + ends,
                                        extra])), 0
-    ends = np.add.outer(stop, ends).ravel()
-    seg = np.arange(m).repeat(n)
-    first = [0, *itertools.accumulate(n)]
-    i0, step = np.array([first[:-1], [x / k for x, k in zip(stop, n)]])[:, seg]
-    edges = np.concatenate([(np.arange(first[-1]) - i0) * step, ends, extra])
-    seg = np.concatenate([seg, np.arange(m).repeat(ends.size // m), extra_seg])
-    order = np.lexsort((edges, seg))
-    return edges[order], seg[order]
+    stop, n = np.asarray(stop), np.asarray(n)
+    seg = np.arange(n.size).repeat(n)
+    i = np.arange(seg.size) - (n.cumsum() - n)[seg]
+    edges = np.concatenate([i * (stop / n)[seg], np.add.outer(stop, ends).ravel(), extra])
+    seg = np.concatenate([seg, np.arange(n.size).repeat(ends.size), extra_seg])
+    # complex numbers sort by real part, then by imaginary part
+    z = np.sort(seg + 1j * edges, kind="stable")
+    return z.imag, z.real.astype(int)
 
 
 def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
@@ -322,19 +321,17 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
     panel to split, or when a round would take its evaluations past
     ``max_evals``; no integral gets more than ``_MAX_ROUNDS`` rounds.  Its
     panels keep the order a lone integral gives them (kept panels, then
-    left halves, then right halves), and its error and value are numpy
-    sums over its panels alone, the value in panel order: an integral gets
-    the same bits in any batch.  Returns lists (value, error, evaluations,
-    converged).
+    left halves, then right halves: one stable sort by integral), and its
+    error and value are numpy sums over its panels alone, the value in
+    panel order: an integral gets the same bits in any batch.  Returns
+    lists (value, error, evaluations, converged).
     """
     one = isinstance(seg, int)
+    bounds = [0, *itertools.accumulate(counts)]
+    err = [np.add.reduce(errs[i:j]) for i, j in zip(bounds, bounds[1:])]
     # a panel of integral s is split when its error is above share[s]; inf
     # once the integral is done
-    bounds, err, share = [0], [], []
-    for c, t in zip(counts, tol):
-        bounds.append(bounds[-1] + c)
-        err.append(errs[bounds[-2]:bounds[-1]].sum())
-        share.append(t / (2.0 * c) if err[-1] > t else math.inf)
+    share = [t / (2.0 * c) if e > t else math.inf for e, t, c in zip(err, tol, counts)]
     for _ in range(_MAX_ROUNDS):
         if min(share) == math.inf:
             break
@@ -368,21 +365,18 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
         errs = np.concatenate([errs[keep], cerrs])
         if not one:   # each integral's kept, left and right panels in turn
             seg = np.concatenate([seg[keep], s])
-            order = np.argsort(3 * seg + np.repeat([0, 1, 2], [lo.size - s.size, a.size, a.size]),
-                               kind="stable")
+            order = seg.argsort(kind="stable")
             lo, hi, vals, errs, seg = lo[order], hi[order], vals[order], errs[order], seg[order]
         for i, k in enumerate(n_split):
             counts[i] += k
             bounds[i + 1] = bounds[i] + counts[i]
             if k:
-                err[i] = errs[bounds[i]:bounds[i + 1]].sum()
+                err[i] = np.add.reduce(errs[bounds[i]:bounds[i + 1]])
                 share[i] = tol[i] / (2.0 * counts[i]) if err[i] > tol[i] else math.inf
-    ordered = vals[lo.argsort(kind="stable") if one else np.lexsort((lo, seg))]
-    value, converged = [], []
-    for i, t in enumerate(tol):
-        value.append(ordered[bounds[i]:bounds[i + 1]].sum())
-        converged.append(err[i] <= t)
-    return value, err, evals, converged
+    # complex numbers sort by real part, then by imaginary part
+    ordered = vals[lo.argsort(kind="stable") if one else np.argsort(seg + 1j * lo, kind="stable")]
+    value = [np.add.reduce(ordered[i:j]) for i, j in zip(bounds, bounds[1:])]
+    return value, err, evals, [e <= t for e, t in zip(err, tol)]
 
 
 def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
@@ -696,11 +690,9 @@ def _thermal_weight_raw(q, That):
     """thermal_weight on an array that may contain q = 0 (limit 1)."""
     q = np.asarray(q, float)
     u = np.atleast_1d(q / (2.0 * That))
-    b = 2.0 * u
-    e = np.negative(u)
-    b *= np.exp(e, out=e)
-    np.multiply(u, -2.0, out=e)
-    np.negative(np.expm1(e, out=e), out=e)
-    out = np.divide(b, e, out=np.ones_like(u), where=u > 0)
+    b = np.exp(-u)
+    b *= 2.0 * u
+    e = np.expm1(u * -2.0)   # the sign of b/e squares away
+    out = np.divide(b, e, out=b) if u.all() else np.divide(b, e, out=np.ones_like(u), where=u > 0)
     out *= out
     return out if q.ndim else out[0]

@@ -22,7 +22,6 @@ as q -> 0, where all the individually O(1) terms cancel to O(q^2).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,7 +127,8 @@ def flux_deficit(q, d):
 
     The denominator has no cancellation, and the numerator cancels only
     where the deficit itself crosses 0; the q -> 0 limit is
-    1 - 2/(d+2)^2.  The terms are accumulated in place.  ``d`` is a
+    1 - 2/(d+2)^2.  The terms are accumulated in place, the powers of 2
+    scaled exactly: 4q^4 is (2q^2)^2.  ``d`` is a
     scalar, or an array of q's shape that gives each q its own separation.
     """
     q = np.asarray(q, float)
@@ -138,18 +138,18 @@ def flux_deficit(q, d):
     c = q * d
     a = np.sin(c)
     np.cos(c, out=c)
-    c *= q
-    c *= 2.0
+    q2 = q + q
+    c *= q2
     a += c                                  # sin(dq) + 2q cos(dq)
     a *= a
-    qq = q * q
-    w = qq * qq
-    w *= 4.0
+    q2 *= q
+    w = q2 * q2
     w += a                                  # a^2 + 4q^4
-    qq *= 2.0
-    a -= qq                                 # a^2 - 2q^2
+    a -= q2                                 # a^2 - 2q^2
     big = q > 1e-130
-    if getattr(d, "ndim", 0):   # one separation per q: its limit where q ~ 0
+    if big.all() and isinstance(d, (float, np.ndarray)):   # float64 out, no q ~ 0
+        out, big = a, True
+    elif getattr(d, "ndim", 0):   # one separation per q: its limit where q ~ 0
         out = np.empty(q.shape)
         out[~big] = _deficit_at_zero(d[~big])
     else:
@@ -165,7 +165,8 @@ def _deficit_at_zero(d):
 
 def resonance_edges(d, q_hi):
     """Quadrature seed edges that bracket the cavity resonances of each
-    separation d[i] below min(1, q_hi[i]); ``d`` and ``q_hi`` are lists.
+    separation d[i] below min(1, q_hi[i]); ``d`` and ``q_hi`` are lists or
+    1-D arrays.
 
     Below q ~ 1 the flux deficit has a sharp resonance in every period, at
     sin(dq) + 2q cos(dq) = 0, near q_m = m pi/(d+2) with width
@@ -181,35 +182,36 @@ def resonance_edges(d, q_hi):
     Returns (edges, owner), unsorted: owner[j] is the index in ``d`` of the
     separation whose resonance edges[j] brackets, or the int 0 when ``d``
     has one separation.  Several separations take one vectorized pass, one
-    takes a loop over the levels k; both give every separation the same
+    takes a loop in plain floats; both give every separation the same
     edges bit for bit.  A force or lone density has at most a few graded
-    resonances, for which the loop costs about half the vectorized pass's
-    ~20 array operations: the benchmark's force_sweep, all lone calls,
-    takes 6% more wall time without it (paired runs, 2-vCPU x86 host).
+    resonances, for which the loop costs less than one of the vectorized
+    pass's ~25 array operations: the benchmark's force_sweep, all lone
+    calls, takes 6% more wall time without it (paired runs, 2-vCPU x86
+    host).
     """
     if len(d) == 1:
-        x = float(d[0])
-        step = math.pi / (x + 2.0)
-        q_m = step * np.arange(1.0, min(1.0, q_hi[0]) / step)
-        gamma = 2.0 * q_m * q_m / (x + 2.0)
-        edges = [np.empty(0)]
+        d2 = float(d[0]) + 2.0
+        step = math.pi / d2
+        stop, cap = min(1.0, q_hi[0]) / step, 0.4 * step
+        edges, m = [], 1
         # gamma grows with m, so the resonances still graded form a prefix
-        while n := int(np.count_nonzero(gamma < 0.4 * step)):
-            q_m, gamma = q_m[:n], gamma[:n]
-            edges += [q_m - gamma, q_m + gamma]
-            gamma = 4.0 * gamma
-        return np.concatenate(edges), 0
-    step = [math.pi / (x + 2.0) for x in d]
+        while m < stop and (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
+            while gamma < cap:
+                edges += (q_m - gamma, q_m + gamma)
+                gamma *= 4.0
+            m += 1
+        return np.array(edges), 0
+    d2 = np.add(d, 2.0)
+    step = math.pi / d2
     # np.arange(1.0, y) holds the ceil(y - 1) whole numbers 1.0, 2.0, ...
-    count = [max(math.ceil(min(1.0, y) / h - 1.0), 0) for y, h in zip(q_hi, step)]
-    owner = np.arange(len(d)).repeat(count)
-    h, m0, d2 = np.array([step, [0, *itertools.accumulate(count)][:-1],
-                          [x + 2.0 for x in d]])[:, owner]
-    q_m = h * (np.arange(1, owner.size + 1) - m0)
-    gamma = 2.0 * q_m * q_m / d2
+    count = np.ceil(np.minimum(1.0, q_hi) / step - 1.0).astype(int)
+    owner = np.arange(d2.size).repeat(count)
+    h = step[owner]
+    q_m = h * (np.arange(1, owner.size + 1) - (count.cumsum() - count)[owner])
+    gamma = 2.0 * q_m * q_m / d2[owner]
     # the edges gamma_m 4^k (exact products) below the cap 0.4 pi/(d+2), for
     # every k with 4^k below the largest cap/gamma_1 = 0.2 (d+2)^2/pi, and one more
-    levels = max(math.ceil(math.log(0.2 * (max(d) + 2.0) ** 2 / math.pi, 4)) + 1, 1)
+    levels = max(math.ceil(math.log(0.2 * d2.max() ** 2 / math.pi, 4)) + 1, 1)
     widths = np.multiply.outer(gamma, 4.0 ** np.arange(levels))
     graded = widths < 0.4 * h[:, None]
     rows = graded.nonzero()[0]

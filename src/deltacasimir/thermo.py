@@ -110,7 +110,10 @@ def _density_integrand(dtilde, That):
     inv_2pi = 0.5 / math.pi
 
     def f(q, s):
-        return inv_2pi * _thermal_weight_raw(q, That) * flux_deficit(q, dtilde[s])
+        out = _thermal_weight_raw(q, That)
+        out *= inv_2pi
+        out *= flux_deficit(q, dtilde[s])
+        return out
 
     return f
 
@@ -181,54 +184,54 @@ def entropy_density_canonical(dtilde, That: float,
     the oracle for this function on d in [0.01, 200], That in [0.001, 3].
     """
     scalar = np.ndim(dtilde) == 0
-    d = [require_real("dtilde", dtilde)] if scalar else _separations(dtilde)
+    d = np.array([require_real("dtilde", dtilde)]) if scalar else _separations(dtilde)
     That, tol = require_real("That", That), require_real("tol", tol)
     q_max, tail_bound = _thermal_cutoff(That, tol)
-    rotated = [q_max > _ROTATE_PERIODS * (math.pi / x) for x in d]
-    # one batch per kind of q-integral, each yielding its results in d's order
-    results = {}
-    for kind, densities in ((True, _rotated_densities), (False, _real_axis_densities)):
-        dt = [x for x, r in zip(d, rotated) if r is kind]
-        if dt:
-            results[kind] = zip(*densities(dt, That, tol, q_max, tail_bound))
-    value, err, evals, ok = zip(*[next(results[r]) for r in rotated])
+    rotated = q_max > _ROTATE_PERIODS * (math.pi / d)
+    # one batch per kind of q-integral, its results scattered back to d's order
+    value, err, evals, ok = np.empty(d.size), np.empty(d.size), np.empty(d.size, int), \
+        np.empty(d.size, bool)
+    for kind, densities in ((rotated, _rotated_densities), (~rotated, _real_axis_densities)):
+        if kind.any():
+            value[kind], err[kind], evals[kind], ok[kind] = densities(d[kind], That, tol, q_max,
+                                                                      tail_bound)
     if scalar:
-        est = QuadratureEstimate(float(value[0]), float(err[0]), evals[0], bool(ok[0]))
-        return EntropyDensity(est.value, d[0], That, est, evals[0])
-    est = QuadratureEstimate(np.array(value, float), np.array(err, float), sum(evals),
-                             np.array(ok, bool))
-    return EntropyDensity(est.value, np.array(d), That, est, np.array(evals))
+        est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), bool(ok[0]))
+        return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
+    est = QuadratureEstimate(value, err, int(evals.sum()), ok)
+    return EntropyDensity(value, d, That, est, evals)
 
 
 def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
-    """The densities at the separations dtilde (a list) whose q-integral
+    """The densities at the separations dtilde (an array) whose q-integral
     takes the contour beyond Q: lists (value, error, evaluations,
     converged)."""
-    q0 = [contour_switch(x) for x in dtilde]
+    q0 = [contour_switch(x) for x in dtilde.tolist()]
     seeds, owner = resonance_edges(dtilde, q0)
-    d = np.array(dtilde)
-    return _oscillatory_segments(_density_integrand(d, That), _density_continuation(d, That),
-                                 [2.0 * x for x in dtilde], q0, tol, seeds, owner)
+    return _oscillatory_segments(_density_integrand(dtilde, That),
+                                 _density_continuation(dtilde, That),
+                                 (2.0 * dtilde).tolist(), q0, tol, seeds, owner)
 
 
 def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
-    """The densities at the separations dtilde (a list) whose q-integral
+    """The densities at the separations dtilde (an array) whose q-integral
     stays on the real axis up to q_max: lists (value, error, evaluations,
     converged)."""
-    n = [min(int(math.ceil(q_max / min(math.pi / x, 2.5 * That, q_max / 8.0))), 300000)
-         for x in dtilde]
-    dips, owner = resonance_edges(dtilde, [q_max] * len(dtilde))
+    n = np.ceil(q_max / np.minimum(np.minimum(math.pi / dtilde, 2.5 * That), q_max / 8.0))
+    stop = np.full(dtilde.size, q_max)
+    dips, owner = resonance_edges(dtilde, stop)
     below = dips < q_max
-    edges, seg = _seed_edges([q_max] * len(dtilde), n, dips[below], _subset(owner, below))
-    v, e, ne, ok = _gk_segments(_density_integrand(np.array(dtilde), That), edges, seg,
-                                [tol - tail_bound] * len(dtilde))
+    edges, seg = _seed_edges(stop, np.minimum(n, 300000).astype(int), dips[below],
+                             _subset(owner, below))
+    v, e, ne, ok = _gk_segments(_density_integrand(dtilde, That), edges, seg,
+                                [tol - tail_bound] * dtilde.size)
     e = [x + tail_bound for x in e]
     return v, e, ne, [a and x <= tol for a, x in zip(ok, e)]
 
 
 def _separations(dtilde):
     """A non-empty 1-D array of real separations, each finite and > 0, as a
-    list of floats."""
+    float array."""
     d = np.asarray(dtilde)
     if d.ndim != 1 or not d.size or d.dtype.kind not in "iuf":
         raise DomainError(f"dtilde must be a number or a non-empty 1-D array of reals, "
@@ -236,7 +239,7 @@ def _separations(dtilde):
     d = d.astype(float)
     if not np.all(np.isfinite(d) & (d > 0.0)):
         raise DomainError(f"every dtilde must be finite and > 0, got {dtilde!r}")
-    return d.tolist()
+    return d
 
 
 def entropy_canonical(point: DimensionlessPoint,
