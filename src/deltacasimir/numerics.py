@@ -418,24 +418,30 @@ def _mapped_integrand(f, decay_scale):
     segment, of x_c times the largest |f| seen so far on [x_c/2, x_c)."""
     decay = np.array(decay_scale)
     s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
+    scale, x_far = _MAP_LENGTHS * decay, 0.5 * (_DECAY_CUT * decay)
     far_max = np.zeros(decay.size)
 
     def g(s, seg):
-        out = np.zeros(s.shape)
         m = s < s_cut
-        sm = s[m]
-        seg = _subset(seg, m)
-        rest = 1.0 - sm
-        jac = _MAP_LENGTHS * decay[seg] / rest
-        x = jac * sm
+        cut = not m.all()
+        if cut:
+            s, seg = s[m], _subset(seg, m)
+        rest = 1.0 - s
+        jac = scale[seg] / rest
+        x = jac * s
         fx = np.asarray(f(x, seg), float)
-        out[m] = fx * (jac / rest)
-        far = x >= 0.5 * (_DECAY_CUT * decay[seg])
+        far = x >= x_far[seg]
         if far.any():
             if isinstance(seg, int):
                 far_max[seg] = max(far_max[seg], np.abs(fx[far]).max())
             else:
                 np.maximum.at(far_max, seg[far], np.abs(fx[far]))
+        jac /= rest
+        jac *= fx
+        if not cut:
+            return jac
+        out = np.zeros(m.shape)
+        out[m] = jac
         return out
 
     return g, lambda: (_DECAY_CUT * decay * far_max).tolist()
@@ -566,23 +572,26 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
     tail, witness = _mapped_integrand(on_line, [1.0 / w for w in omega])
 
     def g(x, s):
-        # f on the head's nodes, the mapped tail on the rest; the first call
-        # also takes f and h at q_chk, whether or not it has nodes of each
+        # f on the head's nodes, the mapped tail on the rest (x - Q < 0 just
+        # where x < Q); the first call also takes f and h at q_chk, whether or
+        # not it has nodes of each, and a later one with one kind of node
+        # needs no masks
         first = not chk
-        head = x < q0a[s]
+        t = x - q0a[s]
+        head = t < 0.0
+        k = int(np.count_nonzero(head))
+        if not first and k in (0, x.size):
+            return tail(t, s) if not k else np.asarray(f(x, s), float)
         out = np.empty(x.shape)
-        if first or head.any():
-            qh, sh = x[head], _subset(s, head)
-            if first:
-                fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
-                chk.append(fx[qh.size:])
-            else:
-                fx = np.asarray(f(qh, sh), float)
-            out[head] = fx[:qh.size]
-        if first or not head.all():
-            on = ~head
-            st = _subset(s, on)
-            out[on] = tail(x[on] - q0a[st], st)
+        qh, sh = x[head], _subset(s, head)
+        if first:
+            fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
+            chk.append(fx[k:])
+        else:
+            fx = np.asarray(f(qh, sh), float)
+        out[head] = fx[:k]
+        on = ~head
+        out[on] = tail(t[on], _subset(s, on))
         return out
 
     agree = [False] * m
@@ -689,10 +698,11 @@ def thermal_weight(q, That):
 def _thermal_weight_raw(q, That):
     """thermal_weight on an array that may contain q = 0 (limit 1)."""
     q = np.asarray(q, float)
-    u = np.atleast_1d(q / (2.0 * That))
-    b = np.exp(-u)
-    b *= 2.0 * u
-    e = np.expm1(u * -2.0)   # the sign of b/e squares away
-    out = np.divide(b, e, out=b) if u.all() else np.divide(b, e, out=np.ones_like(u), where=u > 0)
+    v = np.atleast_1d(q / (-2.0 * That))   # -u, and then -2u: exact negation and doubling
+    b = np.exp(v)
+    v += v
+    b *= v
+    np.expm1(v, out=v)   # b and v are -b and 1 - e^{-2u}; their signs cancel
+    out = np.divide(b, v, out=b) if v.all() else np.divide(b, v, out=np.ones_like(v), where=v < 0)
     out *= out
     return out if q.ndim else out[0]

@@ -146,9 +146,9 @@ def flux_deficit(q, d):
     w = q2 * q2
     w += a                                  # a^2 + 4q^4
     a -= q2                                 # a^2 - 2q^2
-    big = q > 1e-130
-    if big.all() and isinstance(d, (float, np.ndarray)):   # float64 out, no q ~ 0
-        out, big = a, True
+    big = bool(q.min() > 1e-130) or q > 1e-130   # True when no q ~ 0
+    if big is True and (isinstance(d, float) or getattr(d, "ndim", 0)):   # float64 out
+        out = a
     elif getattr(d, "ndim", 0):   # one separation per q: its limit where q ~ 0
         out = np.empty(q.shape)
         out[~big] = _deficit_at_zero(d[~big])
