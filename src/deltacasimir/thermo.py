@@ -95,10 +95,12 @@ def _density_continuation(dtilde, That):
     s a segment index as in ``numerics._gk_apply``), for complex q: the
     density's integrand is Re h on the real axis.  The weight is
     (2u e^{-u}/(1 - e^{-2u}))^2, the expm1 form of ``_thermal_weight_raw``."""
+    w = 2j * dtilde
+
     def h(q, s):
         u = q / (2.0 * That)
         b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
-        x = np.exp(2j * dtilde[s] * q) / (2j * q - 1.0) ** 2
+        x = np.exp(w[s] * q) / (2j * q - 1.0) ** 2
         return -b * b * x / (math.pi * (1.0 - x))
 
     return h
@@ -188,13 +190,15 @@ def entropy_density_canonical(dtilde, That: float,
     That, tol = require_real("That", That), require_real("tol", tol)
     q_max, tail_bound = _thermal_cutoff(That, tol)
     rotated = q_max > _ROTATE_PERIODS * (math.pi / d)
-    # one batch per kind of q-integral, its results scattered back to d's order
-    value, err, evals, ok = np.empty(d.size), np.empty(d.size), np.empty(d.size, int), \
-        np.empty(d.size, bool)
+    # one batch per kind of q-integral, its rows (value, error, evaluations,
+    # converged) scattered back to d's order
+    res = np.empty((4, d.size))
     for kind, densities in ((rotated, _rotated_densities), (~rotated, _real_axis_densities)):
-        if kind.any():
-            value[kind], err[kind], evals[kind], ok[kind] = densities(d[kind], That, tol, q_max,
-                                                                      tail_bound)
+        if kind.all():
+            res = np.array(densities(d, That, tol, q_max, tail_bound), float)
+        elif kind.any():
+            res[:, kind] = densities(d[kind], That, tol, q_max, tail_bound)
+    value, err, evals, ok = res[0], res[1], res[2].astype(int), res[3].astype(bool)
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), bool(ok[0]))
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
