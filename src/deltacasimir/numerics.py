@@ -279,9 +279,9 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
     vals, errs, _ = _gk_apply(f, lo, hi, seg)
     value, err, evals, ok = _refine(f, lo, hi, seg, counts, vals, errs, evals,
                                     tol() if callable(tol) else tol, max_evals)
-    for i, fit in enumerate(fits):
-        if not fit:
-            err[i], ok[i] = math.inf, False
+    if not all(fits):
+        err = [e if fit else math.inf for e, fit in zip(err, fits)]
+        ok = [a and fit for a, fit in zip(ok, fits)]
     return value, err, evals, ok
 
 
@@ -432,10 +432,7 @@ def _mapped_integrand(f, decay_scale):
         fx = np.asarray(f(x, seg), float)
         far = x >= x_far[seg]
         if far.any():
-            if isinstance(seg, int):
-                far_max[seg] = max(far_max[seg], np.abs(fx[far]).max())
-            else:
-                np.maximum.at(far_max, seg[far], np.abs(fx[far]))
+            np.maximum.at(far_max, np.broadcast_to(seg, far.shape)[far], np.abs(fx[far]))
         jac /= rest
         jac *= fx
         if not cut:
@@ -555,11 +552,10 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
     period = [2.0 * math.pi / w / _CHECK_POINTS.size for w in omega]
     q_chk = (q0a[:, None] + np.multiply.outer(period, _CHECK_POINTS)).ravel()
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
+    chk_seg = np.arange(m).repeat(_CHECK_POINTS.size)
 
     def with_checks(s):   # the segment indices of some points, then of q_chk
-        if isinstance(s, int):
-            return s
-        return np.concatenate([s, np.repeat(np.arange(m), _CHECK_POINTS.size)])
+        return s if isinstance(s, int) else np.concatenate([s, chk_seg])
 
     def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
         z = q0a[s] + 1j * t
@@ -572,24 +568,23 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
     tail, witness = _mapped_integrand(on_line, [1.0 / w for w in omega])
 
     def g(x, s):
-        # f on the head's nodes, the mapped tail on the rest (x - Q < 0 just
-        # where x < Q); the first call also takes f and h at q_chk, whether or
-        # not it has nodes of each, and a later one with one kind of node
-        # needs no masks
-        first = not chk
+        # f on the head's nodes (x - Q < 0 just where x < Q), the mapped tail
+        # on the rest, and no masks for a later call with one kind of node;
+        # the first call also takes f and h at q_chk, whether or not it has
+        # nodes of each
         t = x - q0a[s]
         head = t < 0.0
         k = int(np.count_nonzero(head))
-        if not first and k in (0, x.size):
+        if chk and k in (0, x.size):
             return tail(t, s) if not k else np.asarray(f(x, s), float)
         out = np.empty(x.shape)
         qh, sh = x[head], _subset(s, head)
-        if first:
-            fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
-            chk.append(fx[k:])
+        if chk:
+            out[head] = f(qh, sh)
         else:
-            fx = np.asarray(f(qh, sh), float)
-        out[head] = fx[:k]
+            fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
+            out[head] = fx[:k]
+            chk.append(fx[k:])
         on = ~head
         out[on] = tail(t[on], _subset(s, on))
         return out
@@ -601,11 +596,9 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
         # failed one, refining beyond Q * mismatch + tol/2 is wasted
         fq = chk[0].reshape(m, -1)
         mismatch = np.abs(fq - chk[1].reshape(m, -1).real).max(axis=1).tolist()
-        targets = []
-        for i, y in enumerate(np.abs(fq).max(axis=1).tolist()):
-            agree[i] = mismatch[i] <= _AGREEMENT * (1.0 + y)
-            targets.append(tol if agree[i] else max(tol, q0[i] * mismatch[i] + 0.5 * tol))
-        return targets
+        agree[:] = [x <= _AGREEMENT * (1.0 + y)
+                    for x, y in zip(mismatch, np.abs(fq).max(axis=1).tolist())]
+        return [tol if a else max(tol, q * x + 0.5 * tol) for a, q, x in zip(agree, q0, mismatch)]
 
     value, err, evals, ok = _gk_segments(g, edges, seg, target, _MAX_EVALS, 2 * _CHECK_POINTS.size)
     for i, w in enumerate(witness()):

@@ -212,20 +212,19 @@ def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
     converged)."""
     q0 = [contour_switch(x) for x in dtilde.tolist()]
     seeds, owner = resonance_edges(dtilde, q0)
-    return _oscillatory_segments(_density_integrand(dtilde, That),
-                                 _density_continuation(dtilde, That),
-                                 (2.0 * dtilde).tolist(), q0, tol, seeds, owner)
+    f, h = _density_integrand(dtilde, That), _density_continuation(dtilde, That)
+    return _oscillatory_segments(f, h, (2.0 * dtilde).tolist(), q0, tol, seeds, owner)
 
 
 def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
     """The densities at the separations dtilde (an array) whose q-integral
     stays on the real axis up to q_max: lists (value, error, evaluations,
     converged)."""
-    n = np.ceil(q_max / np.minimum(np.minimum(math.pi / dtilde, 2.5 * That), q_max / 8.0))
+    n = np.ceil(q_max / np.minimum(math.pi / dtilde, min(2.5 * That, q_max / 8.0)))
     stop = np.full(dtilde.size, q_max)
     dips, owner = resonance_edges(dtilde, stop)
     below = dips < q_max
-    edges, seg = _seed_edges(stop, np.minimum(n, 300000).astype(int), dips[below],
+    edges, seg = _seed_edges(stop, n.clip(max=300000).astype(int), dips[below],
                              _subset(owner, below))
     v, e, ne, ok = _gk_segments(_density_integrand(dtilde, That), edges, seg,
                                 [tol - tail_bound] * dtilde.size)
