@@ -25,7 +25,10 @@ integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
 seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
 oscillatory integrals' panels, integrand and agreement checks around it;
 ``_adaptive_gk`` and ``integrate_oscillatory_tail`` are their batches of
-one.  The entropy densities of one outer round are one batch.
+one.  The entropy densities of one outer round are one batch.  A batch's
+bookkeeping takes a fixed number of array operations per pass (stable
+sorts by segment, complex keys for (segment, position)), except its sums:
+one numpy sum per integral, the pairwise sum a lone call gets.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an
@@ -213,24 +216,21 @@ def _gk_apply(f, lo, hi, seg):
     error on smooth panels.
     """
     n = lo.size
-    out = []
+    out = []   # (values, errors) of each block, joined when there are several
     # one dgemm per block gives K15 and K15 - G7 together; its sums do not
     # depend on a panel's place in its block unless the block is one row,
     # which takes the plain dot path, so a lone last panel joins the block
     # before it: then every block size gives the same bits
-    i0 = 0
-    for i1 in [*range(_GK_CHUNK, n - 1, _GK_CHUNK), n]:
+    for i0, i1 in itertools.pairwise([0, *range(_GK_CHUNK, n - 1, _GK_CHUNK), n]):
         a, b = lo[i0:i1], hi[i0:i1]
         half = 0.5 * (b - a)
         x = np.multiply.outer(half, _GK_NODES)
         x += (0.5 * (a + b))[:, None]
         s = seg if isinstance(seg, int) else np.repeat(seg[i0:i1], 15)
-        i0 = i1
         y = np.asarray(f(x.ravel(), s), float).reshape(x.shape)
         kd = y @ _GK_W
-        err = np.abs(kd[:, 1])
-        err += _EPS_FLOOR * np.abs(y).sum(axis=1)
-        out.append((half * kd[:, 0], np.multiply(half, err, out=err)))
+        out.append((half * kd[:, 0],
+                    half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))))
     vals, errs = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
     return vals, errs, 15 * n
 
@@ -418,7 +418,6 @@ def _mapped_integrand(f, decay_scale):
     segment, of x_c times the largest |f| seen so far on [x_c/2, x_c)."""
     decay = np.array(decay_scale)
     s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
-    scale, x_far = _MAP_LENGTHS * decay, 0.5 * (_DECAY_CUT * decay)
     far_max = np.zeros(decay.size)
 
     def g(s, seg):
@@ -426,13 +425,16 @@ def _mapped_integrand(f, decay_scale):
         cut = not m.all()
         if cut:
             s, seg = s[m], _subset(seg, m)
-        rest = 1.0 - s
-        jac = scale[seg] / rest
+        rest, dec = 1.0 - s, decay[seg]
+        jac = _MAP_LENGTHS * dec / rest
         x = jac * s
         fx = np.asarray(f(x, seg), float)
-        far = x >= x_far[seg]
+        far = x >= 0.5 * (_DECAY_CUT * dec)
         if far.any():
-            np.maximum.at(far_max, np.broadcast_to(seg, far.shape)[far], np.abs(fx[far]))
+            if isinstance(seg, int):
+                far_max[seg] = max(far_max[seg], np.abs(fx[far]).max())
+            else:
+                np.maximum.at(far_max, seg[far], np.abs(fx[far]))
         jac /= rest
         jac *= fx
         if not cut:

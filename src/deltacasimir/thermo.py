@@ -194,9 +194,7 @@ def entropy_density_canonical(dtilde, That: float,
     # converged) scattered back to d's order
     res = np.empty((4, d.size))
     for kind, densities in ((rotated, _rotated_densities), (~rotated, _real_axis_densities)):
-        if kind.all():
-            res = np.array(densities(d, That, tol, q_max, tail_bound), float)
-        elif kind.any():
+        if kind.any():
             res[:, kind] = densities(d[kind], That, tol, q_max, tail_bound)
     value, err, evals, ok = res[0], res[1], res[2].astype(int), res[3].astype(bool)
     if scalar:
