@@ -25,10 +25,9 @@ integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
 seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
 oscillatory integrals' panels, integrand and agreement checks around it;
 ``_adaptive_gk`` and ``integrate_oscillatory_tail`` are their batches of
-one.  The entropy densities of one outer round are one batch.  A batch's
-bookkeeping takes a fixed number of array operations per pass (stable
-sorts by segment, complex keys for (segment, position)), except its sums:
-one numpy sum per integral, the pairwise sum a lone call gets.
+one.  The entropy densities of one outer round are one batch, whose
+bookkeeping takes a fixed number of array operations per pass, but for
+one numpy (pairwise) sum per integral, the sum a lone call takes.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an

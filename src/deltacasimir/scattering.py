@@ -165,8 +165,7 @@ def _deficit_at_zero(d):
 
 def resonance_edges(d, q_hi):
     """Quadrature seed edges that bracket the cavity resonances of each
-    separation d[i] below min(1, q_hi[i]); ``d`` and ``q_hi`` are lists or
-    1-D arrays.
+    separation d[i] below min(1, q_hi[i]) (``d``, ``q_hi``: lists or arrays).
 
     Below q ~ 1 the flux deficit has a sharp resonance in every period, at
     sin(dq) + 2q cos(dq) = 0, near q_m = m pi/(d+2) with width
@@ -182,12 +181,11 @@ def resonance_edges(d, q_hi):
     Returns (edges, owner), unsorted: owner[j] is the index in ``d`` of the
     separation whose resonance edges[j] brackets, or the int 0 when ``d``
     has one separation.  Several separations take one vectorized pass, one
-    takes a loop in plain floats; both give every separation the same
-    edges bit for bit.  A force or lone density has at most a few graded
-    resonances, for which the loop costs less than one of the vectorized
-    pass's ~25 array operations: the benchmark's force_sweep, all lone
-    calls, takes 6% more wall time without it (paired runs, 2-vCPU x86
-    host).
+    a loop in plain floats; both give every separation the same edges bit
+    for bit.  A force has at most a few graded resonances, for which the
+    loop costs less than one of the pass's ~25 array operations: the
+    benchmark's force_sweep, all lone calls, takes 15% more time without it
+    (in process, paired, 2-vCPU x86 host).
     """
     if len(d) == 1:
         d2 = float(d[0]) + 2.0

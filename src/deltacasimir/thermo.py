@@ -206,8 +206,7 @@ def entropy_density_canonical(dtilde, That: float,
 
 def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
     """The densities at the separations dtilde (an array) whose q-integral
-    takes the contour beyond Q: lists (value, error, evaluations,
-    converged)."""
+    takes the contour beyond Q: lists (value, error, evaluations, ok)."""
     q0 = [contour_switch(x) for x in dtilde.tolist()]
     seeds, owner = resonance_edges(dtilde, q0)
     f, h = _density_integrand(dtilde, That), _density_continuation(dtilde, That)
@@ -216,8 +215,7 @@ def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
 
 def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
     """The densities at the separations dtilde (an array) whose q-integral
-    stays on the real axis up to q_max: lists (value, error, evaluations,
-    converged)."""
+    stays on the real axis up to q_max: lists (value, error, evaluations, ok)."""
     n = np.ceil(q_max / np.minimum(math.pi / dtilde, min(2.5 * That, q_max / 8.0)))
     stop = np.full(dtilde.size, q_max)
     dips, owner = resonance_edges(dtilde, stop)
@@ -231,8 +229,7 @@ def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
 
 
 def _separations(dtilde):
-    """A non-empty 1-D array of real separations, each finite and > 0, as a
-    float array."""
+    """dtilde as a float array: non-empty, 1-D, each finite and > 0."""
     d = np.asarray(dtilde)
     if d.ndim != 1 or not d.size or d.dtype.kind not in "iuf":
         raise DomainError(f"dtilde must be a number or a non-empty 1-D array of reals, "
