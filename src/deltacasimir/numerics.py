@@ -692,11 +692,11 @@ def thermal_weight(q, That):
 def _thermal_weight_raw(q, That):
     """thermal_weight on an array that may contain q = 0 (limit 1)."""
     q = np.asarray(q, float)
-    v = np.atleast_1d(q / (-2.0 * That))   # -u, and then -2u: exact negation and doubling
+    v = np.atleast_1d(q / (-2.0 * That))   # -u; negating and doubling are exact
     b = np.exp(v)
-    v += v
-    b *= v
-    np.expm1(v, out=v)   # b and v are -b and 1 - e^{-2u}; their signs cancel
+    v += v                                  # -2u
+    b *= v                                  # -2u e^{-u}
+    np.expm1(v, out=v)                      # -(1 - e^{-2u}): the signs cancel in b/v
     out = np.divide(b, v, out=b) if v.all() else np.divide(b, v, out=np.ones_like(v), where=v < 0)
     out *= out
     return out if q.ndim else out[0]
