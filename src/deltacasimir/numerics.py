@@ -278,9 +278,9 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
     vals, errs, _ = _gk_apply(f, lo, hi, seg)
     value, err, evals, ok = _refine(f, lo, hi, seg, counts, vals, errs, evals,
                                     tol() if callable(tol) else tol, max_evals)
-    if not all(fits):
-        err = [e if fit else math.inf for e, fit in zip(err, fits)]
-        ok = [a and fit for a, fit in zip(ok, fits)]
+    for i, fit in enumerate(fits):
+        if not fit:
+            err[i], ok[i] = math.inf, False
     return value, err, evals, ok
 
 

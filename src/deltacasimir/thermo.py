@@ -220,7 +220,7 @@ def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
     stop = np.full(dtilde.size, q_max)
     dips, owner = resonance_edges(dtilde, stop)
     below = dips < q_max
-    edges, seg = _seed_edges(stop, n.clip(max=300000).astype(int), dips[below],
+    edges, seg = _seed_edges(stop, np.minimum(n, 300000).astype(int), dips[below],
                              _subset(owner, below))
     v, e, ne, ok = _gk_segments(_density_integrand(dtilde, That), edges, seg,
                                 [tol - tail_bound] * dtilde.size)

@@ -119,8 +119,7 @@ def _estimates_digest(estimates):
 
 
 # Every bit of the benchmark's computing points, both routes: the engine's
-# bookkeeping may get cheaper, but no value, error, count or flag may move.
-# Recorded before the batch engine's per-pass overhead was cut.
+# bookkeeping may change, but no value, error, evaluation count or flag.
 def test_entropy_grid_bits():
     ests = [f(DimensionlessPoint(d, t), 100.0).estimate
             for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
