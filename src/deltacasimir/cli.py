@@ -98,12 +98,12 @@ SCATTERING_SCHEMA = ["q", "d", "B_re", "B_im", "C_re", "C_im", "D_re", "D_im",
 
 DEFAULTS = {
     "tol": FORCE_TOL,
-    "entropy_tol": ENTROPY_TOL,
     "cutoff_lambda": DEFAULT_CUTOFF_LAMBDA,
     "units": "raw_dimensionless",
     "jobs": 1,
-    "figure_that_set": (0.5, 1.0, 2.0),
 }
+# the temperatures of a figure's curves when --That-set is not given
+DEFAULT_THAT_SET = (0.5, 1.0, 2.0)
 
 
 def _fmt(x) -> str:
@@ -294,7 +294,7 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    _resolve(args, tol=DEFAULTS["entropy_tol"])
+    _resolve(args, tol=ENTROPY_TOL)
     methods = _parse_methods(args.method)
     rows = [_entropy_row((args.d, args.That, m, args.cutoff_lambda, args.zero_mode, args.tol))
             for m in methods]
@@ -345,8 +345,8 @@ def _cmd_figure(args) -> int:
     if not os.path.isdir(args.out_dir):
         raise DomainError(f"--out-dir {args.out_dir!r} is not a directory")
     try:
-        that_set = tuple(float(t) for t in args.That_set.split(",")) if args.That_set \
-            else DEFAULTS["figure_that_set"]
+        that_set = DEFAULT_THAT_SET if args.That_set is None \
+            else tuple(float(t) for t in args.That_set.split(","))
     except ValueError as exc:
         raise DomainError(f"--That-set must be a comma list of numbers, "
                           f"got {args.That_set!r}") from exc

@@ -24,7 +24,7 @@ head also gets seed edges at That 2^k, k = -1..5: without them, at
 That <~ 3e-4, that region lies inside the first seed panel, below its
 first node, and the thermal part is dropped with converged=True.  A real
 integrand that is not Re h (a Python-int That truncates the Bose weight of
-``_finite_t_integrand`` today, and an np.float32 point computes it in
+``_finite_t_integrand`` today, and an np.float32 That computes it in
 float32) fails the engine's agreement check and reports converged=False
 with an infinite error estimate.
 
@@ -219,7 +219,7 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
         return that * a * g
 
     s = sum_exponential_series(terms, 0.5 * that, math.exp(-c * d), tol)
-    value = -(s.value + that / (2.0 * (d + 2.0)))
+    value = -s.value + force_lifshitz_zero_mode_term(point)
     est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.converged)
     return ForceValue(value, "lifshitz", point, est)
 

@@ -25,8 +25,9 @@ integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
 seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
 oscillatory integrals' panels, integrand and agreement checks around it;
 ``_adaptive_gk`` and ``integrate_oscillatory_tail`` are their batches of
-one.  The entropy densities of one outer round are one batch, whose
-bookkeeping takes a fixed number of array operations per pass, but for
+one.  An integral of ``_oscillatory_segments`` may have no tail (a
+real-axis entropy density), so the densities of one outer round, of both
+kinds, are one batch, whose bookkeeping takes a fixed number of array operations per pass, but for
 one numpy (pairwise) sum per integral, the sum a lone call takes.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
@@ -82,8 +83,7 @@ class OscillatorySpec:
     line Re q = Q.  It must cover at least one full oscillation period
     2*pi/omega, over which the continuation's agreement check samples the
     integrand.  Both are stored as given, like ``DimensionlessPoint``'s
-    fields: a float32 rate keeps the canonical force's float32 fault until
-    ROADMAP item 2 makes the point coerce its coordinates.
+    fields, and the engine reads them as floats.
     """
 
     angular_rate: float
@@ -158,6 +158,7 @@ _GK_CHUNK = 256
 _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
 _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
 _MAX_TERMS = 10_000_000     # terms of one exponential series
+_MAX_SEED_PANELS = 300_000  # seed panels of one oscillatory integral's head
 _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # a smooth semi-infinite integral maps x = L s/(1-s) with L = 4 decay
 # lengths onto 8 equal seed panels of [0, 1), and its integrand is zero past
@@ -242,7 +243,7 @@ def _adaptive_gk(f, edges, tol, max_evals=None):
     return float(v[0]), float(e[0]), n[0], bool(ok[0])
 
 
-def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
+def _gk_segments(f, edges, seg, tol, max_evals=None, checks=None):
     """Adaptive GK15 of several integrals at once: one seed pass and one
     ``_refine`` loop for all of them.
 
@@ -252,9 +253,9 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
     to the absolute tolerance tol[s], or to the tolerances ``tol()``
     returns after the seed pass when tol is callable; f(x, s) gets the
     segment index of the nodes (see ``_gk_apply``).  An integral whose
-    seed panels and ``checks`` extra points alone would take it past
-    ``max_evals`` (default ``_MAX_EVALS``) evaluations is not evaluated:
-    value 0, error inf, 0 evaluations.  Returns lists (value, error,
+    seed panels and checks[s] extra points (none without ``checks``) alone
+    would take it past ``max_evals`` (default ``_MAX_EVALS``) evaluations
+    is not evaluated: value 0, error inf, 0 evaluations.  Returns lists (value, error,
     evaluations, converged), one entry per integral.
     """
     max_evals = _MAX_EVALS if max_evals is None else max_evals
@@ -265,7 +266,7 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
         same = seg[1:] == seg[:-1]
         lo, hi, seg = lo[same], hi[same], seg[1:][same]
         counts = np.bincount(seg).tolist()
-    evals = [15 * c + checks for c in counts]
+    evals = [15 * c + k for c, k in zip(counts, checks or itertools.repeat(0))]
     fits = [e <= max_evals for e in evals]
     if not all(fits):
         keep = np.repeat(fits, counts)
@@ -284,22 +285,21 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=0):
     return value, err, evals, ok
 
 
-def _seed_edges(stop, n, extra, extra_seg, ends=np.zeros(1)):
-    """Seed edges of several integrals: integral s gets the n[s] points
-    i * (stop[s]/n[s]) of np.linspace(0, stop[s], n[s] + 1), bit for bit,
-    the points stop[s] + ``ends`` (0 gives linspace's last point), and the
-    points of ``extra`` whose ``extra_seg`` is s, sorted; ``stop`` and
-    ``n`` are lists or 1-D arrays.  Returns (edges, seg); for a single
-    integral seg is the int 0, and extra_seg is not read.  A point on a
-    grid edge makes a zero-width panel: value 0, error 0, never split."""
+def _seed_edges(stop, n, extra, extra_seg):
+    """Seed edges of several integrals: integral s gets the n[s] + 1 points
+    of np.linspace(0, stop[s], n[s] + 1), bit for bit (i * (stop[s]/n[s]),
+    then stop[s]), and the points of ``extra`` whose ``extra_seg`` is s,
+    sorted; ``stop`` and ``n`` are lists or 1-D arrays.  Returns
+    (edges, seg); for a single integral seg is the int 0, and extra_seg is
+    not read.  A point on a grid edge makes a zero-width panel: value 0,
+    error 0, never split."""
     if len(n) == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
-        return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop[0] + ends,
-                                       extra])), 0
+        return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop, extra])), 0
     stop, n = np.asarray(stop), np.asarray(n)
     seg = np.arange(n.size).repeat(n)
     i = np.arange(seg.size) - (n.cumsum() - n)[seg]
-    edges = np.concatenate([i * (stop / n)[seg], np.add.outer(stop, ends).ravel(), extra])
-    seg = np.concatenate([seg, np.arange(n.size).repeat(ends.size), extra_seg])
+    edges = np.concatenate([i * (stop / n)[seg], stop, extra])
+    seg = np.concatenate([seg, np.arange(n.size), extra_seg])
     # complex numbers sort by real part, then by imaginary part
     z = np.sort(seg + 1j * edges, kind="stable")
     return z.imag, z.real.astype(int)
@@ -523,37 +523,51 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     h, which is not the continuation of f, and nothing bounds the
     difference: the error estimate is inf, as for a panel
     ``_adaptive_gk`` did not evaluate.  All passes share one
-    ``_MAX_EVALS``.  This is ``_oscillatory_segments`` with one integral.
+    ``_MAX_EVALS``.  This is ``_oscillatory_segments`` with one integral,
+    which has a tail.
     """
     tol = require_real("tol", tol)
     seeds = np.asarray(head_seeds, float)
     v, e, n, ok = _oscillatory_segments(
         lambda q, _: f(q), lambda z, _: continuation(z), [float(spec.angular_rate)],
-        [float(spec.switch_point)], tol, seeds, 0)
+        [float(spec.switch_point)], [tol], seeds, 0, [None])
     return QuadratureEstimate(float(v[0]), float(e[0]), n[0], bool(ok[0]))
 
 
-def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
+def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     """``integrate_oscillatory_tail`` of several integrals at once: integral
-    s has angular rate omega[s] and switch point q0[s] (lists), the head
-    seeds seeds[seeds_seg == s] (seeds_seg is the int 0 for a single
-    integral) and the tolerance tol; f(q, s) and h(z, s) get the segment
-    index of the points (see ``_gk_apply``).  The integrals share one seed
+    s has angular rate omega[s], switch point stop[s] and tolerance tol[s]
+    (lists), and the head seeds seeds[seeds_seg == s] (seeds_seg is the int
+    0 for a single integral); f(q, s) and h(z, s) get the segment index of
+    the points (see ``_gk_apply``).  width[s] (a list) is None for an
+    integral with a tail; a number makes integral s tail-less: the
+    real-axis integral of f over [0, stop[s]], seeded that far apart
+    (stop[s]/8 where that is narrower), with no tail edges, agreement
+    points or witness, and h never sees it.  The integrals share one seed
     pass and one ``_refine`` loop, and each keeps its own agreement check,
     refinement target, witness and ``_MAX_EVALS``.  Returns lists (value,
     error, evaluations, converged).
     """
-    m = len(q0)
-    nseed = [min(int(math.ceil(q / min(0.5 * math.pi / w, q / 8.0))), 300000)
-             for w, q in zip(omega, q0)]
-    q0a = np.array(q0)
-    inside = (seeds > 0.0) & (seeds < q0a[seeds_seg])
-    # the tail's 8 seed panels on x = Q + s in [Q, Q+1) follow the head's edges
-    edges, seg = _seed_edges(q0, nseed, seeds[inside], _subset(seeds_seg, inside), _MAP_EDGES)
-    period = [2.0 * math.pi / w / _CHECK_POINTS.size for w in omega]
-    q_chk = (q0a[:, None] + np.multiply.outer(period, _CHECK_POINTS)).ravel()
+    m = len(stop)
+    tails = np.array([i for i, x in enumerate(width) if x is None], int)
+    nseed = [min(math.ceil(q / min(0.5 * math.pi / w if x is None else x, q / 8.0)),
+                 _MAX_SEED_PANELS) for w, q, x in zip(omega, stop, width)]
+    stop_a = np.array(stop)
+    q_tail = stop_a[tails, None]
+    inside = (seeds > 0.0) & (seeds < stop_a[seeds_seg])
+    # a tail's 8 seed panels on x = Q + s in [Q, Q+1) follow its head's edges
+    seeds = np.concatenate([seeds[inside], (q_tail + _MAP_EDGES[1:]).ravel()])
+    if not isinstance(seeds_seg, int):
+        seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_MAP_EDGES.size - 1)])
+    edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
+    if not tails.size:   # no tail, no check: the integrand is f itself
+        return _gk_segments(f, edges, seg, tol, _MAX_EVALS)
+    # where each tail starts; no node of a tail-less integral gets past inf
+    q0a = np.array([q if x is None else math.inf for q, x in zip(stop, width)])
+    period = [2.0 * math.pi / omega[i] / _CHECK_POINTS.size for i in tails.tolist()]
+    q_chk = (q_tail + np.multiply.outer(period, _CHECK_POINTS)).ravel()
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
-    chk_seg = np.arange(m).repeat(_CHECK_POINTS.size)
+    chk_seg = tails.repeat(_CHECK_POINTS.size)
 
     def with_checks(s):   # the segment indices of some points, then of q_chk
         return s if isinstance(s, int) else np.concatenate([s, chk_seg])
@@ -590,21 +604,23 @@ def _oscillatory_segments(f, h, omega, q0, tol, seeds, seeds_seg):
         out[on] = tail(t[on], _subset(s, on))
         return out
 
-    agree = [False] * m
+    agree, mismatch = [x is not None for x in width], [0.0] * m
 
     def target():
         # the check: |f - Re h| within 1e-12 (1 + max|f|) at q_chk; after a
         # failed one, refining beyond Q * mismatch + tol/2 is wasted
-        fq = chk[0].reshape(m, -1)
-        mismatch = np.abs(fq - chk[1].reshape(m, -1).real).max(axis=1).tolist()
-        agree[:] = [x <= _AGREEMENT * (1.0 + y)
-                    for x, y in zip(mismatch, np.abs(fq).max(axis=1).tolist())]
-        return [tol if a else max(tol, q * x + 0.5 * tol) for a, q, x in zip(agree, q0, mismatch)]
+        fq = chk[0].reshape(tails.size, -1)
+        off = np.abs(fq - chk[1].reshape(fq.shape).real).max(axis=1).tolist()
+        for i, x, y in zip(tails.tolist(), off, np.abs(fq).max(axis=1).tolist()):
+            agree[i], mismatch[i] = x <= _AGREEMENT * (1.0 + y), x
+        return [t if a else max(t, q * x + 0.5 * t)
+                for a, q, x, t in zip(agree, stop, mismatch, tol)]
 
-    value, err, evals, ok = _gk_segments(g, edges, seg, target, _MAX_EVALS, 2 * _CHECK_POINTS.size)
+    checks = [2 * _CHECK_POINTS.size if x is None else 0 for x in width]
+    value, err, evals, ok = _gk_segments(g, edges, seg, target, _MAX_EVALS, checks)
     for i, w in enumerate(witness()):
         err[i] = err[i] + w if agree[i] else math.inf
-        ok[i] = agree[i] and ok[i] and err[i] <= tol
+        ok[i] = agree[i] and ok[i] and err[i] <= tol[i]
     return value, err, evals, ok
 
 

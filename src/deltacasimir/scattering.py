@@ -128,13 +128,16 @@ def flux_deficit(q, d):
     The denominator has no cancellation, and the numerator cancels only
     where the deficit itself crosses 0; the q -> 0 limit is
     1 - 2/(d+2)^2.  The terms are accumulated in place, the powers of 2
-    scaled exactly: 4q^4 is (2q^2)^2.  ``d`` is a
-    scalar, or an array of q's shape that gives each q its own separation.
+    scaled exactly: 4q^4 is (2q^2)^2.  ``d`` is a scalar of any real
+    type, read as a float, or an array of q's shape that gives each q its
+    own separation.
     """
     q = np.asarray(q, float)
     scalar = q.ndim == 0
     if scalar:
         q = q.reshape(1)
+    per_q = bool(getattr(d, "ndim", 0))
+    d = d if per_q else float(d)
     c = q * d
     a = np.sin(c)
     np.cos(c, out=c)
@@ -147,9 +150,9 @@ def flux_deficit(q, d):
     w += a                                  # a^2 + 4q^4
     a -= q2                                 # a^2 - 2q^2
     big = bool(q.min() > 1e-130) or q > 1e-130   # True when no q ~ 0
-    if big is True and (isinstance(d, float) or getattr(d, "ndim", 0)):   # float64 out
+    if big is True:
         out = a
-    elif getattr(d, "ndim", 0):   # one separation per q: its limit where q ~ 0
+    elif per_q:   # one separation per q: its limit where q ~ 0
         out = np.empty(q.shape)
         out[~big] = _deficit_at_zero(d[~big])
     else:

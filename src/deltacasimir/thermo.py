@@ -36,10 +36,7 @@ from .model import DimensionlessPoint
 from .numerics import (
     QuadratureEstimate,
     _adaptive_gk,
-    _gk_segments,
     _oscillatory_segments,
-    _seed_edges,
-    _subset,
     _thermal_weight_raw,
     sum_exponential_series,
 )
@@ -141,10 +138,11 @@ def entropy_density_canonical(dtilde, That: float,
                               tol: float = ENTROPY_INNER_TOL) -> EntropyDensity:
     """Entropy density in separation at (dtilde, That).
 
-    ``dtilde`` is a number, or a 1-D array of separations whose q-integrals
-    are all taken in one adaptive loop per kind below (real axis, rotated),
-    each with its own tolerance, stopping test and caps: every element gets
-    the bits its scalar call gives.  For an array, ``value``, ``dtilde``,
+    ``dtilde`` is a number, or a 1-D array of separations whose q-integrals,
+    of both kinds below (rotated, real axis), are all taken in one call of
+    ``numerics._oscillatory_segments`` and so in one adaptive loop, each
+    with its own tolerance, stopping test and caps: every element gets the
+    bits its scalar call gives.  For an array, ``value``, ``dtilde``,
     ``evaluations`` and the estimate's ``value``, ``abs_error_estimate``
     and ``converged`` are arrays over it: each element of ``evaluations``
     is its scalar call's ``estimate.evaluations``, and the estimate's
@@ -176,10 +174,11 @@ def entropy_density_canonical(dtilde, That: float,
     two resonances, passes above every later one, and no truncation bound
     is needed.
 
-    Otherwise [0, q_max] is integrated on the real axis: panels are seeded
-    one period wide (narrower only where 2.5 That or q_max/8 is) and
-    refined adaptively.  The truncation bound is added to the error
-    estimate, and the panels get the rest of tol.
+    Otherwise [0, q_max] is integrated on the real axis, a tail-less
+    integral of the same loop: panels are seeded one period wide (narrower
+    only where 2.5 That or q_max/8 is) and refined adaptively.  The
+    truncation bound is added to the error estimate, and the panels get
+    the rest of tol.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
     its zero mode kept (see the README).  The tests use that identity as
@@ -189,43 +188,22 @@ def entropy_density_canonical(dtilde, That: float,
     d = np.array([require_real("dtilde", dtilde)]) if scalar else _separations(dtilde)
     That, tol = require_real("That", That), require_real("tol", tol)
     q_max, tail_bound = _thermal_cutoff(That, tol)
-    rotated = q_max > _ROTATE_PERIODS * (math.pi / d)
-    # one batch per kind of q-integral, its rows (value, error, evaluations,
-    # converged) scattered back to d's order
-    res = np.empty((4, d.size))
-    for kind, densities in ((rotated, _rotated_densities), (~rotated, _real_axis_densities)):
-        if kind.any():
-            res[:, kind] = densities(d[kind], That, tol, q_max, tail_bound)
-    value, err, evals, ok = res[0], res[1], res[2].astype(int), res[3].astype(bool)
+    rotated = (q_max > _ROTATE_PERIODS * (math.pi / d)).tolist()
+    # a rotated q-integral's head ends at Q; a real-axis one runs to q_max
+    # on panels a period wide (or 2.5 That) and leaves tail_bound of tol
+    stop = [contour_switch(x) if r else q_max for x, r in zip(d.tolist(), rotated)]
+    width = [None if r else min(math.pi / x, 2.5 * That) for x, r in zip(d.tolist(), rotated)]
+    seeds, owner = resonance_edges(d, stop)
+    v, e, n, ok = _oscillatory_segments(
+        _density_integrand(d, That), _density_continuation(d, That), (2.0 * d).tolist(), stop,
+        [tol if r else tol - tail_bound for r in rotated], seeds, owner, width)
+    err = np.array(e) + np.where(rotated, 0.0, tail_bound)
+    value, evals, ok = np.array(v, float), np.array(n), np.array(ok) & (err <= tol)
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), bool(ok[0]))
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
     est = QuadratureEstimate(value, err, int(evals.sum()), ok)
     return EntropyDensity(value, d, That, est, evals)
-
-
-def _rotated_densities(dtilde, That, tol, q_max, tail_bound):
-    """The densities at the separations dtilde (an array) whose q-integral
-    takes the contour beyond Q: lists (value, error, evaluations, ok)."""
-    q0 = [contour_switch(x) for x in dtilde.tolist()]
-    seeds, owner = resonance_edges(dtilde, q0)
-    f, h = _density_integrand(dtilde, That), _density_continuation(dtilde, That)
-    return _oscillatory_segments(f, h, (2.0 * dtilde).tolist(), q0, tol, seeds, owner)
-
-
-def _real_axis_densities(dtilde, That, tol, q_max, tail_bound):
-    """The densities at the separations dtilde (an array) whose q-integral
-    stays on the real axis up to q_max: lists (value, error, evaluations, ok)."""
-    n = np.ceil(q_max / np.minimum(math.pi / dtilde, min(2.5 * That, q_max / 8.0)))
-    stop = np.full(dtilde.size, q_max)
-    dips, owner = resonance_edges(dtilde, stop)
-    below = dips < q_max
-    edges, seg = _seed_edges(stop, np.minimum(n, 300000).astype(int), dips[below],
-                             _subset(owner, below))
-    v, e, ne, ok = _gk_segments(_density_integrand(dtilde, That), edges, seg,
-                                [tol - tail_bound] * dtilde.size)
-    e = [x + tail_bound for x in e]
-    return v, e, ne, [a and x <= tol for a, x in zip(ok, e)]
 
 
 def _separations(dtilde):
@@ -251,7 +229,7 @@ def entropy_canonical(point: DimensionlessPoint,
     panel's error asks for it: every outer node costs a full density.  Each
     round of the outer integral makes one ``entropy_density_canonical``
     call with the separations of all its nodes, whose q-integrals share
-    one adaptive loop per kind.  Each inner density is asked for
+    one adaptive loop.  Each inner density is asked for
     inner_tol = min(ENTROPY_INNER_TOL, tol/(4 (Lambda - d))), and
     (Lambda - d) * inner_tol is charged to the reported estimate.
 

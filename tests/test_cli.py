@@ -380,11 +380,13 @@ def test_figure_checks_its_out_dir_before_computing(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("fig", ["2", "3a"])
 @pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"),
                                          ("--That-set", "1,,2"), ("--That-set", "one"),
-                                         ("--That-set", "1,1"), ("--That-set", "0.5,0.5000001")])
+                                         ("--That-set", "1,1"), ("--That-set", "0.5,0.5000001"),
+                                         ("--That-set", "")])
 def test_figure_rejects_bad_grid_inputs(fig, flag, value, tmp_path, capsys, monkeypatch):
     # --points 0 once gave the default 48 points, --points -3 and an empty
     # --That-set entry a traceback; 1,1 wrote one CSV twice and listed it twice
-    # in the sidecar, and 0.5,0.5000001 (both 0.5 under :g) overwrote a curve
+    # in the sidecar, 0.5,0.5000001 (both 0.5 under :g) overwrote a curve, and
+    # an empty --That-set ran the default set
     calls = []
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
     code, out, err = run(capsys, "figure", "--id", fig, flag, value,

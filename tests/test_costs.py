@@ -15,7 +15,7 @@ from test_acceptance import OSCILLATORY_INTEGRALS
 
 from deltacasimir import DimensionlessPoint, DomainError, casimir_force, cli, \
     entropy_canonical, entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
-    force_zero_t_lifshitz, integrate_oscillatory_tail, numerics
+    force_zero_t_lifshitz, integrate_oscillatory_tail, numerics, thermo
 
 
 def _gk_passes(monkeypatch, fn):
@@ -52,13 +52,14 @@ def test_canonical_entropy_over_the_benchmark_grid():
 
 def test_entropy_grid_passes(monkeypatch):
     # 841 while every outer node made its own density call (555 calls, each
-    # with its own seed pass and rounds); one density call per outer round,
-    # one adaptive loop per kind of q-integral in it
+    # with its own seed pass and rounds), 95 while each density call made one
+    # adaptive loop per kind of q-integral; one density call per outer round,
+    # one adaptive loop for all of its q-integrals
     def entropies():
         for d, t in ENTROPY_GRID:
             entropy_canonical(DimensionlessPoint(d, t), 100.0)
 
-    assert _gk_passes(monkeypatch, entropies) == 95
+    assert _gk_passes(monkeypatch, entropies) == 85
 
 
 def test_density_over_the_figure3a_grid():
@@ -175,13 +176,14 @@ def test_figure3a_passes(monkeypatch):
 def test_figure3a_command(tmp_path, monkeypatch, capsys):
     # 144 tasks and 258 passes while every row made its own scalar density
     # call, then 3 tasks while each curve was one; one task with one array
-    # call per curve spends the same evaluations
+    # call per curve spends the same evaluations, in 15 passes while each
+    # call made one adaptive loop per kind of q-integral
     tasks = []
     run_tasks = cli._run_tasks
     monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts, jobs: tasks.append(len(ts))
                         or run_tasks(fn, ts, jobs))
     argv = ["figure", "--id", "3a", "--jobs", "1", "--out-dir", str(tmp_path)]
-    assert _gk_passes(monkeypatch, lambda: cli.main(argv)) == 15
+    assert _gk_passes(monkeypatch, lambda: cli.main(argv)) == 9
     capsys.readouterr()
     evals = [int(line.split(",")[4]) for f in tmp_path.glob("*.csv")
              for line in f.read_text().split()[1:]]
@@ -214,6 +216,33 @@ def test_figure_task_counts(fig, count, tmp_path, monkeypatch):
 @pytest.mark.parametrize("dtilde, that, passes", [(100.0, 0.5, 3), (100.0, 0.01, 1)])
 def test_density_passes(monkeypatch, dtilde, that, passes):
     assert _gk_passes(monkeypatch, lambda: entropy_density_canonical(dtilde, that)) <= passes
+
+
+def test_mixed_density_batch_is_one_engine_loop(monkeypatch):
+    # at That = 0.5 the q-integral of dtilde = 0.5 stays on the real axis and
+    # that of dtilde = 100 takes the contour tail: one engine call holds both,
+    # its passes are those of the longer lone loop, and each member keeps the
+    # bits of its lone call
+    d = [0.5, 100.0]
+    lone = [entropy_density_canonical(x, 0.5).estimate for x in d]
+    passes = [_gk_passes(monkeypatch, lambda x=x: entropy_density_canonical(x, 0.5)) for x in d]
+    calls = []
+    engine = thermo._oscillatory_segments
+
+    def spy(*args):
+        calls.append(args[-1])   # the seed widths: None for an integral with a tail
+        return engine(*args)
+
+    monkeypatch.setattr(thermo, "_oscillatory_segments", spy)
+    batch = []
+    assert _gk_passes(monkeypatch, lambda: batch.append(
+        entropy_density_canonical(np.array(d), 0.5))) == max(passes)
+    assert len(calls) == 1 and [w is None for w in calls[0]] == [False, True]
+    est, evals = batch[0].estimate, batch[0].evaluations
+    for i, want in enumerate(lone):
+        assert (float(est.value[i]), float(est.abs_error_estimate[i]), int(evals[i]),
+                bool(est.converged[i])) == \
+            (want.value, want.abs_error_estimate, want.evaluations, want.converged)
 
 
 def test_canonical_force_that_fails_its_continuation_check():

@@ -11,8 +11,8 @@ vectorized kernel and has no row.
 
 The cases that still differ wait for ROADMAP item 2 and are strict xfails:
 ``DimensionlessPoint`` and ``OscillatorySpec`` store their fields as given,
-so the canonical force with an integral or float32 That (or a float32 d)
-computes in the wrong dtype, and ``entropy_canonical`` refuses a numpy That.
+so the canonical force with an integral or float32 That computes in the
+wrong dtype, and ``entropy_canonical`` refuses a numpy That.
 """
 import math
 from dataclasses import dataclass
@@ -179,7 +179,6 @@ assert len(BY_NAME) == len(ROWS)
 
 # (row, kind) pairs that still differ from the float twin
 XFAIL = {
-    ("force_finite_t_canonical.d", "float32"): "float32 d keeps a float32 integrand",
     **{("force_finite_t_canonical.That", k): "the Bose weight takes That's dtype"
        for k in ("int", "int64", "float32")},
     **{("entropy_canonical.That", k): "entropy_canonical refuses a numpy That"

@@ -145,9 +145,9 @@ def test_flux_deficit_matches_mpmath(d):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     got = flux_deficit(KERNEL_QS, d)
-    # a float32 d still gives a float32 array (ROADMAP item 2 casts d)
-    assert got.dtype == (np.float32 if isinstance(d, np.float32) else np.float64)
-    rel = max(1e-12, float(np.finfo(got.dtype).eps))
+    # a scalar d is read as a float: float64 out for every type (a float32 d
+    # gave a float32 array until d was cast)
+    assert got.dtype == np.float64
     dm = mpmath.mpf(float(d))
     for q, v in zip(KERNEL_QS, got):
         if q == 0.0:
@@ -159,7 +159,7 @@ def test_flux_deficit_matches_mpmath(d):
             a = s + 2 * qm * c
             assert abs(n - (4 * a * a - 8 * qm * qm)) <= mpmath.mpf(10) ** -35 * (1 + abs(n))
             exact = n / (4 * a * a + 16 * qm ** 4)
-        assert abs(float(v) - float(exact)) <= rel * max(1.0, abs(float(exact)))
+        assert abs(float(v) - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
     for q in (0.0, 1e-140, 1e-3, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
         a = flux_deficit(q, d)
         assert type(a) is float and a == flux_deficit(np.array([float(q)]), d)[0]

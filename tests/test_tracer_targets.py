@@ -5,13 +5,14 @@ crash only the traced figure run; this test reads the tracer's list and
 checks every target."""
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from deltacasimir import DimensionlessPoint, cli, entropy_canonical, \
     entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, forces, \
-    free_energy_lifshitz, thermo
+    free_energy_lifshitz, numerics, scattering, thermo
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -114,3 +115,32 @@ def test_array_density_evaluations_are_a_plain_int():
     assert dens.evaluations.tolist() == [
         entropy_density_canonical(d, 1.0).estimate.evaluations for d in (0.5, 5.0, 50.0)]
     assert est.evaluations == sum(dens.evaluations.tolist())
+
+
+def test_density_kernels_run_only_through_the_traced_names(monkeypatch):
+    # the tracer's scattering.flux_deficit and numerics.thermal_weight spans
+    # wrap thermo.flux_deficit and thermo._thermal_weight_raw: a density
+    # batch whose kernel calls reached the functions another way would leave
+    # those spans short without failing anything.  The batch mixes a
+    # real-axis q-integral (dtilde = 0.5) and a rotated one (dtilde = 100)
+    kernels = {scattering.flux_deficit.__code__: "flux_deficit",
+               numerics._thermal_weight_raw.__code__: "_thermal_weight_raw"}
+    traced = {name: 0 for name in kernels.values()}
+    run = {name: 0 for name in kernels.values()}
+    for name in traced:
+        def counting(*args, _orig=getattr(thermo, name), _name=name):
+            traced[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(thermo, name, counting)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in kernels:
+            run[kernels[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        entropy_density_canonical(np.array([0.5, 100.0]), 0.5)
+    finally:
+        sys.setprofile(None)
+    assert all(traced.values()) and run == traced
