@@ -18,15 +18,16 @@ Re q = Q then passes midway between the first two cavity resonances,
 near q_m = m pi/(d+2), instead of close to the first one.  The resonances
 in the head, each ~2 q_m^2/(d+2) wide, get graded seed edges
 (``scattering.resonance_edges``) if narrower than 0.4 pi/(d+2), so the
-seed pass resolves them; the wider ones need no extra edges.  At
-That > 0 the Bose weight differs from q only for q below ~10 That, so the
-head also gets seed edges at That 2^k, k = -1..5: without them, at
-That <~ 3e-4, that region lies inside the first seed panel, below its
-first node, and the thermal part is dropped with converged=True.  A real
-integrand that is not Re h (a Python-int That truncates the Bose weight of
-``_finite_t_integrand`` today, and an np.float32 That computes it in
-float32) fails the engine's agreement check and reports converged=False
-with an infinite error estimate.
+seed pass resolves them; the wider ones need no extra edges.  Past d =
+``scattering.RESOLVED_D`` float64 cannot resolve the first one: the force
+is then not converged.  At That > 0 the Bose weight differs from q only for
+q below ~10 That, so the head also gets seed edges at That 2^k, k = -1..5:
+without them, at That <~ 3e-4, that region lies inside the first seed
+panel, below its first node, and the thermal part is dropped with
+converged=True.  A real integrand that is not Re h (a Python-int That
+truncates the Bose weight of ``_finite_t_integrand`` today, and an
+np.float32 That computes it in float32) fails the engine's agreement check
+and reports converged=False with an infinite error estimate.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -64,7 +65,7 @@ from .numerics import (
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import contour_switch, flux_deficit, resonance_edges
+from .scattering import RESOLVED_D, contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "FORCE_TOL",
@@ -147,16 +148,17 @@ def _continuation(d, that):
 
 
 def _canonical_force(f, d, that, tol):
-    """The mode-sum integral of f: the head [0, Q] on the real axis, the tail
-    along Re q = Q = ``contour_switch(d)``.  The head has seed edges around
-    its cavity resonances (``resonance_edges``) and, at That > 0, at
-    That 2^k, k = -1..5, where the Bose weight departs from q."""
+    """The mode-sum integral of f, its tail along Re q = ``contour_switch(d)``
+    and its head seeded as the module docstring says."""
     q0 = contour_switch(d)
     seeds = resonance_edges([d], [q0])[0]
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
-    return integrate_oscillatory_tail(f, OscillatorySpec(2.0 * d, q0), tol,
-                                      continuation=_continuation(d, that), head_seeds=seeds)
+    est = integrate_oscillatory_tail(f, OscillatorySpec(2.0 * d, q0), tol,
+                                     continuation=_continuation(d, that), head_seeds=seeds)
+    if d > RESOLVED_D:   # the first dip is not resolved
+        return QuadratureEstimate(est.value, est.abs_error_estimate, est.evaluations, False)
+    return est
 
 
 def _matsubara(c, d, n):

@@ -24,11 +24,11 @@ test, ``_MAX_EVALS`` and ``_MAX_ROUNDS`` caps and panel-order sums, so an
 integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
 seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
 oscillatory integrals' panels, integrand and agreement checks around it;
-``_adaptive_gk`` and ``integrate_oscillatory_tail`` are their batches of
-one.  An integral of ``_oscillatory_segments`` may have no tail (a
-real-axis entropy density), so the densities of one outer round, of both
-kinds, are one batch, whose bookkeeping takes a fixed number of array operations per pass, but for
-one numpy (pairwise) sum per integral, the sum a lone call takes.
+``_adaptive_gk`` is one integral of the first; ``integrate_oscillatory_tail``,
+one of the second, takes its plain-float lone path.  An integral of
+``_oscillatory_segments`` may have no tail (a real-axis entropy density), so
+the densities of one outer round, of both kinds, are one batch: a fixed
+number of array operations per pass, and one numpy sum per integral.
 
 Every engine returns a :class:`QuadratureEstimate`; failure to converge is
 reported through the ``converged`` flag, never by silent truncation or an
@@ -150,9 +150,8 @@ _GK_W[1::2, 1] -= _GK_WG
 _EPS_FLOOR = 1e-16
 _EULER_GAMMA = 0.57721566490153286061
 # panels per integrand call: 256 x 15 nodes make 30 KiB float64 temporaries,
-# which stay in cache and sit below glibc's 128 KiB mmap and trim thresholds,
-# so the integrands' buffers are reused from the heap instead of being mapped,
-# faulted in and unmapped again on every call
+# which stay in cache and below glibc's 128 KiB mmap and trim thresholds, so
+# they are reused from the heap, not mapped and unmapped on every call
 _GK_CHUNK = 256
 # caps on the work of one engine call; hitting one reports converged=False
 _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
@@ -166,6 +165,7 @@ _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 _MAP_LENGTHS = 4.0
 _MAP_EDGES = np.linspace(0.0, 1.0, 9)
 _DECAY_CUT = 200.0
+_S_CUT = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(_S_CUT) = 200 decay lengths
 # |f - Re h| allowed between an oscillatory integrand and its continuation,
 # relative to 1 + max|f|
 _AGREEMENT = 1e-12
@@ -379,61 +379,49 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
 
 
 def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
-    """Integrate a smooth exponentially decaying f over [0, inf).
+    """Integrate a smooth vectorized f over [0, inf) to the absolute
+    tolerance tol, given |f(x)| <= M*exp(-x/decay_scale) at large x.
 
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand, |f(x)| <= M*exp(-x/decay_scale) for large x.
-    decay_scale : float
-        Positive decay length.  The substitution x = L s/(1-s) with
-        L = 4*decay_scale maps [0, inf) onto [0, 1), where f(x) L/(1-s)^2
-        is smooth and vanishes at s = 1 with all its derivatives: one
-        adaptive integral from 8 equal seed panels covers it.  f is not
-        evaluated beyond x_c = 200 decay lengths, where e^{-200} < 1e-86
-        has made it zero.
-    tol : float
-        Absolute tolerance.  x_c times the largest |f| seen on
-        [x_c/2, x_c) is added to the error estimate: it is zero for all
-        practical purposes when f decays as promised, and it keeps an
-        integrand that does not decay from converging to its truncation.
-
-    Running out of bisection rounds or evaluations (``_MAX_EVALS``)
-    reports converged=False, never a silently truncated value.
+    The substitution x = L s/(1-s), L = 4*decay_scale, maps [0, inf) onto
+    [0, 1), where f(x) L/(1-s)^2 is smooth and vanishes at s = 1 with all
+    its derivatives: one adaptive integral from 8 equal seed panels covers
+    it.  f is not evaluated beyond x_c = 200 decay lengths, where
+    e^{-200} < 1e-86 has made it zero; x_c times the largest |f| seen on
+    [x_c/2, x_c) is added to the error estimate, which keeps an integrand
+    that does not decay from converging to its truncation.  Running out of
+    bisection rounds or evaluations (``_MAX_EVALS``) reports
+    converged=False, never a silently truncated value.
     """
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
-    g, witness = _mapped_integrand(lambda x, _: f(x), [decay_scale])
-    v, e, n, ok = _adaptive_gk(g, _MAP_EDGES, tol, _MAX_EVALS)
-    err = e + witness()[0]
+    far = [0.0]
+    v, e, n, ok = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), [decay_scale], far),
+                               _MAP_EDGES, tol, _MAX_EVALS)
+    err = e + _DECAY_CUT * decay_scale * far[0]
     return QuadratureEstimate(v, err, n, ok and err <= tol)
 
 
-def _mapped_integrand(f, decay_scale):
-    """(g, witness): g(s, seg) = f(x, seg) dx/ds with x = L s/(1-s),
-    L = 4 decay lengths decay_scale[seg] (a list, one per segment), which
-    maps [0, inf) onto [0, 1); seg is the segment index of the points, one
-    int or one per point (see ``_gk_apply``).  g is 0 from x_c = 200 decay
-    lengths on, where f is not evaluated; witness() is the list, per
-    segment, of x_c times the largest |f| seen so far on [x_c/2, x_c)."""
-    decay = np.array(decay_scale)
-    s_cut = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(s_cut) = x_cut
-    far_max = np.zeros(decay.size)
-
+def _mapped_integrand(f, decay, far):
+    """g(s, seg) = f(x, seg) dx/ds with x = L s/(1-s), L = 4 decay lengths
+    decay[seg], which maps [0, inf) onto [0, 1); seg is the segment index of
+    the points, one int or one per point (see ``_gk_apply``).  g is 0 from
+    x_c = 200 decay lengths on, where f is not evaluated, and far[seg] keeps
+    the largest |f| seen on [x_c/2, x_c), which x_c times is the witness
+    of the truncation; decay and far are lists for an int seg."""
     def g(s, seg):
-        m = s < s_cut
-        cut = not m.all()
+        m = s < _S_CUT
+        cut = np.count_nonzero(m) < s.size
         if cut:
             s, seg = s[m], _subset(seg, m)
         rest, dec = 1.0 - s, decay[seg]
         jac = _MAP_LENGTHS * dec / rest
         x = jac * s
         fx = np.asarray(f(x, seg), float)
-        far = x >= 0.5 * (_DECAY_CUT * dec)
-        if far.any():
+        big = x >= 0.5 * (_DECAY_CUT * dec)
+        if np.count_nonzero(big):
             if isinstance(seg, int):
-                far_max[seg] = max(far_max[seg], np.abs(fx[far]).max())
+                far[seg] = max(far[seg], float(np.abs(fx[big]).max()))
             else:
-                np.maximum.at(far_max, seg[far], np.abs(fx[far]))
+                np.maximum.at(far, seg[big], np.abs(fx[big]))
         jac /= rest
         jac *= fx
         if not cut:
@@ -442,7 +430,7 @@ def _mapped_integrand(f, decay_scale):
         out[m] = jac
         return out
 
-    return g, lambda: (_DECAY_CUT * decay * far_max).tolist()
+    return g
 
 
 def _subset(seg, mask):
@@ -451,7 +439,7 @@ def _subset(seg, mask):
     return seg if isinstance(seg, int) else seg[mask]
 
 
-# unused by the engines: the benchmark's tracer binds it, and a test's Ci(10) oracle uses it
+# unused by the engines; the benchmark's tracer and a test's Ci(10) oracle use it
 def _wynn_epsilon(sums):
     """Wynn's epsilon extrapolation of a sequence of partial sums.
 
@@ -488,46 +476,16 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
                                continuation, head_seeds=()) -> QuadratureEstimate:
     """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
 
-    The head [0, Q] is seeded at half the oscillation half-period, or Q/8
-    where that is narrower.  The points of ``head_seeds`` that lie in
-    (0, Q) become extra seed edges: the callers put them around the cavity
-    resonances below Q, far narrower than a seed panel at large d, and the
-    canonical force also where its Bose weight departs from q, a feature
-    far narrower than a seed panel at low temperature.
-
-    The tail [Q, inf) is taken on a rotated contour with the
-    ``continuation`` h.  h must accept a complex ndarray, be analytic on
-    the quarter plane Re q >= Q, Im q >= 0, have Re h = f on the real axis,
-    and decay like e^{-omega Im q} (the force integrands' h is analytic
-    there because |x| < 1 and the Bose poles lie on Re q = 0; see
-    ``forces``, and ``thermo`` for the entropy density's).  Then
-    int_Q^inf f dq = -int_0^inf Im h(Q + it) dt exactly (the arc at
-    infinity vanishes): an exponentially decaying integral, mapped onto
-    s in [0, 1) as in ``integrate_smooth_semi_infinite`` with decay scale
-    1/omega, truncation witness included.
-
-    Head and tail are one adaptive integral: the tail's 8 seed panels sit on
-    x = Q + s in [Q, Q+1) after the head's edges, and one integrand calls f
-    on the head's nodes and -Im h on the tail's, each only when it has any.
-    ``converged`` needs the joint error estimate of all the panels, plus the
-    tail's truncation witness, to be at most tol, so bisection spends the
-    budget wherever the estimate asks for it rather than half on each side.
-
-    The agreement check rides on the seed pass: f and h are also taken at
-    48 points over one period beyond Q, appended to that pass's calls, and
-    |f - Re h| <= 1e-12 (1 + max|f|) there or ``converged`` is cleared.
-    It catches a real integrand that is not Re h, such as one computed in a
-    truncated or lower precision type.  After a failed check the panels are
-    refined only to max(tol, Q * mismatch + tol/2), not tol: refining
-    further cannot make f better known than that.  The tail then integrates
-    h, which is not the continuation of f, and nothing bounds the
-    difference: the error estimate is inf, as for a panel
-    ``_adaptive_gk`` did not evaluate.  All passes share one
-    ``_MAX_EVALS``.  This is ``_oscillatory_segments`` with one integral,
-    which has a tail.
+    The head [0, Q] is taken on the real axis and the tail [Q, inf) along
+    Re q = Q, with the ``continuation`` h: it must accept a complex ndarray,
+    be analytic on the quarter plane Re q >= Q, Im q >= 0, have Re h = f on
+    the real axis and decay like e^{-omega Im q}.  The points of
+    ``head_seeds`` in (0, Q) become extra seed edges of the head: the
+    callers put them around features far narrower than a seed panel.  This
+    is ``_oscillatory_segments`` with one integral.
     """
     tol = require_real("tol", tol)
-    seeds = np.asarray(head_seeds, float)
+    seeds = np.asarray(head_seeds, float).ravel()
     v, e, n, ok = _oscillatory_segments(
         lambda q, _: f(q), lambda z, _: continuation(z), [float(spec.angular_rate)],
         [float(spec.switch_point)], [tol], seeds, 0, [None])
@@ -536,79 +494,108 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
 
 def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     """``integrate_oscillatory_tail`` of several integrals at once: integral
-    s has angular rate omega[s], switch point stop[s] and tolerance tol[s]
-    (lists), and the head seeds seeds[seeds_seg == s] (seeds_seg is the int
-    0 for a single integral); f(q, s) and h(z, s) get the segment index of
-    the points (see ``_gk_apply``).  width[s] (a list) is None for an
-    integral with a tail; a number makes integral s tail-less: the
-    real-axis integral of f over [0, stop[s]], seeded that far apart
-    (stop[s]/8 where that is narrower), with no tail edges, agreement
-    points or witness, and h never sees it.  The integrals share one seed
-    pass and one ``_refine`` loop, and each keeps its own agreement check,
-    refinement target, witness and ``_MAX_EVALS``.  Returns lists (value,
+    s has angular rate omega[s], switch point Q = stop[s], tolerance tol[s]
+    (lists) and head seeds seeds[seeds_seg == s]; f(q, s) and h(z, s) get
+    the segment index of the points (see ``_gk_apply``).  The head is
+    seeded at pi/(2 omega), or Q/8 where that is narrower.  The tail
+    int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at infinity
+    vanishes) is mapped as in ``integrate_smooth_semi_infinite`` with decay
+    scale 1/omega, witness included, onto 8 seed panels on Q + t, t in
+    [0, 1), after the head's edges: ``converged`` needs the joint error of
+    head and tail, plus the witness, to be at most tol.  The seed pass also
+    takes f and h at 48 points over the period beyond Q; unless
+    |f - Re h| <= 1e-12 (1 + max|f|) there, the error is inf (nothing
+    bounds the tail of h against f's) and the panels are refined only to
+    max(tol, Q * mismatch + tol/2).
+
+    width[s] (a list) is None for an integral with a tail; a number makes
+    integral s tail-less: the real-axis integral of f over [0, stop[s]],
+    seeded that far apart (stop[s]/8 where that is narrower), with no tail
+    edges, agreement points or witness, and h never sees it.  The integrals
+    share one seed pass and one ``_refine`` loop, and each keeps its own
+    check, refinement target, witness and ``_MAX_EVALS``.  A lone tailed
+    integral (seeds_seg the int 0) pays for one: plain floats set it up,
+    check it and hold its witness, and its seed pass, whose nodes are
+    sorted, is split into head and tail by slicing.  Returns lists (value,
     error, evaluations, converged).
     """
-    m = len(stop)
-    tails = np.array([i for i, x in enumerate(width) if x is None], int)
-    nseed = [min(math.ceil(q / min(0.5 * math.pi / w if x is None else x, q / 8.0)),
-                 _MAX_SEED_PANELS) for w, q, x in zip(omega, stop, width)]
-    stop_a = np.array(stop)
-    q_tail = stop_a[tails, None]
-    inside = (seeds > 0.0) & (seeds < stop_a[seeds_seg])
-    # a tail's 8 seed panels on x = Q + s in [Q, Q+1) follow its head's edges
-    seeds = np.concatenate([seeds[inside], (q_tail + _MAP_EDGES[1:]).ravel()])
-    if not isinstance(seeds_seg, int):
-        seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_MAP_EDGES.size - 1)])
-    edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
-    if not tails.size:   # no tail, no check: the integrand is f itself
-        return _gk_segments(f, edges, seg, tol, _MAX_EVALS)
-    # where each tail starts; no node of a tail-less integral gets past inf
-    q0a = np.array([q if x is None else math.inf for q, x in zip(stop, width)])
-    period = [2.0 * math.pi / omega[i] / _CHECK_POINTS.size for i in tails.tolist()]
-    q_chk = (q_tail + np.multiply.outer(period, _CHECK_POINTS)).ravel()
+    one = isinstance(seeds_seg, int) and width[0] is None
+    if one:   # plain floats, which the lists' index 0 reads
+        q0 = stop[0]
+        n = min(math.ceil(q0 / min(0.5 * math.pi / omega[0], q0 / 8.0)), _MAX_SEED_PANELS)
+        # the edges of _seed_edges, with Q = Q + 0.0 among the tail's
+        edges, seg = np.sort(np.concatenate([np.arange(n) * (q0 / n), [
+            x for x in seeds.tolist() if 0.0 < x < q0], q0 + _MAP_EDGES])), 0
+        q_chk = q0 + 2.0 * math.pi / omega[0] / _CHECK_POINTS.size * _CHECK_POINTS
+        q0a, decay, far, agree = stop, [1.0 / omega[0]], [0.0], [False]
+    else:
+        tails = np.array([i for i, x in enumerate(width) if x is None], int)
+        nseed = [min(math.ceil(q / min(0.5 * math.pi / w if x is None else x, q / 8.0)),
+                     _MAX_SEED_PANELS) for w, q, x in zip(omega, stop, width)]
+        stop_a = np.array(stop)
+        q_tail = stop_a[tails, None]
+        inside = (seeds > 0.0) & (seeds < stop_a[seeds_seg])
+        # a tail's 8 seed panels on x = Q + t in [Q, Q+1) follow its head's edges
+        seeds = np.concatenate([seeds[inside], (q_tail + _MAP_EDGES[1:]).ravel()])
+        if not isinstance(seeds_seg, int):
+            seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_MAP_EDGES.size - 1)])
+        edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
+        if not tails.size:   # no tail, no check: the integrand is f itself
+            return _gk_segments(f, edges, seg, tol, _MAX_EVALS)
+        # where each tail starts; no node of a tail-less integral gets past inf
+        q0a = np.array([q if x is None else math.inf for q, x in zip(stop, width)])
+        period = [2.0 * math.pi / omega[i] / _CHECK_POINTS.size for i in tails.tolist()]
+        q_chk = (q_tail + np.multiply.outer(period, _CHECK_POINTS)).ravel()
+        chk_seg = tails.repeat(_CHECK_POINTS.size)
+        decay, far = 1.0 / np.array(omega), np.zeros(len(stop))
+        agree, mismatch = [x is not None for x in width], [0.0] * len(stop)
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
-    chk_seg = tails.repeat(_CHECK_POINTS.size)
 
-    def with_checks(s):   # the segment indices of some points, then of q_chk
-        return s if isinstance(s, int) else np.concatenate([s, chk_seg])
-
-    def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
-        z = q0a[s] + 1j * t
+    def on_line(x, s):   # -Im h(Q + ix); the first call also takes h(q_chk)
+        z = q0a[s] + 1j * x
         if len(chk) == 1:
-            hz = h(np.concatenate([z, q_chk + 0j]), with_checks(s))
-            chk.append(hz[t.size:])
-            return -np.imag(hz[:t.size])
-        return -np.imag(h(z, s))
+            hz = h(np.concatenate([z, q_chk]), s if one else np.concatenate([s, chk_seg]))
+            chk.append(hz[x.size:])
+            return -hz[:x.size].imag
+        return -h(z, s).imag
 
-    tail, witness = _mapped_integrand(on_line, [1.0 / w for w in omega])
+    line = _mapped_integrand(on_line, decay, far)
 
     def g(x, s):
         # f on the head's nodes (x - Q < 0 just where x < Q), the mapped tail
-        # on the rest, and no masks for a later call with one kind of node;
-        # the first call also takes f and h at q_chk, whether or not it has
-        # nodes of each
+        # on the rest, and no masks for a later call with one kind of node,
+        # nor for a lone seed pass, whose head nodes come first (checked);
+        # the first call also takes f and h at q_chk, with or without nodes
+        # of each
         t = x - q0a[s]
         head = t < 0.0
         k = int(np.count_nonzero(head))
         if chk and k in (0, x.size):
-            return tail(t, s) if not k else np.asarray(f(x, s), float)
+            return line(t, s) if not k else np.asarray(f(x, s), float)
+        if one and not (chk or np.count_nonzero(head[k:])):
+            fx = np.asarray(f(np.concatenate([x[:k], q_chk]), s), float)
+            chk.append(fx[k:])
+            return np.concatenate([fx[:k], line(t[k:], s)])
         out = np.empty(x.shape)
-        qh, sh = x[head], _subset(s, head)
+        sh = _subset(s, head)
         if chk:
-            out[head] = f(qh, sh)
+            out[head] = f(x[head], sh)
         else:
-            fx = np.asarray(f(np.concatenate([qh, q_chk]), with_checks(sh)), float)
+            fx = np.asarray(f(np.concatenate([x[head], q_chk]), sh if one else
+                              np.concatenate([sh, chk_seg])), float)
             out[head] = fx[:k]
             chk.append(fx[k:])
         on = ~head
-        out[on] = tail(t[on], _subset(s, on))
+        out[on] = line(t[on], _subset(s, on))
         return out
-
-    agree, mismatch = [x is not None for x in width], [0.0] * m
 
     def target():
         # the check: |f - Re h| within 1e-12 (1 + max|f|) at q_chk; after a
         # failed one, refining beyond Q * mismatch + tol/2 is wasted
+        if one:
+            x = float(np.abs(chk[0] - chk[1].real).max())
+            agree[0] = x <= _AGREEMENT * (1.0 + float(np.abs(chk[0]).max()))
+            return tol if agree[0] else [max(tol[0], stop[0] * x + 0.5 * tol[0])]
         fq = chk[0].reshape(tails.size, -1)
         off = np.abs(fq - chk[1].reshape(fq.shape).real).max(axis=1).tolist()
         for i, x, y in zip(tails.tolist(), off, np.abs(fq).max(axis=1).tolist()):
@@ -618,7 +605,8 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
 
     checks = [2 * _CHECK_POINTS.size if x is None else 0 for x in width]
     value, err, evals, ok = _gk_segments(g, edges, seg, target, _MAX_EVALS, checks)
-    for i, w in enumerate(witness()):
+    wit = [_DECAY_CUT * decay[0] * far[0]] if one else (_DECAY_CUT * decay * far).tolist()
+    for i, w in enumerate(wit):
         err[i] = err[i] + w if agree[i] else math.inf
         ok[i] = agree[i] and ok[i] and err[i] <= tol[i]
     return value, err, evals, ok

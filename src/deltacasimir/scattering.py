@@ -161,8 +161,16 @@ def flux_deficit(q, d):
     return float(out[0]) if scalar else out
 
 
+# past this d the first dip, 2 pi^2/(d+2)^3 wide at q_1 = pi/(d+2), spans
+# under 4.5e4 ulp of its phase q_1 d: its rounding reaches 1e-6 of a force
+# or density, past the estimate, so such a result is not converged
+RESOLVED_D = 1e6
+
+
 def _deficit_at_zero(d):
-    """The q -> 0 limit of the flux deficit, 1 - 2/(d+2)^2."""
+    """The q -> 0 limit of the flux deficit, 1 - 2/(d+2)^2 (1.0 past
+    d = 1e150, where d*d overflows)."""
+    d = np.minimum(d, 1e150)
     return (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0))
 
 
@@ -187,8 +195,9 @@ def resonance_edges(d, q_hi):
     a loop in plain floats; both give every separation the same edges bit
     for bit.  A force has at most a few graded resonances, for which the
     loop costs less than one of the pass's ~25 array operations: the
-    benchmark's force_sweep, all lone calls, takes 15% more time without it
-    (in process, paired, 2-vCPU x86 host).
+    benchmark's force_sweep takes 14% more time without it (90 float
+    points, in process, 30 paired rounds, 2-vCPU x86).  A resonance whose
+    width underflows to 0 (d >~ 2e108) gets no edges.
     """
     if len(d) == 1:
         d2 = float(d[0]) + 2.0
@@ -196,7 +205,7 @@ def resonance_edges(d, q_hi):
         stop, cap = min(1.0, q_hi[0]) / step, 0.4 * step
         edges, m = [], 1
         # gamma grows with m, so the resonances still graded form a prefix
-        while m < stop and (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
+        while m < stop and 0.0 < (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
             while gamma < cap:
                 edges += (q_m - gamma, q_m + gamma)
                 gamma *= 4.0
@@ -205,14 +214,19 @@ def resonance_edges(d, q_hi):
     d2 = np.add(d, 2.0)
     step = math.pi / d2
     # np.arange(1.0, y) holds the ceil(y - 1) whole numbers 1.0, 2.0, ...
-    count = np.ceil(np.minimum(1.0, q_hi) / step - 1.0).astype(int)
+    count = np.ceil(np.minimum(1.0, q_hi) / step - 1.0)
+    top = d2.max()
+    if not 2.0 * (math.pi / top) * (math.pi / top) / top > 0.0:   # a gamma_1 is 0
+        count *= 2.0 * step * step / d2 > 0.0
+        top = min(top, 1e150)
+    count = count.astype(int)
     owner = np.arange(d2.size).repeat(count)
     h = step[owner]
     q_m = h * (np.arange(1, owner.size + 1) - (count.cumsum() - count)[owner])
     gamma = 2.0 * q_m * q_m / d2[owner]
     # the edges gamma_m 4^k (exact products) below the cap 0.4 pi/(d+2), for
     # every k with 4^k below the largest cap/gamma_1 = 0.2 (d+2)^2/pi, and one more
-    levels = max(math.ceil(math.log(0.2 * d2.max() ** 2 / math.pi, 4)) + 1, 1)
+    levels = max(math.ceil(math.log(0.2 * top ** 2 / math.pi, 4)) + 1, 1)
     widths = np.multiply.outer(gamma, 4.0 ** np.arange(levels))
     graded = widths < 0.4 * h[:, None]
     rows = graded.nonzero()[0]

@@ -40,7 +40,7 @@ from .numerics import (
     _thermal_weight_raw,
     sum_exponential_series,
 )
-from .scattering import contour_switch, flux_deficit, resonance_edges
+from .scattering import RESOLVED_D, contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "ENTROPY_TOL",
@@ -153,32 +153,22 @@ def entropy_density_canonical(dtilde, That: float,
     (at most 20) whose truncation bound is below tol/1000.  The kernel
     oscillates with period pi/dtilde.
 
-    Below q ~ 1 each period holds a cavity resonance, at
-    sin(dtilde q) + 2q cos(dtilde q) = 0, near q_m = m pi/(dtilde+2): a dip
-    of width ~ 2 q_m^2/(dtilde+2), far narrower than a period at large
-    dtilde.  Every real-axis stretch gets the graded seed edges of
-    ``scattering.resonance_edges`` (an array's from one vectorized pass)
-    around the dips it holds that are narrower than 0.4 pi/(dtilde+2)
-    (q_m <~ 0.79), so the seed pass resolves them instead of bisection.
-    The wider dips span a sizeable share of their seed panel, which
-    resolves them without extra edges.
+    Below q ~ 1 each period holds a cavity dip near q_m = m pi/(dtilde+2),
+    ~2 q_m^2/(dtilde+2) wide; every real-axis stretch gets the graded seed
+    edges of ``scattering.resonance_edges`` around those narrower than
+    0.4 pi/(dtilde+2), so the seed pass resolves them.  Past
+    ``scattering.RESOLVED_D`` the first dip is below float64's resolution,
+    and a member reports converged=False.
 
-    When q_max spans more than 16 periods, the head [0, Q] with
-    Q = ``contour_switch(dtilde)`` = max(pi/dtilde, 1.5 pi/(dtilde+2)) is
-    integrated on the real axis and the rest along Re q = Q as
-    ``integrate_oscillatory_tail`` does, with the continuation
-    ``_density_continuation``, exactly as the canonical force's tail: the
-    integrand is -(1/pi) (u/sinh u)^2 Re[x/(1-x)] with |x| < 1 for
-    Im q >= 0, and the csch^2 poles lie on Re q = 0.  For
-    dtilde >= 4 the contour leaves the real axis midway between the first
-    two resonances, passes above every later one, and no truncation bound
-    is needed.
-
-    Otherwise [0, q_max] is integrated on the real axis, a tail-less
-    integral of the same loop: panels are seeded one period wide (narrower
-    only where 2.5 That or q_max/8 is) and refined adaptively.  The
-    truncation bound is added to the error estimate, and the panels get
-    the rest of tol.
+    When q_max spans more than 16 periods, the head [0, Q],
+    Q = ``contour_switch(dtilde)``, is integrated on the real axis and the
+    rest along Re q = Q with ``_density_continuation``, exactly as the
+    canonical force's tail (see ``forces``): the csch^2 poles lie on
+    Re q = 0, and no truncation bound is needed.  Otherwise [0, q_max] is
+    integrated on the real axis, a tail-less integral of the same loop on
+    panels one period wide (narrower only where 2.5 That or q_max/8 is);
+    the truncation bound is added to its error estimate, and its panels
+    get the rest of tol.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
     its zero mode kept (see the README).  The tests use that identity as
@@ -198,7 +188,8 @@ def entropy_density_canonical(dtilde, That: float,
         _density_integrand(d, That), _density_continuation(d, That), (2.0 * d).tolist(), stop,
         [tol if r else tol - tail_bound for r in rotated], seeds, owner, width)
     err = np.array(e) + np.where(rotated, 0.0, tail_bound)
-    value, evals, ok = np.array(v, float), np.array(n), np.array(ok) & (err <= tol)
+    value, evals = np.array(v, float), np.array(n)
+    ok = np.array(ok) & (err <= tol) & (d <= RESOLVED_D)
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), bool(ok[0]))
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
@@ -247,10 +238,9 @@ def entropy_canonical(point: DimensionlessPoint,
     S(That = 0.01) is already only 0.79 of the linear value.
     """
     # The one type test outside require_real: a That that is no int or float
-    # (np.int64, np.float32) stays refused until ROADMAP item 2's single
-    # q-integral makes this entropy cheap.  On the nested quadrature, accepting
-    # it turns two fail-fast entropy_grid points into real work: their two
-    # entropies cost 7% of the other 17 points' (in process, 2-vCPU x86 host).
+    # (np.int64, np.float32) stays refused until ROADMAP item 2.  Accepted, it
+    # turns two fail-fast entropy_grid points into real work, 7% of the time
+    # of the other 17 (in process, 2-vCPU x86 host).
     if not isinstance(point.That, (int, float)):
         raise DomainError(f"That must be an int or float here, got {point.That!r}")
     d, that = float(point.d), require_real("That", point.That)

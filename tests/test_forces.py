@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from deltacasimir import (
     force_zero_t_lifshitz,
     free_energy_lifshitz,
 )
-from deltacasimir.scattering import flux_deficit
+from deltacasimir.scattering import RESOLVED_D, flux_deficit
 
 # extended-precision (mpmath, 40 digit) evaluations of the imaginary-axis integral
 FL0 = {
@@ -202,6 +203,32 @@ def test_canonical_force_property_within_its_estimate_of_the_identity(log_d_lo, 
     assume(that == 0.0 or that * d >= 1e-4)
     converged, within = _within_estimate_of_the_identity(d, that)
     assert within or not converged
+
+
+def test_huge_separation_returns_at_once():
+    # the first resonance width 2 pi^2/(d+2)^3 underflows to 0 past d ~ 2e108,
+    # and the loop that grades its edges by 4x never ended
+    start = time.perf_counter()
+    for that in (0.0, 1.0):
+        est = casimir_force(DimensionlessPoint(1e200, that), "canonical").estimate
+        assert not est.converged
+    assert time.perf_counter() - start < 1.0
+
+
+_LARGE_D = 10.0 ** np.random.default_rng(3).uniform(3.0, 15.0, 12)
+
+
+@pytest.mark.parametrize("that", [0.0, 1e-3, 1.0, 10.0])
+def test_large_separation_force_within_its_estimate_or_not_converged(that):
+    # past d ~ 1e7 float64 cannot resolve the first dip, and the head came
+    # out up to 3x off with converged=True: 2.2201e-9 against 2.5e-9 at
+    # (1e8, 1), an estimate of 5.1e-11
+    for d in _LARGE_D.tolist():
+        est = casimir_force(DimensionlessPoint(d, that), "canonical").estimate
+        exact = force_identity(d, that)
+        assert est.converged == (d <= RESOLVED_D), d
+        assert not est.converged \
+            or abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact), d
 
 
 # force_sweep's points whose coordinates have another type than float: d is

@@ -252,6 +252,75 @@ def test_engines_share_one_evaluation_budget(monkeypatch):
     assert not est.converged and est.evaluations <= 30_000
 
 
+def _float32_lorentz_cos(q):
+    # computed in float32, so it is not Re _lorentz_exp to 1e-12
+    return _lorentz_cos(np.asarray(q, np.float32))
+
+
+def _as_batch(members):
+    """The tailed integrals (f, h, spec, head seeds, tol) as members of one
+    ``_oscillatory_segments`` batch, whose seeds have an array owner, with a
+    tail-less e^{-q} on [0, 5] last; returns, per tailed member, (value,
+    error, evaluations, converged)."""
+    fs = [m[0] for m in members] + [lambda q: np.exp(-q)]
+    hs = [m[1] for m in members]
+
+    def each(fns, x, s, dtype):
+        out = np.empty(x.shape, dtype)
+        for i, fn in enumerate(fns):
+            out[s == i] = fn(x[s == i])
+        return out
+
+    seeds = [np.asarray(m[3], float) for m in members] + [np.array([2.5])]
+    v, e, n, ok = numerics._oscillatory_segments(
+        lambda q, s: each(fs, q, s, float), lambda z, s: each(hs, z, s, complex),
+        [float(m[2].angular_rate) for m in members] + [1.0],
+        [float(m[2].switch_point) for m in members] + [5.0], [m[4] for m in members] + [1e-9],
+        np.concatenate(seeds), np.repeat(np.arange(len(fs)), [x.size for x in seeds]),
+        [None] * len(members) + [1.0])
+    return [(float(a), float(b), c, bool(d)) for a, b, c, d in zip(v, e, n, ok)][:-1]
+
+
+def _lone(f, h, spec, seeds, tol):
+    est = integrate_oscillatory_tail(f, spec, tol, h, seeds)
+    return est.value, est.abs_error_estimate, est.evaluations, est.converged
+
+
+def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch):
+    # a lone tailed integral takes its own plain-float path through
+    # _oscillatory_segments: it must give what it gives as a batch member,
+    # head seeds outside (0, Q) dropped alike, failed agreement checks, a
+    # witness that counts and the evaluation cap included
+    from test_acceptance import OSCILLATORY_INTEGRALS
+    spec = OscillatorySpec(1.0, 4.0 * math.pi)
+    members = [(f, h, sp, (), 1e-9) for f, h, sp, _ in OSCILLATORY_INTEGRALS]
+    members[1] = members[1][:3] + ((-1.0, 0.0, 0.3, 2.0, 4.0 * math.pi, 50.0), 1e-9)
+    members += [
+        # seeded at Q/8, narrower than pi/(2 omega)
+        (lambda q: _lorentz_cos(q, 0.2), lambda z: _lorentz_exp(z, 0.2),
+         OscillatorySpec(0.2, 40.0), (), 1e-9),
+        # Im h = 1e-12 on the line does not decay: the witness, 2e-10, counts
+        (_lorentz_cos, lambda z: _lorentz_exp(z) + 1e-12j, spec, (), 1e-9),
+        # Re h - f = 1.5e-12, just past the check's 1e-12 (1 + max|f|): the
+        # panels are refined to Q * 1.5e-12 + tol/2, not to tol
+        (_lorentz_cos, lambda z: _lorentz_exp(z) + 1.5e-12, spec, (), 1e-13),
+        (_float32_lorentz_cos, _lorentz_exp, spec, (0.5, 3.0), 1e-9)]
+    lone = [_lone(*m) for m in members]
+    assert _as_batch(members) == lone
+    assert [ok for *_, ok in lone] == [True] * 7 + [False] * 2
+    assert lone[-1][1] == lone[-2][1] == math.inf and lone[-3][1] >= 2e-10
+    # under a 30,000 cap: one runs out of evaluations, one has seed panels
+    # past the cap alone and is not evaluated
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
+    members = [(lambda q: _noisy(q) * _lorentz_cos(q), _lorentz_exp, spec, (), 1e-15),
+               (_lorentz_cos, _lorentz_exp, spec, np.linspace(0.001, 12.0, 2500), 1e-9),
+               members[0]]
+    lone = [_lone(*m) for m in members]
+    assert lone[0][2] <= 30_000 and not lone[0][3]
+    assert lone[1] == (0.0, math.inf, 0, False) and lone[2][3]
+    assert _as_batch(members) == lone
+
+
 # every (Q, omega) in {5, 50} x {0.2, 2, 20} whose Q covers one period 2 pi/omega
 @pytest.mark.parametrize("q0, omega", [(50.0, 0.2), (5.0, 2.0), (50.0, 2.0), (5.0, 20.0),
                                        (50.0, 20.0)])

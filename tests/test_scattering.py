@@ -207,6 +207,15 @@ def test_resonance_edges_of_a_batch_are_each_separations_own():
         assert np.sort(edges[owner == i]).tobytes() == np.sort(lone).tobytes()
 
 
+def test_a_zero_resonance_width_gets_no_edges():
+    # past d ~ 2e108 the first width 2 pi^2/(d+2)^3 underflows to 0: the lone
+    # loop never ended, and the vectorized pass overflowed (d+2)^2 past 1.3e154
+    assert resonance_edges([1e200], [1.0])[0].size == 0
+    edges, owner = resonance_edges([1e200, 20.0, 1e160], [1.0, 1.0, 1.0])
+    lone = resonance_edges([20.0], [1.0])[0]
+    assert set(owner.tolist()) == {1} and np.sort(edges).tobytes() == np.sort(lone).tobytes()
+
+
 # ----------------------------------------------------------- input types
 
 @pytest.mark.parametrize("q,d", [(np.float32(1.0), 1.0), (1.0, np.float32(1.0)),

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from deltacasimir import (
 )
 from deltacasimir import thermo
 from deltacasimir.cli import main
-from deltacasimir.scattering import flux_deficit
+from deltacasimir.scattering import RESOLVED_D, flux_deficit
 
 # mpmath, 40 digits
 SL_NO_ZERO_MODE_D5_T1 = -1.78475592668339777e-28
@@ -245,6 +246,31 @@ def test_density_within_its_estimate_of_the_identity(d, that):
     exact, rounding = density_identity(d, that)
     assert not dens.estimate.converged \
         or abs(dens.value - exact) <= dens.estimate.abs_error_estimate + rounding
+
+
+def test_huge_separations_return_at_once():
+    # a zero resonance width hung the lone loop of resonance_edges, and the
+    # vectorized one's (d+2)^2 overflowed past d ~ 1.3e154
+    start = time.perf_counter()
+    for d in (np.array([1.0, 1e160]), np.array([1.0, 1e200]), 1e200):
+        dens = entropy_density_canonical(d, 1.0)
+        assert not np.any(dens.estimate.converged & (np.asarray(d) > RESOLVED_D))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("that", [1e-3, 1.0, 10.0])
+def test_large_separation_density_within_its_estimate_or_not_converged(that):
+    # past d ~ 1e7 float64 cannot resolve the first dip: at (1e9, 1) the
+    # density was 4.85e-10 against 2.5e-10, an estimate of 1.5e-11 and
+    # converged=True
+    d = 10.0 ** np.random.default_rng(5).uniform(3.0, 15.0, 12)
+    dens = entropy_density_canonical(d, that)
+    assert (dens.estimate.converged == (d <= RESOLVED_D)).all()
+    for x, v, err, ok in zip(d.tolist(), dens.value.tolist(),
+                             dens.estimate.abs_error_estimate.tolist(),
+                             dens.estimate.converged.tolist()):
+        exact, rounding = density_identity(x, that)
+        assert not ok or abs(v - exact) <= err + rounding, x
 
 
 def _rotates(d, that):
