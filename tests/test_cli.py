@@ -552,6 +552,49 @@ def test_non_numeric_config_value_is_an_error_line(argv, key, tmp_path, capsys):
     assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
+    ["figure", "--id", "3a", "--points", "2", "--That-set", "1", "--out-dir", "."],
+], ids=lambda x: x[0])
+@pytest.mark.parametrize("key", ["lambda", "tolerance"])
+def test_unknown_config_key_is_an_error_line(argv, key, tmp_path, capsys, monkeypatch):
+    # they were dropped without a word: lambda=5 left Lambda at 100, exit 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dc.conf").write_text(f"{key}=5\n")
+    code, out, err = run(capsys, *argv, "--config", "dc.conf")
+    assert code == 2 and not out and not list(tmp_path.glob("*.csv"))
+    assert err.startswith("error: ") and repr(key) in err
+    assert "tol, cutoff_lambda, jobs, units, out" in err
+
+
+def test_a_known_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
+    # one file can serve every subcommand: force reads no jobs
+    cfg = tmp_path / "dc.conf"
+    cfg.write_text("jobs=2\ncutoff_lambda=50\n")
+    code, out, _ = run(capsys, "force", "--d", "1", "--method", "lifshitz",
+                       "--config", str(cfg))
+    assert code == 0 and out
+
+
+def test_json_writes_non_finite_values_as_null(capsys):
+    # the series ratio rounds to 1 at That = 1e-300: err is inf, exit 3
+    code, out, _ = run(capsys, "force", "--d", "1", "--That", "1e-300", "--method",
+                       "lifshitz", "--json")
+
+    def no_constant(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    rec, = json.loads(out, parse_constant=no_constant)["records"]
+    assert code == 3 and rec["err"] is None and rec["converged"] is False
+
+
+def test_scattering_beyond_max_q_is_an_error_line(capsys):
+    # an OverflowError traceback with exit 1 while q had no upper bound
+    code, out, err = run(capsys, "scattering", "--q", "1e160", "--d", "1")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _rows(csv_text):
     lines = csv_text.strip().split("\n")
     return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]

@@ -55,3 +55,20 @@ def test_one_function_checks_scalar_inputs():
             assert "numbers" not in imported or path.name == "errors.py", path.name
             if isinstance(node, ast.FunctionDef):
                 assert node.name not in retired, (path.name, node.name)
+
+
+def test_one_copy_of_the_mode_sum():
+    """The force and the entropy density share ``forces._mode_sum``: the
+    integrands and continuations each module once wrote stay gone, and only
+    the mode sum and ``scattering.kernel`` call ``flux_deficit``."""
+    retired = {"_zero_t_integrand", "_finite_t_integrand", "_continuation",
+               "_density_integrand", "_density_continuation"}
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in retired, (path.name, node.name)
+            elif isinstance(node, ast.Call) and "flux_deficit" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(path.name)
+    assert callers == {"forces.py", "scattering.py"}

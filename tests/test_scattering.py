@@ -13,7 +13,7 @@ from deltacasimir import (
     flux_deficit,
     kernel,
 )
-from deltacasimir.scattering import contour_switch, resonance_edges
+from deltacasimir.scattering import MAX_Q, contour_switch, resonance_edges
 
 
 def test_long_wavelength_limit():
@@ -32,6 +32,16 @@ def test_ultraviolet_limit_no_overflow():
     assert abs(co.D) <= 1e-6
     assert abs(co.B) <= 1e-6
     assert abs(co.G - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("fn", [coefficients_closed_form, coefficients_linear_solve, kernel])
+def test_scalar_functions_end_at_max_q(fn):
+    # beyond it the kernel's 4q^4 overflows (from q ~ 8e76, NaN at 1e154) and
+    # the closed form's (2q+i)^2 (from q ~ 6.7e153); warnings are errors here
+    assert all(cmath.isfinite(v) for v in vars(fn(MAX_Q, 1.0)).values())
+    for q in (np.nextafter(MAX_Q, math.inf), 1e160):
+        with pytest.raises(DomainError, match="at most"):
+            fn(q, 1.0)
 
 
 @pytest.mark.parametrize("q,d", [(1.0, 1.0), (0.01, 10.0), (100.0, 0.1)])

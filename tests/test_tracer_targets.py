@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deltacasimir import DimensionlessPoint, cli, entropy_canonical, \
+from deltacasimir import DimensionlessPoint, casimir_force, cli, entropy_canonical, \
     entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, forces, \
     free_energy_lifshitz, numerics, scattering, thermo
 
@@ -119,28 +119,31 @@ def test_array_density_evaluations_are_a_plain_int():
 
 def test_density_kernels_run_only_through_the_traced_names(monkeypatch):
     # the tracer's scattering.flux_deficit and numerics.thermal_weight spans
-    # wrap thermo.flux_deficit and thermo._thermal_weight_raw: a density
-    # batch whose kernel calls reached the functions another way would leave
-    # those spans short without failing anything.  The batch mixes a
-    # real-axis q-integral (dtilde = 0.5) and a rotated one (dtilde = 100)
-    kernels = {scattering.flux_deficit.__code__: "flux_deficit",
-               numerics._thermal_weight_raw.__code__: "_thermal_weight_raw"}
-    traced = {name: 0 for name in kernels.values()}
-    run = {name: 0 for name in kernels.values()}
-    for name in traced:
-        def counting(*args, _orig=getattr(thermo, name), _name=name):
+    # wrap forces.flux_deficit and thermo._thermal_weight_raw: a mode sum
+    # whose kernel calls reached the functions another way would leave those
+    # spans short without failing anything.  The density batch mixes a
+    # real-axis q-integral (dtilde = 0.5) and a rotated one (dtilde = 100);
+    # the lone canonical forces share the density's integrand
+    kernels = {scattering.flux_deficit.__code__: (forces, "flux_deficit"),
+               numerics._thermal_weight_raw.__code__: (thermo, "_thermal_weight_raw")}
+    traced = {name: 0 for _, name in kernels.values()}
+    run = {name: 0 for name in traced}
+    for mod, name in kernels.values():
+        def counting(*args, _orig=getattr(mod, name), _name=name):
             traced[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(thermo, name, counting)
+        monkeypatch.setattr(mod, name, counting)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in kernels:
-            run[kernels[frame.f_code]] += 1
+            run[kernels[frame.f_code][1]] += 1
 
     sys.setprofile(profile)
     try:
         entropy_density_canonical(np.array([0.5, 100.0]), 0.5)
+        casimir_force(DimensionlessPoint(1.0, 0.0), "canonical")
+        casimir_force(DimensionlessPoint(1.0, 0.5), "canonical")
     finally:
         sys.setprofile(None)
     assert all(traced.values()) and run == traced
