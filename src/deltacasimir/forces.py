@@ -168,10 +168,15 @@ def _canonical_force(d, that, tol):
 def _matsubara(c, d, n):
     """(a, g = y/(1-y)) at indices n: a = c n, y = e^{-ad}/(1+a)^2, 1 - y by expm1.
     (1+a)^2 - e^{-ad} >= a(2+a) gives g <= e^{-ad}/(a(2+a)), each series'
-    majorant; log(1-y) = -log1p(g) keeps its digits at every y."""
+    majorant; log(1-y) = -log1p(g) keeps its digits at every y.  a is 0 where
+    g underflows to 0 (a suffix of n), so That a and a((1+a)d+2), inf from
+    That ~ 3.8e153 and 3e153, never make a NaN term as inf * 0."""
     a = c * n
     log_y = -d * a - 2.0 * np.log1p(a)
-    return a, np.exp(log_y) / -np.expm1(log_y)
+    g = np.exp(log_y) / -np.expm1(log_y)
+    if not g[-1]:   # when g[0] is 0 too, g is all 0 and serves as a
+        a = np.where(g > 0.0, a, 0.0) if g[0] else g
+    return a, g
 
 
 def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:

@@ -73,11 +73,11 @@ class KernelValue:
 
 
 def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
-    """Closed-form B, C, D, G at wavenumber 0 < q <= MAX_Q, separation d > 0.
+    """Closed-form B, C, D, G at 0 < q <= MAX_Q, d > 0 and a finite 2 q d.
 
     No intermediate exceeds ~q^2, which stays in range up to MAX_Q.
     """
-    q, d = _wavenumber(q), require_real("d", d)
+    q, d = _arguments(q, d)
     qd = q * d
     den = (2.0 * q + 1j) ** 2 + cmath.exp(2j * qd)
     c = 2.0 * q * (2.0 * q + 1j) / den
@@ -92,9 +92,9 @@ def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
 
     Unknowns are matched by continuity of phi and the unit jump of phi' at
     the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
-    from the left; 0 < q <= MAX_Q.
+    from the left; 0 < q <= MAX_Q, with a finite phase 2 q d.
     """
-    q, d = _wavenumber(q), require_real("d", d)
+    q, d = _arguments(q, d)
     p = cmath.exp(0.5j * q * d)
     iq = 1j * q
     # unknowns [B, C, D, G]
@@ -115,13 +115,15 @@ def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
                                   D=complex(x[2]), G=complex(x[3]))
 
 
-def _wavenumber(q, inclusive=False):
-    """q as a float: real, above 0 (at or above it when ``inclusive``) and
-    at most MAX_Q."""
-    q = require_real("q", q, inclusive=inclusive)
+def _arguments(q, d, inclusive=False):
+    """(q, d) as floats: q real, above 0 (at or above it when ``inclusive``)
+    and at most MAX_Q; d above 0; the phase 2 q d finite (sin(inf) is NaN)."""
+    q, d = require_real("q", q, inclusive=inclusive), require_real("d", d)
     if q > MAX_Q:
         raise DomainError(f"q must be at most {MAX_Q!r}, got {q!r}")
-    return q
+    if not math.isfinite(2.0 * q * d):
+        raise DomainError(f"the phase 2 q d must be finite, got q={q!r}, d={d!r}")
+    return q, d
 
 
 def flux_deficit(q, d):
@@ -259,7 +261,7 @@ def contour_switch(d):
 
 
 def kernel(q: float, d: float) -> KernelValue:
-    """Force kernel K(q, d) = |C|^2 + |D|^2 - 1 for 0 <= q <= MAX_Q; q = 0
-    returns the long-wavelength limit 2/(d+2)^2 - 1."""
-    q, d = _wavenumber(q, inclusive=True), require_real("d", d)
+    """Force kernel K(q, d) = |C|^2 + |D|^2 - 1 for 0 <= q <= MAX_Q and a
+    finite phase 2 q d; q = 0 returns the long-wavelength limit 2/(d+2)^2 - 1."""
+    q, d = _arguments(q, d, inclusive=True)
     return KernelValue(value=-flux_deficit(q, d), q=q, d=d)

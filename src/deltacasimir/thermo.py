@@ -193,7 +193,10 @@ def entropy_canonical(point: DimensionlessPoint,
     The outer integral runs in log distance, where dt times the density is
     smooth and tends to 1/4, so it starts from one GK15 panel on
     [log d, log Lambda] and the adaptive bisection splits only where that
-    panel's error asks for it: every outer node costs a full density.  Each
+    panel's error asks for it: every outer node costs a full density.  A
+    thermal length d_T = 1/(2 pi That) inside (d, Lambda) is one more seed
+    edge: there e^{-4 pi That dt} = e^{-2}, and dt s turns from the third-law
+    ~That dt to 1/4, a knee that one panel took two bisection rounds for.  Each
     round of the outer integral makes one ``entropy_density_canonical``
     call with the separations of all its nodes, whose q-integrals share
     one adaptive loop.  Each inner density is asked for
@@ -236,6 +239,9 @@ def entropy_canonical(point: DimensionlessPoint,
         return dens.value * dts
 
     edges = [math.log(d), math.log(cutoff_lambda)]
+    d_thermal = 0.5 / (math.pi * that)
+    if d < d_thermal < cutoff_lambda:
+        edges.insert(1, math.log(d_thermal))
     v, e, n_outer, ok = _adaptive_gk(g, edges, 0.75 * tol)
     err = e + (cutoff_lambda - d) * inner_tol
     evals = inner_evals[0]

@@ -595,6 +595,20 @@ def test_scattering_beyond_max_q_is_an_error_line(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_lifshitz_force_at_huge_temperature_exits_0(capsys):
+    # nan,nan,1,false after a RuntimeWarning while That a overflowed
+    code, out, _ = run(capsys, "force", "--d", "5", "--That", "1e300", "--method", "lifshitz")
+    assert code == 0 and out.strip().endswith(",true,raw_dimensionless")
+    assert "nan" not in out
+
+
+def test_scattering_with_an_infinite_phase_is_an_error_line(capsys):
+    # 2 q d overflows: a ValueError traceback with exit 1 before the phase check
+    code, out, err = run(capsys, "scattering", "--q", "1e76", "--d", "1e240")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "phase" in err and "Traceback" not in err
+
+
 def _rows(csv_text):
     lines = csv_text.strip().split("\n")
     return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]

@@ -44,22 +44,45 @@ def test_canonical_entropy_over_the_benchmark_grid():
     # 7,715,670 with one GK15 seed panel per e-fold of distance and q_max = 40 That;
     # 1,855,230 with every density on the real axis out to q_max; 300,441
     # before the densities got graded seed edges around their resonances;
-    # 276,726 since the rotated densities' head and tail are one integral
+    # 276,726 once the rotated densities' head and tail were one integral;
+    # 180,396 since the outer integral has a seed edge at the thermal length
     total = sum(entropy_canonical(DimensionlessPoint(d, t), 100.0).estimate.evaluations
                 for d, t in ENTROPY_GRID)
-    assert total <= 1.02 * 277_026
+    assert total <= 1.02 * 180_396
 
 
 def test_entropy_grid_passes(monkeypatch):
     # 841 while every outer node made its own density call (555 calls, each
     # with its own seed pass and rounds), 95 while each density call made one
-    # adaptive loop per kind of q-integral; one density call per outer round,
+    # adaptive loop per kind of q-integral, 85 while the outer integral had
+    # no seed edge at the thermal length; one density call per outer round,
     # one adaptive loop for all of its q-integrals
     def entropies():
         for d, t in ENTROPY_GRID:
             entropy_canonical(DimensionlessPoint(d, t), 100.0)
 
-    assert _gk_passes(monkeypatch, entropies) == 85
+    assert _gk_passes(monkeypatch, entropies) == 58
+
+
+def test_cold_entropy_grid_row_is_one_density_call_each(monkeypatch):
+    # the That = 0.01 row and the criterion-8 cold point: three density calls
+    # (a seed pass and two bisection rounds) each for d < 1/(2 pi That) before
+    # the outer integral got its seed edge at that thermal length
+    calls = [0]
+    density = thermo.entropy_density_canonical
+
+    def counting(*args):
+        calls[0] += 1
+        return density(*args)
+
+    monkeypatch.setattr(thermo, "entropy_density_canonical", counting)
+    per_entropy = []
+    for d, t in ENTROPY_GRID:
+        if t == 0.01:
+            calls[0] = 0
+            entropy_canonical(DimensionlessPoint(d, t), 100.0)
+            per_entropy.append(calls[0])
+    assert per_entropy == [1] * 7
 
 
 def test_density_over_the_figure3a_grid():
@@ -121,11 +144,14 @@ def _estimates_digest(estimates):
 
 # Every bit of the benchmark's computing points, both routes: the engine's
 # bookkeeping may change, but no value, error, evaluation count or flag.
+# Recorded again when the outer integral got its seed edge at the thermal
+# length, which moves the six That = 0.01 entropies with d < 1/(2 pi That)
+# (each within 3e-12 of the identity oracle, estimates 3.6e-7).
 def test_entropy_grid_bits():
     ests = [f(DimensionlessPoint(d, t), 100.0).estimate
             for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
     assert _estimates_digest(ests) == \
-        "aa68011d169be38c92f4544d65f1fcf02129dba3f8bab5099426f4dcf3088c5a"
+        "1b42cf384a6e9815bd9a53db00d5522611943d751ad0b58c009ee8db13d631a7"
 
 
 def test_force_sweep_bits():

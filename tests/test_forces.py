@@ -278,6 +278,18 @@ def test_finite_t_lifshitz_rejects_zero_temperature():
         force_finite_t_lifshitz(DimensionlessPoint(1.0, 0.0))
 
 
+@pytest.mark.parametrize("that", [1e152, 3e153, 3.8e153, 1e200])
+@pytest.mark.parametrize("d", [1.0, 5.0])
+def test_lifshitz_force_at_huge_temperature_is_its_zero_mode(d, that):
+    # every Matsubara term underflows to 0; from That ~ 3.8e153 That a
+    # overflowed before the product with g = 0, and the force was NaN
+    pt = DimensionlessPoint(d, that)
+    fv = force_finite_t_lifshitz(pt)
+    assert fv.estimate.converged and fv.value == force_lifshitz_zero_mode_term(pt)
+    fe = free_energy_lifshitz(pt)
+    assert fe.estimate.converged and math.isfinite(fe.value)
+
+
 def _lifshitz_force_within_its_estimate(d, that, tol):
     est = force_finite_t_lifshitz(DimensionlessPoint(d, that), tol).estimate
     want, rounding = force_lifshitz_series(d, that)

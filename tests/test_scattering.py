@@ -44,6 +44,19 @@ def test_scalar_functions_end_at_max_q(fn):
             fn(q, 1.0)
 
 
+@pytest.mark.parametrize("fn", [coefficients_closed_form, coefficients_linear_solve, kernel])
+def test_scalar_functions_end_at_the_largest_finite_phase(fn):
+    # past it 2 q d is inf: cmath.exp raised a ValueError and the kernel
+    # returned NaN at (1e76, 1e240); warnings are errors here
+    d = float(np.finfo(float).max) / (2.0 * MAX_Q)
+    while math.isfinite(2.0 * MAX_Q * math.nextafter(d, math.inf)):
+        d = math.nextafter(d, math.inf)
+    assert all(cmath.isfinite(v) for v in vars(fn(MAX_Q, d)).values())
+    for d in (math.nextafter(d, math.inf), 1e240):
+        with pytest.raises(DomainError, match="phase"):
+            fn(MAX_Q, d)
+
+
 @pytest.mark.parametrize("q,d", [(1.0, 1.0), (0.01, 10.0), (100.0, 0.1)])
 def test_closed_form_matches_linear_solve(q, d):
     a = coefficients_closed_form(q, d)

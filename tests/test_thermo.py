@@ -383,6 +383,36 @@ def test_entropy_within_its_estimate_of_the_identity(d, that):
     assert abs(s.value - entropy_identity(d, that, 100.0)) <= s.estimate.abs_error_estimate
 
 
+@pytest.mark.parametrize("that", [1e152, 3e153, 3.8e153, 1e200])
+@pytest.mark.parametrize("d", [1.0, 5.0])
+def test_lifshitz_entropy_at_huge_temperature_is_its_zero_mode(d, that):
+    # every Matsubara term underflows to 0; from That ~ 3e153 a((1+a)d+2)
+    # overflowed before the product with g = 0, and the entropy was NaN
+    pt = DimensionlessPoint(d, that)
+    s = entropy_lifshitz(pt, 100.0)
+    assert s.estimate.converged
+    assert s.value == -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / 100.0) - 0.5
+    assert entropy_lifshitz(pt, 100.0, include_zero_mode=False).value == 0.0
+
+
+@settings(max_examples=30)
+@given(cutoff=st.sampled_from([10.0, 100.0, 1e3, 1e4]), thermal=st.floats(0.0, 1.0),
+       log_that_d=st.floats(-5.0, math.log10(0.15)))
+def test_cold_entropy_property_within_its_estimate_of_the_identity(cutoff, thermal, log_that_d):
+    # a range (d, Lambda) that holds the thermal length d_T = 1/(2 pi That),
+    # the outer integral's extra seed edge: d_T log-uniform in [0.5, Lambda/1.5]
+    # and That d in [1e-5, 0.15], below d_T That = 1/(2 pi)
+    d_thermal = 0.5 * (cutoff / 0.75) ** thermal
+    that = 0.5 / (math.pi * d_thermal)
+    d = 10.0 ** log_that_d / that
+    s = entropy_canonical(DimensionlessPoint(d, that), cutoff)
+    exact, rounding_d = entropy_lifshitz_series(d, that, cutoff)
+    far, rounding_far = entropy_lifshitz_series(cutoff, that, cutoff)
+    # (1/2)[S_L(d) - S_L(Lambda)], as oracles.entropy_identity, with its rounding
+    assert not s.estimate.converged or abs(s.value - 0.5 * (exact - far)) \
+        <= s.estimate.abs_error_estimate + 0.5 * (rounding_d + rounding_far)
+
+
 # ------------------------------------------------- Maxwell-relation crosscheck
 
 @pytest.mark.parametrize("dtilde,that", [(1.0, 0.5), (1.0, 2.0), (10.0, 0.5), (10.0, 2.0)])

@@ -93,16 +93,19 @@ def test_entropy_reaches_its_densities_only_through_the_traced_name():
     # and adds up estimate.evaluations: a canonical entropy that reached its
     # densities another way would empty the span without failing anything.
     # It makes one density call per round of its outer integral, which the
-    # numerics.adaptive span sees as a call plus its rounds (two at the cold
-    # point of acceptance criterion 8)
+    # numerics.adaptive span sees as a call plus its rounds: two at
+    # (0.5, 0.5), whose outer integral bisects once, and one at the cold
+    # point of acceptance criterion 8, whose thermal-length seed edge leaves
+    # nothing to bisect (it made three before that edge)
     tracer = _tracer()
-    tr = tracer.Tracer()
-    with tracer.patched(tr):
-        est = entropy_canonical(DimensionlessPoint(1.0, 0.01), 100.0).estimate
-    density, outer = tr.stats["thermo.density"], tr.stats["numerics.adaptive"]
-    assert outer["calls"] == 1 and outer["rounds"] >= 1
-    assert density["calls"] == outer["calls"] + outer["rounds"]
-    assert density["evals"] == est.evaluations
+    for (d, that), calls in (((0.5, 0.5), 2), ((1.0, 0.01), 1)):
+        tr = tracer.Tracer()
+        with tracer.patched(tr):
+            est = entropy_canonical(DimensionlessPoint(d, that), 100.0).estimate
+        density, outer = tr.stats["thermo.density"], tr.stats["numerics.adaptive"]
+        assert outer["calls"] == 1 and density["calls"] == calls
+        assert density["calls"] == outer["calls"] + outer["rounds"]
+        assert density["evals"] == est.evaluations
 
 
 def test_array_density_evaluations_are_a_plain_int():
