@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one scalar-input check."""
+"""Exception types shared across the package, and its two input checks."""
 import math
 import numbers
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -35,3 +37,21 @@ def require_real(name, x, low=0.0, inclusive=False) -> float:
         raise DomainError(f"{name} must be finite and {'>=' if inclusive else '>'} "
                           f"{low!r}, got {x!r}")
     return v
+
+
+def require_real_array(name, x) -> np.ndarray:
+    """``require_real``'s array twin: ``x`` as a float array if each element
+    is finite and above 0 (a scalar goes through ``require_real``), else
+    DomainError.  A bool, string, object or complex array is refused."""
+    try:
+        a = np.asarray(x)
+    except ValueError:   # a ragged nesting of sequences
+        raise DomainError(f"{name} must be a number or an array, got {x!r}") from None
+    if a.ndim == 0:
+        return np.asarray(require_real(name, x))
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers, got {x!r}")
+    a = a.astype(float)
+    if not np.all(np.isfinite(a) & (a > 0.0)):
+        raise DomainError(f"every {name} must be finite and > 0, got {x!r}")
+    return a

@@ -242,7 +242,8 @@ def free_energy_lifshitz(point: DimensionlessPoint,
                          tol: float = LIFSHITZ_TOL) -> FreeEnergyValue:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
     cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
-    d and That are read as floats, as in ``force_finite_t_lifshitz``."""
+    d and That are read as floats, as in ``force_finite_t_lifshitz``; a
+    value that is not finite (2 pi That (d+2) overflows) is not converged."""
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
     c = 4.0 * math.pi * that
@@ -252,7 +253,8 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 
     s = sum_exponential_series(terms, 0.5 * that / c, math.exp(-c * d), tol)
     value = s.value + 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
-    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.converged)
+    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations,
+                             s.converged and math.isfinite(value))
     return FreeEnergyValue(value, cutoff_lambda, point, est)
 
 

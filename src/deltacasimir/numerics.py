@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_real
+from .errors import DomainError, require_real, require_real_array
 
 __all__ = [
     "QuadratureEstimate",
@@ -82,20 +82,20 @@ class OscillatorySpec:
     ``switch_point`` Q ends the real-axis head and starts the tail on the
     line Re q = Q.  It must cover at least one full oscillation period
     2*pi/omega, over which the continuation's agreement check samples the
-    integrand.  Both are stored as given, like ``DimensionlessPoint``'s
-    fields, and the engine reads them as floats.
+    integrand.  Both are stored as floats, as ``PhysicalParams`` stores
+    its fields.
     """
 
     angular_rate: float
     switch_point: float
 
     def __post_init__(self):
-        omega = require_real("angular_rate", self.angular_rate)
-        if require_real("switch_point", self.switch_point) < 2.0 * math.pi / omega:
-            raise DomainError(
-                "switch_point must cover one full oscillation period "
-                f"2*pi/angular_rate = {2.0 * math.pi / omega:g}"
-            )
+        for name in ("angular_rate", "switch_point"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
+        period = 2.0 * math.pi / self.angular_rate
+        if self.switch_point < period:
+            raise DomainError("switch_point must cover one full oscillation period "
+                              f"2*pi/angular_rate = {period:g}")
 
 
 # 15-point Kronrod nodes on [-1, 1]; the embedded 7-point Gauss rule sits on
@@ -235,15 +235,15 @@ def _gk_apply(f, lo, hi, seg):
     return vals, errs, 15 * n
 
 
-def _adaptive_gk(f, edges, tol, max_evals=None):
+def _adaptive_gk(f, edges, tol):
     """Adaptive GK15 of one integral on the panels between consecutive
     ``edges``: ``_gk_segments`` with the one segment 0, so f is called as
     f(x, 0).  Returns (value, error, evaluations, converged)."""
-    v, e, n, ok = _gk_segments(f, np.asarray(edges, float), 0, [tol], max_evals)
+    v, e, n, ok = _gk_segments(f, np.asarray(edges, float), 0, [tol])
     return float(v[0]), float(e[0]), n[0], bool(ok[0])
 
 
-def _gk_segments(f, edges, seg, tol, max_evals=None, checks=None):
+def _gk_segments(f, edges, seg, tol, checks=None):
     """Adaptive GK15 of several integrals at once: one seed pass and one
     ``_refine`` loop for all of them.
 
@@ -254,11 +254,10 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=None):
     returns after the seed pass when tol is callable; f(x, s) gets the
     segment index of the nodes (see ``_gk_apply``).  An integral whose
     seed panels and checks[s] extra points (none without ``checks``) alone
-    would take it past ``max_evals`` (default ``_MAX_EVALS``) evaluations
-    is not evaluated: value 0, error inf, 0 evaluations.  Returns lists (value, error,
-    evaluations, converged), one entry per integral.
+    would take it past ``_MAX_EVALS`` evaluations is not evaluated: value
+    0, error inf, 0 evaluations.  Returns lists (value, error, evaluations,
+    converged), one entry per integral.
     """
-    max_evals = _MAX_EVALS if max_evals is None else max_evals
     lo, hi = edges[:-1], edges[1:]
     if isinstance(seg, int):
         counts = [lo.size]
@@ -267,7 +266,7 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=None):
         lo, hi, seg = lo[same], hi[same], seg[1:][same]
         counts = np.bincount(seg).tolist()
     evals = [15 * c + k for c, k in zip(counts, checks or itertools.repeat(0))]
-    fits = [e <= max_evals for e in evals]
+    fits = [e <= _MAX_EVALS for e in evals]
     if not all(fits):
         keep = np.repeat(fits, counts)
         lo, hi = lo[keep], hi[keep]
@@ -278,7 +277,7 @@ def _gk_segments(f, edges, seg, tol, max_evals=None, checks=None):
         evals = [e * ok for e, ok in zip(evals, fits)]
     vals, errs, _ = _gk_apply(f, lo, hi, seg)
     value, err, evals, ok = _refine(f, lo, hi, seg, counts, vals, errs, evals,
-                                    tol() if callable(tol) else tol, max_evals)
+                                    tol() if callable(tol) else tol)
     for i, fit in enumerate(fits):
         if not fit:
             err[i], ok[i] = math.inf, False
@@ -305,7 +304,7 @@ def _seed_edges(stop, n, extra, extra_seg):
     return z.imag, z.real.astype(int)
 
 
-def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
+def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
     """Bisection rounds on the panels [lo, hi] of several integrals, whose
     GK15 values and errors are ``vals`` and ``errs``; ``seg`` gives each
     panel's integral (non-decreasing; the int 0 for a single integral), and
@@ -318,7 +317,7 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
     (the kernel's cavity resonances) get resolved locally.  An integral
     stops for good when its error sum is at most its tol, when it has no
     panel to split, or when a round would take its evaluations past
-    ``max_evals``; no integral gets more than ``_MAX_ROUNDS`` rounds.  Its
+    ``_MAX_EVALS``; no integral gets more than ``_MAX_ROUNDS`` rounds.  Its
     panels keep the order a lone integral gives them (kept panels, then
     left halves, then right halves: one stable sort by integral), and its
     error and value are numpy sums over its panels alone, the value in
@@ -343,7 +342,7 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol, max_evals):
         over = False
         for i, k in enumerate(n_split):
             # a round evaluates two halves of every split panel
-            if k and evals[i] + 30 * k <= max_evals:
+            if k and evals[i] + 30 * k <= _MAX_EVALS:
                 evals[i] += 30 * k
             elif share[i] != math.inf:   # nothing to split, or no budget for it
                 share[i] = math.inf
@@ -395,7 +394,7 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
     far = [0.0]
     v, e, n, ok = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), [decay_scale], far),
-                               _MAP_EDGES, tol, _MAX_EVALS)
+                               _MAP_EDGES, tol)
     err = e + _DECAY_CUT * decay_scale * far[0]
     return QuadratureEstimate(v, err, n, ok and err <= tol)
 
@@ -487,8 +486,8 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     tol = require_real("tol", tol)
     seeds = np.asarray(head_seeds, float).ravel()
     v, e, n, ok = _oscillatory_segments(
-        lambda q, _: f(q), lambda z, _: continuation(z), [float(spec.angular_rate)],
-        [float(spec.switch_point)], [tol], seeds, 0, [None])
+        lambda q, _: f(q), lambda z, _: continuation(z), [spec.angular_rate],
+        [spec.switch_point], [tol], seeds, 0, [None])
     return QuadratureEstimate(float(v[0]), float(e[0]), n[0], bool(ok[0]))
 
 
@@ -541,7 +540,7 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
             seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_MAP_EDGES.size - 1)])
         edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
         if not tails.size:   # no tail, no check: the integrand is f itself
-            return _gk_segments(f, edges, seg, tol, _MAX_EVALS)
+            return _gk_segments(f, edges, seg, tol)
         # where each tail starts; no node of a tail-less integral gets past inf
         q0a = np.array([q if x is None else math.inf for q, x in zip(stop, width)])
         period = [2.0 * math.pi / omega[i] / _CHECK_POINTS.size for i in tails.tolist()]
@@ -604,7 +603,7 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
                 for a, q, x, t in zip(agree, stop, mismatch, tol)]
 
     checks = [2 * _CHECK_POINTS.size if x is None else 0 for x in width]
-    value, err, evals, ok = _gk_segments(g, edges, seg, target, _MAX_EVALS, checks)
+    value, err, evals, ok = _gk_segments(g, edges, seg, target, checks)
     wit = [_DECAY_CUT * decay[0] * far[0]] if one else (_DECAY_CUT * decay * far).tolist()
     for i, w in enumerate(wit):
         err[i] = err[i] + w if agree[i] else math.inf
@@ -658,17 +657,6 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
     return QuadratureEstimate(total, err, n, n_terms <= _MAX_TERMS and err <= tol)
 
 
-def _positive_q(q):
-    """q > 0 as a float array: a scalar goes through ``require_real``, an
-    array is checked elementwise."""
-    if np.ndim(q) == 0:
-        return np.asarray(require_real("q", q))
-    q = np.asarray(q, float)
-    if not np.all(np.isfinite(q)) or not np.all(q > 0):
-        raise DomainError("q must be finite and > 0 everywhere")
-    return q
-
-
 def bose_factor(q, That):
     """Thermal occupancy boost 1/(1 - exp(-q/That)) for q > 0, That > 0.
 
@@ -676,9 +664,9 @@ def bose_factor(q, That):
     That/q + 1/2 + O(q/That) comes out to full relative precision.
     Accepts scalars or arrays.
     """
-    q_arr, That = _positive_q(q), require_real("That", That)
-    out = 1.0 / (-np.expm1(-q_arr / That))
-    return float(out) if q_arr.ndim == 0 else out
+    q, That = require_real_array("q", q), require_real("That", That)
+    out = 1.0 / (-np.expm1(-q / That))
+    return float(out) if q.ndim == 0 else out
 
 
 def thermal_weight(q, That):
@@ -689,18 +677,19 @@ def thermal_weight(q, That):
     underflows to exactly 0 (never NaN) once e^{-u} is subnormal.
     Accepts scalars or arrays.
     """
-    out = _thermal_weight_raw(_positive_q(q), require_real("That", That))
+    out = _thermal_weight_raw(require_real_array("q", q), require_real("That", That))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def _thermal_weight_raw(q, That):
-    """thermal_weight on an array that may contain q = 0 (limit 1)."""
-    q = np.asarray(q, float)
+    """thermal_weight on a real array that may contain q = 0 (limit 1), or
+    on a complex one, where it is the weight's continuation."""
     v = np.atleast_1d(q / (-2.0 * That))   # -u; negating and doubling are exact
     b = np.exp(v)
     v += v                                  # -2u
-    b *= v                                  # -2u e^{-u}
+    np.multiply(v, b, out=b)                # -2u e^{-u}, -2u first: numpy's complex
+                                            # product depends on operand order
     np.expm1(v, out=v)                      # -(1 - e^{-2u}): the signs cancel in b/v
     out = np.divide(b, v, out=b) if v.all() else np.divide(b, v, out=np.ones_like(v), where=v < 0)
     out *= out
-    return out if q.ndim else out[0]
+    return out if np.ndim(q) else out[0]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_real
+from .errors import DomainError, require_real, require_real_array
 from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _matsubara, _mode_sum
 from .model import DimensionlessPoint
 from .numerics import (
@@ -144,8 +144,10 @@ def entropy_density_canonical(dtilde, That: float,
     its zero mode kept (see the README).  The tests use that identity as
     the oracle for this function on d in [0.01, 200], That in [0.001, 3].
     """
-    scalar = np.ndim(dtilde) == 0
-    d = np.array([require_real("dtilde", dtilde)]) if scalar else _separations(dtilde)
+    d = require_real_array("dtilde", dtilde)
+    scalar, d = d.ndim == 0, np.atleast_1d(d)
+    if d.ndim != 1 or not d.size:
+        raise DomainError(f"dtilde must be a number or a non-empty 1-D array, got {dtilde!r}")
     That, tol = require_real("That", That), require_real("tol", tol)
     q_max, tail_bound = _thermal_cutoff(That, tol)
     rotated = (q_max > _ROTATE_PERIODS * (math.pi / d)).tolist()
@@ -155,12 +157,10 @@ def entropy_density_canonical(dtilde, That: float,
     width = [None if r else min(math.pi / x, 2.5 * That) for x, r in zip(d.tolist(), rotated)]
     seeds, owner = resonance_edges(d, stop)
 
-    def h_weight(q):   # (u/sinh u)^2 for complex q, the expm1 form of _thermal_weight_raw
-        u = q / (2.0 * That)
-        b = 2.0 * u * np.exp(-u) / -np.expm1(-2.0 * u)
-        return b * b
+    def w(q):   # (u/sinh u)^2, for real q and for complex q on the tail
+        return _thermal_weight_raw(q, That)
 
-    f, h = _mode_sum(0.5 / math.pi, lambda q: _thermal_weight_raw(q, That), h_weight, d)
+    f, h = _mode_sum(0.5 / math.pi, w, w, d)
     v, e, n, ok = _oscillatory_segments(f, h, (2.0 * d).tolist(), stop, [
         tol if r else tol - tail_bound for r in rotated], seeds, owner, width)
     err = np.array(e) + np.where(rotated, 0.0, tail_bound)
@@ -171,18 +171,6 @@ def entropy_density_canonical(dtilde, That: float,
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
     est = QuadratureEstimate(value, err, int(evals.sum()), ok)
     return EntropyDensity(value, d, That, est, evals)
-
-
-def _separations(dtilde):
-    """dtilde as a float array: non-empty, 1-D, each finite and > 0."""
-    d = np.asarray(dtilde)
-    if d.ndim != 1 or not d.size or d.dtype.kind not in "iuf":
-        raise DomainError(f"dtilde must be a number or a non-empty 1-D array of reals, "
-                          f"got {dtilde!r}")
-    d = d.astype(float)
-    if not np.all(np.isfinite(d) & (d > 0.0)):
-        raise DomainError(f"every dtilde must be finite and > 0, got {dtilde!r}")
-    return d
 
 
 def entropy_canonical(point: DimensionlessPoint,
@@ -214,14 +202,9 @@ def entropy_canonical(point: DimensionlessPoint,
         S -> (pi That/6) [(Lambda - d) - 2 (1/(d+2) - 1/(Lambda+2))].
 
     The linear regime ends near That ~ 1/Lambda; at Lambda = 100, d = 1,
-    S(That = 0.01) is already only 0.79 of the linear value.
+    S(That = 0.01) is already only 0.79 of the linear value.  d and That
+    are read as floats: an np.int64 or np.float32 That gives the float bits.
     """
-    # The one type test outside require_real: a That that is no int or float
-    # (np.int64, np.float32) stays refused until ROADMAP item 2.  Accepted, it
-    # turns two fail-fast entropy_grid points into real work, 7% of the time
-    # of the other 17 (in process, 2-vCPU x86 host).
-    if not isinstance(point.That, (int, float)):
-        raise DomainError(f"That must be an int or float here, got {point.That!r}")
     d, that = float(point.d), require_real("That", point.That)
     tol = require_real("tol", tol)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda, low=d)
@@ -257,7 +240,8 @@ def entropy_lifshitz(point: DimensionlessPoint,
     """Lifshitz entropy from the closed Matsubara form (see module docstring).
 
     ``include_zero_mode`` keeps or drops the cutoff-dependent first line;
-    the two choices expose the two horns of the third-law dilemma.
+    the two choices expose the two horns of the third-law dilemma.  A value
+    that is not finite (2 pi That (d+2) overflows) reports converged=False.
     """
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
@@ -279,7 +263,7 @@ def entropy_lifshitz(point: DimensionlessPoint,
     method = "lifshitz" if include_zero_mode else "lifshitz_no_zero_mode"
     err = s1.abs_error_estimate + s2.abs_error_estimate
     est = QuadratureEstimate(value, err, s1.evaluations + s2.evaluations,
-                             s1.converged and s2.converged)
+                             s1.converged and s2.converged and math.isfinite(value))
     return EntropyValue(value, method, point, cutoff_lambda, est)
 
 

@@ -602,6 +602,16 @@ def test_lifshitz_force_at_huge_temperature_exits_0(capsys):
     assert "nan" not in out
 
 
+def test_lifshitz_entropy_that_overflows_exits_3(capsys):
+    # -inf flagged converged=true, with exit 0, before a value that is not
+    # finite reported converged=false
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, _ = run(capsys, "entropy", "--d", "1e300", "--That", "1e10",
+                           "--method", "lifshitz")
+    row = _rows(out)[0]
+    assert code == 3 and (row["value"], row["converged"]) == ("-inf", "false")
+
+
 def test_scattering_with_an_infinite_phase_is_an_error_line(capsys):
     # 2 q d overflows: a ValueError traceback with exit 1 before the phase check
     code, out, err = run(capsys, "scattering", "--q", "1e76", "--d", "1e240")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from test_acceptance import OSCILLATORY_INTEGRALS
 
-from deltacasimir import DimensionlessPoint, DomainError, casimir_force, cli, \
+from deltacasimir import DimensionlessPoint, casimir_force, cli, \
     entropy_canonical, entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
     force_zero_t_lifshitz, integrate_oscillatory_tail, numerics, thermo
 
@@ -32,9 +32,9 @@ def _gk_passes(monkeypatch, fn):
     return passes[0]
 
 
-# the points of one benchmark entropy_grid pass that compute: 6 float32-rounded
+# the float points of one benchmark entropy_grid pass: 6 float32-rounded
 # log-spaced d in [0.5, 20] x That in {0.01, 0.5, 2}, plus (1, 0.01), less the
-# np.int64 and np.float32 points the canonical entropy still refuses
+# np.int64 and np.float32 points (test_typed_entropy_grid_points_give_the_float_bits)
 _ENTROPY_D = [float(np.float32(x)) for x in np.geomspace(0.5, 20.0, 6)]
 ENTROPY_GRID = [(d, t) for t in (0.01, 0.5, 2.0) for d in _ENTROPY_D
                 if (d, t) not in ((_ENTROPY_D[1], 2.0), (_ENTROPY_D[3], 2.0))] + [(1.0, 0.01)]
@@ -177,13 +177,16 @@ def test_typed_force_sweep_points(that, i, canonical, lifshitz):
     assert (lif.converged, lif.evaluations) == (True, lifshitz)
 
 
-# the benchmark's np.int64 and np.float32 entropy_grid points
+# the benchmark's np.int64 and np.float32 entropy_grid points: each converges
+# with its float twin's bits
 @pytest.mark.parametrize("that, i", [(np.int64(2), 1), (np.float32(2.0), 3)],
                          ids=["int64", "float32"])
-def test_typed_entropy_grid_points_are_refused(that, i):
+def test_typed_entropy_grid_points_give_the_float_bits(that, i):
     d = np.float32(_ENTROPY_D[i]) if isinstance(that, np.float32) else _ENTROPY_D[i]
-    with pytest.raises(DomainError):
-        entropy_canonical(DimensionlessPoint(d, that), 100.0)
+    typed = entropy_canonical(DimensionlessPoint(d, that), 100.0).estimate
+    want = entropy_canonical(DimensionlessPoint(_ENTROPY_D[i], 2.0), 100.0).estimate
+    assert typed.converged
+    assert _estimates_digest([typed]) == _estimates_digest([want])
 
 
 def test_figure3a_passes(monkeypatch):

@@ -1,5 +1,6 @@
-"""The runtime dependencies declared in pyproject.toml are exactly the
-third-party modules that the package's sources import."""
+"""The dependencies declared in pyproject.toml are exactly the third-party
+modules that the package's sources, and with the ``test`` extra its tests,
+import."""
 import ast
 import sys
 from pathlib import Path
@@ -10,40 +11,65 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "deltacasimir"
+TESTS = ROOT / "tests"
 
 
-def _imported_top_level_modules():
+def _imported_third_party_modules(directory):
+    """The top-level modules that the files in ``directory`` import, by an
+    import statement or ``pytest.importorskip``, less the standard library,
+    the package and the directory's own modules."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                names.add(node.args[0].value.split(".")[0])
+    local = {path.stem for path in directory.glob("*.py")}
+    return names - set(sys.stdlib_module_names) - local - {"__future__", "deltacasimir"}
 
 
-def _declared_dependencies():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+def _declared(requirements):
     names = set()
-    for req in project["dependencies"]:
+    for req in requirements:
         for sep in "<>=!~;[ ":
             req = req.split(sep, 1)[0]
         names.add(req.strip().lower())
     return names
 
 
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
 def test_every_third_party_import_is_declared_and_nothing_more():
-    third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) \
-        - {"__future__", "deltacasimir"}
-    assert third_party == _declared_dependencies() == {"numpy"}
+    assert _imported_third_party_modules(PACKAGE) == _declared(PROJECT["dependencies"]) \
+        == {"numpy"}
+
+
+def test_every_third_party_import_of_the_tests_is_declared_and_nothing_more():
+    """``pip install -e .[test]`` installs every module the tests import, so
+    collection cannot fail on a missing one."""
+    declared = _declared(PROJECT["dependencies"] + PROJECT["optional-dependencies"]["test"])
+    assert _imported_third_party_modules(TESTS) == declared
+
+
+def _is_int_or_float_test(node):
+    """Whether node is a call isinstance(x, (int, float))."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)):
+        return False
+    return {getattr(e, "id", None) for e in node.args[1].elts} >= {"int", "float"}
 
 
 def test_one_function_checks_scalar_inputs():
-    """``errors.require_real`` is the package's one scalar-input check: no
-    other module imports ``numbers``, and the per-module validators it
-    replaced stay gone."""
-    retired = {"_is_real", "_check_qd", "_require_d", "_check_positive"}
+    """``errors.require_real`` is the package's one scalar-input check and
+    ``errors.require_real_array`` its one array check: no other module
+    imports ``numbers`` or tests isinstance(x, (int, float)), and the
+    per-module validators they replaced stay gone."""
+    retired = {"_is_real", "_check_qd", "_require_d", "_check_positive", "_positive_q",
+               "_separations"}
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -53,6 +79,7 @@ def test_one_function_checks_scalar_inputs():
             else:
                 imported = set()
             assert "numbers" not in imported or path.name == "errors.py", path.name
+            assert not _is_int_or_float_test(node), (path.name, node.lineno)
             if isinstance(node, ast.FunctionDef):
                 assert node.name not in retired, (path.name, node.name)
 

@@ -9,10 +9,16 @@ strings, None, complex, non-finite and out-of-range arguments must raise
 DomainError (never TypeError).  ``flux_deficit`` is the unchecked
 vectorized kernel and has no row.
 
-The cases that still differ wait for ROADMAP item 2 and are strict xfails:
-``DimensionlessPoint`` and ``OscillatorySpec`` store their fields as given,
-so the canonical force with an integral or float32 That computes in the
-wrong dtype, and ``entropy_canonical`` refuses a numpy That.
+The parameters that also take an array (``bose_factor.q``,
+``thermal_weight.q``, ``entropy_density_canonical.dtilde``) get one array
+row each: an int or float32 array gives the float64 array's bits, and a
+bool, string, object or complex array, one holding NaN or 0, or a ragged
+sequence raises DomainError.
+
+The cases that still differ wait for ROADMAP item 2 (after item 1) and are
+strict xfails: ``DimensionlessPoint`` stores its fields as given, so the
+canonical force with an integral or float32 That computes its Bose weight
+in the wrong dtype.
 """
 import math
 from dataclasses import dataclass
@@ -181,8 +187,6 @@ assert len(BY_NAME) == len(ROWS)
 XFAIL = {
     **{("force_finite_t_canonical.That", k): "the Bose weight takes That's dtype"
        for k in ("int", "int64", "float32")},
-    **{("entropy_canonical.That", k): "entropy_canonical refuses a numpy That"
-       for k in ("int64", "float32")},
 }
 
 KINDS = {"int": int, "int64": np.int64, "float32": np.float32, "float64": np.float64}
@@ -194,12 +198,15 @@ def _kinds(x):
 
 
 def _key(result):
-    """The numbers a result carries, as exact reprs; a DimensionlessPoint echo
-    of the input is left out (it keeps the given type, see ROADMAP item 2)."""
+    """The numbers a result carries, as exact reprs and array bytes; a
+    DimensionlessPoint echo of the input is left out (it keeps the given
+    type, see ROADMAP item 2)."""
     if isinstance(result, tuple):
         return tuple(_key(r) for r in result)
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
     if hasattr(result, "__dataclass_fields__"):
-        return repr({k: v for k, v in vars(result).items() if k != "point"})
+        return tuple((k, _key(v)) for k, v in vars(result).items() if k != "point")
     return repr(result)
 
 
@@ -228,6 +235,27 @@ def test_typed_input_gives_the_float_result_and_bad_input_domain_error(name):
 def test_typed_input_still_differs(name, kind):
     row = BY_NAME[name]
     assert _key(row.call(KINDS[kind](row.good))) == _key(row.call(row.good))
+
+
+ARRAY_ROWS = {
+    "bose_factor.q": lambda a: bose_factor(a, 0.5),
+    "thermal_weight.q": lambda a: thermal_weight(a, 0.5),
+    "entropy_density_canonical.dtilde": lambda a: entropy_density_canonical(a, 1.0),
+}
+BAD_ARRAYS = [np.array([True, True]), np.array(["1", "2"]), np.array([1, 2], dtype=object),
+              np.array([1.0, 2.0 + 0j]), np.array([1.0, math.nan]), np.array([1.0, 0.0]),
+              [1.0, [2.0, 3.0]]]
+
+
+@pytest.mark.parametrize("name", list(ARRAY_ROWS))
+def test_typed_array_gives_the_float_result_and_bad_array_domain_error(name):
+    call = ARRAY_ROWS[name]
+    want = _key(call(np.array([1.0, 2.0, 3.0])))
+    for typed in ([1, 2, 3], np.array([1, 2, 3]), np.array([1, 2, 3], np.float32)):
+        assert _key(call(typed)) == want, (name, typed)
+    for bad in BAD_ARRAYS:
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 def _drawn(span):

@@ -194,20 +194,22 @@ def _noisy(x):
     return np.exp(-x) * (1.0 + 1e-9 * np.sin(1e9 * x))
 
 
-def test_adaptive_rounds_stop_at_the_evaluation_budget():
+def test_adaptive_rounds_stop_at_the_evaluation_budget(monkeypatch):
     from deltacasimir.numerics import _adaptive_gk
     for budget in (1_000, 20_000, 50_000):
+        monkeypatch.setattr(numerics, "_MAX_EVALS", budget)
         value, err, evals, ok = _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9),
-                                             1e-15, max_evals=budget)
+                                             1e-15)
         assert not ok and evals <= budget
         # the round that was refused would have doubled the work
         assert evals > budget / 2
     # seed panels that alone pass the budget are not evaluated
-    assert _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9), 1e-15,
-                        max_evals=100) == (0.0, math.inf, 0, False)
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 100)
+    assert _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9), 1e-15) == \
+        (0.0, math.inf, 0, False)
 
 
-def test_a_batch_gives_each_integral_its_own_bits_and_budget():
+def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
     # _gk_segments integrates several integrals in one loop; each one keeps
     # its own tolerance share, stopping test and evaluation budget, so a
     # batch gives every member the result of its lone call, including the
@@ -219,7 +221,8 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget():
     edge_sets = [np.linspace(0.0, 5.0, 9), np.linspace(0.0, 5.0, 9), np.linspace(0.0, 3.0, 4),
                  np.linspace(0.0, 1.0, 2000)]
     tols, budget = [1e-13, 1e-15, 1e-12, 1e-12], 20_000
-    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t, max_evals=budget)
+    monkeypatch.setattr(numerics, "_MAX_EVALS", budget)
+    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t)
             for f, e, t in zip(fs, edge_sets, tols)]
 
     def f(x, s):
@@ -229,7 +232,7 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget():
         return out
 
     batch = _gk_segments(f, np.concatenate(edge_sets),
-                         np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols, budget)
+                         np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols)
     for i, want in enumerate(lone):
         assert (float(batch[0][i]), float(batch[1][i]), batch[2][i], bool(batch[3][i])) == want
     assert [ok for *_, ok in lone] == [True, False, True, False]

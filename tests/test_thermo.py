@@ -18,6 +18,7 @@ from deltacasimir import (
     entropy_lifshitz,
     entropy_lifshitz_temperature_slope,
     force_finite_t_canonical,
+    free_energy_lifshitz,
     thermal_weight,
 )
 from deltacasimir import thermo
@@ -393,6 +394,21 @@ def test_lifshitz_entropy_at_huge_temperature_is_its_zero_mode(d, that):
     assert s.estimate.converged
     assert s.value == -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / 100.0) - 0.5
     assert entropy_lifshitz(pt, 100.0, include_zero_mode=False).value == 0.0
+
+
+@pytest.mark.parametrize("d, that", [(1e300, 1e10), (1e308, 1.0)])
+def test_lifshitz_values_that_overflow_are_not_converged(d, that):
+    # the zero mode's 2 pi That (d+2) overflows: the entropy is -inf and the
+    # free energy +inf, and both said converged=True; the Matsubara exponent
+    # c n d overflows too, which numpy warns of
+    pt = DimensionlessPoint(d, that)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        s, fe = entropy_lifshitz(pt, 100.0), free_energy_lifshitz(pt, 100.0)
+        rest = entropy_lifshitz(pt, 100.0, include_zero_mode=False)
+    assert s.value == -math.inf and not s.estimate.converged
+    assert fe.value == math.inf and not fe.estimate.converged
+    # a finite value keeps its flag: every term underflowed to 0
+    assert rest.value == 0.0 and rest.estimate.converged
 
 
 @settings(max_examples=30)
