@@ -18,15 +18,15 @@ near q_m = m pi/(d+2), instead of close to the first one.  The resonances
 in the head, each ~2 q_m^2/(d+2) wide, get graded seed edges
 (``scattering.resonance_edges``) if narrower than 0.4 pi/(d+2), so the
 seed pass resolves them; the wider ones need no extra edges.  Past d =
-``scattering.RESOLVED_D`` float64 cannot resolve the first one: the force
-is then not converged.  At That > 0 the Bose weight differs from q only for
-q below ~10 That, so the head also gets seed edges at That 2^k, k = -1..5:
-without them, at That <~ 3e-4, that region lies inside the first seed
-panel, below its first node, and the thermal part is dropped with
-converged=True.  A real integrand that is not Re h (a Python-int That
-truncates the force's real Bose weight today, and an np.float32 That
-computes it in float32) fails the engine's agreement check
-and reports converged=False with an infinite error estimate.
+``scattering.RESOLVED_D`` float64 cannot resolve the first one, and nothing
+bounds the force's error: its estimate is inf.  At That > 0 the Bose weight
+differs from q only for q below ~10 That, so the head also gets seed edges
+at That 2^k, k = -1..5: without them, at That <~ 3e-4, that region lies
+inside the first seed panel, below its first node, and the thermal part is
+dropped with converged=True.  A real integrand that is not Re h (a
+Python-int That truncates the force's real Bose weight today, and an
+np.float32 That computes it in float32) fails the engine's agreement check,
+and its estimate is inf too.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -160,8 +160,8 @@ def _canonical_force(d, that, tol):
     f, h = _mode_sum(-0.5 / math.pi, w, h_w, [d])
     est = integrate_oscillatory_tail(lambda q: f(q, 0), OscillatorySpec(2.0 * d, q0), tol,
                                      continuation=lambda z: h(z, 0), head_seeds=seeds)
-    if d > RESOLVED_D:   # the first dip is not resolved
-        return QuadratureEstimate(est.value, est.abs_error_estimate, est.evaluations, False)
+    if d > RESOLVED_D:   # the first dip is not resolved: nothing bounds the error
+        return QuadratureEstimate(est.value, math.inf, est.evaluations, est.tol)
     return est
 
 
@@ -226,7 +226,7 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
 
     s = sum_exponential_series(terms, 0.5 * that, math.exp(-c * d), tol)
     value = -s.value + force_lifshitz_zero_mode_term(point)
-    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.converged)
+    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.tol)
     return ForceValue(value, "lifshitz", point, est)
 
 
@@ -242,8 +242,8 @@ def free_energy_lifshitz(point: DimensionlessPoint,
                          tol: float = LIFSHITZ_TOL) -> FreeEnergyValue:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
     cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
-    d and That are read as floats, as in ``force_finite_t_lifshitz``; a
-    value that is not finite (2 pi That (d+2) overflows) is not converged."""
+    d and That are read as floats, as in ``force_finite_t_lifshitz``; the
+    estimate of a value that is not finite (2 pi That (d+2) overflows) is inf."""
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
     c = 4.0 * math.pi * that
@@ -253,8 +253,8 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 
     s = sum_exponential_series(terms, 0.5 * that / c, math.exp(-c * d), tol)
     value = s.value + 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
-    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations,
-                             s.converged and math.isfinite(value))
+    err = s.abs_error_estimate if math.isfinite(value) else math.inf
+    est = QuadratureEstimate(value, err, s.evaluations, s.tol)
     return FreeEnergyValue(value, cutoff_lambda, point, est)
 
 

@@ -30,10 +30,11 @@ one of the second, takes its plain-float lone path.  An integral of
 the densities of one outer round, of both kinds, are one batch: a fixed
 number of array operations per pass, and one numpy sum per integral.
 
-Every engine returns a :class:`QuadratureEstimate`; failure to converge is
-reported through the ``converged`` flag, never by silent truncation or an
-exception.  All engines are deterministic: identical inputs give
-bit-identical results on one platform.
+Every engine returns a :class:`QuadratureEstimate`, which sets its
+``converged`` flag from its own estimate and tolerance: failure to converge
+is an estimate above tol, never a silent truncation or an exception.  All
+engines are deterministic: identical inputs give bit-identical results on
+one platform.
 
 The package needs numpy only: the sine and cosine integrals behind
 :func:`cosine_integral` are computed here (:func:`sici`).
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,14 +65,21 @@ __all__ = [
 class QuadratureEstimate:
     """Value of an integral or sum together with honesty metadata.
 
-    ``converged`` is only set when ``abs_error_estimate`` came in at or
-    below the tolerance the caller requested.
+    ``tol`` is the tolerance the caller asked for, and ``converged`` is
+    set here, never passed: abs_error_estimate <= tol, a bool (a bool array
+    for an array estimate).  Every failure is an infinite estimate: an
+    estimate above tol is not accurate enough, and inf bounds nothing.
     """
 
     value: float
     abs_error_estimate: float
     evaluations: int
-    converged: bool
+    tol: float
+    converged: bool = field(init=False)
+
+    def __post_init__(self):
+        ok = np.asarray(self.abs_error_estimate) <= require_real("tol", self.tol)
+        object.__setattr__(self, "converged", ok if ok.ndim else ok.item())
 
 
 @dataclass(frozen=True)
@@ -238,9 +246,9 @@ def _gk_apply(f, lo, hi, seg):
 def _adaptive_gk(f, edges, tol):
     """Adaptive GK15 of one integral on the panels between consecutive
     ``edges``: ``_gk_segments`` with the one segment 0, so f is called as
-    f(x, 0).  Returns (value, error, evaluations, converged)."""
-    v, e, n, ok = _gk_segments(f, np.asarray(edges, float), 0, [tol])
-    return float(v[0]), float(e[0]), n[0], bool(ok[0])
+    f(x, 0).  Returns (value, error, evaluations, error <= tol)."""
+    v, e, n = _gk_segments(f, np.asarray(edges, float), 0, [tol])
+    return float(v[0]), float(e[0]), n[0], bool(e[0] <= tol)
 
 
 def _gk_segments(f, edges, seg, tol, checks=None):
@@ -255,8 +263,8 @@ def _gk_segments(f, edges, seg, tol, checks=None):
     segment index of the nodes (see ``_gk_apply``).  An integral whose
     seed panels and checks[s] extra points (none without ``checks``) alone
     would take it past ``_MAX_EVALS`` evaluations is not evaluated: value
-    0, error inf, 0 evaluations.  Returns lists (value, error, evaluations,
-    converged), one entry per integral.
+    0, error inf, 0 evaluations.  Returns lists (value, error,
+    evaluations), one entry per integral, converged where error <= tol.
     """
     lo, hi = edges[:-1], edges[1:]
     if isinstance(seg, int):
@@ -271,17 +279,14 @@ def _gk_segments(f, edges, seg, tol, checks=None):
         keep = np.repeat(fits, counts)
         lo, hi = lo[keep], hi[keep]
         if not lo.size:
-            return [0.0] * len(fits), [math.inf] * len(fits), [0] * len(fits), fits
+            return [0.0] * len(fits), [math.inf] * len(fits), [0] * len(fits)
         seg = seg[keep]
         counts = [c * ok for c, ok in zip(counts, fits)]
         evals = [e * ok for e, ok in zip(evals, fits)]
     vals, errs, _ = _gk_apply(f, lo, hi, seg)
-    value, err, evals, ok = _refine(f, lo, hi, seg, counts, vals, errs, evals,
-                                    tol() if callable(tol) else tol)
-    for i, fit in enumerate(fits):
-        if not fit:
-            err[i], ok[i] = math.inf, False
-    return value, err, evals, ok
+    value, err, evals = _refine(f, lo, hi, seg, counts, vals, errs, evals,
+                                tol() if callable(tol) else tol)
+    return value, [e if fit else math.inf for e, fit in zip(err, fits)], evals
 
 
 def _seed_edges(stop, n, extra, extra_seg):
@@ -322,7 +327,7 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
     left halves, then right halves: one stable sort by integral), and its
     error and value are numpy sums over its panels alone, the value in
     panel order: an integral gets the same bits in any batch.  Returns
-    lists (value, error, evaluations, converged).
+    lists (value, error, evaluations).
     """
     one = isinstance(seg, int)
     bounds = [0, *itertools.accumulate(counts)]
@@ -374,7 +379,7 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
     # complex numbers sort by real part, then by imaginary part
     ordered = vals[lo.argsort(kind="stable") if one else np.argsort(seg + 1j * lo, kind="stable")]
     value = [np.add.reduce(ordered[i:j]) for i, j in zip(bounds, bounds[1:])]
-    return value, err, evals, [e <= t for e, t in zip(err, tol)]
+    return value, err, evals
 
 
 def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
@@ -388,15 +393,14 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     e^{-200} < 1e-86 has made it zero; x_c times the largest |f| seen on
     [x_c/2, x_c) is added to the error estimate, which keeps an integrand
     that does not decay from converging to its truncation.  Running out of
-    bisection rounds or evaluations (``_MAX_EVALS``) reports
-    converged=False, never a silently truncated value.
+    bisection rounds or evaluations (``_MAX_EVALS``) leaves the estimate
+    above tol, never a silently truncated value.
     """
     decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
     far = [0.0]
-    v, e, n, ok = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), [decay_scale], far),
-                               _MAP_EDGES, tol)
-    err = e + _DECAY_CUT * decay_scale * far[0]
-    return QuadratureEstimate(v, err, n, ok and err <= tol)
+    v, e, n, _ = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), [decay_scale], far),
+                              _MAP_EDGES, tol)
+    return QuadratureEstimate(v, e + _DECAY_CUT * decay_scale * far[0], n, tol)
 
 
 def _mapped_integrand(f, decay, far):
@@ -485,10 +489,10 @@ def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
     """
     tol = require_real("tol", tol)
     seeds = np.asarray(head_seeds, float).ravel()
-    v, e, n, ok = _oscillatory_segments(
+    v, e, n = _oscillatory_segments(
         lambda q, _: f(q), lambda z, _: continuation(z), [spec.angular_rate],
         [spec.switch_point], [tol], seeds, 0, [None])
-    return QuadratureEstimate(float(v[0]), float(e[0]), n[0], bool(ok[0]))
+    return QuadratureEstimate(float(v[0]), float(e[0]), n[0], tol)
 
 
 def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
@@ -500,12 +504,11 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at infinity
     vanishes) is mapped as in ``integrate_smooth_semi_infinite`` with decay
     scale 1/omega, witness included, onto 8 seed panels on Q + t, t in
-    [0, 1), after the head's edges: ``converged`` needs the joint error of
-    head and tail, plus the witness, to be at most tol.  The seed pass also
-    takes f and h at 48 points over the period beyond Q; unless
-    |f - Re h| <= 1e-12 (1 + max|f|) there, the error is inf (nothing
-    bounds the tail of h against f's) and the panels are refined only to
-    max(tol, Q * mismatch + tol/2).
+    [0, 1), after the head's edges: the error is the joint error of head
+    and tail plus the witness.  The seed pass also takes f and h at 48
+    points over the period beyond Q; unless |f - Re h| <= 1e-12 (1 +
+    max|f|) there, the error is inf (nothing bounds the tail of h against
+    f's) and the panels are refined only to max(tol, Q * mismatch + tol/2).
 
     width[s] (a list) is None for an integral with a tail; a number makes
     integral s tail-less: the real-axis integral of f over [0, stop[s]],
@@ -516,7 +519,7 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     integral (seeds_seg the int 0) pays for one: plain floats set it up,
     check it and hold its witness, and its seed pass, whose nodes are
     sorted, is split into head and tail by slicing.  Returns lists (value,
-    error, evaluations, converged).
+    error, evaluations), as ``_gk_segments`` does.
     """
     one = isinstance(seeds_seg, int) and width[0] is None
     if one:   # plain floats, which the lists' index 0 reads
@@ -603,12 +606,9 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
                 for a, q, x, t in zip(agree, stop, mismatch, tol)]
 
     checks = [2 * _CHECK_POINTS.size if x is None else 0 for x in width]
-    value, err, evals, ok = _gk_segments(g, edges, seg, target, checks)
+    value, err, evals = _gk_segments(g, edges, seg, target, checks)
     wit = [_DECAY_CUT * decay[0] * far[0]] if one else (_DECAY_CUT * decay * far).tolist()
-    for i, w in enumerate(wit):
-        err[i] = err[i] + w if agree[i] else math.inf
-        ok[i] = agree[i] and ok[i] and err[i] <= tol[i]
-    return value, err, evals, ok
+    return value, [e + w if a else math.inf for e, w, a in zip(err, wit, agree)], evals
 
 
 def cosine_integral(x: float) -> float:
@@ -628,8 +628,8 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
     any term is evaluated, is the least count whose remainder bound
     scale * ratio**(N+1)/(1 - ratio) is at most tol/1000.  The N terms are
     evaluated in blocks of 2^16 and summed exactly by one ``math.fsum``;
-    the estimate adds ``_EPS_FLOOR * sum|t_n|`` to that bound.  Past
-    ``_MAX_TERMS`` terms, or for ratio >= 1 (estimate inf), converged=False.
+    the estimate adds ``_EPS_FLOOR * sum|t_n|`` to that bound.  N is at
+    most ``_MAX_TERMS``, with that N's bound; for ratio >= 1 it is inf.
     """
     tol = require_real("tol", tol)
     scale = require_real("scale", scale, inclusive=True)
@@ -653,8 +653,7 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
 
     total = math.fsum(itertools.chain.from_iterable(blocks()))
     rem = scale * ratio ** (n + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
-    err = rem + _EPS_FLOOR * sum_abs
-    return QuadratureEstimate(total, err, n, n_terms <= _MAX_TERMS and err <= tol)
+    return QuadratureEstimate(total, rem + _EPS_FLOOR * sum_abs, n, tol)
 
 
 def bose_factor(q, That):

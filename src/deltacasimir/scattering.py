@@ -177,7 +177,7 @@ def flux_deficit(q, d):
 
 # past this d the first dip, 2 pi^2/(d+2)^3 wide at q_1 = pi/(d+2), spans
 # under 4.5e4 ulp of its phase q_1 d: its rounding reaches 1e-6 of a force
-# or density, past the estimate, so such a result is not converged
+# or density, past any estimate, so such a result's estimate is inf
 RESOLVED_D = 1e6
 
 
@@ -227,8 +227,9 @@ def resonance_edges(d, q_hi):
         return np.array(edges), 0
     d2 = np.add(d, 2.0)
     step = math.pi / d2
-    # np.arange(1.0, y) holds the ceil(y - 1) whole numbers 1.0, 2.0, ...
-    count = np.ceil(np.minimum(1.0, q_hi) / step - 1.0)
+    # np.arange(1.0, y) holds the ceil(y - 1) whole numbers 1.0, 2.0, ...,
+    # and none where y - 1 rounds to -1 (q_hi below ~1e-16 of a step)
+    count = np.maximum(np.ceil(np.minimum(1.0, q_hi) / step - 1.0), 0.0)
     top = d2.max()
     if not 2.0 * (math.pi / top) * (math.pi / top) / top > 0.0:   # a gamma_1 is 0
         count *= 2.0 * step * step / d2 > 0.0

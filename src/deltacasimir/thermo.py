@@ -128,7 +128,7 @@ def entropy_density_canonical(dtilde, That: float,
     edges of ``scattering.resonance_edges`` around those narrower than
     0.4 pi/(dtilde+2), so the seed pass resolves them.  Past
     ``scattering.RESOLVED_D`` the first dip is below float64's resolution,
-    and a member reports converged=False.
+    and a member's estimate is inf.
 
     When q_max spans more than 16 periods, the head [0, Q],
     Q = ``contour_switch(dtilde)``, is integrated on the real axis and the
@@ -138,7 +138,8 @@ def entropy_density_canonical(dtilde, That: float,
     integral of the same loop on panels one period wide (narrower only
     where 2.5 That or q_max/8 is);
     the truncation bound is added to its error estimate, and its panels
-    get the rest of tol.
+    get the rest of tol, or only their seed pass where the bound alone is
+    tol or more (That <~ 3e-10 at tol 2.5e-9), which cannot converge.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
     its zero mode kept (see the README).  The tests use that identity as
@@ -161,15 +162,16 @@ def entropy_density_canonical(dtilde, That: float,
         return _thermal_weight_raw(q, That)
 
     f, h = _mode_sum(0.5 / math.pi, w, w, d)
-    v, e, n, ok = _oscillatory_segments(f, h, (2.0 * d).tolist(), stop, [
-        tol if r else tol - tail_bound for r in rotated], seeds, owner, width)
+    real_tol = tol - tail_bound if tail_bound < tol else math.inf   # inf: seed pass only
+    v, e, n = _oscillatory_segments(f, h, (2.0 * d).tolist(), stop, [
+        tol if r else real_tol for r in rotated], seeds, owner, width)
     err = np.array(e) + np.where(rotated, 0.0, tail_bound)
+    err[d > RESOLVED_D] = math.inf   # the first dip is not resolved
     value, evals = np.array(v, float), np.array(n)
-    ok = np.array(ok) & (err <= tol) & (d <= RESOLVED_D)
     if scalar:
-        est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), bool(ok[0]))
+        est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), tol)
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
-    est = QuadratureEstimate(value, err, int(evals.sum()), ok)
+    est = QuadratureEstimate(value, err, int(evals.sum()), tol)
     return EntropyDensity(value, d, That, est, evals)
 
 
@@ -189,7 +191,8 @@ def entropy_canonical(point: DimensionlessPoint,
     call with the separations of all its nodes, whose q-integrals share
     one adaptive loop.  Each inner density is asked for
     inner_tol = min(ENTROPY_INNER_TOL, tol/(4 (Lambda - d))), and
-    (Lambda - d) * inner_tol is charged to the reported estimate.
+    (Lambda - d) * inner_tol is charged to the reported estimate, which is
+    inf once a density did not converge.
 
     The flux deficit is at most 1 and (1/2pi) int_0^inf (u/sinh u)^2 dq =
     pi That/6 (u = q/2That), so at every temperature
@@ -210,8 +213,7 @@ def entropy_canonical(point: DimensionlessPoint,
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda, low=d)
     inner_tol = min(ENTROPY_INNER_TOL, 0.25 * tol / (cutoff_lambda - d))
 
-    inner_evals = [0]
-    inner_all_ok = [True]
+    inner_evals, inner_all_ok = [0], [True]
 
     def g(ts, _):
         # one density call per outer round: every node's separation at once
@@ -225,11 +227,9 @@ def entropy_canonical(point: DimensionlessPoint,
     d_thermal = 0.5 / (math.pi * that)
     if d < d_thermal < cutoff_lambda:
         edges.insert(1, math.log(d_thermal))
-    v, e, n_outer, ok = _adaptive_gk(g, edges, 0.75 * tol)
-    err = e + (cutoff_lambda - d) * inner_tol
-    evals = inner_evals[0]
-    converged = ok and inner_all_ok[0] and err <= tol
-    est = QuadratureEstimate(v, err, evals, converged)
+    v, e, _, _ = _adaptive_gk(g, edges, 0.75 * tol)
+    err = e + (cutoff_lambda - d) * inner_tol if inner_all_ok[0] else math.inf
+    est = QuadratureEstimate(v, err, inner_evals[0], tol)
     return EntropyValue(v, "canonical", point, cutoff_lambda, est)
 
 
@@ -241,7 +241,7 @@ def entropy_lifshitz(point: DimensionlessPoint,
 
     ``include_zero_mode`` keeps or drops the cutoff-dependent first line;
     the two choices expose the two horns of the third-law dilemma.  A value
-    that is not finite (2 pi That (d+2) overflows) reports converged=False.
+    that is not finite (2 pi That (d+2) overflows) has the estimate inf.
     """
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
@@ -261,9 +261,8 @@ def entropy_lifshitz(point: DimensionlessPoint,
     if include_zero_mode:
         value += -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5
     method = "lifshitz" if include_zero_mode else "lifshitz_no_zero_mode"
-    err = s1.abs_error_estimate + s2.abs_error_estimate
-    est = QuadratureEstimate(value, err, s1.evaluations + s2.evaluations,
-                             s1.converged and s2.converged and math.isfinite(value))
+    err = s1.abs_error_estimate + s2.abs_error_estimate if math.isfinite(value) else math.inf
+    est = QuadratureEstimate(value, err, s1.evaluations + s2.evaluations, tol)
     return EntropyValue(value, method, point, cutoff_lambda, est)
 
 

@@ -452,6 +452,8 @@ def test_sweep_spec_type():
         SweepSpec(variable="d", min=-1.0, max=2.0, points=2)
     with pytest.raises(DomainError):
         SweepSpec(variable="d", min=1.0, max=2.0, points=2, methods=("plasma",))
+    with pytest.raises(DomainError):
+        SweepSpec(variable="d", min=1.0, max=2.0, points=2, spacing="cubic")
 
 
 def test_sweep_validation(capsys):
@@ -567,6 +569,22 @@ def test_unknown_config_key_is_an_error_line(argv, key, tmp_path, capsys, monkey
     assert "tol, cutoff_lambda, jobs, units, out" in err
 
 
+def test_a_config_line_without_equals_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "dc.conf"
+    cfg.write_text("tol 1e-8\n")
+    code, out, err = run(capsys, "force", "--d", "1", "--That", "0", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("error: bad config line") and "Traceback" not in err
+
+
+def test_an_unknown_units_convention_in_the_config_is_an_error_line(tmp_path, capsys):
+    cfg = tmp_path / "dc.conf"
+    cfg.write_text("units=furlongs\n")
+    code, out, err = run(capsys, "force", "--d", "1", "--That", "0", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "'furlongs'" in err and "Traceback" not in err
+
+
 def test_a_known_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
     # one file can serve every subcommand: force reads no jobs
     cfg = tmp_path / "dc.conf"
@@ -610,6 +628,24 @@ def test_lifshitz_entropy_that_overflows_exits_3(capsys):
                            "--method", "lifshitz")
     row = _rows(out)[0]
     assert code == 3 and (row["value"], row["converged"]) == ("-inf", "false")
+
+
+def test_entropy_at_a_tiny_temperature_prints_its_rows_and_exits_3(capsys):
+    # the density batch's resonance count came out -1: a ValueError
+    # traceback with exit 1
+    code, out, err = run(capsys, "entropy", "--d", "1", "--That", "1e-18",
+                         "--method", "canonical")
+    assert code == 3 and "Traceback" not in err
+    assert [(r["err"], r["converged"]) for r in _rows(out)] == [("inf", "false")]
+
+
+def test_figure_3a_at_a_tiny_temperature_writes_its_rows_and_exits_3(tmp_path, capsys):
+    code, out, err = run(capsys, "figure", "--id", "3a", "--points", "3",
+                         "--That-set", "1e-20", "--out-dir", str(tmp_path))
+    assert code == 3 and "Traceback" not in err
+    with open(tmp_path / "figure3a_That1e-20.csv") as fh:
+        rows = _rows(fh.read())
+    assert len(rows) == 3 and all(r["converged"] == "false" for r in rows)
 
 
 def test_scattering_with_an_infinite_phase_is_an_error_line(capsys):

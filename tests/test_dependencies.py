@@ -99,3 +99,47 @@ def test_one_copy_of_the_mode_sum():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 callers.add(path.name)
     assert callers == {"forces.py", "scattering.py"}
+
+
+def _walk_own(fn):
+    """The nodes of function ``fn``, less those of the functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_one_convergence_rule():
+    """``numerics.QuadratureEstimate`` sets ``converged`` from its own
+    estimate and tol: no other code assigns it, no call passes it (every
+    estimate is built from value, error, evaluations and tol), and the
+    engine internals return (value, error, evaluations), no flag list."""
+    internals = {"_refine", "_gk_segments", "_oscillatory_segments"}
+    seen = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  and c.name == "QuadratureEstimate" for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            where = (path.name, getattr(node, "lineno", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                assert name != "converged" or id(node) in inside, where
+            elif isinstance(node, ast.Call):
+                assert all(k.arg != "converged" for k in node.keywords), where
+                if getattr(node.func, "attr", getattr(node.func, "id", None)) in (
+                        "setattr", "__setattr__"):
+                    assert id(node) in inside or not any(
+                        isinstance(a, ast.Constant) and a.value == "converged"
+                        for a in node.args), where
+                if getattr(node.func, "id", None) == "QuadratureEstimate":
+                    assert len(node.args) == 4 and not node.keywords, where
+            elif isinstance(node, ast.FunctionDef) and node.name in internals:
+                seen.add(node.name)
+                for ret in _walk_own(node):
+                    if isinstance(ret, ast.Return):
+                        assert isinstance(ret.value, ast.Tuple) and len(ret.value.elts) == 3 \
+                            or getattr(ret.value.func, "id", None) in internals, where
+    assert seen == internals

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import force_identity, force_lifshitz_series
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from deltacasimir import (
     DimensionlessPoint,
@@ -227,8 +227,25 @@ def test_large_separation_force_within_its_estimate_or_not_converged(that):
         est = casimir_force(DimensionlessPoint(d, that), "canonical").estimate
         exact = force_identity(d, that)
         assert est.converged == (d <= RESOLVED_D), d
+        # past RESOLVED_D nothing bounds the error: it reported 1.4e-11
+        assert (est.abs_error_estimate == math.inf) == (d > RESOLVED_D), d
         assert not est.converged \
             or abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact), d
+
+
+def test_a_matsubara_force_cut_at_the_term_cap_converges_within_its_bound():
+    # 10^7 terms leave a remainder bound of 1.39e-7 within tol 1e-6; the
+    # flag once also asked for the uncapped count
+    d, that = 1.0, 1e-7
+    est = casimir_force(DimensionlessPoint(d, that), "lifshitz", 1e-6).estimate
+    assert est.evaluations == 10_000_000 and est.converged
+    # the true error is the dropped terms' sum, That a g(a) summed over
+    # n > 10^7 with a = c n: by the midpoint rule, (That/c) int a g da
+    # from c (10^7 + 1/2), 1.8e-8
+    c = 4.0 * math.pi * that
+    dropped = that / c * quad(lambda a: a / (math.exp(a * d) * (1.0 + a) ** 2 - 1.0),
+                              c * (10_000_000 + 0.5), math.inf)[0]
+    assert 1e-8 < dropped <= est.abs_error_estimate <= 1e-6
 
 
 # force_sweep's points whose coordinates have another type than float: d is
@@ -393,6 +410,8 @@ def test_asymptotic_force_values():
     assert asymptotic_force(pt, "lifshitz") / asymptotic_force(pt, "canonical") == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(DomainError):
         asymptotic_force(pt, "euclidean")
+    with pytest.raises(DomainError):
+        casimir_force(pt, "plasma")
 
 
 # ----------------------------------------------------------------- invariants

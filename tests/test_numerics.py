@@ -222,7 +222,7 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
                  np.linspace(0.0, 1.0, 2000)]
     tols, budget = [1e-13, 1e-15, 1e-12, 1e-12], 20_000
     monkeypatch.setattr(numerics, "_MAX_EVALS", budget)
-    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t)
+    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t)[:3]
             for f, e, t in zip(fs, edge_sets, tols)]
 
     def f(x, s):
@@ -234,9 +234,9 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
     batch = _gk_segments(f, np.concatenate(edge_sets),
                          np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols)
     for i, want in enumerate(lone):
-        assert (float(batch[0][i]), float(batch[1][i]), batch[2][i], bool(batch[3][i])) == want
-    assert [ok for *_, ok in lone] == [True, False, True, False]
-    assert lone[1][2] > budget / 2 and lone[3] == (0.0, math.inf, 0, False)
+        assert (float(batch[0][i]), float(batch[1][i]), batch[2][i]) == want
+    assert [e <= t for (_, e, _), t in zip(lone, tols)] == [True, False, True, False]
+    assert lone[1][2] > budget / 2 and lone[3] == (0.0, math.inf, 0)
 
 
 def test_engines_share_one_evaluation_budget(monkeypatch):
@@ -255,6 +255,30 @@ def test_engines_share_one_evaluation_budget(monkeypatch):
     assert not est.converged and est.evaluations <= 30_000
 
 
+def test_a_member_out_of_budget_stops_while_another_keeps_splitting(monkeypatch):
+    # the noisy integral's round 7 would pass the 20,000 cap while sqrt,
+    # which bisects toward its endpoint singularity for 31 rounds, still
+    # splits: the round must drop only the noisy one's panels
+    from deltacasimir.numerics import _adaptive_gk, _gk_segments
+    monkeypatch.setattr(numerics, "_MAX_EVALS", 20_000)
+    fs, tols = [_noisy, np.sqrt], [1e-15, 1e-14]
+    edge_sets = [np.linspace(0.0, 5.0, 9), np.array([0.0, 1.0])]
+    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t)[:3]
+            for f, e, t in zip(fs, edge_sets, tols)]
+
+    def f(x, s):
+        out = np.empty(x.shape)
+        for i, fi in enumerate(fs):
+            out[s == i] = fi(x[s == i])
+        return out
+
+    batch = _gk_segments(f, np.concatenate(edge_sets),
+                         np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols)
+    assert [(float(v), float(e), n) for v, e, n in zip(*batch)] == lone
+    assert lone[0][1] > tols[0] and 10_000 < lone[0][2] <= 20_000
+    assert lone[1][1] <= tols[1] and lone[1][2] == 15 + 31 * 30
+
+
 def _float32_lorentz_cos(q):
     # computed in float32, so it is not Re _lorentz_exp to 1e-12
     return _lorentz_cos(np.asarray(q, np.float32))
@@ -264,7 +288,7 @@ def _as_batch(members):
     """The tailed integrals (f, h, spec, head seeds, tol) as members of one
     ``_oscillatory_segments`` batch, whose seeds have an array owner, with a
     tail-less e^{-q} on [0, 5] last; returns, per tailed member, (value,
-    error, evaluations, converged)."""
+    error, evaluations)."""
     fs = [m[0] for m in members] + [lambda q: np.exp(-q)]
     hs = [m[1] for m in members]
 
@@ -275,18 +299,18 @@ def _as_batch(members):
         return out
 
     seeds = [np.asarray(m[3], float) for m in members] + [np.array([2.5])]
-    v, e, n, ok = numerics._oscillatory_segments(
+    v, e, n = numerics._oscillatory_segments(
         lambda q, s: each(fs, q, s, float), lambda z, s: each(hs, z, s, complex),
         [float(m[2].angular_rate) for m in members] + [1.0],
         [float(m[2].switch_point) for m in members] + [5.0], [m[4] for m in members] + [1e-9],
         np.concatenate(seeds), np.repeat(np.arange(len(fs)), [x.size for x in seeds]),
         [None] * len(members) + [1.0])
-    return [(float(a), float(b), c, bool(d)) for a, b, c, d in zip(v, e, n, ok)][:-1]
+    return [(float(a), float(b), c) for a, b, c in zip(v, e, n)][:-1]
 
 
 def _lone(f, h, spec, seeds, tol):
     est = integrate_oscillatory_tail(f, spec, tol, h, seeds)
-    return est.value, est.abs_error_estimate, est.evaluations, est.converged
+    return est.value, est.abs_error_estimate, est.evaluations
 
 
 def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch):
@@ -310,7 +334,7 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
         (_float32_lorentz_cos, _lorentz_exp, spec, (0.5, 3.0), 1e-9)]
     lone = [_lone(*m) for m in members]
     assert _as_batch(members) == lone
-    assert [ok for *_, ok in lone] == [True] * 7 + [False] * 2
+    assert [e <= m[4] for (_, e, _), m in zip(lone, members)] == [True] * 7 + [False] * 2
     assert lone[-1][1] == lone[-2][1] == math.inf and lone[-3][1] >= 2e-10
     # under a 30,000 cap: one runs out of evaluations, one has seed panels
     # past the cap alone and is not evaluated
@@ -319,8 +343,8 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
                (_lorentz_cos, _lorentz_exp, spec, np.linspace(0.001, 12.0, 2500), 1e-9),
                members[0]]
     lone = [_lone(*m) for m in members]
-    assert lone[0][2] <= 30_000 and not lone[0][3]
-    assert lone[1] == (0.0, math.inf, 0, False) and lone[2][3]
+    assert lone[0][2] <= 30_000 and not lone[0][1] <= 1e-15
+    assert lone[1] == (0.0, math.inf, 0) and lone[2][1] <= 1e-9
     assert _as_batch(members) == lone
 
 
@@ -533,6 +557,20 @@ def test_series_without_a_geometric_bound_is_not_converged(monkeypatch):
     est = sum_exponential_series(lambda n: 1.0 / n, 1.0, 1.0, 1e-12)
     assert not est.converged
     assert est.evaluations == 1000 and est.abs_error_estimate == math.inf
+
+
+def test_the_estimate_sets_its_own_flag():
+    from deltacasimir.numerics import QuadratureEstimate
+    assert QuadratureEstimate(1.0, 1e-11, 5, 1e-10).converged is True
+    assert QuadratureEstimate(1.0, np.float64(1e-9), 5, 1e-10).converged is False
+    assert QuadratureEstimate(1.0, math.inf, 5, 1e-10).converged is False
+    batch = QuadratureEstimate(np.ones(3), np.array([0.0, 1e-9, math.inf]), 15, 1e-10)
+    assert batch.converged.dtype == bool and batch.converged.tolist() == [True, False, False]
+    # a flag in the place of the tolerance is refused, not read as tol = 1
+    with pytest.raises(DomainError):
+        QuadratureEstimate(1.0, 0.5, 5, True)
+    with pytest.raises(TypeError):
+        QuadratureEstimate(1.0, 0.5, 5, 1e-10, True)
 
 
 # ------------------------------------------------------- thermal weight, bose

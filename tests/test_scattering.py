@@ -230,6 +230,15 @@ def test_resonance_edges_of_a_batch_are_each_separations_own():
         assert np.sort(edges[owner == i]).tobytes() == np.sort(lone).tobytes()
 
 
+def test_a_tiny_upper_bound_gets_no_edges_in_a_batch_as_alone():
+    # min(1, q_hi)/step - 1 rounds to -1 below 1e-16 of a step, and the
+    # batch's np.repeat raised on the count -1
+    edges, owner = resonance_edges([1.0, 20.0, 2.0], [8e-19, 1.0, 1e-30])
+    assert resonance_edges([1.0], [8e-19])[0].size == resonance_edges([2.0], [1e-30])[0].size == 0
+    lone = resonance_edges([20.0], [1.0])[0]
+    assert set(owner.tolist()) == {1} and np.sort(edges).tobytes() == np.sort(lone).tobytes()
+
+
 def test_a_zero_resonance_width_gets_no_edges():
     # past d ~ 2e108 the first width 2 pi^2/(d+2)^3 underflows to 0: the lone
     # loop never ended, and the vectorized pass overflowed (d+2)^2 past 1.3e154

@@ -267,6 +267,7 @@ def test_large_separation_density_within_its_estimate_or_not_converged(that):
     d = 10.0 ** np.random.default_rng(5).uniform(3.0, 15.0, 12)
     dens = entropy_density_canonical(d, that)
     assert (dens.estimate.converged == (d <= RESOLVED_D)).all()
+    assert ((dens.estimate.abs_error_estimate == math.inf) == (d > RESOLVED_D)).all()
     for x, v, err, ok in zip(d.tolist(), dens.value.tolist(),
                              dens.estimate.abs_error_estimate.tolist(),
                              dens.estimate.converged.tolist()):
@@ -407,8 +408,34 @@ def test_lifshitz_values_that_overflow_are_not_converged(d, that):
         rest = entropy_lifshitz(pt, 100.0, include_zero_mode=False)
     assert s.value == -math.inf and not s.estimate.converged
     assert fe.value == math.inf and not fe.estimate.converged
+    # the estimate says nothing bounds them: it was the series' 0.0
+    assert s.estimate.abs_error_estimate == fe.estimate.abs_error_estimate == math.inf
     # a finite value keeps its flag: every term underflowed to 0
     assert rest.value == 0.0 and rest.estimate.converged
+
+
+@pytest.mark.parametrize("that", [1e-10, 1e-12])
+def test_a_cold_entropy_that_cannot_converge_spends_only_seed_passes(that):
+    # below That ~ 2.8e-10 a real-axis density's truncation bound alone is
+    # past its inner tol 2.5e-9: refined toward the negative rest of tol,
+    # (1, 1e-10) spent 117,961,200 evaluations (6 s, as at 1e-12) to report
+    # converged=False with the estimate 2.5e-7
+    s = entropy_canonical(DimensionlessPoint(1.0, that))
+    assert not s.estimate.converged and s.estimate.abs_error_estimate == math.inf
+    assert s.estimate.evaluations <= 10_000
+    assert 0.0 < s.value <= math.pi * that / 6.0 * 99.0
+
+
+def test_densities_at_a_tiny_temperature_agree_with_their_lone_calls():
+    # q_max = 4e-19 is below 1e-16 of a resonance spacing: the batch's
+    # resonance count came out -1 and np.repeat raised ValueError
+    d = np.array([1.0, 2.0])
+    dens = entropy_density_canonical(d, 1e-20)
+    assert not dens.estimate.converged.any()
+    for i, x in enumerate(d.tolist()):
+        lone = entropy_density_canonical(x, 1e-20)
+        assert (lone.value, lone.estimate.abs_error_estimate, lone.evaluations) \
+            == (dens.value[i], dens.estimate.abs_error_estimate[i], dens.evaluations[i])
 
 
 @settings(max_examples=30)
