@@ -6,9 +6,9 @@ Subcommands and the shared flags each takes; all six take --json and
     scattering  --out
     force       --tol --units --out
     entropy     --tol --out           (entropy rows are dimensionless)
-    sweep       --tol --units --out --jobs
+    sweep       --tol --units --out
     asymptote   --units --out
-    figure      --tol --units --jobs  (one CSV per curve, in --out-dir)
+    figure      --tol --units         (one CSV per curve, in --out-dir)
 
 Every numeric row echoes its inputs; CSV output uses '.' decimals and 17
 significant digits so identical command lines reproduce identical bytes.
@@ -16,11 +16,11 @@ A force row's value and err are both in its units convention.  A metadata
 sidecar (<out>.meta.json) records the tool version and the effective value
 of each flag the command reads.  Exit codes: 0 success, 2 usage or domain
 error, 3 numerical non-convergence (rows are still emitted, flagged
-converged=false).
+converged=false).  Every command runs in one process.
 
 Configuration precedence: command-line flags > --config file (key=value
-lines) > built-in defaults.  The file's keys are tol, cutoff_lambda, jobs,
-units and out; any other key is an error.
+lines) > built-in defaults.  The file's keys are tol, cutoff_lambda, units
+and out; any other key is an error.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, require_real
 from .forces import (
     DEFAULT_CUTOFF_LAMBDA,
     FORCE_TOL,
@@ -101,7 +101,6 @@ DEFAULTS = {
     "tol": FORCE_TOL,
     "cutoff_lambda": DEFAULT_CUTOFF_LAMBDA,
     "units": "raw_dimensionless",
-    "jobs": 1,
 }
 # the temperatures of a figure's curves when --That-set is not given
 DEFAULT_THAT_SET = (0.5, 1.0, 2.0)
@@ -161,7 +160,7 @@ def _meta(args, **extra):
         "version": __version__,
         "command": " ".join(args.argv),
     }
-    for key in ("tol", "units", "jobs", "cutoff_lambda"):
+    for key in ("tol", "units", "cutoff_lambda"):
         if hasattr(args, key):
             m[key] = getattr(args, key)
     m.update(extra)
@@ -204,7 +203,7 @@ def _resolve(args, **defaults):
     an error; one that this subcommand does not read is ignored."""
     cfg = _load_config(args.config) if args.config else {}
     defaults = {**DEFAULTS, **defaults}
-    casts = {"tol": float, "cutoff_lambda": float, "jobs": int, "units": str, "out": str}
+    casts = {"tol": float, "cutoff_lambda": float, "units": str, "out": str}
     unknown = [key for key in cfg if key not in casts]
     if unknown:
         raise DomainError(f"unknown config key {', '.join(map(repr, unknown))}; "
@@ -218,8 +217,6 @@ def _resolve(args, **defaults):
                     raise DomainError(f"config key {key}: not a number: {cfg[key]!r}") from exc
             elif key in defaults:
                 setattr(args, key, defaults[key])
-    if getattr(args, "jobs", 1) < 1:
-        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _units(args) -> UnitsConvention:
@@ -324,8 +321,7 @@ def _grid(lo, hi, n, spacing):
 # its quantity's; an explicit flag or config entry still wins.  tasks(grid,
 # That set, tol, units, Lambda) lists the figure's tasks, the task function maps
 # a task to its rows and a row goes to the CSV name.format(*row).  1, 2 and 3b
-# make one task per row; 3a makes one for all its curves, whose array calls
-# cost less than starting a pool.
+# make one task per row; 3a makes one for all its curves, one array call each.
 FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale", FORCE_TOL,
           "force in units hbar*gamma^2/v^3 vs dimensionless distance",
@@ -359,15 +355,17 @@ def _cmd_figure(args) -> int:
     except ValueError as exc:
         raise DomainError(f"--That-set must be a comma list of numbers, "
                           f"got {args.That_set!r}") from exc
+    # force rows take That = 0, the entropy rows need That > 0
+    for t in that_set:
+        require_real("--That-set", t, inclusive=schema is FORCE_SCHEMA)
     if len({f"{t:g}" for t in that_set}) < len(that_set):
         raise DomainError(f"--That-set {args.That_set!r} gives two curves the same CSV name")
     points = default_points if args.points is None else args.points
     if points < 1:
         raise DomainError(f"--points must be >= 1, got {points}")
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
-    # one pool for the whole figure; its tasks' rows come back in task order
     figure_tasks = tasks(grid, that_set, args.tol, u, args.cutoff_lambda)
-    rows = [r for rs in _run_tasks(row, figure_tasks, args.jobs) for r in rs]
+    rows = [r for rs in _run_tasks(row, figure_tasks) for r in rs]
     files = {}   # CSV name -> its rows; files follow the order of their first rows
     for r in rows:
         files.setdefault(name.format(*r), []).append(r)
@@ -378,11 +376,15 @@ def _cmd_figure(args) -> int:
     meta = _meta(args, figure=args.id, files=list(files),
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
                  note=note.format(lam=args.cutoff_lambda))
-    # every id takes --units and --lambda; only force rows read the one, entropy rows the other
+    # every id takes --units, --lambda and --That-set; only force rows read
+    # the first, entropy rows the second, and figure 1's rows (all at That = 0)
+    # not the third
     if schema is not FORCE_SCHEMA:
         del meta["units"]
     if schema is not ENTROPY_SCHEMA:
         del meta["cutoff_lambda"]
+    if args.id == "1":
+        del meta["That_set"]
     with open(f"{args.out_dir}/figure{args.id}_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -393,24 +395,14 @@ def _cmd_figure(args) -> int:
     return _exit_code(schema, rows)
 
 
-def _run_tasks(fn, tasks, jobs):
-    """Evaluate tasks with a worker pool of at most one worker per task;
-    output order follows input order.  Tasks go to the workers in about four
-    chunks per worker: one round trip per chunk, not per task.  Where tasks
-    cost unequal amounts (figure 3b), a worker may idle while the other
-    finishes its last chunk; that costs about what the saved round trips
-    gain.  Figure 3a is one task, so it never starts a pool."""
-    jobs = min(jobs, len(tasks))
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor   # 20 ms to import; serial runs skip it
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / (4 * jobs))))
+def _run_tasks(fn, tasks):
+    """fn of each task, in task order; perfbench's tracer wraps this loop to
+    count a command's tasks."""
+    return [fn(t) for t in tasks]
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1,
-              units: UnitsConvention = UnitsConvention.RAW_DIMENSIONLESS):
-    """Evaluate a force sweep; rows come back in grid order regardless of jobs."""
+def run_sweep(spec: SweepSpec, units: UnitsConvention = UnitsConvention.RAW_DIMENSIONLESS):
+    """Evaluate a force sweep; rows come back in grid order."""
     tasks = []
     for x in spec.grid():
         for method in spec.methods:
@@ -419,7 +411,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1,
             else:
                 d, that = spec.fixed, float(x)
             tasks.append((d, that, method, spec.tol, units.value))
-    return _run_tasks(_force_row, tasks, jobs)
+    return _run_tasks(_force_row, tasks)
 
 
 def _cmd_sweep(args) -> int:
@@ -427,7 +419,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
                      points=args.points, spacing=args.spacing, fixed=args.fixed,
                      methods=tuple(_parse_methods(args.method)), tol=args.tol)
-    rows = run_sweep(spec, jobs=args.jobs, units=_units(args))
+    rows = run_sweep(spec, units=_units(args))
     meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
                  variable=spec.variable, min=spec.min, max=spec.max,
                  points=spec.points, spacing=spec.spacing, fixed=spec.fixed)
@@ -453,7 +445,6 @@ _FLAGS = {
                     help="output normalization for forces (value and err)"),
     "--out": dict(help="write CSV here plus a .meta.json sidecar"),
     "--json": dict(action="store_true", help="emit records as JSON on stdout"),
-    "--jobs": dict(type=int, help="worker pool width (1 = serial; figure 3a is one task)"),
     "--config": dict(help="key=value config file"),
 }
 
@@ -504,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--That-set", dest="That_set", default=None,
                    help="comma list of temperatures (default 0.5,1,2)")
     p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None)
-    _add_flags(p, "--tol", "--units", "--json", "--jobs", "--config")
+    # hidden and read by nothing: perfbench/workloads.py's figure command passes it
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
+    _add_flags(p, "--tol", "--units", "--json", "--config")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("sweep", help="force sweep over d or That")
@@ -516,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", type=float, required=True,
                    help="value of the other coordinate")
     p.add_argument("--method", default="both")
-    _add_flags(p, "--tol", "--units", "--out", "--json", "--jobs", "--config")
+    _add_flags(p, "--tol", "--units", "--out", "--json", "--config")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("asymptote", help="long-distance asymptotic force")

@@ -219,9 +219,9 @@ def _gk_apply(f, lo, hi, seg):
     ``f`` is called as f(x, s) on a 1-D ndarray of nodes x: s is ``seg``
     when that is one segment index (an int) for all panels, and each node's
     index when seg is an array of the panels' indices.  Returns (values,
-    error estimates, evaluation count); the per-panel error estimate is
-    |K15 - G7| plus a rounding floor, which overestimates the true K15
-    error on smooth panels.
+    error estimates) at 15 evaluations a panel; the per-panel error
+    estimate is |K15 - G7| plus a rounding floor, which overestimates the
+    true K15 error on smooth panels.
     """
     n = lo.size
     out = []   # (values, errors) of each block, joined when there are several
@@ -240,7 +240,7 @@ def _gk_apply(f, lo, hi, seg):
         out.append((half * kd[:, 0],
                     half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))))
     vals, errs = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
-    return vals, errs, 15 * n
+    return vals, errs
 
 
 def _adaptive_gk(f, edges, tol):
@@ -283,7 +283,7 @@ def _gk_segments(f, edges, seg, tol, checks=None):
         seg = seg[keep]
         counts = [c * ok for c, ok in zip(counts, fits)]
         evals = [e * ok for e, ok in zip(evals, fits)]
-    vals, errs, _ = _gk_apply(f, lo, hi, seg)
+    vals, errs = _gk_apply(f, lo, hi, seg)
     value, err, evals = _refine(f, lo, hi, seg, counts, vals, errs, evals,
                                 tol() if callable(tol) else tol)
     return value, [e if fit else math.inf for e, fit in zip(err, fits)], evals
@@ -363,7 +363,7 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
         lo = np.concatenate([lo[keep], a, mid])
         hi = np.concatenate([hi[keep], mid, b])
         s = seg if one else np.concatenate([seg[split]] * 2)
-        cvals, cerrs, _ = _gk_apply(f, lo[-2 * a.size:], hi[-2 * a.size:], s)
+        cvals, cerrs = _gk_apply(f, lo[-2 * a.size:], hi[-2 * a.size:], s)
         vals = np.concatenate([vals[keep], cvals])
         errs = np.concatenate([errs[keep], cerrs])
         if not one:   # each integral's kept, left and right panels in turn

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent import futures
 
 import pytest
 
@@ -206,90 +205,22 @@ def test_sweep_byte_determinism(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_sweep_jobs_pool_matches_serial(tmp_path, capsys):
-    args = ["sweep", "--variable", "d", "--min", "1", "--max", "3", "--points", "3",
-            "--fixed", "0.5", "--method", "both"]
-    f1, f2 = tmp_path / "serial.csv", tmp_path / "pool.csv"
-    run(capsys, *args, "--jobs", "1", "--out", str(f1))
-    run(capsys, *args, "--jobs", "2", "--out", str(f2))
-    assert f1.read_bytes() == f2.read_bytes()
-
-
-def test_figure_runs_on_one_pool(tmp_path, capsys, monkeypatch):
-    pools = []
-
-    class CountingPool(futures.ProcessPoolExecutor):
-        def __init__(self, *a, **kw):
-            pools.append(self)
-            super().__init__(*a, **kw)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
-    # figure 1 keeps one task per row, so its two curves share one pool
-    args = ["figure", "--id", "1", "--points", "4"]
-    serial, pooled = tmp_path / "serial", tmp_path / "pool"
-    serial.mkdir()
-    pooled.mkdir()
-    assert run(capsys, *args, "--jobs", "1", "--out-dir", str(serial))[0] == 0
-    assert not pools
-    assert run(capsys, *args, "--jobs", "2", "--out-dir", str(pooled))[0] == 0
-    assert len(pools) == 1
-    names = sorted(f.name for f in serial.glob("*.csv"))
-    assert len(names) == 2
-    assert sorted(f.name for f in pooled.glob("*.csv")) == names
-    for name in names:
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
-
-
-def test_figure3a_never_starts_a_pool(tmp_path, capsys, monkeypatch):
-    # its curves are one task: three array density calls cost less than a pool
-    class NoPool:
-        def __init__(self, *a, **kw):
-            raise AssertionError("figure 3a started a process pool")
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", NoPool)
+def test_figure_ignores_the_hidden_jobs_flag(tmp_path, capsys):
+    # --jobs once set the width of a process pool; figure still parses it,
+    # as perfbench's figure command passes it, and 0 is no longer an error
     outputs = []
-    for jobs in ("1", "2"):
-        out_dir = tmp_path / jobs
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"], ["--jobs", "0"]):
+        out_dir = tmp_path / "_".join(["run", *jobs[1:]])
         out_dir.mkdir()
-        code, out, _ = run(capsys, "figure", "--id", "3a", "--jobs", jobs, "--json",
+        code, out, _ = run(capsys, "figure", "--id", "3a", *jobs, "--json",
                            "--out-dir", str(out_dir))
         doc = json.loads(out)
         sidecar = json.loads((out_dir / "figure3a_meta.json").read_text())
-        assert code == 0 and doc["meta"] == sidecar
-        del sidecar["command"], sidecar["jobs"]
+        assert code == 0 and doc["meta"] == sidecar and "jobs" not in sidecar
+        del sidecar["command"]
         csvs = {f.name: f.read_bytes() for f in out_dir.glob("*.csv")}
         outputs.append((doc["records"], sidecar, csvs))
-    assert outputs[0] == outputs[1] and len(outputs[0][2]) == 3
-
-
-def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
-    widths = []
-
-    class RecordingPool(futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *a, **kw):
-            widths.append(max_workers)
-            super().__init__(max_workers, *a, **kw)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
-    assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
-               "--jobs", "8", "--out-dir", str(tmp_path))[0] == 0
-    assert widths == [2]
-
-
-def test_pool_dispatches_about_four_chunks_per_worker(tmp_path, capsys, monkeypatch):
-    chunks = []
-
-    class RecordingPool(futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kw):
-            chunks.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kw)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
-    # figure 1 keeps one task per row: 2 x 8 rows on 2 workers, chunks of
-    # ceil(16/8) = 2 rows
-    assert run(capsys, "figure", "--id", "1", "--points", "8", "--jobs", "2",
-               "--out-dir", str(tmp_path))[0] == 0
-    assert chunks == [2]
+    assert all(o == outputs[0] for o in outputs) and len(outputs[0][2]) == 3
 
 
 def _fresh_python(code):
@@ -302,23 +233,35 @@ def _fresh_python(code):
                           text=True, timeout=120, check=True).stdout
 
 
-def test_serial_commands_never_import_the_process_pool():
-    # the pool's module costs about 20 ms to import; only --jobs N > 1 needs it
+def test_no_command_imports_the_process_pool(tmp_path):
+    # every command runs in one process; the pool's module once cost about
+    # 20 ms to import, and figure --jobs 2 (perfbench's spelling) started a pool
+    commands = [
+        ["scattering", "--q", "1", "--d", "1"],
+        ["force", "--d", "1", "--That", "1"],
+        ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
+        ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
+         "--fixed", "0.5"],
+        ["asymptote", "--d", "100", "--That", "2"],
+        ["figure", "--id", "1", "--points", "3", "--jobs", "2", "--out-dir", str(tmp_path)],
+    ]
     code = (
         "import sys\n"
         "import deltacasimir.cli\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
-        "deltacasimir.cli.main(['force', '--d', '1', '--That', '1'])\n"
-        "print('concurrent.futures.process' in sys.modules)\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        f"for argv in {commands!r}:\n"
+        "    assert deltacasimir.cli.main(argv) == 0\n"
+        "    loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)\n"
     )
-    out = _fresh_python(code).split("\n")
-    assert (out[0], out[-2]) == ("False", "False")
+    assert _fresh_python(code).split("\n")[-2] == str([False] * (len(commands) + 1))
+    assert len(list(tmp_path.glob("figure1_*.csv"))) == 2
 
 
 def test_runtime_never_imports_scipy(tmp_path):
     # a fresh interpreter runs every path that used to load scipy: the CLI
     # import, canonical forces at zero and finite temperature (the tail's
-    # Si/Ci cross-check), the cosine integral and a pooled figure
+    # Si/Ci cross-check), the cosine integral and a figure
     code = (
         "import sys\n"
         "import deltacasimir.cli\n"
@@ -326,7 +269,7 @@ def test_runtime_never_imports_scipy(tmp_path):
         "for that in (0.0, 0.5):\n"
         "    assert casimir_force(DimensionlessPoint(1.0, that), 'canonical').estimate.converged\n"
         "cosine_integral(2.0)\n"
-        "assert deltacasimir.cli.main(['figure', '--id', '1', '--points', '3', '--jobs', '2',\n"
+        "assert deltacasimir.cli.main(['figure', '--id', '1', '--points', '3',\n"
         f"                               '--out-dir', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
@@ -354,16 +297,19 @@ def test_scattering_meta_records_only_what_scattering_reads(tmp_path, capsys):
                          "max_closed_vs_solve"}
 
 
-@pytest.mark.parametrize("fig, flags", [("1", {"units"}), ("3a", set()),
-                                        ("3b", {"cutoff_lambda"})])
+@pytest.mark.parametrize("fig, flags", [("1", {"units"}), ("3a", {"That_set"}),
+                                        ("3b", {"cutoff_lambda", "That_set"})])
 def test_figure_meta_records_units_and_lambda_only_where_rows_read_them(
         tmp_path, capsys, fig, flags):
+    # figure 1's rows are all at That = 0: its sidecar once recorded the
+    # default That set all the same.  No sidecar has had jobs since the
+    # process pool went
     assert run(capsys, "figure", "--id", fig, "--points", "2", "--That-set", "1",
                "--out-dir", str(tmp_path))[0] == 0
     meta = json.loads((tmp_path / f"figure{fig}_meta.json").read_text())
-    assert "defaults" not in meta
-    assert {"tol", "jobs"} | flags <= set(meta)
-    assert not ({"units", "cutoff_lambda"} - flags) & set(meta)
+    assert "defaults" not in meta and "jobs" not in meta
+    assert {"tol"} | flags <= set(meta)
+    assert not ({"units", "cutoff_lambda", "That_set"} - flags) & set(meta)
 
 
 def test_figure_checks_its_out_dir_before_computing(tmp_path, capsys, monkeypatch):
@@ -377,47 +323,29 @@ def test_figure_checks_its_out_dir_before_computing(tmp_path, capsys, monkeypatc
     assert "missing" in err
 
 
-@pytest.mark.parametrize("fig", ["2", "3a"])
-@pytest.mark.parametrize("flag, value", [("--points", "0"), ("--points", "-3"),
-                                         ("--That-set", "1,,2"), ("--That-set", "one"),
-                                         ("--That-set", "1,1"), ("--That-set", "0.5,0.5000001"),
-                                         ("--That-set", "")])
+BAD_GRID_INPUTS = [("--points", "0"), ("--points", "-3"), ("--That-set", "1,,2"),
+                   ("--That-set", "one"), ("--That-set", "1,1"),
+                   ("--That-set", "0.5,0.5000001"), ("--That-set", ""),
+                   ("--That-set", "1,-1"), ("--That-set", "nan"), ("--That-set", "1,inf")]
+
+
+@pytest.mark.parametrize("flag, value, fig", [
+    *[(flag, value, fig) for flag, value in BAD_GRID_INPUTS for fig in ("2", "3a")],
+    ("--That-set", "0", "3a")])
 def test_figure_rejects_bad_grid_inputs(fig, flag, value, tmp_path, capsys, monkeypatch):
     # --points 0 once gave the default 48 points, --points -3 and an empty
     # --That-set entry a traceback; 1,1 wrote one CSV twice and listed it twice
     # in the sidecar, 0.5,0.5000001 (both 0.5 under :g) overwrote a curve, and
-    # an empty --That-set ran the default set
+    # an empty --That-set ran the default set.  A negative, infinite or nan
+    # temperature (or 0 for the entropy density) failed only inside its first
+    # row, after the curves before it had been computed, and the message did
+    # not name the flag
     calls = []
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
     code, out, err = run(capsys, "figure", "--id", fig, flag, value,
                          "--out-dir", str(tmp_path))
     assert code == 2 and not calls and not out and not list(tmp_path.iterdir())
     assert err.startswith("error: ") and flag in err
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-@pytest.mark.parametrize("via_config", [False, True])
-@pytest.mark.parametrize("argv", [
-    ["figure", "--id", "3a", "--points", "2", "--That-set", "1"],
-    ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
-     "--fixed", "0.5", "--method", "lifshitz"],
-], ids=lambda argv: argv[0])
-def test_jobs_below_one_is_rejected(argv, via_config, jobs, tmp_path, capsys, monkeypatch):
-    # both once ran serially: `args.jobs or 1` made 0 into 1, and _run_tasks
-    # ran anything at or below 1 in process
-    calls = []
-    monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
-    if via_config:
-        cfg = tmp_path / "jobs.conf"
-        cfg.write_text(f"jobs={jobs}\n")
-        extra = ["--config", str(cfg)]
-    else:
-        extra = ["--jobs", jobs]
-    if argv[0] == "figure":
-        extra += ["--out-dir", str(tmp_path)]
-    code, out, err = run(capsys, *argv, *extra)
-    assert code == 2 and not calls and not out
-    assert err.startswith("error: ") and "--jobs" in err
 
 
 def test_figure3a_json_records_are_plain(tmp_path, capsys):
@@ -543,7 +471,7 @@ def test_config_file_precedence(tmp_path, capsys):
     (["force", "--d", "1", "--That", "0", "--method", "lifshitz"], "tol"),
     (["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"], "cutoff_lambda"),
     (["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
-      "--fixed", "0.5", "--method", "lifshitz"], "jobs"),
+      "--fixed", "0.5", "--method", "lifshitz"], "tol"),
 ], ids=lambda x: x if isinstance(x, str) else x[0])
 def test_non_numeric_config_value_is_an_error_line(argv, key, tmp_path, capsys):
     # a ValueError traceback with exit 1 while the cast ran outside DomainError
@@ -558,15 +486,16 @@ def test_non_numeric_config_value_is_an_error_line(argv, key, tmp_path, capsys):
     ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
     ["figure", "--id", "3a", "--points", "2", "--That-set", "1", "--out-dir", "."],
 ], ids=lambda x: x[0])
-@pytest.mark.parametrize("key", ["lambda", "tolerance"])
+@pytest.mark.parametrize("key", ["lambda", "tolerance", "jobs"])
 def test_unknown_config_key_is_an_error_line(argv, key, tmp_path, capsys, monkeypatch):
-    # they were dropped without a word: lambda=5 left Lambda at 100, exit 0
+    # they were dropped without a word: lambda=5 left Lambda at 100, exit 0.
+    # jobs set the width of the process pool, which is gone
     monkeypatch.chdir(tmp_path)
     (tmp_path / "dc.conf").write_text(f"{key}=5\n")
     code, out, err = run(capsys, *argv, "--config", "dc.conf")
     assert code == 2 and not out and not list(tmp_path.glob("*.csv"))
     assert err.startswith("error: ") and repr(key) in err
-    assert "tol, cutoff_lambda, jobs, units, out" in err
+    assert "tol, cutoff_lambda, units, out" in err
 
 
 def test_a_config_line_without_equals_is_an_error_line(tmp_path, capsys):
@@ -586,9 +515,9 @@ def test_an_unknown_units_convention_in_the_config_is_an_error_line(tmp_path, ca
 
 
 def test_a_known_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
-    # one file can serve every subcommand: force reads no jobs
+    # one file can serve every subcommand: force reads no cutoff_lambda
     cfg = tmp_path / "dc.conf"
-    cfg.write_text("jobs=2\ncutoff_lambda=50\n")
+    cfg.write_text("cutoff_lambda=50\n")
     code, out, _ = run(capsys, "force", "--d", "1", "--method", "lifshitz",
                        "--config", str(cfg))
     assert code == 0 and out
@@ -715,14 +644,14 @@ FLAGS = {
                 ["--units", "--jobs"]),
     # figure has no --out: argparse reads it as the prefix of --out-dir
     "figure": (["--id", "3a"],
-               {"--tol": "1e-8", "--units": "fig2_scale", "--json": None, "--jobs": "2",
+               {"--tol": "1e-8", "--units": "fig2_scale", "--json": None,
                 "--config": "c", "--out-dir": ".", "--points": "2", "--That-set": "1",
                 "--lambda": "50"},
                []),
     "sweep": (["--variable", "d", "--min", "1", "--max", "2", "--points", "2", "--fixed", "0"],
               {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
-               "--jobs": "2", "--config": "c", "--spacing": "log", "--method": "lifshitz"},
-              []),
+               "--config": "c", "--spacing": "log", "--method": "lifshitz"},
+              ["--jobs"]),
     "asymptote": (["--d", "100", "--That", "2"],
                   {"--units": "fig2_scale", "--out": "x.csv", "--json": None, "--config": "c",
                    "--method": "lifshitz"},

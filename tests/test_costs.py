@@ -209,9 +209,9 @@ def test_figure3a_command(tmp_path, monkeypatch, capsys):
     # call made one adaptive loop per kind of q-integral
     tasks = []
     run_tasks = cli._run_tasks
-    monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts, jobs: tasks.append(len(ts))
-                        or run_tasks(fn, ts, jobs))
-    argv = ["figure", "--id", "3a", "--jobs", "1", "--out-dir", str(tmp_path)]
+    monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts: tasks.append(len(ts))
+                        or run_tasks(fn, ts))
+    argv = ["figure", "--id", "3a", "--out-dir", str(tmp_path)]
     assert _gk_passes(monkeypatch, lambda: cli.main(argv)) == 9
     capsys.readouterr()
     evals = [int(line.split(",")[4]) for f in tmp_path.glob("*.csv")
@@ -226,17 +226,17 @@ class _Stop(Exception):
 @pytest.mark.parametrize("fig, count", [("1", 120), ("2", 360), ("3a", 1), ("3b", 72)])
 def test_figure_task_counts(fig, count, tmp_path, monkeypatch):
     # each default figure row is a task except figure 3a's, whose curves are
-    # one task (3 tasks while each curve was one, 144 while each row was):
-    # splitting it again would put a process pool back in front of 15 ms of work
+    # one task (3 tasks while each curve was one, 144 while each row was),
+    # with one array density call per curve
     tasks = []
 
-    def stop(fn, ts, jobs):
+    def stop(fn, ts):
         tasks.append(len(ts))
         raise _Stop
 
     monkeypatch.setattr(cli, "_run_tasks", stop)
     with pytest.raises(_Stop):
-        cli.main(["figure", "--id", fig, "--jobs", "2", "--out-dir", str(tmp_path)])
+        cli.main(["figure", "--id", fig, "--out-dir", str(tmp_path)])
     assert tasks == [count]
 
 

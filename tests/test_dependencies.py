@@ -143,3 +143,19 @@ def test_one_convergence_rule():
                         assert isinstance(ret.value, ast.Tuple) and len(ret.value.elts) == 3 \
                             or getattr(ret.value.func, "id", None) in internals, where
     assert seen == internals
+
+
+def test_one_process():
+    """Every command runs in one process: no module of the package imports
+    ``concurrent``, ``multiprocessing`` or ``threading`` (the CLI's process
+    pool paid on no figure)."""
+    banned = {"concurrent", "multiprocessing", "threading"}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not imported & banned, (path.name, node.lineno)

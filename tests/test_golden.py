@@ -76,11 +76,11 @@ import pytest
 from deltacasimir.cli import main
 
 GOLDEN = {
-    ("figure", "--id", "1", "--jobs", "1"): {
+    ("figure", "--id", "1"): {
         "figure1_canonical.csv": "a5c91320ed68054f821dc527ead57e90765b530072555325f37a3d4cdd8ef142",
         "figure1_lifshitz.csv": "eecccb4886a6241ff0272bdd15d96454f6464329b666ca6a5069b4a12adb386a",
     },
-    ("figure", "--id", "2", "--jobs", "1"): {
+    ("figure", "--id", "2"): {
         "figure2_canonical_That0.5.csv": "505ea77df942d661030ee9a8df86abca7008c6b4802a979676dee1922318fdf1",
         "figure2_canonical_That1.csv": "53a15ca25738560f6b5864d8d4110a856321eaeab9b3b1d6f7b25ac2c51317a0",
         "figure2_canonical_That2.csv": "67a9a189fd0d2b2c09311b26916b7b257b36801502d55210a323c8085a354f13",
@@ -88,7 +88,7 @@ GOLDEN = {
         "figure2_lifshitz_That1.csv": "2138aabea40665dbb493e3692efda10371f23d53300bbd21b2381400b0a18c7b",
         "figure2_lifshitz_That2.csv": "1fcac32ce95b72266de5df14b131d647c07434fd631f089d94521af8c5409d09",
     },
-    ("figure", "--id", "3a", "--jobs", "1"): {
+    ("figure", "--id", "3a"): {
         "figure3a_That0.5.csv": "9e918fb4c5f6bf9ab27680fa00cae0d6c8ad0c36a061089fbc54c0ef6900c6d5",
         "figure3a_That1.csv": "7ad1a9af1978db6e33d7c42acdadbeee02410369a112d08ef30882f698246d41",
         "figure3a_That2.csv": "131a6ed746711fc30322af9ba27690b6f6430591b1e60fb152d44797e35fae5b",
@@ -97,8 +97,6 @@ GOLDEN = {
         "figure3b_That1.csv": "0d5d7dad1e25a51dcd1e87dcdcbf55913bb114dcc9cf4e4f50defc3be7c297df",
     },
 }
-# the pooled run must write the serial run's bytes
-GOLDEN[("figure", "--id", "3a", "--jobs", "2")] = GOLDEN[("figure", "--id", "3a", "--jobs", "1")]
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)

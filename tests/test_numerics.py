@@ -58,7 +58,7 @@ def test_smooth_lifshitz_integrand():
     # composite-panel oracle at ~10x the engine's node density
     from deltacasimir.numerics import _gk_apply
     edges = np.linspace(0.0, 80.0, 4001)
-    vals, _, _ = _gk_apply(lambda z, _: f(z), edges[:-1], edges[1:], 0)
+    vals, _ = _gk_apply(lambda z, _: f(z), edges[:-1], edges[1:], 0)
     oracle = float(vals.sum())
     assert oracle == pytest.approx(LIFSHITZ_INTEGRAND_D1, abs=1e-14)
 
@@ -401,9 +401,9 @@ def test_cosine_integral_mid_x_panel_oracle():
     while z0 <= x:
         z0 += math.pi
     f = lambda t, _: -np.cos(np.asarray(t, float)) / np.asarray(t, float)
-    stub, _, _ = _gk_apply(f, np.array([x]), np.array([z0]), 0)
+    stub, _ = _gk_apply(f, np.array([x]), np.array([z0]), 0)
     edges = z0 + np.arange(201) * math.pi
-    vals, _, _ = _gk_apply(f, edges[:-1], edges[1:], 0)
+    vals, _ = _gk_apply(f, edges[:-1], edges[1:], 0)
     est, delta = _wynn_epsilon(list(stub[0] + np.cumsum(vals))[-40:])
     assert delta <= 1e-13
     assert est == pytest.approx(CI_10, abs=1e-12)
@@ -656,7 +656,7 @@ def test_gk_block_size_does_not_change_the_bits(monkeypatch, chunk, n):
     got = _gk_in_blocks(monkeypatch, chunk, n)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
-    assert got[2] == ref[2] == 15 * n
+    assert len(got) == len(ref) == 2 and got[0].size == n
 
 
 @pytest.mark.parametrize("call", [

@@ -58,14 +58,14 @@ def test_every_matsubara_series_goes_through_a_traced_name(monkeypatch):
 
 def test_cli_counters_see_every_task_and_every_csv(tmp_path, monkeypatch, capsys):
     # the tracer's cli.tasks is len(args[1]) of cli._run_tasks, its cli.write
-    # span is one cli._write_csv call per file, and under --jobs 1 its
-    # thermo.density span wraps cli.entropy_density_canonical.  Figure 3a is
-    # one task, with one array density call per curve
+    # span is one cli._write_csv call per file, and its thermo.density span
+    # wraps cli.entropy_density_canonical.  Figure 3a is one task, with one
+    # array density call per curve
     seen = {"tasks": [], "written": [], "density": 0}
 
-    def run_tasks(fn, tasks, jobs, _orig=cli._run_tasks):
+    def run_tasks(fn, tasks, _orig=cli._run_tasks):
         seen["tasks"].append(len(tasks))
-        return _orig(fn, tasks, jobs)
+        return _orig(fn, tasks)
 
     def write_csv(stream, header, rows, _orig=cli._write_csv):
         seen["written"].append(len(rows))
