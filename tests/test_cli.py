@@ -223,6 +223,19 @@ def test_figure_ignores_the_hidden_jobs_flag(tmp_path, capsys):
     assert all(o == outputs[0] for o in outputs) and len(outputs[0][2]) == 3
 
 
+def test_tasks_run_in_order_in_this_process():
+    # a closure over this process's state: a process pool could not pickle it,
+    # and its workers would have appended to copies of the list
+    pids = []
+
+    def fn(t):
+        pids.append(os.getpid())
+        return 2 * t
+
+    assert cli._run_tasks(fn, [3, 1, 2]) == [6, 2, 4]
+    assert pids == [os.getpid()] * 3
+
+
 def _fresh_python(code):
     """stdout of ``python -c code`` in a fresh interpreter that imports the
     package from this checkout."""
@@ -485,6 +498,8 @@ def test_non_numeric_config_value_is_an_error_line(argv, key, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
     ["figure", "--id", "3a", "--points", "2", "--That-set", "1", "--out-dir", "."],
+    ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
+     "--fixed", "0.5", "--method", "lifshitz", "--out", "sweep.csv"],
 ], ids=lambda x: x[0])
 @pytest.mark.parametrize("key", ["lambda", "tolerance", "jobs"])
 def test_unknown_config_key_is_an_error_line(argv, key, tmp_path, capsys, monkeypatch):
