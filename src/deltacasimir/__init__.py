@@ -10,7 +10,7 @@ opposite stories about the third law through the Casimir entropy.
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, SingularSystemError
+from .errors import DomainError
 from .model import (
     DimensionlessPoint,
     PhysicalParams,
@@ -21,7 +21,6 @@ from .model import (
 from .numerics import (
     OscillatorySpec,
     QuadratureEstimate,
-    bose_factor,
     cosine_integral,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
@@ -32,7 +31,6 @@ from .scattering import (
     KernelValue,
     ScatteringCoefficients,
     coefficients_closed_form,
-    coefficients_linear_solve,
     flux_deficit,
     kernel,
 )
@@ -42,7 +40,6 @@ from .forces import (
     LIFSHITZ_TOL,
     ForceValue,
     FreeEnergyValue,
-    asymptotic_force,
     casimir_force,
     force_finite_t_canonical,
     force_finite_t_lifshitz,
@@ -59,13 +56,11 @@ from .thermo import (
     entropy_canonical,
     entropy_density_canonical,
     entropy_lifshitz,
-    entropy_lifshitz_temperature_slope,
 )
 
 __all__ = [
     "__version__",
     "DomainError",
-    "SingularSystemError",
     "PhysicalParams",
     "DimensionlessPoint",
     "UnitsConvention",
@@ -77,12 +72,10 @@ __all__ = [
     "integrate_oscillatory_tail",
     "cosine_integral",
     "sum_exponential_series",
-    "bose_factor",
     "thermal_weight",
     "ScatteringCoefficients",
     "KernelValue",
     "coefficients_closed_form",
-    "coefficients_linear_solve",
     "kernel",
     "flux_deficit",
     "FORCE_TOL",
@@ -96,7 +89,6 @@ __all__ = [
     "force_finite_t_lifshitz",
     "force_lifshitz_zero_mode_term",
     "free_energy_lifshitz",
-    "asymptotic_force",
     "casimir_force",
     "ENTROPY_TOL",
     "ENTROPY_INNER_TOL",
@@ -105,5 +97,4 @@ __all__ = [
     "entropy_density_canonical",
     "entropy_canonical",
     "entropy_lifshitz",
-    "entropy_lifshitz_temperature_slope",
 ]

@@ -1,13 +1,12 @@
 """Command-line front end.
 
-Subcommands and the shared flags each takes; all six take --json and
---config, and --help lists the rest of their inputs:
+Subcommands and the shared flags each takes; all five take --json, and
+--help lists the rest of their inputs:
 
     scattering  --out
     force       --tol --units --out
     entropy     --tol --out           (entropy rows are dimensionless)
     sweep       --tol --units --out
-    asymptote   --units --out
     figure      --tol --units         (one CSV per curve, in --out-dir)
 
 Every numeric row echoes its inputs; CSV output uses '.' decimals and 17
@@ -18,9 +17,8 @@ of each flag the command reads.  Exit codes: 0 success, 2 usage or domain
 error, 3 numerical non-convergence (rows are still emitted, flagged
 converged=false).  Every command runs in one process.
 
-Configuration precedence: command-line flags > --config file (key=value
-lines) > built-in defaults.  The file's keys are tol, cutoff_lambda, units
-and out; any other key is an error.
+Precedence: command-line flags > built-in defaults (DEFAULTS, and each
+figure's own units and tol).
 """
 from __future__ import annotations
 
@@ -42,11 +40,10 @@ from .forces import (
     FORCE_TOL,
     LIFSHITZ_TOL,
     METHODS,
-    asymptotic_force,
     casimir_force,
 )
 from .model import DimensionlessPoint, UnitsConvention
-from .scattering import coefficients_closed_form, coefficients_linear_solve, kernel
+from .scattering import coefficients_closed_form, kernel
 from .thermo import (
     ENTROPY_INNER_TOL,
     ENTROPY_TOL,
@@ -183,47 +180,12 @@ def _parse_methods(text):
     return _check_methods([t for t in text.split(",") if t])
 
 
-def _load_config(path):
-    cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"bad config line (want key=value): {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            cfg[key] = val
-    return cfg
-
-
 def _resolve(args, **defaults):
-    """Apply precedence: CLI flag > config file > default (``defaults`` overrides
-    DEFAULTS for one subcommand).  A config key that no subcommand reads is
-    an error; one that this subcommand does not read is ignored."""
-    cfg = _load_config(args.config) if args.config else {}
-    defaults = {**DEFAULTS, **defaults}
-    casts = {"tol": float, "cutoff_lambda": float, "units": str, "out": str}
-    unknown = [key for key in cfg if key not in casts]
-    if unknown:
-        raise DomainError(f"unknown config key {', '.join(map(repr, unknown))}; "
-                          f"the known keys are {', '.join(casts)}")
-    for key, cast in casts.items():
+    """Fill each flag left unset with its default (``defaults`` overrides
+    DEFAULTS for one subcommand)."""
+    for key, value in {**DEFAULTS, **defaults}.items():
         if hasattr(args, key) and getattr(args, key) is None:
-            if key in cfg:
-                try:
-                    setattr(args, key, cast(cfg[key]))
-                except ValueError as exc:
-                    raise DomainError(f"config key {key}: not a number: {cfg[key]!r}") from exc
-            elif key in defaults:
-                setattr(args, key, defaults[key])
-
-
-def _units(args) -> UnitsConvention:
-    try:
-        return UnitsConvention(args.units)
-    except ValueError as exc:
-        raise DomainError(f"unknown units convention {args.units!r}") from exc
+            setattr(args, key, value)
 
 
 # ------------------------------------------------- one row function per quantity
@@ -273,10 +235,8 @@ def _density_rows(task):
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_scattering(args) -> int:
-    _resolve(args)
     q, d = args.q, args.d
     closed = coefficients_closed_form(q, d)
-    solved = coefficients_linear_solve(q, d)
     k = kernel(q, d).value
     row = [q, d,
            closed.B.real, closed.B.imag, closed.C.real, closed.C.imag,
@@ -284,17 +244,14 @@ def _cmd_scattering(args) -> int:
            abs(closed.B) ** 2 + abs(closed.G) ** 2,
            abs(closed.C) ** 2 - abs(closed.D) ** 2 - abs(closed.G) ** 2,
            k]
-    meta = _meta(args, q=q, d=d, schema=SCATTERING_SCHEMA,
-                 max_closed_vs_solve=max(abs(closed.B - solved.B), abs(closed.C - solved.C),
-                                         abs(closed.D - solved.D), abs(closed.G - solved.G)))
+    meta = _meta(args, q=q, d=d, schema=SCATTERING_SCHEMA)
     return _emit([row], SCATTERING_SCHEMA, args, meta)
 
 
 def _cmd_force(args) -> int:
     _resolve(args)
     methods = _parse_methods(args.method)
-    units = _units(args).value
-    rows = [_force_row((args.d, args.That, m, args.tol, units)) for m in methods]
+    rows = [_force_row((args.d, args.That, m, args.tol, args.units)) for m in methods]
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, d=args.d, That=args.That)
     return _emit(rows, FORCE_SCHEMA, args, meta)
 
@@ -318,10 +275,10 @@ def _grid(lo, hi, n, spacing):
 # id -> (grid axis, min, max, default points, schema, default units, default
 # tol, note, CSV name, task function, tasks); every grid is log spaced.  Each
 # figure's default units are its caption normalization and its default tol is
-# its quantity's; an explicit flag or config entry still wins.  tasks(grid,
-# That set, tol, units, Lambda) lists the figure's tasks, the task function maps
-# a task to its rows and a row goes to the CSV name.format(*row).  1, 2 and 3b
-# make one task per row; 3a makes one for all its curves, one array call each.
+# its quantity's; an explicit flag still wins.  tasks(grid, That set, tol,
+# units, Lambda) lists the figure's tasks, the task function maps a task to
+# its rows and a row goes to the CSV name.format(*row).  1, 2 and 3b make one
+# task per row; 3a makes one for all its curves, one array call each.
 FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale", FORCE_TOL,
           "force in units hbar*gamma^2/v^3 vs dimensionless distance",
@@ -346,7 +303,6 @@ FIGURES = {
 def _cmd_figure(args) -> int:
     axis, lo, hi, default_points, schema, units, tol, note, name, row, tasks = FIGURES[args.id]
     _resolve(args, units=units, tol=tol)
-    u = _units(args).value
     if not os.path.isdir(args.out_dir):
         raise DomainError(f"--out-dir {args.out_dir!r} is not a directory")
     try:
@@ -364,7 +320,7 @@ def _cmd_figure(args) -> int:
     if points < 1:
         raise DomainError(f"--points must be >= 1, got {points}")
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
-    figure_tasks = tasks(grid, that_set, args.tol, u, args.cutoff_lambda)
+    figure_tasks = tasks(grid, that_set, args.tol, args.units, args.cutoff_lambda)
     rows = [r for rs in _run_tasks(row, figure_tasks) for r in rs]
     files = {}   # CSV name -> its rows; files follow the order of their first rows
     for r in rows:
@@ -419,21 +375,11 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
                      points=args.points, spacing=args.spacing, fixed=args.fixed,
                      methods=tuple(_parse_methods(args.method)), tol=args.tol)
-    rows = run_sweep(spec, units=_units(args))
+    rows = run_sweep(spec, units=UnitsConvention(args.units))
     meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
                  variable=spec.variable, min=spec.min, max=spec.max,
                  points=spec.points, spacing=spec.spacing, fixed=spec.fixed)
     return _emit(rows, FORCE_SCHEMA, args, meta)
-
-
-def _cmd_asymptote(args) -> int:
-    _resolve(args)
-    methods = _parse_methods(args.method)
-    units = _units(args)
-    point = DimensionlessPoint(args.d, args.That)
-    rows = [[args.d, args.That, m, units.apply(asymptotic_force(point, m)), 0.0, 0, True,
-             units.value] for m in methods]
-    return _emit(rows, FORCE_SCHEMA, args, _meta(args, schema=FORCE_SCHEMA))
 
 
 # ---------------------------------------------------------------- entry point
@@ -445,7 +391,6 @@ _FLAGS = {
                     help="output normalization for forces (value and err)"),
     "--out": dict(help="write CSV here plus a .meta.json sidecar"),
     "--json": dict(action="store_true", help="emit records as JSON on stdout"),
-    "--config": dict(help="key=value config file"),
 }
 
 
@@ -465,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scattering", help="mode amplitudes B, C, D, G and the force kernel")
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
-    _add_flags(p, "--out", "--json", "--config")
+    _add_flags(p, "--out", "--json")
     p.set_defaults(fn=_cmd_scattering)
 
     p = sub.add_parser("force", help="Casimir force at one (d, That)")
@@ -473,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--That", type=float, default=0.0)
     p.add_argument("--method", default="both",
                    help="canonical, lifshitz, both, or a comma list")
-    _add_flags(p, "--tol", "--units", "--out", "--json", "--config")
+    _add_flags(p, "--tol", "--units", "--out", "--json")
     p.set_defaults(fn=_cmd_force)
 
     p = sub.add_parser("entropy", help="Casimir entropy at one (d, That), dimensionless")
@@ -485,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero-mode", dest="zero_mode",
                    action=argparse.BooleanOptionalAction, default=True,
                    help="keep the zero-frequency term in the Lifshitz entropy")
-    _add_flags(p, "--tol", "--out", "--json", "--config")
+    _add_flags(p, "--tol", "--out", "--json")
     p.set_defaults(fn=_cmd_entropy)
 
     p = sub.add_parser("figure", help="reproduce the data behind a figure")
@@ -497,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None)
     # hidden and read by nothing: perfbench/workloads.py's figure command passes it
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    _add_flags(p, "--tol", "--units", "--json", "--config")
+    _add_flags(p, "--tol", "--units", "--json")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("sweep", help="force sweep over d or That")
@@ -509,15 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", type=float, required=True,
                    help="value of the other coordinate")
     p.add_argument("--method", default="both")
-    _add_flags(p, "--tol", "--units", "--out", "--json", "--config")
+    _add_flags(p, "--tol", "--units", "--out", "--json")
     p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("asymptote", help="long-distance asymptotic force")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--That", type=float, required=True)
-    p.add_argument("--method", default="both")
-    _add_flags(p, "--units", "--out", "--json", "--config")
-    p.set_defaults(fn=_cmd_asymptote)
 
     return ap
 

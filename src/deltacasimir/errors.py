@@ -1,20 +1,14 @@
-"""Exception types shared across the package, and its two input checks."""
+"""The package's exception type, and its two input checks."""
 import math
 import numbers
 
 import numpy as np
 
+__all__ = ["DomainError"]
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
-
-
-class SingularSystemError(RuntimeError):
-    """The boundary-matching linear system came out numerically singular.
-
-    For real q > 0 the matching matrix is provably regular, so this always
-    indicates a bug or a corrupted parameter, never a physical regime.
-    """
 
 
 def require_real(name, x, low=0.0, inclusive=False) -> float:

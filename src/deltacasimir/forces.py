@@ -78,7 +78,6 @@ __all__ = [
     "force_finite_t_lifshitz",
     "force_lifshitz_zero_mode_term",
     "free_energy_lifshitz",
-    "asymptotic_force",
     "casimir_force",
 ]
 
@@ -256,17 +255,6 @@ def free_energy_lifshitz(point: DimensionlessPoint,
     err = s.abs_error_estimate if math.isfinite(value) else math.inf
     est = QuadratureEstimate(value, err, s.evaluations, s.tol)
     return FreeEnergyValue(value, cutoff_lambda, point, est)
-
-
-def asymptotic_force(point: DimensionlessPoint, method: str) -> float:
-    """Long-distance (d >> 1) asymptote: -That/(2d) Lifshitz, -That/(4d) canonical;
-    d and That are read as floats."""
-    d, that = float(point.d), float(point.That)
-    if method == "lifshitz":
-        return -that / (2.0 * d)
-    if method == "canonical":
-        return -that / (4.0 * d)
-    raise DomainError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> ForceValue:

@@ -56,7 +56,6 @@ __all__ = [
     "integrate_oscillatory_tail",
     "cosine_integral",
     "sum_exponential_series",
-    "bose_factor",
     "thermal_weight",
 ]
 
@@ -654,18 +653,6 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
     total = math.fsum(itertools.chain.from_iterable(blocks()))
     rem = scale * ratio ** (n + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
     return QuadratureEstimate(total, rem + _EPS_FLOOR * sum_abs, n, tol)
-
-
-def bose_factor(q, That):
-    """Thermal occupancy boost 1/(1 - exp(-q/That)) for q > 0, That > 0.
-
-    Evaluated through expm1 so the q/That -> 0 Laurent behavior
-    That/q + 1/2 + O(q/That) comes out to full relative precision.
-    Accepts scalars or arrays.
-    """
-    q, That = require_real_array("q", q), require_real("That", That)
-    out = 1.0 / (-np.expm1(-q / That))
-    return float(out) if q.ndim == 0 else out
 
 
 def thermal_weight(q, That):

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSystemError, require_real
+from .errors import DomainError, require_real
 
 __all__ = [
     "ScatteringCoefficients",
     "KernelValue",
     "coefficients_closed_form",
-    "coefficients_linear_solve",
     "kernel",
     "flux_deficit",
 ]
@@ -85,34 +84,6 @@ def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
     g = 4.0 * q * q / den
     b = -2j * (math.sin(qd) + 2.0 * q * math.cos(qd)) / den
     return ScatteringCoefficients(B=b, C=c, D=dk, G=g)
-
-
-def coefficients_linear_solve(q: float, d: float) -> ScatteringCoefficients:
-    """B, C, D, G from the 4x4 boundary-matching system, no closed form.
-
-    Unknowns are matched by continuity of phi and the unit jump of phi' at
-    the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
-    from the left; 0 < q <= MAX_Q, with a finite phase 2 q d.
-    """
-    q, d = _arguments(q, d)
-    p = cmath.exp(0.5j * q * d)
-    iq = 1j * q
-    # unknowns [B, C, D, G]
-    a = np.array([
-        [p,            -1.0 / p,  -p,        0.0],        # phi continuous at -d/2
-        [iq * p - p,   iq / p,    -iq * p,   0.0],        # phi' jump at -d/2
-        [0.0,          p,         1.0 / p,   -p],         # phi continuous at +d/2
-        [0.0,          -iq * p,   iq / p,    iq * p - p], # phi' jump at +d/2
-    ], dtype=complex)
-    rhs = np.array([-1.0 / p, (1.0 + iq) / p, 0.0, 0.0], dtype=complex)
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"matching system singular at q={q!r}, d={d!r}") from exc
-    if not np.all(np.isfinite(x.view(float))):
-        raise SingularSystemError(f"matching system ill-conditioned at q={q!r}, d={d!r}")
-    return ScatteringCoefficients(B=complex(x[0]), C=complex(x[1]),
-                                  D=complex(x[2]), G=complex(x[3]))
 
 
 def _arguments(q, d, inclusive=False):

@@ -51,7 +51,6 @@ __all__ = [
     "entropy_density_canonical",
     "entropy_canonical",
     "entropy_lifshitz",
-    "entropy_lifshitz_temperature_slope",
 ]
 
 ENTROPY_TOL = 1e-6
@@ -265,22 +264,3 @@ def entropy_lifshitz(point: DimensionlessPoint,
     est = QuadratureEstimate(value, err, s1.evaluations + s2.evaluations, tol)
     return EntropyValue(value, method, point, cutoff_lambda, est)
 
-
-def entropy_lifshitz_temperature_slope(point: DimensionlessPoint,
-                                       cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA,
-                                       delta: float = 1e-3,
-                                       include_zero_mode: bool = True,
-                                       tol: float = LIFSHITZ_TOL) -> float:
-    """Central finite difference of the Lifshitz entropy in That.
-
-    In the long-distance regime (d >> 2) with the zero mode kept, this
-    approaches -1/(2 That): entropy dropping with rising temperature.
-    """
-    delta, that = require_real("delta", delta), float(point.That)
-    if that - delta <= 0:
-        raise DomainError("delta must be smaller than That")
-    up = entropy_lifshitz(DimensionlessPoint(point.d, that + delta),
-                          cutoff_lambda, include_zero_mode, tol)
-    dn = entropy_lifshitz(DimensionlessPoint(point.d, that - delta),
-                          cutoff_lambda, include_zero_mode, tol)
-    return (up.value - dn.value) / (2.0 * delta)

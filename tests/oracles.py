@@ -1,4 +1,6 @@
-"""Exact half-Lifshitz oracles for the canonical entropy and its density.
+"""Exact half-Lifshitz oracles for the canonical entropy, its density and
+the force, and the 4x4 boundary-matching solve that checks the closed-form
+scattering amplitudes.
 
 The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, analytic in
 the upper half q-plane.  Splitting the canonical weight q(1+n) into
@@ -40,9 +42,12 @@ integral is done by 30-point Gauss-Legendre on log-spaced panels out to
 z = 45/d, the series like the entropy's; both have terms of one sign, so
 float64 keeps all but a few ulp of the sum.
 """
+import cmath
 import math
 
 import numpy as np
+
+from deltacasimir.scattering import ScatteringCoefficients
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(30)
 # terms per block of a Matsubara series: 2^18 make 2 MiB arrays and 8 MiB
@@ -112,9 +117,14 @@ def density_identity(d, that):
 
 
 def entropy_identity(d, that, cutoff_lambda):
-    """(1/2)[S_L(d) - S_L(Lambda)]: the exact canonical entropy with cutoff Lambda."""
-    return 0.5 * (entropy_lifshitz_series(d, that, cutoff_lambda)[0]
-                  - entropy_lifshitz_series(cutoff_lambda, that, cutoff_lambda)[0])
+    """(1/2)[S_L(d) - S_L(Lambda)]: the exact canonical entropy with cutoff Lambda.
+
+    Returns (value, rounding): half the two series' allowances, which also
+    covers the rounding of their difference.
+    """
+    near, near_rounding = entropy_lifshitz_series(d, that, cutoff_lambda)
+    far, far_rounding = entropy_lifshitz_series(cutoff_lambda, that, cutoff_lambda)
+    return 0.5 * (near - far), 0.5 * (near_rounding + far_rounding)
 
 
 def force_lifshitz_zero_t(d):
@@ -144,3 +154,27 @@ def force_identity(d, that):
     if that == 0.0:
         return zero_t
     return 0.5 * (zero_t + force_lifshitz_series(d, that)[0])
+
+
+def coefficients_linear_solve(q, d):
+    """B, C, D, G at float q > 0, d > 0 from the 4x4 boundary-matching
+    system, with no closed form.
+
+    The unknowns are matched by continuity of phi and the unit jump of phi'
+    at the barriers x = -d/2 and x = +d/2, for a unit wave e^{iqx} incoming
+    from the left.  For real q > 0 the system is regular.
+    """
+    p = cmath.exp(0.5j * q * d)
+    iq = 1j * q
+    # unknowns [B, C, D, G]
+    a = np.array([
+        [p,            -1.0 / p,  -p,        0.0],        # phi continuous at -d/2
+        [iq * p - p,   iq / p,    -iq * p,   0.0],        # phi' jump at -d/2
+        [0.0,          p,         1.0 / p,   -p],         # phi continuous at +d/2
+        [0.0,          -iq * p,   iq / p,    iq * p - p], # phi' jump at +d/2
+    ], dtype=complex)
+    rhs = np.array([-1.0 / p, (1.0 + iq) / p, 0.0, 0.0], dtype=complex)
+    x = np.linalg.solve(a, rhs)
+    assert np.all(np.isfinite(x.view(float))), (q, d)
+    return ScatteringCoefficients(B=complex(x[0]), C=complex(x[1]),
+                                  D=complex(x[2]), G=complex(x[3]))

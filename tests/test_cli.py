@@ -255,7 +255,6 @@ def test_no_command_imports_the_process_pool(tmp_path):
         ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
         ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
          "--fixed", "0.5"],
-        ["asymptote", "--d", "100", "--That", "2"],
         ["figure", "--id", "1", "--points", "3", "--jobs", "2", "--out-dir", str(tmp_path)],
     ]
     code = (
@@ -306,8 +305,7 @@ def test_scattering_meta_records_only_what_scattering_reads(tmp_path, capsys):
     out = tmp_path / "s.csv"
     run(capsys, "scattering", "--q", "1", "--d", "1", "--out", str(out))
     meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-    assert set(meta) == {"tool", "version", "command", "q", "d", "schema",
-                         "max_closed_vs_solve"}
+    assert set(meta) == {"tool", "version", "command", "q", "d", "schema"}
 
 
 @pytest.mark.parametrize("fig, flags", [("1", {"units"}), ("3a", {"That_set"}),
@@ -458,86 +456,6 @@ def test_figure3b_entropy_curve(tmp_path, capsys):
     assert meta["That_set"] == [1.0]
 
 
-def test_asymptote_subcommand(capsys):
-    code, out, _ = run(capsys, "asymptote", "--d", "100", "--That", "2")
-    assert code == 0
-    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
-    vals = {r[2]: float(r[3]) for r in rows}
-    assert vals["canonical"] == pytest.approx(-0.005, rel=1e-12)
-    assert vals["lifshitz"] == pytest.approx(-0.01, rel=1e-12)
-
-
-def test_config_file_precedence(tmp_path, capsys):
-    cfg = tmp_path / "dc.conf"
-    cfg.write_text("units=fig2_scale\n# comment\ntol=1e-8\n")
-    _, out, _ = run(capsys, "force", "--d", "1", "--That", "0", "--method", "lifshitz",
-                    "--config", str(cfg))
-    row = out.strip().split("\n")[1].split(",")
-    assert row[7] == "fig2_scale"
-    # explicit flag wins over the config file
-    _, out2, _ = run(capsys, "force", "--d", "1", "--That", "0", "--method", "lifshitz",
-                     "--config", str(cfg), "--units", "raw_dimensionless")
-    assert out2.strip().split("\n")[1].split(",")[7] == "raw_dimensionless"
-
-
-@pytest.mark.parametrize("argv, key", [
-    (["force", "--d", "1", "--That", "0", "--method", "lifshitz"], "tol"),
-    (["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"], "cutoff_lambda"),
-    (["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
-      "--fixed", "0.5", "--method", "lifshitz"], "tol"),
-], ids=lambda x: x if isinstance(x, str) else x[0])
-def test_non_numeric_config_value_is_an_error_line(argv, key, tmp_path, capsys):
-    # a ValueError traceback with exit 1 while the cast ran outside DomainError
-    cfg = tmp_path / "dc.conf"
-    cfg.write_text(f"{key}=tiny\n")
-    code, out, err = run(capsys, *argv, "--config", str(cfg))
-    assert code == 2 and not out
-    assert err.startswith("error: ") and key in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
-    ["figure", "--id", "3a", "--points", "2", "--That-set", "1", "--out-dir", "."],
-    ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
-     "--fixed", "0.5", "--method", "lifshitz", "--out", "sweep.csv"],
-], ids=lambda x: x[0])
-@pytest.mark.parametrize("key", ["lambda", "tolerance", "jobs"])
-def test_unknown_config_key_is_an_error_line(argv, key, tmp_path, capsys, monkeypatch):
-    # they were dropped without a word: lambda=5 left Lambda at 100, exit 0.
-    # jobs set the width of the process pool, which is gone
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "dc.conf").write_text(f"{key}=5\n")
-    code, out, err = run(capsys, *argv, "--config", "dc.conf")
-    assert code == 2 and not out and not list(tmp_path.glob("*.csv"))
-    assert err.startswith("error: ") and repr(key) in err
-    assert "tol, cutoff_lambda, units, out" in err
-
-
-def test_a_config_line_without_equals_is_an_error_line(tmp_path, capsys):
-    cfg = tmp_path / "dc.conf"
-    cfg.write_text("tol 1e-8\n")
-    code, out, err = run(capsys, "force", "--d", "1", "--That", "0", "--config", str(cfg))
-    assert code == 2 and not out
-    assert err.startswith("error: bad config line") and "Traceback" not in err
-
-
-def test_an_unknown_units_convention_in_the_config_is_an_error_line(tmp_path, capsys):
-    cfg = tmp_path / "dc.conf"
-    cfg.write_text("units=furlongs\n")
-    code, out, err = run(capsys, "force", "--d", "1", "--That", "0", "--config", str(cfg))
-    assert code == 2 and not out
-    assert err.startswith("error: ") and "'furlongs'" in err and "Traceback" not in err
-
-
-def test_a_known_config_key_the_command_does_not_read_is_accepted(tmp_path, capsys):
-    # one file can serve every subcommand: force reads no cutoff_lambda
-    cfg = tmp_path / "dc.conf"
-    cfg.write_text("cutoff_lambda=50\n")
-    code, out, _ = run(capsys, "force", "--d", "1", "--method", "lifshitz",
-                       "--config", str(cfg))
-    assert code == 0 and out
-
-
 def test_json_writes_non_finite_values_as_null(capsys):
     # the series ratio rounds to 1 at That = 1e-300: err is inf, exit 3
     code, out, _ = run(capsys, "force", "--d", "1", "--That", "1e-300", "--method",
@@ -617,8 +535,7 @@ def test_force_err_is_in_the_units_of_value(capsys):
 
 
 @pytest.mark.parametrize("fig, default_tol, tol", [("3a", 1e-8, 1e-6), ("3b", 1e-6, 1e-4)])
-@pytest.mark.parametrize("via_config", [False, True])
-def test_figure_honours_tol(fig, default_tol, tol, via_config, tmp_path, capsys):
+def test_figure_honours_tol(fig, default_tol, tol, tmp_path, capsys):
     # --tol once reached only figures 1 and 2; 3a and 3b ran at fixed defaults
     def evals_and_meta(*extra):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
@@ -630,47 +547,37 @@ def test_figure_honours_tol(fig, default_tol, tol, via_config, tmp_path, capsys)
         meta = json.loads((out / f"figure{fig}_meta.json").read_text())
         return [int(r["evals"]) for r in rows], meta["tol"]
 
-    if via_config:
-        cfg = tmp_path / "tol.conf"
-        cfg.write_text(f"tol={tol}\n")
-        extra = ["--config", str(cfg)]
-    else:
-        extra = ["--tol", str(tol)]
     default_evals, default_meta_tol = evals_and_meta()
-    evals, meta_tol = evals_and_meta(*extra)
+    evals, meta_tol = evals_and_meta("--tol", str(tol))
     assert (default_meta_tol, meta_tol) == (default_tol, tol)
     assert all(e < d for e, d in zip(evals, default_evals))
 
 
 # each subcommand's inputs, the flags it reads (with a value, or None for a
-# switch) and the shared flags it does not take
+# switch) and the flags it rejects: the shared ones it does not read, and
+# --config, a key=value file of four flags' values that every command once took
 FLAGS = {
     "scattering": (["--q", "1", "--d", "1"],
-                   {"--out": "x.csv", "--json": None, "--config": "c"},
-                   ["--tol", "--units", "--jobs"]),
+                   {"--out": "x.csv", "--json": None},
+                   ["--tol", "--units", "--jobs", "--config"]),
     "force": (["--d", "1"],
               {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
-               "--config": "c", "--That": "1", "--method": "lifshitz"},
-              ["--jobs"]),
+               "--That": "1", "--method": "lifshitz"},
+              ["--jobs", "--config"]),
     "entropy": (["--d", "1", "--That", "1"],
-                {"--tol": "1e-6", "--out": "x.csv", "--json": None, "--config": "c",
+                {"--tol": "1e-6", "--out": "x.csv", "--json": None,
                  "--method": "lifshitz", "--lambda": "50", "--zero-mode": None,
                  "--no-zero-mode": None},
-                ["--units", "--jobs"]),
+                ["--units", "--jobs", "--config"]),
     # figure has no --out: argparse reads it as the prefix of --out-dir
     "figure": (["--id", "3a"],
                {"--tol": "1e-8", "--units": "fig2_scale", "--json": None,
-                "--config": "c", "--out-dir": ".", "--points": "2", "--That-set": "1",
-                "--lambda": "50"},
-               []),
+                "--out-dir": ".", "--points": "2", "--That-set": "1", "--lambda": "50"},
+               ["--config"]),
     "sweep": (["--variable", "d", "--min", "1", "--max", "2", "--points", "2", "--fixed", "0"],
               {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
-               "--config": "c", "--spacing": "log", "--method": "lifshitz"},
-              ["--jobs"]),
-    "asymptote": (["--d", "100", "--That", "2"],
-                  {"--units": "fig2_scale", "--out": "x.csv", "--json": None, "--config": "c",
-                   "--method": "lifshitz"},
-                  ["--tol", "--jobs"]),
+               "--spacing": "log", "--method": "lifshitz"},
+              ["--jobs", "--config"]),
 }
 
 
@@ -698,13 +605,87 @@ def test_each_subcommand_rejects_the_flags_it_does_not_read(command, flag, capsy
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _effective(capsys, tmp_path, argv):
+    """The flag values a command's metadata records it ran with."""
+    if argv[0] != "figure":
+        code, out, _ = run(capsys, *argv, "--json")
+        return code, json.loads(out)["meta"]
+    out_dir = tmp_path / str(len(list(tmp_path.iterdir())))
+    out_dir.mkdir()
+    code = run(capsys, *argv, "--out-dir", str(out_dir))[0]
+    return code, json.loads((out_dir / f"figure{argv[2]}_meta.json").read_text())
+
+
+FORCE_ARGV = ["force", "--d", "1", "--method", "lifshitz"]
+ENTROPY_ARGV = ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"]
+SWEEP_ARGV = ["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "2",
+              "--fixed", "0.5", "--method", "lifshitz"]
+
+
+def _figure_argv(fig):
+    return ["figure", "--id", fig, "--points", "2", "--That-set", "1"]
+
+
+DEFAULT_CASES = [
+    (FORCE_ARGV, "--tol", "1e-9", "tol", 1e-10),
+    (FORCE_ARGV, "--units", "fig2_scale", "units", "raw_dimensionless"),
+    (ENTROPY_ARGV, "--tol", "1e-5", "tol", 1e-6),
+    (ENTROPY_ARGV, "--lambda", "50", "cutoff_lambda", 100.0),
+    (SWEEP_ARGV, "--tol", "1e-9", "tol", 1e-10),
+    (SWEEP_ARGV, "--units", "fig2_scale", "units", "raw_dimensionless"),
+    (_figure_argv("1"), "--tol", "1e-9", "tol", 1e-10),
+    (_figure_argv("1"), "--units", "raw_dimensionless", "units", "fig1_scale"),
+    (_figure_argv("2"), "--units", "raw_dimensionless", "units", "fig2_scale"),
+    (_figure_argv("3a"), "--tol", "1e-6", "tol", 1e-8),
+    (_figure_argv("3b"), "--tol", "1e-5", "tol", 1e-6),
+    (_figure_argv("3b"), "--lambda", "50", "cutoff_lambda", 100.0),
+]
+
+
+@pytest.mark.parametrize("argv, flag, value, key, default", DEFAULT_CASES, ids=[
+    f"{argv[0]}{argv[2] if argv[0] == 'figure' else ''}{flag}" for argv, flag, *_ in DEFAULT_CASES])
+def test_a_flag_wins_over_its_built_in_default(argv, flag, value, key, default, tmp_path,
+                                               capsys):
+    # the precedence is flags > built-in defaults, now that no file sits between
+    code, meta = _effective(capsys, tmp_path, argv)
+    assert (code, meta[key]) == (0, default)
+    code, meta = _effective(capsys, tmp_path, [*argv, flag, value])
+    assert (code, meta[key]) == (0, type(default)(value))
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("force", "--tol", "tiny"), ("entropy", "--tol", "tiny"), ("entropy", "--lambda", "tiny"),
+    ("sweep", "--tol", "tiny"), ("figure", "--tol", "tiny"), ("figure", "--lambda", "tiny"),
+    ("force", "--units", "furlongs"), ("sweep", "--units", "furlongs"),
+    ("figure", "--units", "furlongs"),
+])
+def test_a_bad_flag_value_is_a_usage_error(command, flag, value, capsys):
+    # the checks a key=value config file once made of tol, cutoff_lambda and
+    # units are the parser's alone: exit 2 before any row, no traceback
+    required, _, _ = FLAGS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert not out.out and f"{flag}: invalid" in out.err and repr(value) in out.err
+    assert "Traceback" not in out.err
+
+
+def test_the_asymptote_command_is_gone(capsys):
+    # it printed the leading-order law -That/(4d) or -That/(2d) with err 0 and
+    # converged=true, which is not the force; the force command computes it
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptote", "--d", "100", "--That", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'asymptote'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["scattering", "--q", "1", "--d", "1"],
     ["force", "--d", "1", "--That", "1", "--units", "fig2_scale"],
     ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
     ["sweep", "--variable", "That", "--min", "0.5", "--max", "2", "--points", "2",
      "--fixed", "1", "--method", "lifshitz"],
-    ["asymptote", "--d", "100", "--That", "2"],
     ["figure", "--id", "3a", "--points", "2", "--That-set", "1,2"],
 ], ids=lambda argv: argv[0])
 def test_json_records_equal_the_csv_rows(argv, tmp_path, capsys):
@@ -724,9 +705,7 @@ def test_json_records_equal_the_csv_rows(argv, tmp_path, capsys):
 
 def test_entropy_rows_are_always_dimensionless(tmp_path, capsys):
     # a units convention scales forces; it once relabelled entropies too
-    cfg = tmp_path / "units.conf"
-    cfg.write_text("units=fig2_scale\n")
-    _, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1", "--config", str(cfg))
+    _, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1")
     assert {r["units"] for r in _rows(out)} == {"raw_dimensionless"}
     assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
                "--units", "fig2_scale", "--out-dir", str(tmp_path))[0] == 0

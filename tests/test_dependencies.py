@@ -1,11 +1,15 @@
 """The dependencies declared in pyproject.toml are exactly the third-party
 modules that the package's sources, and with the ``test`` extra its tests,
-import."""
+import; and the package's structural rules: one export list, one input
+check, one mode sum, one convergence rule and one process."""
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+import deltacasimir
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -159,3 +163,34 @@ def test_one_process():
             else:
                 continue
             assert not imported & banned, (path.name, node.lineno)
+
+
+# the library modules (all but cli), whose __all__ lists the package joins
+LIBRARY = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+           if path.stem not in ("__init__", "cli")]
+
+
+def test_one_export_list():
+    """``deltacasimir.__all__`` is ``__version__`` and the ``__all__`` lists
+    of the library modules, each name once, so a deleted name cannot linger
+    in one list while it is gone from another."""
+    names = ["__version__"] + [name for stem in LIBRARY
+                               for name in importlib.import_module(f"deltacasimir.{stem}").__all__]
+    assert len(set(names)) == len(names)
+    assert len(set(deltacasimir.__all__)) == len(deltacasimir.__all__)
+    assert set(deltacasimir.__all__) == set(names)
+
+
+@pytest.mark.parametrize("module", ["deltacasimir"] + [f"deltacasimir.{stem}" for stem in LIBRARY])
+def test_every_exported_name_is_bound(module):
+    module = importlib.import_module(module)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("gone", ["bose_factor", "asymptotic_force",
+                                  "entropy_lifshitz_temperature_slope",
+                                  "coefficients_linear_solve", "SingularSystemError"])
+def test_a_removed_name_is_not_exported(gone):
+    # they served no figure; the 4x4 solve lives on in tests/oracles.py
+    with pytest.raises(ImportError):
+        exec(f"from deltacasimir import {gone}", {})

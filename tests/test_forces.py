@@ -11,7 +11,6 @@ from scipy.integrate import quad, simpson
 from deltacasimir import (
     DimensionlessPoint,
     DomainError,
-    asymptotic_force,
     casimir_force,
     force_finite_t_canonical,
     force_finite_t_lifshitz,
@@ -351,12 +350,10 @@ def test_typed_inputs_match_their_float_twin(d, that):
         assert type(got.value) is float
         assert got.value.hex() == want.value.hex()
         assert got.estimate == want.estimate
-    # the bare-float helpers: a float32 point gave an np.float32, 2.6e-8 off at (0.3, 1)
-    for fn in (force_lifshitz_zero_mode_term, lambda p: asymptotic_force(p, "lifshitz"),
-               lambda p: asymptotic_force(p, "canonical")):
-        got, want = fn(typed), fn(twin)
-        assert type(got) is float
-        assert got.hex() == want.hex()
+    # the bare-float helper: a float32 point gave an np.float32, 2.6e-8 off at (0.3, 1)
+    got, want = force_lifshitz_zero_mode_term(typed), force_lifshitz_zero_mode_term(twin)
+    assert type(got) is float
+    assert got.hex() == want.hex()
 
 
 # -------------------------------------------------------------- free energy
@@ -403,13 +400,15 @@ def test_force_lifshitz_is_cutoff_free_while_free_energy_is_not():
 
 # -------------------------------------------------------------- asymptotics
 
-def test_asymptotic_force_values():
-    assert asymptotic_force(DimensionlessPoint(100.0, 2.0), "lifshitz") == pytest.approx(-0.01, rel=1e-15)
-    assert asymptotic_force(DimensionlessPoint(100.0, 2.0), "canonical") == pytest.approx(-0.005, rel=1e-15)
-    pt = DimensionlessPoint(17.0, 0.3)
-    assert asymptotic_force(pt, "lifshitz") / asymptotic_force(pt, "canonical") == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        asymptotic_force(pt, "euclidean")
+def test_long_distance_law():
+    # at d >> 1 the forces approach -That/(2d) (Lifshitz) and -That/(4d)
+    # (canonical), to O(1/d): the Lifshitz force is -That/(2(d+2)) there
+    for d, that in ((100.0, 2.0), (1000.0, 0.3)):
+        pt = DimensionlessPoint(d, that)
+        lifshitz, canonical = (casimir_force(pt, m).value for m in ("lifshitz", "canonical"))
+        assert lifshitz == pytest.approx(-that / (2.0 * d), rel=3.0 / d)
+        assert canonical == pytest.approx(-that / (4.0 * d), rel=3.0 / d)
+        assert lifshitz / canonical == pytest.approx(2.0, rel=1.0 / d)
     with pytest.raises(DomainError):
         casimir_force(pt, "plasma")
 

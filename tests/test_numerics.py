@@ -9,7 +9,6 @@ from deltacasimir import (
     DimensionlessPoint,
     DomainError,
     OscillatorySpec,
-    bose_factor,
     casimir_force,
     cosine_integral,
     entropy_density_canonical,
@@ -573,18 +572,7 @@ def test_the_estimate_sets_its_own_flag():
         QuadratureEstimate(1.0, 0.5, 5, 1e-10, True)
 
 
-# ------------------------------------------------------- thermal weight, bose
-
-def test_bose_factor_laurent():
-    # 1/(1-e^{-x}) = 1/x + 1/2 + O(x)
-    q, that = 1e-8, 1.0
-    assert bose_factor(q, that) == pytest.approx(that / q + 0.5, rel=1e-8)
-
-
-def test_bose_factor_saturation_and_value():
-    assert bose_factor(50.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert bose_factor(1.0, 1.0) == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), rel=1e-14)
-
+# ------------------------------------------------------------- thermal weight
 
 def test_thermal_weight_limits():
     assert thermal_weight(1e-10, 1.0) == pytest.approx(1.0, abs=1e-10)
@@ -605,10 +593,6 @@ def test_thermal_weight_range_and_monotonicity():
 
 
 def test_domain_validation():
-    with pytest.raises(DomainError):
-        bose_factor(0.0, 1.0)
-    with pytest.raises(DomainError):
-        bose_factor(1.0, 0.0)
     with pytest.raises(DomainError):
         thermal_weight(-1.0, 1.0)
     with pytest.raises(DomainError):

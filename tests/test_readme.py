@@ -1,6 +1,12 @@
-"""The values the README's library quick start quotes are what the code returns."""
+"""The README's library quick start quotes what the code returns, and its
+CLI examples parse."""
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from deltacasimir import cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -17,3 +23,27 @@ def test_quick_start_values():
         digits = len(prefix.split(".")[1])
         assert round(namespace[name].value, digits) == float(prefix), (name, namespace[name].value)
         assert namespace[name].estimate.converged, name
+
+
+def _cli_examples():
+    """The README's CLI block, one word list per line (continuations
+    joined, comments stripped, blank lines dropped)."""
+    block = README.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").split("\n")]
+    return [words for words in lines if words]
+
+
+EXAMPLES = _cli_examples()
+
+
+def test_cli_examples_cover_every_command():
+    assert all(words[0] == "deltacasimir" for words in EXAMPLES)
+    assert {words[1] for words in EXAMPLES} == {"scattering", "force", "entropy", "sweep",
+                                                "figure"}
+
+
+@pytest.mark.parametrize("words", EXAMPLES, ids=lambda words: " ".join(words[1:]))
+def test_cli_example_parses(words):
+    # a deleted command or flag left in an example (the asymptote command's
+    # once) fails here; nothing runs
+    assert cli.build_parser().parse_args(words[1:]).command == words[1]
