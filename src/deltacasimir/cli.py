@@ -4,21 +4,23 @@ Subcommands and the shared flags each takes; all five take --json, and
 --help lists the rest of their inputs:
 
     scattering  --out
-    force       --tol --units --out
-    entropy     --tol --out           (entropy rows are dimensionless)
-    sweep       --tol --units --out
-    figure      --tol --units         (one CSV per curve, in --out-dir)
+    force       --tol --out
+    entropy     --tol --out
+    sweep       --tol --out
+    figure      --tol                 (one CSV per curve, in --out-dir)
 
 Every numeric row echoes its inputs; CSV output uses '.' decimals and 17
 significant digits so identical command lines reproduce identical bytes.
-A force row's value and err are both in its units convention.  A metadata
-sidecar (<out>.meta.json) records the tool version and the effective value
-of each flag the command reads.  Exit codes: 0 success, 2 usage or domain
-error, 3 numerical non-convergence (rows are still emitted, flagged
-converged=false).  Every command runs in one process.
+A force row's value and err are both in its units convention: raw
+dimensionless, except figure 2's 1/(4*pi) normalization; entropy and density
+rows are dimensionless.  A metadata sidecar (<out>.meta.json) records the
+tool version and the effective value of each flag the command reads.  Exit
+codes: 0 success, 2 usage or domain error, 3 numerical non-convergence (rows
+are still emitted, flagged converged=false).  Every command runs in one
+process.
 
 Precedence: command-line flags > built-in defaults (DEFAULTS, and each
-figure's own units and tol).
+figure's own tol).
 """
 from __future__ import annotations
 
@@ -97,7 +99,6 @@ SCATTERING_SCHEMA = ["q", "d", "B_re", "B_im", "C_re", "C_im", "D_re", "D_im",
 DEFAULTS = {
     "tol": FORCE_TOL,
     "cutoff_lambda": DEFAULT_CUTOFF_LAMBDA,
-    "units": "raw_dimensionless",
 }
 # the temperatures of a figure's curves when --That-set is not given
 DEFAULT_THAT_SET = (0.5, 1.0, 2.0)
@@ -157,7 +158,7 @@ def _meta(args, **extra):
         "version": __version__,
         "command": " ".join(args.argv),
     }
-    for key in ("tol", "units", "cutoff_lambda"):
+    for key in ("tol", "cutoff_lambda"):
         if hasattr(args, key):
             m[key] = getattr(args, key)
     m.update(extra)
@@ -191,13 +192,13 @@ def _resolve(args, **defaults):
 # ------------------------------------------------- one row function per quantity
 
 def _force_row(task):
-    """(d, That, method, tol, units) -> FORCE_SCHEMA row; value and err are
-    both in the units convention."""
+    """(d, That, method, tol, a UnitsConvention) -> FORCE_SCHEMA row; value
+    and err are both in that convention."""
     d, that, method, tol, units = task
     fv = casimir_force(DimensionlessPoint(d, that), method, tol)
-    est, scale = fv.estimate, UnitsConvention(units)
-    return [d, that, method, scale.apply(fv.value), scale.apply(est.abs_error_estimate),
-            est.evaluations, est.converged, units]
+    est = fv.estimate
+    return [d, that, method, units.apply(fv.value), units.apply(est.abs_error_estimate),
+            est.evaluations, est.converged, units.value]
 
 
 def _entropy_row(task):
@@ -251,7 +252,8 @@ def _cmd_scattering(args) -> int:
 def _cmd_force(args) -> int:
     _resolve(args)
     methods = _parse_methods(args.method)
-    rows = [_force_row((args.d, args.That, m, args.tol, args.units)) for m in methods]
+    rows = [_force_row((args.d, args.That, m, args.tol, UnitsConvention.RAW_DIMENSIONLESS))
+            for m in methods]
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, d=args.d, That=args.That)
     return _emit(rows, FORCE_SCHEMA, args, meta)
 
@@ -272,37 +274,39 @@ def _grid(lo, hi, n, spacing):
     return np.linspace(lo, hi, n)
 
 
-# id -> (grid axis, min, max, default points, schema, default units, default
-# tol, note, CSV name, task function, tasks); every grid is log spaced.  Each
-# figure's default units are its caption normalization and its default tol is
-# its quantity's; an explicit flag still wins.  tasks(grid, That set, tol,
-# units, Lambda) lists the figure's tasks, the task function maps a task to
-# its rows and a row goes to the CSV name.format(*row).  1, 2 and 3b make one
-# task per row; 3a makes one for all its curves, one array call each.
+# id -> (grid axis, min, max, default points, schema, default tol, note, CSV
+# name, task function, tasks); every grid is log spaced.  Each figure's
+# default tol is its quantity's; an explicit flag still wins.  tasks(grid,
+# That set, tol, Lambda) lists the figure's tasks, the task function maps a
+# task to its rows and a row goes to the CSV name.format(*row).  A force
+# figure's units are its caption normalization.  1, 2 and 3b make one task
+# per row; 3a makes one for all its curves, one array call each.
 FIGURES = {
-    "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig1_scale", FORCE_TOL,
+    "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, FORCE_TOL,
           "force in units hbar*gamma^2/v^3 vs dimensionless distance",
-          "figure1_{2}.csv", _one_row, lambda grid, thats, tol, u, lam: [
-              (_force_row, (d, 0.0, m, tol, u)) for m in METHODS for d in grid]),
-    "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, "fig2_scale", FORCE_TOL,
+          "figure1_{2}.csv", _one_row, lambda grid, thats, tol, lam: [
+              (_force_row, (d, 0.0, m, tol, UnitsConvention.RAW_DIMENSIONLESS))
+              for m in METHODS for d in grid]),
+    "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, FORCE_TOL,
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
           "differs from figure 1 by 4*pi", "figure2_{2}_That{1:g}.csv", _one_row,
-          lambda grid, thats, tol, u, lam: [
-              (_force_row, (d, t, m, tol, u)) for t in thats for m in METHODS for d in grid]),
-    "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, "raw_dimensionless", ENTROPY_INNER_TOL,
+          lambda grid, thats, tol, lam: [
+              (_force_row, (d, t, m, tol, UnitsConvention.FIG2_SCALE))
+              for t in thats for m in METHODS for d in grid]),
+    "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, ENTROPY_INNER_TOL,
            "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
            "figure3a_That{1:g}.csv", _density_rows,
-           lambda grid, thats, tol, u, lam: [(grid, thats, tol)]),
-    "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, "raw_dimensionless", ENTROPY_TOL,
+           lambda grid, thats, tol, lam: [(grid, thats, tol)]),
+    "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, ENTROPY_TOL,
            "canonical entropy at infrared cutoff Lambda={lam:g}",
-           "figure3b_That{1:g}.csv", _one_row, lambda grid, thats, tol, u, lam: [
+           "figure3b_That{1:g}.csv", _one_row, lambda grid, thats, tol, lam: [
                (_entropy_row, (d, t, "canonical", lam, True, tol)) for t in thats for d in grid]),
 }
 
 
 def _cmd_figure(args) -> int:
-    axis, lo, hi, default_points, schema, units, tol, note, name, row, tasks = FIGURES[args.id]
-    _resolve(args, units=units, tol=tol)
+    axis, lo, hi, default_points, schema, tol, note, name, row, tasks = FIGURES[args.id]
+    _resolve(args, tol=tol)
     if not os.path.isdir(args.out_dir):
         raise DomainError(f"--out-dir {args.out_dir!r} is not a directory")
     try:
@@ -320,7 +324,7 @@ def _cmd_figure(args) -> int:
     if points < 1:
         raise DomainError(f"--points must be >= 1, got {points}")
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
-    figure_tasks = tasks(grid, that_set, args.tol, args.units, args.cutoff_lambda)
+    figure_tasks = tasks(grid, that_set, args.tol, args.cutoff_lambda)
     rows = [r for rs in _run_tasks(row, figure_tasks) for r in rs]
     files = {}   # CSV name -> its rows; files follow the order of their first rows
     for r in rows:
@@ -332,11 +336,8 @@ def _cmd_figure(args) -> int:
     meta = _meta(args, figure=args.id, files=list(files),
                  That_set=list(that_set), grid={axis: [lo, hi], "spacing": "log", "points": points},
                  note=note.format(lam=args.cutoff_lambda))
-    # every id takes --units, --lambda and --That-set; only force rows read
-    # the first, entropy rows the second, and figure 1's rows (all at That = 0)
-    # not the third
-    if schema is not FORCE_SCHEMA:
-        del meta["units"]
+    # every id takes --lambda and --That-set; only entropy rows read the
+    # first, and figure 1's rows (all at That = 0) not the second
     if schema is not ENTROPY_SCHEMA:
         del meta["cutoff_lambda"]
     if args.id == "1":
@@ -357,8 +358,9 @@ def _run_tasks(fn, tasks):
     return [fn(t) for t in tasks]
 
 
-def run_sweep(spec: SweepSpec, units: UnitsConvention = UnitsConvention.RAW_DIMENSIONLESS):
-    """Evaluate a force sweep; rows come back in grid order."""
+def run_sweep(spec: SweepSpec):
+    """Evaluate a force sweep, in raw dimensionless units; rows come back in
+    grid order."""
     tasks = []
     for x in spec.grid():
         for method in spec.methods:
@@ -366,7 +368,7 @@ def run_sweep(spec: SweepSpec, units: UnitsConvention = UnitsConvention.RAW_DIME
                 d, that = float(x), spec.fixed
             else:
                 d, that = spec.fixed, float(x)
-            tasks.append((d, that, method, spec.tol, units.value))
+            tasks.append((d, that, method, spec.tol, UnitsConvention.RAW_DIMENSIONLESS))
     return _run_tasks(_force_row, tasks)
 
 
@@ -375,7 +377,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
                      points=args.points, spacing=args.spacing, fixed=args.fixed,
                      methods=tuple(_parse_methods(args.method)), tol=args.tol)
-    rows = run_sweep(spec, units=UnitsConvention(args.units))
+    rows = run_sweep(spec)
     meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
                  variable=spec.variable, min=spec.min, max=spec.max,
                  points=spec.points, spacing=spec.spacing, fixed=spec.fixed)
@@ -387,8 +389,6 @@ def _cmd_sweep(args) -> int:
 # the flags some subcommands share; each subcommand takes those it reads
 _FLAGS = {
     "--tol": dict(type=float, help="absolute tolerance"),
-    "--units": dict(choices=[u.value for u in UnitsConvention],
-                    help="output normalization for forces (value and err)"),
     "--out": dict(help="write CSV here plus a .meta.json sidecar"),
     "--json": dict(action="store_true", help="emit records as JSON on stdout"),
 }
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--That", type=float, default=0.0)
     p.add_argument("--method", default="both",
                    help="canonical, lifshitz, both, or a comma list")
-    _add_flags(p, "--tol", "--units", "--out", "--json")
+    _add_flags(p, "--tol", "--out", "--json")
     p.set_defaults(fn=_cmd_force)
 
     p = sub.add_parser("entropy", help="Casimir entropy at one (d, That), dimensionless")
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None)
     # hidden and read by nothing: perfbench/workloads.py's figure command passes it
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    _add_flags(p, "--tol", "--units", "--json")
+    _add_flags(p, "--tol", "--json")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("sweep", help="force sweep over d or That")
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", type=float, required=True,
                    help="value of the other coordinate")
     p.add_argument("--method", default="both")
-    _add_flags(p, "--tol", "--units", "--out", "--json")
+    _add_flags(p, "--tol", "--out", "--json")
     p.set_defaults(fn=_cmd_sweep)
 
     return ap

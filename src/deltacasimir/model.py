@@ -59,14 +59,12 @@ class DimensionlessPoint:
 class UnitsConvention(Enum):
     """Output normalization for forces.
 
-    ``RAW_DIMENSIONLESS`` and ``FIG1_SCALE`` report the force in units of
-    hbar*gamma^2/v^3 (identical factor 1); ``FIG2_SCALE`` reports it in units
-    of hbar*gamma^2/(4*pi*v^3), i.e. divides the dimensionless value by
-    1/(4*pi).
+    ``RAW_DIMENSIONLESS`` reports the force in units of hbar*gamma^2/v^3
+    (figure 1's); ``FIG2_SCALE`` reports it in units of
+    hbar*gamma^2/(4*pi*v^3), i.e. divides the dimensionless value by 1/(4*pi).
     """
 
     RAW_DIMENSIONLESS = "raw_dimensionless"
-    FIG1_SCALE = "fig1_scale"
     FIG2_SCALE = "fig2_scale"
 
     @property

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from deltacasimir import DomainError, cli
+from deltacasimir import DimensionlessPoint, DomainError, casimir_force, cli
 from deltacasimir.cli import SweepSpec, main, run_sweep
+from deltacasimir.forces import FORCE_TOL
 
 
 def run(capsys, *argv):
@@ -162,15 +163,6 @@ def test_json_mirror(capsys):
     assert doc["meta"]["version"]
 
 
-def test_units_flag(capsys):
-    _, raw, _ = run(capsys, "force", "--d", "1", "--That", "0", "--method", "lifshitz")
-    _, fig2, _ = run(capsys, "force", "--d", "1", "--That", "0", "--method", "lifshitz",
-                     "--units", "fig2_scale")
-    v_raw = float(raw.strip().split("\n")[1].split(",")[3])
-    v_fig2 = float(fig2.strip().split("\n")[1].split(",")[3])
-    assert v_fig2 == pytest.approx(v_raw * 4.0 * math.pi, rel=1e-15)
-
-
 def test_sweep_rows_and_monotone(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--variable", "d", "--min", "1", "--max", "2",
@@ -308,13 +300,13 @@ def test_scattering_meta_records_only_what_scattering_reads(tmp_path, capsys):
     assert set(meta) == {"tool", "version", "command", "q", "d", "schema"}
 
 
-@pytest.mark.parametrize("fig, flags", [("1", {"units"}), ("3a", {"That_set"}),
+@pytest.mark.parametrize("fig, flags", [("1", set()), ("2", {"That_set"}), ("3a", {"That_set"}),
                                         ("3b", {"cutoff_lambda", "That_set"})])
 def test_figure_meta_records_units_and_lambda_only_where_rows_read_them(
         tmp_path, capsys, fig, flags):
     # figure 1's rows are all at That = 0: its sidecar once recorded the
     # default That set all the same.  No sidecar has had jobs since the
-    # process pool went
+    # process pool went, nor units since a force figure's units became its own
     assert run(capsys, "figure", "--id", fig, "--points", "2", "--That-set", "1",
                "--out-dir", str(tmp_path))[0] == 0
     meta = json.loads((tmp_path / f"figure{fig}_meta.json").read_text())
@@ -522,16 +514,21 @@ def _rows(csv_text):
     return [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
 
 
-def test_force_err_is_in_the_units_of_value(capsys):
+def test_force_err_is_in_the_units_of_value(tmp_path, capsys):
     # fig2_scale once rescaled the value but left err in hbar*gamma^2/v^3
-    argv = ["force", "--d", "1", "--That", "1"]
-    raw = _rows(run(capsys, *argv)[1])
-    fig2 = _rows(run(capsys, *argv, "--units", "fig2_scale")[1])
+    assert run(capsys, "figure", "--id", "2", "--points", "2", "--That-set", "1",
+               "--out-dir", str(tmp_path))[0] == 0
+    rows = [r for path in sorted(tmp_path.glob("figure2_*.csv")) for r in _rows(path.read_text())]
+    assert len(rows) == 4
     scale = cli.UnitsConvention.FIG2_SCALE
-    for r, f in zip(raw, fig2):
-        assert float(f["err"]) == scale.apply(float(r["err"]))
-        assert float(f["err"]) == pytest.approx(4.0 * math.pi * float(r["err"]), rel=1e-15)
-        assert float(f["value"]) == scale.apply(float(r["value"]))
+    for r in rows:
+        raw = casimir_force(DimensionlessPoint(float(r["d"]), float(r["That"])), r["method"],
+                            FORCE_TOL)
+        assert r["units"] == scale.value
+        assert float(r["value"]) == scale.apply(raw.value)
+        assert float(r["err"]) == scale.apply(raw.estimate.abs_error_estimate)
+        assert float(r["err"]) == pytest.approx(4.0 * math.pi * raw.estimate.abs_error_estimate,
+                                                rel=1e-15)
 
 
 @pytest.mark.parametrize("fig, default_tol, tol", [("3a", 1e-8, 1e-6), ("3b", 1e-6, 1e-4)])
@@ -554,16 +551,18 @@ def test_figure_honours_tol(fig, default_tol, tol, tmp_path, capsys):
 
 
 # each subcommand's inputs, the flags it reads (with a value, or None for a
-# switch) and the flags it rejects: the shared ones it does not read, and
-# --config, a key=value file of four flags' values that every command once took
+# switch) and the flags it rejects: the shared ones it does not read,
+# --config, a key=value file of four flags' values that every command once
+# took, and --units, a force normalization that force, sweep and figure once
+# took (a force row's units are now fixed by what produced it)
 FLAGS = {
     "scattering": (["--q", "1", "--d", "1"],
                    {"--out": "x.csv", "--json": None},
                    ["--tol", "--units", "--jobs", "--config"]),
     "force": (["--d", "1"],
-              {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
+              {"--tol": "1e-9", "--out": "x.csv", "--json": None,
                "--That": "1", "--method": "lifshitz"},
-              ["--jobs", "--config"]),
+              ["--units", "--jobs", "--config"]),
     "entropy": (["--d", "1", "--That", "1"],
                 {"--tol": "1e-6", "--out": "x.csv", "--json": None,
                  "--method": "lifshitz", "--lambda": "50", "--zero-mode": None,
@@ -571,13 +570,13 @@ FLAGS = {
                 ["--units", "--jobs", "--config"]),
     # figure has no --out: argparse reads it as the prefix of --out-dir
     "figure": (["--id", "3a"],
-               {"--tol": "1e-8", "--units": "fig2_scale", "--json": None,
+               {"--tol": "1e-8", "--json": None,
                 "--out-dir": ".", "--points": "2", "--That-set": "1", "--lambda": "50"},
-               ["--config"]),
+               ["--units", "--config"]),
     "sweep": (["--variable", "d", "--min", "1", "--max", "2", "--points", "2", "--fixed", "0"],
-              {"--tol": "1e-9", "--units": "fig2_scale", "--out": "x.csv", "--json": None,
+              {"--tol": "1e-9", "--out": "x.csv", "--json": None,
                "--spacing": "log", "--method": "lifshitz"},
-              ["--jobs", "--config"]),
+              ["--units", "--jobs", "--config"]),
 }
 
 
@@ -628,14 +627,10 @@ def _figure_argv(fig):
 
 DEFAULT_CASES = [
     (FORCE_ARGV, "--tol", "1e-9", "tol", 1e-10),
-    (FORCE_ARGV, "--units", "fig2_scale", "units", "raw_dimensionless"),
     (ENTROPY_ARGV, "--tol", "1e-5", "tol", 1e-6),
     (ENTROPY_ARGV, "--lambda", "50", "cutoff_lambda", 100.0),
     (SWEEP_ARGV, "--tol", "1e-9", "tol", 1e-10),
-    (SWEEP_ARGV, "--units", "fig2_scale", "units", "raw_dimensionless"),
     (_figure_argv("1"), "--tol", "1e-9", "tol", 1e-10),
-    (_figure_argv("1"), "--units", "raw_dimensionless", "units", "fig1_scale"),
-    (_figure_argv("2"), "--units", "raw_dimensionless", "units", "fig2_scale"),
     (_figure_argv("3a"), "--tol", "1e-6", "tol", 1e-8),
     (_figure_argv("3b"), "--tol", "1e-5", "tol", 1e-6),
     (_figure_argv("3b"), "--lambda", "50", "cutoff_lambda", 100.0),
@@ -653,15 +648,21 @@ def test_a_flag_wins_over_its_built_in_default(argv, flag, value, key, default, 
     assert (code, meta[key]) == (0, type(default)(value))
 
 
+@pytest.mark.parametrize("argv", [FORCE_ARGV, SWEEP_ARGV], ids=["force", "sweep"])
+def test_force_metadata_records_no_units(argv, tmp_path, capsys):
+    # a force row's units are fixed by what produced it, and its units column
+    # says which; the metadata once recorded a --units flag
+    code, meta = _effective(capsys, tmp_path, argv)
+    assert code == 0 and "units" not in meta
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("force", "--tol", "tiny"), ("entropy", "--tol", "tiny"), ("entropy", "--lambda", "tiny"),
     ("sweep", "--tol", "tiny"), ("figure", "--tol", "tiny"), ("figure", "--lambda", "tiny"),
-    ("force", "--units", "furlongs"), ("sweep", "--units", "furlongs"),
-    ("figure", "--units", "furlongs"),
 ])
 def test_a_bad_flag_value_is_a_usage_error(command, flag, value, capsys):
-    # the checks a key=value config file once made of tol, cutoff_lambda and
-    # units are the parser's alone: exit 2 before any row, no traceback
+    # the checks a key=value config file once made of tol and cutoff_lambda
+    # are the parser's alone: exit 2 before any row, no traceback
     required, _, _ = FLAGS[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *required, flag, value])
@@ -682,7 +683,7 @@ def test_the_asymptote_command_is_gone(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["scattering", "--q", "1", "--d", "1"],
-    ["force", "--d", "1", "--That", "1", "--units", "fig2_scale"],
+    ["force", "--d", "1", "--That", "1"],
     ["entropy", "--d", "1", "--That", "1", "--method", "lifshitz"],
     ["sweep", "--variable", "That", "--min", "0.5", "--max", "2", "--points", "2",
      "--fixed", "1", "--method", "lifshitz"],
@@ -708,6 +709,6 @@ def test_entropy_rows_are_always_dimensionless(tmp_path, capsys):
     _, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1")
     assert {r["units"] for r in _rows(out)} == {"raw_dimensionless"}
     assert run(capsys, "figure", "--id", "3b", "--points", "2", "--That-set", "1",
-               "--units", "fig2_scale", "--out-dir", str(tmp_path))[0] == 0
+               "--out-dir", str(tmp_path))[0] == 0
     rows = _rows((tmp_path / "figure3b_That1.csv").read_text())
     assert {r["units"] for r in rows} == {"raw_dimensionless"}

@@ -20,9 +20,10 @@ A row that did not converge fails unless ``NOT_CONVERGED`` lists it with
 its reason.
 
 Golden hashes are recorded again only after this test passes on the new
-rows.
+rows.  Figure 3a's evaluation budget is checked on the same run of it.
 """
 import csv
+import functools
 
 import pytest
 from oracles import (
@@ -61,21 +62,37 @@ def _oracle(row):
     return force_lifshitz_series(d, that)
 
 
+@pytest.fixture(scope="module")
+def default_rows(tmp_path_factory):
+    """fig -> [(CSV name, row)] of the figure at its defaults; each figure
+    runs once in this module."""
+    @functools.cache
+    def rows(fig):
+        out = tmp_path_factory.mktemp(f"figure{fig}")
+        assert main(["figure", "--id", fig, "--out-dir", str(out)]) == 0
+        found = []
+        for path in sorted(out.glob("*.csv")):
+            with open(path, newline="") as fh:
+                found += [(path.name, row) for row in csv.DictReader(fh)]
+        return found
+    return rows
+
+
 @pytest.mark.parametrize("fig", list(ROWS))
-def test_every_default_figure_row_within_its_estimate_of_the_oracle(fig, tmp_path, capsys):
-    assert main(["figure", "--id", fig, "--out-dir", str(tmp_path)]) == 0
-    capsys.readouterr()
-    seen = 0
-    for path in sorted(tmp_path.glob("*.csv")):
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                seen += 1
-                where = (path.name, next(iter(row.values())))
-                if row["converged"] != "true":
-                    assert where in NOT_CONVERGED, where
-                    continue
-                scale = UnitsConvention(row.get("units", "raw_dimensionless"))
-                exact, rounding = _oracle(row)
-                assert abs(float(row["value"]) - scale.apply(exact)) \
-                    <= float(row["err"]) + scale.apply(rounding), where
-    assert seen == ROWS[fig]
+def test_every_default_figure_row_within_its_estimate_of_the_oracle(fig, default_rows):
+    rows = default_rows(fig)
+    for name, row in rows:
+        where = (name, next(iter(row.values())))
+        if row["converged"] != "true":
+            assert where in NOT_CONVERGED, where
+            continue
+        scale = UnitsConvention(row.get("units", "raw_dimensionless"))
+        exact, rounding = _oracle(row)
+        assert abs(float(row["value"]) - scale.apply(exact)) \
+            <= float(row["err"]) + scale.apply(rounding), where
+    assert len(rows) == ROWS[fig]
+
+
+def test_figure3a_density_evaluations_stay_within_budget(default_rows):
+    # one-period seed panels; quarter-period seeds took 2,613,930 evaluations here
+    assert sum(int(row["evals"]) for _, row in default_rows("3a")) <= 1_050_000

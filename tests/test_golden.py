@@ -64,6 +64,11 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   2.9e-16, in units hbar gamma^2/v^3), the 3a densities within 2.0e-12
   (moved by at most 1.5e-16), the two 3b entropies within 1.6e-13 (moved
   by at most 2.2e-16); the ``err`` and ``evals`` columns changed.
+* The two figure 1 hashes were recorded again when ``fig1_scale``, the raw
+  factor under a second name, was deleted and figure 1's ``units`` column
+  became ``raw_dimensionless``.  That is the only change: each new CSV is
+  the previous one with that cell replaced, byte for byte, and
+  ``tests/test_figure_oracles.py`` passed on the new rows first.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -77,8 +82,8 @@ from deltacasimir.cli import main
 
 GOLDEN = {
     ("figure", "--id", "1"): {
-        "figure1_canonical.csv": "a5c91320ed68054f821dc527ead57e90765b530072555325f37a3d4cdd8ef142",
-        "figure1_lifshitz.csv": "eecccb4886a6241ff0272bdd15d96454f6464329b666ca6a5069b4a12adb386a",
+        "figure1_canonical.csv": "fec987fb764eb526906f88b8e2f66907bb9218209f0d5805570f90ae6194478a",
+        "figure1_lifshitz.csv": "03682de4b306f2d2b1037d45e80de4fbbac8d82101145e35a41b15290dda8e70",
     },
     ("figure", "--id", "2"): {
         "figure2_canonical_That0.5.csv": "505ea77df942d661030ee9a8df86abca7008c6b4802a979676dee1922318fdf1",

@@ -94,6 +94,7 @@ def test_downstream_depends_only_on_point_and_scale():
 
 
 def test_units_convention_factors():
+    # figure 1's fig1_scale was the raw factor under a second name
+    assert [u.value for u in UnitsConvention] == ["raw_dimensionless", "fig2_scale"]
     assert UnitsConvention.RAW_DIMENSIONLESS.apply(-0.5) == -0.5
-    assert UnitsConvention.FIG1_SCALE.apply(-0.5) == -0.5
     assert UnitsConvention.FIG2_SCALE.apply(-0.5) == pytest.approx(-0.5 * 4.0 * math.pi, rel=1e-15)

@@ -47,3 +47,22 @@ def test_cli_example_parses(words):
     # a deleted command or flag left in an example (the asymptote command's
     # once) fails here; nothing runs
     assert cli.build_parser().parse_args(words[1:]).command == words[1]
+
+
+def _flag_table():
+    """The README's subcommand/flags table: subcommand -> the shared flags
+    its row lists (a parenthesised note, figure's `--out-dir`, left out)."""
+    block = README.split("| subcommand", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in block.split("\n") if line.strip().startswith("| `")]
+    return {name.strip().strip("`"): set(re.findall(r"--[\w-]+", re.sub(r"\(.*\)", "", flags)))
+            for name, flags in rows}
+
+
+def test_flag_table_matches_the_parser():
+    # a flag deleted from the parser but left in its row (or added without
+    # one) fails here; nothing runs
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.choices and a.dest == "command").choices
+    registered = {name: {opt for a in sub._actions for opt in a.option_strings}
+                  & set(cli._FLAGS) - {"--json"} for name, sub in commands.items()}
+    assert _flag_table() == registered

@@ -138,6 +138,18 @@ def test_flux_deficit_below_half_over_q_squared(q, d):
     assert 2.0 * q * q * abs(flux_deficit(q, d)) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 0.7])
+def test_flux_deficit_reaches_its_bound_at_a_resonance_below_one_over_root_two(q):
+    # at dq = pi - atan(2q), sin(dq) + 2q cos(dq) = 0 and the deficit is
+    # exactly -1/(2q^2), below -1 for every q < 1/sqrt(2): no pointwise
+    # |flux_deficit| <= 1 holds there, so a tighter cold q-tail bound than
+    # 1/(2q^2) must average over whole periods
+    d = (math.pi - math.atan(2.0 * q)) / q
+    fd = float(flux_deficit(q, d))
+    assert fd == pytest.approx(-0.5 / (q * q), rel=1e-14)
+    assert fd < -1.0
+
+
 def test_flux_deficit_vectorized_matches_scalar():
     qs = np.array([0.0, 1e-3, 0.5, 3.0, 40.0])
     vec = flux_deficit(qs, 2.0)

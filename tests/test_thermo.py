@@ -1,4 +1,3 @@
-import csv
 import math
 import time
 
@@ -21,7 +20,6 @@ from deltacasimir import (
     thermal_weight,
 )
 from deltacasimir import thermo
-from deltacasimir.cli import main
 from deltacasimir.scattering import RESOLVED_D, flux_deficit
 
 # mpmath, 40 digits
@@ -299,31 +297,6 @@ def test_density_cutoff_from_tol_agrees_with_the_full_cutoff(d, that):
     full = entropy_density_canonical(d, that, tol=1e-15 / that)
     assert abs(short.value - full.value) <= \
         short.estimate.abs_error_estimate + full.estimate.abs_error_estimate
-
-
-@pytest.fixture(scope="module")
-def figure3a_rows(tmp_path_factory):
-    out = tmp_path_factory.mktemp("figure3a")
-    assert main(["figure", "--id", "3a", "--out-dir", str(out)]) == 0
-    rows = []
-    for path in sorted(out.glob("figure3a_*.csv")):
-        with open(path, newline="") as fh:
-            rows += list(csv.DictReader(fh))
-    return rows
-
-
-def test_figure3a_rows_within_their_estimate_of_the_identity(figure3a_rows):
-    assert len(figure3a_rows) == 3 * 48
-    for row in figure3a_rows:
-        d, that, value, err = (float(row[k]) for k in ("dtilde", "That", "value", "err"))
-        exact, rounding = density_identity(d, that)
-        assert row["converged"] == "true"
-        assert abs(value - exact) <= err + rounding
-
-
-def test_figure3a_density_evaluations_stay_within_budget(figure3a_rows):
-    # one-period seed panels; quarter-period seeds took 2,613,930 evaluations here
-    assert sum(int(row["evals"]) for row in figure3a_rows) <= 1_050_000
 
 
 # --------------------------------------------------------- canonical entropy
