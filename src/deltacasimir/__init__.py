@@ -10,91 +10,11 @@ opposite stories about the third law through the Casimir entropy.
 
 __version__ = "0.1.0"
 
-from .errors import DomainError
-from .model import (
-    DimensionlessPoint,
-    PhysicalParams,
-    UnitsConvention,
-    from_dimensionless_force,
-    to_dimensionless,
-)
-from .numerics import (
-    OscillatorySpec,
-    QuadratureEstimate,
-    cosine_integral,
-    integrate_oscillatory_tail,
-    integrate_smooth_semi_infinite,
-    sum_exponential_series,
-    thermal_weight,
-)
-from .scattering import (
-    KernelValue,
-    ScatteringCoefficients,
-    coefficients_closed_form,
-    flux_deficit,
-    kernel,
-)
-from .forces import (
-    DEFAULT_CUTOFF_LAMBDA,
-    FORCE_TOL,
-    LIFSHITZ_TOL,
-    ForceValue,
-    FreeEnergyValue,
-    casimir_force,
-    force_finite_t_canonical,
-    force_finite_t_lifshitz,
-    force_lifshitz_zero_mode_term,
-    force_zero_t_canonical,
-    force_zero_t_lifshitz,
-    free_energy_lifshitz,
-)
-from .thermo import (
-    ENTROPY_INNER_TOL,
-    ENTROPY_TOL,
-    EntropyDensity,
-    EntropyValue,
-    entropy_canonical,
-    entropy_density_canonical,
-    entropy_lifshitz,
-)
+from . import errors, model, numerics, scattering, forces, thermo
 
-__all__ = [
-    "__version__",
-    "DomainError",
-    "PhysicalParams",
-    "DimensionlessPoint",
-    "UnitsConvention",
-    "to_dimensionless",
-    "from_dimensionless_force",
-    "QuadratureEstimate",
-    "OscillatorySpec",
-    "integrate_smooth_semi_infinite",
-    "integrate_oscillatory_tail",
-    "cosine_integral",
-    "sum_exponential_series",
-    "thermal_weight",
-    "ScatteringCoefficients",
-    "KernelValue",
-    "coefficients_closed_form",
-    "kernel",
-    "flux_deficit",
-    "FORCE_TOL",
-    "LIFSHITZ_TOL",
-    "DEFAULT_CUTOFF_LAMBDA",
-    "ForceValue",
-    "FreeEnergyValue",
-    "force_zero_t_canonical",
-    "force_zero_t_lifshitz",
-    "force_finite_t_canonical",
-    "force_finite_t_lifshitz",
-    "force_lifshitz_zero_mode_term",
-    "free_energy_lifshitz",
-    "casimir_force",
-    "ENTROPY_TOL",
-    "ENTROPY_INNER_TOL",
-    "EntropyValue",
-    "EntropyDensity",
-    "entropy_density_canonical",
-    "entropy_canonical",
-    "entropy_lifshitz",
-]
+# each public name is listed once, in its module's __all__
+__all__ = ["__version__"]
+for _module in (errors, model, numerics, scattering, forces, thermo):
+    __all__ += _module.__all__
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+del _module

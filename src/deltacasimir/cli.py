@@ -5,13 +5,13 @@ Subcommands and the shared flags each takes; all five take --json, and
 
     scattering  --out
     force       --tol --out
-    entropy     --tol --out
+    entropy     --lambda --tol --out
     sweep       --tol --out
-    figure      --tol                 (one CSV per curve, in --out-dir)
+    figure      --lambda --tol        (one CSV per curve, in --out-dir)
 
 Every numeric row echoes its inputs; CSV output uses '.' decimals and 17
 significant digits so identical command lines reproduce identical bytes.
-A force row's value and err are both in its units convention: raw
+A force row's value, err and tol are all in its units convention: raw
 dimensionless, except figure 2's 1/(4*pi) normalization; entropy and density
 rows are dimensionless.  A metadata sidecar (<out>.meta.json) records the
 tool version and the effective value of each flag the command reads.  Exit
@@ -19,7 +19,7 @@ codes: 0 success, 2 usage or domain error, 3 numerical non-convergence (rows
 are still emitted, flagged converged=false).  Every command runs in one
 process.
 
-Precedence: command-line flags > built-in defaults (DEFAULTS, and each
+Precedence: command-line flags > built-in defaults (the parser's, and each
 figure's own tol).
 """
 from __future__ import annotations
@@ -95,13 +95,6 @@ ENTROPY_SCHEMA = ["d", "That", "method", "lambda", "value", "err", "evals",
 DENSITY_SCHEMA = ["dtilde", "That", "value", "err", "evals", "converged"]
 SCATTERING_SCHEMA = ["q", "d", "B_re", "B_im", "C_re", "C_im", "D_re", "D_im",
                      "G_re", "G_im", "unitarity", "flux", "kernel"]
-
-DEFAULTS = {
-    "tol": FORCE_TOL,
-    "cutoff_lambda": DEFAULT_CUTOFF_LAMBDA,
-}
-# the temperatures of a figure's curves when --That-set is not given
-DEFAULT_THAT_SET = (0.5, 1.0, 2.0)
 
 
 def _fmt(x) -> str:
@@ -181,21 +174,13 @@ def _parse_methods(text):
     return _check_methods([t for t in text.split(",") if t])
 
 
-def _resolve(args, **defaults):
-    """Fill each flag left unset with its default (``defaults`` overrides
-    DEFAULTS for one subcommand)."""
-    for key, value in {**DEFAULTS, **defaults}.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-
-
 # ------------------------------------------------- one row function per quantity
 
 def _force_row(task):
-    """(d, That, method, tol, a UnitsConvention) -> FORCE_SCHEMA row; value
-    and err are both in that convention."""
+    """(d, That, method, tol, a UnitsConvention) -> FORCE_SCHEMA row; value,
+    err and tol are all in that convention."""
     d, that, method, tol, units = task
-    fv = casimir_force(DimensionlessPoint(d, that), method, tol)
+    fv = casimir_force(DimensionlessPoint(d, that), method, tol * units.divisor)
     est = fv.estimate
     return [d, that, method, units.apply(fv.value), units.apply(est.abs_error_estimate),
             est.evaluations, est.converged, units.value]
@@ -238,7 +223,7 @@ def _density_rows(task):
 def _cmd_scattering(args) -> int:
     q, d = args.q, args.d
     closed = coefficients_closed_form(q, d)
-    k = kernel(q, d).value
+    k = kernel(q, d)
     row = [q, d,
            closed.B.real, closed.B.imag, closed.C.real, closed.C.imag,
            closed.D.real, closed.D.imag, closed.G.real, closed.G.imag,
@@ -250,7 +235,6 @@ def _cmd_scattering(args) -> int:
 
 
 def _cmd_force(args) -> int:
-    _resolve(args)
     methods = _parse_methods(args.method)
     rows = [_force_row((args.d, args.That, m, args.tol, UnitsConvention.RAW_DIMENSIONLESS))
             for m in methods]
@@ -259,7 +243,6 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    _resolve(args, tol=ENTROPY_TOL)
     methods = _parse_methods(args.method)
     rows = [_entropy_row((args.d, args.That, m, args.cutoff_lambda, args.zero_mode, args.tol))
             for m in methods]
@@ -306,12 +289,12 @@ FIGURES = {
 
 def _cmd_figure(args) -> int:
     axis, lo, hi, default_points, schema, tol, note, name, row, tasks = FIGURES[args.id]
-    _resolve(args, tol=tol)
+    if args.tol is None:
+        args.tol = tol
     if not os.path.isdir(args.out_dir):
         raise DomainError(f"--out-dir {args.out_dir!r} is not a directory")
     try:
-        that_set = DEFAULT_THAT_SET if args.That_set is None \
-            else tuple(float(t) for t in args.That_set.split(","))
+        that_set = tuple(float(t) for t in args.That_set.split(","))
     except ValueError as exc:
         raise DomainError(f"--That-set must be a comma list of numbers, "
                           f"got {args.That_set!r}") from exc
@@ -373,7 +356,6 @@ def run_sweep(spec: SweepSpec):
 
 
 def _cmd_sweep(args) -> int:
-    _resolve(args)
     spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
                      points=args.points, spacing=args.spacing, fixed=args.fixed,
                      methods=tuple(_parse_methods(args.method)), tol=args.tol)
@@ -389,6 +371,8 @@ def _cmd_sweep(args) -> int:
 # the flags some subcommands share; each subcommand takes those it reads
 _FLAGS = {
     "--tol": dict(type=float, help="absolute tolerance"),
+    "--lambda": dict(dest="cutoff_lambda", type=float, default=DEFAULT_CUTOFF_LAMBDA,
+                     help="infrared cutoff Lambda (default %(default)g)"),
     "--out": dict(help="write CSV here plus a .meta.json sidecar"),
     "--json": dict(action="store_true", help="emit records as JSON on stdout"),
 }
@@ -419,30 +403,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="both",
                    help="canonical, lifshitz, both, or a comma list")
     _add_flags(p, "--tol", "--out", "--json")
-    p.set_defaults(fn=_cmd_force)
+    p.set_defaults(fn=_cmd_force, tol=FORCE_TOL)
 
     p = sub.add_parser("entropy", help="Casimir entropy at one (d, That), dimensionless")
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--That", type=float, required=True)
     p.add_argument("--method", default="both")
-    p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None,
-                   help="infrared cutoff Lambda (default 100)")
     p.add_argument("--zero-mode", dest="zero_mode",
                    action=argparse.BooleanOptionalAction, default=True,
                    help="keep the zero-frequency term in the Lifshitz entropy")
-    _add_flags(p, "--tol", "--out", "--json")
-    p.set_defaults(fn=_cmd_entropy)
+    _add_flags(p, "--lambda", "--tol", "--out", "--json")
+    p.set_defaults(fn=_cmd_entropy, tol=ENTROPY_TOL)
 
     p = sub.add_parser("figure", help="reproduce the data behind a figure")
     p.add_argument("--id", required=True, choices=list(FIGURES))
     p.add_argument("--out-dir", default=".")
     p.add_argument("--points", type=int, default=None, help="grid size override")
-    p.add_argument("--That-set", dest="That_set", default=None,
-                   help="comma list of temperatures (default 0.5,1,2)")
-    p.add_argument("--lambda", dest="cutoff_lambda", type=float, default=None)
+    p.add_argument("--That-set", dest="That_set", default="0.5,1,2",
+                   help="comma list of temperatures (default %(default)s)")
     # hidden and read by nothing: perfbench/workloads.py's figure command passes it
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
-    _add_flags(p, "--tol", "--json")
+    _add_flags(p, "--lambda", "--tol", "--json")
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("sweep", help="force sweep over d or That")
@@ -455,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value of the other coordinate")
     p.add_argument("--method", default="both")
     _add_flags(p, "--tol", "--out", "--json")
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep, tol=FORCE_TOL)
 
     return ap
 

@@ -86,6 +86,10 @@ LIFSHITZ_TOL = 1e-12          # default of the Matsubara free energy and entropy
 DEFAULT_CUTOFF_LAMBDA = 100.0
 
 METHODS = ("canonical", "lifshitz")
+# the rounding of a Matsubara value formed from its series (whose estimates
+# hold their own) and its zero mode: 2 eps per unit of the magnitudes added,
+# the zero mode's own rounding included
+_ROUNDING = 2.0 ** -51
 # the canonical force's head has seed edges at That times these, 2^k for k = -1..5
 _BOSE_SEEDS = 2.0 ** np.arange(-1.0, 6.0)
 
@@ -225,7 +229,9 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
 
     s = sum_exponential_series(terms, 0.5 * that, math.exp(-c * d), tol)
     value = -s.value + force_lifshitz_zero_mode_term(point)
-    est = QuadratureEstimate(value, s.abs_error_estimate, s.evaluations, s.tol)
+    # -s and the zero mode share a sign: |value| is the sum of their magnitudes
+    est = QuadratureEstimate(value, s.abs_error_estimate + _ROUNDING * abs(value),
+                             s.evaluations, s.tol)
     return ForceValue(value, "lifshitz", point, est)
 
 
@@ -251,8 +257,12 @@ def free_energy_lifshitz(point: DimensionlessPoint,
         return -that * np.log1p(_matsubara(c, d, n)[1])
 
     s = sum_exponential_series(terms, 0.5 * that / c, math.exp(-c * d), tol)
-    value = s.value + 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
-    err = s.abs_error_estimate if math.isfinite(value) else math.inf
+    log_term = 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
+    value = s.value + log_term
+    # the That term: the few eps by which the log's argument rounds are an
+    # absolute error of the log
+    err = s.abs_error_estimate + _ROUNDING * (abs(value) + abs(log_term) + that) \
+        if math.isfinite(value) else math.inf
     est = QuadratureEstimate(value, err, s.evaluations, s.tol)
     return FreeEnergyValue(value, cutoff_lambda, point, est)
 

@@ -36,8 +36,8 @@ is an estimate above tol, never a silent truncation or an exception.  All
 engines are deterministic: identical inputs give bit-identical results on
 one platform.
 
-The package needs numpy only: the sine and cosine integrals behind
-:func:`cosine_integral` are computed here (:func:`sici`).
+The package needs numpy only: the sine and cosine integrals are computed
+here (:func:`sici`).
 """
 from __future__ import annotations
 
@@ -47,16 +47,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_real, require_real_array
+from .errors import DomainError, require_real
 
 __all__ = [
     "QuadratureEstimate",
     "OscillatorySpec",
     "integrate_smooth_semi_infinite",
     "integrate_oscillatory_tail",
-    "cosine_integral",
     "sum_exponential_series",
-    "thermal_weight",
 ]
 
 
@@ -610,16 +608,6 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     return value, [e + w if a else math.inf for e, w, a in zip(err, wit, agree)], evals
 
 
-def cosine_integral(x: float) -> float:
-    """Ci(x) = -integral_x^inf cos(t)/t dt for real x > 0 of any type but bool.
-
-    Evaluated in float64 by :func:`sici`: the power series up to x = 2, the
-    continued fraction of E1(ix) beyond; absolute error at most 5e-16
-    wherever |Ci| < 1.
-    """
-    return sici(require_real("x", x))[1]
-
-
 def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> QuadratureEstimate:
     """Sum terms(n), n >= 1, given |terms(n)| <= scale * ratio**n.
 
@@ -655,21 +643,15 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
     return QuadratureEstimate(total, rem + _EPS_FLOOR * sum_abs, n, tol)
 
 
-def thermal_weight(q, That):
-    """(q/(2 That))^2 * csch(q/(2 That))^2, the entropy-kernel weight.
+def _thermal_weight_raw(q, That):
+    """(q/(2 That))^2 csch(q/(2 That))^2, the entropy-kernel weight, on a
+    real array that may contain q = 0 (limit 1), or on a complex one, where
+    it is the weight's continuation.
 
     Computed as b^2 with b = 2u e^{-u} / (1 - e^{-2u}), u = q/(2 That):
     smooth -> 1 as u -> 0, decays like 4 u^2 e^{-2u} for large u, and
     underflows to exactly 0 (never NaN) once e^{-u} is subnormal.
-    Accepts scalars or arrays.
     """
-    out = _thermal_weight_raw(require_real_array("q", q), require_real("That", That))
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _thermal_weight_raw(q, That):
-    """thermal_weight on a real array that may contain q = 0 (limit 1), or
-    on a complex one, where it is the weight's continuation."""
     v = np.atleast_1d(q / (-2.0 * That))   # -u; negating and doubling are exact
     b = np.exp(v)
     v += v                                  # -2u

@@ -31,7 +31,6 @@ from .errors import DomainError, require_real
 
 __all__ = [
     "ScatteringCoefficients",
-    "KernelValue",
     "coefficients_closed_form",
     "kernel",
     "flux_deficit",
@@ -60,15 +59,6 @@ class ScatteringCoefficients:
     def flux_residual(self) -> float:
         """|D|^2 + |G|^2 - |C|^2 (zero in exact arithmetic)."""
         return abs(self.D) ** 2 + abs(self.G) ** 2 - abs(self.C) ** 2
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Force kernel K = |C|^2 + |D|^2 - 1 at one (q, d); K >= -1 always."""
-
-    value: float
-    q: float
-    d: float
 
 
 def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
@@ -232,8 +222,8 @@ def contour_switch(d):
     return max(math.pi / d, 1.5 * math.pi / (d + 2.0))
 
 
-def kernel(q: float, d: float) -> KernelValue:
-    """Force kernel K(q, d) = |C|^2 + |D|^2 - 1 for 0 <= q <= MAX_Q and a
-    finite phase 2 q d; q = 0 returns the long-wavelength limit 2/(d+2)^2 - 1."""
+def kernel(q: float, d: float) -> float:
+    """Force kernel K(q, d) = |C|^2 + |D|^2 - 1 >= -1 for 0 <= q <= MAX_Q and
+    a finite phase 2 q d; q = 0 returns the long-wavelength limit 2/(d+2)^2 - 1."""
     q, d = _arguments(q, d, inclusive=True)
-    return KernelValue(value=-flux_deficit(q, d), q=q, d=d)
+    return -flux_deficit(q, d)

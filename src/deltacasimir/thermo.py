@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_real, require_real_array
-from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _matsubara, _mode_sum
+from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, _mode_sum
 from .model import DimensionlessPoint
 from .numerics import (
     QuadratureEstimate,
@@ -257,10 +257,14 @@ def entropy_lifshitz(point: DimensionlessPoint,
     s1 = sum_exponential_series(log_terms, 0.5 / c, math.exp(-c * d), 0.5 * tol)
     s2 = sum_exponential_series(slope_terms, 0.5 * (d + 2.0), math.exp(-c * d), 0.5 * tol)
     value = s1.value - s2.value
+    scale = abs(value)                      # of the rounding term, as in forces
     if include_zero_mode:
-        value += -0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda) - 0.5
+        half_log = 0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
+        value += -half_log - 0.5
+        scale += abs(half_log) + 1.0        # the 0.5, and the rounding of the log's argument
     method = "lifshitz" if include_zero_mode else "lifshitz_no_zero_mode"
-    err = s1.abs_error_estimate + s2.abs_error_estimate if math.isfinite(value) else math.inf
+    err = s1.abs_error_estimate + s2.abs_error_estimate + _ROUNDING * scale \
+        if math.isfinite(value) else math.inf
     est = QuadratureEstimate(value, err, s1.evaluations + s2.evaluations, tol)
     return EntropyValue(value, method, point, cutoff_lambda, est)
 

@@ -112,7 +112,7 @@ def test_criterion_06_kernel_algebraic_identity(capsys):
     for qi, di in zip(q, d):
         w = abs(1.0 - cmath.exp(2j * di * qi) * (1.0 + 2j * qi) ** 2) ** 2
         k_complex = 8.0 * qi * qi * (1.0 + 2.0 * qi * qi) / w - 1.0
-        worst = max(worst, abs(kernel(float(qi), float(di)).value - k_complex))
+        worst = max(worst, abs(kernel(float(qi), float(di)) - k_complex))
     ok = worst <= 1e-12
     _check(capsys, 6, "complex-arithmetic K == expanded real-form K", ok,
            f"(worst {worst:.1e})")

@@ -44,7 +44,8 @@ def _declared(requirements):
     return names
 
 
-PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+PROJECT = PYPROJECT["project"]
 
 
 def test_every_third_party_import_is_declared_and_nothing_more():
@@ -189,8 +190,18 @@ def test_every_exported_name_is_bound(module):
 
 @pytest.mark.parametrize("gone", ["bose_factor", "asymptotic_force",
                                   "entropy_lifshitz_temperature_slope",
-                                  "coefficients_linear_solve", "SingularSystemError"])
+                                  "coefficients_linear_solve", "SingularSystemError",
+                                  "thermal_weight", "cosine_integral", "KernelValue"])
 def test_a_removed_name_is_not_exported(gone):
-    # they served no figure; the 4x4 solve lives on in tests/oracles.py
+    # they served no figure; the 4x4 solve lives on in tests/oracles.py, and
+    # numerics keeps the weight and Ci as _thermal_weight_raw and sici
     with pytest.raises(ImportError):
         exec(f"from deltacasimir import {gone}", {})
+
+
+def test_one_version_string():
+    """pyproject.toml takes the version from ``deltacasimir.__version__``,
+    so the package and its metadata cannot disagree."""
+    assert "version" not in PROJECT and "version" in PROJECT["dynamic"]
+    assert PYPROJECT["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "deltacasimir.__version__"}

@@ -17,13 +17,15 @@ what each oracle returns, or 4e-16 |oracle| where the oracle's terms have
 one sign (the zero-temperature integral and the force identity).  No row
 needs it today: the worst row, in figure 3a, is 0.26 err off its oracle.
 A row that did not converge fails unless ``NOT_CONVERGED`` lists it with
-its reason.
+its reason.  A converged row's err is at most the tol its figure's sidecar
+records.
 
 Golden hashes are recorded again only after this test passes on the new
 rows.  Figure 3a's evaluation budget is checked on the same run of it.
 """
 import csv
 import functools
+import json
 
 import pytest
 from oracles import (
@@ -64,8 +66,8 @@ def _oracle(row):
 
 @pytest.fixture(scope="module")
 def default_rows(tmp_path_factory):
-    """fig -> [(CSV name, row)] of the figure at its defaults; each figure
-    runs once in this module."""
+    """fig -> ([(CSV name, row)], sidecar) of the figure at its defaults;
+    each figure runs once in this module."""
     @functools.cache
     def rows(fig):
         out = tmp_path_factory.mktemp(f"figure{fig}")
@@ -74,13 +76,13 @@ def default_rows(tmp_path_factory):
         for path in sorted(out.glob("*.csv")):
             with open(path, newline="") as fh:
                 found += [(path.name, row) for row in csv.DictReader(fh)]
-        return found
+        return found, json.loads((out / f"figure{fig}_meta.json").read_text())
     return rows
 
 
 @pytest.mark.parametrize("fig", list(ROWS))
 def test_every_default_figure_row_within_its_estimate_of_the_oracle(fig, default_rows):
-    rows = default_rows(fig)
+    rows, _ = default_rows(fig)
     for name, row in rows:
         where = (name, next(iter(row.values())))
         if row["converged"] != "true":
@@ -95,4 +97,13 @@ def test_every_default_figure_row_within_its_estimate_of_the_oracle(fig, default
 
 def test_figure3a_density_evaluations_stay_within_budget(default_rows):
     # one-period seed panels; quarter-period seeds took 2,613,930 evaluations here
-    assert sum(int(row["evals"]) for _, row in default_rows("3a")) <= 1_050_000
+    assert sum(int(row["evals"]) for _, row in default_rows("3a")[0]) <= 1_050_000
+
+
+@pytest.mark.parametrize("fig", list(ROWS))
+def test_every_converged_default_row_prints_err_within_its_tol(fig, default_rows):
+    # figure 2's rows once took their tol in raw units and printed 4 pi times
+    # their err: 42 of the 360 printed an err above the sidecar's 1e-10
+    rows, meta = default_rows(fig)
+    assert [name for name, row in rows
+            if row["converged"] == "true" and float(row["err"]) > meta["tol"]] == []

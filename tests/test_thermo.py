@@ -17,7 +17,6 @@ from deltacasimir import (
     entropy_lifshitz,
     force_finite_t_canonical,
     free_energy_lifshitz,
-    thermal_weight,
 )
 from deltacasimir import thermo
 from deltacasimir.scattering import RESOLVED_D, flux_deficit
@@ -30,6 +29,12 @@ SL_ZERO_MODE_D1_L100 = {0.1: 1.37758551105409789, 0.01: 1.69186813938796353,
 DENSITY_11 = 0.08333185479174186
 
 
+def weight(q, that):
+    """(u/sinh u)^2 at u = q/(2 That), 1 at q = 0."""
+    u = q / (2.0 * that)
+    return np.divide(u, np.sinh(u), out=np.ones_like(u), where=u > 0) ** 2
+
+
 def brute_density(dtilde, that, step=0.001):
     """Independent oracle: fine fixed-grid Simpson of the weighted kernel."""
     qmax = 2.0 * that * 30.0
@@ -37,10 +42,7 @@ def brute_density(dtilde, that, step=0.001):
     if n % 2:
         n += 1
     q = np.linspace(0.0, qmax, n + 1)
-    w = np.ones_like(q)
-    m = q > 0
-    w[m] = thermal_weight(q[m], that)
-    return simpson(w * flux_deficit(q, dtilde), dx=q[1] - q[0]) / (2.0 * math.pi)
+    return simpson(weight(q, that) * flux_deficit(q, dtilde), dx=q[1] - q[0]) / (2.0 * math.pi)
 
 
 # ------------------------------------------------------------ entropy density
@@ -88,10 +90,7 @@ def test_density_resolves_narrow_resonances():
         parts.append(pts[(pts > 0) & (pts < qmax)])
         m += 1
     q = np.unique(np.concatenate(parts))
-    w = np.ones_like(q)
-    pos = q > 0
-    w[pos] = thermal_weight(q[pos], that)
-    oracle = np.trapezoid(w * flux_deficit(q, dtilde), q) / (2.0 * math.pi)
+    oracle = np.trapezoid(weight(q, that) * flux_deficit(q, dtilde), q) / (2.0 * math.pi)
 
     dens = entropy_density_canonical(dtilde, that, tol=1e-9)
     assert dens.estimate.converged
