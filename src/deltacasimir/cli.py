@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,36 +56,6 @@ from .thermo import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-variable force sweep: grid, fixed coordinate, methods, knobs."""
-
-    variable: str                  # "d" or "That"
-    min: float
-    max: float
-    points: int
-    spacing: str = "linear"        # or "log"
-    fixed: float = 0.0
-    methods: tuple[str, ...] = METHODS
-    tol: float = FORCE_TOL
-
-    def __post_init__(self):
-        if self.variable not in ("d", "That"):
-            raise DomainError(f"variable must be 'd' or 'That', got {self.variable!r}")
-        if self.spacing not in ("linear", "log"):
-            raise DomainError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if not (math.isfinite(self.min) and math.isfinite(self.max) and self.min < self.max):
-            raise DomainError("sweep requires min < max")
-        if self.points < 2:
-            raise DomainError("sweep requires points >= 2")
-        if self.min <= 0 and (self.spacing == "log" or self.variable == "d"):
-            raise DomainError("sweep minimum must be positive for d and for log spacing")
-        _check_methods(self.methods)
-
-    def grid(self):
-        return _grid(self.min, self.max, self.points, self.spacing)
 
 
 FORCE_SCHEMA = ["d", "That", "method", "value", "err", "evals", "converged", "units"]
@@ -158,20 +127,18 @@ def _meta(args, **extra):
     return m
 
 
-def _check_methods(methods):
-    """Return ``methods`` if it is a nonempty sequence of known method names."""
+def _parse_methods(text):
+    """The methods a --method value names: "both", or a comma list of known
+    method names."""
+    if text == "both":
+        return list(METHODS)
+    methods = [t for t in text.split(",") if t]
     if not methods:
         raise DomainError("empty method set")
     for mth in methods:
         if mth not in METHODS:
             raise DomainError(f"unknown method {mth!r}")
     return methods
-
-
-def _parse_methods(text):
-    if text is None or text == "both":
-        return list(METHODS)
-    return _check_methods([t for t in text.split(",") if t])
 
 
 # ------------------------------------------------- one row function per quantity
@@ -341,28 +308,22 @@ def _run_tasks(fn, tasks):
     return [fn(t) for t in tasks]
 
 
-def run_sweep(spec: SweepSpec):
-    """Evaluate a force sweep, in raw dimensionless units; rows come back in
-    grid order."""
-    tasks = []
-    for x in spec.grid():
-        for method in spec.methods:
-            if spec.variable == "d":
-                d, that = float(x), spec.fixed
-            else:
-                d, that = spec.fixed, float(x)
-            tasks.append((d, that, method, spec.tol, UnitsConvention.RAW_DIMENSIONLESS))
-    return _run_tasks(_force_row, tasks)
-
-
 def _cmd_sweep(args) -> int:
-    spec = SweepSpec(variable=args.variable, min=args.min, max=args.max,
-                     points=args.points, spacing=args.spacing, fixed=args.fixed,
-                     methods=tuple(_parse_methods(args.method)), tol=args.tol)
-    rows = run_sweep(spec)
-    meta = _meta(args, schema=FORCE_SCHEMA, methods=list(spec.methods),
-                 variable=spec.variable, min=spec.min, max=spec.max,
-                 points=spec.points, spacing=spec.spacing, fixed=spec.fixed)
+    methods = _parse_methods(args.method)
+    lo, hi = args.min, args.max
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError("sweep requires min < max")
+    if args.points < 2:
+        raise DomainError("sweep requires points >= 2")
+    if lo <= 0 and (args.spacing == "log" or args.variable == "d"):
+        raise DomainError("sweep minimum must be positive for d and for log spacing")
+    tasks = []   # rows in grid order, in raw dimensionless units
+    for x in _grid(lo, hi, args.points, args.spacing):
+        d, that = (float(x), args.fixed) if args.variable == "d" else (args.fixed, float(x))
+        tasks += [(d, that, m, args.tol, UnitsConvention.RAW_DIMENSIONLESS) for m in methods]
+    rows = _run_tasks(_force_row, tasks)
+    meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, variable=args.variable,
+                 min=lo, max=hi, points=args.points, spacing=args.spacing, fixed=args.fixed)
     return _emit(rows, FORCE_SCHEMA, args, meta)
 
 

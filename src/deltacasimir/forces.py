@@ -72,11 +72,6 @@ __all__ = [
     "DEFAULT_CUTOFF_LAMBDA",
     "ForceValue",
     "FreeEnergyValue",
-    "force_zero_t_canonical",
-    "force_zero_t_lifshitz",
-    "force_finite_t_canonical",
-    "force_finite_t_lifshitz",
-    "force_lifshitz_zero_mode_term",
     "free_energy_lifshitz",
     "casimir_force",
 ]
@@ -182,44 +177,21 @@ def _matsubara(c, d, n):
     return a, g
 
 
-def force_zero_t_canonical(d: float, tol: float = FORCE_TOL) -> ForceValue:
-    """Zero-temperature force from the real-frequency mode sum."""
-    d = require_real("d", d)
-    est = _canonical_force(d, 0.0, tol)
-    return ForceValue(est.value, "canonical", DimensionlessPoint(d, 0.0), est)
-
-
-def force_zero_t_lifshitz(d: float, tol: float = FORCE_TOL) -> ForceValue:
-    """Zero-temperature force from the imaginary-axis integral."""
-    d = require_real("d", d)
-    c = -0.25 / math.pi
-
-    def g(z):
-        z = np.asarray(z, float)
-        # e^{dz}(1+z)^2 - 1 written via expm1 so the z -> 0 endpoint is regular
-        den = np.expm1(d * z) * (1.0 + z) ** 2 + z * (2.0 + z)
-        return c * np.divide(z, den, out=np.full(z.shape, 1.0 / (d + 2.0)), where=z > 0)
-
-    est = integrate_smooth_semi_infinite(g, 1.0 / d, tol)
-    return ForceValue(est.value, "lifshitz", DimensionlessPoint(d, 0.0), est)
-
-
-def force_finite_t_canonical(point: DimensionlessPoint, tol: float = FORCE_TOL) -> ForceValue:
-    """Finite-temperature force from the Bose-weighted mode sum; That = 0
-    gives ``force_zero_t_canonical``, whose weight is q itself."""
+def _lifshitz_force(point, tol):
+    """The imaginary-axis integral at That = 0, the Matsubara sum with its
+    zero mode -That/(2(d+2)) above; d and That are read as floats, so a
+    float32 or integer point gives its float twin's bits."""
     if point.That == 0.0:
-        return force_zero_t_canonical(point.d, tol)
-    est = _canonical_force(point.d, point.That, tol)
-    return ForceValue(est.value, "canonical", point, est)
+        d = require_real("d", point.d)
+        c = -0.25 / math.pi
 
+        def g(z):
+            z = np.asarray(z, float)
+            # e^{dz}(1+z)^2 - 1 written via expm1 so the z -> 0 endpoint is regular
+            den = np.expm1(d * z) * (1.0 + z) ** 2 + z * (2.0 + z)
+            return c * np.divide(z, den, out=np.full(z.shape, 1.0 / (d + 2.0)), where=z > 0)
 
-def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -> ForceValue:
-    """Finite-temperature force from the Matsubara sum; cutoff independent.
-
-    Needs That > 0 (``force_zero_t_lifshitz`` covers That = 0).  d and That
-    are read as floats, so a float32 or integer point sums the series in
-    float64 like its float twin.
-    """
+        return integrate_smooth_semi_infinite(g, 1.0 / d, tol)
     d, that = float(point.d), require_real("That", point.That)
     c = 4.0 * math.pi * that
 
@@ -228,18 +200,10 @@ def force_finite_t_lifshitz(point: DimensionlessPoint, tol: float = FORCE_TOL) -
         return that * a * g
 
     s = sum_exponential_series(terms, 0.5 * that, math.exp(-c * d), tol)
-    value = -s.value + force_lifshitz_zero_mode_term(point)
+    value = -s.value + -that / (2.0 * (d + 2.0))
     # -s and the zero mode share a sign: |value| is the sum of their magnitudes
-    est = QuadratureEstimate(value, s.abs_error_estimate + _ROUNDING * abs(value),
-                             s.evaluations, s.tol)
-    return ForceValue(value, "lifshitz", point, est)
-
-
-def force_lifshitz_zero_mode_term(point: DimensionlessPoint) -> float:
-    """The zero-frequency contribution -That/(2(d+2)) to the Matsubara force;
-    d and That are read as floats."""
-    d, that = float(point.d), float(point.That)
-    return -that / (2.0 * (d + 2.0))
+    return QuadratureEstimate(value, s.abs_error_estimate + _ROUNDING * abs(value),
+                              s.evaluations, s.tol)
 
 
 def free_energy_lifshitz(point: DimensionlessPoint,
@@ -247,7 +211,7 @@ def free_energy_lifshitz(point: DimensionlessPoint,
                          tol: float = LIFSHITZ_TOL) -> FreeEnergyValue:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
     cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
-    d and That are read as floats, as in ``force_finite_t_lifshitz``; the
+    d and That are read as floats, as in the Matsubara force; the
     estimate of a value that is not finite (2 pi That (d+2) overflows) is inf."""
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
@@ -268,11 +232,18 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 
 
 def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> ForceValue:
-    """Dispatch on method and temperature (That = 0 goes to the zero-T paths)."""
+    """The force at ``point`` by the canonical mode sum or the Lifshitz
+    route; That = 0 takes the zero-temperature forms (the weight q, the
+    imaginary-axis integral).  The canonical route reads d as a float at
+    That = 0 and takes d and That as given above it (see the module
+    docstring on an int or float32 That)."""
     if method == "canonical":
-        return force_finite_t_canonical(point, tol)
-    if method == "lifshitz":
-        if point.That > 0:
-            return force_finite_t_lifshitz(point, tol)
-        return force_zero_t_lifshitz(point.d, tol)
-    raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+        if point.That == 0.0:
+            est = _canonical_force(require_real("d", point.d), 0.0, tol)
+        else:
+            est = _canonical_force(point.d, point.That, tol)
+    elif method == "lifshitz":
+        est = _lifshitz_force(point, tol)
+    else:
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+    return ForceValue(est.value, method, point, est)

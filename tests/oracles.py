@@ -1,6 +1,7 @@
 """Exact half-Lifshitz oracles for the canonical entropy, its density and
-the force, and the 4x4 boundary-matching solve that checks the closed-form
-scattering amplitudes.
+the force, the 4x4 boundary-matching solve that checks the closed-form
+scattering amplitudes, and the fingerprint of the host that the exact pins
+(golden hashes, byte and bit digests) were recorded on.
 
 The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, analytic in
 the upper half q-plane.  Splitting the canonical weight q(1+n) into
@@ -43,7 +44,9 @@ z = 45/d, the series like the entropy's; both have terms of one sign, so
 float64 keeps all but a few ulp of the sum.
 """
 import cmath
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -178,3 +181,25 @@ def coefficients_linear_solve(q, d):
     assert np.all(np.isfinite(x.view(float))), (q, d)
     return ScatteringCoefficients(B=complex(x[0]), C=complex(x[1]),
                                   D=complex(x[2]), G=complex(x[3]))
+
+
+# the host the exact pins were recorded on: another host may move their
+# last bits (ROADMAP item 13)
+RECORDED_HOST = "AVX512_SKX True, OpenBLAS SkylakeX"
+
+
+def host_fingerprint():
+    """Whether numpy dispatches its AVX512_SKX loops on this host, and
+    OpenBLAS's core name, in the form of ``RECORDED_HOST``: the two choices
+    that move a value's last bits.  The core name is "unknown" where numpy
+    ships no scipy-openblas library."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    core = "unknown"
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        name = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        name.argtypes, name.restype = [], ctypes.c_char_p
+        core = name().decode()
+    return f"AVX512_SKX {__cpu_features__['AVX512_SKX']}, OpenBLAS {core}"

@@ -14,14 +14,11 @@ from oracles import coefficients_linear_solve
 from deltacasimir import (
     DimensionlessPoint,
     OscillatorySpec,
+    casimir_force,
     coefficients_closed_form,
     entropy_canonical,
     entropy_density_canonical,
     entropy_lifshitz,
-    force_finite_t_canonical,
-    force_finite_t_lifshitz,
-    force_zero_t_canonical,
-    force_zero_t_lifshitz,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
     kernel,
@@ -43,8 +40,8 @@ def test_criterion_01_zero_t_method_equivalence(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for d in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
-        fc = force_zero_t_canonical(d)
-        fl = force_zero_t_lifshitz(d)
+        fc = casimir_force(DimensionlessPoint(d), "canonical")
+        fl = casimir_force(DimensionlessPoint(d), "lifshitz")
         rel = abs(fc.value - fl.value) / abs(fl.value)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -55,7 +52,8 @@ def test_criterion_01_zero_t_method_equivalence(capsys):
 
 def test_criterion_02_dirichlet_limit(capsys):
     t0 = time.perf_counter()
-    ratio = force_zero_t_lifshitz(50.0, tol=1e-12).value * 24.0 * 50.0 ** 2 / math.pi
+    force = casimir_force(DimensionlessPoint(50.0), "lifshitz", 1e-12).value
+    ratio = force * 24.0 * 50.0 ** 2 / math.pi
     elapsed = time.perf_counter() - t0
     ok = abs(ratio - DIRICHLET_RATIO_ORACLE_D50) <= 1e-3 and elapsed <= 1.0
     _check(capsys, 2, "strong-coupling ratio vs extended-precision oracle", ok,
@@ -65,8 +63,8 @@ def test_criterion_02_dirichlet_limit(capsys):
 def test_criterion_03_long_distance_asymptotics(capsys):
     t0 = time.perf_counter()
     pt = DimensionlessPoint(200.0, 2.0)
-    fc = force_finite_t_canonical(pt).value
-    fl = force_finite_t_lifshitz(pt).value
+    fc = casimir_force(pt, "canonical").value
+    fl = casimir_force(pt, "lifshitz").value
     elapsed = time.perf_counter() - t0
     dev = abs(fc - (-2.0 / 800.0)) / (2.0 / 800.0)
     ratio = fl / fc
@@ -240,8 +238,8 @@ def test_criterion_11_maxwell_relation(capsys):
     worst = 0.0
     delta = 1e-4
     for dt, that in ((1.0, 0.5), (1.0, 2.0), (10.0, 0.5), (10.0, 2.0)):
-        up = force_finite_t_canonical(DimensionlessPoint(dt, that + delta), tol=1e-11).value
-        dn = force_finite_t_canonical(DimensionlessPoint(dt, that - delta), tol=1e-11).value
+        up = casimir_force(DimensionlessPoint(dt, that + delta), "canonical", 1e-11).value
+        dn = casimir_force(DimensionlessPoint(dt, that - delta), "canonical", 1e-11).value
         fd = -(up - dn) / (2.0 * delta)
         dens = entropy_density_canonical(dt, that).value
         worst = max(worst, abs(dens - fd))

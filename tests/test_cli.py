@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from oracles import RECORDED_HOST, host_fingerprint
 
-from deltacasimir import DimensionlessPoint, DomainError, casimir_force, cli
-from deltacasimir.cli import SweepSpec, main, run_sweep
+from deltacasimir import DimensionlessPoint, casimir_force, cli
+from deltacasimir.cli import main
 from deltacasimir.forces import FORCE_TOL
 
 
@@ -127,7 +128,7 @@ def test_entropy_default_bytes(capsys):
         "1,1,canonical,100,0.88159000401977106,2.5466403324276239e-07,7026,true,"
         "raw_dimensionless\n"
         "1,1,lifshitz,100,0.33434016119038018,8.7991592375209655e-16,4,true,"
-        "raw_dimensionless\n")
+        "raw_dimensionless\n"), f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
 def test_entropy_lifshitz_honours_tol(capsys):
@@ -187,7 +188,9 @@ def test_sweep_that_monotone_growth(capsys):
                        "--points", "3", "--spacing", "log", "--fixed", "1",
                        "--method", "lifshitz")
     assert code == 0
-    vals = [abs(float(ln.split(",")[3])) for ln in out.strip().split("\n")[1:]]
+    rows = [ln.split(",") for ln in out.strip().split("\n")[1:]]
+    assert [float(r[1]) for r in rows] == pytest.approx([0.5, 1.0, 2.0])
+    vals = [abs(float(r[3])) for r in rows]
     assert vals[0] < vals[1] < vals[2]
 
 
@@ -373,31 +376,30 @@ def test_figure3a_json_records_are_plain(tmp_path, capsys):
     assert {type(x) for row in rows for x in row} == {float, int, bool}
 
 
-def test_sweep_spec_type():
-    spec = SweepSpec(variable="That", min=0.5, max=2.0, points=3, spacing="log",
-                     fixed=1.0, methods=("lifshitz",))
-    rows = run_sweep(spec)
-    assert len(rows) == 3
-    assert [r[1] for r in rows] == pytest.approx([0.5, 1.0, 2.0])
-    with pytest.raises(DomainError):
-        SweepSpec(variable="x", min=1.0, max=2.0, points=2)
-    with pytest.raises(DomainError):
-        SweepSpec(variable="d", min=1.0, max=2.0, points=1)
-    with pytest.raises(DomainError):
-        SweepSpec(variable="d", min=-1.0, max=2.0, points=2)
-    with pytest.raises(DomainError):
-        SweepSpec(variable="d", min=1.0, max=2.0, points=2, methods=("plasma",))
-    with pytest.raises(DomainError):
-        SweepSpec(variable="d", min=1.0, max=2.0, points=2, spacing="cubic")
+SWEEP_FLAGS = {"--variable": "That", "--min": "0.5", "--max": "2", "--points": "3",
+               "--fixed": "1", "--method": "lifshitz"}
 
 
-def test_sweep_validation(capsys):
-    code, _, _ = run(capsys, "sweep", "--variable", "d", "--min", "2", "--max", "1",
-                     "--points", "2", "--fixed", "0", "--method", "canonical")
-    assert code == 2
-    code, _, _ = run(capsys, "sweep", "--variable", "d", "--min", "-1", "--max", "1",
-                     "--points", "2", "--fixed", "0", "--method", "canonical")
-    assert code == 2
+@pytest.mark.parametrize("flags, message", [
+    ({"--variable": "x"}, "invalid choice: 'x'"),
+    ({"--spacing": "cubic"}, "invalid choice: 'cubic'"),
+    ({"--points": "1"}, "points >= 2"),
+    ({"--min": "2", "--max": "1"}, "min < max"),
+    ({"--max": "inf"}, "min < max"),
+    ({"--variable": "d", "--min": "-1"}, "minimum must be positive"),
+    ({"--min": "0", "--spacing": "log"}, "minimum must be positive"),
+    ({"--method": "plasma"}, "unknown method 'plasma'"),
+], ids=["variable", "spacing", "points", "min-above-max", "max-inf", "d-min", "log-min",
+        "method"])
+def test_sweep_refuses_a_bad_flag(flags, message, capsys):
+    # the checks a library-side sweep spec once made: exit 2 before any row
+    argv = ["sweep", *(x for kv in {**SWEEP_FLAGS, **flags}.items() for x in kv)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # the parser's choices
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == 2 and not out.out and message in out.err
 
 
 def test_figure1_reduced_grid(tmp_path, capsys):

@@ -11,11 +11,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import RECORDED_HOST, host_fingerprint
 from test_acceptance import OSCILLATORY_INTEGRALS
 
 from deltacasimir import DimensionlessPoint, casimir_force, cli, \
-    entropy_canonical, entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, \
-    force_zero_t_lifshitz, integrate_oscillatory_tail, numerics, thermo
+    entropy_canonical, entropy_density_canonical, entropy_lifshitz, integrate_oscillatory_tail, \
+    numerics, thermo
 
 
 def _gk_passes(monkeypatch, fn):
@@ -144,6 +145,8 @@ def _estimates_digest(estimates):
 
 # Every bit of the benchmark's computing points, both routes: the engine's
 # bookkeeping may change, but no value, error, evaluation count or flag.
+# These digests, like the golden hashes, hold on a host like the one they
+# were recorded on: a failing one names both hosts.
 # Recorded again when the outer integral got its seed edge at the thermal
 # length, which moves the six That = 0.01 entropies with d < 1/(2 pi That)
 # (each within 3e-12 of the identity oracle, estimates 3.6e-7), and again
@@ -153,7 +156,8 @@ def test_entropy_grid_bits():
     ests = [f(DimensionlessPoint(d, t), 100.0).estimate
             for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
     assert _estimates_digest(ests) == \
-        "944be61404367b9ee5e26db8ce2ae0e1bbf81cb406a65fe4fc75f548c8c8a38c"
+        "944be61404367b9ee5e26db8ce2ae0e1bbf81cb406a65fe4fc75f548c8c8a38c", \
+        f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
 # Recorded again when the Lifshitz force's estimate took the rounding of
@@ -162,7 +166,24 @@ def test_force_sweep_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), route).estimate
             for d, t in FORCE_SWEEP for route in ("canonical", "lifshitz")]
     assert _estimates_digest(ests) == \
-        "611dc45a2da9b375bd2fc9c35bee5ea84aa93ad799f59fba75ad9b16985d3026"
+        "611dc45a2da9b375bd2fc9c35bee5ea84aa93ad799f59fba75ad9b16985d3026", \
+        f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
+
+
+# A lone integral's bisection rounds that split head and tail panels
+# together, which no pin above reaches: no force_sweep point, and none of
+# criterion 12's integrals at tol 1e-9, ever splits a tail panel.  The force
+# at (0.1, 2) evaluates 10 head and 4 tail halves in its one round, (10, 1)
+# and (0.3, 0) mix both kinds in their first, and OSCILLATORY_INTEGRALS[3]
+# evaluates 6 head and 2 tail halves in three of its rounds.
+def test_lone_tail_refinement_bits():
+    ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
+            for d, t, tol in ((0.1, 2.0, 1e-14), (10.0, 1.0, 1e-15), (0.3, 0.0, 1e-15))]
+    f, h, spec, _ = OSCILLATORY_INTEGRALS[3]
+    ests.append(integrate_oscillatory_tail(f, spec, 1e-14, h))
+    assert _estimates_digest(ests) == \
+        "fabd833c6192902eb3ad6b2a7a62720416eac569aa0a232e1e3ed1b3594b9469", \
+        f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
 # the benchmark's typed force_sweep points: (That as passed, index into _FORCE_D,
@@ -298,16 +319,16 @@ def test_oscillatory_integrals(i, evals):
 
 def test_zero_t_lifshitz_force():
     # 480 in blocks of 7 decay lengths: 4 blocks of 8 seed panels
-    assert force_zero_t_lifshitz(1.0).estimate.evaluations == 120
+    assert casimir_force(DimensionlessPoint(1.0), "lifshitz").estimate.evaluations == 120
 
 
 # The Matsubara series fix their term count from (K, r, tol) before they
 # evaluate a term, so the counts are exact.  An observed-ratio stopping
 # rule took 3, 794 and 210,060 terms here, the last one too few for tol.
 @pytest.mark.parametrize("fn, evals", [
-    (lambda: force_finite_t_lifshitz(DimensionlessPoint(1.0, 1.0), 1e-10), 2),
+    (lambda: casimir_force(DimensionlessPoint(1.0, 1.0), "lifshitz", 1e-10), 2),
     (lambda: entropy_lifshitz(DimensionlessPoint(0.5, 0.01)), 1_235),
-    (lambda: force_finite_t_lifshitz(DimensionlessPoint(0.01, 0.001), 1e-14), 322_487),
+    (lambda: casimir_force(DimensionlessPoint(0.01, 0.001), "lifshitz", 1e-14), 322_487),
 ], ids=["force-1-1", "entropy-0.5-0.01", "force-0.01-0.001"])
 def test_matsubara_series_terms(fn, evals):
     assert fn().estimate.evaluations == evals

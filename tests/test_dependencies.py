@@ -191,10 +191,14 @@ def test_every_exported_name_is_bound(module):
 @pytest.mark.parametrize("gone", ["bose_factor", "asymptotic_force",
                                   "entropy_lifshitz_temperature_slope",
                                   "coefficients_linear_solve", "SingularSystemError",
-                                  "thermal_weight", "cosine_integral", "KernelValue"])
+                                  "thermal_weight", "cosine_integral", "KernelValue",
+                                  "force_zero_t_canonical", "force_finite_t_canonical",
+                                  "force_zero_t_lifshitz", "force_finite_t_lifshitz",
+                                  "force_lifshitz_zero_mode_term"])
 def test_a_removed_name_is_not_exported(gone):
-    # they served no figure; the 4x4 solve lives on in tests/oracles.py, and
-    # numerics keeps the weight and Ci as _thermal_weight_raw and sici
+    # they served no figure; the 4x4 solve lives on in tests/oracles.py,
+    # numerics keeps the weight and Ci as _thermal_weight_raw and sici, and
+    # casimir_force is the force's one entry, its zero mode inlined
     with pytest.raises(ImportError):
         exec(f"from deltacasimir import {gone}", {})
 

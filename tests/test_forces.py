@@ -13,11 +13,6 @@ from deltacasimir import (
     DomainError,
     casimir_force,
     entropy_lifshitz,
-    force_finite_t_canonical,
-    force_finite_t_lifshitz,
-    force_lifshitz_zero_mode_term,
-    force_zero_t_canonical,
-    force_zero_t_lifshitz,
     free_energy_lifshitz,
 )
 from deltacasimir.scattering import RESOLVED_D, flux_deficit
@@ -63,35 +58,36 @@ def brute_force_mode_sum(d, that, q_max=2000.0, step=0.004):
 # ------------------------------------------------------------------- zero T
 
 def test_zero_t_methods_agree_at_d1():
-    fc = force_zero_t_canonical(1.0)
-    fl = force_zero_t_lifshitz(1.0)
+    fc = casimir_force(DimensionlessPoint(1.0), "canonical")
+    fl = casimir_force(DimensionlessPoint(1.0), "lifshitz")
     assert fc.estimate.converged and fl.estimate.converged
     assert abs(fc.value - fl.value) / abs(fl.value) <= 1e-6
 
 
 @pytest.mark.parametrize("d", [0.2, 1.0, 10.0])
 def test_zero_t_lifshitz_matches_extended_precision(d):
-    fl = force_zero_t_lifshitz(d, tol=1e-12)
+    fl = casimir_force(DimensionlessPoint(d), "lifshitz", 1e-12)
     assert fl.estimate.converged
     assert fl.value == pytest.approx(FL0[d], abs=5e-12)
 
 
 def test_zero_t_canonical_matches_extended_precision():
     for d in (0.2, 1.0, 10.0):
-        fc = force_zero_t_canonical(d, tol=1e-11)
+        fc = casimir_force(DimensionlessPoint(d), "canonical", 1e-11)
         assert fc.estimate.converged
         assert fc.value == pytest.approx(FL0[d], abs=5e-11)
 
 
 def test_zero_t_canonical_brute_oracle():
     oracle = brute_force_mode_sum(1.0, 0.0, q_max=3000.0, step=0.002)
-    assert force_zero_t_canonical(1.0).value == pytest.approx(oracle, abs=5e-9)
+    fc = casimir_force(DimensionlessPoint(1.0), "canonical")
+    assert fc.value == pytest.approx(oracle, abs=5e-9)
 
 
 def test_zero_t_dirichlet_limit_at_d50():
     # -pi/(24 d^2) is the d -> inf limit; at d = 50 the 1/d corrections leave
     # the true ratio at -0.92599..., not -1 (extended-precision oracle)
-    fl = force_zero_t_lifshitz(50.0, tol=1e-12)
+    fl = casimir_force(DimensionlessPoint(50.0), "lifshitz", 1e-12)
     assert fl.value == pytest.approx(FL0[50.0], rel=1e-8)
     ratio = fl.value * 24.0 * 50.0 ** 2 / math.pi
     assert ratio == pytest.approx(-0.9259949306379484, abs=1e-9)
@@ -99,31 +95,34 @@ def test_zero_t_dirichlet_limit_at_d50():
 
 
 def test_zero_t_force_vanishes_at_huge_separation():
-    fc = force_zero_t_canonical(1e4, tol=1e-9)
+    fc = casimir_force(DimensionlessPoint(1e4), "canonical", 1e-9)
     assert abs(fc.value) <= 1e-7
 
 
 # ------------------------------------------------------------------ finite T
 
 def test_finite_t_canonical_reduces_to_zero_t():
-    cold = force_finite_t_canonical(DimensionlessPoint(1.0, 1e-4))
+    cold = casimir_force(DimensionlessPoint(1.0, 1e-4), "canonical")
     assert cold.estimate.converged
-    assert abs(cold.value - force_zero_t_canonical(1.0).value) / abs(cold.value) <= 1e-3
+    zero_t = casimir_force(DimensionlessPoint(1.0), "canonical")
+    assert abs(cold.value - zero_t.value) / abs(cold.value) <= 1e-3
 
 
-def test_finite_t_canonical_delegates_at_zero():
-    fv = force_finite_t_canonical(DimensionlessPoint(1.0, 0.0))
-    assert fv.value == force_zero_t_canonical(1.0).value
+def test_every_force_path_returns_the_callers_point():
+    # the zero-temperature paths once returned DimensionlessPoint(float(d), 0.0)
+    for pt in (DimensionlessPoint(np.int64(1), 0), DimensionlessPoint(1.0, 0.5)):
+        for method in ("canonical", "lifshitz"):
+            assert casimir_force(pt, method).point is pt
 
 
 def test_finite_t_canonical_long_distance():
-    fv = force_finite_t_canonical(DimensionlessPoint(200.0, 2.0))
+    fv = casimir_force(DimensionlessPoint(200.0, 2.0), "canonical")
     assert fv.estimate.converged
     assert abs(fv.value - (-2.0 / 800.0)) / (2.0 / 800.0) <= 0.01
 
 
 def test_finite_t_canonical_value_and_brute_oracle():
-    fv = force_finite_t_canonical(DimensionlessPoint(1.0, 1.0))
+    fv = casimir_force(DimensionlessPoint(1.0, 1.0), "canonical")
     assert fv.estimate.converged
     oracle = brute_force_mode_sum(1.0, 1.0)
     assert fv.value == pytest.approx(oracle, abs=5e-9)
@@ -268,18 +267,14 @@ def test_failed_continuation_check_reports_an_estimate_that_bounds_the_error(d, 
     assert est.abs_error_estimate >= abs(est.value - force_identity(float(d), float(that)))
 
 
-def test_finite_t_lifshitz_zero_mode_term():
-    assert force_lifshitz_zero_mode_term(DimensionlessPoint(1.0, 1.0)) == pytest.approx(-1.0 / 6.0, rel=1e-15)
-
-
 def test_finite_t_lifshitz_long_distance():
-    fv = force_finite_t_lifshitz(DimensionlessPoint(200.0, 2.0))
+    fv = casimir_force(DimensionlessPoint(200.0, 2.0), "lifshitz")
     assert fv.value == pytest.approx(-0.005, rel=0.01)
     assert fv.value == pytest.approx(-2.0 / (2.0 * 202.0), rel=1e-12)
 
 
 def test_finite_t_lifshitz_value():
-    fv = force_finite_t_lifshitz(DimensionlessPoint(1.0, 1.0), tol=1e-16)
+    fv = casimir_force(DimensionlessPoint(1.0, 1.0), "lifshitz", 1e-16)
     assert fv.estimate.converged
     assert fv.value == pytest.approx(FL_FINITE_11, rel=1e-12)
     # direct-summation oracle
@@ -290,11 +285,6 @@ def test_finite_t_lifshitz_value():
     assert direct == pytest.approx(MATSUBARA_SUM_11, rel=1e-12)
 
 
-def test_finite_t_lifshitz_rejects_zero_temperature():
-    with pytest.raises(DomainError):
-        force_finite_t_lifshitz(DimensionlessPoint(1.0, 0.0))
-
-
 @pytest.mark.parametrize("that", [1e152, 3e153, 3.8e153, 1e200])
 @pytest.mark.parametrize("d", [1.0, 5.0])
 def test_lifshitz_force_at_huge_temperature_is_its_zero_mode(d, that):
@@ -302,14 +292,14 @@ def test_lifshitz_force_at_huge_temperature_is_its_zero_mode(d, that):
     # overflowed before the product with g = 0, and the force was NaN.  The
     # values' rounding grows with That, so the tol is scaled to That
     pt = DimensionlessPoint(d, that)
-    fv = force_finite_t_lifshitz(pt, 1e-12 * that)
-    assert fv.estimate.converged and fv.value == force_lifshitz_zero_mode_term(pt)
+    fv = casimir_force(pt, "lifshitz", 1e-12 * that)
+    assert fv.estimate.converged and fv.value == -that / (2.0 * (d + 2.0))
     fe = free_energy_lifshitz(pt, tol=1e-12 * that)
     assert fe.estimate.converged and math.isfinite(fe.value)
 
 
 def _lifshitz_force_within_its_estimate(d, that, tol):
-    est = force_finite_t_lifshitz(DimensionlessPoint(d, that), tol).estimate
+    est = casimir_force(DimensionlessPoint(d, that), "lifshitz", tol).estimate
     want, rounding = force_lifshitz_series(d, that)
     return est.converged, abs(est.value - want) <= est.abs_error_estimate + rounding
 
@@ -358,7 +348,7 @@ def test_matsubara_values_within_their_estimates_of_mpmath(d, that):
     with mpmath.workdps(40):
         dm, tm = mpmath.mpf(d), mpmath.mpf(that)
         cases = {
-            "force": (force_finite_t_lifshitz(pt),
+            "force": (casimir_force(pt, "lifshitz"),
                       -mpmath.diff(lambda x: _mp_free_energy(mpmath, x, tm), dm)),
             "free energy": (free_energy_lifshitz(pt), _mp_free_energy(mpmath, dm, tm)),
             "entropy": (entropy_lifshitz(pt),
@@ -375,7 +365,9 @@ def test_matsubara_values_within_their_estimates_of_mpmath(d, that):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 5, small d: the zero-T canonical force is 2.8x, 9.6x and 2.7x its "
-    "estimate off at d = 1e-9, 5e-9 and 1e-8, with converged=True"))
+    "estimate off at d = 1e-9, 5e-9 and 1e-8, with converged=True.  The stage is the "
+    "contour tail, 4.2x, 21x and 5.7x its own error off: its nodes Q + t round t to "
+    "ulp(Q), 4.8e-7 at Q = pi/d = 3.1e9.  The head is within 3e-16"))
 @pytest.mark.parametrize("d", [1e-9, 5e-9, 1e-8])
 def test_small_d_zero_t_canonical_force_within_its_estimate_of_mpmath(d):
     # the oracle is the imaginary-axis integral at 30 digits, broken at each
@@ -386,7 +378,7 @@ def test_small_d_zero_t_canonical_force_within_its_estimate_of_mpmath(d):
         edges = [0, 1] + [mpmath.mpf(10) ** k for k in range(1, 12) if 10 ** k < 1 / d]
         want = -mpmath.quad(lambda z: z / (mpmath.exp(dm * z) * (1 + z) ** 2 - 1),
                             edges + [1 / dm, 10 / dm, 100 / dm, mpmath.inf]) / (4 * mpmath.pi)
-    est = force_zero_t_canonical(d).estimate
+    est = casimir_force(DimensionlessPoint(d), "canonical").estimate
     assert not est.converged or abs(est.value - want) <= est.abs_error_estimate
 
 
@@ -398,20 +390,17 @@ def test_small_d_zero_t_canonical_force_within_its_estimate_of_mpmath(d):
 ], ids=["float32", "float32_half", "int", "int64"])
 def test_typed_inputs_match_their_float_twin(d, that):
     # a float32 That used to run the whole Matsubara series in float32
-    # (off by 1.4e-8 at (0.3, 1) with converged=True), and a numpy d was
-    # refused by the zero-temperature routes
+    # (off by 1.4e-8 at (0.3, 1) with converged=True) and its zero mode in
+    # float32 (2.6e-8 off), and a numpy d was refused by the zero-temperature
+    # routes
     typed, twin = DimensionlessPoint(d, that), DimensionlessPoint(float(d), float(that))
-    for fn in (force_finite_t_lifshitz, free_energy_lifshitz,
-               lambda p: force_zero_t_canonical(p.d), lambda p: force_zero_t_lifshitz(p.d),
-               lambda p: casimir_force(p, "lifshitz")):
+    for fn in (lambda p: casimir_force(p, "lifshitz"), free_energy_lifshitz,
+               lambda p: casimir_force(DimensionlessPoint(p.d), "canonical"),
+               lambda p: casimir_force(DimensionlessPoint(p.d), "lifshitz")):
         got, want = fn(typed), fn(twin)
         assert type(got.value) is float
         assert got.value.hex() == want.value.hex()
         assert got.estimate == want.estimate
-    # the bare-float helper: a float32 point gave an np.float32, 2.6e-8 off at (0.3, 1)
-    got, want = force_lifshitz_zero_mode_term(typed), force_lifshitz_zero_mode_term(twin)
-    assert type(got) is float
-    assert got.hex() == want.hex()
 
 
 # -------------------------------------------------------------- free energy
@@ -449,7 +438,7 @@ def test_free_energy_estimate_within_tol_at_high_temperature():
 def test_force_lifshitz_is_cutoff_free_while_free_energy_is_not():
     # the force never consumes Lambda; the free energy shifts by the exact log
     pt = DimensionlessPoint(2.0, 0.7)
-    f = force_finite_t_lifshitz(pt)
+    f = casimir_force(pt, "lifshitz")
     assert "cutoff_lambda" not in type(f).__dataclass_fields__
     fe1 = free_energy_lifshitz(pt, 50.0).value
     fe2 = free_energy_lifshitz(pt, 500.0).value

@@ -82,10 +82,13 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
 recorded again there from a known-good tree, not copied from a failing run.
+A failing hash names the (AVX512_SKX, OpenBLAS core) fingerprint of the
+recording host and of this one.
 """
 import hashlib
 
 import pytest
+from oracles import RECORDED_HOST, host_fingerprint
 
 from deltacasimir.cli import main
 
@@ -118,4 +121,4 @@ def test_figure_csv_bytes(argv, tmp_path, capsys):
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.glob("*.csv")}
-    assert got == GOLDEN[argv]
+    assert got == GOLDEN[argv], f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"

@@ -1,6 +1,7 @@
 """Every public scalar parameter takes any real number type and refuses the rest.
 
-One row per public scalar parameter: ``call(x)`` evaluates the entry point
+One row per public scalar parameter (``casimir_force``: per route and per
+temperature branch, That = 0 or above): ``call(x)`` evaluates the entry point
 with that parameter set to x and every other argument fixed; ``good`` is a
 value inside the domain that int, np.int64 and np.float32 represent exactly
 wherever it is integral or float32-exact.  An int, np.int64, np.float32 or
@@ -38,11 +39,6 @@ from deltacasimir import (
     entropy_canonical,
     entropy_density_canonical,
     entropy_lifshitz,
-    force_finite_t_canonical,
-    force_finite_t_lifshitz,
-    force_lifshitz_zero_mode_term,
-    force_zero_t_canonical,
-    force_zero_t_lifshitz,
     free_energy_lifshitz,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
@@ -105,26 +101,23 @@ ROWS = [
     Row("sum_exponential_series.tol",
         lambda x: sum_exponential_series(lambda n: 0.5 ** n, 1.0, 0.5, x), TOL,
         span=(1e-15, 2.0)),
-    Row("force_zero_t_canonical.d", force_zero_t_canonical, 2.0),
-    Row("force_zero_t_canonical.tol", lambda x: force_zero_t_canonical(2.0, x), TOL),
-    Row("force_zero_t_lifshitz.d", force_zero_t_lifshitz, 2.0, span=(0.1, 100.0)),
-    Row("force_zero_t_lifshitz.tol", lambda x: force_zero_t_lifshitz(2.0, x), TOL),
-    # tol 1e-6: a float32 input runs to the evaluation cap (0.7-1 s) at FORCE_TOL
-    Row("force_finite_t_canonical.d", lambda x: force_finite_t_canonical(P(x, 0.5), 1e-6), 2.0),
-    Row("force_finite_t_canonical.That", lambda x: force_finite_t_canonical(P(1.5, x), 1e-6),
-        1.0, inclusive=True),
-    Row("force_finite_t_canonical.tol", lambda x: force_finite_t_canonical(P(1.5, 0.5), x), TOL),
-    Row("force_finite_t_lifshitz.d", lambda x: force_finite_t_lifshitz(P(x, 1.0)), 2.0,
+    Row("casimir_force.canonical.zero_t.d", lambda x: casimir_force(P(x), "canonical"), 2.0),
+    Row("casimir_force.canonical.zero_t.tol", lambda x: casimir_force(P(2.0), "canonical", x),
+        TOL),
+    Row("casimir_force.lifshitz.zero_t.d", lambda x: casimir_force(P(x), "lifshitz"), 2.0,
         span=(0.1, 100.0)),
-    Row("force_finite_t_lifshitz.That", lambda x: force_finite_t_lifshitz(P(2.0, x)), 1.0,
-        span=(0.1, 10.0)),
-    Row("force_finite_t_lifshitz.tol", lambda x: force_finite_t_lifshitz(P(2.0, 1.0), x), TOL,
+    Row("casimir_force.lifshitz.zero_t.tol", lambda x: casimir_force(P(2.0), "lifshitz", x), TOL),
+    # tol 1e-6: a float32 input runs to the evaluation cap (0.7-1 s) at FORCE_TOL
+    Row("casimir_force.canonical.d", lambda x: casimir_force(P(x, 0.5), "canonical", 1e-6), 2.0),
+    Row("casimir_force.canonical.That", lambda x: casimir_force(P(1.5, x), "canonical", 1e-6),
+        1.0, inclusive=True),
+    Row("casimir_force.canonical.tol", lambda x: casimir_force(P(1.5, 0.5), "canonical", x), TOL),
+    Row("casimir_force.lifshitz.d", lambda x: casimir_force(P(x, 1.0), "lifshitz"), 2.0,
+        span=(0.1, 100.0)),
+    Row("casimir_force.lifshitz.That", lambda x: casimir_force(P(2.0, x), "lifshitz"), 1.0,
+        inclusive=True, span=(0.1, 10.0)),
+    Row("casimir_force.lifshitz.tol", lambda x: casimir_force(P(2.0, 1.0), "lifshitz", x), TOL,
         span=(1e-15, 2.0)),
-    Row("force_lifshitz_zero_mode_term.d", lambda x: force_lifshitz_zero_mode_term(P(x, 1.0)),
-        2.0, span=(0.01, 100.0)),
-    Row("force_lifshitz_zero_mode_term.That",
-        lambda x: force_lifshitz_zero_mode_term(P(2.0, x)), 1.0, inclusive=True,
-        span=(0.0, 100.0)),
     Row("free_energy_lifshitz.d", lambda x: free_energy_lifshitz(P(x, 1.0)), 2.0,
         span=(0.1, 100.0)),
     Row("free_energy_lifshitz.That", lambda x: free_energy_lifshitz(P(2.0, x)), 1.0,
@@ -132,8 +125,6 @@ ROWS = [
     Row("free_energy_lifshitz.cutoff_lambda",
         lambda x: free_energy_lifshitz(P(2.0, 1.0), x), 100.0, span=(0.01, 1e4)),
     Row("free_energy_lifshitz.tol", lambda x: free_energy_lifshitz(P(2.0, 1.0), tol=x), TOL,
-        span=(1e-15, 2.0)),
-    Row("casimir_force.tol", lambda x: casimir_force(P(2.0, 1.0), "lifshitz", x), TOL,
         span=(1e-15, 2.0)),
     Row("entropy_density_canonical.dtilde", lambda x: entropy_density_canonical(x, 1.0), 2.0),
     Row("entropy_density_canonical.That", lambda x: entropy_density_canonical(2.0, x), 1.0),
@@ -157,7 +148,7 @@ assert len(BY_NAME) == len(ROWS)
 
 # (row, kind) pairs that still differ from the float twin
 XFAIL = {
-    **{("force_finite_t_canonical.That", k): "the Bose weight takes That's dtype"
+    **{("casimir_force.canonical.That", k): "the Bose weight takes That's dtype"
        for k in ("int", "int64", "float32")},
 }
 
@@ -252,4 +243,4 @@ def test_dimensionless_point_stores_floats():
 
 def test_huge_int_is_out_of_range():
     with pytest.raises(DomainError):
-        force_zero_t_lifshitz(10 ** 400)
+        casimir_force(P(10 ** 400), "lifshitz")

@@ -12,10 +12,10 @@ from deltacasimir import (
     ENTROPY_INNER_TOL,
     DimensionlessPoint,
     DomainError,
+    casimir_force,
     entropy_canonical,
     entropy_density_canonical,
     entropy_lifshitz,
-    force_finite_t_canonical,
     free_energy_lifshitz,
 )
 from deltacasimir import thermo
@@ -428,8 +428,8 @@ def test_cold_entropy_property_within_its_estimate_of_the_identity(cutoff, therm
 @pytest.mark.parametrize("dtilde,that", [(1.0, 0.5), (1.0, 2.0), (10.0, 0.5), (10.0, 2.0)])
 def test_density_matches_force_derivative(dtilde, that):
     delta = 1e-4
-    up = force_finite_t_canonical(DimensionlessPoint(dtilde, that + delta), tol=1e-11)
-    dn = force_finite_t_canonical(DimensionlessPoint(dtilde, that - delta), tol=1e-11)
+    up = casimir_force(DimensionlessPoint(dtilde, that + delta), "canonical", 1e-11)
+    dn = casimir_force(DimensionlessPoint(dtilde, that - delta), "canonical", 1e-11)
     fd = -(up.value - dn.value) / (2.0 * delta)
     dens = entropy_density_canonical(dtilde, that)
     assert abs(dens.value - fd) <= 1e-4
@@ -444,7 +444,7 @@ def test_density_property_is_minus_the_temperature_derivative_of_the_force(log_d
     # bounds its truncation error by the 3-point difference's, far larger
     d, that = min(10.0 ** log_d, 50.0), min(10.0 ** log_that, 3.0)
     delta = 1e-3 * that
-    forces = [force_finite_t_canonical(DimensionlessPoint(d, that + k * delta))
+    forces = [casimir_force(DimensionlessPoint(d, that + k * delta), "canonical")
               for k in (-2, -1, 1, 2)]
     fm2, fm1, fp1, fp2 = (f.value for f in forces)
     d5 = -(fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * delta)

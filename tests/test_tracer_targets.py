@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from deltacasimir import DimensionlessPoint, casimir_force, cli, entropy_canonical, \
-    entropy_density_canonical, entropy_lifshitz, force_finite_t_lifshitz, forces, \
-    free_energy_lifshitz, numerics, scattering, thermo
+    entropy_density_canonical, entropy_lifshitz, forces, free_energy_lifshitz, numerics, \
+    scattering, thermo
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -48,7 +48,7 @@ def test_every_matsubara_series_goes_through_a_traced_name(monkeypatch):
 
         monkeypatch.setattr(mod, "sum_exponential_series", counting)
     pt = DimensionlessPoint(1.0, 0.5)
-    force_finite_t_lifshitz(pt)
+    casimir_force(pt, "lifshitz")
     assert calls == ["deltacasimir.forces"]
     free_energy_lifshitz(pt)
     assert calls[1:] == ["deltacasimir.forces"]
