@@ -43,7 +43,7 @@ from .forces import (
     METHODS,
     casimir_force,
 )
-from .model import DimensionlessPoint, UnitsConvention
+from .model import DimensionlessPoint
 from .scattering import coefficients_closed_form, kernel
 from .thermo import (
     ENTROPY_INNER_TOL,
@@ -64,6 +64,11 @@ ENTROPY_SCHEMA = ["d", "That", "method", "lambda", "value", "err", "evals",
 DENSITY_SCHEMA = ["dtilde", "That", "value", "err", "evals", "converged"]
 SCATTERING_SCHEMA = ["q", "d", "B_re", "B_im", "C_re", "C_im", "D_re", "D_im",
                      "G_re", "G_im", "unitarity", "flux", "kernel"]
+
+# a force row's units cell -> the divisor that puts a dimensionless force in
+# those units: figure 2 reports it in units hbar*gamma^2/(4*pi*v^3)
+_RAW = "raw_dimensionless"
+_UNITS = {_RAW: 1.0, "fig2_scale": 1.0 / (4.0 * math.pi)}
 
 
 def _fmt(x) -> str:
@@ -129,7 +134,7 @@ def _meta(args, **extra):
 
 def _parse_methods(text):
     """The methods a --method value names: "both", or a comma list of known
-    method names."""
+    method names, each named once."""
     if text == "both":
         return list(METHODS)
     methods = [t for t in text.split(",") if t]
@@ -138,19 +143,21 @@ def _parse_methods(text):
     for mth in methods:
         if mth not in METHODS:
             raise DomainError(f"unknown method {mth!r}")
+    if len(set(methods)) < len(methods):
+        raise DomainError(f"--method {text!r} names a method twice")
     return methods
 
 
 # ------------------------------------------------- one row function per quantity
 
 def _force_row(task):
-    """(d, That, method, tol, a UnitsConvention) -> FORCE_SCHEMA row; value,
-    err and tol are all in that convention."""
+    """(d, That, method, tol, units) -> FORCE_SCHEMA row; value, err and tol
+    are all in those units, a key of ``_UNITS``."""
     d, that, method, tol, units = task
-    fv = casimir_force(DimensionlessPoint(d, that), method, tol * units.divisor)
-    est = fv.estimate
-    return [d, that, method, units.apply(fv.value), units.apply(est.abs_error_estimate),
-            est.evaluations, est.converged, units.value]
+    divisor = _UNITS[units]
+    est = casimir_force(DimensionlessPoint(d, that), method, tol * divisor).estimate
+    return [d, that, method, est.value / divisor, est.abs_error_estimate / divisor,
+            est.evaluations, est.converged, units]
 
 
 def _entropy_row(task):
@@ -164,7 +171,7 @@ def _entropy_row(task):
         ev = entropy_lifshitz(point, lam, zero_mode, min(tol, LIFSHITZ_TOL))
     est = ev.estimate
     return [d, that, ev.method, lam, ev.value, est.abs_error_estimate, est.evaluations,
-            est.converged, UnitsConvention.RAW_DIMENSIONLESS.value]
+            est.converged, _RAW]
 
 
 def _one_row(task):
@@ -203,8 +210,7 @@ def _cmd_scattering(args) -> int:
 
 def _cmd_force(args) -> int:
     methods = _parse_methods(args.method)
-    rows = [_force_row((args.d, args.That, m, args.tol, UnitsConvention.RAW_DIMENSIONLESS))
-            for m in methods]
+    rows = [_force_row((args.d, args.That, m, args.tol, _RAW)) for m in methods]
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, d=args.d, That=args.That)
     return _emit(rows, FORCE_SCHEMA, args, meta)
 
@@ -235,13 +241,13 @@ FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, FORCE_TOL,
           "force in units hbar*gamma^2/v^3 vs dimensionless distance",
           "figure1_{2}.csv", _one_row, lambda grid, thats, tol, lam: [
-              (_force_row, (d, 0.0, m, tol, UnitsConvention.RAW_DIMENSIONLESS))
+              (_force_row, (d, 0.0, m, tol, _RAW))
               for m in METHODS for d in grid]),
     "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, FORCE_TOL,
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
           "differs from figure 1 by 4*pi", "figure2_{2}_That{1:g}.csv", _one_row,
           lambda grid, thats, tol, lam: [
-              (_force_row, (d, t, m, tol, UnitsConvention.FIG2_SCALE))
+              (_force_row, (d, t, m, tol, "fig2_scale"))
               for t in thats for m in METHODS for d in grid]),
     "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, ENTROPY_INNER_TOL,
            "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
@@ -320,7 +326,7 @@ def _cmd_sweep(args) -> int:
     tasks = []   # rows in grid order, in raw dimensionless units
     for x in _grid(lo, hi, args.points, args.spacing):
         d, that = (float(x), args.fixed) if args.variable == "d" else (args.fixed, float(x))
-        tasks += [(d, that, m, args.tol, UnitsConvention.RAW_DIMENSIONLESS) for m in methods]
+        tasks += [(d, that, m, args.tol, _RAW) for m in methods]
     rows = _run_tasks(_force_row, tasks)
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, variable=args.variable,
                  min=lo, max=hi, points=args.points, spacing=args.spacing, fixed=args.fixed)

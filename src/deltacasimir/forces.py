@@ -51,14 +51,12 @@ in units hbar gamma/v.  Negative force means attraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, require_real
-from .model import DimensionlessPoint
+from .model import DimensionlessPoint, Result
 from .numerics import (
-    OscillatorySpec,
     QuadratureEstimate,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
@@ -70,8 +68,6 @@ __all__ = [
     "FORCE_TOL",
     "LIFSHITZ_TOL",
     "DEFAULT_CUTOFF_LAMBDA",
-    "ForceValue",
-    "FreeEnergyValue",
     "free_energy_lifshitz",
     "casimir_force",
 ]
@@ -87,26 +83,6 @@ METHODS = ("canonical", "lifshitz")
 _ROUNDING = 2.0 ** -51
 # the canonical force's head has seed edges at That times these, 2^k for k = -1..5
 _BOSE_SEEDS = 2.0 ** np.arange(-1.0, 6.0)
-
-
-@dataclass(frozen=True)
-class ForceValue:
-    """Dimensionless Casimir force (units hbar gamma^2/v^3, < 0 = attraction)."""
-
-    value: float
-    method: str
-    point: DimensionlessPoint
-    estimate: QuadratureEstimate
-
-
-@dataclass(frozen=True)
-class FreeEnergyValue:
-    """Regularized dimensionless free energy (units hbar gamma/v) at cutoff Lambda."""
-
-    value: float
-    cutoff_lambda: float
-    point: DimensionlessPoint
-    estimate: QuadratureEstimate
 
 
 def _mode_sum(c, weight, h_weight, d):
@@ -156,8 +132,7 @@ def _canonical_force(d, that, tol):
     else:
         w = h_w = np.asarray   # w = q, the very array
     f, h = _mode_sum(-0.5 / math.pi, w, h_w, [d])
-    est = integrate_oscillatory_tail(lambda q: f(q, 0), OscillatorySpec(2.0 * d, q0), tol,
-                                     continuation=lambda z: h(z, 0), head_seeds=seeds)
+    est = integrate_oscillatory_tail(f, h, 2.0 * d, q0, tol, seeds)
     if d > RESOLVED_D:   # the first dip is not resolved: nothing bounds the error
         return QuadratureEstimate(est.value, math.inf, est.evaluations, est.tol)
     return est
@@ -208,7 +183,7 @@ def _lifshitz_force(point, tol):
 
 def free_energy_lifshitz(point: DimensionlessPoint,
                          cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA,
-                         tol: float = LIFSHITZ_TOL) -> FreeEnergyValue:
+                         tol: float = LIFSHITZ_TOL) -> Result:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
     cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
     d and That are read as floats, as in the Matsubara force; the
@@ -227,11 +202,11 @@ def free_energy_lifshitz(point: DimensionlessPoint,
     # absolute error of the log
     err = s.abs_error_estimate + _ROUNDING * (abs(value) + abs(log_term) + that) \
         if math.isfinite(value) else math.inf
-    est = QuadratureEstimate(value, err, s.evaluations, s.tol)
-    return FreeEnergyValue(value, cutoff_lambda, point, est)
+    return Result("lifshitz", point, QuadratureEstimate(value, err, s.evaluations, s.tol),
+                  cutoff_lambda)
 
 
-def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> ForceValue:
+def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> Result:
     """The force at ``point`` by the canonical mode sum or the Lifshitz
     route; That = 0 takes the zero-temperature forms (the weight q, the
     imaginary-axis integral).  The canonical route reads d as a float at
@@ -246,4 +221,4 @@ def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL
         est = _lifshitz_force(point, tol)
     else:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    return ForceValue(est.value, method, point, est)
+    return Result(method, point, est)

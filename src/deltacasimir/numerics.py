@@ -49,13 +49,9 @@ import numpy as np
 
 from .errors import DomainError, require_real
 
-__all__ = [
-    "QuadratureEstimate",
-    "OscillatorySpec",
-    "integrate_smooth_semi_infinite",
-    "integrate_oscillatory_tail",
-    "sum_exponential_series",
-]
+# the engines below are private: forces and thermo call them, and the
+# benchmark's tracer wraps them by name there
+__all__ = ["QuadratureEstimate"]
 
 
 @dataclass(frozen=True)
@@ -77,30 +73,6 @@ class QuadratureEstimate:
     def __post_init__(self):
         ok = np.asarray(self.abs_error_estimate) <= require_real("tol", self.tol)
         object.__setattr__(self, "converged", ok if ok.ndim else ok.item())
-
-
-@dataclass(frozen=True)
-class OscillatorySpec:
-    """Shape parameters of a cos(omega*q)/q style tail.
-
-    ``angular_rate`` is omega (2*d for the force integrands).
-    ``switch_point`` Q ends the real-axis head and starts the tail on the
-    line Re q = Q.  It must cover at least one full oscillation period
-    2*pi/omega, over which the continuation's agreement check samples the
-    integrand.  Both are stored as floats, as ``PhysicalParams`` stores
-    its fields.
-    """
-
-    angular_rate: float
-    switch_point: float
-
-    def __post_init__(self):
-        for name in ("angular_rate", "switch_point"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name)))
-        period = 2.0 * math.pi / self.angular_rate
-        if self.switch_point < period:
-            raise DomainError("switch_point must cover one full oscillation period "
-                              f"2*pi/angular_rate = {period:g}")
 
 
 # 15-point Kronrod nodes on [-1, 1]; the embedded 7-point Gauss rule sits on
@@ -472,23 +444,28 @@ def _wynn_epsilon(sums):
     return best[-1], delta
 
 
-def integrate_oscillatory_tail(f, spec: OscillatorySpec, tol,
-                               continuation, head_seeds=()) -> QuadratureEstimate:
+def integrate_oscillatory_tail(f, h, omega, switch_point, tol,
+                               head_seeds=()) -> QuadratureEstimate:
     """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
 
-    The head [0, Q] is taken on the real axis and the tail [Q, inf) along
-    Re q = Q, with the ``continuation`` h: it must accept a complex ndarray,
-    be analytic on the quarter plane Re q >= Q, Im q >= 0, have Re h = f on
-    the real axis and decay like e^{-omega Im q}.  The points of
-    ``head_seeds`` in (0, Q) become extra seed edges of the head: the
-    callers put them around features far narrower than a seed panel.  This
-    is ``_oscillatory_segments`` with one integral.
+    The head [0, Q], Q = ``switch_point``, is taken on the real axis and the
+    tail [Q, inf) along Re q = Q, with the continuation h: it must accept a
+    complex ndarray, be analytic on the quarter plane Re q >= Q, Im q >= 0,
+    have Re h = f on the real axis and decay like e^{-omega Im q}.  Q must
+    cover one period 2 pi/omega, over which the continuation is checked
+    against f.  f(q, s) and h(z, s) take the segment index s, always 0, as
+    in ``_oscillatory_segments``, of which this is one integral.  The points
+    of ``head_seeds`` in (0, Q) become extra seed edges of the head: the
+    callers put them around features far narrower than a seed panel.
     """
+    omega, q0 = require_real("omega", omega), require_real("switch_point", switch_point)
     tol = require_real("tol", tol)
+    period = 2.0 * math.pi / omega
+    if q0 < period:
+        raise DomainError("switch_point must cover one full oscillation period "
+                          f"2*pi/omega = {period:g}")
     seeds = np.asarray(head_seeds, float).ravel()
-    v, e, n = _oscillatory_segments(
-        lambda q, _: f(q), lambda z, _: continuation(z), [spec.angular_rate],
-        [spec.switch_point], [tol], seeds, 0, [None])
+    v, e, n = _oscillatory_segments(f, h, [omega], [q0], [tol], seeds, 0, [None])
     return QuadratureEstimate(float(v[0]), float(e[0]), n[0], tol)
 
 

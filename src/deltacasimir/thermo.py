@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, require_real, require_real_array
 from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, _mode_sum
-from .model import DimensionlessPoint
+from .model import DimensionlessPoint, Result
 from .numerics import (
     QuadratureEstimate,
     _adaptive_gk,
@@ -46,7 +46,6 @@ from .scattering import RESOLVED_D, contour_switch, flux_deficit, resonance_edge
 __all__ = [
     "ENTROPY_TOL",
     "ENTROPY_INNER_TOL",
-    "EntropyValue",
     "EntropyDensity",
     "entropy_density_canonical",
     "entropy_canonical",
@@ -58,17 +57,6 @@ ENTROPY_INNER_TOL = 1e-8
 # the density's q-integral leaves the real axis at ``contour_switch`` when its
 # cut-off q_max spans more periods pi/dtilde than this
 _ROTATE_PERIODS = 16
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """Dimensionless Casimir entropy (k_B = 1) at infrared cutoff Lambda."""
-
-    value: float
-    method: str
-    point: DimensionlessPoint
-    cutoff_lambda: float
-    estimate: QuadratureEstimate
 
 
 @dataclass(frozen=True)
@@ -176,7 +164,7 @@ def entropy_density_canonical(dtilde, That: float,
 
 def entropy_canonical(point: DimensionlessPoint,
                       cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA,
-                      tol: float = ENTROPY_TOL) -> EntropyValue:
+                      tol: float = ENTROPY_TOL) -> Result:
     """Canonical entropy: distance integral of the density from d to Lambda.
 
     The outer integral runs in log distance, where dt times the density is
@@ -228,14 +216,14 @@ def entropy_canonical(point: DimensionlessPoint,
         edges.insert(1, math.log(d_thermal))
     v, e, _, _ = _adaptive_gk(g, edges, 0.75 * tol)
     err = e + (cutoff_lambda - d) * inner_tol if inner_all_ok[0] else math.inf
-    est = QuadratureEstimate(v, err, inner_evals[0], tol)
-    return EntropyValue(v, "canonical", point, cutoff_lambda, est)
+    return Result("canonical", point, QuadratureEstimate(v, err, inner_evals[0], tol),
+                  cutoff_lambda)
 
 
 def entropy_lifshitz(point: DimensionlessPoint,
                      cutoff_lambda: float = DEFAULT_CUTOFF_LAMBDA,
                      include_zero_mode: bool = True,
-                     tol: float = LIFSHITZ_TOL) -> EntropyValue:
+                     tol: float = LIFSHITZ_TOL) -> Result:
     """Lifshitz entropy from the closed Matsubara form (see module docstring).
 
     ``include_zero_mode`` keeps or drops the cutoff-dependent first line;
@@ -265,6 +253,7 @@ def entropy_lifshitz(point: DimensionlessPoint,
     method = "lifshitz" if include_zero_mode else "lifshitz_no_zero_mode"
     err = s1.abs_error_estimate + s2.abs_error_estimate + _ROUNDING * scale \
         if math.isfinite(value) else math.inf
-    est = QuadratureEstimate(value, err, s1.evaluations + s2.evaluations, tol)
-    return EntropyValue(value, method, point, cutoff_lambda, est)
+    return Result(method, point,
+                  QuadratureEstimate(value, err, s1.evaluations + s2.evaluations, tol),
+                  cutoff_lambda)
 

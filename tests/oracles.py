@@ -1,7 +1,8 @@
 """Exact half-Lifshitz oracles for the canonical entropy, its density and
 the force, the 4x4 boundary-matching solve that checks the closed-form
-scattering amplitudes, and the fingerprint of the host that the exact pins
-(golden hashes, byte and bit digests) were recorded on.
+scattering amplitudes, the fingerprint of the host that the exact pins
+(golden hashes, byte and bit digests) were recorded on, and ``lone_tail``,
+which runs the oscillatory engine on the tests' one-argument integrands.
 
 The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, analytic in
 the upper half q-plane.  Splitting the canonical weight q(1+n) into
@@ -50,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from deltacasimir.numerics import integrate_oscillatory_tail
 from deltacasimir.scattering import ScatteringCoefficients
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(30)
@@ -203,3 +205,10 @@ def host_fingerprint():
         name.argtypes, name.restype = [], ctypes.c_char_p
         core = name().decode()
     return f"AVX512_SKX {__cpu_features__['AVX512_SKX']}, OpenBLAS {core}"
+
+
+def lone_tail(f, h, omega, switch_point, tol, head_seeds=()):
+    """``numerics.integrate_oscillatory_tail`` of f(q) and its continuation
+    h(z), which take no segment index."""
+    return integrate_oscillatory_tail(lambda q, _: f(q), lambda z, _: h(z), omega,
+                                      switch_point, tol, head_seeds)

@@ -9,20 +9,18 @@ import time
 
 import numpy as np
 import pytest
-from oracles import coefficients_linear_solve
+from oracles import coefficients_linear_solve, lone_tail
 
 from deltacasimir import (
     DimensionlessPoint,
-    OscillatorySpec,
     casimir_force,
     coefficients_closed_form,
     entropy_canonical,
     entropy_density_canonical,
     entropy_lifshitz,
-    integrate_oscillatory_tail,
-    integrate_smooth_semi_infinite,
     kernel,
 )
+from deltacasimir.numerics import integrate_smooth_semi_infinite
 
 # extended-precision (mpmath, 40 digit) value of the imaginary-axis integral
 # at d = 50, times 24 d^2/pi; the Dirichlet-limit value -1 is approached only
@@ -274,17 +272,18 @@ def _halfcos_over_q(q):
 
 _CI2 = 0.4229808287748649956986
 _CI05 = -0.1777840788066129013358   # Ci(0.5), mpmath
-# criterion 12's oscillatory integrals: (f, continuation of f beyond Q, spec, exact)
+# criterion 12's oscillatory integrals: (f, continuation of f beyond Q,
+# (angular rate omega, switch point Q), exact)
 OSCILLATORY_INTEGRALS = [
     (_masked_sinc, lambda q: -1j * np.exp(1j * q) / q,
-     OscillatorySpec(1.0, 4.0 * math.pi), math.pi / 2.0),
+     (1.0, 4.0 * math.pi), math.pi / 2.0),
     (lambda q: np.cos(np.asarray(q, float)) / (1.0 + np.asarray(q, float) ** 2),
      lambda q: np.exp(1j * q) / (1.0 + q * q),
-     OscillatorySpec(1.0, 4.0 * math.pi), math.pi / (2.0 * math.e)),
-    (_cos_over_2q, lambda q: np.exp(2j * q) / (2.0 * q), OscillatorySpec(2.0, 10.0), -_CI2 / 2.0),
-    (_halfcos_over_q, lambda q: np.exp(0.5j * q) / q, OscillatorySpec(0.5, 8.0 * math.pi), -_CI05),
+     (1.0, 4.0 * math.pi), math.pi / (2.0 * math.e)),
+    (_cos_over_2q, lambda q: np.exp(2j * q) / (2.0 * q), (2.0, 10.0), -_CI2 / 2.0),
+    (_halfcos_over_q, lambda q: np.exp(0.5j * q) / q, (0.5, 8.0 * math.pi), -_CI05),
     (lambda q: np.exp(-np.asarray(q, float)) * np.sin(2.0 * np.asarray(q, float)),
-     lambda q: -1j * np.exp((2j - 1.0) * q), OscillatorySpec(2.0, 10.0), 0.4),
+     lambda q: -1j * np.exp((2j - 1.0) * q), (2.0, 10.0), 0.4),
 ]
 
 
@@ -324,7 +323,7 @@ def test_criterion_12_quadrature_error_honesty(capsys):
         else:
             failures.append(f"smooth[{i}]: did not converge")
     for i, (f, h, spec, exact) in enumerate(OSCILLATORY_INTEGRALS):
-        est = integrate_oscillatory_tail(f, spec, 1e-9, h)
+        est = lone_tail(f, h, *spec, 1e-9)
         count += 1
         if est.converged:
             true_err = abs(est.value - exact)

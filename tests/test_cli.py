@@ -152,6 +152,14 @@ def test_unknown_method_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("methods", ["canonical,canonical", "lifshitz,canonical,lifshitz"])
+def test_repeated_method_is_usage_error(methods, capsys):
+    # the force once computed and printed a repeated method's row twice
+    code, out, err = run(capsys, "force", "--d", "1", "--method", methods)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "twice" in err
+
+
 def test_unknown_figure_id_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "--id", "9"])
@@ -529,15 +537,22 @@ def test_force_err_is_in_the_units_of_value(tmp_path, capsys):
                "--out-dir", str(tmp_path))[0] == 0
     rows = [r for path in sorted(tmp_path.glob("figure2_*.csv")) for r in _rows(path.read_text())]
     assert len(rows) == 4
-    scale = cli.UnitsConvention.FIG2_SCALE
+    divisor = cli._UNITS["fig2_scale"]
     for r in rows:
         raw = casimir_force(DimensionlessPoint(float(r["d"]), float(r["That"])), r["method"],
-                            FORCE_TOL * scale.divisor)
-        assert r["units"] == scale.value
-        assert float(r["value"]) == scale.apply(raw.value)
-        assert float(r["err"]) == scale.apply(raw.estimate.abs_error_estimate)
+                            FORCE_TOL * divisor)
+        assert r["units"] == "fig2_scale"
+        assert float(r["value"]) == raw.value / divisor
+        assert float(r["err"]) == raw.estimate.abs_error_estimate / divisor
         assert float(r["err"]) == pytest.approx(4.0 * math.pi * raw.estimate.abs_error_estimate,
                                                 rel=1e-15)
+
+
+def test_units_divisors():
+    # figure 1's fig1_scale was the raw factor under a second name
+    assert list(cli._UNITS) == ["raw_dimensionless", "fig2_scale"]
+    assert -0.5 / cli._UNITS["raw_dimensionless"] == -0.5
+    assert -0.5 / cli._UNITS["fig2_scale"] == pytest.approx(-0.5 * 4.0 * math.pi, rel=1e-15)
 
 
 @pytest.mark.parametrize("fig, default_tol, tol", [("3a", 1e-8, 1e-6), ("3b", 1e-6, 1e-4)])

@@ -11,12 +11,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import RECORDED_HOST, host_fingerprint
+from oracles import RECORDED_HOST, host_fingerprint, lone_tail
 from test_acceptance import OSCILLATORY_INTEGRALS
 
 from deltacasimir import DimensionlessPoint, casimir_force, cli, \
-    entropy_canonical, entropy_density_canonical, entropy_lifshitz, integrate_oscillatory_tail, \
-    numerics, thermo
+    entropy_canonical, entropy_density_canonical, entropy_lifshitz, numerics, thermo
 
 
 def _gk_passes(monkeypatch, fn):
@@ -180,7 +179,7 @@ def test_lone_tail_refinement_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
             for d, t, tol in ((0.1, 2.0, 1e-14), (10.0, 1.0, 1e-15), (0.3, 0.0, 1e-15))]
     f, h, spec, _ = OSCILLATORY_INTEGRALS[3]
-    ests.append(integrate_oscillatory_tail(f, spec, 1e-14, h))
+    ests.append(lone_tail(f, h, *spec, 1e-14))
     assert _estimates_digest(ests) == \
         "fabd833c6192902eb3ad6b2a7a62720416eac569aa0a232e1e3ed1b3594b9469", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
@@ -314,7 +313,7 @@ def test_canonical_force_that_fails_its_continuation_check():
 @pytest.mark.parametrize("i, evals", enumerate([336, 366, 1_101, 1_206, 411]))
 def test_oscillatory_integrals(i, evals):
     f, h, spec, _ = OSCILLATORY_INTEGRALS[i]
-    assert integrate_oscillatory_tail(f, spec, 1e-9, h).evaluations == evals
+    assert lone_tail(f, h, *spec, 1e-9).evaluations == evals
 
 
 def test_zero_t_lifshitz_force():

@@ -194,13 +194,37 @@ def test_every_exported_name_is_bound(module):
                                   "thermal_weight", "cosine_integral", "KernelValue",
                                   "force_zero_t_canonical", "force_finite_t_canonical",
                                   "force_zero_t_lifshitz", "force_finite_t_lifshitz",
-                                  "force_lifshitz_zero_mode_term"])
+                                  "force_lifshitz_zero_mode_term",
+                                  "PhysicalParams", "to_dimensionless",
+                                  "from_dimensionless_force", "UnitsConvention",
+                                  "OscillatorySpec", "integrate_smooth_semi_infinite",
+                                  "integrate_oscillatory_tail", "sum_exponential_series",
+                                  "ForceValue", "FreeEnergyValue", "EntropyValue"])
 def test_a_removed_name_is_not_exported(gone):
     # they served no figure; the 4x4 solve lives on in tests/oracles.py,
-    # numerics keeps the weight and Ci as _thermal_weight_raw and sici, and
-    # casimir_force is the force's one entry, its zero mode inlined
+    # numerics keeps the weight and Ci as _thermal_weight_raw and sici,
+    # casimir_force is the force's one entry, its zero mode inlined, the
+    # physical-units layer had no reader, the engines are numerics' private
+    # ones, cli keeps figure 2's divisor, and Result is the one scalar result
     with pytest.raises(ImportError):
         exec(f"from deltacasimir import {gone}", {})
+
+
+def _benchmark_imports():
+    """(file, name) for each name other than a submodule that a ``from
+    deltacasimir import ...`` in perfbench/*.py imports."""
+    return [(path.name, alias.name) for path in sorted((ROOT / "perfbench").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.module == "deltacasimir"
+            for alias in node.names if not (PACKAGE / f"{alias.name}.py").exists()]
+
+
+def test_every_name_the_benchmark_imports_is_exported():
+    # the benchmark's self-tests run workloads.py's imports but not those of
+    # record_reference.py, which re-records the reference values
+    names = _benchmark_imports()
+    assert {file for file, _ in names} >= {"workloads.py", "record_reference.py"}
+    assert [(file, name) for file, name in names if name not in deltacasimir.__all__] == []
 
 
 def test_one_version_string():

@@ -10,8 +10,9 @@ against its oracle in ``tests/oracles.py``:
 * figure 3a densities: ``density_identity``;
 * figure 3b entropies: ``entropy_identity``.
 
-A force's oracle is put in the row's units, ``UnitsConvention(row["units"])``
-(figure 2 is 4 pi times the raw force).  A row must be converged, and
+A force's oracle is put in the row's units: divided by the divisor that
+``cli._UNITS`` maps the row's ``units`` cell to (figure 2 is 4 pi times the
+raw force).  A row must be converged, and
 |value - oracle| <= err + the oracle's rounding allowance.  The allowance is
 what each oracle returns, or 4e-16 |oracle| where the oracle's terms have
 one sign (the zero-temperature integral and the force identity).  No row
@@ -36,8 +37,7 @@ from oracles import (
     force_lifshitz_zero_t,
 )
 
-from deltacasimir.cli import main
-from deltacasimir.model import UnitsConvention
+from deltacasimir.cli import _UNITS, main
 
 # rows per figure at the default grids and temperatures
 ROWS = {"1": 120, "2": 360, "3a": 144, "3b": 72}
@@ -88,10 +88,10 @@ def test_every_default_figure_row_within_its_estimate_of_the_oracle(fig, default
         if row["converged"] != "true":
             assert where in NOT_CONVERGED, where
             continue
-        scale = UnitsConvention(row.get("units", "raw_dimensionless"))
+        divisor = _UNITS[row.get("units", "raw_dimensionless")]
         exact, rounding = _oracle(row)
-        assert abs(float(row["value"]) - scale.apply(exact)) \
-            <= float(row["err"]) + scale.apply(rounding), where
+        assert abs(float(row["value"]) - exact / divisor) \
+            <= float(row["err"]) + rounding / divisor, where
     assert len(rows) == ROWS[fig]
 
 

@@ -52,8 +52,8 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   put in the units of the ``value`` column, hbar gamma^2/(4 pi v^3) (it
   had stayed in hbar gamma^2/v^3).  In each of the 360 rows every other
   column kept its bytes, and ``err`` became
-  ``UnitsConvention.FIG2_SCALE.apply`` of the previous one: 4 pi times it,
-  to 2.2e-16.
+  the previous one divided by 1/(4 pi), the figure 2 divisor: 4 pi times
+  it, to 2.2e-16.
 * All but the figure 2 Lifshitz hashes were recorded again when the GK15
   panels took K15 and K15 - G7 from one matrix product, the flux deficit
   became (a^2 - 2q^2)/(a^2 + 4q^4), and each oscillatory integral's head

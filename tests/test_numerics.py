@@ -4,19 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import lone_tail
 
 from deltacasimir import (
     DimensionlessPoint,
     DomainError,
-    OscillatorySpec,
     casimir_force,
     entropy_density_canonical,
     flux_deficit,
-    integrate_oscillatory_tail,
-    integrate_smooth_semi_infinite,
     numerics,
-    sum_exponential_series,
 )
+from deltacasimir.numerics import integrate_smooth_semi_infinite, sum_exponential_series
 
 # mpmath, 40 digits
 CI_1 = 0.3374039229009681346626
@@ -112,8 +110,7 @@ def test_oscillatory_cos_over_q():
         out[m] = np.cos(2.0 * q[m]) / (2.0 * q[m])
         return out
 
-    spec = OscillatorySpec(2.0, 10.0)
-    est = integrate_oscillatory_tail(f, spec, 1e-9, lambda q: np.exp(2j * q) / (2.0 * q))
+    est = lone_tail(f, lambda q: np.exp(2j * q) / (2.0 * q), 2.0, 10.0, 1e-9)
     assert est.converged
     assert est.value == pytest.approx(-CI_2 / 2.0, abs=1e-9)
 
@@ -132,7 +129,7 @@ def _sinc_exp(q):
 
 
 def test_oscillatory_sinc():
-    est = integrate_oscillatory_tail(_sinc, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9, _sinc_exp)
+    est = lone_tail(_sinc, _sinc_exp, 1.0, 4.0 * math.pi, 1e-9)
     assert est.converged
     assert est.value == pytest.approx(math.pi / 2.0, abs=2e-9)
 
@@ -147,8 +144,7 @@ def _lorentz_exp(q, omega=1.0):
 
 
 def test_oscillatory_lorentz_cos():
-    est = integrate_oscillatory_tail(_lorentz_cos, OscillatorySpec(1.0, 4.0 * math.pi), 1e-9,
-                                     _lorentz_exp)
+    est = lone_tail(_lorentz_cos, _lorentz_exp, 1.0, 4.0 * math.pi, 1e-9)
     assert est.converged
     assert est.value == pytest.approx(math.pi / (2.0 * math.e), abs=2e-9)
 
@@ -157,9 +153,8 @@ def test_oscillatory_lorentz_cos():
                                        (20.0, 1.0)])
 def test_oscillatory_tail_on_the_rotated_contour(omega, q0):
     # int_0^inf cos(omega q)/(1+q^2) dq = (pi/2) e^{-omega}
-    spec = OscillatorySpec(omega, q0)
-    est = integrate_oscillatory_tail(lambda q: _lorentz_cos(q, omega), spec, 1e-11,
-                                     continuation=lambda q: _lorentz_exp(q, omega))
+    est = lone_tail(lambda q: _lorentz_cos(q, omega), lambda q: _lorentz_exp(q, omega),
+                    omega, q0, 1e-11)
     assert est.converged and est.abs_error_estimate <= 1e-11
     assert abs(est.value - 0.5 * math.pi * math.exp(-omega)) <= est.abs_error_estimate
     # no half-period panels: the whole integral costs under 1,000 evaluations
@@ -169,19 +164,16 @@ def test_oscillatory_tail_on_the_rotated_contour(omega, q0):
 def test_oscillatory_continuation_of_another_integrand_is_refused():
     # h with the wrong sign is not a continuation of f: its contour tail is
     # the tail of -f, and the real-axis agreement check must say so
-    spec = OscillatorySpec(1.0, 4.0 * math.pi)
-    est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-10,
-                                     continuation=lambda q: -_lorentz_exp(q))
+    spec = (1.0, 4.0 * math.pi)
+    est = lone_tail(_lorentz_cos, lambda q: -_lorentz_exp(q), *spec, 1e-10)
     assert not est.converged
     assert est.value != pytest.approx(math.pi / (2.0 * math.e), abs=1e-6)
     # after a failed check the panels are refined only to Q times the measured
     # mismatch: refined toward tol = 1e-15, it took 4,904,466 evaluations
-    est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-15,
-                                     continuation=lambda q: -_lorentz_exp(q))
+    est = lone_tail(_lorentz_cos, lambda q: -_lorentz_exp(q), *spec, 1e-15)
     assert not est.converged and est.evaluations <= 1000
     # a mismatch at rounding level passes
-    est = integrate_oscillatory_tail(_lorentz_cos, spec, 1e-10,
-                                     continuation=lambda q: _lorentz_exp(q) * (1.0 + 1e-15))
+    est = lone_tail(_lorentz_cos, lambda q: _lorentz_exp(q) * (1.0 + 1e-15), *spec, 1e-10)
     assert est.converged
 
 
@@ -241,9 +233,8 @@ def test_engines_share_one_evaluation_budget(monkeypatch):
     est = integrate_smooth_semi_infinite(_noisy, 1.0, 1e-15)
     assert not est.converged and est.evaluations <= 30_000
     # head, agreement check and rotated tail of one integral draw on one budget
-    est = integrate_oscillatory_tail(lambda q: _noisy(q) * _lorentz_cos(q),
-                                     OscillatorySpec(1.0, 4.0 * math.pi), 1e-15,
-                                     continuation=_lorentz_exp)
+    est = lone_tail(lambda q: _noisy(q) * _lorentz_cos(q), _lorentz_exp, 1.0, 4.0 * math.pi,
+                    1e-15)
     assert not est.converged and est.evaluations <= 30_000
     # the np.float32 force point: its float32 Bose weight is noise at 1e-7
     # (its head alone spent 10,219,953 evaluations against 8,000,000 once)
@@ -282,7 +273,7 @@ def _float32_lorentz_cos(q):
 
 
 def _as_batch(members):
-    """The tailed integrals (f, h, spec, head seeds, tol) as members of one
+    """The tailed integrals (f, h, (omega, Q), head seeds, tol) as members of one
     ``_oscillatory_segments`` batch, whose seeds have an array owner, with a
     tail-less e^{-q} on [0, 5] last; returns, per tailed member, (value,
     error, evaluations)."""
@@ -298,15 +289,15 @@ def _as_batch(members):
     seeds = [np.asarray(m[3], float) for m in members] + [np.array([2.5])]
     v, e, n = numerics._oscillatory_segments(
         lambda q, s: each(fs, q, s, float), lambda z, s: each(hs, z, s, complex),
-        [float(m[2].angular_rate) for m in members] + [1.0],
-        [float(m[2].switch_point) for m in members] + [5.0], [m[4] for m in members] + [1e-9],
+        [float(m[2][0]) for m in members] + [1.0],
+        [float(m[2][1]) for m in members] + [5.0], [m[4] for m in members] + [1e-9],
         np.concatenate(seeds), np.repeat(np.arange(len(fs)), [x.size for x in seeds]),
         [None] * len(members) + [1.0])
     return [(float(a), float(b), c) for a, b, c in zip(v, e, n)][:-1]
 
 
 def _lone(f, h, spec, seeds, tol):
-    est = integrate_oscillatory_tail(f, spec, tol, h, seeds)
+    est = lone_tail(f, h, *spec, tol, seeds)
     return est.value, est.abs_error_estimate, est.evaluations
 
 
@@ -316,13 +307,13 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
     # head seeds outside (0, Q) dropped alike, failed agreement checks, a
     # witness that counts and the evaluation cap included
     from test_acceptance import OSCILLATORY_INTEGRALS
-    spec = OscillatorySpec(1.0, 4.0 * math.pi)
+    spec = (1.0, 4.0 * math.pi)
     members = [(f, h, sp, (), 1e-9) for f, h, sp, _ in OSCILLATORY_INTEGRALS]
     members[1] = members[1][:3] + ((-1.0, 0.0, 0.3, 2.0, 4.0 * math.pi, 50.0), 1e-9)
     members += [
         # seeded at Q/8, narrower than pi/(2 omega)
         (lambda q: _lorentz_cos(q, 0.2), lambda z: _lorentz_exp(z, 0.2),
-         OscillatorySpec(0.2, 40.0), (), 1e-9),
+         (0.2, 40.0), (), 1e-9),
         # Im h = 1e-12 on the line does not decay: the witness, 2e-10, counts
         (_lorentz_cos, lambda z: _lorentz_exp(z) + 1e-12j, spec, (), 1e-9),
         # Re h - f = 1.5e-12, just past the check's 1e-12 (1 + max|f|): the
@@ -359,21 +350,21 @@ def test_oscillatory_closed_form_consistency(q0, omega):
         out[m] = amp * np.cos(omega * q[m]) / q[m]
         return out
 
-    spec = OscillatorySpec(angular_rate=omega, switch_point=q0)
-    est = integrate_oscillatory_tail(f, spec, 1e-9, lambda q: amp * np.exp(1j * omega * q) / q)
+    est = lone_tail(f, lambda q: amp * np.exp(1j * omega * q) / q, omega, q0, 1e-9)
     assert est.converged
     expected = -amp * numerics.sici(omega)[1]
     assert est.value == pytest.approx(expected, abs=5e-9)
     assert abs(est.value - expected) <= est.abs_error_estimate
 
 
-def test_oscillatory_spec_validation():
+def test_oscillatory_rate_and_switch_point_validation():
     with pytest.raises(DomainError):
-        OscillatorySpec(angular_rate=0.0, switch_point=10.0)
-    with pytest.raises(DomainError):
-        OscillatorySpec(angular_rate=0.2, switch_point=5.0)  # < one period
+        lone_tail(_lorentz_cos, _lorentz_exp, 0.0, 10.0, 1e-9)
+    with pytest.raises(DomainError, match="one full oscillation period"):
+        lone_tail(_lorentz_cos, _lorentz_exp, 0.2, 5.0, 1e-9)  # < one period
     # exactly one period is enough
-    assert OscillatorySpec(0.2, 2.0 * math.pi / 0.2).switch_point == 10.0 * math.pi
+    assert lone_tail(lambda q: _lorentz_cos(q, 0.2), lambda q: _lorentz_exp(q, 0.2), 0.2,
+                     2.0 * math.pi / 0.2, 1e-9).converged
 
 
 # ------------------------------------------------------------ cosine integral
@@ -647,6 +638,5 @@ def test_bit_identical_reruns():
     b = integrate_smooth_semi_infinite(f, 1.0, 1e-11)
     assert a == b
 
-    spec = OscillatorySpec(1.0, 4.0 * math.pi)
-    assert integrate_oscillatory_tail(_sinc, spec, 1e-9, _sinc_exp) == \
-        integrate_oscillatory_tail(_sinc, spec, 1e-9, _sinc_exp)
+    spec = (1.0, 4.0 * math.pi)
+    assert lone_tail(_sinc, _sinc_exp, *spec, 1e-9) == lone_tail(_sinc, _sinc_exp, *spec, 1e-9)
