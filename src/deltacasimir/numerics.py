@@ -9,9 +9,11 @@ dedicated engine:
 * integrands that oscillate like cos(omega*q)/q at large q
   (``integrate_oscillatory_tail``), integrated on the real axis up to a
   switch point Q and, beyond it, along the line Re q = Q with the
-  caller's analytic continuation of the integrand, mapped as above: both
-  stretches are one adaptive integral, whose seed pass also checks the
-  continuation against the integrand,
+  caller's analytic continuation of the integrand, mapped as above onto
+  the negative half-line, so that each node's sign says which stretch it
+  is on and the tail's variable is exact: both stretches are one adaptive
+  integral, whose seed pass also checks the continuation against the
+  integrand,
 * series with a geometric majorant |t_n| <= K r^n
   (``sum_exponential_series``), summed to a term count it fixes in advance.
 
@@ -477,12 +479,13 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     seeded at pi/(2 omega), or Q/8 where that is narrower.  The tail
     int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at infinity
     vanishes) is mapped as in ``integrate_smooth_semi_infinite`` with decay
-    scale 1/omega, witness included, onto 8 seed panels on Q + t, t in
-    [0, 1), after the head's edges: the error is the joint error of head
-    and tail plus the witness.  The seed pass also takes f and h at 48
-    points over the period beyond Q; unless |f - Re h| <= 1e-12 (1 +
-    max|f|) there, the error is inf (nothing bounds the tail of h against
-    f's) and the panels are refined only to max(tol, Q * mismatch + tol/2).
+    scale 1/omega, witness included, onto 8 seed panels on x = -t, t in
+    [0, 1), which share the head's edge 0: a node is the tail's just where
+    x < 0, and t = -x is exact.  The error is the joint error of head and
+    tail plus the witness.  The seed pass also takes f and h at 48 points
+    over the period beyond Q; unless |f - Re h| <= 1e-12 (1 + max|f|)
+    there, the error is inf (nothing bounds the tail of h against f's) and
+    the panels are refined only to max(tol, Q * mismatch + tol/2).
 
     width[s] (a list) is None for an integral with a tail; a number makes
     integral s tail-less: the real-axis integral of f over [0, stop[s]],
@@ -490,68 +493,56 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     edges, agreement points or witness, and h never sees it.  The integrals
     share one seed pass and one ``_refine`` loop, and each keeps its own
     check, refinement target, witness and ``_MAX_EVALS``.  A lone tailed
-    integral (seeds_seg the int 0) pays for one: plain floats set it up,
-    check it and hold its witness, and its seed pass, whose nodes are
-    sorted, is split into head and tail by slicing.  Returns lists (value,
-    error, evaluations), as ``_gk_segments`` does.
+    integral (seeds_seg the int 0) pays for one: plain floats check it and
+    hold its witness.  Returns lists (value, error, evaluations), as
+    ``_gk_segments`` does.
     """
     one = isinstance(seeds_seg, int) and width[0] is None
     if one:   # plain floats, which the lists' index 0 reads
         q0 = stop[0]
         n = min(math.ceil(q0 / min(0.5 * math.pi / omega[0], q0 / 8.0)), _MAX_SEED_PANELS)
-        # the edges of _seed_edges, with Q = Q + 0.0 among the tail's
-        edges, seg = np.sort(np.concatenate([np.arange(n) * (q0 / n), [
-            x for x in seeds.tolist() if 0.0 < x < q0], q0 + _MAP_EDGES])), 0
+        edges, seg = _seed_edges(stop, [n], np.concatenate(
+            [seeds[(seeds > 0.0) & (seeds < q0)], -_MAP_EDGES[1:]]), 0)
         q_chk = q0 + 2.0 * math.pi / omega[0] / _CHECK_POINTS.size * _CHECK_POINTS
-        q0a, decay, far, agree = stop, [1.0 / omega[0]], [0.0], [False]
+        decay, far, agree = [1.0 / omega[0]], [0.0], [False]
     else:
         tails = np.array([i for i, x in enumerate(width) if x is None], int)
         nseed = [min(math.ceil(q / min(0.5 * math.pi / w if x is None else x, q / 8.0)),
                      _MAX_SEED_PANELS) for w, q, x in zip(omega, stop, width)]
-        stop_a = np.array(stop)
-        q_tail = stop_a[tails, None]
-        inside = (seeds > 0.0) & (seeds < stop_a[seeds_seg])
-        # a tail's 8 seed panels on x = Q + t in [Q, Q+1) follow its head's edges
-        seeds = np.concatenate([seeds[inside], (q_tail + _MAP_EDGES[1:]).ravel()])
+        stop = np.array(stop)   # on_line takes each node's Q from it
+        inside = (seeds > 0.0) & (seeds < stop[seeds_seg])
+        # a tail's 8 seed panels on x = -t, t in [0, 1), end at its head's edge 0
+        seeds = np.concatenate([seeds[inside], np.tile(-_MAP_EDGES[1:], tails.size)])
         if not isinstance(seeds_seg, int):
             seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_MAP_EDGES.size - 1)])
         edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
         if not tails.size:   # no tail, no check: the integrand is f itself
             return _gk_segments(f, edges, seg, tol)
-        # where each tail starts; no node of a tail-less integral gets past inf
-        q0a = np.array([q if x is None else math.inf for q, x in zip(stop, width)])
         period = [2.0 * math.pi / omega[i] / _CHECK_POINTS.size for i in tails.tolist()]
-        q_chk = (q_tail + np.multiply.outer(period, _CHECK_POINTS)).ravel()
+        q_chk = (stop[tails, None] + np.multiply.outer(period, _CHECK_POINTS)).ravel()
         chk_seg = tails.repeat(_CHECK_POINTS.size)
-        decay, far = 1.0 / np.array(omega), np.zeros(len(stop))
-        agree, mismatch = [x is not None for x in width], [0.0] * len(stop)
+        decay, far = 1.0 / np.array(omega), np.zeros(stop.size)
+        agree, mismatch = [x is not None for x in width], [0.0] * stop.size
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
 
-    def on_line(x, s):   # -Im h(Q + ix); the first call also takes h(q_chk)
-        z = q0a[s] + 1j * x
+    def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
+        z = stop[s] + 1j * t
         if len(chk) == 1:
             hz = h(np.concatenate([z, q_chk]), s if one else np.concatenate([s, chk_seg]))
-            chk.append(hz[x.size:])
-            return -hz[:x.size].imag
+            chk.append(hz[t.size:])
+            return -hz[:t.size].imag
         return -h(z, s).imag
 
     line = _mapped_integrand(on_line, decay, far)
 
     def g(x, s):
-        # f on the head's nodes (x - Q < 0 just where x < Q), the mapped tail
-        # on the rest, and no masks for a later call with one kind of node,
-        # nor for a lone seed pass, whose head nodes come first (checked);
-        # the first call also takes f and h at q_chk, with or without nodes
-        # of each
-        t = x - q0a[s]
-        head = t < 0.0
+        # f on the head's nodes (x > 0), the mapped tail at t = -x on the
+        # rest, and no masks for a call with one kind of node once the first
+        # call has taken f and h at q_chk, with or without nodes of each
+        head = x > 0.0
         k = int(np.count_nonzero(head))
         if chk and k in (0, x.size):
-            return line(t, s) if not k else np.asarray(f(x, s), float)
-        if one and not (chk or np.count_nonzero(head[k:])):
-            fx = np.asarray(f(np.concatenate([x[:k], q_chk]), s), float)
-            chk.append(fx[k:])
-            return np.concatenate([fx[:k], line(t[k:], s)])
+            return np.asarray(f(x, s), float) if k else line(-x, s)
         out = np.empty(x.shape)
         sh = _subset(s, head)
         if chk:
@@ -561,8 +552,8 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
                               np.concatenate([sh, chk_seg])), float)
             out[head] = fx[:k]
             chk.append(fx[k:])
-        on = ~head
-        out[on] = line(t[on], _subset(s, on))
+        tail = ~head
+        out[tail] = line(-x[tail], _subset(s, tail))
         return out
 
     def target():

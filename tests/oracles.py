@@ -42,7 +42,9 @@ y = e^{-dz}/(1+z)^2, and the Matsubara force
 F_L = -[That sum_n a y/(1-y) + That/(2(d+2))] at a = 4 pi n That.  The
 integral is done by 30-point Gauss-Legendre on log-spaced panels out to
 z = 45/d, the series like the entropy's; both have terms of one sign, so
-float64 keeps all but a few ulp of the sum.
+float64 keeps all but a few ulp of the sum.  ``force_zero_t_mpmath`` takes
+the same integral with mpmath at 30 digits, for the small d where the
+Gauss-Legendre panels are not checked.
 """
 import cmath
 import ctypes
@@ -140,6 +142,19 @@ def force_lifshitz_zero_t(d):
     log_y = -d * z - 2.0 * np.log1p(z)
     terms = (half[:, None] * _GL_W).ravel() * z * np.exp(log_y) / -np.expm1(log_y)
     return -math.fsum(terms) / (4.0 * math.pi)
+
+
+def force_zero_t_mpmath(d):
+    """F(d, 0) by mpmath at 30 digits, rounded to a float: the integral of
+    ``force_lifshitz_zero_t``, broken at each decade below 1/d (a third of
+    a decade gives the same digits) and at 1/d, 10/d and 100/d."""
+    import mpmath
+    with mpmath.workdps(30):
+        dm = mpmath.mpf(d)
+        edges = [0, 1] + [mpmath.mpf(10) ** k for k in range(1, 12) if 10 ** k < 1 / d]
+        return float(-mpmath.quad(lambda z: z / (mpmath.exp(dm * z) * (1 + z) ** 2 - 1),
+                                  edges + [1 / dm, 10 / dm, 100 / dm, mpmath.inf])
+                     / (4 * mpmath.pi))
 
 
 def force_lifshitz_series(d, that):

@@ -115,7 +115,8 @@ def test_entropy_default_bytes(capsys):
     # 0.88159000402000065, 1.6e-12 off, in 7,131 evaluations, before the
     # density's resonances got graded seed edges, and 0.88159000401977117 in
     # 7,056 evaluations before the rotated densities' head and contour tail
-    # became one adaptive integral.  The Lifshitz value is
+    # became one adaptive integral; its err was 2.5466403324276239e-07 before
+    # the contour tail's panels moved to x = -t.  The Lifshitz value is
     # 5.0e-17 from the exact 0.33434016119038013033 (mpmath, 40 digits) and
     # within its estimate; it was the correctly rounded value with an
     # estimate of 3.2e-23 from 6 terms before the series fixed its term count
@@ -125,7 +126,7 @@ def test_entropy_default_bytes(capsys):
     assert code == 0
     assert out == (
         "d,That,method,lambda,value,err,evals,converged,units\n"
-        "1,1,canonical,100,0.88159000401977106,2.5466403324276239e-07,7026,true,"
+        "1,1,canonical,100,0.88159000401977106,2.5466403321879628e-07,7026,true,"
         "raw_dimensionless\n"
         "1,1,lifshitz,100,0.33434016119038018,8.7991592375209655e-16,4,true,"
         "raw_dimensionless\n"), f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"

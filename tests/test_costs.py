@@ -150,22 +150,27 @@ def _estimates_digest(estimates):
 # length, which moves the six That = 0.01 entropies with d < 1/(2 pi That)
 # (each within 3e-12 of the identity oracle, estimates 3.6e-7), and again
 # when the Matsubara estimates took the rounding of adding the zero mode:
-# only the 17 Lifshitz errors moved.
+# only the 17 Lifshitz errors moved.  Recorded again when the contour tail's
+# panels moved to x = -t: 3 canonical values moved, by at most 4.2e-16
+# relative, and 10 canonical errors, by at most 3.8e-10.
 def test_entropy_grid_bits():
     ests = [f(DimensionlessPoint(d, t), 100.0).estimate
             for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
     assert _estimates_digest(ests) == \
-        "944be61404367b9ee5e26db8ce2ae0e1bbf81cb406a65fe4fc75f548c8c8a38c", \
+        "2701a9d9d39673a2ea114802f31cf07698dea60670a8d82574fc944f6fb504e4", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
 # Recorded again when the Lifshitz force's estimate took the rounding of
-# adding the zero mode: only the 72 errors at That > 0 moved.
+# adding the zero mode: only the 72 errors at That > 0 moved.  Recorded again
+# when the contour tail's panels moved to x = -t: 64 of the 96 canonical
+# values moved, by at most 9.8e-16 relative, and all 96 canonical errors, by
+# at most 7.1e-4; no count or flag moved.
 def test_force_sweep_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), route).estimate
             for d, t in FORCE_SWEEP for route in ("canonical", "lifshitz")]
     assert _estimates_digest(ests) == \
-        "611dc45a2da9b375bd2fc9c35bee5ea84aa93ad799f59fba75ad9b16985d3026", \
+        "58038db31ec4b8159597fcbd41b1aca1df7cf3e7e18f64c18764ff0a89762a7e", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -174,14 +179,17 @@ def test_force_sweep_bits():
 # criterion 12's integrals at tol 1e-9, ever splits a tail panel.  The force
 # at (0.1, 2) evaluates 10 head and 4 tail halves in its one round, (10, 1)
 # and (0.3, 0) mix both kinds in their first, and OSCILLATORY_INTEGRALS[3]
-# evaluates 6 head and 2 tail halves in three of its rounds.
+# evaluates 6 head and 2 tail halves in three of its rounds.  Recorded again
+# when the contour tail's panels moved to x = -t: the four values moved by at
+# most 1.9e-16 relative and the four errors by at most 2.5e-3; no count or
+# flag moved.
 def test_lone_tail_refinement_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
             for d, t, tol in ((0.1, 2.0, 1e-14), (10.0, 1.0, 1e-15), (0.3, 0.0, 1e-15))]
     f, h, spec, _ = OSCILLATORY_INTEGRALS[3]
     ests.append(lone_tail(f, h, *spec, 1e-14))
     assert _estimates_digest(ests) == \
-        "fabd833c6192902eb3ad6b2a7a62720416eac569aa0a232e1e3ed1b3594b9469", \
+        "a488e56b42621f2896ea7d246c8c3e34e6d3483ba156292140e1c109cc0af3f4", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 

@@ -22,7 +22,8 @@ its reason.  A converged row's err is at most the tol its figure's sidecar
 records.
 
 Golden hashes are recorded again only after this test passes on the new
-rows.  Figure 3a's evaluation budget is checked on the same run of it.
+rows.  Each figure's total evaluations, and figure 3a's budget, are checked
+on the same run of it.
 """
 import csv
 import functools
@@ -41,6 +42,9 @@ from deltacasimir.cli import _UNITS, main
 
 # rows per figure at the default grids and temperatures
 ROWS = {"1": 120, "2": 360, "3a": 144, "3b": 72}
+# evaluations per figure at its defaults: counts hold on every host, so
+# this shows added work where the golden hashes must be recorded again
+EVALS = {"1": 29_670, "2": 77_648, "3a": 59_085, "3b": 617_781}
 # (CSV name, the row's first column as printed) -> why the row may not converge
 NOT_CONVERGED = {}
 
@@ -93,6 +97,11 @@ def test_every_default_figure_row_within_its_estimate_of_the_oracle(fig, default
         assert abs(float(row["value"]) - exact / divisor) \
             <= float(row["err"]) + rounding / divisor, where
     assert len(rows) == ROWS[fig]
+
+
+@pytest.mark.parametrize("fig", list(ROWS))
+def test_every_default_figure_spends_its_recorded_evaluations(fig, default_rows):
+    assert sum(int(row["evals"]) for _, row in default_rows(fig)[0]) == EVALS[fig]
 
 
 def test_figure3a_density_evaluations_stay_within_budget(default_rows):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import force_identity, force_lifshitz_series
+from oracles import force_identity, force_lifshitz_series, force_zero_t_mpmath
 from scipy.integrate import quad, simpson
 
 from deltacasimir import (
@@ -392,23 +392,21 @@ def test_matsubara_values_within_their_estimates_of_mpmath(d, that, name):
         assert abs(est.value - want) <= est.abs_error_estimate or not est.converged
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 5, small d: the zero-T canonical force is 2.8x, 9.6x and 2.7x its "
-    "estimate off at d = 1e-9, 5e-9 and 1e-8, with converged=True.  The stage is the "
-    "contour tail, 4.2x, 21x and 5.7x its own error off: its nodes Q + t round t to "
-    "ulp(Q), 4.8e-7 at Q = pi/d = 3.1e9.  The head is within 3e-16"))
-@pytest.mark.parametrize("d", [1e-9, 5e-9, 1e-8])
+# the zero-T force was 2.8x, 9.6x and 2.7x its estimate off at d = 1e-9,
+# 5e-9 and 1e-8, with converged=True, while the contour tail's panels lay on
+# x = Q + t: recovering t = x - Q rounded every tail node to ulp(Q), 4.8e-7
+# at Q = pi/d = 3.1e9
+@pytest.mark.parametrize("d", [1e-10, 1e-9, 5e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
 def test_small_d_zero_t_canonical_force_within_its_estimate_of_mpmath(d):
-    # the oracle is the imaginary-axis integral at 30 digits, broken at each
-    # decade below 1/d; a third of a decade gives the same digits
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        dm = mpmath.mpf(d)
-        edges = [0, 1] + [mpmath.mpf(10) ** k for k in range(1, 12) if 10 ** k < 1 / d]
-        want = -mpmath.quad(lambda z: z / (mpmath.exp(dm * z) * (1 + z) ** 2 - 1),
-                            edges + [1 / dm, 10 / dm, 100 / dm, mpmath.inf]) / (4 * mpmath.pi)
+    pytest.importorskip("mpmath")
     est = casimir_force(DimensionlessPoint(d), "canonical").estimate
-    assert not est.converged or abs(est.value - want) <= est.abs_error_estimate
+    assert est.converged
+    assert abs(est.value - force_zero_t_mpmath(d)) <= est.abs_error_estimate
+
+
+@pytest.mark.parametrize("d, that", [(1e-5, 1.0), (1e-6, 10.0), (1e-3, 1e-2)])
+def test_small_d_canonical_force_within_its_estimate_of_the_identity(d, that):
+    assert _within_estimate_of_the_identity(d, that) == (True, True)
 
 
 @pytest.mark.parametrize("d, that", [

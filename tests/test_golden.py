@@ -79,6 +79,15 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   and 0.20 err off it.  The ``evals`` and ``err`` columns changed, and
   ``tests/test_figure_oracles.py`` passed on the new rows first.
 
+* All but the Lifshitz hashes were recorded again when the contour tail's
+  panels moved from x = Q + t to x = -t, so that t = -x is exact where
+  x - Q had rounded it to ulp(Q), and the tail's panels came first in
+  each integral's panel-order sum.  Every ``evals``, ``converged``,
+  ``method`` and ``units`` cell kept its bytes.  The values moved by at
+  most 9.3e-16 relative (figure 1), 6.7e-16 (2), 4.3e-16 (3a) and 1.4e-16
+  (3b), the ``err`` cells by at most 6.7e-4 relative, and
+  ``tests/test_figure_oracles.py`` passed on the new rows first.
+
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
 recorded again there from a known-good tree, not copied from a failing run.
@@ -94,24 +103,24 @@ from deltacasimir.cli import main
 
 GOLDEN = {
     ("figure", "--id", "1"): {
-        "figure1_canonical.csv": "fec987fb764eb526906f88b8e2f66907bb9218209f0d5805570f90ae6194478a",
+        "figure1_canonical.csv": "86f61b6368275ef0b869fa6f39901de0d48a279fc64b0b3852ddcf1132b64af1",
         "figure1_lifshitz.csv": "03682de4b306f2d2b1037d45e80de4fbbac8d82101145e35a41b15290dda8e70",
     },
     ("figure", "--id", "2"): {
-        "figure2_canonical_That0.5.csv": "d87af39adc01eb7a68c224cf48ab07ffb8fb1e3953442571e9b333114df01360",
-        "figure2_canonical_That1.csv": "c875d2caa2c5b25166fb6d181b3851bc66c68ef2cd9c3990d985b074bed9623a",
-        "figure2_canonical_That2.csv": "19e5c568f80576113f87939127240cdd18071fdb84823d960a041c000f7ec846",
+        "figure2_canonical_That0.5.csv": "611bcf7067bd27b8c62f4a0c7c46dcc75dfbdacd1fc463fc68b94ff8b380500e",
+        "figure2_canonical_That1.csv": "25bd818c2f1c48f1aa406214511d530255738ae1967eda0e407a8649cfeabcb5",
+        "figure2_canonical_That2.csv": "1998dc3954ff8e672c34e44041b255cafc9b0e2d4dcf18e37e1c9721e81888ca",
         "figure2_lifshitz_That0.5.csv": "94a822116f25510fc5b2065941adeb76774e75f718926ff4877364e3910f5fbf",
         "figure2_lifshitz_That1.csv": "ea9d711cf080cf4666a48042401e96bfc8acc2839afa4ff7fb68ccf0503a3601",
         "figure2_lifshitz_That2.csv": "8f7488aa8cc119cdfa3b8cb2af94a9fefbfa07c4aae327cdd369c94b6c30e957",
     },
     ("figure", "--id", "3a"): {
-        "figure3a_That0.5.csv": "9e918fb4c5f6bf9ab27680fa00cae0d6c8ad0c36a061089fbc54c0ef6900c6d5",
-        "figure3a_That1.csv": "7ad1a9af1978db6e33d7c42acdadbeee02410369a112d08ef30882f698246d41",
-        "figure3a_That2.csv": "131a6ed746711fc30322af9ba27690b6f6430591b1e60fb152d44797e35fae5b",
+        "figure3a_That0.5.csv": "ba21990b78a8337da5e57e3f427857995c953ae885500523590ef26f14d1063b",
+        "figure3a_That1.csv": "86a8d6988919868be52d9bb3c2711c35ee07ce6471db1cf79658ce48fcfd3274",
+        "figure3a_That2.csv": "75fd519920432a8f003e20ba29f8f01def6735604cf461a25f67310196bace53",
     },
     ("figure", "--id", "3b", "--points", "2", "--That-set", "1"): {
-        "figure3b_That1.csv": "0d5d7dad1e25a51dcd1e87dcdcbf55913bb114dcc9cf4e4f50defc3be7c297df",
+        "figure3b_That1.csv": "72163c3ab17f810415bff155abd445be7666d11b21faf714897abc24392cc859",
     },
 }
 

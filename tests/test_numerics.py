@@ -314,6 +314,9 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
         # seeded at Q/8, narrower than pi/(2 omega)
         (lambda q: _lorentz_cos(q, 0.2), lambda z: _lorentz_exp(z, 0.2),
          (0.2, 40.0), (), 1e-9),
+        # Q = 3.1e9, where ulp(Q) = 4.8e-7
+        (lambda q: _lorentz_cos(q, 2.1e-9), lambda z: _lorentz_exp(z, 2.1e-9),
+         (2.1e-9, 3.1e9), (), 1e-9),
         # Im h = 1e-12 on the line does not decay: the witness, 2e-10, counts
         (_lorentz_cos, lambda z: _lorentz_exp(z) + 1e-12j, spec, (), 1e-9),
         # Re h - f = 1.5e-12, just past the check's 1e-12 (1 + max|f|): the
@@ -322,7 +325,7 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
         (_float32_lorentz_cos, _lorentz_exp, spec, (0.5, 3.0), 1e-9)]
     lone = [_lone(*m) for m in members]
     assert _as_batch(members) == lone
-    assert [e <= m[4] for (_, e, _), m in zip(lone, members)] == [True] * 7 + [False] * 2
+    assert [e <= m[4] for (_, e, _), m in zip(lone, members)] == [True] * 8 + [False] * 2
     assert lone[-1][1] == lone[-2][1] == math.inf and lone[-3][1] >= 2e-10
     # under a 30,000 cap: one runs out of evaluations, one has seed panels
     # past the cap alone and is not evaluated
@@ -334,6 +337,28 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
     assert lone[0][2] <= 30_000 and not lone[0][1] <= 1e-15
     assert lone[1] == (0.0, math.inf, 0) and lone[2][1] <= 1e-9
     assert _as_batch(members) == lone
+
+
+def test_a_lone_tail_gets_the_same_seed_nodes_at_any_switch_point():
+    # the tail's panels lie on x = -t and t = -x is exact: its nodes Q + iy(t)
+    # take the same y at Q = 10 as at Q = 3.1e9, where panels on x = Q + t
+    # once rounded t to ulp(Q) = 4.8e-7; f = h = 0 converge in the seed pass
+    def line_nodes(q0):
+        seen = []
+
+        def h(z):
+            seen.append(z.copy())
+            return np.zeros(z.shape, complex)
+
+        lone_tail(np.zeros_like, h, 1.0, q0, 1e-9)
+        z = np.concatenate(seen)
+        z = z[z.imag != 0.0]   # not the check points on the real axis
+        assert (z.real == q0).all()
+        return z.imag
+
+    # 8 seed panels of 15 nodes, of which 4 lie past 200 decay lengths
+    near = line_nodes(10.0)
+    assert near.size == 116 and near.tobytes() == line_nodes(3.1e9).tobytes()
 
 
 # every (Q, omega) in {5, 50} x {0.2, 2, 20} whose Q covers one period 2 pi/omega
