@@ -16,8 +16,8 @@ dimensionless, except figure 2's 1/(4*pi) normalization; entropy and density
 rows are dimensionless.  A metadata sidecar (<out>.meta.json) records the
 tool version and the effective value of each flag the command reads.  Exit
 codes: 0 success, 2 usage or domain error, 3 numerical non-convergence (rows
-are still emitted, flagged converged=false).  Every command runs in one
-process.
+are still emitted, flagged converged=false).  Every command computes its
+rows in one task, in one process.
 
 Precedence: command-line flags > built-in defaults (the parser's, and each
 figure's own tol).
@@ -150,19 +150,17 @@ def _parse_methods(text):
 
 # ------------------------------------------------- one row function per quantity
 
-def _force_row(task):
-    """(d, That, method, tol, units) -> FORCE_SCHEMA row; value, err and tol
-    are all in those units, a key of ``_UNITS``."""
-    d, that, method, tol, units = task
+def _force_row(d, that, method, tol, units):
+    """The FORCE_SCHEMA row at (d, That) by ``method``; value, err and tol
+    are all in ``units``, a key of ``_UNITS``."""
     divisor = _UNITS[units]
     est = casimir_force(DimensionlessPoint(d, that), method, tol * divisor).estimate
     return [d, that, method, est.value / divisor, est.abs_error_estimate / divisor,
             est.evaluations, est.converged, units]
 
 
-def _entropy_row(task):
-    """(d, That, method, Lambda, zero_mode, tol) -> ENTROPY_SCHEMA row."""
-    d, that, method, lam, zero_mode, tol = task
+def _entropy_row(d, that, method, lam, zero_mode, tol):
+    """The ENTROPY_SCHEMA row at (d, That) by ``method`` with cutoff ``lam``."""
     point = DimensionlessPoint(d, that)
     if method == "canonical":
         ev = entropy_canonical(point, lam, tol)
@@ -174,15 +172,9 @@ def _entropy_row(task):
             est.converged, _RAW]
 
 
-def _one_row(task):
-    """(row function, its task) -> [that row]: a figure task of one row."""
-    fn, task = task
-    return [fn(task)]
-
-
-def _density_rows(task):
-    """(dtilde list, That set, tol) -> DENSITY_SCHEMA rows, one array call per That."""
-    dts, thats, tol = task
+def _density_rows(dts, thats, tol):
+    """DENSITY_SCHEMA rows at each dtilde of ``dts`` for each That of ``thats``,
+    one array call per That."""
     rows = []
     for that in thats:
         dens = entropy_density_canonical(np.array(dts), that, tol)
@@ -210,14 +202,14 @@ def _cmd_scattering(args) -> int:
 
 def _cmd_force(args) -> int:
     methods = _parse_methods(args.method)
-    rows = [_force_row((args.d, args.That, m, args.tol, _RAW)) for m in methods]
+    rows = [_force_row(args.d, args.That, m, args.tol, _RAW) for m in methods]
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, d=args.d, That=args.That)
     return _emit(rows, FORCE_SCHEMA, args, meta)
 
 
 def _cmd_entropy(args) -> int:
     methods = _parse_methods(args.method)
-    rows = [_entropy_row((args.d, args.That, m, args.cutoff_lambda, args.zero_mode, args.tol))
+    rows = [_entropy_row(args.d, args.That, m, args.cutoff_lambda, args.zero_mode, args.tol)
             for m in methods]
     meta = _meta(args, schema=ENTROPY_SCHEMA, methods=methods, d=args.d,
                  That=args.That, zero_mode=args.zero_mode)
@@ -231,37 +223,35 @@ def _grid(lo, hi, n, spacing):
 
 
 # id -> (grid axis, min, max, default points, schema, default tol, note, CSV
-# name, task function, tasks); every grid is log spaced.  Each figure's
-# default tol is its quantity's; an explicit flag still wins.  tasks(grid,
-# That set, tol, Lambda) lists the figure's tasks, the task function maps a
-# task to its rows and a row goes to the CSV name.format(*row).  A force
-# figure's units are its caption normalization.  1, 2 and 3b make one task
-# per row; 3a makes one for all its curves, one array call each.
+# name, rows); every grid is log spaced.  Each figure's default tol is its
+# quantity's; an explicit flag still wins.  rows(grid, That set, tol, Lambda)
+# computes the figure's rows curve by curve, and a row goes to the CSV
+# name.format(*row).  A force figure's units are its caption normalization;
+# 3a makes one array density call per curve.
 FIGURES = {
     "1": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, FORCE_TOL,
           "force in units hbar*gamma^2/v^3 vs dimensionless distance",
-          "figure1_{2}.csv", _one_row, lambda grid, thats, tol, lam: [
-              (_force_row, (d, 0.0, m, tol, _RAW))
-              for m in METHODS for d in grid]),
+          "figure1_{2}.csv", lambda grid, thats, tol, lam: [
+              _force_row(d, 0.0, m, tol, _RAW) for m in METHODS for d in grid]),
     "2": ("d", 0.1, 10.0, 60, FORCE_SCHEMA, FORCE_TOL,
           "force in units hbar*gamma^2/(4*pi*v^3); this normalization "
-          "differs from figure 1 by 4*pi", "figure2_{2}_That{1:g}.csv", _one_row,
+          "differs from figure 1 by 4*pi", "figure2_{2}_That{1:g}.csv",
           lambda grid, thats, tol, lam: [
-              (_force_row, (d, t, m, tol, "fig2_scale"))
+              _force_row(d, t, m, tol, "fig2_scale")
               for t in thats for m in METHODS for d in grid]),
     "3a": ("dtilde", 0.5, 100.0, 48, DENSITY_SCHEMA, ENTROPY_INNER_TOL,
            "entropy density -dF/dThat vs separation; tail approaches 1/(4*dtilde)",
-           "figure3a_That{1:g}.csv", _density_rows,
-           lambda grid, thats, tol, lam: [(grid, thats, tol)]),
+           "figure3a_That{1:g}.csv",
+           lambda grid, thats, tol, lam: _density_rows(grid, thats, tol)),
     "3b": ("d", 0.5, 20.0, 24, ENTROPY_SCHEMA, ENTROPY_TOL,
            "canonical entropy at infrared cutoff Lambda={lam:g}",
-           "figure3b_That{1:g}.csv", _one_row, lambda grid, thats, tol, lam: [
-               (_entropy_row, (d, t, "canonical", lam, True, tol)) for t in thats for d in grid]),
+           "figure3b_That{1:g}.csv", lambda grid, thats, tol, lam: [
+               _entropy_row(d, t, "canonical", lam, True, tol) for t in thats for d in grid]),
 }
 
 
 def _cmd_figure(args) -> int:
-    axis, lo, hi, default_points, schema, tol, note, name, row, tasks = FIGURES[args.id]
+    axis, lo, hi, default_points, schema, tol, note, name, figure_rows = FIGURES[args.id]
     if args.tol is None:
         args.tol = tol
     if not os.path.isdir(args.out_dir):
@@ -280,8 +270,10 @@ def _cmd_figure(args) -> int:
     if points < 1:
         raise DomainError(f"--points must be >= 1, got {points}")
     grid = [float(x) for x in _grid(lo, hi, points, "log")]
-    figure_tasks = tasks(grid, that_set, args.tol, args.cutoff_lambda)
-    rows = [r for rs in _run_tasks(row, figure_tasks) for r in rs]
+    if schema is ENTROPY_SCHEMA:   # each entropy integrates its density from d to Lambda
+        require_real("--lambda", args.cutoff_lambda, low=max(grid))
+    [rows] = _run_tasks(lambda task: figure_rows(*task),
+                        [(grid, that_set, args.tol, args.cutoff_lambda)])
     files = {}   # CSV name -> its rows; files follow the order of their first rows
     for r in rows:
         files.setdefault(name.format(*r), []).append(r)
@@ -309,8 +301,9 @@ def _cmd_figure(args) -> int:
 
 
 def _run_tasks(fn, tasks):
-    """fn of each task, in task order; perfbench's tracer wraps this loop to
-    count a command's tasks."""
+    """fn of each task, in task order: the timing hook around a command's
+    rows, which figure and sweep compute in one task.  perfbench's tracer
+    wraps it and counts the tasks."""
     return [fn(t) for t in tasks]
 
 
@@ -323,11 +316,11 @@ def _cmd_sweep(args) -> int:
         raise DomainError("sweep requires points >= 2")
     if lo <= 0 and (args.spacing == "log" or args.variable == "d"):
         raise DomainError("sweep minimum must be positive for d and for log spacing")
-    tasks = []   # rows in grid order, in raw dimensionless units
-    for x in _grid(lo, hi, args.points, args.spacing):
-        d, that = (float(x), args.fixed) if args.variable == "d" else (args.fixed, float(x))
-        tasks += [(d, that, m, args.tol, _RAW) for m in methods]
-    rows = _run_tasks(_force_row, tasks)
+    points = [(float(x), args.fixed) if args.variable == "d" else (args.fixed, float(x))
+              for x in _grid(lo, hi, args.points, args.spacing)]
+    # rows in grid order, in raw dimensionless units
+    [rows] = _run_tasks(lambda pts: [_force_row(d, that, m, args.tol, _RAW)
+                                     for d, that in pts for m in methods], [points])
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, variable=args.variable,
                  min=lo, max=hi, points=args.points, spacing=args.spacing, fixed=args.fixed)
     return _emit(rows, FORCE_SCHEMA, args, meta)

@@ -62,7 +62,7 @@ from .numerics import (
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import RESOLVED_D, contour_switch, flux_deficit, resonance_edges
+from .scattering import MAX_Q, RESOLVED_D, contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "FORCE_TOL",
@@ -117,8 +117,13 @@ def _mode_sum(c, weight, h_weight, d):
 def _canonical_force(d, that, tol):
     """The mode sum with the Bose-weighted q, w = q at That = 0, its tail
     along Re q = ``contour_switch(d)`` and its head seeded as the module
-    docstring says."""
+    docstring says.  Below d = pi/MAX_Q (~3.1e-76) the head's nodes lie
+    where the flux deficit's 4q^4 overflows and the deficit reads 0, so such
+    a d is a DomainError, as a q above MAX_Q is for the scalar kernel."""
     q0 = contour_switch(d)
+    if q0 > MAX_Q:
+        raise DomainError(f"the canonical force needs d >= pi/MAX_Q = {math.pi / MAX_Q:.3g}, "
+                          f"got d={d!r}")
     seeds = resonance_edges([d], [q0])[0]
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])

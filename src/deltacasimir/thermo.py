@@ -24,7 +24,6 @@ conflicts with the third law, which is the point of computing both routes.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -74,11 +73,9 @@ class EntropyDensity:
     evaluations: int
 
 
-@functools.lru_cache(maxsize=256)
 def _thermal_cutoff(That, tol):
     """(q_max, tail_bound): the density's q cut-off at (That, tol) and the
-    bound on the integral it drops.  Cached: the densities of one entropy
-    all ask for the same pair."""
+    bound on the integral it drops."""
     # |flux_deficit| <= 1/(2 q^2) for q > 0 (it is -2 Re[x/(1-x)] with
     # |x| = 1/(1+4q^2)) and int_{q_c}^inf tw dq <= 8 That e^{-2u}(u^2+u+1),
     # q_c = 2 That u, so (1/2pi) times the tail beyond q_c is at most

@@ -350,7 +350,7 @@ BAD_GRID_INPUTS = [("--points", "0"), ("--points", "-3"), ("--That-set", "1,,2")
 
 @pytest.mark.parametrize("flag, value, fig", [
     *[(flag, value, fig) for flag, value in BAD_GRID_INPUTS for fig in ("2", "3a")],
-    ("--That-set", "0", "3a")])
+    ("--That-set", "0", "3a"), ("--lambda", "1", "3b"), ("--lambda", "nan", "3b")])
 def test_figure_rejects_bad_grid_inputs(fig, flag, value, tmp_path, capsys, monkeypatch):
     # --points 0 once gave the default 48 points, --points -3 and an empty
     # --That-set entry a traceback; 1,1 wrote one CSV twice and listed it twice
@@ -358,7 +358,8 @@ def test_figure_rejects_bad_grid_inputs(fig, flag, value, tmp_path, capsys, monk
     # an empty --That-set ran the default set.  A negative, infinite or nan
     # temperature (or 0 for the entropy density) failed only inside its first
     # row, after the curves before it had been computed, and the message did
-    # not name the flag
+    # not name the flag; so did a --lambda at or below the entropy grid's
+    # largest d, after the rows below it
     calls = []
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: calls.append(a))
     code, out, err = run(capsys, "figure", "--id", fig, flag, value,
@@ -380,7 +381,7 @@ def test_figure3a_json_records_are_plain(tmp_path, capsys):
     csv_rows = _rows((tmp_path / "figure3a_That1.csv").read_text())
     assert [{k: cli._fmt(v) for k, v in rec.items()} for rec in records] == csv_rows
     assert {r["converged"] for r in csv_rows} == {"true"}
-    rows = cli._density_rows(([0.5, 5.0], (1.0, 2.0), 1e-8))
+    rows = cli._density_rows([0.5, 5.0], (1.0, 2.0), 1e-8)
     assert [row[:2] for row in rows] == [[0.5, 1.0], [5.0, 1.0], [0.5, 2.0], [5.0, 2.0]]
     assert {type(x) for row in rows for x in row} == {float, int, bool}
 
@@ -480,6 +481,15 @@ def test_scattering_beyond_max_q_is_an_error_line(capsys):
     code, out, err = run(capsys, "scattering", "--q", "1e160", "--d", "1")
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_force_below_the_canonical_smallest_d_is_an_error_line(capsys):
+    # -0.0017953 flagged converged=true after a RuntimeWarning (the force is
+    # ~ -18 at d = 1e-100), and at d = 1e-320 an error about the engine
+    for d in ("1e-100", "1e-320"):
+        code, out, err = run(capsys, "force", "--d", d)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and f"d={d}" in err
 
 
 def test_lifshitz_force_at_huge_temperature_exits_0(capsys):

@@ -255,11 +255,12 @@ class _Stop(Exception):
     pass
 
 
-@pytest.mark.parametrize("fig, count", [("1", 120), ("2", 360), ("3a", 1), ("3b", 72)])
-def test_figure_task_counts(fig, count, tmp_path, monkeypatch):
-    # each default figure row is a task except figure 3a's, whose curves are
-    # one task (3 tasks while each curve was one, 144 while each row was),
-    # with one array density call per curve
+@pytest.mark.parametrize("fig", ["1", "2", "3a", "3b", "sweep"])
+def test_figure_task_counts(fig, tmp_path, monkeypatch):
+    # every figure computes its rows in one task, and so does sweep; figures
+    # 1, 2 and 3b made one task per row (120, 360 and 72 by default), sweep
+    # one per force row, and 3a one per curve (3) or per row (144) before
+    # its curves were one task
     tasks = []
 
     def stop(fn, ts):
@@ -268,8 +269,10 @@ def test_figure_task_counts(fig, count, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_run_tasks", stop)
     with pytest.raises(_Stop):
-        cli.main(["figure", "--id", fig, "--out-dir", str(tmp_path)])
-    assert tasks == [count]
+        cli.main(["sweep", "--variable", "d", "--min", "1", "--max", "2", "--points", "5",
+                  "--fixed", "0.5"] if fig == "sweep"
+                 else ["figure", "--id", fig, "--out-dir", str(tmp_path)])
+    assert tasks == [1]
 
 
 # 10 and 8 passes before the rotated head got seed edges around its

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from deltacasimir import (
     entropy_lifshitz,
     free_energy_lifshitz,
 )
+from deltacasimir import forces
 from deltacasimir.scattering import RESOLVED_D, flux_deficit
 
 # extended-precision (mpmath, 40 digit) evaluations of the imaginary-axis integral
@@ -407,6 +409,34 @@ def test_small_d_zero_t_canonical_force_within_its_estimate_of_mpmath(d):
 @pytest.mark.parametrize("d, that", [(1e-5, 1.0), (1e-6, 10.0), (1e-3, 1e-2)])
 def test_small_d_canonical_force_within_its_estimate_of_the_identity(d, that):
     assert _within_estimate_of_the_identity(d, that) == (True, True)
+
+
+@pytest.mark.parametrize("that", [1e-2, 1.0, 10.0])
+def test_small_d_canonical_force_property_within_its_estimate_of_the_identity(that):
+    # six points a decade on d in [max(1e-10, 1e-5/That), 1e-3]: That*d >= 1e-5
+    # keeps the identity's Matsubara series short.  That = 0 is checked
+    # against mpmath above
+    lo = max(1e-10, 1e-5 / that)
+    for d in np.logspace(math.log10(lo), -3.0, 1 + round(6 * (-3.0 - math.log10(lo)))):
+        assert _within_estimate_of_the_identity(float(d), that) == (True, True), d
+
+
+# below d = pi/MAX_Q the head's first panel lay wholly above q ~ 8e76, where
+# the flux deficit's 4q^4 overflows and the deficit reads 0: from d ~ 1e-80
+# the force was -0.0017953 at That = 0 (F ~ -14.6 there) with converged=True,
+# an estimate of 1.3e-16 and a RuntimeWarning; it was nan below ~5e-154, and
+# d = 1e-320 failed inside the engine
+@pytest.mark.parametrize("that", [0.0, 1.0])
+@pytest.mark.parametrize("d", [1e-79, 1e-100, 1e-153, 1e-320])
+def test_canonical_force_below_its_smallest_d_is_a_domain_error(d, that, monkeypatch):
+    def engine(*args):
+        raise AssertionError("the force was evaluated")
+
+    monkeypatch.setattr(forces, "integrate_oscillatory_tail", engine)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"d={d!r}"):
+            casimir_force(DimensionlessPoint(d, that), "canonical")
 
 
 @pytest.mark.parametrize("d, that", [
