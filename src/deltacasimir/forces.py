@@ -45,6 +45,11 @@ the regularized free energy
 
 diverges logarithmically as the infrared cutoff Lambda grows.
 
+``casimir_force`` is the force's one input check: it reads d as a float and
+checks tol.  Below d = pi/MAX_Q (~3.1e-76) either route is a DomainError
+naming d: the canonical head's flux deficit would read 0 (its 4q^4
+overflows), and the Lifshitz force would read 0 with converged=True.
+
 All values are dimensionless: forces in units hbar gamma^2/v^3, free energy
 in units hbar gamma/v.  Negative force means attraction.
 """
@@ -117,13 +122,8 @@ def _mode_sum(c, weight, h_weight, d):
 def _canonical_force(d, that, tol):
     """The mode sum with the Bose-weighted q, w = q at That = 0, its tail
     along Re q = ``contour_switch(d)`` and its head seeded as the module
-    docstring says.  Below d = pi/MAX_Q (~3.1e-76) the head's nodes lie
-    where the flux deficit's 4q^4 overflows and the deficit reads 0, so such
-    a d is a DomainError, as a q above MAX_Q is for the scalar kernel."""
+    docstring says."""
     q0 = contour_switch(d)
-    if q0 > MAX_Q:
-        raise DomainError(f"the canonical force needs d >= pi/MAX_Q = {math.pi / MAX_Q:.3g}, "
-                          f"got d={d!r}")
     seeds = resonance_edges([d], [q0])[0]
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
@@ -157,12 +157,10 @@ def _matsubara(c, d, n):
     return a, g
 
 
-def _lifshitz_force(point, tol):
+def _lifshitz_force(d, that, tol):
     """The imaginary-axis integral at That = 0, the Matsubara sum with its
-    zero mode -That/(2(d+2)) above; d and That are read as floats, so a
-    float32 or integer point gives its float twin's bits."""
-    if point.That == 0.0:
-        d = require_real("d", point.d)
+    zero mode -That/(2(d+2)) above."""
+    if that == 0.0:
         c = -0.25 / math.pi
 
         def g(z):
@@ -172,7 +170,6 @@ def _lifshitz_force(point, tol):
             return c * np.divide(z, den, out=np.full(z.shape, 1.0 / (d + 2.0)), where=z > 0)
 
         return integrate_smooth_semi_infinite(g, 1.0 / d, tol)
-    d, that = float(point.d), require_real("That", point.That)
     c = 4.0 * math.pi * that
 
     def terms(n):
@@ -195,6 +192,7 @@ def free_energy_lifshitz(point: DimensionlessPoint,
     estimate of a value that is not finite (2 pi That (d+2) overflows) is inf."""
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
+    tol = require_real("tol", tol)
     c = 4.0 * math.pi * that
 
     def terms(n):
@@ -214,16 +212,19 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> Result:
     """The force at ``point`` by the canonical mode sum or the Lifshitz
     route; That = 0 takes the zero-temperature forms (the weight q, the
-    imaginary-axis integral).  The canonical route reads d as a float at
-    That = 0 and takes d and That as given above it (see the module
-    docstring on an int or float32 That)."""
+    imaginary-axis integral).  d below pi/MAX_Q (see the module docstring),
+    or a canonical rate 2d that overflows, is a DomainError.  The canonical
+    route takes That as given (see the module docstring on an int or
+    float32 That)."""
+    d, tol = float(point.d), require_real("tol", tol)
+    if math.pi / d > MAX_Q:
+        raise DomainError(f"the force needs d >= pi/MAX_Q = {math.pi / MAX_Q:.3g}, got d={d!r}")
     if method == "canonical":
-        if point.That == 0.0:
-            est = _canonical_force(require_real("d", point.d), 0.0, tol)
-        else:
-            est = _canonical_force(point.d, point.That, tol)
+        if 2.0 * d == math.inf:   # the mode sum's rate, as the engine's omega
+            raise DomainError(f"the canonical force needs a finite rate 2d, got d={d!r}")
+        est = _canonical_force(d, point.That, tol)
     elif method == "lifshitz":
-        est = _lifshitz_force(point, tol)
+        est = _lifshitz_force(d, float(point.That), tol)
     else:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     return Result(method, point, est)

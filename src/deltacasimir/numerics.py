@@ -36,7 +36,8 @@ Every engine returns a :class:`QuadratureEstimate`, which sets its
 ``converged`` flag from its own estimate and tolerance: failure to converge
 is an estimate above tol, never a silent truncation or an exception.  All
 engines are deterministic: identical inputs give bit-identical results on
-one platform.
+one platform.  The engines take the finite floats their callers checked
+and check none; ``QuadratureEstimate``, a public class, checks its tol.
 
 The package needs numpy only: the sine and cosine integrals are computed
 here (:func:`sici`).
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_real
+from .errors import require_real
 
 # the engines below are private: forces and thermo call them, and the
 # benchmark's tracer wraps them by name there
@@ -367,7 +368,6 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     bisection rounds or evaluations (``_MAX_EVALS``) leaves the estimate
     above tol, never a silently truncated value.
     """
-    decay_scale, tol = require_real("decay_scale", decay_scale), require_real("tol", tol)
     far = [0.0]
     v, e, n, _ = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), [decay_scale], far),
                               _MAP_EDGES, tol)
@@ -455,19 +455,14 @@ def integrate_oscillatory_tail(f, h, omega, switch_point, tol,
     complex ndarray, be analytic on the quarter plane Re q >= Q, Im q >= 0,
     have Re h = f on the real axis and decay like e^{-omega Im q}.  Q must
     cover one period 2 pi/omega, over which the continuation is checked
-    against f.  f(q, s) and h(z, s) take the segment index s, always 0, as
+    against f; its caller's ``contour_switch`` does, and nothing here
+    checks it.  f(q, s) and h(z, s) take the segment index s, always 0, as
     in ``_oscillatory_segments``, of which this is one integral.  The points
     of ``head_seeds`` in (0, Q) become extra seed edges of the head: the
     callers put them around features far narrower than a seed panel.
     """
-    omega, q0 = require_real("omega", omega), require_real("switch_point", switch_point)
-    tol = require_real("tol", tol)
-    period = 2.0 * math.pi / omega
-    if q0 < period:
-        raise DomainError("switch_point must cover one full oscillation period "
-                          f"2*pi/omega = {period:g}")
     seeds = np.asarray(head_seeds, float).ravel()
-    v, e, n = _oscillatory_segments(f, h, [omega], [q0], [tol], seeds, 0, [None])
+    v, e, n = _oscillatory_segments(f, h, [omega], [switch_point], [tol], seeds, 0, [None])
     return QuadratureEstimate(float(v[0]), float(e[0]), n[0], tol)
 
 
@@ -586,9 +581,6 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
     the estimate adds ``_EPS_FLOOR * sum|t_n|`` to that bound.  N is at
     most ``_MAX_TERMS``, with that N's bound; for ratio >= 1 it is inf.
     """
-    tol = require_real("tol", tol)
-    scale = require_real("scale", scale, inclusive=True)
-    ratio = require_real("ratio", ratio, inclusive=True)
     if ratio >= 1.0:
         n_terms = math.inf
     elif ratio == 0.0 or scale == 0.0:

@@ -135,7 +135,8 @@ def entropy_density_canonical(dtilde, That: float,
         raise DomainError(f"dtilde must be a number or a non-empty 1-D array, got {dtilde!r}")
     That, tol = require_real("That", That), require_real("tol", tol)
     q_max, tail_bound = _thermal_cutoff(That, tol)
-    rotated = (q_max > _ROTATE_PERIODS * (math.pi / d)).tolist()
+    # q_max/(pi/d) periods, with no pi/d to overflow at a subnormal dtilde
+    rotated = (d * q_max > _ROTATE_PERIODS * math.pi).tolist()
     # a rotated q-integral's head ends at Q; a real-axis one runs to q_max
     # on panels a period wide (or 2.5 That) and leaves tail_bound of tol
     stop = [contour_switch(x) if r else q_max for x, r in zip(d.tolist(), rotated)]
@@ -229,8 +230,11 @@ def entropy_lifshitz(point: DimensionlessPoint,
     """
     d, that = float(point.d), require_real("That", point.That)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
-    tol = require_real("tol", tol)
+    tol = require_real("tol", tol, low=5e-324)   # each series takes tol/2 > 0
     c = 4.0 * math.pi * that
+    if 0.5 / c == math.inf:
+        raise DomainError(f"the Lifshitz entropy needs a finite bound 1/(8 pi That), "
+                          f"got That={that!r}")
 
     def log_terms(n):
         return np.log1p(_matsubara(c, d, n)[1])

@@ -44,7 +44,9 @@ integral is done by 30-point Gauss-Legendre on log-spaced panels out to
 z = 45/d, the series like the entropy's; both have terms of one sign, so
 float64 keeps all but a few ulp of the sum.  ``force_zero_t_mpmath`` takes
 the same integral with mpmath at 30 digits, for the small d where the
-Gauss-Legendre panels are not checked.
+Gauss-Legendre panels are not checked.  ``force_cold`` adds the thermal
+part's low-temperature series to F(d, 0), for That (d+2) <= 0.05, where the
+Matsubara series would need ~60/(4 pi That d) terms.
 """
 import cmath
 import ctypes
@@ -174,6 +176,32 @@ def force_identity(d, that):
     if that == 0.0:
         return zero_t
     return 0.5 * (zero_t + force_lifshitz_series(d, that)[0])
+
+
+def force_cold(d, that, terms=7):
+    """F(d, 0) - (1/2pi) sum_{k<terms} (2k+1)! zeta(2k+2) D_2k(d) That^{2k+2}:
+    the canonical force's cold series, valid for That (d+2) <= 0.05.
+
+    The flux deficit is even in q and analytic near 0 in the form
+    (b^2 - 2)/(b^2 + 4q^2), b = d sinc(dq) + 2 cos(dq); D_2k are its q = 0
+    Taylor coefficients, from ``mpmath.taylor`` at 40 digits, and the Bose
+    weight's moments are int_0^inf q^{2k+1}/(e^{q/That} - 1) dq =
+    (2k+1)! zeta(2k+2) That^{2k+2}.  The series is asymptotic, its smallest
+    term about e^{-pi/(That (d+2))}.  F(d, 0) is ``force_lifshitz_zero_t``.
+    """
+    import mpmath
+    with mpmath.workdps(40):
+        dm, t = mpmath.mpf(d), mpmath.mpf(that)
+
+        def deficit(q):
+            b = dm * mpmath.sinc(dm * q) + 2 * mpmath.cos(dm * q)
+            return (b * b - 2) / (b * b + 4 * q * q)
+
+        coefficients = mpmath.taylor(deficit, 0, 2 * terms - 2)[::2]
+        thermal = mpmath.fsum(mpmath.factorial(2 * k + 1) * mpmath.zeta(2 * k + 2) * c
+                              * t ** (2 * k + 2) for k, c in enumerate(coefficients))
+        thermal = float(-thermal / (2 * mpmath.pi))
+    return force_lifshitz_zero_t(d) + thermal
 
 
 def coefficients_linear_solve(q, d):

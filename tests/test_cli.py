@@ -483,13 +483,16 @@ def test_scattering_beyond_max_q_is_an_error_line(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_force_below_the_canonical_smallest_d_is_an_error_line(capsys):
-    # -0.0017953 flagged converged=true after a RuntimeWarning (the force is
-    # ~ -18 at d = 1e-100), and at d = 1e-320 an error about the engine
-    for d in ("1e-100", "1e-320"):
-        code, out, err = run(capsys, "force", "--d", d)
-        assert code == 2 and not out
-        assert err.startswith("error: ") and f"d={d}" in err
+def test_force_below_its_smallest_d_is_an_error_line(capsys):
+    # canonical: -0.0017953 flagged converged=true after a RuntimeWarning (the
+    # force is ~ -18 at d = 1e-100), and at d = 1e-320 an error about the
+    # engine; lifshitz: 0 flagged converged=true with exit 0 at d = 1e-200
+    # (the force is ~ -36.6 there)
+    for method in ("canonical", "lifshitz"):
+        for d in ("1e-100", "1e-200", "1e-320"):
+            code, out, err = run(capsys, "force", "--d", d, "--method", method)
+            assert code == 2 and not out
+            assert err.startswith("error: ") and f"d={d}" in err
 
 
 def test_lifshitz_force_at_huge_temperature_exits_0(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import force_identity, force_lifshitz_series, force_zero_t_mpmath
+from oracles import force_cold, force_identity, force_lifshitz_series, force_zero_t_mpmath
 from scipy.integrate import quad, simpson
 
 from deltacasimir import (
@@ -189,6 +189,34 @@ def test_low_temperature_force_within_its_estimate_of_the_identity(d, that):
     # thermal part was dropped with converged=True: 1.3e-8 off at (0.1, 3e-4)
     # with an estimate of 1.2e-11
     assert _within_estimate_of_the_identity(d, that) == (True, True)
+
+
+# the cold series and the identity both run where That (d+2) <= 0.05 and
+# That*d >= 1e-5
+COLD_AND_IDENTITY = [(d, that) for d in (0.01, 0.1, 1.0, 10.0, 30.0)
+                     for that in (1e-4, 1e-3, 3e-3, 1e-2)
+                     if that * (d + 2.0) <= 0.05 and that * d >= 1e-5]
+
+
+def test_cold_oracle_agrees_with_the_identity():
+    assert len(COLD_AND_IDENTITY) == 16
+    for d, that in COLD_AND_IDENTITY:
+        exact = force_identity(d, that)
+        assert abs(force_cold(d, that) - exact) <= 4e-16 * abs(exact), (d, that)
+
+
+# below LOW_T_PROBE's That*d >= 1e-6, where only the cold series reaches
+COLD_PROBE = [(d, that) for d in (0.001, 0.01, 0.1, 1.0, 10.0, 20.0)
+              for that in (1e-12, 1e-10, 1e-9, 1e-8, 1e-7)
+              if that * d < 1e-6 and that * (d + 2.0) <= 0.05]
+
+
+@pytest.mark.parametrize("d, that", COLD_PROBE)
+def test_cold_force_within_its_estimate_of_the_cold_oracle(d, that):
+    est = casimir_force(DimensionlessPoint(d, that), "canonical").estimate
+    exact = force_cold(d, that)
+    assert est.converged
+    assert abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact)
 
 
 @pytest.mark.parametrize("log_d_lo, log_d_hi", [(-3.0, math.log10(4.0)),
@@ -421,22 +449,28 @@ def test_small_d_canonical_force_property_within_its_estimate_of_the_identity(th
         assert _within_estimate_of_the_identity(float(d), that) == (True, True), d
 
 
-# below d = pi/MAX_Q the head's first panel lay wholly above q ~ 8e76, where
-# the flux deficit's 4q^4 overflows and the deficit reads 0: from d ~ 1e-80
-# the force was -0.0017953 at That = 0 (F ~ -14.6 there) with converged=True,
-# an estimate of 1.3e-16 and a RuntimeWarning; it was nan below ~5e-154, and
-# d = 1e-320 failed inside the engine
+# below d = pi/MAX_Q the canonical head's first panel lay wholly above
+# q ~ 8e76, where the flux deficit's 4q^4 overflows and the deficit reads 0:
+# from d ~ 1e-80 the force was -0.0017953 at That = 0 (F ~ -14.6 there) with
+# converged=True, an estimate of 1.3e-16 and a RuntimeWarning; it was nan
+# below ~5e-154, and d = 1e-320 failed inside the engine.  The Lifshitz
+# route, unchecked until the check moved to casimir_force, read 0.0 with
+# converged=True below ~1.6e-157, overflowed from ~1e-150, failed inside the
+# engine at 5e-324, and at That = 1 spent 10^7 terms to report err inf
+@pytest.mark.parametrize("method", ["canonical", "lifshitz"])
 @pytest.mark.parametrize("that", [0.0, 1.0])
-@pytest.mark.parametrize("d", [1e-79, 1e-100, 1e-153, 1e-320])
-def test_canonical_force_below_its_smallest_d_is_a_domain_error(d, that, monkeypatch):
+@pytest.mark.parametrize("d", [1e-79, 1e-100, 1e-153, 1e-160, 1e-200, 1e-320, 5e-324])
+def test_force_below_its_smallest_d_is_a_domain_error(d, that, method, monkeypatch):
     def engine(*args):
         raise AssertionError("the force was evaluated")
 
-    monkeypatch.setattr(forces, "integrate_oscillatory_tail", engine)
+    for name in ("integrate_oscillatory_tail", "integrate_smooth_semi_infinite",
+                 "sum_exponential_series"):
+        monkeypatch.setattr(forces, name, engine)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"d={d!r}"):
-            casimir_force(DimensionlessPoint(d, that), "canonical")
+            casimir_force(DimensionlessPoint(d, that), method)
 
 
 @pytest.mark.parametrize("d, that", [

@@ -1,6 +1,6 @@
-"""Every public scalar parameter, and every scalar parameter of the private
-engines that ``forces`` and ``thermo`` call, takes any real number type and
-refuses the rest.
+"""Every public scalar parameter takes any real number type and refuses the
+rest.  Each public entry checks its inputs once; the private engines of
+``numerics`` take the floats their callers checked and have no row.
 
 One row per scalar parameter (``casimir_force``: per route and per
 temperature branch, That = 0 or above): ``call(x)`` evaluates the entry point
@@ -23,6 +23,7 @@ canonical force with an integral or float32 That computes its Bose weight
 in the wrong dtype.
 """
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +31,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lone_tail
 
 from deltacasimir import (
     DimensionlessPoint as P,
@@ -43,7 +43,6 @@ from deltacasimir import (
     free_energy_lifshitz,
     kernel,
 )
-from deltacasimir.numerics import integrate_smooth_semi_infinite, sum_exponential_series
 
 TOL = 2.0 ** -30          # a float32-exact tolerance near 1e-9
 ITEM_2 = "ROADMAP item 2: typed inputs of the canonical routes"
@@ -59,16 +58,6 @@ class Row:
     span: tuple[float, float] | None = None   # hypothesis range, cheap rows only
 
 
-def _cos_tail(omega, switch_point, tol):
-    """cos(2q)/(1+q) over [0, inf), its tail taken as e^{2iq}/(1+q)."""
-    return lone_tail(lambda q: np.cos(2.0 * q) / (1.0 + q),
-                     lambda q: np.exp(2j * q) / (1.0 + q), omega, switch_point, tol)
-
-
-def _smooth(x):
-    return np.exp(-x)
-
-
 ROWS = [
     Row("coefficients_closed_form.q", lambda x: coefficients_closed_form(x, 1.5), 2.0,
         span=(0.01, 100.0)),
@@ -76,21 +65,6 @@ ROWS = [
         span=(0.01, 100.0)),
     Row("kernel.q", lambda x: kernel(x, 1.5), 2.0, inclusive=True, span=(0.0, 100.0)),
     Row("kernel.d", lambda x: kernel(0.75, x), 2.0, span=(0.01, 100.0)),
-    Row("integrate_oscillatory_tail.omega", lambda x: _cos_tail(x, 10.0, 1e-8), 2.0),
-    Row("integrate_oscillatory_tail.switch_point", lambda x: _cos_tail(2.0, x, 1e-8), 12.0),
-    Row("integrate_oscillatory_tail.tol", lambda x: _cos_tail(2.0, 10.0, x), TOL),
-    Row("integrate_smooth_semi_infinite.decay_scale",
-        lambda x: integrate_smooth_semi_infinite(_smooth, x, 1e-10), 1.0),
-    Row("integrate_smooth_semi_infinite.tol",
-        lambda x: integrate_smooth_semi_infinite(_smooth, 1.0, x), TOL),
-    Row("sum_exponential_series.scale",
-        lambda x: sum_exponential_series(lambda n: 0.5 ** n, x, 0.5, TOL), 1.0, inclusive=True,
-        span=(1.0, 100.0)),
-    Row("sum_exponential_series.ratio",
-        lambda x: sum_exponential_series(lambda n: 0.5 ** n, 1.0, x, TOL), 0.5, inclusive=True),
-    Row("sum_exponential_series.tol",
-        lambda x: sum_exponential_series(lambda n: 0.5 ** n, 1.0, 0.5, x), TOL,
-        span=(1e-15, 2.0)),
     Row("casimir_force.canonical.zero_t.d", lambda x: casimir_force(P(x), "canonical"), 2.0),
     Row("casimir_force.canonical.zero_t.tol", lambda x: casimir_force(P(2.0), "canonical", x),
         TOL),
@@ -234,3 +208,21 @@ def test_dimensionless_point_stores_floats():
 def test_huge_int_is_out_of_range():
     with pytest.raises(DomainError):
         casimir_force(P(10 ** 400), "lifshitz")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: casimir_force(P(1e308), "canonical"),        # the rate 2d overflows
+    lambda: casimir_force(P(1.7e308, 1.0), "canonical"),
+    lambda: entropy_lifshitz(P(1.0, 5e-324)),            # the bound 1/(8 pi That) overflows
+    lambda: entropy_lifshitz(P(1e300, 5e-324)),
+    lambda: entropy_lifshitz(P(2.0, 1.0), tol=5e-324),   # each series' tol/2 is 0
+], ids=["canonical_rate", "canonical_rate_warm", "lifshitz_entropy_bound",
+        "lifshitz_entropy_bound_far", "lifshitz_entropy_half_tol"])
+def test_an_engine_argument_out_of_range_is_a_domain_error_at_the_entry(call):
+    # each of these would hand an engine an inf or a 0, which the engines no
+    # longer check: a ZeroDivisionError, RuntimeWarning, OverflowError or
+    # ValueError from inside them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()

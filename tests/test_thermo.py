@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ def test_density_validation():
         entropy_density_canonical(0.0, 1.0)
     with pytest.raises(DomainError):
         entropy_density_canonical(1.0, 0.0)
+
+
+def test_density_at_a_subnormal_separation_warns_of_no_overflow():
+    # its rotation test formed pi/dtilde, which overflowed: "overflow
+    # encountered in divide", an error under the package's warning filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lone = entropy_density_canonical(1e-310, 1.0)
+        batch = entropy_density_canonical(np.array([1e-310, 1.0]), 1.0)
+    assert lone.estimate.converged
+    assert lone.value == entropy_density_canonical(1e-300, 1.0).value   # the d -> 0 limit
+    assert batch.value.tolist() == [lone.value, entropy_density_canonical(1.0, 1.0).value]
 
 
 def test_bool_inputs_are_rejected():
