@@ -4,9 +4,9 @@ Subcommands and the shared flags each takes; all five take --json, and
 --help lists the rest of their inputs:
 
     scattering  --out
-    force       --tol --out
-    entropy     --lambda --tol --out
-    sweep       --tol --out
+    force       --method --tol --out
+    entropy     --method --lambda --tol --out
+    sweep       --method --tol --out
     figure      --lambda --tol        (one CSV per curve, in --out-dir)
 
 Every numeric row echoes its inputs; CSV output uses '.' decimals and 17
@@ -132,20 +132,9 @@ def _meta(args, **extra):
     return m
 
 
-def _parse_methods(text):
-    """The methods a --method value names: "both", or a comma list of known
-    method names, each named once."""
-    if text == "both":
-        return list(METHODS)
-    methods = [t for t in text.split(",") if t]
-    if not methods:
-        raise DomainError("empty method set")
-    for mth in methods:
-        if mth not in METHODS:
-            raise DomainError(f"unknown method {mth!r}")
-    if len(set(methods)) < len(methods):
-        raise DomainError(f"--method {text!r} names a method twice")
-    return methods
+def _methods(args):
+    """The methods of --method: one, or "both"."""
+    return list(METHODS) if args.method == "both" else [args.method]
 
 
 # ------------------------------------------------- one row function per quantity
@@ -201,14 +190,14 @@ def _cmd_scattering(args) -> int:
 
 
 def _cmd_force(args) -> int:
-    methods = _parse_methods(args.method)
+    methods = _methods(args)
     rows = [_force_row(args.d, args.That, m, args.tol, _RAW) for m in methods]
     meta = _meta(args, schema=FORCE_SCHEMA, methods=methods, d=args.d, That=args.That)
     return _emit(rows, FORCE_SCHEMA, args, meta)
 
 
 def _cmd_entropy(args) -> int:
-    methods = _parse_methods(args.method)
+    methods = _methods(args)
     rows = [_entropy_row(args.d, args.That, m, args.cutoff_lambda, args.zero_mode, args.tol)
             for m in methods]
     meta = _meta(args, schema=ENTROPY_SCHEMA, methods=methods, d=args.d,
@@ -308,7 +297,7 @@ def _run_tasks(fn, tasks):
 
 
 def _cmd_sweep(args) -> int:
-    methods = _parse_methods(args.method)
+    methods = _methods(args)
     lo, hi = args.min, args.max
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError("sweep requires min < max")
@@ -330,6 +319,8 @@ def _cmd_sweep(args) -> int:
 
 # the flags some subcommands share; each subcommand takes those it reads
 _FLAGS = {
+    "--method": dict(choices=[*METHODS, "both"], default="both",
+                     help="the route (default %(default)s)"),
     "--tol": dict(type=float, help="absolute tolerance"),
     "--lambda": dict(dest="cutoff_lambda", type=float, default=DEFAULT_CUTOFF_LAMBDA,
                      help="infrared cutoff Lambda (default %(default)g)"),
@@ -360,19 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("force", help="Casimir force at one (d, That)")
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--That", type=float, default=0.0)
-    p.add_argument("--method", default="both",
-                   help="canonical, lifshitz, both, or a comma list")
-    _add_flags(p, "--tol", "--out", "--json")
+    _add_flags(p, "--method", "--tol", "--out", "--json")
     p.set_defaults(fn=_cmd_force, tol=FORCE_TOL)
 
     p = sub.add_parser("entropy", help="Casimir entropy at one (d, That), dimensionless")
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--That", type=float, required=True)
-    p.add_argument("--method", default="both")
     p.add_argument("--zero-mode", dest="zero_mode",
                    action=argparse.BooleanOptionalAction, default=True,
                    help="keep the zero-frequency term in the Lifshitz entropy")
-    _add_flags(p, "--lambda", "--tol", "--out", "--json")
+    _add_flags(p, "--method", "--lambda", "--tol", "--out", "--json")
     p.set_defaults(fn=_cmd_entropy, tol=ENTROPY_TOL)
 
     p = sub.add_parser("figure", help="reproduce the data behind a figure")
@@ -394,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", default="linear", choices=["linear", "log"])
     p.add_argument("--fixed", type=float, required=True,
                    help="value of the other coordinate")
-    p.add_argument("--method", default="both")
-    _add_flags(p, "--tol", "--out", "--json")
+    _add_flags(p, "--method", "--tol", "--out", "--json")
     p.set_defaults(fn=_cmd_sweep, tol=FORCE_TOL)
 
     return ap

@@ -23,10 +23,13 @@ bounds the force's error: its estimate is inf.  At That > 0 the Bose weight
 differs from q only for q below ~10 That, so the head also gets seed edges
 at That 2^k, k = -1..5: without them, at That <~ 3e-4, that region lies
 inside the first seed panel, below its first node, and the thermal part is
-dropped with converged=True.  A real integrand that is not Re h (a
-Python-int That truncates the force's real Bose weight today, and an
-np.float32 That computes it in float32) fails the engine's agreement check,
-and its estimate is inf too.
+dropped with converged=True.  At That = 0 with Q > 8 the head gets the
+edges 2^k: else q ~ 1, where the integrand turns into its cos(2dq)/(2q)
+decay, lies inside the first seed panel, which K15 and G7 then
+under-resolve alike, and a loose tol was met with converged=True far off.
+A real integrand that is not Re h (a Python-int That truncates the force's
+real Bose weight today, and an np.float32 That computes it in float32)
+fails the engine's agreement check, and its estimate is inf too.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -46,9 +49,12 @@ the regularized free energy
 diverges logarithmically as the infrared cutoff Lambda grows.
 
 ``casimir_force`` is the force's one input check: it reads d as a float and
-checks tol.  Below d = pi/MAX_Q (~3.1e-76) either route is a DomainError
-naming d: the canonical head's flux deficit would read 0 (its 4q^4
-overflows), and the Lifshitz force would read 0 with converged=True.
+checks tol.  d has one domain for both routes, pi/MAX_Q (~3.1e-76) <= d with
+2d finite (d <~ 9e307); outside it either route is a DomainError naming d.
+Below it the canonical head's flux deficit would read 0 (its 4q^4
+overflows), and the Lifshitz force would read 0 with converged=True; above
+it the canonical rate 2d overflows, and the Matsubara force would drop its
+zero mode to -0 with converged=True.
 
 All values are dimensionless: forces in units hbar gamma^2/v^3, free energy
 in units hbar gamma/v.  Negative force means attraction.
@@ -86,7 +92,8 @@ METHODS = ("canonical", "lifshitz")
 # hold their own) and its zero mode: 2 eps per unit of the magnitudes added,
 # the zero mode's own rounding included
 _ROUNDING = 2.0 ** -51
-# the canonical force's head has seed edges at That times these, 2^k for k = -1..5
+# the canonical force's head has seed edges at That times these, 2^k for
+# k = -1..5, or at these at That = 0 when Q > 8
 _BOSE_SEEDS = 2.0 ** np.arange(-1.0, 6.0)
 
 
@@ -135,6 +142,8 @@ def _canonical_force(d, that, tol):
         def h_w(z):
             return z / -np.expm1(-z / that)
     else:
+        if q0 > 8.0:   # q ~ 1 would lie inside the first seed panel, [0, Q/8]
+            seeds = np.concatenate([seeds, _BOSE_SEEDS])
         w = h_w = np.asarray   # w = q, the very array
     f, h = _mode_sum(-0.5 / math.pi, w, h_w, [d])
     est = integrate_oscillatory_tail(f, h, 2.0 * d, q0, tol, seeds)
@@ -212,16 +221,15 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> Result:
     """The force at ``point`` by the canonical mode sum or the Lifshitz
     route; That = 0 takes the zero-temperature forms (the weight q, the
-    imaginary-axis integral).  d below pi/MAX_Q (see the module docstring),
-    or a canonical rate 2d that overflows, is a DomainError.  The canonical
-    route takes That as given (see the module docstring on an int or
-    float32 That)."""
+    imaginary-axis integral).  A d outside pi/MAX_Q <= d with 2d finite is
+    a DomainError for both routes (see the module docstring).  The
+    canonical route takes That as given (see the module docstring on an int
+    or float32 That)."""
     d, tol = float(point.d), require_real("tol", tol)
-    if math.pi / d > MAX_Q:
-        raise DomainError(f"the force needs d >= pi/MAX_Q = {math.pi / MAX_Q:.3g}, got d={d!r}")
+    if math.pi / d > MAX_Q or 2.0 * d == math.inf:
+        raise DomainError(f"the force needs pi/MAX_Q = {math.pi / MAX_Q:.3g} <= d "
+                          f"with 2d finite, got d={d!r}")
     if method == "canonical":
-        if 2.0 * d == math.inf:   # the mode sum's rate, as the engine's omega
-            raise DomainError(f"the canonical force needs a finite rate 2d, got d={d!r}")
         est = _canonical_force(d, point.That, tol)
     elif method == "lifshitz":
         est = _lifshitz_force(d, float(point.That), tol)

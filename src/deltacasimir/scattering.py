@@ -50,16 +50,6 @@ class ScatteringCoefficients:
     D: complex
     G: complex
 
-    @property
-    def unitarity_residual(self) -> float:
-        """|B|^2 + |G|^2 - 1 (zero in exact arithmetic)."""
-        return abs(self.B) ** 2 + abs(self.G) ** 2 - 1.0
-
-    @property
-    def flux_residual(self) -> float:
-        """|D|^2 + |G|^2 - |C|^2 (zero in exact arithmetic)."""
-        return abs(self.D) ** 2 + abs(self.G) ** 2 - abs(self.C) ** 2
-
 
 def coefficients_closed_form(q: float, d: float) -> ScatteringCoefficients:
     """Closed-form B, C, D, G at 0 < q <= MAX_Q, d > 0 and a finite 2 q d.

@@ -84,8 +84,8 @@ def test_criterion_04_scattering_identities(capsys):
     for qi, di in zip(q, d):
         a = coefficients_closed_form(float(qi), float(di))
         b = coefficients_linear_solve(float(qi), float(di))
-        worst_unit = max(worst_unit, abs(a.unitarity_residual))
-        worst_flux = max(worst_flux, abs(a.flux_residual))
+        worst_unit = max(worst_unit, abs(abs(a.B) ** 2 + abs(a.G) ** 2 - 1.0))
+        worst_flux = max(worst_flux, abs(abs(a.D) ** 2 + abs(a.G) ** 2 - abs(a.C) ** 2))
         worst_diff = max(worst_diff, abs(a.B - b.B), abs(a.C - b.C),
                          abs(a.D - b.D), abs(a.G - b.G))
     ok = worst_unit <= 1e-12 and worst_flux <= 1e-12 and worst_diff <= 1e-12

@@ -143,22 +143,15 @@ def test_entropy_lifshitz_honours_tol(capsys):
     assert (code, row[7]) == (0, "true") and float(row[5]) <= 1e-13
 
 
-def test_empty_method_set_is_usage_error(capsys):
-    code, _, err = run(capsys, "force", "--d", "1", "--That", "0", "--method", "")
-    assert code == 2
-
-
-def test_unknown_method_is_usage_error(capsys):
-    code, _, _ = run(capsys, "force", "--d", "1", "--That", "0", "--method", "euclid")
-    assert code == 2
-
-
-@pytest.mark.parametrize("methods", ["canonical,canonical", "lifshitz,canonical,lifshitz"])
-def test_repeated_method_is_usage_error(methods, capsys):
-    # the force once computed and printed a repeated method's row twice
-    code, out, err = run(capsys, "force", "--d", "1", "--method", methods)
-    assert code == 2 and not out
-    assert err.startswith("error: ") and "twice" in err
+# --method is one of the parser's choices: no empty set, unknown name or
+# comma list (the force once printed a repeated method's row twice)
+@pytest.mark.parametrize("methods", ["", "euclid", "canonical,canonical",
+                                     "lifshitz,canonical,lifshitz", "canonical,lifshitz"])
+def test_a_method_outside_the_choices_is_a_usage_error(methods, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["force", "--d", "1", "--That", "0", "--method", methods])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and not out.out and "invalid choice" in out.err
 
 
 def test_unknown_figure_id_exit_2(capsys):
@@ -398,7 +391,7 @@ SWEEP_FLAGS = {"--variable": "That", "--min": "0.5", "--max": "2", "--points": "
     ({"--max": "inf"}, "min < max"),
     ({"--variable": "d", "--min": "-1"}, "minimum must be positive"),
     ({"--min": "0", "--spacing": "log"}, "minimum must be positive"),
-    ({"--method": "plasma"}, "unknown method 'plasma'"),
+    ({"--method": "plasma"}, "invalid choice: 'plasma'"),
 ], ids=["variable", "spacing", "points", "min-above-max", "max-inf", "d-min", "log-min",
         "method"])
 def test_sweep_refuses_a_bad_flag(flags, message, capsys):
@@ -493,6 +486,15 @@ def test_force_below_its_smallest_d_is_an_error_line(capsys):
             code, out, err = run(capsys, "force", "--d", d, "--method", method)
             assert code == 2 and not out
             assert err.startswith("error: ") and f"d={d}" in err
+
+
+def test_force_above_its_largest_d_is_an_error_line(capsys):
+    # lifshitz: -0 with err 0 flagged converged=true, exit 0, after an
+    # overflow warning (the force is ~ -5e-309 there)
+    for method in ("canonical", "lifshitz"):
+        code, out, err = run(capsys, "force", "--d", "1e308", "--That", "1", "--method", method)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "d=1e+308" in err
 
 
 def test_lifshitz_force_at_huge_temperature_exits_0(capsys):

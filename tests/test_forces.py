@@ -434,6 +434,97 @@ def test_small_d_zero_t_canonical_force_within_its_estimate_of_mpmath(d):
     assert abs(est.value - force_zero_t_mpmath(d)) <= est.abs_error_estimate
 
 
+# force_zero_t_mpmath at np.geomspace(1e-9, 0.39, 60) and at the d of the
+# CLI case below, kept here: the 61 integrals take about 2 s
+ZERO_T_SCAN = {
+    1e-09: -1.5480128375063644,
+    1.3983351173536237e-09: -1.521331918870335,
+    1.955341100424381e-09: -1.4946510006850484,
+    2.7342221271282906e-09: -1.467970083118213,
+    3.823358819008829e-09: -1.4412891663996221,
+    5.3463369028637235e-09: -1.4146082508440123,
+    7.475970640477985e-09: -1.3879273368822667,
+    1.0453912282885028e-08: -1.3612464251040104,
+    1.4618072658892587e-08: -1.3345655163157049,
+    2.0440964346956364e-08: -1.30788461161984,
+    2.8583318278922587e-08: -1.2812037125228077,
+    3.9969057719913194e-08: -1.2545228210817476,
+    5.58901370172887e-08: -1.2278419401042886,
+    7.815314130498067e-08: -1.2011610734200353,
+    1.092842820182547e-07: -1.1744802262492569,
+    1.5281604932090301e-07: -1.1477994057031413,
+    2.1368804826066255e-07: -1.1211186214619315,
+    2.98807502041641e-07: -1.0944378866932793,
+    4.178330234335421e-07: -1.0677572192945937,
+    5.842705898571627e-07: -1.0410766435717829,
+    8.170060838341883e-07: -1.0143961925049387,
+    1.1424482981169068e-06: -0.9877159108021955,
+    1.5975255750177526e-06: -0.9610358590102003,
+    2.2338761124178736e-06: -0.9343561190384339,
+    3.123707415811304e-06: -0.9076768015715984,
+    4.367989775866903e-06: -0.8809980559977835,
+    6.107913495836275e-06: -0.8543200836807261,
+    8.540909934986036e-06: -0.8276431556653305,
+    1.1943054296245428e-05: -0.8009676362430491,
+    1.6700392230901088e-05: -0.7742940142373641,
+    2.3352744930048666e-05: -0.7476229444229077,
+    3.265496332228891e-05: -0.7209553021915382,
+    4.5662581969451245e-05: -0.694292255454699,
+    6.38515919169222e-05: -0.667635358854327,
+    8.928592327636528e-05: -0.6409866766728345,
+    0.00012485164200268315: -0.6143489424064448,
+    0.00017458443547161494: -0.5877257647979387,
+    0.00024412754706331735: -0.5611218921850685,
+    0.00034137212217203686: -0.5345435492265058,
+    0.0004773526265186918: -0.5079988622522255,
+    0.0006674989410220768: -0.48149839136127714,
+    0.0009333872100275254: -0.45505578849762207,
+    0.001305188113870214: -0.4286886003892087,
+    0.0018250903743772641: -0.4024192324756704,
+    0.002552087962835806: -0.37627608351069225,
+    0.003568674221008785: -0.35029484886510015,
+    0.004990202485631182: -0.32451997199336885,
+    0.006977975378363439: -0.2990061965417343,
+    0.009757548019594556: -0.2738201353632879,
+    0.0136443220550634: -0.24904172798779933,
+    0.01907933468207776: -0.22476540815401758,
+    0.02667930370169232: -0.20110075466107302,
+    0.03730660727261898: -0.17817236270480785,
+    0.05216713905862332: -0.15611866232468222,
+    0.072947142517543: -0.13508943759716097,
+    0.10200455109288023: -0.11524186834132168,
+    0.1426365459230664: -0.09673501157453149,
+    0.1994536911822474: -0.07972272676700702,
+    0.2789031006659414: -0.0643450803973272,
+    0.39: -0.05071822898704607,
+    0.0013254561074764546: -0.42747893242852425,
+}
+
+
+def test_zero_t_scan_values_are_the_mpmath_oracle_on_its_grid():
+    pytest.importorskip("mpmath")
+    ds = list(ZERO_T_SCAN)
+    assert ds[:60] == pytest.approx(np.geomspace(1e-9, 0.39, 60).tolist(), rel=1e-15, abs=0)
+    for d in ds[::12]:
+        assert ZERO_T_SCAN[d] == force_zero_t_mpmath(d), d
+
+
+# at a loose tol the zero-T force missed with converged=True at 27 of 576
+# points like these, up to 19x its estimate (d = 2.04e-8); `force --d
+# 0.0013254561074764546 --tol 1e-3` was 2.0e-3 off for an estimate of
+# 6.5e-4, while its Lifshitz row was right.  The head's first seed panel,
+# [0, Q/8], held q ~ 1, where the integrand turns from its rise into its
+# cos(2dq)/(2q) decay, and K15 and G7 both under-resolved it alike
+@pytest.mark.parametrize("d", list(ZERO_T_SCAN))
+def test_small_d_zero_t_canonical_force_at_every_tol_within_its_estimate_of_mpmath(d):
+    misses = []
+    for tol in (1e-2, 3e-3, 1e-3, 5e-4, 3e-4, 1e-4, 1e-5, 1e-8, 1e-10):
+        est = casimir_force(DimensionlessPoint(d), "canonical", tol).estimate
+        if not (est.converged and abs(est.value - ZERO_T_SCAN[d]) <= est.abs_error_estimate):
+            misses.append((tol, est.value - ZERO_T_SCAN[d], est.abs_error_estimate))
+    assert not misses, misses
+
+
 @pytest.mark.parametrize("d, that", [(1e-5, 1.0), (1e-6, 10.0), (1e-3, 1e-2)])
 def test_small_d_canonical_force_within_its_estimate_of_the_identity(d, that):
     assert _within_estimate_of_the_identity(d, that) == (True, True)

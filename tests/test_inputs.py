@@ -210,19 +210,25 @@ def test_huge_int_is_out_of_range():
         casimir_force(P(10 ** 400), "lifshitz")
 
 
-@pytest.mark.parametrize("call", [
-    lambda: casimir_force(P(1e308), "canonical"),        # the rate 2d overflows
-    lambda: casimir_force(P(1.7e308, 1.0), "canonical"),
-    lambda: entropy_lifshitz(P(1.0, 5e-324)),            # the bound 1/(8 pi That) overflows
-    lambda: entropy_lifshitz(P(1e300, 5e-324)),
-    lambda: entropy_lifshitz(P(2.0, 1.0), tol=5e-324),   # each series' tol/2 is 0
-], ids=["canonical_rate", "canonical_rate_warm", "lifshitz_entropy_bound",
+# the force's largest d, 2d finite, holds for both routes: the Lifshitz force
+# at d = 1e308 read 0 with err 0 and converged=True, after an overflow
+# warning at That = 1, where its zero mode -That/(2(d+2)) is ~ -5e-309
+@pytest.mark.parametrize("call, name", [
+    (lambda: casimir_force(P(1e308), "canonical"), "d="),        # the rate 2d overflows
+    (lambda: casimir_force(P(1.7e308, 1.0), "canonical"), "d="),
+    *[(lambda d=d, t=t: casimir_force(P(d, t), "lifshitz"), "d=")
+      for d in (1e308, 1.7e308) for t in (0.0, 1.0)],
+    (lambda: entropy_lifshitz(P(1.0, 5e-324)), "That="),   # the bound 1/(8 pi That) overflows
+    (lambda: entropy_lifshitz(P(1e300, 5e-324)), "That="),
+    (lambda: entropy_lifshitz(P(2.0, 1.0), tol=5e-324), "tol"),   # each series' tol/2 is 0
+], ids=["canonical_rate", "canonical_rate_warm", "lifshitz_d1e308", "lifshitz_d1e308_warm",
+        "lifshitz_d1.7e308", "lifshitz_d1.7e308_warm", "lifshitz_entropy_bound",
         "lifshitz_entropy_bound_far", "lifshitz_entropy_half_tol"])
-def test_an_engine_argument_out_of_range_is_a_domain_error_at_the_entry(call):
+def test_an_engine_argument_out_of_range_is_a_domain_error_at_the_entry(call, name):
     # each of these would hand an engine an inf or a 0, which the engines no
     # longer check: a ZeroDivisionError, RuntimeWarning, OverflowError or
     # ValueError from inside them
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=name):
             call()

@@ -90,8 +90,8 @@ def test_flux_identities_randomized():
         q = float(rng.uniform(1e-4, 100.0))
         d = float(rng.uniform(1e-4, 50.0))
         co = coefficients_closed_form(q, d)
-        assert abs(co.unitarity_residual) <= 1e-12
-        assert abs(co.flux_residual) <= 1e-12
+        assert abs(abs(co.B) ** 2 + abs(co.G) ** 2 - 1.0) <= 1e-12
+        assert abs(abs(co.D) ** 2 + abs(co.G) ** 2 - abs(co.C) ** 2) <= 1e-12
 
 
 def test_kernel_long_wavelength_value():
