@@ -126,6 +126,19 @@ def _mode_sum(c, weight, h_weight, d):
     return f, h
 
 
+def _require_that(that):
+    """The float That >= 0, or a DomainError if its 1/(8 pi That) overflows."""
+    if that and 0.5 / (4.0 * math.pi * that) == math.inf:
+        raise DomainError(f"That must be 0 or have a finite 1/(8 pi That), got That={that!r}")
+    return that
+
+
+def _zero_mode_log(that, d, cutoff_lambda):
+    """log[2 pi That (d+2)/Lambda]: -inf where the argument underflows to 0."""
+    x = 2.0 * math.pi * that * (d + 2.0) / cutoff_lambda
+    return math.log(x) if x else -math.inf
+
+
 def _canonical_force(d, that, tol):
     """The mode sum with the Bose-weighted q, w = q at That = 0, its tail
     along Re q = ``contour_switch(d)`` and its head seeded as the module
@@ -197,9 +210,9 @@ def free_energy_lifshitz(point: DimensionlessPoint,
                          tol: float = LIFSHITZ_TOL) -> Result:
     """Regularized free energy; shifts by -(That/2) log(L2/L1) under a
     cutoff change and diverges like -(That/2) log(Lambda) as Lambda -> inf.
-    d and That are read as floats, as in the Matsubara force; the
-    estimate of a value that is not finite (2 pi That (d+2) overflows) is inf."""
-    d, that = float(point.d), require_real("That", point.That)
+    d and That are read as floats, as in the Matsubara force; the estimate
+    of a value that is not finite (2 pi That (d+2)/Lambda is inf or 0) is inf."""
+    d, that = float(point.d), _require_that(require_real("That", point.That))
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
     tol = require_real("tol", tol)
     c = 4.0 * math.pi * that
@@ -208,7 +221,7 @@ def free_energy_lifshitz(point: DimensionlessPoint,
         return -that * np.log1p(_matsubara(c, d, n)[1])
 
     s = sum_exponential_series(terms, 0.5 * that / c, math.exp(-c * d), tol)
-    log_term = 0.5 * that * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
+    log_term = 0.5 * that * _zero_mode_log(that, d, cutoff_lambda)
     value = s.value + log_term
     # the That term: the few eps by which the log's argument rounds are an
     # absolute error of the log
@@ -221,18 +234,18 @@ def free_energy_lifshitz(point: DimensionlessPoint,
 def casimir_force(point: DimensionlessPoint, method: str, tol: float = FORCE_TOL) -> Result:
     """The force at ``point`` by the canonical mode sum or the Lifshitz
     route; That = 0 takes the zero-temperature forms (the weight q, the
-    imaginary-axis integral).  A d outside pi/MAX_Q <= d with 2d finite is
-    a DomainError for both routes (see the module docstring).  The
-    canonical route takes That as given (see the module docstring on an int
-    or float32 That)."""
-    d, tol = float(point.d), require_real("tol", tol)
+    imaginary-axis integral).  A d outside its domain (see the module
+    docstring), or a That > 0 whose 1/(8 pi That) overflows (That <~
+    2.2e-310), is a DomainError for both routes.  The canonical route takes
+    That as given (see the module docstring on an int or float32 That)."""
+    d, that, tol = float(point.d), _require_that(float(point.That)), require_real("tol", tol)
     if math.pi / d > MAX_Q or 2.0 * d == math.inf:
         raise DomainError(f"the force needs pi/MAX_Q = {math.pi / MAX_Q:.3g} <= d "
                           f"with 2d finite, got d={d!r}")
     if method == "canonical":
         est = _canonical_force(d, point.That, tol)
     elif method == "lifshitz":
-        est = _lifshitz_force(d, float(point.That), tol)
+        est = _lifshitz_force(d, that, tol)
     else:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     return Result(method, point, est)

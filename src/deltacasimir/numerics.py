@@ -133,11 +133,11 @@ _EULER_GAMMA = 0.57721566490153286061
 # which stay in cache and below glibc's 128 KiB mmap and trim thresholds, so
 # they are reused from the heap, not mapped and unmapped on every call
 _GK_CHUNK = 256
-# caps on the work of one engine call; hitting one reports converged=False
+# caps on the work of one engine call; hitting one reports converged=False.
+# The seed pass always runs: _MAX_EVALS refuses the bisection rounds past it
 _MAX_EVALS = 8_000_000      # integrand evaluations of one integral
 _MAX_ROUNDS = 48            # bisection rounds of one adaptive integral
 _MAX_TERMS = 10_000_000     # terms of one exponential series
-_MAX_SEED_PANELS = 300_000  # seed panels of one oscillatory integral's head
 _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # a smooth semi-infinite integral maps x = L s/(1-s) with L = 4 decay
 # lengths onto 8 equal seed panels of [0, 1), and its integrand is zero past
@@ -232,11 +232,10 @@ def _gk_segments(f, edges, seg, tol, checks=None):
     segments 0, 1, ... in order; seg is the int 0 for a single integral)
     to the absolute tolerance tol[s], or to the tolerances ``tol()``
     returns after the seed pass when tol is callable; f(x, s) gets the
-    segment index of the nodes (see ``_gk_apply``).  An integral whose
-    seed panels and checks[s] extra points (none without ``checks``) alone
-    would take it past ``_MAX_EVALS`` evaluations is not evaluated: value
-    0, error inf, 0 evaluations.  Returns lists (value, error,
-    evaluations), one entry per integral, converged where error <= tol.
+    segment index of the nodes (see ``_gk_apply``).  Every seed panel is
+    evaluated; ``_refine`` counts that pass and checks[s] extra points (none
+    without ``checks``), and alone holds integral s to ``_MAX_EVALS``.
+    Returns lists (value, error, evaluations), one per integral.
     """
     lo, hi = edges[:-1], edges[1:]
     if isinstance(seg, int):
@@ -246,19 +245,8 @@ def _gk_segments(f, edges, seg, tol, checks=None):
         lo, hi, seg = lo[same], hi[same], seg[1:][same]
         counts = np.bincount(seg).tolist()
     evals = [15 * c + k for c, k in zip(counts, checks or itertools.repeat(0))]
-    fits = [e <= _MAX_EVALS for e in evals]
-    if not all(fits):
-        keep = np.repeat(fits, counts)
-        lo, hi = lo[keep], hi[keep]
-        if not lo.size:
-            return [0.0] * len(fits), [math.inf] * len(fits), [0] * len(fits)
-        seg = seg[keep]
-        counts = [c * ok for c, ok in zip(counts, fits)]
-        evals = [e * ok for e, ok in zip(evals, fits)]
     vals, errs = _gk_apply(f, lo, hi, seg)
-    value, err, evals = _refine(f, lo, hi, seg, counts, vals, errs, evals,
-                                tol() if callable(tol) else tol)
-    return value, [e if fit else math.inf for e, fit in zip(err, fits)], evals
+    return _refine(f, lo, hi, seg, counts, vals, errs, evals, tol() if callable(tol) else tol)
 
 
 def _seed_edges(stop, n, extra, extra_seg):
@@ -456,8 +444,10 @@ def integrate_oscillatory_tail(f, h, omega, switch_point, tol,
     have Re h = f on the real axis and decay like e^{-omega Im q}.  Q must
     cover one period 2 pi/omega, over which the continuation is checked
     against f; its caller's ``contour_switch`` does, and nothing here
-    checks it.  f(q, s) and h(z, s) take the segment index s, always 0, as
-    in ``_oscillatory_segments``, of which this is one integral.  The points
+    checks it.  The head's 8 equal seed panels resolve a head of at most
+    two periods, as ``contour_switch``'s is; bisection takes a longer one.
+    f(q, s) and h(z, s) take the segment index s, always 0, as in
+    ``_oscillatory_segments``, of which this is one integral.  The points
     of ``head_seeds`` in (0, Q) become extra seed edges of the head: the
     callers put them around features far narrower than a seed panel.
     """
@@ -470,8 +460,8 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     """``integrate_oscillatory_tail`` of several integrals at once: integral
     s has angular rate omega[s], switch point Q = stop[s], tolerance tol[s]
     (lists) and head seeds seeds[seeds_seg == s]; f(q, s) and h(z, s) get
-    the segment index of the points (see ``_gk_apply``).  The head is
-    seeded at pi/(2 omega), or Q/8 where that is narrower.  The tail
+    the segment index of the points (see ``_gk_apply``).  The head gets 8
+    equal seed panels, Q/8 wide, besides its seeds.  The tail
     int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at infinity
     vanishes) is mapped as in ``integrate_smooth_semi_infinite`` with decay
     scale 1/omega, witness included, onto 8 seed panels on x = -t, t in
@@ -484,7 +474,7 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
 
     width[s] (a list) is None for an integral with a tail; a number makes
     integral s tail-less: the real-axis integral of f over [0, stop[s]],
-    seeded that far apart (stop[s]/8 where that is narrower), with no tail
+    seeded width[s] apart (stop[s]/8 where that is narrower), with no tail
     edges, agreement points or witness, and h never sees it.  The integrals
     share one seed pass and one ``_refine`` loop, and each keeps its own
     check, refinement target, witness and ``_MAX_EVALS``.  A lone tailed
@@ -495,15 +485,13 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     one = isinstance(seeds_seg, int) and width[0] is None
     if one:   # plain floats, which the lists' index 0 reads
         q0 = stop[0]
-        n = min(math.ceil(q0 / min(0.5 * math.pi / omega[0], q0 / 8.0)), _MAX_SEED_PANELS)
-        edges, seg = _seed_edges(stop, [n], np.concatenate(
+        edges, seg = _seed_edges(stop, [8], np.concatenate(
             [seeds[(seeds > 0.0) & (seeds < q0)], -_MAP_EDGES[1:]]), 0)
         q_chk = q0 + 2.0 * math.pi / omega[0] / _CHECK_POINTS.size * _CHECK_POINTS
         decay, far, agree = [1.0 / omega[0]], [0.0], [False]
     else:
         tails = np.array([i for i, x in enumerate(width) if x is None], int)
-        nseed = [min(math.ceil(q / min(0.5 * math.pi / w if x is None else x, q / 8.0)),
-                     _MAX_SEED_PANELS) for w, q, x in zip(omega, stop, width)]
+        nseed = [8 if x is None else math.ceil(q / min(x, q / 8.0)) for q, x in zip(stop, width)]
         stop = np.array(stop)   # on_line takes each node's Q from it
         inside = (seeds > 0.0) & (seeds < stop[seeds_seg])
         # a tail's 8 seed panels on x = -t, t in [0, 1), end at its head's edge 0

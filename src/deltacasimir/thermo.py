@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_real, require_real_array
-from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, _mode_sum
+from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, _mode_sum, \
+    _require_that, _zero_mode_log
 from .model import DimensionlessPoint, Result
 from .numerics import (
     QuadratureEstimate,
@@ -226,15 +227,12 @@ def entropy_lifshitz(point: DimensionlessPoint,
 
     ``include_zero_mode`` keeps or drops the cutoff-dependent first line;
     the two choices expose the two horns of the third-law dilemma.  A value
-    that is not finite (2 pi That (d+2) overflows) has the estimate inf.
+    that is not finite (2 pi That (d+2)/Lambda is inf or 0) has the estimate inf.
     """
-    d, that = float(point.d), require_real("That", point.That)
+    d, that = float(point.d), _require_that(require_real("That", point.That))
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda)
     tol = require_real("tol", tol, low=5e-324)   # each series takes tol/2 > 0
     c = 4.0 * math.pi * that
-    if 0.5 / c == math.inf:
-        raise DomainError(f"the Lifshitz entropy needs a finite bound 1/(8 pi That), "
-                          f"got That={that!r}")
 
     def log_terms(n):
         return np.log1p(_matsubara(c, d, n)[1])
@@ -248,7 +246,7 @@ def entropy_lifshitz(point: DimensionlessPoint,
     value = s1.value - s2.value
     scale = abs(value)                      # of the rounding term, as in forces
     if include_zero_mode:
-        half_log = 0.5 * math.log(2.0 * math.pi * that * (d + 2.0) / cutoff_lambda)
+        half_log = 0.5 * _zero_mode_log(that, d, cutoff_lambda)
         value += -half_log - 0.5
         scale += abs(half_log) + 1.0        # the 0.5, and the rounding of the log's argument
     method = "lifshitz" if include_zero_mode else "lifshitz_no_zero_mode"

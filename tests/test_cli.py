@@ -8,7 +8,7 @@ import sys
 import pytest
 from oracles import RECORDED_HOST, host_fingerprint
 
-from deltacasimir import DimensionlessPoint, casimir_force, cli
+from deltacasimir import DimensionlessPoint, casimir_force, cli, numerics
 from deltacasimir.cli import main
 from deltacasimir.forces import FORCE_TOL
 
@@ -514,6 +514,23 @@ def test_lifshitz_entropy_that_overflows_exits_3(capsys):
                            "--method", "lifshitz")
     row = _rows(out)[0]
     assert code == 3 and (row["value"], row["converged"]) == ("-inf", "false")
+
+
+def test_lifshitz_entropy_whose_zero_mode_log_underflows_exits_3(capsys, monkeypatch):
+    # math.log(0) raised a ValueError: a traceback, no rows and exit 1
+    monkeypatch.setattr(numerics, "_MAX_TERMS", 1_000)   # the series' ratio rounds to 1
+    code, out, err = run(capsys, "entropy", "--d", "1", "--That", "1e-200", "--lambda",
+                         "1e150", "--method", "lifshitz")
+    assert code == 3 and "Traceback" not in err
+    assert [(r["err"], r["converged"]) for r in _rows(out)] == [("inf", "false")]
+
+
+def test_force_below_the_smallest_that_is_an_error_line(capsys):
+    # the canonical force read nan, and the Lifshitz force spent 10^7 terms
+    # to read nan
+    code, out, err = run(capsys, "force", "--d", "1", "--That", "1e-310")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "That=1e-310" in err
 
 
 def test_entropy_at_a_tiny_temperature_prints_its_rows_and_exits_3(capsys):

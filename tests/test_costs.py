@@ -134,6 +134,29 @@ def test_force_sweep_passes(monkeypatch):
     assert _gk_passes(monkeypatch, sweep) == 147
 
 
+def test_every_head_gets_8_seed_panels(monkeypatch):
+    # the engine seeds a head with a tail in 8 panels: its Q = contour_switch(d)
+    # spans under two periods, which Q/8 resolves.  A tail-less density runs
+    # to q_max <= 40 That on panels a period pi/d wide, or 2.5 That where that
+    # is narrower, and only while d q_max <= 16 pi: at most 16 panels
+    panels = {True: [], False: []}   # has a tail -> the seed panels of each head
+    seed_edges = numerics._seed_edges
+
+    def spy(stop, n, extra, extra_seg):
+        owner = np.zeros(extra.size, int) if isinstance(extra_seg, int) else extra_seg
+        for s, k in enumerate(n):   # a tail's seed edges are the extra points below 0
+            panels[bool((extra[owner == s] < 0.0).any())].append(int(k))
+        return seed_edges(stop, n, extra, extra_seg)
+
+    monkeypatch.setattr(numerics, "_seed_edges", spy)
+    for d, t in FORCE_SWEEP:
+        casimir_force(DimensionlessPoint(d, t), "canonical")
+    for t in (0.5, 1.0, 2.0):   # figure 3a's default grid
+        entropy_density_canonical(np.geomspace(0.5, 100.0, 48), t)
+    assert panels[True] == [8] * (96 + 105)
+    assert len(panels[False]) == 39 and max(panels[False]) <= 16
+
+
 def _estimates_digest(estimates):
     """SHA-256 over each estimate's value and error bits, evaluations and flag."""
     h = hashlib.sha256()
@@ -325,9 +348,11 @@ def test_canonical_force_that_fails_its_continuation_check():
 
 
 # criterion 12's five oscillatory integrals at tol 1e-9; 2,103-3,033 each when
-# their tails ran on half-period panels with Wynn's epsilon, and 336, 366,
-# 1,131, 1,266 and 411 while head and contour tail were two adaptive integrals
-@pytest.mark.parametrize("i, evals", enumerate([336, 366, 1_101, 1_206, 411]))
+# their tails ran on half-period panels with Wynn's epsilon, 336, 366, 1,131,
+# 1,266 and 411 while head and contour tail were two adaptive integrals, and
+# 1,101 and 411 for the two with (omega, Q) = (2, 10) while a head of more
+# than two periods was seeded every quarter period, not in 8 panels
+@pytest.mark.parametrize("i, evals", enumerate([336, 366, 1_056, 1_206, 336]))
 def test_oscillatory_integrals(i, evals):
     f, h, spec, _ = OSCILLATORY_INTEGRALS[i]
     assert lone_tail(f, h, *spec, 1e-9).evaluations == evals

@@ -17,7 +17,7 @@ from deltacasimir import (
     entropy_lifshitz,
     free_energy_lifshitz,
 )
-from deltacasimir import forces
+from deltacasimir import forces, thermo
 from deltacasimir.scattering import RESOLVED_D, flux_deficit
 
 # extended-precision (mpmath, 40 digit) evaluations of the imaginary-axis integral
@@ -562,6 +562,30 @@ def test_force_below_its_smallest_d_is_a_domain_error(d, that, method, monkeypat
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=f"d={d!r}"):
             casimir_force(DimensionlessPoint(d, that), method)
+
+
+# below That ~ 2.2e-310 the Matsubara bound 1/(8 pi That) overflows, and only
+# the Lifshitz entropy refused such a That: at (1, 1e-310) the Lifshitz force
+# spent 10^7 terms (0.5 s) to read nan with err nan, the free energy 2 s
+# to read -inf, and the canonical force read nan; at 5e-324 the free energy
+# raised a ValueError from its log
+@pytest.mark.parametrize("that", [1e-310, 5e-324])
+@pytest.mark.parametrize("call", [
+    lambda p: casimir_force(p, "canonical"), lambda p: casimir_force(p, "lifshitz"),
+    free_energy_lifshitz, entropy_lifshitz], ids=["canonical", "lifshitz", "free_energy",
+                                                   "entropy"])
+def test_a_that_whose_matsubara_bound_overflows_is_a_domain_error(call, that, monkeypatch):
+    def engine(*args):
+        raise AssertionError("a node or a series term was evaluated")
+
+    for module in (forces, thermo):
+        for name in ("integrate_oscillatory_tail", "integrate_smooth_semi_infinite",
+                     "sum_exponential_series"):
+            monkeypatch.setattr(module, name, engine, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"That={that!r}"):
+            call(DimensionlessPoint(1.0, that))
 
 
 @pytest.mark.parametrize("d, that", [

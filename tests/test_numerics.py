@@ -177,18 +177,20 @@ def _noisy(x):
 
 
 def test_adaptive_rounds_stop_at_the_evaluation_budget(monkeypatch):
-    from deltacasimir.numerics import _adaptive_gk
+    from deltacasimir.numerics import _adaptive_gk, _gk_apply
+    edges = np.linspace(0.0, 5.0, 9)
     for budget in (1_000, 20_000, 50_000):
         monkeypatch.setattr(numerics, "_MAX_EVALS", budget)
-        value, err, evals, ok = _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9),
-                                             1e-15)
+        value, err, evals, ok = _adaptive_gk(lambda x, _: _noisy(x), edges, 1e-15)
         assert not ok and evals <= budget
         # the round that was refused would have doubled the work
         assert evals > budget / 2
-    # seed panels that alone pass the budget are not evaluated
+    # seed panels that alone pass the budget are evaluated, and no round runs:
+    # the result is the seed pass's
     monkeypatch.setattr(numerics, "_MAX_EVALS", 100)
-    assert _adaptive_gk(lambda x, _: _noisy(x), np.linspace(0.0, 5.0, 9), 1e-15) == \
-        (0.0, math.inf, 0, False)
+    vals, errs = _gk_apply(lambda x, _: _noisy(x), edges[:-1], edges[1:], 0)
+    assert _adaptive_gk(lambda x, _: _noisy(x), edges, 1e-15) == \
+        (float(np.add.reduce(vals)), float(np.add.reduce(errs)), 120, False)
 
 
 def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
@@ -196,7 +198,7 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
     # its own tolerance share, stopping test and evaluation budget, so a
     # batch gives every member the result of its lone call, including the
     # noisy one that runs out of evaluations and the one whose seed panels
-    # alone are over the budget
+    # alone are over the budget, which are evaluated and never split
     from deltacasimir.numerics import _adaptive_gk, _gk_segments
     fs = [lambda x: np.exp(-x), _noisy, lambda x: np.cos(7.0 * x) / (1.0 + x * x),
           lambda x: np.sin(x)]
@@ -217,8 +219,8 @@ def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
                          np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols)
     for i, want in enumerate(lone):
         assert (float(batch[0][i]), float(batch[1][i]), batch[2][i]) == want
-    assert [e <= t for (_, e, _), t in zip(lone, tols)] == [True, False, True, False]
-    assert lone[1][2] > budget / 2 and lone[3] == (0.0, math.inf, 0)
+    assert [e <= t for (_, e, _), t in zip(lone, tols)] == [True, False, True, True]
+    assert lone[1][2] > budget / 2 and lone[3][2] == 15 * 1999
 
 
 def test_engines_share_one_evaluation_budget(monkeypatch):
@@ -321,14 +323,15 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
     assert [e <= m[4] for (_, e, _), m in zip(lone, members)] == [True] * 8 + [False] * 2
     assert lone[-1][1] == lone[-2][1] == math.inf and lone[-3][1] >= 2e-10
     # under a 30,000 cap: one runs out of evaluations, one has seed panels
-    # past the cap alone and is not evaluated
+    # past the cap alone, which are evaluated and never split
     monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
     members = [(lambda q: _noisy(q) * _lorentz_cos(q), _lorentz_exp, spec, (), 1e-15),
                (_lorentz_cos, _lorentz_exp, spec, np.linspace(0.001, 12.0, 2500), 1e-9),
                members[0]]
     lone = [_lone(*m) for m in members]
     assert lone[0][2] <= 30_000 and not lone[0][1] <= 1e-15
-    assert lone[1] == (0.0, math.inf, 0) and lone[2][1] <= 1e-9
+    # 2,508 head and 8 tail panels, and 96 check points
+    assert lone[1][1] <= 1e-9 and lone[1][2] == 15 * (2508 + 8) + 96 and lone[2][1] <= 1e-9
     assert _as_batch(members) == lone
 
 

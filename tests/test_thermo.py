@@ -19,7 +19,7 @@ from deltacasimir import (
     entropy_lifshitz,
     free_energy_lifshitz,
 )
-from deltacasimir import thermo
+from deltacasimir import numerics, thermo
 from deltacasimir.scattering import RESOLVED_D, flux_deficit
 
 # mpmath, 40 digits
@@ -394,6 +394,20 @@ def test_lifshitz_values_that_overflow_are_not_converged(d, that):
     assert s.estimate.abs_error_estimate == fe.estimate.abs_error_estimate == math.inf
     # a finite value keeps its flag: every term underflowed to 0
     assert rest.value == 0.0 and rest.estimate.converged
+
+
+def test_lifshitz_values_whose_zero_mode_log_underflows_are_not_converged(monkeypatch):
+    # 2 pi That (d+2)/Lambda underflows to 0, and math.log(0) raised a
+    # ValueError; the Matsubara ratio e^{-4 pi That d} rounds to 1 there, so
+    # the series takes _MAX_TERMS terms whatever the log, and fewer do here
+    monkeypatch.setattr(numerics, "_MAX_TERMS", 1_000)
+    pt = DimensionlessPoint(1.0, 1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, fe = entropy_lifshitz(pt, 1e150), free_energy_lifshitz(pt, 1e150)
+    assert (s.value, s.estimate.abs_error_estimate) == (math.inf, math.inf)
+    assert (fe.value, fe.estimate.abs_error_estimate) == (-math.inf, math.inf)
+    assert not s.estimate.converged and not fe.estimate.converged
 
 
 @pytest.mark.parametrize("that", [1e-10, 1e-12])
