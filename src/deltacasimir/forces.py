@@ -16,10 +16,13 @@ least one period, Q = max(pi/d, 1.5 pi/(d+2)): for d >= 4 the line
 Re q = Q then passes midway between the first two cavity resonances,
 near q_m = m pi/(d+2), instead of close to the first one.  The resonances
 in the head, each ~2 q_m^2/(d+2) wide, get graded seed edges
-(``scattering.resonance_edges``) if narrower than 0.4 pi/(d+2), so the
-seed pass resolves them; the wider ones need no extra edges.  Past d =
-``scattering.RESOLVED_D`` float64 cannot resolve the first one, and nothing
-bounds the force's error: its estimate is inf.  At That > 0 the Bose weight
+(``scattering.resonance_edges``; from half a width out, grown by 2x, below
+d = 300 and That (d+2) = 500) if narrower than 0.4 pi/(d+2), so the seed
+pass resolves them and most forces take no bisection round; the wider ones
+need no extra edges.
+Past d = ``scattering.RESOLVED_D`` float64 cannot resolve the first one,
+and nothing bounds the force's error: its estimate is inf, as it is for a
+value that is not finite.  At That > 0 the Bose weight
 differs from q only for q below ~10 That, so the head also gets seed edges
 at That 2^k, k = -1..5: without them, at That <~ 3e-4, that region lies
 inside the first seed panel, below its first node, and the thermal part is
@@ -73,7 +76,8 @@ from .numerics import (
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import MAX_Q, RESOLVED_D, contour_switch, flux_deficit, resonance_edges
+from .scattering import _FINE_SEED_D, MAX_Q, RESOLVED_D, contour_switch, flux_deficit, \
+    resonance_edges
 
 __all__ = [
     "FORCE_TOL",
@@ -95,6 +99,14 @@ _ROUNDING = 2.0 ** -51
 # the canonical force's head has seed edges at That times these, 2^k for
 # k = -1..5, or at these at That = 0 when Q > 8
 _BOSE_SEEDS = 2.0 ** np.arange(-1.0, 6.0)
+# from this That (d+2) on, the canonical force keeps a dip's seed edges at
+# its width, growing by 4x, as from d = _FINE_SEED_D on.  Its Bose weight is
+# ~That at the first dip, where rounding a panel's midpoint shifts the panel
+# by up to half an ulp of q: an error of ~3e-18 That (d+2) that K15 and G7
+# share.  Finer seeds let the estimate fall below it (at tol 1e-13 and
+# That = 10, 4 of 300 forces on d in [4, 300) missed, from That (d+2) =
+# 1.7e3); below 500 none of 4,950 forces did, at tol down to 1e-13
+_FINE_SEED_HEAT = 500.0
 
 
 def _mode_sum(c, weight, h_weight, d):
@@ -142,9 +154,14 @@ def _zero_mode_log(that, d, cutoff_lambda):
 def _canonical_force(d, that, tol):
     """The mode sum with the Bose-weighted q, w = q at That = 0, its tail
     along Re q = ``contour_switch(d)`` and its head seeded as the module
-    docstring says."""
+    docstring says: below d = ``_FINE_SEED_D`` and That (d+2) =
+    ``_FINE_SEED_HEAT`` the resonance edges start at half a width and grow
+    by 2x, since a lone force pays ~50 us of call overhead per GK pass
+    however few panels it refines.  A value that is not finite, or past
+    ``RESOLVED_D``, has the estimate inf."""
     q0 = contour_switch(d)
-    seeds = resonance_edges([d], [q0])[0]
+    fine = d < _FINE_SEED_D and that * (d + 2.0) < _FINE_SEED_HEAT
+    seeds = resonance_edges([d], [q0], [0.5 if fine else 1.0], 2.0 if fine else 4.0)[0]
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
 
@@ -160,7 +177,10 @@ def _canonical_force(d, that, tol):
         w = h_w = np.asarray   # w = q, the very array
     f, h = _mode_sum(-0.5 / math.pi, w, h_w, [d])
     est = integrate_oscillatory_tail(f, h, 2.0 * d, q0, tol, seeds)
-    if d > RESOLVED_D:   # the first dip is not resolved: nothing bounds the error
+    # past RESOLVED_D the first dip is not resolved, and nothing bounds the
+    # error; a value that is not finite (the Bose weight's q/That overflows
+    # at That <~ 1e-307) has no error to bound
+    if d > RESOLVED_D or not math.isfinite(est.value):
         return QuadratureEstimate(est.value, math.inf, est.evaluations, est.tol)
     return est
 

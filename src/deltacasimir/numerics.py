@@ -215,11 +215,14 @@ def _gk_apply(f, lo, hi, seg):
     return vals, errs
 
 
-def _adaptive_gk(f, edges, tol):
+def _adaptive_gk(f, edges, tol, rounds=None):
     """Adaptive GK15 of one integral on the panels between consecutive
     ``edges``: ``_gk_segments`` with the one segment 0, so f is called as
-    f(x, 0).  Returns (value, error, evaluations, error <= tol)."""
-    v, e, n = _gk_segments(f, np.asarray(edges, float), 0, [tol])
+    f(x, 0).  ``rounds``, when given, is called after the seed pass: where
+    it gives False no bisection round follows.  Returns (value, error,
+    evaluations, error <= tol)."""
+    v, e, n = _gk_segments(f, np.asarray(edges, float), 0,
+                           lambda: [tol if rounds is None or rounds() else math.inf])
     return float(v[0]), float(e[0]), n[0], bool(e[0] <= tol)
 
 

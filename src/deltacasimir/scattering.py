@@ -130,6 +130,12 @@ def flux_deficit(q, d):
 # under 4.5e4 ulp of its phase q_1 d: its rounding reaches 1e-6 of a force
 # or density, past any estimate, so such a result's estimate is inf
 RESOLVED_D = 1e6
+# below this d the callers of resonance_edges start a graded resonance's
+# seed edges at half its width; from here on, where ROADMAP item 10's known
+# misses begin and finer seeds make the estimate dishonest (converged forces
+# up to 4.7x their estimate off from d ~ 2e4), at its width, growing by 4x.
+# Item 10's dip-centred head deletes it, together with RESOLVED_D
+_FINE_SEED_D = 300.0
 
 
 def _deficit_at_zero(d):
@@ -139,17 +145,25 @@ def _deficit_at_zero(d):
     return (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0))
 
 
-def resonance_edges(d, q_hi):
+def resonance_edges(d, q_hi, start, ratio):
     """Quadrature seed edges that bracket the cavity resonances of each
-    separation d[i] below min(1, q_hi[i]) (``d``, ``q_hi``: lists or arrays).
+    separation d[i] below min(1, q_hi[i]) (``d``, ``q_hi``, ``start``:
+    lists or arrays).
 
     Below q ~ 1 the flux deficit has a sharp resonance in every period, at
     sin(dq) + 2q cos(dq) = 0, near q_m = m pi/(d+2) with width
-    gamma_m = 2 q_m^2/(d+2).  Each gets the edges q_m +- gamma_m 4^k for
-    k = 0, 1, ... while gamma_m 4^k < 0.4 pi/(d+2): panels that grow by 4x
-    away from the resonance, so an adaptive integral resolves it in its
-    seed pass instead of bisecting toward it from a period-wide panel.
-    Only resonances narrower than 0.4 pi/(d+2) get edges, which is
+    gamma_m = 2 q_m^2/(d+2).  Each gets the edges q_m +- start[i] gamma_m
+    ratio^k for k = 0, 1, ... while they stay below the cap 0.4 pi/(d+2),
+    start[i] 1/2 or 1 and ``ratio`` 2 or 4, so every product is exact:
+    panels that grow by ``ratio`` away from the resonance, so an adaptive
+    integral resolves it in its seed pass instead of bisecting toward it
+    from a period-wide panel.  The callers take start 1/2 below
+    ``_FINE_SEED_D`` (a force only below That (d+2) = 500 too) and 1
+    elsewhere, with ratio 4; with start 1/2 a lone force, which pays ~50 us
+    of call overhead per pass, takes ratio 2 and converges in its seed pass
+    (ratio 4 leaves 31 of the benchmark's 90 float forces more than one),
+    and a density batch, which pays per evaluation, takes 4.  Only
+    resonances with gamma_m below the cap get edges, which is
     q_m < sqrt(0.2 pi) ~ 0.79 at any d.  The wider ones need none: a seed
     panel at most one period pi/d wide spans only a few of their widths,
     and the seed pass resolves them as it does any smooth bump.
@@ -168,12 +182,14 @@ def resonance_edges(d, q_hi):
         d2 = float(d[0]) + 2.0
         step = math.pi / d2
         stop, cap = min(1.0, q_hi[0]) / step, 0.4 * step
+        first = float(start[0])
         edges, m = [], 1
         # gamma grows with m, so the resonances still graded form a prefix
         while m < stop and 0.0 < (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
+            gamma *= first
             while gamma < cap:
                 edges += (q_m - gamma, q_m + gamma)
-                gamma *= 4.0
+                gamma *= ratio
             m += 1
         return np.array(edges), 0
     d2 = np.add(d, 2.0)
@@ -190,11 +206,12 @@ def resonance_edges(d, q_hi):
     h = step[owner]
     q_m = h * (np.arange(1, owner.size + 1) - (count.cumsum() - count)[owner])
     gamma = 2.0 * q_m * q_m / d2[owner]
-    # the edges gamma_m 4^k (exact products) below the cap 0.4 pi/(d+2), for
-    # every k with 4^k below the largest cap/gamma_1 = 0.2 (d+2)^2/pi, and one more
-    levels = max(math.ceil(math.log(0.2 * top ** 2 / math.pi, 4)) + 1, 1)
-    widths = np.multiply.outer(gamma, 4.0 ** np.arange(levels))
-    graded = widths < 0.4 * h[:, None]
+    cap = 0.4 * h
+    # the edges start gamma_m ratio^k below the cap, for every k with ratio^k
+    # below the largest cap/(gamma_1/2) = 0.4 (d+2)^2/pi, and one more
+    levels = max(math.ceil(math.log(0.4 * top ** 2 / math.pi, ratio)) + 1, 1)
+    widths = np.multiply.outer(np.asarray(start)[owner] * gamma, ratio ** np.arange(levels))
+    graded = (widths < cap[:, None]) & (gamma < cap)[:, None]
     rows = graded.nonzero()[0]
     widths, q_m, owner = widths[graded], q_m[rows], owner[rows]
     return np.concatenate([q_m - widths, q_m + widths]), np.concatenate([owner, owner])

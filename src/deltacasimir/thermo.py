@@ -41,7 +41,7 @@ from .numerics import (
     sum_exponential_series,
 )
 # flux_deficit is not called here; the benchmark's tracer patches it by this name
-from .scattering import RESOLVED_D, contour_switch, flux_deficit, resonance_edges
+from .scattering import _FINE_SEED_D, RESOLVED_D, contour_switch, flux_deficit, resonance_edges
 
 __all__ = [
     "ENTROPY_TOL",
@@ -111,9 +111,11 @@ def entropy_density_canonical(dtilde, That: float,
     Below q ~ 1 each period holds a cavity dip near q_m = m pi/(dtilde+2),
     ~2 q_m^2/(dtilde+2) wide; every real-axis stretch gets the graded seed
     edges of ``scattering.resonance_edges`` around those narrower than
-    0.4 pi/(dtilde+2), so the seed pass resolves them.  Past
-    ``scattering.RESOLVED_D`` the first dip is below float64's resolution,
-    and a member's estimate is inf.
+    0.4 pi/(dtilde+2), so the seed pass resolves them: from half a width
+    out below ``scattering._FINE_SEED_D``, and growing by 4x, not by the
+    lone force's 2x, since a batch pays per evaluation.  Past
+    ``scattering.RESOLVED_D`` the first dip is below float64's resolution:
+    a member's estimate is inf, and it gets its seed pass only.
 
     When q_max spans more than 16 periods, the head [0, Q],
     Q = ``contour_switch(dtilde)``, is integrated on the real axis and the
@@ -142,15 +144,18 @@ def entropy_density_canonical(dtilde, That: float,
     # on panels a period wide (or 2.5 That) and leaves tail_bound of tol
     stop = [contour_switch(x) if r else q_max for x, r in zip(d.tolist(), rotated)]
     width = [None if r else min(math.pi / x, 2.5 * That) for x, r in zip(d.tolist(), rotated)]
-    seeds, owner = resonance_edges(d, stop)
+    seeds, owner = resonance_edges(d, stop, np.where(d < _FINE_SEED_D, 0.5, 1.0), 4.0)
 
     def w(q):   # (u/sinh u)^2, for real q and for complex q on the tail
         return _thermal_weight_raw(q, That)
 
     f, h = _mode_sum(0.5 / math.pi, w, w, d)
-    real_tol = tol - tail_bound if tail_bound < tol else math.inf   # inf: seed pass only
+    # inf: the seed pass only, where the truncation bound alone is tol or more
+    # or where the first dip is not resolved (past RESOLVED_D)
+    real_tol = tol - tail_bound if tail_bound < tol else math.inf
     v, e, n = _oscillatory_segments(f, h, (2.0 * d).tolist(), stop, [
-        tol if r else real_tol for r in rotated], seeds, owner, width)
+        math.inf if x > RESOLVED_D else tol if r else real_tol
+        for x, r in zip(d.tolist(), rotated)], seeds, owner, width)
     err = np.array(e) + np.where(rotated, 0.0, tail_bound)
     err[d > RESOLVED_D] = math.inf   # the first dip is not resolved
     value, evals = np.array(v, float), np.array(n)
@@ -178,7 +183,8 @@ def entropy_canonical(point: DimensionlessPoint,
     one adaptive loop.  Each inner density is asked for
     inner_tol = min(ENTROPY_INNER_TOL, tol/(4 (Lambda - d))), and
     (Lambda - d) * inner_tol is charged to the reported estimate, which is
-    inf once a density did not converge.
+    inf once a density did not converge; after a seed pass with such a
+    density the outer integral takes no bisection round.
 
     The flux deficit is at most 1 and (1/2pi) int_0^inf (u/sinh u)^2 dq =
     pi That/6 (u = q/2That), so at every temperature
@@ -213,7 +219,8 @@ def entropy_canonical(point: DimensionlessPoint,
     d_thermal = 0.5 / (math.pi * that)
     if d < d_thermal < cutoff_lambda:
         edges.insert(1, math.log(d_thermal))
-    v, e, _, _ = _adaptive_gk(g, edges, 0.75 * tol)
+    # no bisection round once a density has failed: the estimate is inf
+    v, e, _, _ = _adaptive_gk(g, edges, 0.75 * tol, lambda: inner_all_ok[0])
     err = e + (cutoff_lambda - d) * inner_tol if inner_all_ok[0] else math.inf
     return Result("canonical", point, QuadratureEstimate(v, err, inner_evals[0], tol),
                   cutoff_lambda)

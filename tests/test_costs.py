@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from oracles import RECORDED_HOST, host_fingerprint, lone_tail
 from test_acceptance import OSCILLATORY_INTEGRALS
+from test_forces import _LARGE_D
 
 from deltacasimir import DimensionlessPoint, casimir_force, cli, \
     entropy_canonical, entropy_density_canonical, entropy_lifshitz, numerics, thermo
+from deltacasimir.scattering import RESOLVED_D
 
 
 def _gk_passes(monkeypatch, fn):
@@ -45,23 +47,25 @@ def test_canonical_entropy_over_the_benchmark_grid():
     # 1,855,230 with every density on the real axis out to q_max; 300,441
     # before the densities got graded seed edges around their resonances;
     # 276,726 once the rotated densities' head and tail were one integral;
-    # 180,396 since the outer integral has a seed edge at the thermal length
+    # 180,396 once the outer integral had a seed edge at the thermal length;
+    # 162,921 since a graded resonance's seed edges start at half its width
     total = sum(entropy_canonical(DimensionlessPoint(d, t), 100.0).estimate.evaluations
                 for d, t in ENTROPY_GRID)
-    assert total <= 1.02 * 180_396
+    assert total <= 1.02 * 162_921
 
 
 def test_entropy_grid_passes(monkeypatch):
     # 841 while every outer node made its own density call (555 calls, each
     # with its own seed pass and rounds), 95 while each density call made one
     # adaptive loop per kind of q-integral, 85 while the outer integral had
-    # no seed edge at the thermal length; one density call per outer round,
+    # no seed edge at the thermal length, 58 while a graded resonance's seed
+    # edges started at its full width; one density call per outer round,
     # one adaptive loop for all of its q-integrals
     def entropies():
         for d, t in ENTROPY_GRID:
             entropy_canonical(DimensionlessPoint(d, t), 100.0)
 
-    assert _gk_passes(monkeypatch, entropies) == 58
+    assert _gk_passes(monkeypatch, entropies) == 45
 
 
 def test_cold_entropy_grid_row_is_one_density_call_each(monkeypatch):
@@ -88,11 +92,12 @@ def test_cold_entropy_grid_row_is_one_density_call_each(monkeypatch):
 def test_density_over_the_figure3a_grid():
     # 973,980 with q_max = 40 That; 705,810 with every density on the real
     # axis out to q_max; 59,355 with graded seed edges around the resonances,
-    # 59,085 since the rotated densities' head and tail are one integral
+    # 59,085 once the rotated densities' head and tail were one integral,
+    # 54,255 since a graded resonance's seed edges start at half its width
     grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
     total = sum(entropy_density_canonical(d, t).estimate.evaluations
                 for t in (0.5, 1.0, 2.0) for d in grid)
-    assert total <= 1.02 * 58_995
+    assert total <= 1.02 * 54_255
 
 
 # 107,988 and 7,623 when the tail beyond Q = max(10, 8 That, 4 pi/2d) ran on
@@ -102,19 +107,21 @@ def test_density_over_the_figure3a_grid():
 # while it ran to Q = pi/d with no seed edges around its resonance; both
 # values are within 1e-15 of the exact force (were 4.3e-12 and 8.3e-12 with
 # Wynn's epsilon).  Head and contour tail becoming one adaptive integral did
-# not move either count.
-@pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 666), (10.0, 2.0, 546)])
+# not move either count; 666 and 546 while a graded resonance's seed edges
+# started at its full width and grew by 4x, and (200, 0) took a second pass.
+@pytest.mark.parametrize("d, that, evals", [(200.0, 0.0, 726), (10.0, 2.0, 516)])
 def test_canonical_force(d, that, evals):
     assert casimir_force(DimensionlessPoint(d, that), "canonical").estimate.evaluations == evals
 
 
 # 13 and 15 passes when the head [0, pi/d] found the resonance near
 # pi/(d+2) by bisection and the line Re q = pi/d passed 1.6e-4 from it;
-# 3 and 3 while the head and the contour tail were two adaptive integrals
+# 3 and 3 while the head and the contour tail were two adaptive integrals,
+# 2 and 2 while a graded resonance's seed edges started at its full width
 @pytest.mark.parametrize("d, that", [(200.0, 0.0), (200.0, 2.0)])
 def test_canonical_force_passes(monkeypatch, d, that):
     pt = DimensionlessPoint(d, that)
-    assert _gk_passes(monkeypatch, lambda: casimir_force(pt, "canonical")) == 2
+    assert _gk_passes(monkeypatch, lambda: casimir_force(pt, "canonical")) == 1
 
 
 # the 96 float points of one benchmark force_sweep pass: 24 float32-rounded
@@ -126,12 +133,35 @@ FORCE_SWEEP = [(d, t) for t in (0.0, 0.5, 1.0, 2.0) for d in _FORCE_D]
 def test_force_sweep_passes(monkeypatch):
     # 253 while head and contour tail were two adaptive integrals with a
     # separate agreement check, 153 before the zero-T head got seed edges
-    # near q ~ 1 at d < pi/8
+    # near q ~ 1 at d < pi/8, 147 while a graded resonance's seed edges
+    # started at its full width and grew by 4x
     def sweep():
         for d, t in FORCE_SWEEP:
             casimir_force(DimensionlessPoint(d, t), "canonical")
 
-    assert _gk_passes(monkeypatch, sweep) == 147
+    assert _gk_passes(monkeypatch, sweep) == 98
+
+
+# the benchmark's force_sweep computes the other six of these points with an
+# int, np.int64 or np.float32 That: (That, index into _FORCE_D)
+_TYPED_FORCE_POINTS = {(1.0, 4), (2.0, 12), (1.0, 20), (2.0, 8), (1.0, 16), (2.0, 22)}
+
+
+def test_lone_canonical_forces_converge_in_their_seed_pass(monkeypatch):
+    # 44 of the 90 float points did while each graded resonance's seed edges
+    # started at its full width and grew by 4x: the rest took a second pass
+    # that bisected the panels around the dip
+    passes = []
+    gk_apply = numerics._gk_apply
+    monkeypatch.setattr(numerics, "_gk_apply", lambda *args: passes.append(1) or gk_apply(*args))
+    seed_pass_only = 0
+    for t in (0.0, 0.5, 1.0, 2.0):
+        for i, d in enumerate(_FORCE_D):
+            if (t, i) not in _TYPED_FORCE_POINTS:
+                passes.clear()
+                casimir_force(DimensionlessPoint(d, t), "canonical")
+                seed_pass_only += len(passes) == 1
+    assert seed_pass_only >= 88
 
 
 def test_every_head_gets_8_seed_panels(monkeypatch):
@@ -176,12 +206,16 @@ def _estimates_digest(estimates):
 # when the Matsubara estimates took the rounding of adding the zero mode:
 # only the 17 Lifshitz errors moved.  Recorded again when the contour tail's
 # panels moved to x = -t: 3 canonical values moved, by at most 4.2e-16
-# relative, and 10 canonical errors, by at most 3.8e-10.
+# relative, and 10 canonical errors, by at most 3.8e-10.  Recorded again when
+# each graded resonance's seed edges started at half its width: the 17
+# canonical entropies moved, values by at most 2.6e-13 relative and errors by
+# at most 9.5e-14, evaluations 183,363 -> 165,888 over the 34 entropies; no
+# flag moved.
 def test_entropy_grid_bits():
     ests = [f(DimensionlessPoint(d, t), 100.0).estimate
             for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
     assert _estimates_digest(ests) == \
-        "2701a9d9d39673a2ea114802f31cf07698dea60670a8d82574fc944f6fb504e4", \
+        "4f785c0c1c9f324a3cb7867ef682d25ac8e4b8e8527467668b3bec16ea246d58", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -193,11 +227,45 @@ def test_entropy_grid_bits():
 # head got seed edges near q ~ 1 at d < pi/8: the 5 canonical points at
 # That = 0 with d < 0.39 moved, values by at most 6.9e-16 relative and
 # errors by at most 9.0e-12, evaluations 1,860 -> 2,100; no flag moved.
+# Recorded again when each graded resonance's seed edges below d = 300
+# started at half its width and grew by 2x: 54 of the 96 canonical values
+# moved, by at most 7.4e-13 relative, and 56 errors, by at most 8.6e-11;
+# evaluations 51,270 -> 50,100 over the 192 forces; no flag moved.
 def test_force_sweep_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), route).estimate
             for d, t in FORCE_SWEEP for route in ("canonical", "lifshitz")]
     assert _estimates_digest(ests) == \
-        "3583798211bf40aa873cf6e9f57965696bf35764e5c05167b99effbce47c4563", \
+        "4fb6363b34b988b2f4b84767f853987f8898df880c26a4657dd59b20a0eedb3f", \
+        f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
+
+
+# From d = 300 on a graded resonance keeps its seed edges gamma_m 4^k, so the
+# canonical force and density there keep the bits that those edges gave them
+# at every d (a density past RESOLVED_D now takes its seed pass only, and its
+# estimate is inf either way).
+def test_large_separation_bits():
+    ds = [300.0, *_LARGE_D.tolist()]
+    ests = [casimir_force(DimensionlessPoint(d, t), "canonical").estimate
+            for t in (0.0, 1e-3, 1.0, 10.0) for d in ds]
+    ests += [entropy_density_canonical(d, t).estimate
+             for t in (1e-3, 0.1, 1.0, 10.0) for d in ds if d <= RESOLVED_D]
+    assert len(ests) == 52 + 24
+    assert _estimates_digest(ests) == \
+        "4a22796d532776c373e1b3716d41dd9ad7d4d09023a0b66f3f2019b3439e48cf", \
+        f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
+
+
+# Where That (d+2) >= 500 below d = 300 a canonical force keeps a graded
+# resonance's seed edges gamma_m 4^k, so it keeps the bits that those edges
+# gave it at every d; finer seeds there let its estimate fall below the
+# rounding of the dip's panels
+def test_hot_force_bits():
+    ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
+            for t in (5.0, 10.0, 100.0) for d in (10.0, 50.0, 150.0, 250.0, 299.0)
+            if t * (d + 2.0) >= 500.0 for tol in (1e-10, 1e-13)]
+    assert len(ests) == 24
+    assert _estimates_digest(ests) == \
+        "622c772351a4fb0ee3841969c3e5f5a299410abc1db86c20f4bdea97c2ee5f41", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -205,30 +273,36 @@ def test_force_sweep_bits():
 # together, which no pin above reaches: no force_sweep point, and none of
 # criterion 12's integrals at tol 1e-9, ever splits a tail panel.  The force
 # at (0.1, 2) evaluates 10 head and 4 tail halves in its one round, (10, 1)
-# and (0.3, 0) mix both kinds in their first, and OSCILLATORY_INTEGRALS[3]
+# mixes both kinds in its first ((0.3, 0) did too until the zero-T head got
+# its seed edges near q ~ 1, and takes no round since), and OSCILLATORY_INTEGRALS[3]
 # evaluates 6 head and 2 tail halves in three of its rounds.  Recorded again
 # when the contour tail's panels moved to x = -t: the four values moved by at
 # most 1.9e-16 relative and the four errors by at most 2.5e-3; no count or
 # flag moved.  Recorded again when the zero-T head got seed edges near q ~ 1
 # at d < pi/8: only (0.3, 0) moved, its value by 4.5e-16 relative, its error
 # from 1.5e-16 to 9.2e-16 (tol 1e-15) and its evaluations from 546 to 411.
+# Recorded again when each graded resonance's seed edges below d = 300
+# started at half its width and grew by 2x: only (10, 1) moved, its value by
+# 4.9e-16 relative and its error from 1.14e-16 to 1.02e-16; no count moved.
 def test_lone_tail_refinement_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
             for d, t, tol in ((0.1, 2.0, 1e-14), (10.0, 1.0, 1e-15), (0.3, 0.0, 1e-15))]
     f, h, spec, _ = OSCILLATORY_INTEGRALS[3]
     ests.append(lone_tail(f, h, *spec, 1e-14))
     assert _estimates_digest(ests) == \
-        "d9319c52154fb7335a77d3f297dc0ffd770f286592b428e3641c4edb23e912d7", \
+        "19bb32bb477814eae44e7a8245e9b9878e8a3b8163a078637422e6fddd9e8ba7", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
 # the benchmark's typed force_sweep points: (That as passed, index into _FORCE_D,
 # canonical evaluations, Lifshitz evaluations).  The canonical force computes
 # an int That's Bose weight in int and a float32 point in float32, fails its
-# continuation check and says so, until ROADMAP item 2's typed inputs.
+# continuation check and says so, until ROADMAP item 2's typed inputs.  The
+# canonical counts of the last five were 366, 486, 366, 426 and 516 while a
+# graded resonance's seed edges started at its full width and grew by 4x.
 @pytest.mark.parametrize("that, i, canonical, lifshitz", [
-    (1, 4, 411, 6), (2, 12, 366, 1), (1, 20, 486, 1),
-    (np.int64(2), 8, 366, 1), (np.int64(1), 16, 426, 1), (np.float32(2.0), 22, 516, 1),
+    (1, 4, 411, 6), (2, 12, 426, 1), (1, 20, 636, 1),
+    (np.int64(2), 8, 366, 1), (np.int64(1), 16, 516, 1), (np.float32(2.0), 22, 696, 1),
 ], ids=["int-1", "int-2", "int-3", "int64-1", "int64-2", "float32"])
 def test_typed_force_sweep_points(that, i, canonical, lifshitz):
     d = np.float32(_FORCE_D[i]) if isinstance(that, np.float32) else _FORCE_D[i]
@@ -252,7 +326,8 @@ def test_typed_entropy_grid_points_give_the_float_bits(that, i):
 
 def test_figure3a_passes(monkeypatch):
     # 363 while head and contour tail were two adaptive integrals with a
-    # separate agreement check
+    # separate agreement check, 258 while a graded resonance's seed edges
+    # started at its full width
     grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
 
     def densities():
@@ -260,14 +335,15 @@ def test_figure3a_passes(monkeypatch):
             for d in grid:
                 entropy_density_canonical(d, t)
 
-    assert _gk_passes(monkeypatch, densities) == 258
+    assert _gk_passes(monkeypatch, densities) == 183
 
 
 def test_figure3a_command(tmp_path, monkeypatch, capsys):
     # 144 tasks and 258 passes while every row made its own scalar density
     # call, then 3 tasks while each curve was one; one task with one array
     # call per curve spends the same evaluations, in 15 passes while each
-    # call made one adaptive loop per kind of q-integral
+    # call made one adaptive loop per kind of q-integral; 59,085 evaluations
+    # while a graded resonance's seed edges started at its full width
     tasks = []
     run_tasks = cli._run_tasks
     monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts: tasks.append(len(ts))
@@ -277,7 +353,7 @@ def test_figure3a_command(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     evals = [int(line.split(",")[4]) for f in tmp_path.glob("*.csv")
              for line in f.read_text().split()[1:]]
-    assert tasks == [1] and len(evals) == 144 and sum(evals) == 59_085
+    assert tasks == [1] and len(evals) == 144 and sum(evals) == 54_255
 
 
 class _Stop(Exception):
@@ -305,8 +381,9 @@ def test_figure_task_counts(fig, tmp_path, monkeypatch):
 
 
 # 10 and 8 passes before the rotated head got seed edges around its
-# resonance and the real-axis density's dips were graded
-@pytest.mark.parametrize("dtilde, that, passes", [(100.0, 0.5, 3), (100.0, 0.01, 1)])
+# resonance and the real-axis density's dips were graded, 2 and 1 while a
+# graded resonance's seed edges started at its full width
+@pytest.mark.parametrize("dtilde, that, passes", [(100.0, 0.5, 1), (100.0, 0.01, 1)])
 def test_density_passes(monkeypatch, dtilde, that, passes):
     assert _gk_passes(monkeypatch, lambda: entropy_density_canonical(dtilde, that)) <= passes
 

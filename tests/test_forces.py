@@ -263,6 +263,33 @@ def test_large_separation_force_within_its_estimate_or_not_converged(that):
             or abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact), d
 
 
+# d log-uniform in [4, 300), where a graded resonance's seed edges start at
+# half its width (for a force, where That (d+2) < 500 too) and grow by 2x,
+# so most forces converge in their seed pass; tol down to the contract
+# sweep's 1e-13, where with fine seeds at That (d+2) >= 500 4 forces at
+# That = 10 missed their estimate
+FINE_SEED_D = 10.0 ** np.random.default_rng(7).uniform(math.log10(4.0), math.log10(300.0), 400)
+FINE_SEED_TOLS = (1e-6, 1e-8, 1e-10, 1e-12, 1e-13)
+
+
+@pytest.mark.parametrize("that", [0.0, 1e-3, 0.5, 2.0, 10.0])
+def test_fine_seeded_force_within_its_estimate_or_not_converged(that):
+    for d in FINE_SEED_D.tolist():
+        exact = force_identity(d, that)
+        for tol in FINE_SEED_TOLS:
+            est = casimir_force(DimensionlessPoint(d, that), "canonical", tol).estimate
+            assert not est.converged \
+                or abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact), (d, tol)
+
+
+@pytest.mark.parametrize("that", [1e-307, 1e-308])
+def test_a_canonical_force_that_is_not_finite_has_an_infinite_estimate(that):
+    # the Bose weight's q/That overflows, and the force read nan with err nan
+    with pytest.warns(RuntimeWarning):
+        est = casimir_force(DimensionlessPoint(1.0, that), "canonical").estimate
+    assert math.isnan(est.value) and est.abs_error_estimate == math.inf and not est.converged
+
+
 def test_a_matsubara_force_cut_at_the_term_cap_converges_within_its_bound():
     # 10^7 terms leave a remainder bound of 1.39e-7 within tol 1e-6; the
     # flag once also asked for the uncapped count

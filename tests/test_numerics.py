@@ -193,6 +193,19 @@ def test_adaptive_rounds_stop_at_the_evaluation_budget(monkeypatch):
         (float(np.add.reduce(vals)), float(np.add.reduce(errs)), 120, False)
 
 
+
+def test_adaptive_rounds_are_skipped_when_told_after_the_seed_pass():
+    # the canonical entropy's outer integral takes no round once a density
+    # has failed; its flag still compares the error with the caller's tol
+    from deltacasimir.numerics import _adaptive_gk
+    edges = np.linspace(0.0, 1.0, 9)
+    asked = []
+    value, err, evals, ok = _adaptive_gk(lambda x, _: np.sqrt(x), edges, 1e-12,
+                                         lambda: asked.append(1) and False)
+    assert asked == [1] and evals == 120 and err > 1e-12 and not ok
+    assert _adaptive_gk(lambda x, _: np.sqrt(x), edges, 1e-12, lambda: True)[2:] == \
+        _adaptive_gk(lambda x, _: np.sqrt(x), edges, 1e-12)[2:]
+
 def test_a_batch_gives_each_integral_its_own_bits_and_budget(monkeypatch):
     # _gk_segments integrates several integrals in one loop; each one keeps
     # its own tolerance share, stopping test and evaluation budget, so a

@@ -207,10 +207,20 @@ def test_flux_deficit_matches_mpmath(d):
 
 # ----------------------------------------------------------- resonance edges
 
-@pytest.mark.parametrize("d", [4.0, 20.0, 200.0])
-def test_resonance_edges_bracket_each_resonance_in_graded_panels(d):
+def _root_sign(d, q):
+    """The sign of sin(dq) + 2q cos(dq), whose roots are the resonances."""
+    return math.copysign(1.0, math.sin(d * q) + 2.0 * q * math.cos(d * q))
+
+
+# the graded level whose panels hold each resonance's root at start 1/2: the
+# innermost panel but at d = 4, whose one graded root lies 1.06 half-widths
+# from q_1; at start 1 the innermost panel
+@pytest.mark.parametrize("d, half_start_level", [(4.0, 1), (20.0, 0), (200.0, 0)])
+@pytest.mark.parametrize("start, ratio", [(0.5, 2.0), (0.5, 4.0), (1.0, 4.0)])
+def test_resonance_edges_bracket_each_resonance_in_graded_panels(d, half_start_level,
+                                                                  start, ratio):
     step = math.pi / (d + 2.0)
-    edges, owner = resonance_edges([d], [1.0])
+    edges, owner = resonance_edges([d], [1.0], [start], ratio)
     assert owner == 0
     edges = np.sort(edges)
     for m in range(1, math.ceil(1.0 / step)):
@@ -220,29 +230,32 @@ def test_resonance_edges_bracket_each_resonance_in_graded_panels(d):
         if gamma >= 0.4 * step:
             assert near.size == 0
             continue
-        # offsets +-gamma 4^k for k = 0, 1, ... while below 0.4 pi/(d+2)
-        k = np.arange(near.size // 2)
-        assert near.size and np.allclose(near[near > 0], gamma * 4.0 ** k, rtol=1e-12)
-        assert np.allclose(near[near < 0], -gamma * 4.0 ** k[::-1], rtol=1e-12)
-        assert near.max() < 0.4 * step <= 4.0 * near.max()
-        # the resonance, a root of sin(dq) + 2q cos(dq), lies in the innermost panel
-        lo, hi = q_m - gamma, q_m + gamma
-        assert (math.sin(d * lo) + 2.0 * lo * math.cos(d * lo)) \
-            * (math.sin(d * hi) + 2.0 * hi * math.cos(d * hi)) < 0
-    assert resonance_edges([d], [0.9 * step])[0].size == 0
+        # offsets +-start gamma ratio^k for k = 0, 1, ... while below 0.4 pi/(d+2)
+        widths = start * gamma * ratio ** np.arange(near.size // 2)
+        assert near.size and np.allclose(near[near > 0], widths, rtol=1e-12)
+        assert np.allclose(near[near < 0], -widths[::-1], rtol=1e-12)
+        assert near.max() < 0.4 * step <= ratio * near.max()
+        # the edges are not centred on the root, which lies ~(8 q_m/3)(gamma/2)
+        # from q_m at small q_m, under gamma/2 at d = 20 and 200
+        level = next(k for k, w in enumerate(widths.tolist())
+                     if _root_sign(d, q_m - w) != _root_sign(d, q_m + w))
+        assert level == (half_start_level if start == 0.5 else 0), m
+    assert resonance_edges([d], [0.9 * step], [start], ratio)[0].size == 0
 
 
-def test_resonance_edges_of_a_batch_are_each_separations_own():
+@pytest.mark.parametrize("ratio", [2.0, 4.0])
+def test_resonance_edges_of_a_batch_are_each_separations_own(ratio):
     # a batch takes one vectorized pass, a lone separation a loop over the
     # levels; both give every separation the same sorted edges, bit for bit:
     # d from none to 40 resonances below 1, up to both kinds of q_hi a
-    # density uses
-    ds = [float(x) for x in np.geomspace(0.05, 300.0, 37)] + [4.0, 4.0]
+    # density uses, and the start a density takes on both sides of d = 300
+    ds = [float(x) for x in np.geomspace(0.05, 300.0, 37)] + [4.0, 4.0, 299.99999999999994, 1e3]
     q_hi = [contour_switch(d) if i % 2 else 2.7 for i, d in enumerate(ds)]
-    edges, owner = resonance_edges(ds, q_hi)
+    start = [0.5 if d < 300.0 else 1.0 for d in ds]
+    edges, owner = resonance_edges(ds, q_hi, start, ratio)
     assert edges.size > 500
-    for i, (d, q) in enumerate(zip(ds, q_hi)):
-        lone, one = resonance_edges([d], [q])
+    for i, (d, q, s) in enumerate(zip(ds, q_hi, start)):
+        lone, one = resonance_edges([d], [q], [s], ratio)
         assert one == 0
         assert np.sort(edges[owner == i]).tobytes() == np.sort(lone).tobytes()
 
@@ -250,18 +263,19 @@ def test_resonance_edges_of_a_batch_are_each_separations_own():
 def test_a_tiny_upper_bound_gets_no_edges_in_a_batch_as_alone():
     # min(1, q_hi)/step - 1 rounds to -1 below 1e-16 of a step, and the
     # batch's np.repeat raised on the count -1
-    edges, owner = resonance_edges([1.0, 20.0, 2.0], [8e-19, 1.0, 1e-30])
-    assert resonance_edges([1.0], [8e-19])[0].size == resonance_edges([2.0], [1e-30])[0].size == 0
-    lone = resonance_edges([20.0], [1.0])[0]
+    edges, owner = resonance_edges([1.0, 20.0, 2.0], [8e-19, 1.0, 1e-30], [0.5] * 3, 4.0)
+    assert resonance_edges([1.0], [8e-19], [0.5], 4.0)[0].size == \
+        resonance_edges([2.0], [1e-30], [0.5], 4.0)[0].size == 0
+    lone = resonance_edges([20.0], [1.0], [0.5], 4.0)[0]
     assert set(owner.tolist()) == {1} and np.sort(edges).tobytes() == np.sort(lone).tobytes()
 
 
 def test_a_zero_resonance_width_gets_no_edges():
     # past d ~ 2e108 the first width 2 pi^2/(d+2)^3 underflows to 0: the lone
     # loop never ended, and the vectorized pass overflowed (d+2)^2 past 1.3e154
-    assert resonance_edges([1e200], [1.0])[0].size == 0
-    edges, owner = resonance_edges([1e200, 20.0, 1e160], [1.0, 1.0, 1.0])
-    lone = resonance_edges([20.0], [1.0])[0]
+    assert resonance_edges([1e200], [1.0], [1.0], 4.0)[0].size == 0
+    edges, owner = resonance_edges([1e200, 20.0, 1e160], [1.0, 1.0, 1.0], [1.0, 0.5, 1.0], 4.0)
+    lone = resonance_edges([20.0], [1.0], [0.5], 4.0)[0]
     assert set(owner.tolist()) == {1} and np.sort(edges).tobytes() == np.sort(lone).tobytes()
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import density_identity, entropy_identity, entropy_lifshitz_series
 from scipy.integrate import simpson
+from test_forces import FINE_SEED_D, FINE_SEED_TOLS
 
 from deltacasimir import (
     ENTROPY_INNER_TOL,
@@ -280,6 +281,41 @@ def test_large_separation_density_within_its_estimate_or_not_converged(that):
                              dens.estimate.converged.tolist()):
         exact, rounding = density_identity(x, that)
         assert not ok or abs(v - exact) <= err + rounding, x
+
+
+@pytest.mark.parametrize("that", [1e-3, 0.5, 2.0, 10.0])
+def test_fine_seeded_density_within_its_estimate_or_not_converged(that):
+    # d log-uniform in [4, 300), where a graded resonance's seed edges start
+    # at half its width (and grow by 4x in a density)
+    exact = [density_identity(d, that) for d in FINE_SEED_D.tolist()]
+    for tol in FINE_SEED_TOLS:
+        dens = entropy_density_canonical(FINE_SEED_D, that, tol)
+        for d, v, err, ok, (want, rounding) in zip(
+                FINE_SEED_D.tolist(), dens.value.tolist(),
+                dens.estimate.abs_error_estimate.tolist(), dens.estimate.converged.tolist(), exact):
+            assert not ok or abs(v - want) <= err + rounding, (d, tol)
+
+
+def test_canonical_entropy_stops_once_a_density_failed(monkeypatch):
+    # past RESOLVED_D no density converges, and the outer integral kept
+    # bisecting toward a value whose estimate is inf anyway: 3 density calls
+    # and 214,075,560 evaluations (14 s), and past Lambda ~ 4e7 a MemoryError
+    calls = []
+    density = thermo.entropy_density_canonical
+    monkeypatch.setattr(thermo, "entropy_density_canonical",
+                        lambda *args: calls.append(args) or density(*args))
+    est = entropy_canonical(DimensionlessPoint(9254.0, 0.063), 1.7e7, 7.6e-7).estimate
+    assert len(calls) == 1 and est.abs_error_estimate == math.inf and not est.converged
+    assert est.evaluations <= 25_000_000
+
+
+def test_a_density_past_the_resolved_separation_takes_its_seed_pass_only(monkeypatch):
+    # its estimate is inf whatever its panels do
+    passes = []
+    gk_apply = numerics._gk_apply
+    monkeypatch.setattr(numerics, "_gk_apply", lambda *args: passes.append(1) or gk_apply(*args))
+    dens = entropy_density_canonical(np.array([2e6, 5e7]), 1.0, 1e-12)
+    assert len(passes) == 1 and (dens.estimate.abs_error_estimate == math.inf).all()
 
 
 def _rotates(d, that):
