@@ -156,8 +156,9 @@ def _canonical_force(d, that, tol):
     along Re q = ``contour_switch(d)`` and its head seeded as the module
     docstring says: below d = ``_FINE_SEED_D`` and That (d+2) =
     ``_FINE_SEED_HEAT`` the resonance edges start at half a width and grow
-    by 2x, since a lone force pays ~50 us of call overhead per GK pass
-    however few panels it refines.  A value that is not finite, or past
+    by 2x, since a bisection round costs a lone force ~40 us of numpy
+    calls however few panels it refines (at 4x the benchmark's 90 float
+    forces take 1.13x the time).  A value that is not finite, or past
     ``RESOLVED_D``, has the estimate inf."""
     q0 = contour_switch(d)
     fine = d < _FINE_SEED_D and that * (d + 2.0) < _FINE_SEED_HEAT

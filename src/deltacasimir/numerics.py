@@ -27,7 +27,8 @@ integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
 seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
 oscillatory integrals' panels, integrand and agreement checks around it;
 ``_adaptive_gk`` is one integral of the first; ``integrate_oscillatory_tail``,
-one of the second, takes its plain-float lone path.  An integral of
+one of the second, takes its plain-float lone path, whose 8 tail seed panels
+sort first and take their nodes from a layout fixed at import.  An integral of
 ``_oscillatory_segments`` may have no tail (a real-axis entropy density), so
 the densities of one outer round, of both kinds, are one batch: a fixed
 number of array operations per pass, and one numpy sum per integral.
@@ -74,8 +75,13 @@ class QuadratureEstimate:
     converged: bool = field(init=False)
 
     def __post_init__(self):
-        ok = np.asarray(self.abs_error_estimate) <= require_real("tol", self.tol)
-        object.__setattr__(self, "converged", ok if ok.ndim else ok.item())
+        tol, e = require_real("tol", self.tol), self.abs_error_estimate
+        if isinstance(e, float):   # np.float64 too, whose comparison gives an np.bool_
+            ok = bool(e <= tol)
+        else:
+            ok = np.asarray(e) <= tol
+            ok = ok if ok.ndim else ok.item()
+        object.__setattr__(self, "converged", ok)
 
 
 # 15-point Kronrod nodes on [-1, 1]; the embedded 7-point Gauss rule sits on
@@ -144,6 +150,7 @@ _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # 200 decay lengths
 _MAP_LENGTHS = 4.0
 _MAP_EDGES = np.linspace(0.0, 1.0, 9)
+_TAIL_EDGES = -_MAP_EDGES[1:]   # an oscillatory tail's seed edges on x = -t, but 0
 _DECAY_CUT = 200.0
 _S_CUT = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(_S_CUT) = 200 decay lengths
 # |f - Re h| allowed between an oscillatory integrand and its continuation,
@@ -195,24 +202,43 @@ def _gk_apply(f, lo, hi, seg):
     estimate is |K15 - G7| plus a rounding floor, which overestimates the
     true K15 error on smooth panels.
     """
-    n = lo.size
-    out = []   # (values, errors) of each block, joined when there are several
+    if lo.size <= _GK_CHUNK + 1:
+        return _gk_block(f, lo, hi, seg)
     # one dgemm per block gives K15 and K15 - G7 together; its sums do not
     # depend on a panel's place in its block unless the block is one row,
     # which takes the plain dot path, so a lone last panel joins the block
     # before it: then every block size gives the same bits
-    for i0, i1 in itertools.pairwise([0, *range(_GK_CHUNK, n - 1, _GK_CHUNK), n]):
-        a, b = lo[i0:i1], hi[i0:i1]
-        half = 0.5 * (b - a)
-        x = np.multiply.outer(half, _GK_NODES)
-        x += (0.5 * (a + b))[:, None]
-        s = seg if isinstance(seg, int) else np.repeat(seg[i0:i1], 15)
-        y = np.asarray(f(x.ravel(), s), float).reshape(x.shape)
-        kd = y @ _GK_W
-        out.append((half * kd[:, 0],
-                    half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))))
-    vals, errs = out[0] if len(out) == 1 else map(np.concatenate, zip(*out))
-    return vals, errs
+    out = [_gk_block(f, lo[i0:i1], hi[i0:i1], seg if isinstance(seg, int) else seg[i0:i1])
+           for i0, i1 in itertools.pairwise([0, *range(_GK_CHUNK, lo.size - 1, _GK_CHUNK),
+                                             lo.size])]
+    return tuple(map(np.concatenate, zip(*out)))
+
+
+def _gk_block(f, lo, hi, seg):
+    """``_gk_apply`` in one integrand call."""
+    half, x = _gk_nodes(lo, hi)
+    s = seg if isinstance(seg, int) else np.repeat(seg, 15)
+    y = np.asarray(f(x.ravel(), s), float).reshape(x.shape)
+    kd = y @ _GK_W
+    return half * kd[:, 0], half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))
+
+
+def _gk_nodes(lo, hi):
+    """The half widths of the panels [lo, hi] and their 15 nodes, a row each."""
+    half = 0.5 * (hi - lo)
+    x = np.multiply.outer(half, _GK_NODES)
+    x += (0.5 * (lo + hi))[:, None]
+    return half, x
+
+
+# a lone oscillatory integral's seed panels are sorted, so its 8 tail panels on
+# x = -t, t in [0, 1), come first, with the same nodes in every integral.  t
+# falls along them: the _TAIL_CUT nodes past _S_CUT come first, and the map
+# takes the others, t = _TAIL_S with 1 - t = _TAIL_REST
+_TAIL_T = -_gk_nodes(_TAIL_EDGES[::-1], np.append(_TAIL_EDGES[-2::-1], 0.0))[1].ravel()
+_TAIL_CUT = int(np.count_nonzero(_TAIL_T >= _S_CUT))
+_TAIL_S = _TAIL_T[_TAIL_CUT:]
+_TAIL_REST = 1.0 - _TAIL_S
 
 
 def _adaptive_gk(f, edges, tol, rounds=None):
@@ -292,7 +318,7 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
     panel order: an integral gets the same bits in any batch.  Returns
     lists (value, error, evaluations).
     """
-    one = isinstance(seg, int)
+    one, seeded = isinstance(seg, int), lo.size
     bounds = [0, *itertools.accumulate(counts)]
     err = [np.add.reduce(errs[i:j]) for i, j in zip(bounds, bounds[1:])]
     # a panel of integral s is split when its error is above share[s]; inf
@@ -339,9 +365,11 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
             if k:
                 err[i] = np.add.reduce(errs[bounds[i]:bounds[i + 1]])
                 share[i] = tol[i] / (2.0 * counts[i]) if err[i] > tol[i] else math.inf
-    # complex numbers sort by real part, then by imaginary part
-    ordered = vals[lo.argsort(kind="stable") if one else np.argsort(seg + 1j * lo, kind="stable")]
-    value = [np.add.reduce(ordered[i:j]) for i, j in zip(bounds, bounds[1:])]
+    if lo.size > seeded:   # else the seed panels are in order already
+        # complex numbers sort by real part, then by imaginary part
+        vals = vals[lo.argsort(kind="stable") if one else
+                    np.argsort(seg + 1j * lo, kind="stable")]
+    value = [np.add.reduce(vals[i:j]) for i, j in zip(bounds, bounds[1:])]
     return value, err, evals
 
 
@@ -371,13 +399,17 @@ def _mapped_integrand(f, decay, far):
     the points, one int or one per point (see ``_gk_apply``).  g is 0 from
     x_c = 200 decay lengths on, where f is not evaluated, and far[seg] keeps
     the largest |f| seen on [x_c/2, x_c), which x_c times is the witness
-    of the truncation; decay and far are lists for an int seg."""
-    def g(s, seg):
-        m = s < _S_CUT
-        cut = np.count_nonzero(m) < s.size
-        if cut:
-            s, seg = s[m], _subset(seg, m)
-        rest, dec = 1.0 - s, decay[seg]
+    of the truncation; decay and far are lists for an int seg.  g(s, seg,
+    rest) takes points s below _S_CUT with rest = 1 - s, and no mask."""
+    def g(s, seg, rest=None):
+        cut = False
+        if rest is None:
+            m = s < _S_CUT
+            cut = np.count_nonzero(m) < s.size
+            if cut:
+                s, seg = s[m], _subset(seg, m)
+            rest = 1.0 - s
+        dec = decay[seg]
         jac = _MAP_LENGTHS * dec / rest
         x = jac * s
         fx = np.asarray(f(x, seg), float)
@@ -489,7 +521,7 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
     if one:   # plain floats, which the lists' index 0 reads
         q0 = stop[0]
         edges, seg = _seed_edges(stop, [8], np.concatenate(
-            [seeds[(seeds > 0.0) & (seeds < q0)], -_MAP_EDGES[1:]]), 0)
+            [seeds[(seeds > 0.0) & (seeds < q0)], _TAIL_EDGES]), 0)
         q_chk = q0 + 2.0 * math.pi / omega[0] / _CHECK_POINTS.size * _CHECK_POINTS
         decay, far, agree = [1.0 / omega[0]], [0.0], [False]
     else:
@@ -498,9 +530,9 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
         stop = np.array(stop)   # on_line takes each node's Q from it
         inside = (seeds > 0.0) & (seeds < stop[seeds_seg])
         # a tail's 8 seed panels on x = -t, t in [0, 1), end at its head's edge 0
-        seeds = np.concatenate([seeds[inside], np.tile(-_MAP_EDGES[1:], tails.size)])
+        seeds = np.concatenate([seeds[inside], np.tile(_TAIL_EDGES, tails.size)])
         if not isinstance(seeds_seg, int):
-            seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_MAP_EDGES.size - 1)])
+            seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_TAIL_EDGES.size)])
         edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
         if not tails.size:   # no tail, no check: the integrand is f itself
             return _gk_segments(f, edges, seg, tol)
@@ -525,6 +557,13 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
         # f on the head's nodes (x > 0), the mapped tail at t = -x on the
         # rest, and no masks for a call with one kind of node once the first
         # call has taken f and h at q_chk, with or without nodes of each
+        if one and not chk:
+            # the seed pass's first block (_GK_CHUNK >= 8 panels): the tail's
+            # nodes are _TAIL_T, and the head's follow them
+            k = x.size - _TAIL_T.size
+            fx = np.asarray(f(np.concatenate([x[_TAIL_T.size:], q_chk]), s), float)
+            chk.append(fx[k:])
+            return np.concatenate([np.zeros(_TAIL_CUT), line(_TAIL_S, s, _TAIL_REST), fx[:k]])
         head = x > 0.0
         k = int(np.count_nonzero(head))
         if chk and k in (0, x.size):

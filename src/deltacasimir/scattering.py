@@ -159,9 +159,10 @@ def resonance_edges(d, q_hi, start, ratio):
     integral resolves it in its seed pass instead of bisecting toward it
     from a period-wide panel.  The callers take start 1/2 below
     ``_FINE_SEED_D`` (a force only below That (d+2) = 500 too) and 1
-    elsewhere, with ratio 4; with start 1/2 a lone force, which pays ~50 us
-    of call overhead per pass, takes ratio 2 and converges in its seed pass
-    (ratio 4 leaves 31 of the benchmark's 90 float forces more than one),
+    elsewhere, with ratio 4; with start 1/2 a lone force, which pays ~40 us
+    of numpy calls per bisection round, takes ratio 2 and converges in its
+    seed pass (ratio 4 leaves 31 of the benchmark's 90 float forces more
+    than one, and the 90 take 1.13x the time),
     and a density batch, which pays per evaluation, takes 4.  Only
     resonances with gamma_m below the cap get edges, which is
     q_m < sqrt(0.2 pi) ~ 0.79 at any d.  The wider ones need none: a seed

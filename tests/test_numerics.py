@@ -291,7 +291,8 @@ def _as_batch(members):
     def each(fns, x, s, dtype):
         out = np.empty(x.shape, dtype)
         for i, fn in enumerate(fns):
-            out[s == i] = fn(x[s == i])
+            if (mine := s == i).any():   # the flux deficit takes no empty array
+                out[mine] = fn(x[mine])
         return out
 
     seeds = [np.asarray(m[3], float) for m in members] + [np.array([2.5])]
@@ -368,6 +369,48 @@ def test_a_lone_tail_gets_the_same_seed_nodes_at_any_switch_point():
     # 8 seed panels of 15 nodes, of which 4 lie past 200 decay lengths
     near = line_nodes(10.0)
     assert near.size == 116 and near.tobytes() == line_nodes(3.1e9).tobytes()
+
+
+def test_a_lone_tail_seed_layout_is_the_engines():
+    # a lone integral's first integrand call takes its tail nodes from a fixed
+    # layout: it must be the nodes _gk_apply builds on the 8 tail seed panels,
+    # which sort first, and the points the map keeps, t < _S_CUT
+    edges, _ = numerics._seed_edges([3.0], [8], np.concatenate(
+        [[0.1, 2.5], numerics._TAIL_EDGES]), 0)
+    nodes = []
+    numerics._gk_apply(lambda x, _: nodes.append(x.copy()) or np.zeros(x.size),
+                       edges[:-1], edges[1:], 0)
+    t = -nodes[0][:120]
+    assert (t > 0.0).all() and (nodes[0][120:] > 0.0).all()
+    assert t.tobytes() == numerics._TAIL_T.tobytes()
+    kept = t < numerics._S_CUT
+    assert np.count_nonzero(kept) == 116 and numerics._TAIL_CUT == 4
+    assert (kept == (np.arange(120) >= numerics._TAIL_CUT)).all()
+    assert numerics._TAIL_S.tobytes() == t[kept].tobytes()
+    assert numerics._TAIL_REST.tobytes() == (1.0 - t[kept]).tobytes()
+
+
+@pytest.mark.parametrize("that", [0.0, 0.5, 1.0, 2.0])
+def test_a_lone_canonical_force_gets_the_bits_of_a_batch_member(monkeypatch, that):
+    # the canonical force's own integrands at force_sweep points: d = 0.1
+    # takes a bisection round at That = 1 and 2, and d = 200 gets 300 more
+    # head seeds, so that the seed pass's first GK block ends at panel 256,
+    # inside the head
+    from test_costs import _FORCE_D
+    calls = []
+    monkeypatch.setattr("deltacasimir.forces.integrate_oscillatory_tail",
+                        lambda *args: calls.append(args) or numerics.QuadratureEstimate(
+                            0.0, 0.0, 0, 1.0))
+    for d in _FORCE_D[::7] + [_FORCE_D[-1]]:
+        casimir_force(DimensionlessPoint(d, that), "canonical")
+    members = [(lambda q, f=f: f(q, 0), lambda z, h=h: h(z, 0), (omega, q0),
+                np.asarray(seeds, float), tol) for f, h, omega, q0, tol, seeds in calls]
+    f, h, spec, seeds, tol = members[-1]
+    members[-1] = f, h, spec, np.concatenate([seeds, np.linspace(0.0, spec[1], 302)[1:-1]]), tol
+    lone = [_lone(*m) for m in members]
+    assert _as_batch(members) == lone
+    assert all(e <= m[4] for (_, e, _), m in zip(lone, members))
+    assert lone[-1][2] >= 15 * 258 + 2 * 48   # more than 257 seed panels, and the check
 
 
 # every (Q, omega) in {5, 50} x {0.2, 2, 20} whose Q covers one period 2 pi/omega
@@ -567,8 +610,16 @@ def test_the_estimate_sets_its_own_flag():
     assert QuadratureEstimate(1.0, 1e-11, 5, 1e-10).converged is True
     assert QuadratureEstimate(1.0, np.float64(1e-9), 5, 1e-10).converged is False
     assert QuadratureEstimate(1.0, math.inf, 5, 1e-10).converged is False
+    assert QuadratureEstimate(1.0, math.nan, 5, 1e-10).converged is False
+    assert QuadratureEstimate(1.0, 1e-10, 5, 1e-10).converged is True
+    # the flag is Python's True or False for any scalar estimate
+    for err in (1e-11, np.float64(1e-11), np.array(1e-11), np.float32(1e-11), 0):
+        assert QuadratureEstimate(1.0, err, 5, 1e-10).converged is True
+    for err in (1e-9, np.float64(1e-9), np.array(1e-9), np.float64(math.nan), np.array(math.nan)):
+        assert QuadratureEstimate(1.0, err, 5, np.float64(1e-10)).converged is False
     batch = QuadratureEstimate(np.ones(3), np.array([0.0, 1e-9, math.inf]), 15, 1e-10)
     assert batch.converged.dtype == bool and batch.converged.tolist() == [True, False, False]
+    assert QuadratureEstimate(np.ones(1), np.array([1e-9]), 15, 1e-10).converged.dtype == bool
     # a flag in the place of the tolerance is refused, not read as tol = 1
     with pytest.raises(DomainError):
         QuadratureEstimate(1.0, 0.5, 5, True)
