@@ -39,9 +39,6 @@ is an estimate above tol, never a silent truncation or an exception.  All
 engines are deterministic: identical inputs give bit-identical results on
 one platform.  The engines take the finite floats their callers checked
 and check none; ``QuadratureEstimate``, a public class, checks its tol.
-
-The package needs numpy only: the sine and cosine integrals are computed
-here (:func:`sici`).
 """
 from __future__ import annotations
 
@@ -134,7 +131,6 @@ _GK_W = np.stack([_GK_WK, _GK_WK], axis=1)
 _GK_W[1::2, 1] -= _GK_WG
 
 _EPS_FLOOR = 1e-16
-_EULER_GAMMA = 0.57721566490153286061
 # panels per integrand call: 256 x 15 nodes make 30 KiB float64 temporaries,
 # which stay in cache and below glibc's 128 KiB mmap and trim thresholds, so
 # they are reused from the heap, not mapped and unmapped on every call
@@ -161,35 +157,15 @@ _AGREEMENT = 1e-12
 _CHECK_POINTS = np.arange(48) + 0.5
 
 
-def sici(x):
-    """(Si(x), Ci(x)) for a float x > 0.
+def _retired(*args):
+    """No engine computes the sine and cosine integrals or Wynn's epsilon
+    any more: only ``perfbench/tracer.py`` binds ``sici`` and
+    ``_wynn_epsilon``, as spans that read 0, until ROADMAP item 1a retires
+    them."""
+    raise NotImplementedError("sici and _wynn_epsilon are retired")
 
-    For x <= 2, the power series of Si and of Ci - gamma - ln x, whose n-th
-    terms x^n/(n n!) are below 1e-19 by n = 25.  Beyond 2, the continued
-    fraction e^{ix} E1(ix) = 1/(1+ix - 1^2/(3+ix - 2^2/(5+ix - ...))),
-    with E1(ix) = -Ci(x) + i (Si(x) - pi/2), evaluated bottom-up from depth
-    8 + 200/x; forward (modified Lentz) evaluation of the same ~100 levels
-    drifts by up to 2.7e-15 just above x = 2.  Against 40-digit mpmath on
-    [1e-3, 1e5] the absolute error is at most 5e-16 for Si, and for Ci
-    wherever |Ci| < 1, its zeros included.
-    """
-    if x <= 2.0:
-        si = ci = 0.0
-        fact = 1.0   # x^n / n!
-        for n in range(1, 26):
-            fact *= x / n
-            term = fact / n if n % 4 < 2 else -fact / n
-            if n % 2:
-                si += term
-            else:
-                ci += term
-        return si, ci + math.log(x) + _EULER_GAMMA
-    z = complex(1.0, x)
-    f = 0j
-    for j in range(8 + math.ceil(200.0 / x), 0, -1):
-        f = -(j * j) / (z + 2 * j + f)
-    e1 = complex(math.cos(x), -math.sin(x)) / (z + f)
-    return 0.5 * math.pi + e1.imag, -e1.real
+
+sici = _wynn_epsilon = _retired
 
 
 def _gk_apply(f, lo, hi, seg):
@@ -283,10 +259,12 @@ def _seed_edges(stop, n, extra, extra_seg):
     of np.linspace(0, stop[s], n[s] + 1), bit for bit (i * (stop[s]/n[s]),
     then stop[s]), and the points of ``extra`` whose ``extra_seg`` is s,
     sorted; ``stop`` and ``n`` are lists or 1-D arrays.  Returns
-    (edges, seg); for a single integral seg is the int 0, and extra_seg is
-    not read.  A point on a grid edge makes a zero-width panel: value 0,
-    error 0, never split."""
-    if len(n) == 1:   # np.sort, not np.unique: the first np.unique call imports numpy.ma
+    (edges, seg): seg is the int 0 when extra_seg is an int, which names a
+    single integral (a lone call, or a scalar real-axis density), and an
+    array otherwise, a one-member batch's too.  A point on a grid edge
+    makes a zero-width panel: value 0, error 0, never split."""
+    # np.sort, not np.unique: the first np.unique call imports numpy.ma
+    if isinstance(extra_seg, int):
         return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop, extra])), 0
     stop, n = np.asarray(stop), np.asarray(n)
     seg = np.arange(n.size).repeat(n)
@@ -434,39 +412,6 @@ def _subset(seg, mask):
     """The segment indices of the points selected by ``mask``: seg[mask],
     or seg itself when it is one index for all points."""
     return seg if isinstance(seg, int) else seg[mask]
-
-
-# unused by the engines; the benchmark's tracer and a test's Ci(10) oracle use it
-def _wynn_epsilon(sums):
-    """Wynn's epsilon extrapolation of a sequence of partial sums.
-
-    Returns (best estimate, change between the last two even-column
-    estimates).  Stops early on degenerate (zero) denominators, which simply
-    means the sequence already converged.
-    """
-    cols_prev2 = [0.0] * (len(sums) + 1)
-    cols_prev = list(sums)
-    best = [sums[-1]]
-    k = 1
-    while len(cols_prev) >= 2:
-        cur = []
-        for j in range(len(cols_prev) - 1):
-            denom = cols_prev[j + 1] - cols_prev[j]
-            if denom == 0.0 or not math.isfinite(denom):
-                cur = None
-                break
-            cur.append(cols_prev2[j + 1] + 1.0 / denom)
-        if cur is None or not cur:
-            break
-        if k % 2 == 0:
-            best.append(cur[-1])
-        cols_prev2 = cols_prev
-        cols_prev = cur
-        k += 1
-    if len(best) >= 2:
-        return best[-1], abs(best[-1] - best[-2])
-    delta = abs(sums[-1] - sums[-2]) if len(sums) > 1 else math.inf
-    return best[-1], delta
 
 
 def integrate_oscillatory_tail(f, h, omega, switch_point, tol,

@@ -114,7 +114,7 @@ def flux_deficit(q, d):
     w = q2 * q2
     w += a                                  # a^2 + 4q^4
     a -= q2                                 # a^2 - 2q^2
-    big = bool(q.min() > 1e-130) or q > 1e-130   # True when no q ~ 0
+    big = bool(q.min(initial=math.inf) > 1e-130) or q > 1e-130   # True when no q ~ 0
     if big is True:
         out = a
     elif per_q:   # one separation per q: its limit where q ~ 0

@@ -46,7 +46,8 @@ float64 keeps all but a few ulp of the sum.  ``force_zero_t_mpmath`` takes
 the same integral with mpmath at 30 digits, for the small d where the
 Gauss-Legendre panels are not checked.  ``force_cold`` adds the thermal
 part's low-temperature series to F(d, 0), for That (d+2) <= 0.05, where the
-Matsubara series would need ~60/(4 pi That d) terms.
+Matsubara series would need ~60/(4 pi That d) terms; ``density_cold`` is
+the density's series, on the same Taylor coefficients of the flux deficit.
 """
 import cmath
 import ctypes
@@ -178,30 +179,55 @@ def force_identity(d, that):
     return 0.5 * (zero_t + force_lifshitz_series(d, that)[0])
 
 
-def force_cold(d, that, terms=7):
-    """F(d, 0) - (1/2pi) sum_{k<terms} (2k+1)! zeta(2k+2) D_2k(d) That^{2k+2}:
-    the canonical force's cold series, valid for That (d+2) <= 0.05.
+def _cold_moments(d, that, terms):
+    """(1/2pi) (2k+1)! zeta(2k+2) D_2k(d) That^{2k+2} for k < terms, as
+    mpmath numbers; the caller sets 40 digits.
 
     The flux deficit is even in q and analytic near 0 in the form
     (b^2 - 2)/(b^2 + 4q^2), b = d sinc(dq) + 2 cos(dq); D_2k are its q = 0
-    Taylor coefficients, from ``mpmath.taylor`` at 40 digits, and the Bose
-    weight's moments are int_0^inf q^{2k+1}/(e^{q/That} - 1) dq =
-    (2k+1)! zeta(2k+2) That^{2k+2}.  The series is asymptotic, its smallest
-    term about e^{-pi/(That (d+2))}.  F(d, 0) is ``force_lifshitz_zero_t``.
+    Taylor coefficients, from ``mpmath.taylor``, and the Bose weight's
+    moments are int_0^inf q^{2k+1}/(e^{q/That} - 1) dq =
+    (2k+1)! zeta(2k+2) That^{2k+2}.  The cold series built on them are
+    asymptotic, their smallest term about e^{-pi/(That (d+2))}.
+    """
+    import mpmath
+    dm, t = mpmath.mpf(d), mpmath.mpf(that)
+
+    def deficit(q):
+        b = dm * mpmath.sinc(dm * q) + 2 * mpmath.cos(dm * q)
+        return (b * b - 2) / (b * b + 4 * q * q)
+
+    coefficients = mpmath.taylor(deficit, 0, 2 * terms - 2)[::2]
+    return [mpmath.factorial(2 * k + 1) * mpmath.zeta(2 * k + 2) * c * t ** (2 * k + 2)
+            / (2 * mpmath.pi) for k, c in enumerate(coefficients)]
+
+
+def force_cold(d, that, terms=7):
+    """F(d, 0) - (1/2pi) sum_{k<terms} (2k+1)! zeta(2k+2) D_2k(d) That^{2k+2}:
+    the canonical force's cold series (``_cold_moments``), valid for
+    That (d+2) <= 0.05.  F(d, 0) is ``force_lifshitz_zero_t``.
     """
     import mpmath
     with mpmath.workdps(40):
-        dm, t = mpmath.mpf(d), mpmath.mpf(that)
-
-        def deficit(q):
-            b = dm * mpmath.sinc(dm * q) + 2 * mpmath.cos(dm * q)
-            return (b * b - 2) / (b * b + 4 * q * q)
-
-        coefficients = mpmath.taylor(deficit, 0, 2 * terms - 2)[::2]
-        thermal = mpmath.fsum(mpmath.factorial(2 * k + 1) * mpmath.zeta(2 * k + 2) * c
-                              * t ** (2 * k + 2) for k, c in enumerate(coefficients))
-        thermal = float(-thermal / (2 * mpmath.pi))
+        thermal = float(-mpmath.fsum(_cold_moments(d, that, terms)))
     return force_lifshitz_zero_t(d) + thermal
+
+
+def density_cold(d, that, terms=7):
+    """(1/2pi) sum_{k<terms} (2k+2)! zeta(2k+2) D_2k(d) That^{2k+1}: the
+    canonical entropy density's cold series: the weight (u/sinh u)^2,
+    u = q/(2 That), has the moments int_0^inf q^{2k} (u/sinh u)^2 dq =
+    (2k+2)! zeta(2k+2) That^{2k+1}, so each term is (2k+2)/That times one
+    of ``_cold_moments``.
+
+    Returns (value, last): the size of the last kept term, which a point
+    must hold below 1e-16 of the value for the series to serve as an
+    oracle there; That (d+2) <= 0.05 alone does not make it so.
+    """
+    import mpmath
+    with mpmath.workdps(40):
+        series = [2 * (k + 1) * m / that for k, m in enumerate(_cold_moments(d, that, terms))]
+        return float(mpmath.fsum(series)), float(abs(series[-1]))
 
 
 def coefficients_linear_solve(q, d):

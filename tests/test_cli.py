@@ -274,16 +274,13 @@ def test_no_command_imports_the_process_pool(tmp_path):
 
 def test_runtime_never_imports_scipy(tmp_path):
     # a fresh interpreter runs every path that used to load scipy: the CLI
-    # import, canonical forces at zero and finite temperature (the tail's
-    # Si/Ci cross-check), the sine and cosine integrals and a figure
+    # import, canonical forces at zero and finite temperature and a figure
     code = (
         "import sys\n"
         "import deltacasimir.cli\n"
         "from deltacasimir import DimensionlessPoint, casimir_force\n"
-        "from deltacasimir.numerics import sici\n"
         "for that in (0.0, 0.5):\n"
         "    assert casimir_force(DimensionlessPoint(1.0, that), 'canonical').estimate.converged\n"
-        "sici(2.0)\n"
         "assert deltacasimir.cli.main(['figure', '--id', '1', '--points', '3',\n"
         f"                               '--out-dir', {str(tmp_path)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"

@@ -202,7 +202,7 @@ def test_every_exported_name_is_bound(module):
                                   "ForceValue", "FreeEnergyValue", "EntropyValue"])
 def test_a_removed_name_is_not_exported(gone):
     # they served no figure; the 4x4 solve lives on in tests/oracles.py,
-    # numerics keeps the weight and Ci as _thermal_weight_raw and sici,
+    # numerics keeps the weight as _thermal_weight_raw and computes no Ci,
     # casimir_force is the force's one entry, its zero mode inlined, the
     # physical-units layer had no reader, the engines are numerics' private
     # ones, cli keeps figure 2's divisor, and Result is the one scalar result

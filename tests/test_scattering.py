@@ -162,6 +162,14 @@ def test_flux_deficit_vectorized_matches_scalar():
         assert v == -kernel(float(q), 2.0)
 
 
+@pytest.mark.parametrize("d", [1.0, np.array([])], ids=["scalar_d", "per_q_d"])
+def test_flux_deficit_of_no_q_is_an_empty_float_array(d):
+    # the q ~ 0 test reads the least q, which an empty q array lacks
+    for q in ([], np.array([])):
+        got = flux_deficit(q, d)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         coefficients_closed_form(0.0, 1.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import density_identity, entropy_identity, entropy_lifshitz_series
+from oracles import density_cold, density_identity, entropy_identity, entropy_lifshitz_series
 from scipy.integrate import simpson
 from test_forces import FINE_SEED_D, FINE_SEED_TOLS
 
@@ -334,6 +334,36 @@ def test_density_property_within_its_estimate_of_the_identity(rotated, log_d, lo
     exact, rounding = density_identity(d, that)
     assert not dens.estimate.converged \
         or abs(dens.value - exact) <= dens.estimate.abs_error_estimate + rounding
+
+
+# the cold series and the identity both run where That (d+2) <= 0.05 and
+# That*d >= 1e-5; the series serves as an oracle only where its last kept
+# term is below 1e-16 of its value
+COLD_GRID = [(d, that) for d in (0.01, 0.1, 1.0, 5.0, 10.0, 30.0)
+             for that in (1e-4, 1e-3, 3e-3, 5e-3, 1e-2, 2e-2)
+             if that * (d + 2.0) <= 0.05 and that * d >= 1e-5]
+
+
+def test_cold_density_oracle_agrees_with_the_identity():
+    cold = {point: density_cold(*point) for point in COLD_GRID}
+    kept = [point for point, (value, last) in cold.items() if last < 1e-16 * value]
+    # seven terms were 4.5e-12 relative off the identity at (0.1, 0.02)
+    assert (0.1, 0.02) in cold and (0.1, 0.02) not in kept and len(kept) == 17
+    for d, that in kept:
+        exact, rounding = density_identity(d, that)
+        assert abs(cold[d, that][0] - exact) <= rounding + 4e-16 * exact, (d, that)
+
+
+@settings(max_examples=30)
+@given(log_d=st.floats(-3.0, math.log10(300.0)), log_that=st.floats(-10.0, -4.0))
+def test_cold_density_property_within_its_estimate_of_the_cold_oracle(log_d, log_that):
+    # below That*d = 1e-5, where the identity's series grows too long
+    d, that = 10.0 ** log_d, 10.0 ** log_that
+    assume(that * d < 1e-5)
+    dens = entropy_density_canonical(d, that)
+    exact, last = density_cold(d, that)
+    assert last < 1e-16 * exact
+    assert not dens.estimate.converged or abs(dens.value - exact) <= dens.estimate.abs_error_estimate
 
 
 @pytest.mark.parametrize("that", [0.001, 0.5, 2.0])
