@@ -48,6 +48,9 @@ Gauss-Legendre panels are not checked.  ``force_cold`` adds the thermal
 part's low-temperature series to F(d, 0), for That (d+2) <= 0.05, where the
 Matsubara series would need ~60/(4 pi That d) terms; ``density_cold`` is
 the density's series, on the same Taylor coefficients of the flux deficit.
+``density_ray`` takes the density along a ray into the first quadrant, by
+Gauss-Legendre on geometric panels, at any d and That and at an angle of
+the caller's choice.
 """
 import cmath
 import ctypes
@@ -124,6 +127,38 @@ def density_identity(d, that):
     head = 0.25 / (d + 2.0)
     rounding = 2.0 * np.finfo(float).eps * (total_abs + head)
     return head + total, rounding
+
+
+def density_ray(d, that, phi):
+    """The canonical entropy density at (d, That) from the ray q = t e^{i phi},
+    0 < phi < pi/2: Re int_0^inf e^{i phi} h(t e^{i phi}) dt + phi/(2 pi (d+2)).
+
+    h = (1/pi) w E/(4q(q+i) + E - 1), E = e^{2iqd} = expm1(2iqd) + 1, is the
+    continuation of (1/2pi) w flux_deficit, w = (u/sinh u)^2, u = q/(2 That),
+    analytic in the open first quadrant; its pole -i/(2pi(d+2)q) at q = 0 gives
+    the small arc's term.  30-point Gauss-Legendre on [0, a], a = min(1/d,
+    1/2, That)/64, then on panels a factor sqrt 2 wide out to 50 decay
+    lengths of e^{2iqd} or of w along the ray, whichever ends first, so any
+    two angles give two independent quadratures of one number.
+
+    Returns (value, rounding): 2 eps (int |h| dt + the arc term), which covers
+    the rounding of Re h next to its O(1/t) imaginary part near t = 0.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    a = min(1.0 / max(d, 2.0), that) / 64.0
+    hi = min(25.0 / (d * s), 50.0 * that / c, 1e76)
+    edges = np.concatenate([[0.0], a * 2.0 ** (np.arange(math.ceil(2.0 * math.log2(hi / a)) + 1)
+                                              / 2.0)])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    q = t * cmath.exp(1j * phi)
+    u = q / (2.0 * that)
+    e = np.expm1(2j * q * d)
+    h = cmath.exp(1j * phi) / math.pi * (u / np.sinh(u)) ** 2 * (e + 1.0) / (4.0 * q * (q + 1j) + e)
+    weights = (half[:, None] * _GL_W).ravel()
+    arc = phi / (2.0 * math.pi * (d + 2.0))
+    value = math.fsum((weights * h.real).tolist()) + arc
+    return value, 2.0 * np.finfo(float).eps * (float(weights @ np.abs(h)) + arc)
 
 
 def entropy_identity(d, that, cutoff_lambda):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import density_cold, density_identity, entropy_identity, entropy_lifshitz_series
+from oracles import density_cold, density_identity, density_ray, entropy_identity, \
+    entropy_lifshitz_series
 from scipy.integrate import simpson
 from test_forces import FINE_SEED_D, FINE_SEED_TOLS
 
@@ -375,6 +376,38 @@ def test_density_cutoff_from_tol_agrees_with_the_full_cutoff(d, that):
     full = entropy_density_canonical(d, that, tol=1e-15 / that)
     assert abs(short.value - full.value) <= \
         short.estimate.abs_error_estimate + full.estimate.abs_error_estimate
+
+
+# the ray oracle's corners and middle: its two angles are two independent
+# quadratures of one number
+RAY_GRID = [(d, that) for d in (1e-10, 1e-3, 1.0, 300.0, 1e16) for that in (1e-10, 0.01, 1.0, 1e4)]
+
+
+@pytest.mark.parametrize("d, that", RAY_GRID)
+def test_ray_oracle_agrees_with_itself_at_two_angles(d, that):
+    low, low_rounding = density_ray(d, that, math.pi / 8.0)
+    high, high_rounding = density_ray(d, that, 3.0 * math.pi / 8.0)
+    assert abs(low - high) <= low_rounding + high_rounding
+    if that * d >= 1e-3:   # where the identity's series is short
+        exact, rounding = density_identity(d, that)
+        assert abs(low - exact) <= low_rounding + rounding
+
+
+@settings(max_examples=40)
+@given(log_d=st.floats(-10.0, 16.0), log_that=st.floats(-10.0, 4.0),
+       tol=st.sampled_from([1e-6, 1e-8, 2.5e-9, 1e-10, 1e-12]))
+def test_density_property_within_its_estimate_of_the_ray_oracle(log_d, log_that, tol):
+    # the whole (d, That) box: the ray oracle at pi/8 runs everywhere, and
+    # the identity where its series is short (That d >= 1e-3)
+    d, that = 10.0 ** log_d, 10.0 ** log_that
+    est = entropy_density_canonical(d, that, tol).estimate
+    if not est.converged:
+        return
+    want, rounding = density_ray(d, that, math.pi / 8.0)
+    assert abs(est.value - want) <= est.abs_error_estimate + rounding
+    if that * d >= 1e-3:
+        exact, rounding = density_identity(d, that)
+        assert abs(est.value - exact) <= est.abs_error_estimate + rounding
 
 
 # --------------------------------------------------------- canonical entropy
