@@ -123,8 +123,9 @@ def _mode_sum(c, weight, h_weight, d):
 
     For Re q > 0 and Im q >= 0, |x| < 1: where w is analytic there, h is,
     and it decays like e^{-2d Im q}, so a tail along Re q = Q is exact.
-    The force has c = -1/(2 pi) and the Bose-weighted q, the entropy
-    density c = 1/(2 pi) and (u/sinh u)^2, u = q/(2 That).
+    The force has c = -1/(2 pi) and the Bose-weighted q.  (The entropy
+    density, c = 1/(2 pi) with (u/sinh u)^2, takes the same h along a ray:
+    see ``thermo.entropy_density_canonical``.)
     """
     k = -0.5 / c   # 1/(-2c), exactly +-pi for c = -+1/(2 pi): h = +-w x/(pi (1-x))
 
@@ -162,7 +163,7 @@ def _canonical_force(d, that, tol):
     ``RESOLVED_D``, has the estimate inf."""
     q0 = contour_switch(d)
     fine = d < _FINE_SEED_D and that * (d + 2.0) < _FINE_SEED_HEAT
-    seeds = resonance_edges([d], [q0], [0.5 if fine else 1.0], 2.0 if fine else 4.0)[0]
+    seeds = resonance_edges(d, q0, 0.5 if fine else 1.0, 2.0 if fine else 4.0)
     if that > 0:
         seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
 

@@ -24,14 +24,12 @@ several integrals at once: each panel carries the index of its integral,
 its segment, and each integral keeps its own tolerance share, stopping
 test, ``_MAX_EVALS`` and ``_MAX_ROUNDS`` caps and panel-order sums, so an
 integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
-seed pass followed by ``_refine``, and ``_oscillatory_segments`` builds the
-oscillatory integrals' panels, integrand and agreement checks around it;
-``_adaptive_gk`` is one integral of the first; ``integrate_oscillatory_tail``,
-one of the second, takes its plain-float lone path, whose 8 tail seed panels
-sort first and take their nodes from a layout fixed at import.  An integral of
-``_oscillatory_segments`` may have no tail (a real-axis entropy density), so
-the densities of one outer round, of both kinds, are one batch: a fixed
-number of array operations per pass, and one numpy sum per integral.
+seed pass followed by ``_refine``; the entropy densities of one call, each
+a smooth integral along a ray into the complex plane, are one batch of it:
+a fixed number of array operations per pass, and one numpy sum per
+integral.  ``_adaptive_gk`` is one integral of it, and
+``integrate_oscillatory_tail`` another, in plain floats, whose 8 tail seed
+panels sort first and take their nodes from a layout fixed at import.
 
 Every engine returns a :class:`QuadratureEstimate`, which sets its
 ``converged`` flag from its own estimate and tolerance: failure to converge
@@ -254,26 +252,13 @@ def _gk_segments(f, edges, seg, tol, checks=None):
     return _refine(f, lo, hi, seg, counts, vals, errs, evals, tol() if callable(tol) else tol)
 
 
-def _seed_edges(stop, n, extra, extra_seg):
-    """Seed edges of several integrals: integral s gets the n[s] + 1 points
-    of np.linspace(0, stop[s], n[s] + 1), bit for bit (i * (stop[s]/n[s]),
-    then stop[s]), and the points of ``extra`` whose ``extra_seg`` is s,
-    sorted; ``stop`` and ``n`` are lists or 1-D arrays.  Returns
-    (edges, seg): seg is the int 0 when extra_seg is an int, which names a
-    single integral (a lone call, or a scalar real-axis density), and an
-    array otherwise, a one-member batch's too.  A point on a grid edge
-    makes a zero-width panel: value 0, error 0, never split."""
+def _seed_edges(stop, extra):
+    """Seed edges of a lone oscillatory integral: the 9 points of
+    np.linspace(0, stop, 9), bit for bit (i * (stop/8), then stop), and the
+    points of ``extra``, sorted.  A point on a grid edge makes a zero-width
+    panel: value 0, error 0, never split."""
     # np.sort, not np.unique: the first np.unique call imports numpy.ma
-    if isinstance(extra_seg, int):
-        return np.sort(np.concatenate([np.arange(n[0]) * (stop[0] / n[0]), stop, extra])), 0
-    stop, n = np.asarray(stop), np.asarray(n)
-    seg = np.arange(n.size).repeat(n)
-    i = np.arange(seg.size) - (n.cumsum() - n)[seg]
-    edges = np.concatenate([i * (stop / n)[seg], stop, extra])
-    seg = np.concatenate([seg, np.arange(n.size), extra_seg])
-    # complex numbers sort by real part, then by imaginary part
-    z = np.sort(seg + 1j * edges, kind="stable")
-    return z.imag, z.real.astype(int)
+    return np.sort(np.concatenate([np.arange(8) * (stop / 8), [stop], extra]))
 
 
 def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
@@ -366,37 +351,32 @@ def integrate_smooth_semi_infinite(f, decay_scale, tol) -> QuadratureEstimate:
     above tol, never a silently truncated value.
     """
     far = [0.0]
-    v, e, n, _ = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), [decay_scale], far),
+    v, e, n, _ = _adaptive_gk(_mapped_integrand(lambda x, _: f(x), decay_scale, far),
                               _MAP_EDGES, tol)
     return QuadratureEstimate(v, e + _DECAY_CUT * decay_scale * far[0], n, tol)
 
 
 def _mapped_integrand(f, decay, far):
     """g(s, seg) = f(x, seg) dx/ds with x = L s/(1-s), L = 4 decay lengths
-    decay[seg], which maps [0, inf) onto [0, 1); seg is the segment index of
-    the points, one int or one per point (see ``_gk_apply``).  g is 0 from
-    x_c = 200 decay lengths on, where f is not evaluated, and far[seg] keeps
-    the largest |f| seen on [x_c/2, x_c), which x_c times is the witness
-    of the truncation; decay and far are lists for an int seg.  g(s, seg,
-    rest) takes points s below _S_CUT with rest = 1 - s, and no mask."""
+    ``decay``, which maps [0, inf) onto [0, 1); seg is the segment index,
+    the int 0.  g is 0 from x_c = 200 decay lengths on, where f is not
+    evaluated, and far[0] keeps the largest |f| seen on [x_c/2, x_c), which
+    x_c times is the witness of the truncation.  g(s, seg, rest) takes
+    points s below _S_CUT with rest = 1 - s, and no mask."""
     def g(s, seg, rest=None):
         cut = False
         if rest is None:
             m = s < _S_CUT
             cut = np.count_nonzero(m) < s.size
             if cut:
-                s, seg = s[m], _subset(seg, m)
+                s = s[m]
             rest = 1.0 - s
-        dec = decay[seg]
-        jac = _MAP_LENGTHS * dec / rest
+        jac = _MAP_LENGTHS * decay / rest
         x = jac * s
         fx = np.asarray(f(x, seg), float)
-        big = x >= 0.5 * (_DECAY_CUT * dec)
+        big = x >= 0.5 * (_DECAY_CUT * decay)
         if np.count_nonzero(big):
-            if isinstance(seg, int):
-                far[seg] = max(far[seg], float(np.abs(fx[big]).max()))
-            else:
-                np.maximum.at(far, seg[big], np.abs(fx[big]))
+            far[0] = max(far[0], float(np.abs(fx[big]).max()))
         jac /= rest
         jac *= fx
         if not cut:
@@ -406,12 +386,6 @@ def _mapped_integrand(f, decay, far):
         return out
 
     return g
-
-
-def _subset(seg, mask):
-    """The segment indices of the points selected by ``mask``: seg[mask],
-    or seg itself when it is one index for all points."""
-    return seg if isinstance(seg, int) else seg[mask]
 
 
 def integrate_oscillatory_tail(f, h, omega, switch_point, tol,
@@ -424,74 +398,35 @@ def integrate_oscillatory_tail(f, h, omega, switch_point, tol,
     have Re h = f on the real axis and decay like e^{-omega Im q}.  Q must
     cover one period 2 pi/omega, over which the continuation is checked
     against f; its caller's ``contour_switch`` does, and nothing here
-    checks it.  The head's 8 equal seed panels resolve a head of at most
-    two periods, as ``contour_switch``'s is; bisection takes a longer one.
-    f(q, s) and h(z, s) take the segment index s, always 0, as in
-    ``_oscillatory_segments``, of which this is one integral.  The points
-    of ``head_seeds`` in (0, Q) become extra seed edges of the head: the
-    callers put them around features far narrower than a seed panel.
-    """
-    seeds = np.asarray(head_seeds, float).ravel()
-    v, e, n = _oscillatory_segments(f, h, [omega], [switch_point], [tol], seeds, 0, [None])
-    return QuadratureEstimate(float(v[0]), float(e[0]), n[0], tol)
+    checks it.  f(q, s) and h(z, s) take the segment index s, always 0.
 
-
-def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
-    """``integrate_oscillatory_tail`` of several integrals at once: integral
-    s has angular rate omega[s], switch point Q = stop[s], tolerance tol[s]
-    (lists) and head seeds seeds[seeds_seg == s]; f(q, s) and h(z, s) get
-    the segment index of the points (see ``_gk_apply``).  The head gets 8
-    equal seed panels, Q/8 wide, besides its seeds.  The tail
-    int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at infinity
-    vanishes) is mapped as in ``integrate_smooth_semi_infinite`` with decay
-    scale 1/omega, witness included, onto 8 seed panels on x = -t, t in
-    [0, 1), which share the head's edge 0: a node is the tail's just where
-    x < 0, and t = -x is exact.  The error is the joint error of head and
-    tail plus the witness.  The seed pass also takes f and h at 48 points
-    over the period beyond Q; unless |f - Re h| <= 1e-12 (1 + max|f|)
+    The head gets 8 equal seed panels, Q/8 wide, which resolve a head of at
+    most two periods, as ``contour_switch``'s is (bisection takes a longer
+    one); the points of ``head_seeds`` in (0, Q) become extra seed edges:
+    the callers put them around features far narrower than a seed panel.
+    The tail int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at
+    infinity vanishes) is mapped as in ``integrate_smooth_semi_infinite``
+    with decay scale 1/omega, witness included, onto 8 seed panels on
+    x = -t, t in [0, 1), which share the head's edge 0: a node is the tail's
+    just where x < 0, and t = -x is exact.  Head and tail are one adaptive
+    integral in plain floats.  Its seed panels are sorted, so the 8 tail
+    panels come first, and the seed pass's first integrand call takes their
+    nodes from a layout fixed at import.  The error is the joint error of
+    head and tail plus the witness.  The seed pass also takes f and h at 48
+    points over the period beyond Q; unless |f - Re h| <= 1e-12 (1 + max|f|)
     there, the error is inf (nothing bounds the tail of h against f's) and
     the panels are refined only to max(tol, Q * mismatch + tol/2).
-
-    width[s] (a list) is None for an integral with a tail; a number makes
-    integral s tail-less: the real-axis integral of f over [0, stop[s]],
-    seeded width[s] apart (stop[s]/8 where that is narrower), with no tail
-    edges, agreement points or witness, and h never sees it.  The integrals
-    share one seed pass and one ``_refine`` loop, and each keeps its own
-    check, refinement target, witness and ``_MAX_EVALS``.  A lone tailed
-    integral (seeds_seg the int 0) pays for one: plain floats check it and
-    hold its witness.  Returns lists (value, error, evaluations), as
-    ``_gk_segments`` does.
     """
-    one = isinstance(seeds_seg, int) and width[0] is None
-    if one:   # plain floats, which the lists' index 0 reads
-        q0 = stop[0]
-        edges, seg = _seed_edges(stop, [8], np.concatenate(
-            [seeds[(seeds > 0.0) & (seeds < q0)], _TAIL_EDGES]), 0)
-        q_chk = q0 + 2.0 * math.pi / omega[0] / _CHECK_POINTS.size * _CHECK_POINTS
-        decay, far, agree = [1.0 / omega[0]], [0.0], [False]
-    else:
-        tails = np.array([i for i, x in enumerate(width) if x is None], int)
-        nseed = [8 if x is None else math.ceil(q / min(x, q / 8.0)) for q, x in zip(stop, width)]
-        stop = np.array(stop)   # on_line takes each node's Q from it
-        inside = (seeds > 0.0) & (seeds < stop[seeds_seg])
-        # a tail's 8 seed panels on x = -t, t in [0, 1), end at its head's edge 0
-        seeds = np.concatenate([seeds[inside], np.tile(_TAIL_EDGES, tails.size)])
-        if not isinstance(seeds_seg, int):
-            seeds_seg = np.concatenate([seeds_seg[inside], tails.repeat(_TAIL_EDGES.size)])
-        edges, seg = _seed_edges(stop, nseed, seeds, seeds_seg)
-        if not tails.size:   # no tail, no check: the integrand is f itself
-            return _gk_segments(f, edges, seg, tol)
-        period = [2.0 * math.pi / omega[i] / _CHECK_POINTS.size for i in tails.tolist()]
-        q_chk = (stop[tails, None] + np.multiply.outer(period, _CHECK_POINTS)).ravel()
-        chk_seg = tails.repeat(_CHECK_POINTS.size)
-        decay, far = 1.0 / np.array(omega), np.zeros(stop.size)
-        agree, mismatch = [x is not None for x in width], [0.0] * stop.size
+    q0, seeds = switch_point, np.asarray(head_seeds, float).ravel()
+    edges = _seed_edges(q0, np.concatenate([seeds[(seeds > 0.0) & (seeds < q0)], _TAIL_EDGES]))
+    q_chk = q0 + 2.0 * math.pi / omega / _CHECK_POINTS.size * _CHECK_POINTS
+    decay, far = 1.0 / omega, [0.0]
     chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
 
     def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
-        z = stop[s] + 1j * t
+        z = q0 + 1j * t
         if len(chk) == 1:
-            hz = h(np.concatenate([z, q_chk]), s if one else np.concatenate([s, chk_seg]))
+            hz = h(np.concatenate([z, q_chk]), s)
             chk.append(hz[t.size:])
             return -hz[:t.size].imag
         return -h(z, s).imag
@@ -500,9 +435,8 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
 
     def g(x, s):
         # f on the head's nodes (x > 0), the mapped tail at t = -x on the
-        # rest, and no masks for a call with one kind of node once the first
-        # call has taken f and h at q_chk, with or without nodes of each
-        if one and not chk:
+        # rest, and no masks for a call with one kind of node
+        if not chk:
             # the seed pass's first block (_GK_CHUNK >= 8 panels): the tail's
             # nodes are _TAIL_T, and the head's follow them
             k = x.size - _TAIL_T.size
@@ -511,39 +445,26 @@ def _oscillatory_segments(f, h, omega, stop, tol, seeds, seeds_seg, width):
             return np.concatenate([np.zeros(_TAIL_CUT), line(_TAIL_S, s, _TAIL_REST), fx[:k]])
         head = x > 0.0
         k = int(np.count_nonzero(head))
-        if chk and k in (0, x.size):
+        if k in (0, x.size):
             return np.asarray(f(x, s), float) if k else line(-x, s)
         out = np.empty(x.shape)
-        sh = _subset(s, head)
-        if chk:
-            out[head] = f(x[head], sh)
-        else:
-            fx = np.asarray(f(np.concatenate([x[head], q_chk]), sh if one else
-                              np.concatenate([sh, chk_seg])), float)
-            out[head] = fx[:k]
-            chk.append(fx[k:])
+        out[head] = f(x[head], s)
         tail = ~head
-        out[tail] = line(-x[tail], _subset(s, tail))
+        out[tail] = line(-x[tail], s)
         return out
+
+    agree = [False]
 
     def target():
         # the check: |f - Re h| within 1e-12 (1 + max|f|) at q_chk; after a
         # failed one, refining beyond Q * mismatch + tol/2 is wasted
-        if one:
-            x = float(np.abs(chk[0] - chk[1].real).max())
-            agree[0] = x <= _AGREEMENT * (1.0 + float(np.abs(chk[0]).max()))
-            return tol if agree[0] else [max(tol[0], stop[0] * x + 0.5 * tol[0])]
-        fq = chk[0].reshape(tails.size, -1)
-        off = np.abs(fq - chk[1].reshape(fq.shape).real).max(axis=1).tolist()
-        for i, x, y in zip(tails.tolist(), off, np.abs(fq).max(axis=1).tolist()):
-            agree[i], mismatch[i] = x <= _AGREEMENT * (1.0 + y), x
-        return [t if a else max(t, q * x + 0.5 * t)
-                for a, q, x, t in zip(agree, stop, mismatch, tol)]
+        x = float(np.abs(chk[0] - chk[1].real).max())
+        agree[0] = x <= _AGREEMENT * (1.0 + float(np.abs(chk[0]).max()))
+        return [tol] if agree[0] else [max(tol, q0 * x + 0.5 * tol)]
 
-    checks = [2 * _CHECK_POINTS.size if x is None else 0 for x in width]
-    value, err, evals = _gk_segments(g, edges, seg, target, checks)
-    wit = [_DECAY_CUT * decay[0] * far[0]] if one else (_DECAY_CUT * decay * far).tolist()
-    return value, [e + w if a else math.inf for e, w, a in zip(err, wit, agree)], evals
+    value, err, evals = _gk_segments(g, edges, 0, target, [2 * _CHECK_POINTS.size])
+    err = err[0] + _DECAY_CUT * decay * far[0] if agree[0] else math.inf
+    return QuadratureEstimate(float(value[0]), float(err), evals[0], tol)
 
 
 def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> QuadratureEstimate:
@@ -555,6 +476,8 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
     evaluated in blocks of 2^16 and summed exactly by one ``math.fsum``;
     the estimate adds ``_EPS_FLOOR * sum|t_n|`` to that bound.  N is at
     most ``_MAX_TERMS``, with that N's bound; for ratio >= 1 it is inf.
+    Where that bound is above tol the series cannot converge, and no term
+    is evaluated: the estimate is inf, the value 0 and the count 0.
     """
     if ratio >= 1.0:
         n_terms = math.inf
@@ -564,6 +487,9 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
         log_rem = math.log(tol) - math.log(1e3) - math.log(scale) + math.log1p(-ratio)
         n_terms = max(1, math.ceil(log_rem / math.log(ratio)) - 1)
     n = min(n_terms, _MAX_TERMS)
+    rem = scale * ratio ** (n + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
+    if rem > tol:
+        return QuadratureEstimate(0.0, math.inf, 0, tol)
     sum_abs = 0.0
 
     def blocks():
@@ -574,7 +500,6 @@ def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> Quadratur
             yield t.tolist()
 
     total = math.fsum(itertools.chain.from_iterable(blocks()))
-    rem = scale * ratio ** (n + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
     return QuadratureEstimate(total, rem + _EPS_FLOOR * sum_abs, n, tol)
 
 
@@ -593,6 +518,9 @@ def _thermal_weight_raw(q, That):
     np.multiply(v, b, out=b)                # -2u e^{-u}, -2u first: numpy's complex
                                             # product depends on operand order
     np.expm1(v, out=v)                      # -(1 - e^{-2u}): the signs cancel in b/v
-    out = np.divide(b, v, out=b) if v.all() else np.divide(b, v, out=np.ones_like(v), where=v < 0)
+    # 1 where Re u < ~5e-151, where it is 1 to the last bit: a complex b/v
+    # overflows once v is subnormal
+    big = v.real < -1e-150
+    out = np.divide(b, v, out=b) if big.all() else np.divide(b, v, out=np.ones_like(v), where=big)
     out *= out
     return out if np.ndim(q) else out[0]

@@ -127,14 +127,14 @@ def flux_deficit(q, d):
 
 
 # past this d the first dip, 2 pi^2/(d+2)^3 wide at q_1 = pi/(d+2), spans
-# under 4.5e4 ulp of its phase q_1 d: its rounding reaches 1e-6 of a force
-# or density, past any estimate, so such a result's estimate is inf
+# under 4.5e4 ulp of its phase q_1 d: its rounding reaches 1e-6 of a
+# canonical force, past any estimate, so the force's estimate is inf
 RESOLVED_D = 1e6
-# below this d the callers of resonance_edges start a graded resonance's
-# seed edges at half its width; from here on, where ROADMAP item 10's known
+# below this d the canonical force starts a graded resonance's seed edges
+# at half its width; from here on, where ROADMAP item 10's known
 # misses begin and finer seeds make the estimate dishonest (converged forces
 # up to 4.7x their estimate off from d ~ 2e4), at its width, growing by 4x.
-# Item 10's dip-centred head deletes it, together with RESOLVED_D
+# The force on item 21's ray deletes it, together with RESOLVED_D
 _FINE_SEED_D = 300.0
 
 
@@ -146,76 +146,41 @@ def _deficit_at_zero(d):
 
 
 def resonance_edges(d, q_hi, start, ratio):
-    """Quadrature seed edges that bracket the cavity resonances of each
-    separation d[i] below min(1, q_hi[i]) (``d``, ``q_hi``, ``start``:
-    lists or arrays).
+    """Quadrature seed edges that bracket the cavity resonances of the
+    separation d below min(1, q_hi), as an array.
 
     Below q ~ 1 the flux deficit has a sharp resonance in every period, at
     sin(dq) + 2q cos(dq) = 0, near q_m = m pi/(d+2) with width
-    gamma_m = 2 q_m^2/(d+2).  Each gets the edges q_m +- start[i] gamma_m
+    gamma_m = 2 q_m^2/(d+2).  Each gets the edges q_m +- start gamma_m
     ratio^k for k = 0, 1, ... while they stay below the cap 0.4 pi/(d+2),
-    start[i] 1/2 or 1 and ``ratio`` 2 or 4, so every product is exact:
-    panels that grow by ``ratio`` away from the resonance, so an adaptive
-    integral resolves it in its seed pass instead of bisecting toward it
-    from a period-wide panel.  The callers take start 1/2 below
-    ``_FINE_SEED_D`` (a force only below That (d+2) = 500 too) and 1
-    elsewhere, with ratio 4; with start 1/2 a lone force, which pays ~40 us
-    of numpy calls per bisection round, takes ratio 2 and converges in its
-    seed pass (ratio 4 leaves 31 of the benchmark's 90 float forces more
-    than one, and the 90 take 1.13x the time),
-    and a density batch, which pays per evaluation, takes 4.  Only
-    resonances with gamma_m below the cap get edges, which is
-    q_m < sqrt(0.2 pi) ~ 0.79 at any d.  The wider ones need none: a seed
-    panel at most one period pi/d wide spans only a few of their widths,
-    and the seed pass resolves them as it does any smooth bump.
-
-    Returns (edges, owner), unsorted: owner[j] is the index in ``d`` of the
-    separation whose resonance edges[j] brackets, or the int 0 when ``d``
-    has one separation.  Several separations take one vectorized pass, one
-    a loop in plain floats; both give every separation the same edges bit
-    for bit.  A force has at most a few graded resonances, for which the
-    loop costs less than one of the pass's ~25 array operations: the
-    benchmark's force_sweep takes 14% more time without it (90 float
-    points, in process, 30 paired rounds, 2-vCPU x86).  A resonance whose
-    width underflows to 0 (d >~ 2e108) gets no edges.
+    start 1/2 or 1 and ``ratio`` 2 or 4, so every product is exact: panels
+    that grow by ``ratio`` away from the resonance, so an adaptive integral
+    resolves it in its seed pass instead of bisecting toward it from a
+    period-wide panel.  The canonical force takes start 1/2 and ratio 2
+    below ``_FINE_SEED_D`` and That (d+2) = 500, and start 1 and ratio 4
+    elsewhere: a lone force pays ~40 us of numpy calls per bisection round,
+    and with ratio 2 it converges in its seed pass (ratio 4 leaves 31 of
+    the benchmark's 90 float forces more than one, and the 90 take 1.13x
+    the time).  Only resonances with gamma_m below the cap get edges, which
+    is q_m < sqrt(0.2 pi) ~ 0.79 at any d.  The wider ones need none: a
+    seed panel at most one period pi/d wide spans only a few of their
+    widths, and the seed pass resolves them as it does any smooth bump.
+    The edges are built in plain floats: a force has at most a few graded
+    resonances, for which a loop costs less than array operations would.
+    A resonance whose width underflows to 0 (d >~ 2e108) gets no edges.
     """
-    if len(d) == 1:
-        d2 = float(d[0]) + 2.0
-        step = math.pi / d2
-        stop, cap = min(1.0, q_hi[0]) / step, 0.4 * step
-        first = float(start[0])
-        edges, m = [], 1
-        # gamma grows with m, so the resonances still graded form a prefix
-        while m < stop and 0.0 < (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
-            gamma *= first
-            while gamma < cap:
-                edges += (q_m - gamma, q_m + gamma)
-                gamma *= ratio
-            m += 1
-        return np.array(edges), 0
-    d2 = np.add(d, 2.0)
+    d2 = d + 2.0
     step = math.pi / d2
-    # np.arange(1.0, y) holds the ceil(y - 1) whole numbers 1.0, 2.0, ...,
-    # and none where y - 1 rounds to -1 (q_hi below ~1e-16 of a step)
-    count = np.maximum(np.ceil(np.minimum(1.0, q_hi) / step - 1.0), 0.0)
-    top = d2.max()
-    if not 2.0 * (math.pi / top) * (math.pi / top) / top > 0.0:   # a gamma_1 is 0
-        count *= 2.0 * step * step / d2 > 0.0
-        top = min(top, 1e150)
-    count = count.astype(int)
-    owner = np.arange(d2.size).repeat(count)
-    h = step[owner]
-    q_m = h * (np.arange(1, owner.size + 1) - (count.cumsum() - count)[owner])
-    gamma = 2.0 * q_m * q_m / d2[owner]
-    cap = 0.4 * h
-    # the edges start gamma_m ratio^k below the cap, for every k with ratio^k
-    # below the largest cap/(gamma_1/2) = 0.4 (d+2)^2/pi, and one more
-    levels = max(math.ceil(math.log(0.4 * top ** 2 / math.pi, ratio)) + 1, 1)
-    widths = np.multiply.outer(np.asarray(start)[owner] * gamma, ratio ** np.arange(levels))
-    graded = (widths < cap[:, None]) & (gamma < cap)[:, None]
-    rows = graded.nonzero()[0]
-    widths, q_m, owner = widths[graded], q_m[rows], owner[rows]
-    return np.concatenate([q_m - widths, q_m + widths]), np.concatenate([owner, owner])
+    stop, cap = min(1.0, q_hi) / step, 0.4 * step
+    edges, m = [], 1
+    # gamma grows with m, so the resonances still graded form a prefix
+    while m < stop and 0.0 < (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
+        gamma *= start
+        while gamma < cap:
+            edges += (q_m - gamma, q_m + gamma)
+            gamma *= ratio
+        m += 1
+    return np.array(edges)
 
 
 def contour_switch(d):

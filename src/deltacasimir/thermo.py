@@ -30,18 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_real, require_real_array
-from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, _mode_sum, \
-    _require_that, _zero_mode_log
+from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, _require_that, \
+    _zero_mode_log
 from .model import DimensionlessPoint, Result
 from .numerics import (
     QuadratureEstimate,
     _adaptive_gk,
-    _oscillatory_segments,
+    _gk_segments,
     _thermal_weight_raw,
     sum_exponential_series,
 )
 # flux_deficit is not called here; the benchmark's tracer patches it by this name
-from .scattering import _FINE_SEED_D, RESOLVED_D, contour_switch, flux_deficit, resonance_edges
+from .scattering import MAX_Q, flux_deficit
 
 __all__ = [
     "ENTROPY_TOL",
@@ -54,9 +54,21 @@ __all__ = [
 
 ENTROPY_TOL = 1e-6
 ENTROPY_INNER_TOL = 1e-8
-# the density's q-integral leaves the real axis at ``contour_switch`` when its
-# cut-off q_max spans more periods pi/dtilde than this
-_ROTATE_PERIODS = 16
+# the density's q-integral runs along the ray q = t e^{i pi/4}: _RAY_COS is
+# cos(pi/4) = sin(pi/4), _RAY its unit step and _TWO_I_RAY = 2i _RAY, so that
+# 2iqd = (t d) _TWO_I_RAY; a ray at exactly pi/4, whatever the rounding
+_RAY_COS = math.sqrt(0.5)
+_RAY = complex(_RAY_COS, _RAY_COS)
+_TWO_I_RAY = 2j * _RAY
+# the engine integrates the ray integrand over K, K = 2^64, to
+# (tol - bound)/K, and K times its value and error are the density's:
+# scaling by a power of 2 is exact, so the bits are those without K.
+# Without it a That near 1e-309 overflowed: 1/(2 That), and at the first,
+# subnormal, nodes |pi h| ~ 1/(4t) and the integrand ~ 1/(That (d+2)).  The
+# integrand takes K q for q and forms -K N and the weight of K q at K That:
+# |e^{2iqd} w| <= 2 and K |N| >= 4 K t sin(pi/4) keep |pi h/K| below 1e303
+# at every t > 0, and K^2 MAX_Q^2 stays finite
+_SCALE = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -74,91 +86,108 @@ class EntropyDensity:
     evaluations: int
 
 
-def _thermal_cutoff(That, tol):
-    """(q_max, tail_bound): the density's q cut-off at (That, tol) and the
-    bound on the integral it drops."""
-    # |flux_deficit| <= 1/(2 q^2) for q > 0 (it is -2 Re[x/(1-x)] with
-    # |x| = 1/(1+4q^2)) and int_{q_c}^inf tw dq <= 8 That e^{-2u}(u^2+u+1),
-    # q_c = 2 That u, so (1/2pi) times the tail beyond q_c is at most
-    # tail_bound(u) = e^{-2u}(u^2+u+1) / (2pi That u^2)
-    for k in range(1, 41):
-        u = 0.5 * k
-        tail_bound = math.exp(-2.0 * u) * (u * u + u + 1.0) / (2.0 * math.pi * That * u * u)
-        if tail_bound <= 1e-3 * tol:
-            break
-    return 2.0 * That * u, tail_bound
+def _ray_seeds(d, that):
+    """(edges, seg, bounds) of the density's ray integrals at the separations
+    d, a 1-D array: segment seg[j] of ``numerics._gk_segments`` for each
+    edge.  Each gets an edge at 0, then one panel per octave from s/8 to
+    hi, with s = min(1/d, 1/2, That) and hi = min(45/(2 d sin phi),
+    45 That/cos phi, ``MAX_Q``), where e^{2iqd} or the weight has decayed
+    by e^{-45} (MAX_Q keeps 4q^2 finite), and a bound on int_hi^inf |h| dt.
+
+    The bound: |N| >= |2iq - 1|^2 - |e^{2iqd}| >= 4t (sin phi + t),
+    |e^{2iqd}| = e^{-bt}, b = 2d sin phi, and |w| <= W(t) = |u|^2/sinh^2(Re u),
+    u = q/(2 That), which for t >= hi is at most W(hi) and at most
+    W(hi) (t/hi)^2 e^{-(t - hi) cos phi/That}, since sinh(a + x) >= sinh(a) e^x.
+    Integrating (1/pi) W(t) e^{-bt}/(4t (sin phi + t)) with each of the three
+    ways to drop a factor of t/(sin phi + t) gives the three terms of the min,
+    in y = 1/(k hi), k = cos phi/That + b, with y > 1 only where hi = MAX_Q
+    and the first term is the least.  Every quotient is formed so that
+    nothing overflows at any float d or That: 1/d is taken past d = 2, and
+    45/(2 d sin phi) past d = 1e-75, below which it is above MAX_Q.
+    """
+    s = np.minimum(1.0 / np.maximum(d, 2.0), that)
+    hi = np.minimum(np.minimum(22.5 / _RAY_COS / np.maximum(d, 1e-75), 45.0 * that / _RAY_COS),
+                    MAX_Q)
+    lo = 0.125 * s
+    n = np.ceil(np.log2(hi / lo)).astype(int)
+    seg = np.arange(d.size).repeat(n + 2)
+    k = np.arange(seg.size) - (n + 2).cumsum()[seg] + n[seg] + 1   # -1, 0, ..., n
+    edges = lo[seg] * (hi / lo)[seg] ** (k / n[seg])
+    edges[k < 0] = 0.0
+    a = _RAY_COS * hi / (2.0 * that)                # Re u at hi
+    w_hi = 2.0 * np.divide(a, np.sinh(a), out=np.ones_like(a), where=a > 0.0) ** 2
+    bh = (2.0 * _RAY_COS) * (d * hi)                # b hi
+    y = np.minimum(1.0 / (_RAY_COS * hi / that + bh), 1.0)
+    bound = w_hi * np.exp(-bh) / (4.0 * math.pi) * np.minimum(y / hi, (y + y * y) / _RAY_COS)
+    return edges, seg, bound
 
 
 def entropy_density_canonical(dtilde, That: float,
                               tol: float = ENTROPY_INNER_TOL) -> EntropyDensity:
     """Entropy density in separation at (dtilde, That).
 
-    ``dtilde`` is a number, or a 1-D array of separations whose q-integrals,
-    of both kinds below (rotated, real axis), are all taken in one call of
-    ``numerics._oscillatory_segments`` and so in one adaptive loop, each
-    with its own tolerance, stopping test and caps: every element gets the
-    bits its scalar call gives.  For an array, ``value``, ``dtilde``,
-    ``evaluations`` and the estimate's ``value``, ``abs_error_estimate``
-    and ``converged`` are arrays over it: each element of ``evaluations``
-    is its scalar call's ``estimate.evaluations``, and the estimate's
-    ``evaluations`` is their total, an int.
+    ``dtilde`` is a number, or a 1-D array of separations whose q-integrals
+    are all taken in one call of ``numerics._gk_segments`` and so in one
+    adaptive loop, each with its own tolerance, stopping test and caps:
+    every element gets the bits its scalar call gives.  For an array,
+    ``value``, ``dtilde``, ``evaluations`` and the estimate's ``value``,
+    ``abs_error_estimate`` and ``converged`` are arrays over it: each element
+    of ``evaluations`` is its scalar call's ``estimate.evaluations``, and the
+    estimate's ``evaluations`` is their total, an int.
 
-    The csch^2 weight decays like 4 u^2 e^{-2u} (u = q/2That), so the
-    integral stops at q_max = 2 That u, with u the smallest multiple of 0.5
-    (at most 20) whose truncation bound is below tol/1000.  The kernel
-    oscillates with period pi/dtilde.
+    The density is (1/2pi) int_0^inf w flux_deficit dq, w = (u/sinh u)^2,
+    u = q/(2 That), and the flux deficit is -2 Re[x/(1-x)] (see
+    ``forces._mode_sum``).  So the integrand is Re h with
 
-    Below q ~ 1 each period holds a cavity dip near q_m = m pi/(dtilde+2),
-    ~2 q_m^2/(dtilde+2) wide; every real-axis stretch gets the graded seed
-    edges of ``scattering.resonance_edges`` around those narrower than
-    0.4 pi/(dtilde+2), so the seed pass resolves them: from half a width
-    out below ``scattering._FINE_SEED_D``, and growing by 4x, not by the
-    lone force's 2x, since a batch pays per evaluation.  Past
-    ``scattering.RESOLVED_D`` the first dip is below float64's resolution:
-    a member's estimate is inf, and it gets its seed pass only.
+        h = -(1/pi) w e^{2iqd}/N,    N = -expm1(2iqd) - 4iq - 4q^2,
 
-    When q_max spans more than 16 periods, the head [0, Q],
-    Q = ``contour_switch(dtilde)``, is integrated on the real axis and the
-    rest along Re q = Q, as the canonical force's tail (``forces._mode_sum``
-    with the weight (u/sinh u)^2), and no truncation bound is needed.
-    Otherwise [0, q_max] is integrated on the real axis, a tail-less
-    integral of the same loop on panels one period wide (narrower only
-    where 2.5 That or q_max/8 is);
-    the truncation bound is added to its error estimate, and its panels
-    get the rest of tol, or only their seed pass where the bound alone is
-    tol or more (That <~ 3e-10 at tol 2.5e-9), which cannot converge.
+    analytic in the open first quadrant, where |x| < 1 and the poles of w,
+    q = 2 pi i n That, are not; at q = 0 it has the pole -i/(2pi (d+2) q).
+    Along the ray q = t e^{i phi}, phi = pi/4, the density is
+
+        Re int_0^inf e^{i phi} h(t e^{i phi}) dt + phi/(2pi (d+2)),
+
+    the last term from the small arc around q = 0 (the arc at infinity
+    vanishes).  The cavity resonances, just below the real axis, are
+    q sin phi off the ray, and e^{2iqd} and w decay along it at every d and
+    That, so the integrand is smooth: its panels (``_ray_seeds``) need no
+    edges at the dips and no real-axis cut-off.  The one expm1 gives both
+    N and e^{2iqd} = expm1 + 1.  The integral stops at hi, where both have
+    decayed by e^{-45}; the bound on what it drops is added to the error
+    estimate, and the panels get the rest of tol, or only their seed pass
+    where the bound alone is tol or more, which cannot converge.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
-    its zero mode kept (see the README).  The tests use that identity as
-    the oracle for this function on d in [0.01, 200], That in [0.001, 3].
+    its zero mode kept (see the README).  The tests use that identity, and
+    the same integral on rays at pi/8 and 3pi/8 by Gauss-Legendre, as this
+    function's oracles.  That > 0 has the forces' domain: a That whose
+    1/(8 pi That) overflows is a DomainError.
     """
     d = require_real_array("dtilde", dtilde)
     scalar, d = d.ndim == 0, np.atleast_1d(d)
     if d.ndim != 1 or not d.size:
         raise DomainError(f"dtilde must be a number or a non-empty 1-D array, got {dtilde!r}")
-    That, tol = require_real("That", That), require_real("tol", tol)
-    q_max, tail_bound = _thermal_cutoff(That, tol)
-    # q_max/(pi/d) periods, with no pi/d to overflow at a subnormal dtilde
-    rotated = (d * q_max > _ROTATE_PERIODS * math.pi).tolist()
-    # a rotated q-integral's head ends at Q; a real-axis one runs to q_max
-    # on panels a period wide (or 2.5 That) and leaves tail_bound of tol
-    stop = [contour_switch(x) if r else q_max for x, r in zip(d.tolist(), rotated)]
-    width = [None if r else min(math.pi / x, 2.5 * That) for x, r in zip(d.tolist(), rotated)]
-    seeds, owner = resonance_edges(d, stop, np.where(d < _FINE_SEED_D, 0.5, 1.0), 4.0)
+    That, tol = _require_that(require_real("That", That)), require_real("tol", tol)
+    edges, seg, bounds = _ray_seeds(d, That)
 
-    def w(q):   # (u/sinh u)^2, for real q and for complex q on the tail
-        return _thermal_weight_raw(q, That)
+    def f(t, s):   # Re e^{i phi} h(t e^{i phi}), with e^{i phi}/pi = (1 + i) cos(phi)/pi
+        kq = t * (_RAY * _SCALE)
+        x = np.expm1((t * d[s]) * _TWO_I_RAY)
+        den = kq + 1j * _SCALE
+        den *= kq
+        den *= 4.0 / _SCALE
+        den += x * _SCALE                       # -K N
+        x += 1.0                                # e^{2iqd}
+        x *= _thermal_weight_raw(kq, That * _SCALE)
+        x /= den                                # pi h/K
+        return (x.real - x.imag) * (_RAY_COS / math.pi)
 
-    f, h = _mode_sum(0.5 / math.pi, w, w, d)
-    # inf: the seed pass only, where the truncation bound alone is tol or more
-    # or where the first dip is not resolved (past RESOLVED_D)
-    real_tol = tol - tail_bound if tail_bound < tol else math.inf
-    v, e, n = _oscillatory_segments(f, h, (2.0 * d).tolist(), stop, [
-        math.inf if x > RESOLVED_D else tol if r else real_tol
-        for x, r in zip(d.tolist(), rotated)], seeds, owner, width)
-    err = np.array(e) + np.where(rotated, 0.0, tail_bound)
-    err[d > RESOLVED_D] = math.inf   # the first dip is not resolved
-    value, evals = np.array(v, float), np.array(n)
+    # inf: the seed pass only, where the bound alone is tol or more
+    v, e, n = _gk_segments(f, edges, seg if d.size > 1 else 0,
+                           [(tol - b) / _SCALE if b < tol else math.inf for b in bounds.tolist()])
+    # phi/(2pi (d+2)) = 1/(8 (d+2)) at phi = pi/4
+    value = np.array(v) * _SCALE + 0.125 / (d + 2.0)
+    err, evals = np.array(e) * _SCALE + bounds, np.array(n)
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), tol)
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)
@@ -200,7 +229,7 @@ def entropy_canonical(point: DimensionlessPoint,
     S(That = 0.01) is already only 0.79 of the linear value.  d and That
     are read as floats: an np.int64 or np.float32 That gives the float bits.
     """
-    d, that = float(point.d), require_real("That", point.That)
+    d, that = float(point.d), _require_that(require_real("That", point.That))
     tol = require_real("tol", tol)
     cutoff_lambda = require_real("cutoff_lambda", cutoff_lambda, low=d)
     inner_tol = min(ENTROPY_INNER_TOL, 0.25 * tol / (cutoff_lambda - d))

@@ -19,16 +19,21 @@ at every draw:
   rounding allowance); the Matsubara entropy without its zero mode, where
   That d >= 0.1, of its direct sum at 40 digits.
 
-The canonical entropy runs only where Lambda <= ``RESOLVED_D`` and its
-densities' tolerance tol/(4 (Lambda - d)) is at least 1e-14.  Its nested
-quadrature's cost grows with Lambda/tol until ROADMAP item 2: 43 s at
-(9.8, 1.8e-4, 4.5e4, 3.3e-11).  Past ``RESOLVED_D`` its densities cannot
-converge, and its outer integral bisects on to 1.8 GB and a MemoryError at
-(1.6e4, 1.9e-7, 4.7e7, 2.1e-6) (a FOUND line in CHANGES.md).
+The canonical entropy runs only where its densities' tolerance
+tol/(4 (Lambda - d)) is at least 1e-14.  Its nested quadrature's cost grows
+with Lambda/tol until ROADMAP item 21 takes it onto one ray integral: at
+(9.8, 1.8e-4, 4.5e4, 3.3e-11) it took 43 s while its densities ran on the
+real axis, and 84,270 evaluations (16 ms) with its densities on the ray.
+The real-axis densities could not converge past d = 1e6, and the outer
+integral bisected on to 1.8 GB and a MemoryError at (1.6e4, 1.9e-7, 4.7e7,
+2.1e-6); there the ray's converge, in 9,660 evaluations, so Lambda has no
+gate.
 
 A known miss is a strict xfail of its region, which names the item that
 mends it; its draws are the box's in the region and a stated number more,
-drawn from the box until they fall in it.  A miss anywhere else fails.  One
+drawn from the box until they fall in it.  A region whose misses were
+mended keeps its draws as an ordinary checked region.  A miss anywhere
+else fails.  One
 more test draws That as an int, np.int64 or np.float32, whose result must
 be the float twin's bit for bit; and one extreme value per entry must give
 a DomainError or an unconverged value, never a quiet converged one.
@@ -50,7 +55,6 @@ from deltacasimir import (
     free_energy_lifshitz,
     numerics,
 )
-from deltacasimir.scattering import RESOLVED_D
 
 SEED = 20261020
 DRAWS = 160
@@ -85,7 +89,7 @@ CALLS = {
 def _runs(entry, p):
     """Whether the sweep runs ``entry`` at p (see the module docstring)."""
     d, _, lam, tol = p
-    return entry != "canonical_entropy" or (lam <= RESOLVED_D and tol >= 4e-14 * (lam - d))
+    return entry != "canonical_entropy" or tol >= 4e-14 * (lam - d)
 
 
 def _call(fn):
@@ -169,20 +173,18 @@ def _problem(entry, p):
     return None
 
 
-# the canonical route's large-d misses: the first cavity dip's nodes carry
+# the large-d region: on the real axis the first cavity dip's nodes carry
 # noise of relative size ~eps d^2, and the force's error grows like
 # ~2.5e-18 That d
-ITEM_10 = ("d>=300", lambda d, t, lam, tol: d >= 300.0, 24,
-           "ROADMAP item 10: the canonical route's large-d misses")
+LARGE_D = ("d>=300", lambda d, t, lam, tol: d >= 300.0, 24)
 # entry -> [(region, whether a draw lies in it, how many more draws it gets,
-# why its misses are known)]; the density's second region misses at about
-# 1 draw in 60, so it gets more draws
+# why its misses are known, or None where they were mended)].  The density's
+# misses in both regions were the real axis's (at That >= 20, d < 0.05 about
+# 1 draw in 60, so that region gets more draws); on the ray they pass
 KNOWN = {
-    "canonical_force": [ITEM_10],
-    "density": [ITEM_10, (
-        "That>=20,d<0.05", lambda d, t, lam, tol: t >= 20.0 and d < 0.05, 240,
-        "ROADMAP item 19: q ~ 1 lies inside the real-axis density's first seed panel, "
-        "which K15 and G7 under-resolve alike")],
+    "canonical_force": [(*LARGE_D, "ROADMAP item 10: the canonical route's large-d misses")],
+    "density": [(*LARGE_D, None), (
+        "That>=20,d<0.05", lambda d, t, lam, tol: t >= 20.0 and d < 0.05, 240, None)],
     "lifshitz_entropy_without_zero_mode": [(
         "That*d>=1", lambda d, t, lam, tol: t * d >= 1.0, 24,
         "ROADMAP item 5: the estimate misses the rounding of e^{-ad}")],
@@ -210,7 +212,7 @@ def _region_points(entry, region):
 
 @pytest.mark.parametrize("entry, region", [(entry, "box") for entry in CALLS] + [
     pytest.param(entry, name, marks=pytest.mark.xfail(strict=True, raises=AssertionError,
-                                                      reason=why))
+                                                      reason=why) if why else ())
     for entry, regions in KNOWN.items() for name, _, _, why in regions])
 def test_every_entry_meets_its_contract(entry, region):
     points = _region_points(entry, region)
@@ -263,15 +265,16 @@ def test_a_typed_that_gives_the_float_bits(entry):
 # That, or a value whose estimate is inf, or one that is not converged.  The
 # zero mode's log of an underflowing 2 pi That (d+2)/Lambda was a
 # ValueError, and below That ~ 2.2e-310 the forces read nan and the free
-# energy -inf
+# energy -inf; the density and the canonical entropy take the forces' That
+# domain
 EXTREMES = {
     "canonical_force": (1.0, 1e-310, 100.0, 1e-10, DomainError),
     "lifshitz_force": (1.0, 1e-310, 100.0, 1e-10, DomainError),
     "free_energy": (1.0, 1e-200, 1e150, 1e-12, math.inf),
     "lifshitz_entropy": (1.0, 1e-200, 1e150, 1e-12, math.inf),
     "lifshitz_entropy_without_zero_mode": (1.0, 5e-324, 100.0, 1e-12, DomainError),
-    "density": (1.0, 1e-310, 100.0, 1e-8, "not converged"),
-    "canonical_entropy": (1.0, 1e-310, 100.0, 1e-6, "not converged"),
+    "density": (1.0, 1e-310, 100.0, 1e-8, DomainError),
+    "canonical_entropy": (1.0, 1e-310, 100.0, 1e-6, DomainError),
 }
 
 

@@ -17,7 +17,6 @@ from test_forces import _LARGE_D
 
 from deltacasimir import DimensionlessPoint, casimir_force, cli, \
     entropy_canonical, entropy_density_canonical, entropy_lifshitz, numerics, thermo
-from deltacasimir.scattering import RESOLVED_D
 
 
 def _gk_passes(monkeypatch, fn):
@@ -48,10 +47,11 @@ def test_canonical_entropy_over_the_benchmark_grid():
     # before the densities got graded seed edges around their resonances;
     # 276,726 once the rotated densities' head and tail were one integral;
     # 180,396 once the outer integral had a seed edge at the thermal length;
-    # 162,921 since a graded resonance's seed edges start at half its width
+    # 162,921 while a graded resonance's seed edges started at half its
+    # width; 53,940 since the densities run on the ray
     total = sum(entropy_canonical(DimensionlessPoint(d, t), 100.0).estimate.evaluations
                 for d, t in ENTROPY_GRID)
-    assert total <= 1.02 * 162_921
+    assert total <= 1.02 * 53_940
 
 
 def test_entropy_grid_passes(monkeypatch):
@@ -59,13 +59,15 @@ def test_entropy_grid_passes(monkeypatch):
     # with its own seed pass and rounds), 95 while each density call made one
     # adaptive loop per kind of q-integral, 85 while the outer integral had
     # no seed edge at the thermal length, 58 while a graded resonance's seed
-    # edges started at its full width; one density call per outer round,
-    # one adaptive loop for all of its q-integrals
+    # edges started at its full width, 45 while the densities ran on the
+    # real axis; one density call per outer round, one adaptive loop for all
+    # of its q-integrals, whose ray integrals mostly converge in their seed
+    # pass
     def entropies():
         for d, t in ENTROPY_GRID:
             entropy_canonical(DimensionlessPoint(d, t), 100.0)
 
-    assert _gk_passes(monkeypatch, entropies) == 45
+    assert _gk_passes(monkeypatch, entropies) == 36
 
 
 def test_cold_entropy_grid_row_is_one_density_call_each(monkeypatch):
@@ -93,11 +95,12 @@ def test_density_over_the_figure3a_grid():
     # 973,980 with q_max = 40 That; 705,810 with every density on the real
     # axis out to q_max; 59,355 with graded seed edges around the resonances,
     # 59,085 once the rotated densities' head and tail were one integral,
-    # 54,255 since a graded resonance's seed edges start at half its width
+    # 54,255 while a graded resonance's seed edges started at half its
+    # width; 20,235 on the ray
     grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
     total = sum(entropy_density_canonical(d, t).estimate.evaluations
                 for t in (0.5, 1.0, 2.0) for d in grid)
-    assert total <= 1.02 * 54_255
+    assert total <= 1.02 * 20_235
 
 
 # 107,988 and 7,623 when the tail beyond Q = max(10, 8 That, 4 pi/2d) ran on
@@ -164,27 +167,21 @@ def test_lone_canonical_forces_converge_in_their_seed_pass(monkeypatch):
     assert seed_pass_only >= 88
 
 
-def test_every_head_gets_8_seed_panels(monkeypatch):
-    # the engine seeds a head with a tail in 8 panels: its Q = contour_switch(d)
-    # spans under two periods, which Q/8 resolves.  A tail-less density runs
-    # to q_max <= 40 That on panels a period pi/d wide, or 2.5 That where that
-    # is narrower, and only while d q_max <= 16 pi: at most 16 panels
-    panels = {True: [], False: []}   # has a tail -> the seed panels of each head
-    seed_edges = numerics._seed_edges
-
-    def spy(stop, n, extra, extra_seg):
-        owner = np.zeros(extra.size, int) if isinstance(extra_seg, int) else extra_seg
-        for s, k in enumerate(n):   # a tail's seed edges are the extra points below 0
-            panels[bool((extra[owner == s] < 0.0).any())].append(int(k))
-        return seed_edges(stop, n, extra, extra_seg)
-
-    monkeypatch.setattr(numerics, "_seed_edges", spy)
-    for d, t in FORCE_SWEEP:
-        casimir_force(DimensionlessPoint(d, t), "canonical")
-    for t in (0.5, 1.0, 2.0):   # figure 3a's default grid
-        entropy_density_canonical(np.geomspace(0.5, 100.0, 48), t)
-    assert panels[True] == [8] * (96 + 105)
-    assert len(panels[False]) == 39 and max(panels[False]) <= 16
+def test_every_ray_seed_panel_spans_at_most_an_octave():
+    # a density's ray integral starts with [0, s/8], s = min(1/d, 1/2, That),
+    # then one panel per octave out to hi, where e^{2iqd} or the weight has
+    # decayed by e^{-45}: 9 to 12 panels on figure 3a's grid
+    grid = np.geomspace(0.5, 100.0, 48)
+    for d in (grid, np.array([1e-310, 1.0, 1e300, 1.7e308])):
+        for t in (0.5, 1.0, 2.0, 1e-300, 1e300):
+            edges, seg, _ = thermo._ray_seeds(d, t)
+            for i, x in enumerate(d.tolist()):
+                e = edges[seg == i]
+                ratios = e[2:] / e[1:-1]
+                assert e[0] == 0.0 and e[1] == 0.125 * min(1.0 / x, 0.5, t)
+                assert (ratios > 1.5).all() and (ratios <= 2.0 * (1.0 + 1e-15)).all()
+                if d is grid and t <= 2.0:
+                    assert 9 <= e.size - 1 <= 12
 
 
 def _estimates_digest(estimates):
@@ -210,12 +207,15 @@ def _estimates_digest(estimates):
 # each graded resonance's seed edges started at half its width: the 17
 # canonical entropies moved, values by at most 2.6e-13 relative and errors by
 # at most 9.5e-14, evaluations 183,363 -> 165,888 over the 34 entropies; no
-# flag moved.
+# flag moved.  Recorded again when the densities moved onto the ray: the 17
+# canonical entropies moved, values by at most 6.9e-12 relative and errors
+# by at most 2.7e-12, evaluations 165,888 -> 56,907 over the 34 entropies;
+# no flag moved, and no Lifshitz bit.
 def test_entropy_grid_bits():
     ests = [f(DimensionlessPoint(d, t), 100.0).estimate
             for d, t in ENTROPY_GRID for f in (entropy_canonical, entropy_lifshitz)]
     assert _estimates_digest(ests) == \
-        "4f785c0c1c9f324a3cb7867ef682d25ac8e4b8e8527467668b3bec16ea246d58", \
+        "1673d4a51515089ec935b52bbf7c195bbe20c561ea9a669b99076d7ab0103c71", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -240,18 +240,28 @@ def test_force_sweep_bits():
 
 
 # From d = 300 on a graded resonance keeps its seed edges gamma_m 4^k, so the
-# canonical force and density there keep the bits that those edges gave them
-# at every d (a density past RESOLVED_D now takes its seed pass only, and its
-# estimate is inf either way).
-def test_large_separation_bits():
+# canonical force there keeps the bits that those edges gave it at every d.
+# Until the densities moved onto the ray this digest also held the 24
+# densities with d <= RESOLVED_D; it then held these 52 forces' bits unchanged.
+def test_large_separation_force_bits():
     ds = [300.0, *_LARGE_D.tolist()]
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical").estimate
             for t in (0.0, 1e-3, 1.0, 10.0) for d in ds]
-    ests += [entropy_density_canonical(d, t).estimate
-             for t in (1e-3, 0.1, 1.0, 10.0) for d in ds if d <= RESOLVED_D]
-    assert len(ests) == 52 + 24
+    assert len(ests) == 52
     assert _estimates_digest(ests) == \
-        "4a22796d532776c373e1b3716d41dd9ad7d4d09023a0b66f3f2019b3439e48cf", \
+        "ea048e79f546d1d97ec19f6164b401d23ca568fc8220c2809867ac10c35d9a58", \
+        f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
+
+
+# The density on the ray at the same separations: every one converges, past
+# RESOLVED_D too, where the real-axis density's estimate was inf
+def test_large_separation_density_bits():
+    ds = [300.0, *_LARGE_D.tolist()]
+    ests = [entropy_density_canonical(d, t).estimate
+            for t in (1e-3, 0.1, 1.0, 10.0) for d in ds]
+    assert len(ests) == 52 and all(e.converged for e in ests)
+    assert _estimates_digest(ests) == \
+        "2d4f81ec54c817a11aa4039861b25b8563a4ebb7c224a881eb7a076a9a59a042", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -327,7 +337,8 @@ def test_typed_entropy_grid_points_give_the_float_bits(that, i):
 def test_figure3a_passes(monkeypatch):
     # 363 while head and contour tail were two adaptive integrals with a
     # separate agreement check, 258 while a graded resonance's seed edges
-    # started at its full width
+    # started at its full width, 183 while the densities ran on the real
+    # axis: on the ray each converges in its seed pass
     grid = [float(x) for x in np.geomspace(0.5, 100.0, 48)]
 
     def densities():
@@ -335,7 +346,7 @@ def test_figure3a_passes(monkeypatch):
             for d in grid:
                 entropy_density_canonical(d, t)
 
-    assert _gk_passes(monkeypatch, densities) == 183
+    assert _gk_passes(monkeypatch, densities) == 144
 
 
 def test_figure3a_command(tmp_path, monkeypatch, capsys):
@@ -343,17 +354,18 @@ def test_figure3a_command(tmp_path, monkeypatch, capsys):
     # call, then 3 tasks while each curve was one; one task with one array
     # call per curve spends the same evaluations, in 15 passes while each
     # call made one adaptive loop per kind of q-integral; 59,085 evaluations
-    # while a graded resonance's seed edges started at its full width
+    # while a graded resonance's seed edges started at its full width, and
+    # 54,255 in 9 passes while the densities ran on the real axis
     tasks = []
     run_tasks = cli._run_tasks
     monkeypatch.setattr(cli, "_run_tasks", lambda fn, ts: tasks.append(len(ts))
                         or run_tasks(fn, ts))
     argv = ["figure", "--id", "3a", "--out-dir", str(tmp_path)]
-    assert _gk_passes(monkeypatch, lambda: cli.main(argv)) == 9
+    assert _gk_passes(monkeypatch, lambda: cli.main(argv)) == 3
     capsys.readouterr()
     evals = [int(line.split(",")[4]) for f in tmp_path.glob("*.csv")
              for line in f.read_text().split()[1:]]
-    assert tasks == [1] and len(evals) == 144 and sum(evals) == 54_255
+    assert tasks == [1] and len(evals) == 144 and sum(evals) == 20_235
 
 
 class _Stop(Exception):
@@ -382,32 +394,30 @@ def test_figure_task_counts(fig, tmp_path, monkeypatch):
 
 # 10 and 8 passes before the rotated head got seed edges around its
 # resonance and the real-axis density's dips were graded, 2 and 1 while a
-# graded resonance's seed edges started at its full width
+# graded resonance's seed edges started at its full width; on the ray there
+# are no dips to grade
 @pytest.mark.parametrize("dtilde, that, passes", [(100.0, 0.5, 1), (100.0, 0.01, 1)])
 def test_density_passes(monkeypatch, dtilde, that, passes):
     assert _gk_passes(monkeypatch, lambda: entropy_density_canonical(dtilde, that)) <= passes
 
 
-def test_mixed_density_batch_is_one_engine_loop(monkeypatch):
-    # at That = 0.5 the q-integral of dtilde = 0.5 stays on the real axis and
-    # that of dtilde = 100 takes the contour tail: one engine call holds both,
-    # its passes are those of the longer lone loop, and each member keeps the
-    # bits of its lone call
-    d = [0.5, 100.0]
-    lone = [entropy_density_canonical(x, 0.5).estimate for x in d]
-    passes = [_gk_passes(monkeypatch, lambda x=x: entropy_density_canonical(x, 0.5)) for x in d]
+def test_density_batch_is_one_engine_loop(monkeypatch):
+    # one _gk_segments call holds every separation of a density call: its
+    # passes are those of the longest lone loop, and each member keeps the
+    # bits of its lone call.  At tol 1e-11 dtilde = 0.5 takes a bisection
+    # round and dtilde = 100 none
+    d, tol = [0.5, 100.0], 1e-11
+    lone = [entropy_density_canonical(x, 0.5, tol).estimate for x in d]
+    passes = [_gk_passes(monkeypatch, lambda x=x: entropy_density_canonical(x, 0.5, tol))
+              for x in d]
+    assert passes == [2, 1]
     calls = []
-    engine = thermo._oscillatory_segments
-
-    def spy(*args):
-        calls.append(args[-1])   # the seed widths: None for an integral with a tail
-        return engine(*args)
-
-    monkeypatch.setattr(thermo, "_oscillatory_segments", spy)
+    engine = thermo._gk_segments
+    monkeypatch.setattr(thermo, "_gk_segments", lambda *args: calls.append(1) or engine(*args))
     batch = []
     assert _gk_passes(monkeypatch, lambda: batch.append(
-        entropy_density_canonical(np.array(d), 0.5))) == max(passes)
-    assert len(calls) == 1 and [w is None for w in calls[0]] == [False, True]
+        entropy_density_canonical(np.array(d), 0.5, tol))) == max(passes)
+    assert len(calls) == 1
     est, evals = batch[0].estimate, batch[0].evaluations
     for i, want in enumerate(lone):
         assert (float(est.value[i]), float(est.abs_error_estimate[i]), int(evals[i]),

@@ -90,9 +90,11 @@ def test_one_function_checks_scalar_inputs():
 
 
 def test_one_copy_of_the_mode_sum():
-    """The force and the entropy density share ``forces._mode_sum``: the
-    integrands and continuations each module once wrote stay gone, and only
-    the mode sum and ``scattering.kernel`` call ``flux_deficit``."""
+    """The force's integrand and continuation are ``forces._mode_sum``'s (the
+    entropy density once shared it, and now takes its continuation along a
+    ray): the integrands and continuations each module once wrote stay
+    gone, and only the mode sum and ``scattering.kernel`` call
+    ``flux_deficit``."""
     retired = {"_zero_t_integrand", "_finite_t_integrand", "_continuation",
                "_density_integrand", "_density_continuation"}
     callers = set()
@@ -121,7 +123,7 @@ def test_one_convergence_rule():
     estimate and tol: no other code assigns it, no call passes it (every
     estimate is built from value, error, evaluations and tol), and the
     engine internals return (value, error, evaluations), no flag list."""
-    internals = {"_refine", "_gk_segments", "_oscillatory_segments"}
+    internals = {"_refine", "_gk_segments"}
     seen = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(), str(path))

@@ -107,6 +107,17 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   54,255 and this 3b case 24,207, from 30,495, 77,648, 59,085 and
   28,137).  Every row still converged and lies within its own estimate,
   and ``tests/test_figure_oracles.py`` passed on the new rows first.
+* The figure 3a and 3b hashes were recorded again when the entropy density
+  moved onto the ray q = t e^{i pi/4} (one panel per octave, no cavity-dip
+  edges, no real-axis cut-off).  Every force and Lifshitz row kept its
+  bytes.  142 of the 144 3a values moved, by at most 2.0e-11 relative, and
+  lie within 6.9e-17 of the exact density; both 3b values moved, by at most
+  2.9e-13 relative, and lie within 7.0e-14 of the exact entropy.  The
+  ``err`` cells moved (3a's largest from 9.0e-9 to 2.3e-11) and the
+  ``evals`` columns changed (figure 3a spends 20,235 evaluations and this
+  3b case 8,430, from 54,255 and 24,207).  Every row still converged and
+  lies within its own estimate, and ``tests/test_figure_oracles.py``
+  passed on the new rows first.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -135,12 +146,12 @@ GOLDEN = {
         "figure2_lifshitz_That2.csv": "8f7488aa8cc119cdfa3b8cb2af94a9fefbfa07c4aae327cdd369c94b6c30e957",
     },
     ("figure", "--id", "3a"): {
-        "figure3a_That0.5.csv": "d29fa01508ddd251df6b5a8742b51cd3c780f6c616063c392569b0ac3f9e1863",
-        "figure3a_That1.csv": "317d6559507e83bc9491b9f82280d3b34638840b40cf433812b1c61b46ab7ae6",
-        "figure3a_That2.csv": "9bfa2ae28e58b793e64fd2ae62b83b6fbd255065fad4dd1db70a2f23427ef5c0",
+        "figure3a_That0.5.csv": "1442cbb21c80faa81ff03b750d5181aa05d1a30b25f60502bd90a68277688efd",
+        "figure3a_That1.csv": "842fb60370a757e3a159daf0736107e968ab7632e52f8f4d5e2e928ac0e0cbc0",
+        "figure3a_That2.csv": "4eba2bb2933b6fff3864ac99d95ce466c42d251812407a6e391db8f3799f5fc5",
     },
     ("figure", "--id", "3b", "--points", "2", "--That-set", "1"): {
-        "figure3b_That1.csv": "d4d2e60d22140189a2f2e61caca67b30d1f684065fba031ca67042c0dbf3ab88",
+        "figure3b_That1.csv": "551948bfae6a585e13a58c9c63c039cb234ca7b99360818048e0453d9e24428e",
     },
 }
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from deltacasimir import (
     DomainError,
     casimir_force,
     entropy_density_canonical,
+    entropy_lifshitz,
     flux_deficit,
     numerics,
 )
@@ -282,40 +284,14 @@ def _float32_lorentz_cos(q):
     return _lorentz_cos(np.asarray(q, np.float32))
 
 
-def _as_batch(members):
-    """The tailed integrals (f, h, (omega, Q), head seeds, tol) as members of one
-    ``_oscillatory_segments`` batch, whose seeds have an array owner, with a
-    tail-less e^{-q} on [0, 5] last; returns, per tailed member, (value,
-    error, evaluations)."""
-    fs = [m[0] for m in members] + [lambda q: np.exp(-q)]
-    hs = [m[1] for m in members]
-
-    def each(fns, x, s, dtype):
-        out = np.empty(x.shape, dtype)
-        for i, fn in enumerate(fns):
-            out[s == i] = fn(x[s == i])
-        return out
-
-    seeds = [np.asarray(m[3], float) for m in members] + [np.array([2.5])]
-    v, e, n = numerics._oscillatory_segments(
-        lambda q, s: each(fs, q, s, float), lambda z, s: each(hs, z, s, complex),
-        [float(m[2][0]) for m in members] + [1.0],
-        [float(m[2][1]) for m in members] + [5.0], [m[4] for m in members] + [1e-9],
-        np.concatenate(seeds), np.repeat(np.arange(len(fs)), [x.size for x in seeds]),
-        [None] * len(members) + [1.0])
-    return [(float(a), float(b), c) for a, b, c in zip(v, e, n)][:-1]
-
-
 def _lone(f, h, spec, seeds, tol):
     est = lone_tail(f, h, *spec, tol, seeds)
     return est.value, est.abs_error_estimate, est.evaluations
 
 
-def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch):
-    # a lone tailed integral takes its own plain-float path through
-    # _oscillatory_segments: it must give what it gives as a batch member,
-    # head seeds outside (0, Q) dropped alike, failed agreement checks, a
-    # witness that counts and the evaluation cap included
+def test_a_lone_oscillatory_integral_reports_its_check_witness_and_budget(monkeypatch):
+    # head seeds outside (0, Q) are dropped, a failed agreement check makes
+    # the estimate inf, a witness counts, and the evaluation cap holds
     from test_acceptance import OSCILLATORY_INTEGRALS
     spec = (1.0, 4.0 * math.pi)
     members = [(f, h, sp, (), 1e-9) for f, h, sp, _ in OSCILLATORY_INTEGRALS]
@@ -334,31 +310,18 @@ def test_a_lone_oscillatory_integral_gets_the_bits_of_a_batch_member(monkeypatch
         (_lorentz_cos, lambda z: _lorentz_exp(z) + 1.5e-12, spec, (), 1e-13),
         (_float32_lorentz_cos, _lorentz_exp, spec, (0.5, 3.0), 1e-9)]
     lone = [_lone(*m) for m in members]
-    assert _as_batch(members) == lone
+    assert members[1][3][0] < 0.0 and lone[1] == _lone(*members[1][:3], (0.3, 2.0), 1e-9)
     assert [e <= m[4] for (_, e, _), m in zip(lone, members)] == [True] * 8 + [False] * 2
     assert lone[-1][1] == lone[-2][1] == math.inf and lone[-3][1] >= 2e-10
     # under a 30,000 cap: one runs out of evaluations, one has seed panels
     # past the cap alone, which are evaluated and never split
     monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
     members = [(lambda q: _noisy(q) * _lorentz_cos(q), _lorentz_exp, spec, (), 1e-15),
-               (_lorentz_cos, _lorentz_exp, spec, np.linspace(0.001, 12.0, 2500), 1e-9),
-               members[0]]
+               (_lorentz_cos, _lorentz_exp, spec, np.linspace(0.001, 12.0, 2500), 1e-9)]
     lone = [_lone(*m) for m in members]
     assert lone[0][2] <= 30_000 and not lone[0][1] <= 1e-15
     # 2,508 head and 8 tail panels, and 96 check points
-    assert lone[1][1] <= 1e-9 and lone[1][2] == 15 * (2508 + 8) + 96 and lone[2][1] <= 1e-9
-    assert _as_batch(members) == lone
-
-
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_a_one_member_batch_gets_the_bits_of_a_lone_integral(tol):
-    # seeds with an array owner keep array segments for one member too: its
-    # check points' segments are joined to them
-    f, h, spec, seeds = _lorentz_cos, _lorentz_exp, (1.0, 4.0 * math.pi), np.array([0.5, 3.0])
-    v, e, n = numerics._oscillatory_segments(
-        lambda q, s: f(q), lambda z, s: h(z), [spec[0]], [spec[1]], [tol], seeds,
-        np.zeros(seeds.size, int), [None])
-    assert (float(v[0]), float(e[0]), n[0]) == _lone(f, h, spec, seeds, tol)
+    assert lone[1][1] <= 1e-9 and lone[1][2] == 15 * (2508 + 8) + 96
 
 
 def test_a_lone_tail_gets_the_same_seed_nodes_at_any_switch_point():
@@ -387,8 +350,7 @@ def test_a_lone_tail_seed_layout_is_the_engines():
     # a lone integral's first integrand call takes its tail nodes from a fixed
     # layout: it must be the nodes _gk_apply builds on the 8 tail seed panels,
     # which sort first, and the points the map keeps, t < _S_CUT
-    edges, _ = numerics._seed_edges([3.0], [8], np.concatenate(
-        [[0.1, 2.5], numerics._TAIL_EDGES]), 0)
+    edges = numerics._seed_edges(3.0, np.concatenate([[0.1, 2.5], numerics._TAIL_EDGES]))
     nodes = []
     numerics._gk_apply(lambda x, _: nodes.append(x.copy()) or np.zeros(x.size),
                        edges[:-1], edges[1:], 0)
@@ -400,29 +362,6 @@ def test_a_lone_tail_seed_layout_is_the_engines():
     assert (kept == (np.arange(120) >= numerics._TAIL_CUT)).all()
     assert numerics._TAIL_S.tobytes() == t[kept].tobytes()
     assert numerics._TAIL_REST.tobytes() == (1.0 - t[kept]).tobytes()
-
-
-@pytest.mark.parametrize("that", [0.0, 0.5, 1.0, 2.0])
-def test_a_lone_canonical_force_gets_the_bits_of_a_batch_member(monkeypatch, that):
-    # the canonical force's own integrands at force_sweep points: d = 0.1
-    # takes a bisection round at That = 1 and 2, and d = 200 gets 300 more
-    # head seeds, so that the seed pass's first GK block ends at panel 256,
-    # inside the head
-    from test_costs import _FORCE_D
-    calls = []
-    monkeypatch.setattr("deltacasimir.forces.integrate_oscillatory_tail",
-                        lambda *args: calls.append(args) or numerics.QuadratureEstimate(
-                            0.0, 0.0, 0, 1.0))
-    for d in _FORCE_D[::7] + [_FORCE_D[-1]]:
-        casimir_force(DimensionlessPoint(d, that), "canonical")
-    members = [(lambda q, f=f: f(q, 0), lambda z, h=h: h(z, 0), (omega, q0),
-                np.asarray(seeds, float), tol) for f, h, omega, q0, tol, seeds in calls]
-    f, h, spec, seeds, tol = members[-1]
-    members[-1] = f, h, spec, np.concatenate([seeds, np.linspace(0.0, spec[1], 302)[1:-1]]), tol
-    lone = [_lone(*m) for m in members]
-    assert _as_batch(members) == lone
-    assert all(e <= m[4] for (_, e, _), m in zip(lone, members))
-    assert lone[-1][2] >= 15 * 258 + 2 * 48   # more than 257 seed panels, and the check
 
 
 # every (Q, omega) in {5, 50} x {0.2, 2, 20} whose Q covers one period 2 pi/omega
@@ -559,12 +498,13 @@ def test_series_reports_its_rounding_floor():
 
 
 def test_series_nonconvergence_reported(monkeypatch):
+    # the remainder bound at _MAX_TERMS is above tol before any term: the
+    # call once summed those terms anyway, and now evaluates none
     monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
     r = 0.9999
     est = sum_exponential_series(lambda n: r ** n, 1.0, r, 1e-12)
     assert not est.converged
-    assert est.evaluations == 1000
-    assert est.abs_error_estimate >= r ** 1001 / (1.0 - r)
+    assert (est.value, est.abs_error_estimate, est.evaluations) == (0.0, math.inf, 0)
 
 
 def test_series_without_a_geometric_bound_is_not_converged(monkeypatch):
@@ -572,7 +512,22 @@ def test_series_without_a_geometric_bound_is_not_converged(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_TERMS", 1000)
     est = sum_exponential_series(lambda n: 1.0 / n, 1.0, 1.0, 1e-12)
     assert not est.converged
-    assert est.evaluations == 1000 and est.abs_error_estimate == math.inf
+    assert est.evaluations == 0 and est.abs_error_estimate == math.inf
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.0 - 1e-9])
+def test_a_series_that_cannot_converge_returns_at_once(ratio):
+    # its bound at _MAX_TERMS = 10^7 terms is known before the first term:
+    # entropy_lifshitz at That = 1e-10 spent 1.02 s on 2 x 10^7 terms to
+    # report err 3.1e17
+    start = time.perf_counter()
+    est = sum_exponential_series(lambda n: ratio ** n, 1.0, ratio, 1e-12)
+    assert time.perf_counter() - start < 0.01
+    assert not est.converged and est.evaluations == 0
+    start = time.perf_counter()
+    s = entropy_lifshitz(DimensionlessPoint(1.0, 1e-10))
+    assert time.perf_counter() - start < 0.01
+    assert not s.estimate.converged and s.estimate.evaluations == 0
 
 
 def test_the_estimate_sets_its_own_flag():

@@ -13,7 +13,7 @@ from deltacasimir import (
     flux_deficit,
     kernel,
 )
-from deltacasimir.scattering import MAX_Q, contour_switch, resonance_edges
+from deltacasimir.scattering import MAX_Q, resonance_edges
 
 
 def test_long_wavelength_limit():
@@ -228,9 +228,7 @@ def _root_sign(d, q):
 def test_resonance_edges_bracket_each_resonance_in_graded_panels(d, half_start_level,
                                                                   start, ratio):
     step = math.pi / (d + 2.0)
-    edges, owner = resonance_edges([d], [1.0], [start], ratio)
-    assert owner == 0
-    edges = np.sort(edges)
+    edges = np.sort(resonance_edges(d, 1.0, start, ratio))
     for m in range(1, math.ceil(1.0 / step)):
         q_m = m * step
         gamma = 2.0 * q_m * q_m / (d + 2.0)
@@ -248,43 +246,21 @@ def test_resonance_edges_bracket_each_resonance_in_graded_panels(d, half_start_l
         level = next(k for k, w in enumerate(widths.tolist())
                      if _root_sign(d, q_m - w) != _root_sign(d, q_m + w))
         assert level == (half_start_level if start == 0.5 else 0), m
-    assert resonance_edges([d], [0.9 * step], [start], ratio)[0].size == 0
+    assert resonance_edges(d, 0.9 * step, start, ratio).size == 0
 
 
-@pytest.mark.parametrize("ratio", [2.0, 4.0])
-def test_resonance_edges_of_a_batch_are_each_separations_own(ratio):
-    # a batch takes one vectorized pass, a lone separation a loop over the
-    # levels; both give every separation the same sorted edges, bit for bit:
-    # d from none to 40 resonances below 1, up to both kinds of q_hi a
-    # density uses, and the start a density takes on both sides of d = 300
-    ds = [float(x) for x in np.geomspace(0.05, 300.0, 37)] + [4.0, 4.0, 299.99999999999994, 1e3]
-    q_hi = [contour_switch(d) if i % 2 else 2.7 for i, d in enumerate(ds)]
-    start = [0.5 if d < 300.0 else 1.0 for d in ds]
-    edges, owner = resonance_edges(ds, q_hi, start, ratio)
-    assert edges.size > 500
-    for i, (d, q, s) in enumerate(zip(ds, q_hi, start)):
-        lone, one = resonance_edges([d], [q], [s], ratio)
-        assert one == 0
-        assert np.sort(edges[owner == i]).tobytes() == np.sort(lone).tobytes()
-
-
-def test_a_tiny_upper_bound_gets_no_edges_in_a_batch_as_alone():
+def test_a_tiny_upper_bound_gets_no_edges():
     # min(1, q_hi)/step - 1 rounds to -1 below 1e-16 of a step, and the
-    # batch's np.repeat raised on the count -1
-    edges, owner = resonance_edges([1.0, 20.0, 2.0], [8e-19, 1.0, 1e-30], [0.5] * 3, 4.0)
-    assert resonance_edges([1.0], [8e-19], [0.5], 4.0)[0].size == \
-        resonance_edges([2.0], [1e-30], [0.5], 4.0)[0].size == 0
-    lone = resonance_edges([20.0], [1.0], [0.5], 4.0)[0]
-    assert set(owner.tolist()) == {1} and np.sort(edges).tobytes() == np.sort(lone).tobytes()
+    # vectorized pass's np.repeat raised on the count -1
+    assert resonance_edges(1.0, 8e-19, 0.5, 4.0).size == \
+        resonance_edges(2.0, 1e-30, 0.5, 4.0).size == 0
 
 
 def test_a_zero_resonance_width_gets_no_edges():
-    # past d ~ 2e108 the first width 2 pi^2/(d+2)^3 underflows to 0: the lone
-    # loop never ended, and the vectorized pass overflowed (d+2)^2 past 1.3e154
-    assert resonance_edges([1e200], [1.0], [1.0], 4.0)[0].size == 0
-    edges, owner = resonance_edges([1e200, 20.0, 1e160], [1.0, 1.0, 1.0], [1.0, 0.5, 1.0], 4.0)
-    lone = resonance_edges([20.0], [1.0], [0.5], 4.0)[0]
-    assert set(owner.tolist()) == {1} and np.sort(edges).tobytes() == np.sort(lone).tobytes()
+    # past d ~ 2e108 the first width 2 pi^2/(d+2)^3 underflows to 0: the
+    # loop never ended (and the vectorized pass overflowed (d+2)^2 past 1.3e154)
+    assert resonance_edges(1e200, 1.0, 1.0, 4.0).size == 0
+    assert resonance_edges(1e160, 1.0, 1.0, 4.0).size == 0
 
 
 # ----------------------------------------------------------- input types

@@ -22,7 +22,7 @@ from deltacasimir import (
     free_energy_lifshitz,
 )
 from deltacasimir import numerics, thermo
-from deltacasimir.scattering import RESOLVED_D, flux_deficit
+from deltacasimir.scattering import flux_deficit
 
 # mpmath, 40 digits
 SL_NO_ZERO_MODE_D5_T1 = -1.78475592668339777e-28
@@ -74,8 +74,9 @@ def test_density_value_and_oracle():
 
 def test_density_resolves_narrow_resonances():
     # At large separation the low-q cavity resonances have cores of width
-    # ~ 2 q^2/(dtilde+2), far narrower than the seeded panels; adaptivity must
-    # find them.  The oracle tiles each resonance with a geometric ladder.
+    # ~ 2 q^2/(dtilde+2) on the real axis, far narrower than any seed panel;
+    # the ray passes them at q sin(pi/4).  The oracle tiles each resonance
+    # with a geometric ladder on the real axis.
     dtilde, that = 100.0, 0.01
     qmax = 0.8
     parts = [np.linspace(0.0, qmax, 160001)]
@@ -108,11 +109,34 @@ def test_density_validation():
         entropy_density_canonical(0.0, 1.0)
     with pytest.raises(DomainError):
         entropy_density_canonical(1.0, 0.0)
+    # the forces' That domain: 1/(8 pi That) overflows
+    with pytest.raises(DomainError, match="That=1e-310"):
+        entropy_density_canonical(1.0, 1e-310)
+    with pytest.raises(DomainError, match="That=1e-310"):
+        entropy_canonical(DimensionlessPoint(1.0, 1e-310))
+
+
+@pytest.mark.parametrize("that", [2.3e-310, 3e-308, 1e-100, 1.0, 1e100, 1e300])
+def test_density_at_the_ends_of_the_float_range_warns_of_nothing(that):
+    # the ray's 1/d, 2iqd, q^2, 1/(2 That), complex weight and h ~ 1/(4t)
+    # at a subnormal or huge d and That: an overflow there is an error under
+    # the warning filter
+    d = np.array([1e-310, 1e-300, 1.0, 1e160, 1e200, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = entropy_density_canonical(d, that)
+        s = entropy_canonical(DimensionlessPoint(1.0, that))
+    est = dens.estimate
+    assert est.converged.all() and s.estimate.converged
+    # 0 <= density <= pi That/6, within the estimate
+    assert (-est.abs_error_estimate <= dens.value).all()
+    assert (dens.value <= math.pi * that / 6.0 + est.abs_error_estimate).all()
 
 
 def test_density_at_a_subnormal_separation_warns_of_no_overflow():
     # its rotation test formed pi/dtilde, which overflowed: "overflow
-    # encountered in divide", an error under the package's warning filter
+    # encountered in divide", an error under the package's warning filter;
+    # the ray's 1/dtilde is a Python float, which is inf there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lone = entropy_density_canonical(1e-310, 1.0)
@@ -140,9 +164,9 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def _assert_batch_gives_the_scalar_bits(ds, that):
-    batch = entropy_density_canonical(np.array(ds), that)
-    singles = [entropy_density_canonical(d, that) for d in ds]
+def _assert_batch_gives_the_scalar_bits(ds, that, tol=ENTROPY_INNER_TOL):
+    batch = entropy_density_canonical(np.array(ds), that, tol)
+    singles = [entropy_density_canonical(d, that, tol) for d in ds]
     est = batch.estimate
     assert type(est.evaluations) is int
     assert est.evaluations == sum(s.estimate.evaluations for s in singles)
@@ -157,8 +181,7 @@ def _assert_batch_gives_the_scalar_bits(ds, that):
 
 @pytest.mark.parametrize("that", [0.5, 1.0, 2.0])
 def test_array_of_separations_gives_the_scalar_bits(that):
-    # figure 3a's grid, where both kinds of q-integral occur in one batch
-    assert {_rotates(d, that) for d in FIGURE3A_D} == {False, True}
+    # figure 3a's grid
     _assert_batch_gives_the_scalar_bits(FIGURE3A_D, that)
 
 
@@ -171,11 +194,12 @@ def test_reversed_array_of_separations_gives_the_scalar_bits():
 
 
 def test_batch_member_out_of_rounds_leaves_the_others_their_bits(monkeypatch):
-    # one bisection round: some densities stop short of tol, on their own and
-    # in the batch alike, and the rest still converge with their own bits
+    # one bisection round: at tol 1e-14 some densities stop short of tol, on
+    # their own and in the batch alike, and the rest still converge with
+    # their own bits (at the default tol every one converges in its seed pass)
     from deltacasimir import numerics
     monkeypatch.setattr(numerics, "_MAX_ROUNDS", 1)
-    singles = _assert_batch_gives_the_scalar_bits(FIGURE3A_D, 0.5)
+    singles = _assert_batch_gives_the_scalar_bits(FIGURE3A_D, 0.5, 1e-14)
     assert {s.estimate.converged for s in singles} == {False, True}
 
 
@@ -260,28 +284,30 @@ def test_density_within_its_estimate_of_the_identity(d, that):
 
 def test_huge_separations_return_at_once():
     # a zero resonance width hung the lone loop of resonance_edges, and the
-    # vectorized one's (d+2)^2 overflowed past d ~ 1.3e154
+    # vectorized one's (d+2)^2 overflowed past d ~ 1.3e154; on the ray they
+    # converge to 1/(4 (d+2))
     start = time.perf_counter()
     for d in (np.array([1.0, 1e160]), np.array([1.0, 1e200]), 1e200):
         dens = entropy_density_canonical(d, 1.0)
-        assert not np.any(dens.estimate.converged & (np.asarray(d) > RESOLVED_D))
+        assert np.all(dens.estimate.converged)
+        huge = np.asarray(d) > 1.0
+        assert np.all(np.abs(dens.value - 0.25 / (np.asarray(d) + 2.0))[huge]
+                      <= np.asarray(dens.estimate.abs_error_estimate)[huge])
     assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("that", [1e-3, 1.0, 10.0])
-def test_large_separation_density_within_its_estimate_or_not_converged(that):
-    # past d ~ 1e7 float64 cannot resolve the first dip: at (1e9, 1) the
-    # density was 4.85e-10 against 2.5e-10, an estimate of 1.5e-11 and
-    # converged=True
+def test_large_separation_density_within_its_estimate_of_the_identity(that):
+    # past d ~ 1e7 float64 could not resolve the first dip on the real axis:
+    # at (1e9, 1) the density was 4.85e-10 against 2.5e-10, an estimate of
+    # 1.5e-11 and converged=True, and past d = 1e6 every estimate was inf
     d = 10.0 ** np.random.default_rng(5).uniform(3.0, 15.0, 12)
     dens = entropy_density_canonical(d, that)
-    assert (dens.estimate.converged == (d <= RESOLVED_D)).all()
-    assert ((dens.estimate.abs_error_estimate == math.inf) == (d > RESOLVED_D)).all()
-    for x, v, err, ok in zip(d.tolist(), dens.value.tolist(),
-                             dens.estimate.abs_error_estimate.tolist(),
-                             dens.estimate.converged.tolist()):
+    assert dens.estimate.converged.all()
+    for x, v, err in zip(d.tolist(), dens.value.tolist(),
+                         dens.estimate.abs_error_estimate.tolist()):
         exact, rounding = density_identity(x, that)
-        assert not ok or abs(v - exact) <= err + rounding, x
+        assert abs(v - exact) <= err + rounding, x
 
 
 @pytest.mark.parametrize("that", [1e-3, 0.5, 2.0, 10.0])
@@ -298,39 +324,33 @@ def test_fine_seeded_density_within_its_estimate_or_not_converged(that):
 
 
 def test_canonical_entropy_stops_once_a_density_failed(monkeypatch):
-    # past RESOLVED_D no density converges, and the outer integral kept
-    # bisecting toward a value whose estimate is inf anyway: 3 density calls
-    # and 214,075,560 evaluations (14 s), and past Lambda ~ 4e7 a MemoryError
+    # past RESOLVED_D no real-axis density converged, and the outer integral
+    # kept bisecting toward a value whose estimate is inf anyway: 3 density
+    # calls and 214,075,560 evaluations (14 s), and past Lambda ~ 4e7 a
+    # MemoryError.  A tol below the ray's tail bound fails every density
     calls = []
     density = thermo.entropy_density_canonical
     monkeypatch.setattr(thermo, "entropy_density_canonical",
-                        lambda *args: calls.append(args) or density(*args))
+                        lambda d, that, tol: calls.append(d) or density(d, that, 1e-30))
     est = entropy_canonical(DimensionlessPoint(9254.0, 0.063), 1.7e7, 7.6e-7).estimate
     assert len(calls) == 1 and est.abs_error_estimate == math.inf and not est.converged
-    assert est.evaluations <= 25_000_000
 
 
-def test_a_density_past_the_resolved_separation_takes_its_seed_pass_only(monkeypatch):
-    # its estimate is inf whatever its panels do
+def test_a_density_whose_tail_bound_is_past_tol_takes_its_seed_pass_only(monkeypatch):
+    # it cannot converge, whatever its panels do
     passes = []
     gk_apply = numerics._gk_apply
     monkeypatch.setattr(numerics, "_gk_apply", lambda *args: passes.append(1) or gk_apply(*args))
-    dens = entropy_density_canonical(np.array([2e6, 5e7]), 1.0, 1e-12)
-    assert len(passes) == 1 and (dens.estimate.abs_error_estimate == math.inf).all()
+    dens = entropy_density_canonical(np.array([2.0, 5e7]), 1.0, 1e-30)
+    assert len(passes) == 1 and not dens.estimate.converged.any()
+    assert (dens.estimate.abs_error_estimate > 1e-30).all()
 
 
-def _rotates(d, that):
-    """Whether the density at (d, That) leaves the real axis."""
-    q_max = thermo._thermal_cutoff(that, ENTROPY_INNER_TOL)[0]
-    return q_max > thermo._ROTATE_PERIODS * math.pi / d
-
-
-@pytest.mark.parametrize("rotated", [False, True], ids=["real_axis", "rotated"])
 @settings(max_examples=30)
 @given(log_d=st.floats(-2.0, math.log10(200.0)), log_that=st.floats(-3.0, math.log10(3.0)))
-def test_density_property_within_its_estimate_of_the_identity(rotated, log_d, log_that):
+def test_density_property_within_its_estimate_of_the_identity(log_d, log_that):
     d, that = min(10.0 ** log_d, 200.0), min(10.0 ** log_that, 3.0)
-    assume(that * d >= 1e-5 and _rotates(d, that) == rotated)
+    assume(that * d >= 1e-5)
     dens = entropy_density_canonical(d, that)
     exact, rounding = density_identity(d, that)
     assert not dens.estimate.converged \
@@ -369,9 +389,9 @@ def test_cold_density_property_within_its_estimate_of_the_cold_oracle(log_d, log
 
 @pytest.mark.parametrize("that", [0.001, 0.5, 2.0])
 @pytest.mark.parametrize("d", [0.5, 20.0, 100.0])
-def test_density_cutoff_from_tol_agrees_with_the_full_cutoff(d, that):
-    # tol = 1e-15/That lies below 1000 times the truncation bound at u = 19.5
-    # (1.9e-15/That), so that density integrates out to q_max = 40 That
+def test_density_at_two_tolerances_agrees_within_both_estimates(d, that):
+    # tol = 1e-15/That once made the real-axis density integrate out to
+    # q_max = 40 That; on the ray it takes more bisection rounds
     short = entropy_density_canonical(d, that)
     full = entropy_density_canonical(d, that, tol=1e-15 / that)
     assert abs(short.value - full.value) <= \
@@ -509,24 +529,24 @@ def test_lifshitz_values_whose_zero_mode_log_underflows_are_not_converged(monkey
     assert not s.estimate.converged and not fe.estimate.converged
 
 
-@pytest.mark.parametrize("that", [1e-10, 1e-12])
-def test_a_cold_entropy_that_cannot_converge_spends_only_seed_passes(that):
-    # below That ~ 2.8e-10 a real-axis density's truncation bound alone is
-    # past its inner tol 2.5e-9: refined toward the negative rest of tol,
-    # (1, 1e-10) spent 117,961,200 evaluations (6 s, as at 1e-12) to report
-    # converged=False with the estimate 2.5e-7
+@pytest.mark.parametrize("that", [1e-9, 1e-10, 1e-12])
+def test_a_cold_entropy_converges_on_the_third_law_line(that):
+    # below That ~ 2.8e-10 a real-axis density's truncation bound alone was
+    # past its inner tol 2.5e-9, and every canonical entropy reported the
+    # estimate inf; the ray needs no truncation bound of that kind.  The
+    # third law's next term is That^3 Lambda^3 smaller than the linear one
     s = entropy_canonical(DimensionlessPoint(1.0, that))
-    assert not s.estimate.converged and s.estimate.abs_error_estimate == math.inf
-    assert s.estimate.evaluations <= 10_000
-    assert 0.0 < s.value <= math.pi * that / 6.0 * 99.0
+    linear = math.pi * that / 6.0 * (99.0 - 2.0 * (1.0 / 3.0 - 1.0 / 102.0))
+    assert s.estimate.converged and s.estimate.evaluations <= 20_000
+    assert abs(s.value - linear) <= s.estimate.abs_error_estimate
 
 
 def test_densities_at_a_tiny_temperature_agree_with_their_lone_calls():
-    # q_max = 4e-19 is below 1e-16 of a resonance spacing: the batch's
+    # q_max = 4e-19 was below 1e-16 of a resonance spacing: the batch's
     # resonance count came out -1 and np.repeat raised ValueError
     d = np.array([1.0, 2.0])
     dens = entropy_density_canonical(d, 1e-20)
-    assert not dens.estimate.converged.any()
+    assert dens.estimate.converged.all()
     for i, x in enumerate(d.tolist()):
         lone = entropy_density_canonical(x, 1e-20)
         assert (lone.value, lone.estimate.abs_error_estimate, lone.evaluations) \

@@ -124,9 +124,10 @@ def test_density_kernels_run_only_through_the_traced_names(monkeypatch):
     # the tracer's scattering.flux_deficit and numerics.thermal_weight spans
     # wrap forces.flux_deficit and thermo._thermal_weight_raw: a mode sum
     # whose kernel calls reached the functions another way would leave those
-    # spans short without failing anything.  The density batch mixes a
-    # real-axis q-integral (dtilde = 0.5) and a rotated one (dtilde = 100);
-    # the lone canonical forces share the density's integrand
+    # spans short without failing anything.  The density batch takes its
+    # weight on the ray through thermo's name, and the lone canonical
+    # forces take the flux deficit through forces'; the density calls no
+    # flux deficit
     kernels = {scattering.flux_deficit.__code__: (forces, "flux_deficit"),
                numerics._thermal_weight_raw.__code__: (thermo, "_thermal_weight_raw")}
     traced = {name: 0 for _, name in kernels.values()}
