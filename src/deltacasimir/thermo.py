@@ -7,9 +7,11 @@ pinned to zero at infinite separation,
     s(dt, That) = (1/2pi) int_0^inf dq (q/2That)^2 csch^2(q/2That)
                                    [1 - 8q^2(1+2q^2)/W(q, dt)]
 
-where s = -dF/dThat is the entropy density in separation.  The distance
-integral diverges logarithmically (s -> 1/(4 dt) at large dt), so every
-entropy value carries its infrared cutoff Lambda as mandatory metadata.
+where s = -dF/dThat is the entropy density in separation.  The q-integral
+is taken along the ray q = t e^{i pi/4}, where its integrand is smooth at
+every d and That (``entropy_density_canonical``).  The distance integral
+diverges logarithmically (s -> 1/(4 dt) at large dt), so every entropy
+value carries its infrared cutoff Lambda as mandatory metadata.
 
 The Lifshitz entropy has the closed Matsubara form
 

@@ -260,7 +260,8 @@ def test_lifshitz_series_oracle_matches_mpmath():
 # with an estimate of 6.9e-9 at (200, 0.001)).  Their seed panels were 2.5
 # That wide, and the cavity resonances near q_m = m pi/(d+2), ~2 q_m^2/(d+2)
 # wide, fell between all 15 GK nodes; graded seed edges around each dip
-# (``scattering.resonance_edges``) now give it panels of its own.
+# gave it panels of its own, and on the ray the dips lie q sin(pi/4) off
+# the path.
 RESONANCE_POINTS = [(143.76803242933602, 0.001), (160.49132084575888, 0.001),
                     (179.15988437468857, 0.001), (66.54842383978487, 0.002),
                     (74.28942485875669, 0.002), (92.57749823138782, 0.002)]
@@ -312,8 +313,8 @@ def test_large_separation_density_within_its_estimate_of_the_identity(that):
 
 @pytest.mark.parametrize("that", [1e-3, 0.5, 2.0, 10.0])
 def test_fine_seeded_density_within_its_estimate_or_not_converged(that):
-    # d log-uniform in [4, 300), where a graded resonance's seed edges start
-    # at half its width (and grow by 4x in a density)
+    # d log-uniform in [4, 300), where the real-axis density's graded
+    # resonance edges started at half a width
     exact = [density_identity(d, that) for d in FINE_SEED_D.tolist()]
     for tol in FINE_SEED_TOLS:
         dens = entropy_density_canonical(FINE_SEED_D, that, tol)
