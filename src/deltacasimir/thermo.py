@@ -102,8 +102,9 @@ def _ray_seeds(d, that):
     W(hi) (t/hi)^2 e^{-(t - hi) cos phi/That}, since sinh(a + x) >= sinh(a) e^x.
     Integrating (1/pi) W(t) e^{-bt}/(4t (sin phi + t)) with each of the three
     ways to drop a factor of t/(sin phi + t) gives the three terms of the min,
-    in y = 1/(k hi), k = cos phi/That + b, with y > 1 only where hi = MAX_Q
-    and the first term is the least.  Every quotient is formed so that
+    in y = 1/(k hi), k = cos phi/That + b.  y > 1 only where hi = MAX_Q,
+    where the first term is the least, so y is clipped at 1 and y^2 cannot
+    overflow.  Every quotient is formed so that
     nothing overflows at any float d or That: 1/d is taken past d = 2, and
     45/(2 d sin phi) past d = 1e-75, below which it is above MAX_Q.
     """
