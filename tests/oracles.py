@@ -50,7 +50,7 @@ Matsubara series would need ~60/(4 pi That d) terms; ``density_cold`` is
 the density's series, on the same Taylor coefficients of the flux deficit.
 ``density_ray`` takes the density along a ray into the first quadrant, by
 Gauss-Legendre on geometric panels, at any d and That and at an angle of
-the caller's choice.
+the caller's choice, and ``force_ray`` the force, That = 0 included.
 """
 import cmath
 import ctypes
@@ -159,6 +159,42 @@ def density_ray(d, that, phi):
     arc = phi / (2.0 * math.pi * (d + 2.0))
     value = math.fsum((weights * h.real).tolist()) + arc
     return value, 2.0 * np.finfo(float).eps * (float(weights @ np.abs(h)) + arc)
+
+
+def force_ray(d, that, phi):
+    """The canonical force at (d, That) from the ray q = t e^{i phi},
+    0 < phi < pi/2: Re int_0^inf e^{i phi} h(t e^{i phi}) dt - phi That/(2 pi (d+2)).
+
+    h = w E/(pi N), E = e^{2iqd} and N = -expm1(2iqd) - 4iq - 4q^2, is the
+    continuation of -(1/2pi) w flux_deficit with the Bose-weighted
+    w = q/(1 - e^{-q/That}) (w = q at That = 0), analytic in the open first
+    quadrant, where the Bose poles 2 pi i n That are not; its pole
+    i That/(2pi(d+2)q) at q = 0 gives the small arc's term.  30-point Gauss-Legendre on [0, a],
+    a = min(1/d, 1/2, That)/64 (That left out at That = 0), then on panels a
+    factor sqrt 2 wide out to 50 decay lengths of E along the ray (w grows
+    like q, and 1/N decays like 1/q^2), so any two angles give two
+    independent quadratures of one number.
+
+    E is taken by exp, not as expm1 + 1: where |E| is below eps, expm1 + 1
+    keeps only its absolute rounding, and w does not decay to hide it (at
+    d = 100 and That = 0 that was 1.6e-14 of the force).  Returns (value,
+    rounding): 2 eps (int |h| dt + |the arc term|), which covers the
+    rounding of Re h next to its O(That/t) imaginary part near t = 0.
+    """
+    a = min(1.0 / max(d, 2.0), that or math.inf) / 64.0
+    hi = min(25.0 / (d * math.sin(phi)), 1e76)
+    edges = np.concatenate([[0.0], a * 2.0 ** (np.arange(math.ceil(2.0 * math.log2(hi / a)) + 1)
+                                              / 2.0)])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    q = t * cmath.exp(1j * phi)
+    w = q / -np.expm1(-q / that) if that else q
+    h = cmath.exp(1j * phi) / math.pi * w * np.exp(2j * q * d) \
+        / (-np.expm1(2j * q * d) - 4.0 * q * (q + 1j))
+    weights = (half[:, None] * _GL_W).ravel()
+    arc = -phi * that / (2.0 * math.pi * (d + 2.0))
+    value = math.fsum((weights * h.real).tolist()) + arc
+    return value, 2.0 * np.finfo(float).eps * (float(weights @ np.abs(h)) + abs(arc))
 
 
 def entropy_identity(d, that, cutoff_lambda):

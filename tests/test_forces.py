@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import force_cold, force_identity, force_lifshitz_series, force_zero_t_mpmath
+from oracles import force_cold, force_identity, force_lifshitz_series, force_lifshitz_zero_t, \
+    force_ray, force_zero_t_mpmath
 from scipy.integrate import quad, simpson
 
 from deltacasimir import (
@@ -217,6 +218,29 @@ def test_cold_force_within_its_estimate_of_the_cold_oracle(d, that):
     exact = force_cold(d, that)
     assert est.converged
     assert abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact)
+
+
+# the force's ray oracle from d = 1e-3 to 1e4 and That = 0 to 50: its two
+# angles are two independent quadratures of one number
+FORCE_RAY_GRID = [(d, that) for d in (1e-3, 0.1, 1.0, 100.0, 1e4)
+                  for that in (0.0, 0.01, 1.0, 50.0)]
+
+
+@pytest.mark.parametrize("d, that", FORCE_RAY_GRID)
+def test_force_ray_oracle_agrees_with_itself_and_the_identity(d, that):
+    low, low_rounding = force_ray(d, that, math.pi / 8.0)
+    high, high_rounding = force_ray(d, that, 3.0 * math.pi / 8.0)
+    assert abs(low - high) <= low_rounding + high_rounding
+    if that == 0.0:
+        exact = force_zero_t_mpmath(d)
+        assert abs(low - exact) <= low_rounding + 0.5 * np.spacing(abs(exact))
+    elif that * d >= 1e-3:   # where the Matsubara series is short
+        # the identity (F(d, 0) + F_L)/2: half the series' allowance, and a few
+        # ulp of the zero-temperature Gauss-Legendre sum
+        _, series_rounding = force_lifshitz_series(d, that)
+        exact = force_identity(d, that)
+        allowance = 0.5 * series_rounding + 4e-16 * abs(force_lifshitz_zero_t(d))
+        assert abs(low - exact) <= low_rounding + allowance
 
 
 @pytest.mark.parametrize("log_d_lo, log_d_hi", [(-3.0, math.log10(4.0)),
