@@ -172,9 +172,10 @@ def _gk_apply(f, lo, hi, seg):
     ``f`` is called as f(x, s) on a 1-D ndarray of nodes x: s is ``seg``
     when that is one segment index (an int) for all panels, and each node's
     index when seg is an array of the panels' indices.  Returns (values,
-    error estimates) at 15 evaluations a panel; the per-panel error
-    estimate is |K15 - G7| plus a rounding floor, which overestimates the
-    true K15 error on smooth panels.
+    error estimates, floors) at 15 evaluations a panel; the per-panel error
+    estimate is half (|K15 - G7| + floor), half the panel's width and
+    floor = 1e-16 sum|f| over its nodes, the rounding that no bisection
+    lowers, and overestimates the true K15 error on smooth panels.
     """
     if lo.size <= _GK_CHUNK + 1:
         return _gk_block(f, lo, hi, seg)
@@ -194,7 +195,8 @@ def _gk_block(f, lo, hi, seg):
     s = seg if isinstance(seg, int) else np.repeat(seg, 15)
     y = np.asarray(f(x.ravel(), s), float).reshape(x.shape)
     kd = y @ _GK_W
-    return half * kd[:, 0], half * (np.abs(kd[:, 1]) + _EPS_FLOOR * np.abs(y).sum(axis=1))
+    floor = _EPS_FLOOR * np.abs(y).sum(axis=1)
+    return half * kd[:, 0], half * (np.abs(kd[:, 1]) + floor), floor
 
 
 def _gk_nodes(lo, hi):
@@ -248,8 +250,8 @@ def _gk_segments(f, edges, seg, tol, checks=None):
         lo, hi, seg = lo[same], hi[same], seg[1:][same]
         counts = np.bincount(seg).tolist()
     evals = [15 * c + k for c, k in zip(counts, checks or itertools.repeat(0))]
-    vals, errs = _gk_apply(f, lo, hi, seg)
-    return _refine(f, lo, hi, seg, counts, vals, errs, evals, tol() if callable(tol) else tol)
+    return _refine(f, lo, hi, seg, counts, *_gk_apply(f, lo, hi, seg), evals,
+                   tol() if callable(tol) else tol)
 
 
 def _seed_edges(stop, extra):
@@ -261,12 +263,13 @@ def _seed_edges(stop, extra):
     return np.sort(np.concatenate([np.arange(8) * (stop / 8), [stop], extra]))
 
 
-def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
+def _refine(f, lo, hi, seg, counts, vals, errs, floors, evals, tol):
     """Bisection rounds on the panels [lo, hi] of several integrals, whose
-    GK15 values and errors are ``vals`` and ``errs``; ``seg`` gives each
-    panel's integral (non-decreasing; the int 0 for a single integral), and
-    integral s has counts[s] panels, has spent evals[s] evaluations and
-    asks for tol[s] (lists; counts and evals are updated in place).
+    GK15 values, errors and floors (as ``_gk_apply`` returns them) are
+    ``vals``, ``errs`` and ``floors``; ``seg`` gives each panel's integral
+    (non-decreasing; the int 0 for a single integral), and integral s has
+    counts[s] panels, has spent evals[s] evaluations and asks for tol[s]
+    (lists; counts and evals are updated in place).
 
     Each round splits every panel whose error exceeds its share
     tol[s]/(2 counts[s]) of its integral's budget and evaluates the two
@@ -280,13 +283,29 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
     error and value are numpy sums over its panels alone, the value in
     panel order: an integral gets the same bits in any batch.  Returns
     lists (value, error, evaluations).
+
+    The rounding floors of an integral's panels (half their width times
+    their floor) are a part of its error that no bisection lowers, as in
+    QUADPACK's roundoff test (ier = 2; Piessens et al., 1983).  Where that
+    floor sum is above tol[s], tol[s] cannot be met, and the integral is
+    refined only to twice the floor sum: it stops with its error above
+    tol[s].  The sum is taken only for an integral still above its tol,
+    after the seed pass and after each round that splits its panels.
     """
     one, seeded = isinstance(seg, int), lo.size
     bounds = [0, *itertools.accumulate(counts)]
     err = [np.add.reduce(errs[i:j]) for i, j in zip(bounds, bounds[1:])]
-    # a panel of integral s is split when its error is above share[s]; inf
-    # once the integral is done
-    share = [t / (2.0 * c) if e > t else math.inf for e, t, c in zip(err, tol, counts)]
+
+    def share_of(i):
+        # a panel of integral i is split when its error is above this share
+        # of its tol, or of twice its floor sum where that sum is above tol;
+        # inf once the integral is done
+        i0, i1 = bounds[i], bounds[i + 1]
+        floor = float(np.add.reduce(0.5 * (hi[i0:i1] - lo[i0:i1]) * floors[i0:i1]))
+        target = 2.0 * floor if floor > tol[i] else tol[i]
+        return target / (2.0 * counts[i]) if err[i] > target else math.inf
+
+    share = [share_of(i) if e > t else math.inf for i, (e, t) in enumerate(zip(err, tol))]
     for _ in range(_MAX_ROUNDS):
         if min(share) == math.inf:
             break
@@ -315,19 +334,21 @@ def _refine(f, lo, hi, seg, counts, vals, errs, evals, tol):
         lo = np.concatenate([lo[keep], a, mid])
         hi = np.concatenate([hi[keep], mid, b])
         s = seg if one else np.concatenate([seg[split]] * 2)
-        cvals, cerrs = _gk_apply(f, lo[-2 * a.size:], hi[-2 * a.size:], s)
+        cvals, cerrs, cfloors = _gk_apply(f, lo[-2 * a.size:], hi[-2 * a.size:], s)
         vals = np.concatenate([vals[keep], cvals])
         errs = np.concatenate([errs[keep], cerrs])
+        floors = np.concatenate([floors[keep], cfloors])
         if not one:   # each integral's kept, left and right panels in turn
             seg = np.concatenate([seg[keep], s])
             order = seg.argsort(kind="stable")
-            lo, hi, vals, errs, seg = lo[order], hi[order], vals[order], errs[order], seg[order]
+            lo, hi, vals, errs, floors, seg = (lo[order], hi[order], vals[order], errs[order],
+                                               floors[order], seg[order])
         for i, k in enumerate(n_split):
             counts[i] += k
             bounds[i + 1] = bounds[i] + counts[i]
             if k:
                 err[i] = np.add.reduce(errs[bounds[i]:bounds[i + 1]])
-                share[i] = tol[i] / (2.0 * counts[i]) if err[i] > tol[i] else math.inf
+                share[i] = share_of(i) if err[i] > tol[i] else math.inf
     if lo.size > seeded:   # else the seed panels are in order already
         # complex numbers sort by real part, then by imaginary part
         vals = vals[lo.argsort(kind="stable") if one else
@@ -508,19 +529,22 @@ def _thermal_weight_raw(q, That):
     real array that may contain q = 0 (limit 1), or on a complex one, where
     it is the weight's continuation.
 
-    Computed as b^2 with b = 2u e^{-u} / (1 - e^{-2u}), u = q/(2 That):
-    smooth -> 1 as u -> 0, decays like 4 u^2 e^{-2u} for large u, and
-    underflows to exactly 0 (never NaN) once e^{-u} is subnormal.
+    Computed as (u/sinh u)^2, u = q/(2 That), one sinh and one divide:
+    smooth -> 1 as u -> 0 and decays like 4 u^2 e^{-2u} for large u.  It is
+    1 where Re u <= 5e-151, where it is 1 to the last bit (u/sinh u is 0/0
+    at u = 0, and a complex u/sinh u overflows at a subnormal u), and
+    exactly 0 (never NaN) where Re u >= 710, past which sinh overflows: the
+    weight underflowed to 0 from Re u ~ 380 on a real q.
     """
-    v = np.atleast_1d(q / (-2.0 * That))   # -u; negating and doubling are exact
-    b = np.exp(v)
-    v += v                                  # -2u
-    np.multiply(v, b, out=b)                # -2u e^{-u}, -2u first: numpy's complex
-                                            # product depends on operand order
-    np.expm1(v, out=v)                      # -(1 - e^{-2u}): the signs cancel in b/v
-    # 1 where Re u < ~5e-151, where it is 1 to the last bit: a complex b/v
-    # overflows once v is subnormal
-    big = v.real < -1e-150
-    out = np.divide(b, v, out=b) if big.all() else np.divide(b, v, out=np.ones_like(v), where=big)
-    out *= out
-    return out if np.ndim(q) else out[0]
+    u = np.atleast_1d(q / (2.0 * That))
+    re = u.real
+    inside = re > 5e-151
+    inside &= re < 710.0
+    if inside.all():
+        w = np.sinh(u)
+        np.divide(u, w, out=w)
+    else:
+        w = np.divide(u, np.sinh(u, where=inside, out=np.ones_like(u)),
+                      out=(re <= 5e-151).astype(u.dtype), where=inside)
+    w *= w
+    return w if np.ndim(q) else w[0]

@@ -91,10 +91,16 @@ class EntropyDensity:
 def _ray_seeds(d, that):
     """(edges, seg, bounds) of the density's ray integrals at the separations
     d, a 1-D array: segment seg[j] of ``numerics._gk_segments`` for each
-    edge.  Each gets an edge at 0, then one panel per octave from s/8 to
-    hi, with s = min(1/d, 1/2, That) and hi = min(45/(2 d sin phi),
+    edge.  Each gets the head panel [0, 2s], then one panel per octave from
+    2s to hi, with s = min(1/d, 1/2, That) and hi = min(45/(2 d sin phi),
     45 That/cos phi, ``MAX_Q``), where e^{2iqd} or the weight has decayed
     by e^{-45} (MAX_Q keeps 4q^2 finite), and a bound on int_hi^inf |h| dt.
+    One GK15 panel takes the head: the pole -i/(2pi (d+2) q) of h is
+    purely imaginary on the ray, so Re e^{i phi} h is regular at t = 0,
+    and it first varies on the scale s, that of e^{2iqd}, of N and of the
+    weight.  (The octaves started at s/8 once, for 1.7x the evaluations;
+    a scan over the whole (d, That) box finds no converged density off its
+    oracles by more than its estimate with either start.)
 
     The bound: |N| >= |2iq - 1|^2 - |e^{2iqd}| >= 4t (sin phi + t),
     |e^{2iqd}| = e^{-bt}, b = 2d sin phi, and |w| <= W(t) = |u|^2/sinh^2(Re u),
@@ -108,17 +114,19 @@ def _ray_seeds(d, that):
     nothing overflows at any float d or That: 1/d is taken past d = 2, and
     45/(2 d sin phi) past d = 1e-75, below which it is above MAX_Q.
     """
-    s = np.minimum(1.0 / np.maximum(d, 2.0), that)
-    hi = np.minimum(np.minimum(22.5 / _RAY_COS / np.maximum(d, 1e-75), 45.0 * that / _RAY_COS),
-                    MAX_Q)
-    lo = 0.125 * s
-    n = np.ceil(np.log2(hi / lo)).astype(int)
-    seg = np.arange(d.size).repeat(n + 2)
-    k = np.arange(seg.size) - (n + 2).cumsum()[seg] + n[seg] + 1   # -1, 0, ..., n
-    edges = lo[seg] * (hi / lo)[seg] ** (k / n[seg])
-    edges[k < 0] = 0.0
-    a = _RAY_COS * hi / (2.0 * that)                # Re u at hi
-    w_hi = 2.0 * np.divide(a, np.sinh(a), out=np.ones_like(a), where=a > 0.0) ** 2
+    lo = 2.0 * np.minimum(1.0 / np.maximum(d, 2.0), that)
+    hi = np.minimum(22.5 / _RAY_COS / np.maximum(d, 1e-75), min(45.0 * that / _RAY_COS, MAX_Q))
+    ratio = hi / lo
+    n = np.ceil(np.log2(ratio)).astype(int)
+    m = n + 2                                       # edges of each separation
+    start = m.cumsum() - m
+    seg = np.arange(d.size).repeat(m)
+    k = np.arange(seg.size) - (start + 1)[seg]      # -1, 0, ..., n
+    edges = lo[seg] * ratio[seg] ** (k / n[seg])
+    edges[start] = 0.0
+    # Re u at hi; a/sinh a is 1 to the last bit below 1e-300, and 0/0 at 0
+    a = np.maximum(_RAY_COS * hi / (2.0 * that), 1e-300)
+    w_hi = 2.0 * (a / np.sinh(a)) ** 2
     bh = (2.0 * _RAY_COS) * (d * hi)                # b hi
     y = np.minimum(1.0 / (_RAY_COS * hi / that + bh), 1.0)
     bound = w_hi * np.exp(-bh) / (4.0 * math.pi) * np.minimum(y / hi, (y + y * y) / _RAY_COS)
@@ -155,10 +163,12 @@ def entropy_density_canonical(dtilde, That: float,
     q sin phi off the ray, and e^{2iqd} and w decay along it at every d and
     That, so the integrand is smooth: its panels (``_ray_seeds``) need no
     edges at the dips and no real-axis cut-off.  The one expm1 gives both
-    N and e^{2iqd} = expm1 + 1.  The integral stops at hi, where both have
-    decayed by e^{-45}; the bound on what it drops is added to the error
-    estimate, and the panels get the rest of tol, or only their seed pass
-    where the bound alone is tol or more, which cannot converge.
+    N and e^{2iqd} = expm1 + 1, and the weight (u/sinh u)^2 is one sinh
+    and a divide (``numerics._thermal_weight_raw``).  The integral stops
+    at hi, where both have decayed by e^{-45}; the bound on what it drops
+    is added to the error estimate, and the panels get the rest of tol, or
+    only their seed pass where the bound alone is tol or more, which
+    cannot converge.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
     its zero mode kept (see the README).  The tests use that identity, and

@@ -125,13 +125,14 @@ def test_entropy_default_bytes(capsys):
     # with err 2.5466403321879628e-07 in 7,026 evaluations while each graded
     # resonance's seed edges started at its full width, and
     # 0.88159000401968834 (1.9e-12 off) with err 2.5466401734445012e-07 in
-    # 6,276 evaluations while the densities ran on the real axis; on the ray
-    # it is 1.8e-12 off
+    # 6,276 evaluations while the densities ran on the real axis, and
+    # 0.8815900040198118 with err 2.5466421320234438e-07 in 2,085 on the ray
+    # while its octaves started at s/8; it is 1.8e-12 off
     code, out, _ = run(capsys, "entropy", "--d", "1", "--That", "1")
     assert code == 0
     assert out == (
         "d,That,method,lambda,value,err,evals,converged,units\n"
-        "1,1,canonical,100,0.8815900040198118,2.5466421320234438e-07,2085,true,"
+        "1,1,canonical,100,0.88159000401981191,2.5466421319835004e-07,1185,true,"
         "raw_dimensionless\n"
         "1,1,lifshitz,100,0.33434016119038018,8.7991592375209655e-16,4,true,"
         "raw_dimensionless\n"), f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"

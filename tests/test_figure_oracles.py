@@ -45,7 +45,7 @@ ROWS = {"1": 120, "2": 360, "3a": 144, "3b": 72}
 # evaluations per figure at its defaults: counts hold on every host, so
 # this shows added work where the golden hashes must be recorded again.
 # 3a and 3b were 54,255 and 527,211 while the densities ran on the real axis
-EVALS = {"1": 30_945, "2": 77_978, "3a": 20_235, "3b": 168_495}
+EVALS = {"1": 30_945, "2": 77_978, "3a": 11_595, "3b": 94_695}
 # (CSV name, the row's first column as printed) -> why the row may not converge
 NOT_CONVERGED = {}
 
@@ -108,7 +108,7 @@ def test_every_default_figure_spends_its_recorded_evaluations(fig, default_rows)
 def test_figure3a_density_evaluations_stay_within_budget(default_rows):
     # quarter-period seed panels on the real axis took 2,613,930 evaluations
     # here, one-period ones up to 1,050,000; one panel per octave on the ray
-    # takes 20,235
+    # takes 11,595 (20,235 while the octaves started at s/8)
     assert sum(int(row["evals"]) for _, row in default_rows("3a")[0]) <= 1_050_000
 
 

@@ -57,7 +57,7 @@ def test_smooth_lifshitz_integrand():
     # composite-panel oracle at ~10x the engine's node density
     from deltacasimir.numerics import _gk_apply
     edges = np.linspace(0.0, 80.0, 4001)
-    vals, _ = _gk_apply(lambda z, _: f(z), edges[:-1], edges[1:], 0)
+    vals = _gk_apply(lambda z, _: f(z), edges[:-1], edges[1:], 0)[0]
     oracle = float(vals.sum())
     assert oracle == pytest.approx(LIFSHITZ_INTEGRAND_D1, abs=1e-14)
 
@@ -192,7 +192,7 @@ def test_adaptive_rounds_stop_at_the_evaluation_budget(monkeypatch):
     # seed panels that alone pass the budget are evaluated, and no round runs:
     # the result is the seed pass's
     monkeypatch.setattr(numerics, "_MAX_EVALS", 100)
-    vals, errs = _gk_apply(lambda x, _: _noisy(x), edges[:-1], edges[1:], 0)
+    vals, errs, _ = _gk_apply(lambda x, _: _noisy(x), edges[:-1], edges[1:], 0)
     assert _adaptive_gk(lambda x, _: _noisy(x), edges, 1e-15) == \
         (float(np.add.reduce(vals)), float(np.add.reduce(errs)), 120, False)
 
@@ -277,6 +277,64 @@ def test_a_member_out_of_budget_stops_while_another_keeps_splitting(monkeypatch)
     assert [(float(v), float(e), n) for v, e, n in zip(*batch)] == lone
     assert lone[0][1] > tols[0] and 10_000 < lone[0][2] <= 20_000
     assert lone[1][1] <= tols[1] and lone[1][2] == 15 + 31 * 30
+
+
+def _floor_sum(f, edges):
+    """The seed panels' rounding floor sum: half their widths times their floors."""
+    _, _, floors = numerics._gk_apply(f, edges[:-1], edges[1:], 0)
+    return float(np.add.reduce(0.5 * np.diff(edges) * floors))
+
+
+def test_a_tolerance_below_the_floor_sum_is_refined_to_twice_that_sum():
+    # e^{-x} on [0, 5]: bisection cannot take the error below the panels'
+    # rounding floor sum, 7.5e-16; below it the rounds stop at twice that
+    # sum, not at the evaluation cap, and the flag is False
+    from deltacasimir.numerics import _adaptive_gk
+    def f(x, _): return np.exp(-x)
+    edges = np.linspace(0.0, 5.0, 9)
+    floor = _floor_sum(f, edges)
+    assert 5e-16 < floor < 1e-15
+    for tol in (0.9 * floor, 1e-17, 1e-30):
+        value, err, evals, ok = _adaptive_gk(f, edges, tol)
+        assert not ok and floor < err <= 2.0 * floor and evals <= 1_000
+        assert abs(value - (1.0 - math.exp(-5.0))) <= err
+
+
+def test_a_member_below_its_floor_stops_while_another_keeps_splitting():
+    # the floor stop is each integral's own: a batch gives both members
+    # their lone bits, the one below its floor after 2 rounds, sqrt after 31
+    from deltacasimir.numerics import _adaptive_gk, _gk_segments
+    fs, tols = [lambda x: np.exp(-x), np.sqrt], [1e-18, 1e-14]
+    edge_sets = [np.linspace(0.0, 5.0, 9), np.array([0.0, 1.0])]
+    lone = [_adaptive_gk(lambda x, _, f=f: f(x), e, t)[:3]
+            for f, e, t in zip(fs, edge_sets, tols)]
+
+    def f(x, s):
+        out = np.empty(x.shape)
+        for i, fi in enumerate(fs):
+            out[s == i] = fi(x[s == i])
+        return out
+
+    batch = _gk_segments(f, np.concatenate(edge_sets),
+                         np.repeat(np.arange(len(fs)), [e.size for e in edge_sets]), tols)
+    assert [(float(v), float(e), n) for v, e, n in zip(*batch)] == lone
+    assert lone[0][1] > tols[0] and lone[0][2] <= 1_000
+    assert lone[1][1] <= tols[1] and lone[1][2] == 15 + 31 * 30
+
+
+# each spent 4.1 to 7.8 million evaluations (0.1 to 0.6 s) refining toward a
+# tol below its rounding floor sum, to end with converged=False all the same
+@pytest.mark.parametrize("call", [
+    lambda: casimir_force(DimensionlessPoint(1.0, 0.5), "canonical", 1e-17),
+    lambda: casimir_force(DimensionlessPoint(10.0, 100.0), "canonical", 1e-16),
+    lambda: casimir_force(DimensionlessPoint(1.0, 0.0), "canonical", 1e-18),
+    lambda: casimir_force(DimensionlessPoint(1.0, 0.0), "lifshitz", 1e-18),
+    lambda: entropy_density_canonical(1.0, 0.5, 1e-17),
+], ids=["canonical_warm", "canonical_hot", "canonical_zero_t", "lifshitz_zero_t", "density"])
+def test_an_unreachable_tolerance_stops_within_a_few_thousand_evaluations(call):
+    est = call().estimate
+    assert not est.converged and est.evaluations <= 3_000
+    assert math.isfinite(est.abs_error_estimate) and est.abs_error_estimate < 1e-14
 
 
 def _float32_lorentz_cos(q):
@@ -574,26 +632,50 @@ def test_thermal_weight_range_and_monotonicity():
     assert not math.isnan(weight(1e6, 1.0))
 
 
-# ---------------------------------------------- GK blocks and thermal weight
+# ------------------------------------------------------------------ GK blocks
 
-def _thermal_weight_raw_reference(q, That):
-    # the masked-gather evaluation that the whole-array one replaced, verbatim
-    q = np.asarray(q, float)
-    u = q / (2.0 * That)
-    out = np.ones_like(u)
-    m = u > 0
-    out[m] = 2.0 * u[m] * np.exp(-u[m]) / (-np.expm1(-2.0 * u[m]))
-    return out * out
+def _weight_exact(q, That):
+    """(u/sinh u)^2 at the float q and That, u = q/(2 That), by mpmath at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        u = mpmath.mpmathify(q) / (2 * mpmath.mpf(That))
+        return (u / mpmath.sinh(u)) ** 2 if u else mpmath.mpf(1)
+
+
+# u = q/(2 That) on the real axis: 0, around the 5e-151 below which the
+# weight is 1, a log grid, where it turns subnormal (u ~ 355 to 380), and
+# past sinh's overflow at 710.5
+_REAL_U = np.concatenate([[0.0, 1e-300, 4e-151, 5e-151, 6e-151, 1e-150],
+                          np.geomspace(1e-8, 1e3, 400), [355.0, 375.0, 380.0, 709.0, 710.0,
+                                                         711.0, 1e4, 1e300]])
+# t along the ray q = t e^{i pi/4} in units of 2 That: Re u = t cos(pi/4)
+# from 5e-151 to 22.5, the density's last node, and a little past it
+_RAY_T = np.concatenate([[1e-300, 5e-151, 7.07e-151, 7.08e-151, 1e-150],
+                         np.geomspace(1e-8, 50.0, 400)])
 
 
 @pytest.mark.parametrize("That", [0.01, 0.5, 2.0, 2])
-def test_thermal_weight_raw_is_bit_identical_to_reference(That):
-    qs = np.concatenate([[0.0, 1e-140], np.geomspace(1e-3, 1e4, 2001)])
-    got = numerics._thermal_weight_raw(qs, That)
-    assert got.tobytes() == _thermal_weight_raw_reference(qs, That).tobytes()
-    for q in (0.0, 1e-140, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
-        a, b = numerics._thermal_weight_raw(q, That), _thermal_weight_raw_reference(q, That)
-        assert type(a) is type(b) and a.tobytes() == b.tobytes()
+def test_thermal_weight_raw_matches_mpmath(That):
+    # within (4 + 2|u|) eps of (u/sinh u)^2: u = q/(2 That) carries half an
+    # ulp, which the weight's condition |2 - 2u coth u| <= 2 + 2|u| scales;
+    # plus one subnormal's rounding where the weight is below 2.2e-308
+    eps = np.finfo(float).eps
+    ray = complex(math.sqrt(0.5), math.sqrt(0.5))
+    for q in (2.0 * That * _REAL_U, 2.0 * That * _RAY_T * ray):
+        got = numerics._thermal_weight_raw(q, That)
+        assert got.dtype == q.dtype and got.shape == q.shape
+        for qi, wi in zip(q.tolist(), got.tolist()):
+            exact = _weight_exact(qi, That)
+            allowed = (4.0 + 2.0 * abs(qi / (2.0 * That))) * eps * float(abs(exact)) + 5e-324
+            assert float(abs(wi - exact)) <= allowed, (qi, wi)
+    # 1 to the last bit below Re u = 5e-151, 0 past sinh's overflow
+    got = numerics._thermal_weight_raw(2.0 * That * _REAL_U, That)
+    assert (got[:3] == 1.0).all() and (got[-4:] == 0.0).all()
+    # a number gives a numpy scalar with its array element's bits
+    for q in (0.0, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
+        w = numerics._thermal_weight_raw(q, That)
+        assert type(w) is np.float64
+        assert w == numerics._thermal_weight_raw(np.array([q], float), That)[0]
 
 
 def _gk_in_blocks(monkeypatch, chunk, n):
@@ -615,7 +697,8 @@ def test_gk_block_size_does_not_change_the_bits(monkeypatch, chunk, n):
     got = _gk_in_blocks(monkeypatch, chunk, n)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
-    assert len(got) == len(ref) == 2 and got[0].size == n
+    assert got[2].tobytes() == ref[2].tobytes()
+    assert len(got) == len(ref) == 3 and got[0].size == n
 
 
 @pytest.mark.parametrize("call", [
