@@ -172,10 +172,10 @@ def _gk_apply(f, lo, hi, seg):
     ``f`` is called as f(x, s) on a 1-D ndarray of nodes x: s is ``seg``
     when that is one segment index (an int) for all panels, and each node's
     index when seg is an array of the panels' indices.  Returns (values,
-    error estimates, floors) at 15 evaluations a panel; the per-panel error
-    estimate is half (|K15 - G7| + floor), half the panel's width and
-    floor = 1e-16 sum|f| over its nodes, the rounding that no bisection
-    lowers, and overestimates the true K15 error on smooth panels.
+    error estimates, floors) at 15 evaluations a panel.  A panel's floor is
+    1e-16 sum|f| over its nodes, a rounding that no bisection lowers, and
+    its error estimate is h (|K15 - G7| + floor), h its half width, which
+    overestimates the true K15 error on smooth panels.
     """
     if lo.size <= _GK_CHUNK + 1:
         return _gk_block(f, lo, hi, seg)

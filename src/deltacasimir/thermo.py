@@ -98,9 +98,8 @@ def _ray_seeds(d, that):
     One GK15 panel takes the head: the pole -i/(2pi (d+2) q) of h is
     purely imaginary on the ray, so Re e^{i phi} h is regular at t = 0,
     and it first varies on the scale s, that of e^{2iqd}, of N and of the
-    weight.  (The octaves started at s/8 once, for 1.7x the evaluations;
-    a scan over the whole (d, That) box finds no converged density off its
-    oracles by more than its estimate with either start.)
+    weight: a scan over the whole (d, That) box finds no converged density
+    off its oracles by more than its estimate.
 
     The bound: |N| >= |2iq - 1|^2 - |e^{2iqd}| >= 4t (sin phi + t),
     |e^{2iqd}| = e^{-bt}, b = 2d sin phi, and |w| <= W(t) = |u|^2/sinh^2(Re u),
