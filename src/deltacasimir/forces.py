@@ -5,34 +5,29 @@ Canonical route: the force is a real-frequency mode sum,
     F(d, That) = -(1/2pi) int_0^inf dq q/(1 - e^{-q/That}) [1 - 8q^2(1+2q^2)/W(q,d)]
 
 (the bracket is ``scattering.flux_deficit``; the Bose factor drops to 1 at
-That = 0).  The integrand oscillates like cos(2dq)/(2q) at large q, so it
-goes through ``integrate_oscillatory_tail`` with angular rate 2d.  It is
-``_mode_sum`` with the weight w = q/(1 - e^{-q/That}), whose poles
-q = 2 pi i n That lie on Re q = 0, so its continuation h decays like
-e^{-2d Im q} on Re q > 0.  The engine integrates the head [0, Q] on the
-real axis and the tail along Re q = Q, which is exact; the force is still
-the real-frequency mode sum.  The head spans at
-least one period, Q = max(pi/d, 1.5 pi/(d+2)): for d >= 4 the line
-Re q = Q then passes midway between the first two cavity resonances,
-near q_m = m pi/(d+2), instead of close to the first one.  The resonances
-in the head, each ~2 q_m^2/(d+2) wide, get graded seed edges
-(``scattering.resonance_edges``; from half a width out, grown by 2x, below
-d = 300 and That (d+2) = 500) if narrower than 0.4 pi/(d+2), so the seed
-pass resolves them and most forces take no bisection round; the wider ones
-need no extra edges.
-Past d = ``scattering.RESOLVED_D`` float64 cannot resolve the first one,
-and nothing bounds the force's error: its estimate is inf, as it is for a
-value that is not finite.  At That > 0 the Bose weight
-differs from q only for q below ~10 That, so the head also gets seed edges
-at That 2^k, k = -1..5: without them, at That <~ 3e-4, that region lies
-inside the first seed panel, below its first node, and the thermal part is
-dropped with converged=True.  At That = 0 with Q > 8 the head gets the
-edges 2^k: else q ~ 1, where the integrand turns into its cos(2dq)/(2q)
-decay, lies inside the first seed panel, which K15 and G7 then
-under-resolve alike, and a loose tol was met with converged=True far off.
-A real integrand that is not Re h (a Python-int That truncates the force's
-real Bose weight today, and an np.float32 That computes it in float32)
-fails the engine's agreement check, and its estimate is inf too.
+That = 0).  The integrand oscillates like cos(2dq)/(2q) at large q and has
+a narrow cavity resonance near each q_m = m pi/(d+2), ~2 q_m^2/(d+2) wide.
+It is Re h on the real axis, with
+
+    h = w e^{2iqd}/(pi N),    N = -expm1(2iqd) - 4iq - 4q^2,
+
+and w = q/(1 - e^{-q/That}) (w = q at That = 0).  h is analytic in the open
+first quadrant, where |e^{2iqd}| < 1 and the Bose poles q = 2 pi i n That
+are not, and decays there like e^{-2d Im q}; at q = 0 it has the pole
+i That/(2pi (d+2) q).  So along the ray q = t e^{i phi}, phi = pi/4,
+
+    F = Re int_0^inf e^{i phi} h(t e^{i phi}) dt - phi That/(2pi (d+2)),
+
+the last term from the small arc around q = 0.  This is still the
+real-frequency mode sum, deformed: the ray crosses no Bose pole.  The
+resonances, poles just below the real axis, lie t sin phi off the ray, so
+the integrand is smooth and decays exponentially at every d and That, and
+``integrate_oscillatory_tail`` takes it on octave panels, with a bound on
+the part past the ray's end.  Its seed pass checks h against the real
+integrand w flux_deficit on the first period: a real Bose weight that is
+not Re h (a Python-int That truncates it today, and an np.float32 That
+computes it in float32) fails the check, and the estimate is inf, as it is
+for a value that is not finite.
 
 Lifshitz route: at That = 0 the imaginary-axis form
 
@@ -54,9 +49,9 @@ diverges logarithmically as the infrared cutoff Lambda grows.
 ``casimir_force`` is the force's one input check: it reads d as a float and
 checks tol.  d has one domain for both routes, pi/MAX_Q (~3.1e-76) <= d with
 2d finite (d <~ 9e307); outside it either route is a DomainError naming d.
-Below it the canonical head's flux deficit would read 0 (its 4q^4
-overflows), and the Lifshitz force would read 0 with converged=True; above
-it the canonical rate 2d overflows, and the Matsubara force would drop its
+Below it the canonical ray would end at MAX_Q before its exponential
+decays, and the Lifshitz force would read 0 with converged=True; above it
+the canonical rate 2d overflows, and the Matsubara force would drop its
 zero mode to -0 with converged=True.
 
 All values are dimensionless: forces in units hbar gamma^2/v^3, free energy
@@ -71,13 +66,13 @@ import numpy as np
 from .errors import DomainError, require_real
 from .model import DimensionlessPoint, Result
 from .numerics import (
+    _RAY_COS,
     QuadratureEstimate,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
     sum_exponential_series,
 )
-from .scattering import _FINE_SEED_D, MAX_Q, RESOLVED_D, contour_switch, flux_deficit, \
-    resonance_edges
+from .scattering import MAX_Q, flux_deficit
 
 __all__ = [
     "FORCE_TOL",
@@ -96,47 +91,6 @@ METHODS = ("canonical", "lifshitz")
 # hold their own) and its zero mode: 2 eps per unit of the magnitudes added,
 # the zero mode's own rounding included
 _ROUNDING = 2.0 ** -51
-# the canonical force's head has seed edges at That times these, 2^k for
-# k = -1..5, or at these at That = 0 when Q > 8
-_BOSE_SEEDS = 2.0 ** np.arange(-1.0, 6.0)
-# from this That (d+2) on, the canonical force keeps a dip's seed edges at
-# its width, growing by 4x, as from d = _FINE_SEED_D on.  Its Bose weight is
-# ~That at the first dip, where rounding a panel's midpoint shifts the panel
-# by up to half an ulp of q: an error of ~3e-18 That (d+2) that K15 and G7
-# share.  Finer seeds let the estimate fall below it (at tol 1e-13 and
-# That = 10, 4 of 300 forces on d in [4, 300) missed, from That (d+2) =
-# 1.7e3); below 500 none of 4,950 forces did, at tol down to 1e-13
-_FINE_SEED_HEAT = 500.0
-
-
-def _mode_sum(c, weight, h_weight, d):
-    """The canonical mode sum's integrand f and its continuation h at the
-    separations ``d`` (a list or an array, indexed by the segment index s
-    of ``numerics._gk_apply``):
-
-        f(q, s) = c w(q) flux_deficit(q, d[s]),    w = weight(q) for real q.
-
-    The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, so f is
-    Re h on the real axis with
-
-        h(q, s) = -2c w(q) x/(1-x),    w = h_weight(q) for complex q.
-
-    For Re q > 0 and Im q >= 0, |x| < 1: where w is analytic there, h is,
-    and it decays like e^{-2d Im q}, so a tail along Re q = Q is exact.
-    The force has c = -1/(2 pi) and the Bose-weighted q.  (The entropy
-    density, c = 1/(2 pi) with (u/sinh u)^2, takes the same h along a ray:
-    see ``thermo.entropy_density_canonical``.)
-    """
-    k = -0.5 / c   # 1/(-2c), exactly +-pi for c = -+1/(2 pi): h = +-w x/(pi (1-x))
-
-    def f(q, s):
-        return c * weight(q) * flux_deficit(q, d[s])
-
-    def h(q, s):
-        x = np.exp(2j * d[s] * q) / (2j * q - 1.0) ** 2
-        return h_weight(q) * x / (k * (1.0 - x))
-
-    return f, h
 
 
 def _require_that(that):
@@ -153,38 +107,57 @@ def _zero_mode_log(that, d, cutoff_lambda):
 
 
 def _canonical_force(d, that, tol):
-    """The mode sum with the Bose-weighted q, w = q at That = 0, its tail
-    along Re q = ``contour_switch(d)`` and its head seeded as the module
-    docstring says: below d = ``_FINE_SEED_D`` and That (d+2) =
-    ``_FINE_SEED_HEAT`` the resonance edges start at half a width and grow
-    by 2x, since a bisection round costs a lone force ~40 us of numpy
-    calls however few panels it refines (at 4x the benchmark's 90 float
-    forces take 1.13x the time).  A value that is not finite, or past
-    ``RESOLVED_D``, has the estimate inf."""
-    q0 = contour_switch(d)
-    fine = d < _FINE_SEED_D and that * (d + 2.0) < _FINE_SEED_HEAT
-    seeds = resonance_edges(d, q0, 0.5 if fine else 1.0, 2.0 if fine else 4.0)
-    if that > 0:
-        seeds = np.concatenate([seeds, that * _BOSE_SEEDS])
-
+    """The mode sum along the ray, plus its arc term (see the module
+    docstring).  The ray's first scale is s = min(1/max(d, 2), That), That
+    left out at That = 0, where e^{2iqd}, N or the Bose weight first vary.
+    Past its end hi, with b = 2d sin phi and c = That/cos phi,
+    |N| >= |2iq - 1|^2 - e^{-bt} >= 4t (sin phi + t) + (1 - e^{-b hi}) and
+    |w| <= t + c (x/(1 - e^{-x}) <= 1 + x), so int_hi^inf |h| dt is at most
+    e^{-b hi}/(pi b) [1/(4 (sin phi + hi)) + c/(4 hi (sin phi + hi) + 1 - e^{-b hi})].
+    h and the bound read That as a float, and the real integrand that the
+    check compares with h takes That as given.  A value that is not finite
+    has the estimate inf."""
+    t = float(that)
+    if t > 0:
         def w(q):   # -> That at q = 0, in That's type (an int That truncates)
             return np.divide(q, -np.expm1(-q / that), out=np.full(q.shape, that),
                              where=q > 0, casting="unsafe")
-
-        def h_w(z):
-            return z / -np.expm1(-z / that)
     else:
-        if q0 > 8.0:   # q ~ 1 would lie inside the first seed panel, [0, Q/8]
-            seeds = np.concatenate([seeds, _BOSE_SEEDS])
-        w = h_w = np.asarray   # w = q, the very array
-    f, h = _mode_sum(-0.5 / math.pi, w, h_w, [d])
-    est = integrate_oscillatory_tail(f, h, 2.0 * d, q0, tol, seeds)
-    # past RESOLVED_D the first dip is not resolved, and nothing bounds the
-    # error; a value that is not finite (the Bose weight's q/That overflows
-    # at That <~ 1e-307) has no error to bound
-    if d > RESOLVED_D or not math.isfinite(est.value):
-        return QuadratureEstimate(est.value, math.inf, est.evaluations, est.tol)
-    return est
+        w = np.asarray   # w = q, the very array
+
+    def f(q):
+        return (-0.5 / math.pi) * w(q) * flux_deficit(q, d)
+
+    def h(z):   # w E/(pi N) = -w E/(pi (expm1(2iqd) + 4q (q + i))), in place
+        x = z * (2j * d)
+        e = np.exp(x)
+        np.expm1(x, out=x)
+        n = z + 1j
+        n *= z
+        n *= 4.0
+        x += n                                  # -N
+        if t > 0:                               # w = -q/expm1(-q/That)
+            x *= np.expm1(z / -t)
+            x *= math.pi
+        else:
+            x *= -math.pi
+        e *= z
+        e /= x
+        return e
+
+    b = 2.0 * d * _RAY_COS
+
+    def tail(hi):
+        gap = -math.expm1(-b * hi)
+        return math.exp(-b * hi) / (math.pi * b) * (
+            0.25 / (_RAY_COS + hi) + t / _RAY_COS / (4.0 * hi * (_RAY_COS + hi) + gap))
+
+    scale = min(1.0 / max(d, 2.0), t or math.inf)
+    est = integrate_oscillatory_tail(f, h, 2.0 * d, scale, tol, tail)
+    # phi That/(2pi (d+2)) = That/(8 (d+2)) at phi = pi/4
+    value = est.value - 0.125 * t / (d + 2.0)
+    err = est.abs_error_estimate if math.isfinite(value) else math.inf
+    return QuadratureEstimate(value, err, est.evaluations, est.tol)
 
 
 def _matsubara(c, d, n):

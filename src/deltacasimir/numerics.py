@@ -6,14 +6,12 @@ dedicated engine:
 * smooth integrands on [0, inf) with exponential decay
   (``integrate_smooth_semi_infinite``), handled by one adaptive integral
   after the substitution x = L s/(1-s) onto [0, 1),
-* integrands that oscillate like cos(omega*q)/q at large q
-  (``integrate_oscillatory_tail``), integrated on the real axis up to a
-  switch point Q and, beyond it, along the line Re q = Q with the
-  caller's analytic continuation of the integrand, mapped as above onto
-  the negative half-line, so that each node's sign says which stretch it
-  is on and the tail's variable is exact: both stretches are one adaptive
-  integral, whose seed pass also checks the continuation against the
-  integrand,
+* integrands f that oscillate like cos(omega q)/q at large q and are
+  Re h on the real axis, h analytic in the open first quadrant, where it
+  decays like e^{-omega Im q} (``integrate_oscillatory_tail``): taken along
+  the ray q = t e^{i pi/4}, where the integrand is smooth and decays
+  exponentially, as one adaptive integral on octave panels, whose seed
+  pass also checks the continuation against f,
 * series with a geometric majorant |t_n| <= K r^n
   (``sum_exponential_series``), summed to a term count it fixes in advance.
 
@@ -25,11 +23,10 @@ its segment, and each integral keeps its own tolerance share, stopping
 test, ``_MAX_EVALS`` and ``_MAX_ROUNDS`` caps and panel-order sums, so an
 integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
 seed pass followed by ``_refine``; the entropy densities of one call, each
-a smooth integral along a ray into the complex plane, are one batch of it:
-a fixed number of array operations per pass, and one numpy sum per
-integral.  ``_adaptive_gk`` is one integral of it, and
-``integrate_oscillatory_tail`` another, in plain floats, whose 8 tail seed
-panels sort first and take their nodes from a layout fixed at import.
+a smooth integral along the same ray, are one batch of it: a fixed number
+of array operations per pass, and one numpy sum per integral.
+``_adaptive_gk`` is one integral of it, and ``integrate_oscillatory_tail``
+another, in plain floats.
 
 Every engine returns a :class:`QuadratureEstimate`, which sets its
 ``converged`` flag from its own estimate and tolerance: failure to converge
@@ -47,6 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import require_real
+from .scattering import MAX_Q
 
 # the engines below are private: forces and thermo call them, and the
 # benchmark's tracer wraps them by name there
@@ -144,14 +142,20 @@ _SERIES_BLOCK = 2 ** 16     # terms per numpy block of a series
 # 200 decay lengths
 _MAP_LENGTHS = 4.0
 _MAP_EDGES = np.linspace(0.0, 1.0, 9)
-_TAIL_EDGES = -_MAP_EDGES[1:]   # an oscillatory tail's seed edges on x = -t, but 0
 _DECAY_CUT = 200.0
 _S_CUT = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(_S_CUT) = 200 decay lengths
+# the canonical integrals run along the ray q = t e^{i phi}, phi = pi/4:
+# _RAY_COS is cos(pi/4) = sin(pi/4), _RAY its unit step and _TWO_I_RAY = 2i
+# _RAY, so that 2iqd = (t d) _TWO_I_RAY; a ray at exactly pi/4, whatever the
+# rounding
+_RAY_COS = math.sqrt(0.5)
+_RAY = complex(_RAY_COS, _RAY_COS)
+_TWO_I_RAY = 2j * _RAY
 # |f - Re h| allowed between an oscillatory integrand and its continuation,
 # relative to 1 + max|f|
 _AGREEMENT = 1e-12
 # where an oscillatory integrand is checked against its continuation: 48
-# points spread over the period beyond Q, at (k + 1/2)/48 of it
+# points spread over its first period, at (k + 1/2)/48 of it
 _CHECK_POINTS = np.arange(48) + 0.5
 
 
@@ -207,16 +211,6 @@ def _gk_nodes(lo, hi):
     return half, x
 
 
-# a lone oscillatory integral's seed panels are sorted, so its 8 tail panels on
-# x = -t, t in [0, 1), come first, with the same nodes in every integral.  t
-# falls along them: the _TAIL_CUT nodes past _S_CUT come first, and the map
-# takes the others, t = _TAIL_S with 1 - t = _TAIL_REST
-_TAIL_T = -_gk_nodes(_TAIL_EDGES[::-1], np.append(_TAIL_EDGES[-2::-1], 0.0))[1].ravel()
-_TAIL_CUT = int(np.count_nonzero(_TAIL_T >= _S_CUT))
-_TAIL_S = _TAIL_T[_TAIL_CUT:]
-_TAIL_REST = 1.0 - _TAIL_S
-
-
 def _adaptive_gk(f, edges, tol, rounds=None):
     """Adaptive GK15 of one integral on the panels between consecutive
     ``edges``: ``_gk_segments`` with the one segment 0, so f is called as
@@ -252,15 +246,6 @@ def _gk_segments(f, edges, seg, tol, checks=None):
     evals = [15 * c + k for c, k in zip(counts, checks or itertools.repeat(0))]
     return _refine(f, lo, hi, seg, counts, *_gk_apply(f, lo, hi, seg), evals,
                    tol() if callable(tol) else tol)
-
-
-def _seed_edges(stop, extra):
-    """Seed edges of a lone oscillatory integral: the 9 points of
-    np.linspace(0, stop, 9), bit for bit (i * (stop/8), then stop), and the
-    points of ``extra``, sorted.  A point on a grid edge makes a zero-width
-    panel: value 0, error 0, never split."""
-    # np.sort, not np.unique: the first np.unique call imports numpy.ma
-    return np.sort(np.concatenate([np.arange(8) * (stop / 8), [stop], extra]))
 
 
 def _refine(f, lo, hi, seg, counts, vals, errs, floors, evals, tol):
@@ -382,16 +367,13 @@ def _mapped_integrand(f, decay, far):
     ``decay``, which maps [0, inf) onto [0, 1); seg is the segment index,
     the int 0.  g is 0 from x_c = 200 decay lengths on, where f is not
     evaluated, and far[0] keeps the largest |f| seen on [x_c/2, x_c), which
-    x_c times is the witness of the truncation.  g(s, seg, rest) takes
-    points s below _S_CUT with rest = 1 - s, and no mask."""
-    def g(s, seg, rest=None):
-        cut = False
-        if rest is None:
-            m = s < _S_CUT
-            cut = np.count_nonzero(m) < s.size
-            if cut:
-                s = s[m]
-            rest = 1.0 - s
+    x_c times is the witness of the truncation."""
+    def g(s, seg):
+        m = s < _S_CUT
+        cut = np.count_nonzero(m) < s.size
+        if cut:
+            s = s[m]
+        rest = 1.0 - s
         jac = _MAP_LENGTHS * decay / rest
         x = jac * s
         fx = np.asarray(f(x, seg), float)
@@ -409,82 +391,62 @@ def _mapped_integrand(f, decay, far):
     return g
 
 
-def integrate_oscillatory_tail(f, h, omega, switch_point, tol,
-                               head_seeds=()) -> QuadratureEstimate:
-    """Integrate f over [0, inf) when f ~ A*cos(omega*q)/q + O(1/q^2) at large q.
+def integrate_oscillatory_tail(f, h, omega, scale, tol, tail) -> QuadratureEstimate:
+    """Integrate f over [0, inf) when f ~ A cos(omega q)/q + O(1/q^2) at large
+    q, along the ray q = t e^{i phi}, phi = pi/4.
 
-    The head [0, Q], Q = ``switch_point``, is taken on the real axis and the
-    tail [Q, inf) along Re q = Q, with the continuation h: it must accept a
-    complex ndarray, be analytic on the quarter plane Re q >= Q, Im q >= 0,
-    have Re h = f on the real axis and decay like e^{-omega Im q}.  Q must
-    cover one period 2 pi/omega, over which the continuation is checked
-    against f; its caller's ``contour_switch`` does, and nothing here
-    checks it.  f(q, s) and h(z, s) take the segment index s, always 0.
+    h is f's continuation: Re h = f on the real axis, h analytic in the open
+    first quadrant and decaying there like e^{-omega Im q}.  Then (the arc
+    at infinity vanishes)
 
-    The head gets 8 equal seed panels, Q/8 wide, which resolve a head of at
-    most two periods, as ``contour_switch``'s is (bisection takes a longer
-    one); the points of ``head_seeds`` in (0, Q) become extra seed edges:
-    the callers put them around features far narrower than a seed panel.
-    The tail int_Q^inf f dq = -int_0^inf Im h(Q + ix) dx (the arc at
-    infinity vanishes) is mapped as in ``integrate_smooth_semi_infinite``
-    with decay scale 1/omega, witness included, onto 8 seed panels on
-    x = -t, t in [0, 1), which share the head's edge 0: a node is the tail's
-    just where x < 0, and t = -x is exact.  Head and tail are one adaptive
-    integral in plain floats.  Its seed panels are sorted, so the 8 tail
-    panels come first, and the seed pass's first integrand call takes their
-    nodes from a layout fixed at import.  The error is the joint error of
-    head and tail plus the witness.  The seed pass also takes f and h at 48
-    points over the period beyond Q; unless |f - Re h| <= 1e-12 (1 + max|f|)
-    there, the error is inf (nothing bounds the tail of h against f's) and
-    the panels are refined only to max(tol, Q * mismatch + tol/2).
+        int_0^inf f dq = Re int_0^inf e^{i phi} h(t e^{i phi}) dt + Re(i phi R),
+
+    with R the residue of a pole of h at q = 0.  This engine returns the ray
+    integral, and the caller adds the arc term i phi R.  Along the ray h
+    decays like e^{-omega t sin phi} and varies on the scale of the period,
+    not of any feature next to the real axis.  ``scale`` is the first
+    scale s on which h varies: the integral takes one GK15 panel on
+    [0, 2s] and one per octave from 2s to hi = min(45/(omega sin phi),
+    ``MAX_Q``), where the exponential has decayed by e^{-45} (``MAX_Q``
+    keeps the caller's q^2 finite).  ``tail(hi)`` bounds int_hi^inf |h| dt,
+    the part dropped, which is added to the error estimate; the panels get
+    the rest of tol, or only their seed pass where the bound alone is tol
+    or more, which cannot converge.  f(q) and h(z) take 1-D float and
+    complex ndarrays.
+
+    The seed pass also takes f and h at 48 points of the first period
+    [0, 2 pi/omega] on the real axis; unless |f - Re h| <= 1e-12 (1 +
+    max|f|) there, h is not f's continuation, the error is inf and no
+    bisection round follows.
     """
-    q0, seeds = switch_point, np.asarray(head_seeds, float).ravel()
-    edges = _seed_edges(q0, np.concatenate([seeds[(seeds > 0.0) & (seeds < q0)], _TAIL_EDGES]))
-    q_chk = q0 + 2.0 * math.pi / omega / _CHECK_POINTS.size * _CHECK_POINTS
-    decay, far = 1.0 / omega, [0.0]
-    chk = []    # [f(q_chk), h(q_chk)], taken by the integrand's first call
+    lo, hi = 2.0 * scale, min(45.0 / (omega * _RAY_COS), MAX_Q)
+    # in log2: hi/lo overflows at a subnormal scale
+    octaves = math.log2(hi) - math.log2(lo)
+    n = math.ceil(octaves)
+    edges = np.exp2(math.log2(lo) + np.arange(-1.0, n + 1.0) * (octaves / n))
+    edges[0] = 0.0
+    bound = tail(float(edges[-1]))
+    q_chk = 2.0 * math.pi / omega / _CHECK_POINTS.size * _CHECK_POINTS
+    chk = []    # h(q_chk), taken by the integrand's first call
 
-    def on_line(t, s):   # -Im h(Q + it); the first call also takes h(q_chk)
-        z = q0 + 1j * t
-        if len(chk) == 1:
-            hz = h(np.concatenate([z, q_chk]), s)
-            chk.append(hz[t.size:])
-            return -hz[:t.size].imag
-        return -h(z, s).imag
-
-    line = _mapped_integrand(on_line, decay, far)
-
-    def g(x, s):
-        # f on the head's nodes (x > 0), the mapped tail at t = -x on the
-        # rest, and no masks for a call with one kind of node
-        if not chk:
-            # the seed pass's first block (_GK_CHUNK >= 8 panels): the tail's
-            # nodes are _TAIL_T, and the head's follow them
-            k = x.size - _TAIL_T.size
-            fx = np.asarray(f(np.concatenate([x[_TAIL_T.size:], q_chk]), s), float)
-            chk.append(fx[k:])
-            return np.concatenate([np.zeros(_TAIL_CUT), line(_TAIL_S, s, _TAIL_REST), fx[:k]])
-        head = x > 0.0
-        k = int(np.count_nonzero(head))
-        if k in (0, x.size):
-            return np.asarray(f(x, s), float) if k else line(-x, s)
-        out = np.empty(x.shape)
-        out[head] = f(x[head], s)
-        tail = ~head
-        out[tail] = line(-x[tail], s)
-        return out
+    def g(t, _):   # Re e^{i phi} h(t e^{i phi}), with e^{i phi} = (1 + i) cos(phi)
+        if chk:
+            hz = h(t * _RAY)
+        else:
+            hz = h(np.concatenate([t * _RAY, q_chk]))
+            chk.append(hz[t.size:].real)
+            hz = hz[:t.size]
+        return (hz.real - hz.imag) * _RAY_COS
 
     agree = [False]
 
     def target():
-        # the check: |f - Re h| within 1e-12 (1 + max|f|) at q_chk; after a
-        # failed one, refining beyond Q * mismatch + tol/2 is wasted
-        x = float(np.abs(chk[0] - chk[1].real).max())
-        agree[0] = x <= _AGREEMENT * (1.0 + float(np.abs(chk[0]).max()))
-        return [tol] if agree[0] else [max(tol, q0 * x + 0.5 * tol)]
+        fq = np.asarray(f(q_chk), float)
+        agree[0] = float(np.abs(fq - chk[0]).max()) <= _AGREEMENT * (1.0 + float(np.abs(fq).max()))
+        return [tol - bound if agree[0] and bound < tol else math.inf]
 
     value, err, evals = _gk_segments(g, edges, 0, target, [2 * _CHECK_POINTS.size])
-    err = err[0] + _DECAY_CUT * decay * far[0] if agree[0] else math.inf
+    err = err[0] + bound if agree[0] else math.inf
     return QuadratureEstimate(float(value[0]), float(err), evals[0], tol)
 
 

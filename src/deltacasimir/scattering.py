@@ -126,73 +126,11 @@ def flux_deficit(q, d):
     return float(out[0]) if scalar else out
 
 
-# past this d the first dip, 2 pi^2/(d+2)^3 wide at q_1 = pi/(d+2), spans
-# under 4.5e4 ulp of its phase q_1 d: its rounding reaches 1e-6 of a
-# canonical force, past any estimate, so the force's estimate is inf
-RESOLVED_D = 1e6
-# below this d the canonical force starts a graded resonance's seed edges
-# at half its width; from here on, where ROADMAP item 10's known
-# misses begin and finer seeds make the estimate dishonest (converged forces
-# up to 4.7x their estimate off from d ~ 2e4), at its width, growing by 4x.
-# The force on item 21's ray deletes it, together with RESOLVED_D
-_FINE_SEED_D = 300.0
-
-
 def _deficit_at_zero(d):
     """The q -> 0 limit of the flux deficit, 1 - 2/(d+2)^2 (1.0 past
     d = 1e150, where d*d overflows)."""
     d = np.minimum(d, 1e150)
     return (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0))
-
-
-def resonance_edges(d, q_hi, start, ratio):
-    """Quadrature seed edges that bracket the cavity resonances of the
-    separation d below min(1, q_hi), as an array.
-
-    Below q ~ 1 the flux deficit has a sharp resonance in every period, at
-    sin(dq) + 2q cos(dq) = 0, near q_m = m pi/(d+2) with width
-    gamma_m = 2 q_m^2/(d+2).  Each gets the edges q_m +- start gamma_m
-    ratio^k for k = 0, 1, ... while they stay below the cap 0.4 pi/(d+2),
-    start 1/2 or 1 and ``ratio`` 2 or 4, so every product is exact: panels
-    that grow by ``ratio`` away from the resonance, so an adaptive integral
-    resolves it in its seed pass instead of bisecting toward it from a
-    period-wide panel.  The canonical force takes start 1/2 and ratio 2
-    below ``_FINE_SEED_D`` and That (d+2) = 500, and start 1 and ratio 4
-    elsewhere: a lone force pays ~40 us of numpy calls per bisection round,
-    and with ratio 2 it converges in its seed pass (ratio 4 leaves 31 of
-    the benchmark's 90 float forces more than one, and the 90 take 1.13x
-    the time).  Only resonances with gamma_m below the cap get edges, which
-    is q_m < sqrt(0.2 pi) ~ 0.79 at any d.  The wider ones need none: a
-    seed panel at most one period pi/d wide spans only a few of their
-    widths, and the seed pass resolves them as it does any smooth bump.
-    The edges are built in plain floats: a force has at most a few graded
-    resonances, for which a loop costs less than array operations would.
-    A resonance whose width underflows to 0 (d >~ 2e108) gets no edges.
-    """
-    d2 = d + 2.0
-    step = math.pi / d2
-    stop, cap = min(1.0, q_hi) / step, 0.4 * step
-    edges, m = [], 1
-    # gamma grows with m, so the resonances still graded form a prefix
-    while m < stop and 0.0 < (gamma := 2.0 * (q_m := step * m) * q_m / d2) < cap:
-        gamma *= start
-        while gamma < cap:
-            edges += (q_m - gamma, q_m + gamma)
-            gamma *= ratio
-        m += 1
-    return np.array(edges)
-
-
-def contour_switch(d):
-    """Q = max(pi/d, 1.5 pi/(d+2)), where a contour tail leaves the real axis.
-
-    Q covers at least one period pi/d of the flux deficit, and for d >= 4
-    it lies midway between the first two resonances, pi/(d+2) and
-    2 pi/(d+2): the line Re q = Q then keeps clear of both poles just below
-    the real axis, where pi/d lies within ~2 pi/d^2 of the first one.
-    """
-    d = float(d)
-    return max(math.pi / d, 1.5 * math.pi / (d + 2.0))
 
 
 def kernel(q: float, d: float) -> float:

@@ -36,6 +36,9 @@ from .forces import DEFAULT_CUTOFF_LAMBDA, LIFSHITZ_TOL, _ROUNDING, _matsubara, 
     _zero_mode_log
 from .model import DimensionlessPoint, Result
 from .numerics import (
+    _RAY,
+    _RAY_COS,
+    _TWO_I_RAY,
     QuadratureEstimate,
     _adaptive_gk,
     _gk_segments,
@@ -56,12 +59,6 @@ __all__ = [
 
 ENTROPY_TOL = 1e-6
 ENTROPY_INNER_TOL = 1e-8
-# the density's q-integral runs along the ray q = t e^{i pi/4}: _RAY_COS is
-# cos(pi/4) = sin(pi/4), _RAY its unit step and _TWO_I_RAY = 2i _RAY, so that
-# 2iqd = (t d) _TWO_I_RAY; a ray at exactly pi/4, whatever the rounding
-_RAY_COS = math.sqrt(0.5)
-_RAY = complex(_RAY_COS, _RAY_COS)
-_TWO_I_RAY = 2j * _RAY
 # the engine integrates the ray integrand over K, K = 2^64, to
 # (tol - bound)/K, and K times its value and error are the density's:
 # scaling by a power of 2 is exact, so the bits are those without K.
@@ -146,8 +143,9 @@ def entropy_density_canonical(dtilde, That: float,
     estimate's ``evaluations`` is their total, an int.
 
     The density is (1/2pi) int_0^inf w flux_deficit dq, w = (u/sinh u)^2,
-    u = q/(2 That), and the flux deficit is -2 Re[x/(1-x)] (see
-    ``forces._mode_sum``).  So the integrand is Re h with
+    u = q/(2 That), and the flux deficit is -2 Re[x/(1-x)] with
+    x = e^{2iqd}/(2iq-1)^2 (as in the force; see ``forces``).  So the
+    integrand is Re h with
 
         h = -(1/pi) w e^{2iqd}/N,    N = -expm1(2iqd) - 4iq - 4q^2,
 

@@ -2,7 +2,8 @@
 the force, the 4x4 boundary-matching solve that checks the closed-form
 scattering amplitudes, the fingerprint of the host that the exact pins
 (golden hashes, byte and bit digests) were recorded on, and ``lone_tail``,
-which runs the oscillatory engine on the tests' one-argument integrands.
+which runs the ray engine on the tests' integrands with the bound on their
+dropped part.
 
 The flux deficit is -2 Re[x/(1-x)] with x = e^{2iqd}/(2iq-1)^2, analytic in
 the upper half q-plane.  Splitting the canonical weight q(1+n) into
@@ -50,7 +51,8 @@ Matsubara series would need ~60/(4 pi That d) terms; ``density_cold`` is
 the density's series, on the same Taylor coefficients of the flux deficit.
 ``density_ray`` takes the density along a ray into the first quadrant, by
 Gauss-Legendre on geometric panels, at any d and That and at an angle of
-the caller's choice, and ``force_ray`` the force, That = 0 included.
+the caller's choice, ``force_ray`` the force, That = 0 included, and
+``entropy_ray`` the entropy, whose distance integral is closed on the ray.
 """
 import cmath
 import ctypes
@@ -59,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deltacasimir.numerics import integrate_oscillatory_tail
+from deltacasimir.numerics import _RAY_COS, integrate_oscillatory_tail
 from deltacasimir.scattering import ScatteringCoefficients
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(30)
@@ -195,6 +197,51 @@ def force_ray(d, that, phi):
     arc = -phi * that / (2.0 * math.pi * (d + 2.0))
     value = math.fsum((weights * h.real).tolist()) + arc
     return value, 2.0 * np.finfo(float).eps * (float(weights @ np.abs(h)) + abs(arc))
+
+
+def entropy_ray(d, that, cutoff_lambda, phi):
+    """The canonical entropy at (d, That) with cutoff Lambda from the ray
+    q = t e^{i phi}, 0 < phi < pi/2:
+    Re int_0^inf e^{i phi} h(t e^{i phi}) dt + phi log((Lambda+2)/(d+2))/(2 pi).
+
+    The distance integral of the density's continuation is closed,
+    int_d^Lambda x_t/(1-x_t) dt = log(N_d/N_Lambda)/(2iq) with x_t =
+    e^{2iqt}/(2iq-1)^2 and N_t = (2iq-1)^2 (1-x_t) = -expm1(2iqt) - 4iq - 4q^2,
+    so h = (i/2pi) w log(N_d/N_Lambda)/q, w = (u/sinh u)^2, u = q/(2 That):
+    the principal log, since both factors of (1-x_d)/(1-x_Lambda) lie in the
+    right half-plane, taken as log1p((N_d - N_Lambda)/N_Lambda) where the
+    ratio is near 1, which keeps its digits there.  Its pole
+    (i/2pi) log((d+2)/(Lambda+2))/q at q = 0 gives the small arc's term.  30-point Gauss-Legendre on [0, a],
+    a = min(1/max(Lambda, 2), That)/64 (N_Lambda first varies on 1/Lambda),
+    then on panels a factor sqrt 2 wide out to 50 decay lengths of e^{2iqd}
+    or of w along the ray, whichever ends first, as in ``density_ray``.
+
+    Returns (value, rounding): 2 eps (int |h| dt + the arc term), which covers
+    the rounding of Re h next to its O(1/t) imaginary part near t = 0.
+    """
+    c, s = math.cos(phi), math.sin(phi)
+    a = min(1.0 / max(cutoff_lambda, 2.0), that) / 64.0
+    hi = min(25.0 / (d * s), 50.0 * that / c, 1e76)
+    edges = np.concatenate([[0.0], a * 2.0 ** (np.arange(math.ceil(2.0 * math.log2(hi / a)) + 1)
+                                              / 2.0)])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    q = t * cmath.exp(1j * phi)
+    u = q / (2.0 * that)
+    m_d, m_lambda = np.expm1(2j * q * d), np.expm1(2j * q * cutoff_lambda)
+    n_d, n_lambda = -m_d - 4.0 * q * (q + 1j), -m_lambda - 4.0 * q * (q + 1j)
+    # near 1 the ratio is 1 + (N_d - N_Lambda)/N_Lambda, N_d - N_Lambda =
+    # E_Lambda - E_d: from expm1 while E_d is near 1, else from exp, whose
+    # relative rounding holds where E is below eps
+    diff = np.where(np.abs(m_d) < 0.5, m_lambda - m_d,
+                    np.exp(2j * q * cutoff_lambda) - np.exp(2j * q * d)) / n_lambda
+    log = np.where(np.abs(diff) < 0.5, np.log1p(diff), np.log(n_d / n_lambda))
+    h = cmath.exp(1j * phi) * 1j / (2.0 * math.pi) * (u / np.sinh(u)) ** 2 * log / q
+    weights = (half[:, None] * _GL_W).ravel()
+    # log((Lambda+2)/(d+2)), whose ratio rounds to eps of 1 where Lambda - d is small
+    arc = phi * math.log1p((cutoff_lambda - d) / (d + 2.0)) / (2.0 * math.pi)
+    value = math.fsum((weights * h.real).tolist()) + arc
+    return value, 2.0 * np.finfo(float).eps * (float(weights @ np.abs(h)) + arc)
 
 
 def entropy_identity(d, that, cutoff_lambda):
@@ -347,8 +394,11 @@ def host_fingerprint():
     return f"AVX512_SKX {__cpu_features__['AVX512_SKX']}, OpenBLAS {core}"
 
 
-def lone_tail(f, h, omega, switch_point, tol, head_seeds=()):
-    """``numerics.integrate_oscillatory_tail`` of f(q) and its continuation
-    h(z), which take no segment index."""
-    return integrate_oscillatory_tail(lambda q, _: f(q), lambda z, _: h(z), omega,
-                                      switch_point, tol, head_seeds)
+def lone_tail(f, h, omega, scale, tol):
+    """``numerics.integrate_oscillatory_tail`` of f and its continuation h,
+    which must satisfy |h(q)| <= e^{-omega Im q} on the ray past its end hi:
+    the part dropped, int_hi^inf |h| dt, is then at most
+    e^{-omega hi sin phi}/(omega sin phi), the bound passed to the engine."""
+    rate = omega * _RAY_COS
+    return integrate_oscillatory_tail(f, h, omega, scale, tol,
+                                      lambda hi: math.exp(-rate * hi) / rate)

@@ -178,11 +178,12 @@ def _problem(entry, p):
 # ~2.5e-18 That d
 LARGE_D = ("d>=300", lambda d, t, lam, tol: d >= 300.0, 24)
 # entry -> [(region, whether a draw lies in it, how many more draws it gets,
-# why its misses are known, or None where they were mended)].  The density's
-# misses in both regions were the real axis's (at That >= 20, d < 0.05 about
-# 1 draw in 60, so that region gets more draws); on the ray they pass
+# why its misses are known, or None where they were mended)].  The misses of
+# the force and the density in these regions were the real axis's (at
+# That >= 20, d < 0.05 about 1 draw in 60, so that region gets more draws);
+# on the ray they pass
 KNOWN = {
-    "canonical_force": [(*LARGE_D, "ROADMAP item 10: the canonical route's large-d misses")],
+    "canonical_force": [(*LARGE_D, None)],
     "density": [(*LARGE_D, None), (
         "That>=20,d<0.05", lambda d, t, lam, tol: t >= 20.0 and d < 0.05, 240, None)],
     "lifshitz_entropy_without_zero_mode": [(

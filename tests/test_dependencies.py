@@ -89,11 +89,11 @@ def test_one_function_checks_scalar_inputs():
                 assert node.name not in retired, (path.name, node.name)
 
 
-def test_one_copy_of_the_mode_sum():
-    """The force's integrand and continuation are ``forces._mode_sum``'s (the
-    entropy density once shared it, and now takes its continuation along a
-    ray): the integrands and continuations each module once wrote stay
-    gone, and only the mode sum and ``scattering.kernel`` call
+def test_one_copy_of_the_force_integrand():
+    """The force's integrand and continuation are ``forces._canonical_force``'s
+    (the entropy density takes its own continuation along the same ray):
+    the integrands and continuations each module once wrote stay gone, and
+    only the force's continuation check and ``scattering.kernel`` call
     ``flux_deficit``."""
     retired = {"_zero_t_integrand", "_finite_t_integrand", "_continuation",
                "_density_integrand", "_density_continuation"}

@@ -32,7 +32,7 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   every row converged and lies within 1.7e-16 of the exact force and
   within its own estimate, and the ``evals`` columns changed.
 * All but the Lifshitz hashes were recorded again when the cavity
-  resonances got graded seed edges (``scattering.resonance_edges``) and the
+  resonances got graded seed edges and the
   contour tails moved to Re q = max(pi/d, 1.5 pi/(d+2)), midway between the
   first two resonances for d >= 4.  Every row converged and lies within its
   own estimate: the 240 canonical forces within 1.4e-16 of the exact force
@@ -129,6 +129,17 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   and this 3b case 4,830, from 20,235 and 8,430).  Every row still
   converged and lies within its own estimate, and
   ``tests/test_figure_oracles.py`` passed on the new rows first.
+* The figure 1 and 2 canonical hashes were recorded again when the
+  canonical force moved onto the ray q = t e^{i pi/4} (one head panel and
+  one panel per octave, no cavity-dip edges, no real-axis head or contour
+  tail).  Every density, entropy and Lifshitz row kept its bytes.  Of the
+  60 figure 1 and 180 figure 2 canonical values, 53 and 136 moved, by at
+  most 9.2e-15 and 1.4e-15 relative, and each lies within 2.6e-15
+  relative of the exact force.  The ``err`` cells moved, each still within
+  its tol, and the ``evals`` columns changed (figure 1 spends 19,545
+  evaluations and figure 2 51,878, from 30,945 and 77,978).  Every row
+  still converged and lies within its own estimate, and
+  ``tests/test_figure_oracles.py`` passed on the new rows first.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -145,13 +156,13 @@ from deltacasimir.cli import main
 
 GOLDEN = {
     ("figure", "--id", "1"): {
-        "figure1_canonical.csv": "eb80c158e0732ad2d9a76605f89b93859913415adbdc177025f06c7434b11589",
+        "figure1_canonical.csv": "7dd9fcd2c0bd87b43a5d405c5d9fdf4c5e7f252a8be6698bd467503f22a327a3",
         "figure1_lifshitz.csv": "03682de4b306f2d2b1037d45e80de4fbbac8d82101145e35a41b15290dda8e70",
     },
     ("figure", "--id", "2"): {
-        "figure2_canonical_That0.5.csv": "1c704e31aa509578e28460499b01154432926666b57c83eacc0460a41a0835a4",
-        "figure2_canonical_That1.csv": "de36842a287d04bd59c6b2636a30ab56ee2b0d3280116dc9b2abb23b65aad139",
-        "figure2_canonical_That2.csv": "22bf4395a497f51d08391693f3c1bbedf6c39ad562a6a8c5fd90a2753cc675b2",
+        "figure2_canonical_That0.5.csv": "05e7b446b465695443ce94c465690d4703652832b99b514d35488c3ce945b159",
+        "figure2_canonical_That1.csv": "d7b80dd7d47aafe9d56b18b88bfdd4d52119a3d9f668e409c03aa98444b02e22",
+        "figure2_canonical_That2.csv": "b826e4a5e742ad0c553f326154ef6832a36f31babc4e8b159db43c856663a2ec",
         "figure2_lifshitz_That0.5.csv": "94a822116f25510fc5b2065941adeb76774e75f718926ff4877364e3910f5fbf",
         "figure2_lifshitz_That1.csv": "ea9d711cf080cf4666a48042401e96bfc8acc2839afa4ff7fb68ccf0503a3601",
         "figure2_lifshitz_That2.csv": "8f7488aa8cc119cdfa3b8cb2af94a9fefbfa07c4aae327cdd369c94b6c30e957",

@@ -99,36 +99,28 @@ def test_smooth_integrand_that_does_not_decay_is_not_converged(f, exact):
 # ----------------------------------------------------------- oscillatory tail
 
 def test_oscillatory_cos_over_q():
-    # f = cos(2q)/(2q) for q >= 1, zero below; integral is -Ci(2)/2
-    def f(q):
-        q = np.asarray(q, float)
-        out = np.zeros(q.shape)
-        m = q >= 1.0
-        out[m] = np.cos(2.0 * q[m]) / (2.0 * q[m])
-        return out
-
-    est = lone_tail(f, lambda q: np.exp(2j * q) / (2.0 * q), 2.0, 10.0, 1e-9)
+    # int_1^inf cos(2q)/(2q) dq = -Ci(2)/2, on q -> 1 + q, where the
+    # continuation e^{2i(1+q)}/(2(1+q)) is analytic in the first quadrant
+    est = lone_tail(lambda q: np.cos(2.0 * (1.0 + q)) / (2.0 * (1.0 + q)),
+                    lambda q: np.exp(2j * (1.0 + q)) / (2.0 * (1.0 + q)), 2.0, 0.5, 1e-9)
     assert est.converged
     assert est.value == pytest.approx(-CI_2 / 2.0, abs=1e-9)
 
 
 def _sinc(q):
-    q = np.asarray(q, float)
-    out = np.ones(q.shape)
-    m = q > 0
-    out[m] = np.sin(q[m]) / q[m]
-    return out
+    return np.sin(q) / q   # the engine takes f at q > 0 only
 
 
 def _sinc_exp(q):
-    # continuation of _sinc beyond q = 0: Re(-i e^{iq}/q) = sin(q)/q
+    # continuation of _sinc: Re(-i e^{iq}/q) = sin(q)/q, with the pole -i/q
+    # at q = 0, whose small arc adds Re(i (pi/4) (-i)) = pi/4 to the ray
     return -1j * np.exp(1j * q) / q
 
 
 def test_oscillatory_sinc():
-    est = lone_tail(_sinc, _sinc_exp, 1.0, 4.0 * math.pi, 1e-9)
+    est = lone_tail(_sinc, _sinc_exp, 1.0, 1.0, 1e-9)
     assert est.converged
-    assert est.value == pytest.approx(math.pi / 2.0, abs=2e-9)
+    assert est.value + math.pi / 4.0 == pytest.approx(math.pi / 2.0, abs=2e-9)
 
 
 def _lorentz_cos(q, omega=1.0):
@@ -141,36 +133,34 @@ def _lorentz_exp(q, omega=1.0):
 
 
 def test_oscillatory_lorentz_cos():
-    est = lone_tail(_lorentz_cos, _lorentz_exp, 1.0, 4.0 * math.pi, 1e-9)
+    est = lone_tail(_lorentz_cos, _lorentz_exp, 1.0, 1.0, 1e-9)
     assert est.converged
     assert est.value == pytest.approx(math.pi / (2.0 * math.e), abs=2e-9)
 
 
-@pytest.mark.parametrize("omega, q0", [(1.0, 2.0 * math.pi), (1.0, 30.0), (3.0, 2.1),
-                                       (20.0, 1.0)])
-def test_oscillatory_tail_on_the_rotated_contour(omega, q0):
+@pytest.mark.parametrize("omega, scale", [(1.0, 1.0), (1.0, 0.01), (3.0, 1.0), (20.0, 0.05)])
+def test_oscillatory_integral_on_the_ray(omega, scale):
     # int_0^inf cos(omega q)/(1+q^2) dq = (pi/2) e^{-omega}
     est = lone_tail(lambda q: _lorentz_cos(q, omega), lambda q: _lorentz_exp(q, omega),
-                    omega, q0, 1e-11)
+                    omega, scale, 1e-11)
     assert est.converged and est.abs_error_estimate <= 1e-11
     assert abs(est.value - 0.5 * math.pi * math.exp(-omega)) <= est.abs_error_estimate
-    # no half-period panels: the whole integral costs under 1,000 evaluations
+    # no period-wide panels: the whole integral costs under 1,000 evaluations
     assert est.evaluations <= 1000
 
 
 def test_oscillatory_continuation_of_another_integrand_is_refused():
-    # h with the wrong sign is not a continuation of f: its contour tail is
-    # the tail of -f, and the real-axis agreement check must say so
-    spec = (1.0, 4.0 * math.pi)
-    est = lone_tail(_lorentz_cos, lambda q: -_lorentz_exp(q), *spec, 1e-10)
-    assert not est.converged
+    # h with the wrong sign is not a continuation of f: its ray integral is
+    # the integral of -f, and the real-axis agreement check must say so
+    est = lone_tail(_lorentz_cos, lambda q: -_lorentz_exp(q), 1.0, 1.0, 1e-10)
+    assert not est.converged and est.abs_error_estimate == math.inf
     assert est.value != pytest.approx(math.pi / (2.0 * math.e), abs=1e-6)
-    # after a failed check the panels are refined only to Q times the measured
-    # mismatch: refined toward tol = 1e-15, it took 4,904,466 evaluations
-    est = lone_tail(_lorentz_cos, lambda q: -_lorentz_exp(q), *spec, 1e-15)
+    # after a failed check no bisection round follows: refined toward tol =
+    # 1e-15 on the real axis, it took 4,904,466 evaluations
+    est = lone_tail(_lorentz_cos, lambda q: -_lorentz_exp(q), 1.0, 1.0, 1e-15)
     assert not est.converged and est.evaluations <= 1000
     # a mismatch at rounding level passes
-    est = lone_tail(_lorentz_cos, lambda q: _lorentz_exp(q) * (1.0 + 1e-15), *spec, 1e-10)
+    est = lone_tail(_lorentz_cos, lambda q: _lorentz_exp(q) * (1.0 + 1e-15), 1.0, 1.0, 1e-10)
     assert est.converged
 
 
@@ -244,8 +234,11 @@ def test_engines_share_one_evaluation_budget(monkeypatch):
     monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
     est = integrate_smooth_semi_infinite(_noisy, 1.0, 1e-15)
     assert not est.converged and est.evaluations <= 30_000
-    # head, agreement check and rotated tail of one integral draw on one budget
-    est = lone_tail(lambda q: _noisy(q) * _lorentz_cos(q), _lorentz_exp, 1.0, 4.0 * math.pi,
+    # the ray's seed pass, its agreement check and its rounds draw on one
+    # budget: a ripple that no reachable panel width resolves, on the real
+    # axis and along the ray alike
+    est = lone_tail(lambda q: _noisy(q) * _lorentz_cos(q),
+                    lambda z: _noisy(z.real) * np.exp(z.real) * _lorentz_exp(z), 1.0, 1.0,
                     1e-15)
     assert not est.converged and est.evaluations <= 30_000
     # the np.float32 force point: its float32 Bose weight is noise at 1e-7
@@ -341,111 +334,90 @@ def _float32_lorentz_cos(q):
     return _lorentz_cos(np.asarray(q, np.float32))
 
 
-def _lone(f, h, spec, seeds, tol):
-    est = lone_tail(f, h, *spec, tol, seeds)
+def _lone(f, h, spec, tol):
+    est = lone_tail(f, h, *spec, tol)
     return est.value, est.abs_error_estimate, est.evaluations
 
 
-def test_a_lone_oscillatory_integral_reports_its_check_witness_and_budget(monkeypatch):
-    # head seeds outside (0, Q) are dropped, a failed agreement check makes
-    # the estimate inf, a witness counts, and the evaluation cap holds
+def test_a_lone_oscillatory_integral_reports_its_check_bound_and_budget(monkeypatch):
+    # a failed agreement check makes the estimate inf, the bound on the part
+    # past the ray's end counts, and the evaluation cap holds
     from test_acceptance import OSCILLATORY_INTEGRALS
-    spec = (1.0, 4.0 * math.pi)
-    members = [(f, h, sp, (), 1e-9) for f, h, sp, _ in OSCILLATORY_INTEGRALS]
-    members[1] = members[1][:3] + ((-1.0, 0.0, 0.3, 2.0, 4.0 * math.pi, 50.0), 1e-9)
+    members = [(f, h, sp, 1e-9) for f, h, sp, _, _ in OSCILLATORY_INTEGRALS]
     members += [
-        # seeded at Q/8, narrower than pi/(2 omega)
-        (lambda q: _lorentz_cos(q, 0.2), lambda z: _lorentz_exp(z, 0.2),
-         (0.2, 40.0), (), 1e-9),
-        # Q = 3.1e9, where ulp(Q) = 4.8e-7
+        # the ray ends at hi = 45/(omega sin phi) = 3.0e10
         (lambda q: _lorentz_cos(q, 2.1e-9), lambda z: _lorentz_exp(z, 2.1e-9),
-         (2.1e-9, 3.1e9), (), 1e-9),
-        # Im h = 1e-12 on the line does not decay: the witness, 2e-10, counts
-        (_lorentz_cos, lambda z: _lorentz_exp(z) + 1e-12j, spec, (), 1e-9),
-        # Re h - f = 1.5e-12, just past the check's 1e-12 (1 + max|f|): the
-        # panels are refined to Q * 1.5e-12 + tol/2, not to tol
-        (_lorentz_cos, lambda z: _lorentz_exp(z) + 1.5e-12, spec, (), 1e-13),
-        (_float32_lorentz_cos, _lorentz_exp, spec, (0.5, 3.0), 1e-9)]
+         (2.1e-9, 1.0), 1e-9),
+        # Re h - f = 2.5e-12, just past the check's 1e-12 (1 + max|f|), max|f|
+        # near 1 on the first period
+        (_lorentz_cos, lambda z: _lorentz_exp(z) + 2.5e-12, (1.0, 1.0), 1e-13),
+        (_float32_lorentz_cos, _lorentz_exp, (1.0, 1.0), 1e-9)]
     lone = [_lone(*m) for m in members]
-    assert members[1][3][0] < 0.0 and lone[1] == _lone(*members[1][:3], (0.3, 2.0), 1e-9)
-    assert [e <= m[4] for (_, e, _), m in zip(lone, members)] == [True] * 8 + [False] * 2
-    assert lone[-1][1] == lone[-2][1] == math.inf and lone[-3][1] >= 2e-10
-    # under a 30,000 cap: one runs out of evaluations, one has seed panels
-    # past the cap alone, which are evaluated and never split
+    assert [e <= m[3] for (_, e, _), m in zip(lone, members)] == [True] * 6 + [False] * 2
+    assert lone[-1][1] == lone[-2][1] == math.inf
+    # the tail bound is added to the estimate; where it alone is tol or
+    # more, the seed pass is all that runs
+    for bound, ok in ((2e-10, True), (1e-9, False)):
+        est = numerics.integrate_oscillatory_tail(_lorentz_cos, _lorentz_exp, 1.0, 1.0, 1e-9,
+                                                  lambda hi, b=bound: b)
+        assert est.converged == ok and est.abs_error_estimate >= bound
+    # under a 30,000 cap the ripple of test_engines_share_one_evaluation_budget
+    # runs out of evaluations
     monkeypatch.setattr(numerics, "_MAX_EVALS", 30_000)
-    members = [(lambda q: _noisy(q) * _lorentz_cos(q), _lorentz_exp, spec, (), 1e-15),
-               (_lorentz_cos, _lorentz_exp, spec, np.linspace(0.001, 12.0, 2500), 1e-9)]
-    lone = [_lone(*m) for m in members]
-    assert lone[0][2] <= 30_000 and not lone[0][1] <= 1e-15
-    # 2,508 head and 8 tail panels, and 96 check points
-    assert lone[1][1] <= 1e-9 and lone[1][2] == 15 * (2508 + 8) + 96
+    value, err, evals = _lone(lambda q: _noisy(q) * _lorentz_cos(q),
+                              lambda z: _noisy(z.real) * np.exp(z.real) * _lorentz_exp(z),
+                              (1.0, 1.0), 1e-15)
+    assert evals <= 30_000 and not err <= 1e-15
 
 
-def test_a_lone_tail_gets_the_same_seed_nodes_at_any_switch_point():
-    # the tail's panels lie on x = -t and t = -x is exact: its nodes Q + iy(t)
-    # take the same y at Q = 10 as at Q = 3.1e9, where panels on x = Q + t
-    # once rounded t to ulp(Q) = 4.8e-7; f = h = 0 converge in the seed pass
-    def line_nodes(q0):
-        seen = []
+@pytest.mark.parametrize("omega, scale", [(2.0, 0.5), (1e-3, 0.25), (2e5, 1e-6)])
+def test_the_ray_takes_a_head_panel_and_octaves(omega, scale):
+    # one GK15 panel on [0, 2s], then panels at most an octave wide out to
+    # hi = 45/(omega sin phi), all on the ray q = t e^{i pi/4}, and the 48
+    # check points of the first period on the real axis, in the first call
+    seen = []
 
-        def h(z):
-            seen.append(z.copy())
-            return np.zeros(z.shape, complex)
+    def h(z):
+        seen.append(z.copy())
+        return _lorentz_exp(z, omega)
 
-        lone_tail(np.zeros_like, h, 1.0, q0, 1e-9)
-        z = np.concatenate(seen)
-        z = z[z.imag != 0.0]   # not the check points on the real axis
-        assert (z.real == q0).all()
-        return z.imag
-
-    # 8 seed panels of 15 nodes, of which 4 lie past 200 decay lengths
-    near = line_nodes(10.0)
-    assert near.size == 116 and near.tobytes() == line_nodes(3.1e9).tobytes()
-
-
-def test_a_lone_tail_seed_layout_is_the_engines():
-    # a lone integral's first integrand call takes its tail nodes from a fixed
-    # layout: it must be the nodes _gk_apply builds on the 8 tail seed panels,
-    # which sort first, and the points the map keeps, t < _S_CUT
-    edges = numerics._seed_edges(3.0, np.concatenate([[0.1, 2.5], numerics._TAIL_EDGES]))
-    nodes = []
-    numerics._gk_apply(lambda x, _: nodes.append(x.copy()) or np.zeros(x.size),
-                       edges[:-1], edges[1:], 0)
-    t = -nodes[0][:120]
-    assert (t > 0.0).all() and (nodes[0][120:] > 0.0).all()
-    assert t.tobytes() == numerics._TAIL_T.tobytes()
-    kept = t < numerics._S_CUT
-    assert np.count_nonzero(kept) == 116 and numerics._TAIL_CUT == 4
-    assert (kept == (np.arange(120) >= numerics._TAIL_CUT)).all()
-    assert numerics._TAIL_S.tobytes() == t[kept].tobytes()
-    assert numerics._TAIL_REST.tobytes() == (1.0 - t[kept]).tobytes()
+    lone_tail(lambda q: _lorentz_cos(q, omega), h, omega, scale, 1e-9)
+    z, chk = seen[0][:-48], seen[0][-48:]
+    assert (chk.imag == 0.0).all() and 0.0 < chk.real.min() and chk.real.max() < 2.0 * math.pi / omega
+    t = z.real / numerics._RAY_COS
+    assert (z.real == z.imag).all() and (np.diff(t) > 0.0).all()
+    hi = 45.0 / (omega * numerics._RAY_COS)
+    panels = t.reshape(-1, 15)
+    # each panel's first and last node lie within 1% of its edges
+    lo_edge, hi_edge = panels[:, 0] / 0.9957, panels[:, -1] / 1.0043
+    assert panels[0, 0] < 0.01 * 2.0 * scale and hi_edge[0] == pytest.approx(2.0 * scale, rel=1e-2)
+    assert (hi_edge[1:] / lo_edge[1:] <= 2.0 * 1.01).all() and hi_edge[-1] == pytest.approx(hi, rel=1e-2)
+    assert panels.shape[0] == 1 + math.ceil(math.log2(hi / (2.0 * scale)))
 
 
-# every (Q, omega) in {5, 50} x {0.2, 2, 20} whose Q covers one period 2 pi/omega
-@pytest.mark.parametrize("q0, omega", [(50.0, 0.2), (5.0, 2.0), (50.0, 2.0), (5.0, 20.0),
-                                       (50.0, 20.0)])
-def test_oscillatory_closed_form_consistency(q0, omega):
-    # the -A*Ci(omega) closed form for A cos(omega q)/q, masked below q = 1
+# every (s, omega) in {0.1, 1} x {0.2, 2, 20}, s the ray's first scale, the
+# distance to the pole of the continuation being 1
+@pytest.mark.parametrize("scale, omega", [(1.0, 0.2), (0.1, 2.0), (1.0, 2.0), (0.1, 20.0),
+                                          (1.0, 20.0)])
+def test_oscillatory_closed_form_consistency(scale, omega):
+    # the -A*Ci(omega) closed form for int_1^inf A cos(omega q)/q dq, on q -> 1 + q
     amp = 0.7
-
-    def f(q):
-        q = np.asarray(q, float)
-        out = np.zeros(q.shape)
-        m = q >= 1.0
-        out[m] = amp * np.cos(omega * q[m]) / q[m]
-        return out
-
-    est = lone_tail(f, lambda q: amp * np.exp(1j * omega * q) / q, omega, q0, 1e-9)
+    est = lone_tail(lambda q: amp * np.cos(omega * (1.0 + q)) / (1.0 + q),
+                    lambda q: amp * np.exp(1j * omega * (1.0 + q)) / (1.0 + q), omega, scale, 1e-9)
     assert est.converged
     expected = -amp * {0.2: CI_0_2, 2.0: CI_2, 20.0: CI_20}[omega]
     assert est.value == pytest.approx(expected, abs=5e-9)
     assert abs(est.value - expected) <= est.abs_error_estimate
 
 
-def test_oscillatory_switch_point_of_exactly_one_period_converges():
-    # one period is the engine's precondition, which contour_switch meets
-    assert lone_tail(lambda q: _lorentz_cos(q, 0.2), lambda q: _lorentz_exp(q, 0.2), 0.2,
-                     2.0 * math.pi / 0.2, 1e-9).converged
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 10.0])
+def test_a_first_scale_off_by_decades_still_converges(scale):
+    # the first scale sets the head panel [0, 2s] and the octaves' start;
+    # bisection takes the rest, and only the work moves
+    est = lone_tail(lambda q: _lorentz_cos(q, 0.2), lambda q: _lorentz_exp(q, 0.2), 0.2, scale,
+                    1e-9)
+    assert est.converged
+    assert abs(est.value - 0.5 * math.pi * math.exp(-0.2)) <= est.abs_error_estimate
 
 
 # ------------------------------------------------------------ cosine integral
@@ -726,5 +698,5 @@ def test_bit_identical_reruns():
     b = integrate_smooth_semi_infinite(f, 1.0, 1e-11)
     assert a == b
 
-    spec = (1.0, 4.0 * math.pi)
+    spec = (1.0, 1.0)
     assert lone_tail(_sinc, _sinc_exp, *spec, 1e-9) == lone_tail(_sinc, _sinc_exp, *spec, 1e-9)

@@ -13,7 +13,7 @@ from deltacasimir import (
     flux_deficit,
     kernel,
 )
-from deltacasimir.scattering import MAX_Q, resonance_edges
+from deltacasimir.scattering import MAX_Q
 
 
 def test_long_wavelength_limit():
@@ -211,56 +211,6 @@ def test_flux_deficit_matches_mpmath(d):
     for q in (0.0, 1e-140, 1e-3, 0.7, 1e4, np.float64(2.5), np.array(2.5)):
         a = flux_deficit(q, d)
         assert type(a) is float and a == flux_deficit(np.array([float(q)]), d)[0]
-
-
-# ----------------------------------------------------------- resonance edges
-
-def _root_sign(d, q):
-    """The sign of sin(dq) + 2q cos(dq), whose roots are the resonances."""
-    return math.copysign(1.0, math.sin(d * q) + 2.0 * q * math.cos(d * q))
-
-
-# the graded level whose panels hold each resonance's root at start 1/2: the
-# innermost panel but at d = 4, whose one graded root lies 1.06 half-widths
-# from q_1; at start 1 the innermost panel
-@pytest.mark.parametrize("d, half_start_level", [(4.0, 1), (20.0, 0), (200.0, 0)])
-@pytest.mark.parametrize("start, ratio", [(0.5, 2.0), (0.5, 4.0), (1.0, 4.0)])
-def test_resonance_edges_bracket_each_resonance_in_graded_panels(d, half_start_level,
-                                                                  start, ratio):
-    step = math.pi / (d + 2.0)
-    edges = np.sort(resonance_edges(d, 1.0, start, ratio))
-    for m in range(1, math.ceil(1.0 / step)):
-        q_m = m * step
-        gamma = 2.0 * q_m * q_m / (d + 2.0)
-        near = edges[np.abs(edges - q_m) < 0.5 * step] - q_m
-        if gamma >= 0.4 * step:
-            assert near.size == 0
-            continue
-        # offsets +-start gamma ratio^k for k = 0, 1, ... while below 0.4 pi/(d+2)
-        widths = start * gamma * ratio ** np.arange(near.size // 2)
-        assert near.size and np.allclose(near[near > 0], widths, rtol=1e-12)
-        assert np.allclose(near[near < 0], -widths[::-1], rtol=1e-12)
-        assert near.max() < 0.4 * step <= ratio * near.max()
-        # the edges are not centred on the root, which lies ~(8 q_m/3)(gamma/2)
-        # from q_m at small q_m, under gamma/2 at d = 20 and 200
-        level = next(k for k, w in enumerate(widths.tolist())
-                     if _root_sign(d, q_m - w) != _root_sign(d, q_m + w))
-        assert level == (half_start_level if start == 0.5 else 0), m
-    assert resonance_edges(d, 0.9 * step, start, ratio).size == 0
-
-
-def test_a_tiny_upper_bound_gets_no_edges():
-    # min(1, q_hi)/step - 1 rounds to -1 below 1e-16 of a step, and the
-    # vectorized pass's np.repeat raised on the count -1
-    assert resonance_edges(1.0, 8e-19, 0.5, 4.0).size == \
-        resonance_edges(2.0, 1e-30, 0.5, 4.0).size == 0
-
-
-def test_a_zero_resonance_width_gets_no_edges():
-    # past d ~ 2e108 the first width 2 pi^2/(d+2)^3 underflows to 0: the
-    # loop never ended (and the vectorized pass overflowed (d+2)^2 past 1.3e154)
-    assert resonance_edges(1e200, 1.0, 1.0, 4.0).size == 0
-    assert resonance_edges(1e160, 1.0, 1.0, 4.0).size == 0
 
 
 # ----------------------------------------------------------- input types

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import density_cold, density_identity, density_ray, entropy_identity, \
+from oracles import density_cold, density_identity, density_ray, entropy_identity, entropy_ray, \
     entropy_lifshitz_series
 from scipy.integrate import simpson
 from test_forces import FINE_SEED_D, FINE_SEED_TOLS
@@ -284,8 +284,8 @@ def test_density_within_its_estimate_of_the_identity(d, that):
 
 
 def test_huge_separations_return_at_once():
-    # a zero resonance width hung the lone loop of resonance_edges, and the
-    # vectorized one's (d+2)^2 overflowed past d ~ 1.3e154; on the ray they
+    # a zero resonance width hung the lone loop that graded the dips' seed
+    # edges, and the vectorized one's (d+2)^2 overflowed past d ~ 1.3e154; on the ray they
     # converge to 1/(4 (d+2))
     start = time.perf_counter()
     for d in (np.array([1.0, 1e160]), np.array([1.0, 1e200]), 1e200):
@@ -325,7 +325,7 @@ def test_fine_seeded_density_within_its_estimate_or_not_converged(that):
 
 
 def test_canonical_entropy_stops_once_a_density_failed(monkeypatch):
-    # past RESOLVED_D no real-axis density converged, and the outer integral
+    # past d = 1e6 no real-axis density converged, and the outer integral
     # kept bisecting toward a value whose estimate is inf anyway: 3 density
     # calls and 214,075,560 evaluations (14 s), and past Lambda ~ 4e7 a
     # MemoryError.  A tol below the ray's tail bound fails every density
@@ -411,6 +411,23 @@ def test_ray_oracle_agrees_with_itself_at_two_angles(d, that):
     assert abs(low - high) <= low_rounding + high_rounding
     if that * d >= 1e-3:   # where the identity's series is short
         exact, rounding = density_identity(d, that)
+        assert abs(low - exact) <= low_rounding + rounding
+
+
+# (d, That, Lambda) for the entropy's ray oracle: the figure 3b cutoff, a far
+# one and one next to d, cold to hot
+ENTROPY_RAY_GRID = [(1.0, 1.0, 100.0), (0.5, 0.01, 100.0), (1e-3, 2.0, 10.0), (10.0, 0.05, 1e4),
+                    (100.0, 1e-3, 150.0), (1e-6, 100.0, 1e-3), (1.0, 1e-8, 100.0),
+                    (1e4, 10.0, 1e8), (1e12, 1.0, 1e14)]
+
+
+@pytest.mark.parametrize("d, that, cutoff_lambda", ENTROPY_RAY_GRID)
+def test_entropy_ray_oracle_agrees_with_itself_and_the_identity(d, that, cutoff_lambda):
+    low, low_rounding = entropy_ray(d, that, cutoff_lambda, math.pi / 8.0)
+    high, high_rounding = entropy_ray(d, that, cutoff_lambda, 3.0 * math.pi / 8.0)
+    assert abs(low - high) <= low_rounding + high_rounding
+    if that * d >= 1e-3 and that * cutoff_lambda <= 1e4:   # where the series are short
+        exact, rounding = entropy_identity(d, that, cutoff_lambda)
         assert abs(low - exact) <= low_rounding + rounding
 
 
