@@ -383,20 +383,22 @@ def test_the_ray_takes_a_head_panel_and_octaves(omega, scale):
 
     lone_tail(lambda q: _lorentz_cos(q, omega), h, omega, scale, 1e-9)
     z, chk = seen[0][:-48], seen[0][-48:]
-    assert (chk.imag == 0.0).all() and 0.0 < chk.real.min() and chk.real.max() < 2.0 * math.pi / omega
-    t = z.real / numerics._RAY_COS
-    assert (z.real == z.imag).all() and (np.diff(t) > 0.0).all()
-    hi = 45.0 / (omega * numerics._RAY_COS)
-    panels = t.reshape(-1, 15)
-    # each panel's first and last node lie within 1% of its edges
-    lo_edge, hi_edge = panels[:, 0] / 0.9957, panels[:, -1] / 1.0043
-    assert panels[0, 0] < 0.01 * 2.0 * scale and hi_edge[0] == pytest.approx(2.0 * scale, rel=1e-2)
-    assert (hi_edge[1:] / lo_edge[1:] <= 2.0 * 1.01).all() and hi_edge[-1] == pytest.approx(hi, rel=1e-2)
-    assert panels.shape[0] == 1 + math.ceil(math.log2(hi / (2.0 * scale)))
+    assert (chk.imag == 0.0).all() and 0.0 < chk.real.min()
+    assert chk.real.max() < 2.0 * math.pi / omega
+    assert (z.real == z.imag).all()
+    panels = (z.real / numerics._RAY_COS).reshape(-1, 15)
+    # each panel's edges from its middle node and its outer nodes
+    half = (panels[:, -1] - panels[:, 0]) / (2.0 * numerics._GK_NODES[-1])
+    lo, hi = panels[:, 7] - half, panels[:, 7] + half
+    end = 45.0 / (omega * numerics._RAY_COS)
+    assert abs(lo[0]) <= 1e-12 * scale and hi[0] == pytest.approx(2.0 * scale, rel=1e-9)
+    assert hi[:-1] == pytest.approx(lo[1:], rel=1e-9) and hi[-1] == pytest.approx(end, rel=1e-9)
+    assert (hi[1:] / lo[1:] <= 2.0 * (1.0 + 1e-9)).all()
+    assert panels.shape[0] == 1 + math.ceil(math.log2(end / (2.0 * scale)))
 
 
-# every (s, omega) in {0.1, 1} x {0.2, 2, 20}, s the ray's first scale, the
-# distance to the pole of the continuation being 1
+# five (s, omega), s the ray's first scale: a scale of the pole at q = -1
+# of the continuation, and one a tenth of it
 @pytest.mark.parametrize("scale, omega", [(1.0, 0.2), (0.1, 2.0), (1.0, 2.0), (0.1, 20.0),
                                           (1.0, 20.0)])
 def test_oscillatory_closed_form_consistency(scale, omega):
