@@ -87,6 +87,10 @@ LIFSHITZ_TOL = 1e-12          # default of the Matsubara free energy and entropy
 DEFAULT_CUTOFF_LAMBDA = 100.0
 
 METHODS = ("canonical", "lifshitz")
+# h's numerator and denominator are taken times K = 2^64, which keeps their
+# bits (a power of 2 scales exactly) but keeps the complex division from
+# overflowing where both are subnormal, at the first ray nodes past d ~ 1e305
+_SCALE = 2.0 ** 64
 # the rounding of a Matsubara value formed from its series (whose estimates
 # hold their own) and its zero mode: 2 eps per unit of the magnitudes added,
 # the zero mode's own rounding included
@@ -138,10 +142,11 @@ def _canonical_force(d, that, tol):
         x += n                                  # -N
         if t > 0:                               # w = -q/expm1(-q/That)
             x *= np.expm1(z / -t)
-            x *= math.pi
+            x *= math.pi * _SCALE
         else:
-            x *= -math.pi
+            x *= -math.pi * _SCALE
         e *= z
+        e *= _SCALE
         e /= x
         return e
 
