@@ -67,7 +67,9 @@ from .errors import DomainError, require_real
 from .model import DimensionlessPoint, Result
 from .numerics import (
     _RAY_COS,
+    _SCALE,
     QuadratureEstimate,
+    _checked_ray,
     integrate_oscillatory_tail,
     integrate_smooth_semi_infinite,
     sum_exponential_series,
@@ -87,10 +89,6 @@ LIFSHITZ_TOL = 1e-12          # default of the Matsubara free energy and entropy
 DEFAULT_CUTOFF_LAMBDA = 100.0
 
 METHODS = ("canonical", "lifshitz")
-# h's numerator and denominator are taken times K = 2^64, which keeps their
-# bits (a power of 2 scales exactly) but keeps the complex division from
-# overflowing where both are subnormal, at the first ray nodes past d ~ 1e305
-_SCALE = 2.0 ** 64
 # the rounding of a Matsubara value formed from its series (whose estimates
 # hold their own) and its zero mode: 2 eps per unit of the magnitudes added,
 # the zero mode's own rounding included
@@ -110,11 +108,25 @@ def _zero_mode_log(that, d, cutoff_lambda):
     return math.log(x) if x else -math.inf
 
 
+def _bose(q, that):
+    """expm1(-q/That) at |q| <= MAX_Q, in the type of q/That: -1 where q/That
+    overflows.  Below That = 1e-232 it is taken at K q and K That, as numpy
+    divides a complex q by way of 1/That, inf at a subnormal That."""
+    if that >= 1e-232:   # MAX_Q/That is finite
+        return np.expm1(q / -that)
+    u = np.full(q.shape, -746.0, q.dtype)   # e^{-746} is 0
+    np.divide(q * _SCALE, -that * _SCALE, out=u, where=q.real < 745.0 * that)
+    return np.expm1(u)
+
+
 def _canonical_force(d, that, tol):
     """The mode sum along the ray, plus its arc term (see the module
-    docstring).  The ray's first scale is s = min(1/max(d, 2), That), That
-    left out at That = 0, where e^{2iqd}, N or the Bose weight first vary.
-    Past its end hi, with b = 2d sin phi and c = That/cos phi,
+    docstring), checked on [0, pi/d].  The ray's first scale is
+    s = min(1/max(d, 2), That), That left out at That = 0, and it ends at
+    hi = min(45/(2d sin phi), MAX_Q).  h's numerator and denominator are
+    taken times K = 2^64, lest the complex division overflow where both are
+    subnormal, at the first ray nodes past d ~ 1e305.  Past hi, with
+    b = 2d sin phi and c = That/cos phi,
     |N| >= |2iq - 1|^2 - e^{-bt} >= 4t (sin phi + t) + (1 - e^{-b hi}) and
     |w| <= t + c (x/(1 - e^{-x}) <= 1 + x), so int_hi^inf |h| dt is at most
     e^{-b hi}/(pi b) [1/(4 (sin phi + hi)) + c/(4 hi (sin phi + hi) + 1 - e^{-b hi})].
@@ -124,7 +136,7 @@ def _canonical_force(d, that, tol):
     t = float(that)
     if t > 0:
         def w(q):   # -> That at q = 0, in That's type (an int That truncates)
-            return np.divide(q, -np.expm1(-q / that), out=np.full(q.shape, that),
+            return np.divide(q, -_bose(q, that), out=np.full(q.shape, that),
                              where=q > 0, casting="unsafe")
     else:
         w = np.asarray   # w = q, the very array
@@ -141,7 +153,7 @@ def _canonical_force(d, that, tol):
         n *= 4.0
         x += n                                  # -N
         if t > 0:                               # w = -q/expm1(-q/That)
-            x *= np.expm1(z / -t)
+            x *= _bose(z, t)
             x *= math.pi * _SCALE
         else:
             x *= -math.pi * _SCALE
@@ -151,14 +163,12 @@ def _canonical_force(d, that, tol):
         return e
 
     b = 2.0 * d * _RAY_COS
-
-    def tail(hi):
-        gap = -math.expm1(-b * hi)
-        return math.exp(-b * hi) / (math.pi * b) * (
-            0.25 / (_RAY_COS + hi) + t / _RAY_COS / (4.0 * hi * (_RAY_COS + hi) + gap))
-
-    scale = min(1.0 / max(d, 2.0), t or math.inf)
-    est = integrate_oscillatory_tail(f, h, 2.0 * d, scale, tol, tail)
+    hi = min(45.0 / b, MAX_Q)
+    bound = math.exp(-b * hi) / (math.pi * b) * (0.25 / (_RAY_COS + hi) + t / _RAY_COS / (
+        4.0 * hi * (_RAY_COS + hi) - math.expm1(-b * hi)))
+    g, check = _checked_ray(f, h, math.pi / d)
+    est = integrate_oscillatory_tail(g, 2.0 * min(1.0 / max(d, 2.0), t or math.inf), hi, bound,
+                                     tol, check)
     # phi That/(2pi (d+2)) = That/(8 (d+2)) at phi = pi/4
     value = est.value - 0.125 * t / (d + 2.0)
     err = est.abs_error_estimate if math.isfinite(value) else math.inf

@@ -6,12 +6,9 @@ dedicated engine:
 * smooth integrands on [0, inf) with exponential decay
   (``integrate_smooth_semi_infinite``), handled by one adaptive integral
   after the substitution x = L s/(1-s) onto [0, 1),
-* integrands f that oscillate like cos(omega q)/q at large q and are
-  Re h on the real axis, h analytic in the open first quadrant, where it
-  decays like e^{-omega Im q} (``integrate_oscillatory_tail``): taken along
-  the ray q = t e^{i pi/4}, where the integrand is smooth and decays
-  exponentially, as one adaptive integral on octave panels, whose seed
-  pass also checks the continuation against f,
+* the canonical force and entropy density, each taken along the ray
+  q = t e^{i pi/4}, where it is smooth and decays exponentially, one
+  member or a batch (``integrate_oscillatory_tail``),
 * series with a geometric majorant |t_n| <= K r^n
   (``sum_exponential_series``), summed to a term count it fixes in advance.
 
@@ -22,11 +19,9 @@ several integrals at once: each panel carries the index of its integral,
 its segment, and each integral keeps its own tolerance share, stopping
 test, ``_MAX_EVALS`` and ``_MAX_ROUNDS`` caps and panel-order sums, so an
 integral gets the same bits alone or in a batch.  ``_gk_segments`` is a
-seed pass followed by ``_refine``; the entropy densities of one call, each
-a smooth integral along the same ray, are one batch of it: a fixed number
-of array operations per pass, and one numpy sum per integral.
-``_adaptive_gk`` is one integral of it, and ``integrate_oscillatory_tail``
-another, in plain floats.
+seed pass followed by ``_refine``, a fixed number of array operations per
+pass and one numpy sum per integral: ``_adaptive_gk`` and the ray are
+each one loop of it.
 
 Every engine returns a :class:`QuadratureEstimate`, which sets its
 ``converged`` flag from its own estimate and tolerance: failure to converge
@@ -44,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import require_real
-from .scattering import MAX_Q
 
 # the engines below are private: forces and thermo call them, and the
 # benchmark's tracer wraps them by name there
@@ -151,11 +145,12 @@ _S_CUT = _DECAY_CUT / (_DECAY_CUT + _MAP_LENGTHS)   # x(_S_CUT) = 200 decay leng
 _RAY_COS = math.sqrt(0.5)
 _RAY = complex(_RAY_COS, _RAY_COS)
 _TWO_I_RAY = 2j * _RAY
-# |f - Re h| allowed between an oscillatory integrand and its continuation,
-# relative to 1 + max|f|
+# K = 2^64: the canonical integrands scale by it what would overflow at the
+# first, subnormal, ray nodes, and a power of 2 scales exactly
+_SCALE = 2.0 ** 64
+# a canonical integrand f agrees with its continuation h where |f - Re h| <=
+# 1e-12 (1 + max|f|) at 48 points of its first period, at (k + 1/2)/48 of it
 _AGREEMENT = 1e-12
-# where an oscillatory integrand is checked against its continuation: 48
-# points spread over its first period, at (k + 1/2)/48 of it
 _CHECK_POINTS = np.arange(48) + 0.5
 
 
@@ -391,45 +386,70 @@ def _mapped_integrand(f, decay, far):
     return g
 
 
-def integrate_oscillatory_tail(f, h, omega, scale, tol, tail) -> QuadratureEstimate:
-    """Integrate f over [0, inf) when f ~ A cos(omega q)/q + O(1/q^2) at large
-    q, along the ray q = t e^{i phi}, phi = pi/4.
+def integrate_oscillatory_tail(g, lo, hi, bound, tol, check=None) -> QuadratureEstimate:
+    """The ray integral of one canonical integrand, or of each of a batch.
 
-    h is f's continuation: Re h = f on the real axis, h analytic in the open
-    first quadrant and decaying there like e^{-omega Im q}.  Then (the arc
-    at infinity vanishes)
-
-        int_0^inf f dq = Re int_0^inf e^{i phi} h(t e^{i phi}) dt + Re(i phi R),
-
-    with R the residue of a pole of h at q = 0.  This engine returns the ray
-    integral, and the caller adds the arc term i phi R.  Along the ray h
-    decays like e^{-omega t sin phi} and varies on the scale of the period,
-    not of any feature next to the real axis.  ``scale`` is the first
-    scale s on which h varies: the integral takes one GK15 panel on
-    [0, 2s] and one per octave from 2s to hi = min(45/(omega sin phi),
-    ``MAX_Q``), where the exponential has decayed by e^{-45} (``MAX_Q``
-    keeps the caller's q^2 finite).  ``tail(hi)`` bounds int_hi^inf |h| dt,
-    the part dropped, which is added to the error estimate; the panels get
-    the rest of tol, or only their seed pass where the bound alone is tol
-    or more, which cannot converge.  f(q) and h(z) take 1-D float and
-    complex ndarrays.
-
-    The seed pass also takes f and h at 48 points of the first period
-    [0, 2 pi/omega] on the real axis; unless |f - Re h| <= 1e-12 (1 +
-    max|f|) there, h is not f's continuation, the error is inf and no
-    bisection round follows.
+    int_0^inf Re h dq, h analytic and decaying in the open first quadrant,
+    is Re int_0^inf e^{i phi} h(t e^{i phi}) dt, phi = pi/4, plus the arc
+    term Re(i phi R), R the residue of h's pole at q = 0, which the caller
+    adds; ``g(t, s)`` is member s's Re e^{i phi} h(t e^{i phi}).  A member
+    takes one GK15 panel on [0, lo], then octaves to the ray's end hi: the
+    edges lo (hi/lo)^(k/n), k < n = ceil(log2(hi/lo)), and hi.  ``bound``
+    bounds int_hi^inf |h| dt and is added to its error; its panels get
+    tol - bound, or only their seed pass where that is not positive.  lo,
+    hi and bound are floats for one member, g(t, 0), on plain-float edges
+    with the batch's bits, or 1-D arrays for a batch, one ``_gk_segments``
+    loop whose estimate holds arrays.  Where a lone hi/lo overflows (a
+    subnormal lo) its edges are lo r^y r^y, r = sqrt(hi)/sqrt(lo), y = k/n,
+    n = ceil(2 log2 r).  ``check`` (see ``_checked_ray``) runs after the
+    seed pass and counts 96 evaluations: where it gives False every error
+    is inf and no bisection round follows.
     """
-    lo, hi = 2.0 * scale, min(45.0 / (omega * _RAY_COS), MAX_Q)
-    # in log2: hi/lo overflows at a subnormal scale
-    octaves = math.log2(hi) - math.log2(lo)
-    n = math.ceil(octaves)
-    edges = np.exp2(math.log2(lo) + np.arange(-1.0, n + 1.0) * (octaves / n))
-    edges[0] = 0.0
-    bound = tail(float(edges[-1]))
-    q_chk = 2.0 * math.pi / omega / _CHECK_POINTS.size * _CHECK_POINTS
-    chk = []    # h(q_chk), taken by the integrand's first call
+    one, ratio = np.ndim(lo) == 0, hi / lo
+    if one:   # plain floats: a lone force makes no per-member arrays
+        if ratio < math.inf:
+            n = math.ceil(math.log2(ratio))
+            edges = lo * ratio ** (np.arange(-1.0, n + 1.0) / n)
+        else:
+            root = math.sqrt(hi) / math.sqrt(lo)
+            n = math.ceil(2.0 * math.log2(root))
+            y = root ** (np.arange(-1.0, n + 1.0) / n)
+            edges = lo * y * y
+        edges[0], edges[-1], seg = 0.0, hi, 0
+    else:   # the same arithmetic on each member's segment of the edges
+        n = np.ceil(np.log2(ratio)).astype(int)
+        m = n + 2                                       # edges of each member
+        start = m.cumsum() - m
+        seg = np.arange(lo.size).repeat(m)
+        k = np.arange(seg.size) - (start + 1)[seg]      # -1, 0, ..., n
+        edges = lo[seg] * ratio[seg] ** (k / n[seg])
+        edges[start], edges[start + m - 1] = 0.0, hi
 
-    def g(t, _):   # Re e^{i phi} h(t e^{i phi}), with e^{i phi} = (1 + i) cos(phi)
+    def target():   # inf: the seed pass only
+        nonlocal bound
+        if check is not None and not check():
+            bound = bound + math.inf
+        if one:
+            return [tol - bound if bound < tol else math.inf]
+        return np.where(bound < tol, tol - bound, math.inf).tolist()
+
+    value, err, evals = _gk_segments(g, edges, seg, target, None if check is None
+                                     else [2 * _CHECK_POINTS.size] * np.size(lo))
+    if one:
+        return QuadratureEstimate(float(value[0]), float(err[0] + bound), evals[0], tol)
+    return QuadratureEstimate(np.array(value), np.array(err) + bound, np.array(evals), tol)
+
+
+def _checked_ray(f, h, period):
+    """(g, check) for ``integrate_oscillatory_tail``: g(t, s) is
+    Re e^{i phi} h(t e^{i phi}), whose first h call also takes h at 48
+    points of [0, ``period``], f's first period, at (k + 1/2)/48 of it;
+    check() is whether h is f's continuation, |f - Re h| <= 1e-12
+    (1 + max|f|) there.  f and h take 1-D float and complex ndarrays."""
+    q_chk = period / _CHECK_POINTS.size * _CHECK_POINTS
+    chk = []    # h(q_chk), taken by g's first call
+
+    def g(t, _):   # e^{i phi} = (1 + i) cos(phi)
         if chk:
             hz = h(t * _RAY)
         else:
@@ -438,16 +458,11 @@ def integrate_oscillatory_tail(f, h, omega, scale, tol, tail) -> QuadratureEstim
             hz = hz[:t.size]
         return (hz.real - hz.imag) * _RAY_COS
 
-    agree = [False]
-
-    def target():
+    def check():
         fq = np.asarray(f(q_chk), float)
-        agree[0] = float(np.abs(fq - chk[0]).max()) <= _AGREEMENT * (1.0 + float(np.abs(fq).max()))
-        return [tol - bound if agree[0] and bound < tol else math.inf]
+        return float(np.abs(fq - chk[0]).max()) <= _AGREEMENT * (1.0 + float(np.abs(fq).max()))
 
-    value, err, evals = _gk_segments(g, edges, 0, target, [2 * _CHECK_POINTS.size])
-    err = err[0] + bound if agree[0] else math.inf
-    return QuadratureEstimate(float(value[0]), float(err), evals[0], tol)
+    return g, check
 
 
 def sum_exponential_series(terms, scale, ratio, tol: float = 1e-12) -> QuadratureEstimate:

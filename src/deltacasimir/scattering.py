@@ -94,15 +94,13 @@ def flux_deficit(q, d):
     where the deficit itself crosses 0; the q -> 0 limit is
     1 - 2/(d+2)^2.  The terms are accumulated in place, the powers of 2
     scaled exactly: 4q^4 is (2q^2)^2.  ``d`` is a scalar of any real
-    type, read as a float, or an array of q's shape that gives each q its
-    own separation.
+    type, read as a float.
     """
     q = np.asarray(q, float)
     scalar = q.ndim == 0
     if scalar:
         q = q.reshape(1)
-    per_q = bool(getattr(d, "ndim", 0))
-    d = d if per_q else float(d)
+    d = float(d)
     c = q * d
     a = np.sin(c)
     np.cos(c, out=c)
@@ -117,20 +115,11 @@ def flux_deficit(q, d):
     big = bool(q.min(initial=math.inf) > 1e-130) or q > 1e-130   # True when no q ~ 0
     if big is True:
         out = a
-    elif per_q:   # one separation per q: its limit where q ~ 0
-        out = np.empty(q.shape)
-        out[~big] = _deficit_at_zero(d[~big])
-    else:
-        out = np.full(q.shape, _deficit_at_zero(d))
+    else:   # the q -> 0 limit 1 - 2/(d+2)^2; 1.0 past d = 1e150, where d*d overflows
+        e = min(d, 1e150)
+        out = np.full(q.shape, (e * e + 4.0 * e + 2.0) / ((e + 2.0) * (e + 2.0)))
     np.divide(a, w, out=out, where=big)
     return float(out[0]) if scalar else out
-
-
-def _deficit_at_zero(d):
-    """The q -> 0 limit of the flux deficit, 1 - 2/(d+2)^2 (1.0 past
-    d = 1e150, where d*d overflows)."""
-    d = np.minimum(d, 1e150)
-    return (d * d + 4.0 * d + 2.0) / ((d + 2.0) * (d + 2.0))
 
 
 def kernel(q: float, d: float) -> float:

@@ -38,11 +38,12 @@ from .model import DimensionlessPoint, Result
 from .numerics import (
     _RAY,
     _RAY_COS,
+    _SCALE,
     _TWO_I_RAY,
     QuadratureEstimate,
     _adaptive_gk,
-    _gk_segments,
     _thermal_weight_raw,
+    integrate_oscillatory_tail,
     sum_exponential_series,
 )
 # flux_deficit is not called here; the benchmark's tracer patches it by this name
@@ -59,15 +60,6 @@ __all__ = [
 
 ENTROPY_TOL = 1e-6
 ENTROPY_INNER_TOL = 1e-8
-# the engine integrates the ray integrand over K, K = 2^64, to
-# (tol - bound)/K, and K times its value and error are the density's:
-# scaling by a power of 2 is exact, so the bits are those without K.
-# Without it a That near 1e-309 overflowed: 1/(2 That), and at the first,
-# subnormal, nodes |pi h| ~ 1/(4t) and the integrand ~ 1/(That (d+2)).  The
-# integrand takes K q for q and forms -K N and the weight of K q at K That:
-# |e^{2iqd} w| <= 2 and K |N| >= 4 K t sin(pi/4) keep |pi h/K| below 1e303
-# at every t > 0, and K^2 MAX_Q^2 stays finite
-_SCALE = 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -86,17 +78,16 @@ class EntropyDensity:
 
 
 def _ray_seeds(d, that):
-    """(edges, seg, bounds) of the density's ray integrals at the separations
-    d, a 1-D array: segment seg[j] of ``numerics._gk_segments`` for each
-    edge.  Each gets the head panel [0, 2s], then one panel per octave from
-    2s to hi, with s = min(1/d, 1/2, That) and hi = min(45/(2 d sin phi),
-    45 That/cos phi, ``MAX_Q``), where e^{2iqd} or the weight has decayed
-    by e^{-45} (MAX_Q keeps 4q^2 finite), and a bound on int_hi^inf |h| dt.
-    One GK15 panel takes the head: the pole -i/(2pi (d+2) q) of h is
-    purely imaginary on the ray, so Re e^{i phi} h is regular at t = 0,
-    and it first varies on the scale s, that of e^{2iqd}, of N and of the
-    weight: a scan over the whole (d, That) box finds no converged density
-    off its oracles by more than its estimate.
+    """(lo, hi, bound) of the density's ray integrals at the separations d,
+    a 1-D array: the head edge lo = 2s, s = min(1/d, 1/2, That), the ray's
+    end hi = min(45/(2 d sin phi), 45 That/cos phi, ``MAX_Q``), where
+    e^{2iqd} or the weight has decayed by e^{-45} (MAX_Q keeps 4q^2
+    finite), and a bound on int_hi^inf |h| dt.  One GK15 panel takes the
+    head [0, lo]: the pole
+    -i/(2pi (d+2) q) of h is purely imaginary on the ray, so Re e^{i phi} h
+    is regular at t = 0, and it first varies on the scale s, that of
+    e^{2iqd}, of N and of the weight: a scan over the whole (d, That) box
+    finds no converged density off its oracles by more than its estimate.
 
     The bound: |N| >= |2iq - 1|^2 - |e^{2iqd}| >= 4t (sin phi + t),
     |e^{2iqd}| = e^{-bt}, b = 2d sin phi, and |w| <= W(t) = |u|^2/sinh^2(Re u),
@@ -106,27 +97,19 @@ def _ray_seeds(d, that):
     ways to drop a factor of t/(sin phi + t) gives the three terms of the min,
     in y = 1/(k hi), k = cos phi/That + b.  y > 1 only where hi = MAX_Q,
     where the first term is the least, so y is clipped at 1 and y^2 cannot
-    overflow.  Every quotient is formed so that
-    nothing overflows at any float d or That: 1/d is taken past d = 2, and
-    45/(2 d sin phi) past d = 1e-75, below which it is above MAX_Q.
+    overflow.  Every quotient is formed so that nothing overflows at any
+    float d or That: 1/d is taken past d = 2, and 45/(2 d sin phi) past
+    d = 1e-75, below which it is above MAX_Q.
     """
     lo = 2.0 * np.minimum(1.0 / np.maximum(d, 2.0), that)
     hi = np.minimum(22.5 / _RAY_COS / np.maximum(d, 1e-75), min(45.0 * that / _RAY_COS, MAX_Q))
-    ratio = hi / lo
-    n = np.ceil(np.log2(ratio)).astype(int)
-    m = n + 2                                       # edges of each separation
-    start = m.cumsum() - m
-    seg = np.arange(d.size).repeat(m)
-    k = np.arange(seg.size) - (start + 1)[seg]      # -1, 0, ..., n
-    edges = lo[seg] * ratio[seg] ** (k / n[seg])
-    edges[start] = 0.0
     # Re u at hi; a/sinh a is 1 to the last bit below 1e-300, and 0/0 at 0
     a = np.maximum(_RAY_COS * hi / (2.0 * that), 1e-300)
     w_hi = 2.0 * (a / np.sinh(a)) ** 2
     bh = (2.0 * _RAY_COS) * (d * hi)                # b hi
     y = np.minimum(1.0 / (_RAY_COS * hi / that + bh), 1.0)
     bound = w_hi * np.exp(-bh) / (4.0 * math.pi) * np.minimum(y / hi, (y + y * y) / _RAY_COS)
-    return edges, seg, bound
+    return lo, hi, bound
 
 
 def entropy_density_canonical(dtilde, That: float,
@@ -134,9 +117,9 @@ def entropy_density_canonical(dtilde, That: float,
     """Entropy density in separation at (dtilde, That).
 
     ``dtilde`` is a number, or a 1-D array of separations whose q-integrals
-    are all taken in one call of ``numerics._gk_segments`` and so in one
-    adaptive loop, each with its own tolerance, stopping test and caps:
-    every element gets the bits its scalar call gives.  For an array,
+    are one batch of the force's ray engine, ``integrate_oscillatory_tail``,
+    each with its own tolerance, stopping test and caps: every element gets
+    the bits its scalar call gives.  For an array,
     ``value``, ``dtilde``, ``evaluations`` and the estimate's ``value``,
     ``abs_error_estimate`` and ``converged`` are arrays over it: each element
     of ``evaluations`` is its scalar call's ``estimate.evaluations``, and the
@@ -158,14 +141,12 @@ def entropy_density_canonical(dtilde, That: float,
     the last term from the small arc around q = 0 (the arc at infinity
     vanishes).  The cavity resonances, just below the real axis, are
     q sin phi off the ray, and e^{2iqd} and w decay along it at every d and
-    That, so the integrand is smooth: its panels (``_ray_seeds``) need no
-    edges at the dips and no real-axis cut-off.  The one expm1 gives both
+    That, so the integrand is smooth: its head and octave panels (the
+    engine's, from ``_ray_seeds``' lo and hi) need no edges at the dips and
+    no real-axis cut-off.  The one expm1 gives both
     N and e^{2iqd} = expm1 + 1, and the weight (u/sinh u)^2 is one sinh
-    and a divide (``numerics._thermal_weight_raw``).  The integral stops
-    at hi, where both have decayed by e^{-45}; the bound on what it drops
-    is added to the error estimate, and the panels get the rest of tol, or
-    only their seed pass where the bound alone is tol or more, which
-    cannot converge.
+    and a divide (``numerics._thermal_weight_raw``).  The ray ends at hi,
+    where both have decayed by e^{-45}, with a bound on what it drops.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with
     its zero mode kept (see the README).  The tests use that identity, and
@@ -178,9 +159,14 @@ def entropy_density_canonical(dtilde, That: float,
     if d.ndim != 1 or not d.size:
         raise DomainError(f"dtilde must be a number or a non-empty 1-D array, got {dtilde!r}")
     That, tol = _require_that(require_real("That", That)), require_real("tol", tol)
-    edges, seg, bounds = _ray_seeds(d, That)
+    lo, hi, bounds = _ray_seeds(d, That)
+    if d.size == 1:   # one member, on plain-float edges
+        lo, hi, bounds = float(lo[0]), float(hi[0]), float(bounds[0])
 
-    def f(t, s):   # Re e^{i phi} h(t e^{i phi}), with e^{i phi}/pi = (1 + i) cos(phi)/pi
+    # over K = 2^64, to (tol - bound)/K, as 1/(2 That) and |pi h| ~ 1/(4t)
+    # overflow near That = 1e-309: -K N, and the weight of K q at K That,
+    # keep |pi h/K| below 1e303 at every t > 0, and K^2 MAX_Q^2 finite
+    def f(t, s):   # Re e^{i phi} h(t e^{i phi})/K, with e^{i phi}/pi = (1 + i) cos(phi)/pi
         kq = t * (_RAY * _SCALE)
         x = np.expm1((t * d[s]) * _TWO_I_RAY)
         den = kq + 1j * _SCALE
@@ -192,12 +178,10 @@ def entropy_density_canonical(dtilde, That: float,
         x /= den                                # pi h/K
         return (x.real - x.imag) * (_RAY_COS / math.pi)
 
-    # inf: the seed pass only, where the bound alone is tol or more
-    v, e, n = _gk_segments(f, edges, seg if d.size > 1 else 0,
-                           [(tol - b) / _SCALE if b < tol else math.inf for b in bounds.tolist()])
+    est = integrate_oscillatory_tail(f, lo, hi, bounds / _SCALE, tol / _SCALE)
     # phi/(2pi (d+2)) = 1/(8 (d+2)) at phi = pi/4
-    value = np.array(v) * _SCALE + 0.125 / (d + 2.0)
-    err, evals = np.array(e) * _SCALE + bounds, np.array(n)
+    value = est.value * _SCALE + 0.125 / (d + 2.0)
+    err, evals = np.atleast_1d(est.abs_error_estimate * _SCALE), np.atleast_1d(est.evaluations)
     if scalar:
         est = QuadratureEstimate(float(value[0]), float(err[0]), int(evals[0]), tol)
         return EntropyDensity(est.value, float(d[0]), That, est, est.evaluations)

@@ -61,8 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
-from deltacasimir.numerics import _RAY_COS, integrate_oscillatory_tail
-from deltacasimir.scattering import ScatteringCoefficients
+from deltacasimir.numerics import _RAY_COS, _checked_ray, integrate_oscillatory_tail
+from deltacasimir.scattering import MAX_Q, ScatteringCoefficients
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(30)
 # terms per block of a Matsubara series: 2^18 make 2 MiB arrays and 8 MiB
@@ -396,9 +396,13 @@ def host_fingerprint():
 
 def lone_tail(f, h, omega, scale, tol):
     """``numerics.integrate_oscillatory_tail`` of f and its continuation h,
-    which must satisfy |h(q)| <= e^{-omega Im q} on the ray past its end hi:
-    the part dropped, int_hi^inf |h| dt, is then at most
-    e^{-omega hi sin phi}/(omega sin phi), the bound passed to the engine."""
+    with its continuation check on f's first period [0, 2 pi/omega], on the
+    force's layout: the head panel [0, 2 scale] and octaves to
+    hi = min(45/(omega sin phi), MAX_Q).  h must satisfy
+    |h(q)| <= e^{-omega Im q} on the ray past hi: the part dropped,
+    int_hi^inf |h| dt, is then at most e^{-omega hi sin phi}/(omega sin phi),
+    the bound passed to the engine."""
     rate = omega * _RAY_COS
-    return integrate_oscillatory_tail(f, h, omega, scale, tol,
-                                      lambda hi: math.exp(-rate * hi) / rate)
+    hi = min(45.0 / rate, MAX_Q)
+    g, check = _checked_ray(f, h, 2.0 * math.pi / omega)
+    return integrate_oscillatory_tail(g, 2.0 * scale, hi, math.exp(-rate * hi) / rate, tol, check)

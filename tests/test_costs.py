@@ -174,25 +174,6 @@ def test_lone_canonical_forces_converge_in_their_seed_pass(monkeypatch):
     assert seed_pass_only >= 77
 
 
-def test_every_ray_seed_panel_spans_at_most_an_octave():
-    # a density's ray integral starts with one panel on [0, 2s], s = min(1/d,
-    # 1/2, That), the first feature scale (Re e^{i phi} h is regular at t = 0,
-    # where its pole is purely imaginary), then one panel per octave out to
-    # hi, where e^{2iqd} or the weight has decayed by e^{-45}: 5 to 7 panels
-    # on figure 3a's grid (9 to 12 when the octaves started at s/8)
-    grid = np.geomspace(0.5, 100.0, 48)
-    for d in (grid, np.array([1e-310, 1.0, 1e300, 1.7e308])):
-        for t in (0.5, 1.0, 2.0, 1e-300, 1e300):
-            edges, seg, _ = thermo._ray_seeds(d, t)
-            for i, x in enumerate(d.tolist()):
-                e = edges[seg == i]
-                ratios = e[2:] / e[1:-1]
-                assert e[0] == 0.0 and e[1] == 2.0 * min(1.0 / x, 0.5, t)
-                assert (ratios > 1.5).all() and (ratios <= 2.0 * (1.0 + 1e-15)).all()
-                if d is grid and t <= 2.0:
-                    assert 5 <= e.size - 1 <= 7
-
-
 def _estimates_digest(estimates):
     """SHA-256 over each estimate's value and error bits, evaluations and flag."""
     h = hashlib.sha256()
@@ -248,12 +229,16 @@ def test_entropy_grid_bits():
 # canonical values moved, by at most 2.7e-13 relative, each now within
 # 8.2e-16 relative of oracles.force_ray (the old ones were up to 2.7e-13 off
 # it); canonical evaluations 46,851 -> 18,486; no flag and no Lifshitz bit
-# moved.
+# moved.  Recorded again when the force's octave edges became the density's
+# lo (hi/lo)^(k/n), ending at hi itself, in place of their log2 form: 21 of
+# the 96 canonical values moved, by at most 3.2e-16 relative, and all 96
+# errors, by at most 2.9e-7 relative; no evaluation count, flag or Lifshitz
+# bit moved.
 def test_force_sweep_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), route).estimate
             for d, t in FORCE_SWEEP for route in ("canonical", "lifshitz")]
     assert _estimates_digest(ests) == \
-        "456799c234a63f9ca52faa9f2c03f0c97920ff9edda5a975528e7dd7bad4eb5f", \
+        "cc7a1d1812dc03ff3751587bce206bdd99588d44d51cb37cef232776065a501e", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -262,14 +247,17 @@ def test_force_sweep_bits():
 # these 52 forces' bits unchanged.  Recorded again when the force moved onto
 # the ray: all 52 moved, the 28 past d = 1e6, whose estimate was inf and
 # whose values were up to 24x off, now converge, and each is within 1.3e-15
-# relative of oracles.force_ray; evaluations 58,677 -> 8,922.
+# relative of oracles.force_ray; evaluations 58,677 -> 8,922.  Recorded
+# again when the force's octave edges became the density's: 30 values moved,
+# by at most 5.1e-16 relative, and all 52 errors, by at most 1.8e-7
+# relative; no evaluation count moved.
 def test_large_separation_force_bits():
     ds = [300.0, *_LARGE_D.tolist()]
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical").estimate
             for t in (0.0, 1e-3, 1.0, 10.0) for d in ds]
     assert len(ests) == 52 and all(e.converged for e in ests)
     assert _estimates_digest(ests) == \
-        "e8208255196067391f0bdebcecede4856bab1a401496ce2fa8eb50a37cd6b72e", \
+        "580758bc246c8253728b54fffe8580542bb9821c1340f38147bafc0a3367d569", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -293,14 +281,17 @@ def test_large_separation_density_bits():
 # fall below the rounding of the dip's panels.  Recorded again when the
 # force moved onto the ray: all 24 values moved, by at most 2.2e-13
 # relative, each now within 6.4e-16 relative of oracles.force_ray;
-# evaluations 27,084 -> 6,774; no flag moved.
+# evaluations 27,084 -> 6,774; no flag moved.  Recorded again when the
+# force's octave edges became the density's: 9 values moved, by at most
+# 4.2e-16 relative, and all 24 errors, by at most 0.49% relative; no
+# evaluation count or flag moved.
 def test_hot_force_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
             for t in (5.0, 10.0, 100.0) for d in (10.0, 50.0, 150.0, 250.0, 299.0)
             if t * (d + 2.0) >= 500.0 for tol in (1e-10, 1e-13)]
     assert len(ests) == 24
     assert _estimates_digest(ests) == \
-        "ebb20e039e7f5e3f7bb865d282bafa5836d2ad8280f3756eb4de93e6a018c755", \
+        "864a3b2c5894db3bb32aef89e7435946d654955c8bcb9150b60741d6a86c9ac7", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -310,13 +301,16 @@ def test_hot_force_bits():
 # no other pin reached.  Recorded again when the force moved onto the ray:
 # two of the three forces moved, by at most 3.4e-16 relative, their
 # evaluations 1,878 -> 1,623; criterion 12's integral runs on q -> 1 + q.
+# Recorded again when the ray's octave edges became the density's: no value
+# or evaluation count moved, and the four errors moved by at most 0.14%
+# relative.
 def test_lone_tail_refinement_bits():
     ests = [casimir_force(DimensionlessPoint(d, t), "canonical", tol).estimate
             for d, t, tol in ((0.1, 2.0, 1e-14), (10.0, 1.0, 1e-15), (0.3, 0.0, 1e-15))]
     f, h, spec, _, _ = OSCILLATORY_INTEGRALS[3]
     ests.append(lone_tail(f, h, *spec, 1e-14))
     assert _estimates_digest(ests) == \
-        "91addd882fd0943e4f5a0688253918eceba966ac96be91949fe1093572412aeb", \
+        "fa657d869b1462f3381d8b0d21fa4ea33bf85c76d5980235ac70026a00ae7c26", \
         f"recorded on {RECORDED_HOST}; here {host_fingerprint()}"
 
 
@@ -421,18 +415,19 @@ def test_density_passes(monkeypatch, dtilde, that, passes):
 
 
 def test_density_batch_is_one_engine_loop(monkeypatch):
-    # one _gk_segments call holds every separation of a density call: its
-    # passes are those of the longest lone loop, and each member keeps the
-    # bits of its lone call.  At tol 1e-11 dtilde = 0.5 takes a bisection
-    # round and dtilde = 100 none
+    # one integrate_oscillatory_tail call, and so one adaptive loop, holds
+    # every separation of a density call: its passes are those of the
+    # longest lone loop, and each member keeps the bits of its lone call.  At
+    # tol 1e-11 dtilde = 0.5 takes a bisection round and dtilde = 100 none
     d, tol = [0.5, 100.0], 1e-11
     lone = [entropy_density_canonical(x, 0.5, tol).estimate for x in d]
     passes = [_gk_passes(monkeypatch, lambda x=x: entropy_density_canonical(x, 0.5, tol))
               for x in d]
     assert passes == [2, 1]
     calls = []
-    engine = thermo._gk_segments
-    monkeypatch.setattr(thermo, "_gk_segments", lambda *args: calls.append(1) or engine(*args))
+    engine = thermo.integrate_oscillatory_tail
+    monkeypatch.setattr(thermo, "integrate_oscillatory_tail",
+                        lambda *args: calls.append(1) or engine(*args))
     batch = []
     assert _gk_passes(monkeypatch, lambda: batch.append(
         entropy_density_canonical(np.array(d), 0.5, tol))) == max(passes)

@@ -108,6 +108,35 @@ def test_one_copy_of_the_force_integrand():
     assert callers == {"forces.py", "scattering.py"}
 
 
+def test_one_ray_engine():
+    """The canonical force and the entropy density are members of one ray
+    engine, ``numerics.integrate_oscillatory_tail``: only ``numerics``
+    defines ``_SCALE`` and lays out ray edges (the only log2 is its octave
+    count), and ``forces`` and ``thermo`` import the entry and reach
+    ``_gk_segments`` only through it.  The entropy's distance integral
+    keeps ``_adaptive_gk``."""
+    imported, scale, log2, segments = {}, set(), set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if node.module == "numerics":
+                    imported.setdefault(path.stem, set()).update(names)
+            else:
+                names = {getattr(node, "id", getattr(node, "attr", None))}
+            if "_gk_segments" in names:
+                segments.add(path.stem)
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_SCALE"
+                                                    for t in node.targets):
+                scale.add(path.stem)
+            elif isinstance(node, ast.Call) and "log2" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                log2.add(path.stem)
+    assert scale == log2 == segments == {"numerics"}
+    assert {"integrate_oscillatory_tail", "_SCALE"} <= imported["forces"]
+    assert {"integrate_oscillatory_tail", "_SCALE", "_adaptive_gk"} <= imported["thermo"]
+
+
 def _walk_own(fn):
     """The nodes of function ``fn``, less those of the functions nested in it."""
     stack = list(fn.body)

@@ -337,12 +337,15 @@ def test_fine_seeded_force_within_its_estimate_or_not_converged(that):
                 or abs(est.value - exact) <= est.abs_error_estimate + 4e-16 * abs(exact), (d, tol)
 
 
-@pytest.mark.parametrize("that", [1e-307, 1e-308])
-def test_a_canonical_force_that_is_not_finite_has_an_infinite_estimate(that):
-    # the Bose weight's q/That overflows, and the force read nan with err nan
-    with pytest.warns(RuntimeWarning):
+@pytest.mark.parametrize("that", [3e-310, 1e-308, 1e-307, 1e-306])
+def test_the_canonical_force_at_a_tiny_that_is_the_zero_t_force(that):
+    # from That ~ 2.2e-310 to 1e-306 the Bose weight's q/That overflowed,
+    # and the force read nan with err inf after overflow warnings; the ray's
+    # hi/lo overflows too below That ~ 1e-307.  The thermal part is O(That)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         est = casimir_force(DimensionlessPoint(1.0, that), "canonical").estimate
-    assert math.isnan(est.value) and est.abs_error_estimate == math.inf and not est.converged
+    assert est.converged and abs(est.value - force_zero_t_mpmath(1.0)) <= est.abs_error_estimate
 
 
 def test_a_matsubara_force_cut_at_the_term_cap_converges_within_its_bound():

@@ -140,6 +140,15 @@ every CSV it writes against a recorded hash.  History of the re-recordings:
   evaluations and figure 2 51,878, from 30,945 and 77,978).  Every row
   still converged and lies within its own estimate, and
   ``tests/test_figure_oracles.py`` passed on the new rows first.
+* The figure 1 and 2 canonical hashes were recorded again when the force's
+  octave edges became the entropy density's, lo (hi/lo)^(k/n) ending at hi
+  itself, in place of their log2 form, so that both run on one ray
+  engine.  Every density, entropy and Lifshitz row kept its bytes, and so
+  did every ``evals`` and ``converged`` cell.  Of the 60 figure 1 and 180
+  figure 2 canonical values, 11 and 12 moved, by at most 2.3e-16 and
+  4.3e-16 relative; the ``err`` cells moved by at most 3.1e-7 and 7.9e-5
+  relative.  ``tests/test_figure_oracles.py`` passed on the new rows
+  first.
 
 The hashes are tied to this platform's libm and BLAS: on another machine
 the last printed digit of a value may differ, and the hashes must then be
@@ -156,13 +165,13 @@ from deltacasimir.cli import main
 
 GOLDEN = {
     ("figure", "--id", "1"): {
-        "figure1_canonical.csv": "7dd9fcd2c0bd87b43a5d405c5d9fdf4c5e7f252a8be6698bd467503f22a327a3",
+        "figure1_canonical.csv": "5a6188b3a84f0d137efbea073d1eae7812d2af7960fe26a6833c6303728a77f2",
         "figure1_lifshitz.csv": "03682de4b306f2d2b1037d45e80de4fbbac8d82101145e35a41b15290dda8e70",
     },
     ("figure", "--id", "2"): {
-        "figure2_canonical_That0.5.csv": "05e7b446b465695443ce94c465690d4703652832b99b514d35488c3ce945b159",
-        "figure2_canonical_That1.csv": "d7b80dd7d47aafe9d56b18b88bfdd4d52119a3d9f668e409c03aa98444b02e22",
-        "figure2_canonical_That2.csv": "b826e4a5e742ad0c553f326154ef6832a36f31babc4e8b159db43c856663a2ec",
+        "figure2_canonical_That0.5.csv": "ecbd8256625333c44d6ed142ed8af5109454c0812d1ecc835b0ad1407f68bfe9",
+        "figure2_canonical_That1.csv": "d75f878812d70c64dcc62df17ef543b6334864da68b3e150189082fb0fa4268a",
+        "figure2_canonical_That2.csv": "0595adfe395b7c08642c56e364487952e366ba67739858f0ec816cd38742a348",
         "figure2_lifshitz_That0.5.csv": "94a822116f25510fc5b2065941adeb76774e75f718926ff4877364e3910f5fbf",
         "figure2_lifshitz_That1.csv": "ea9d711cf080cf4666a48042401e96bfc8acc2839afa4ff7fb68ccf0503a3601",
         "figure2_lifshitz_That2.csv": "8f7488aa8cc119cdfa3b8cb2af94a9fefbfa07c4aae327cdd369c94b6c30e957",

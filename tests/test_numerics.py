@@ -14,7 +14,9 @@ from deltacasimir import (
     entropy_density_canonical,
     entropy_lifshitz,
     flux_deficit,
+    forces,
     numerics,
+    thermo,
 )
 from deltacasimir.numerics import integrate_smooth_semi_infinite, sum_exponential_series
 
@@ -358,8 +360,9 @@ def test_a_lone_oscillatory_integral_reports_its_check_bound_and_budget(monkeypa
     # the tail bound is added to the estimate; where it alone is tol or
     # more, the seed pass is all that runs
     for bound, ok in ((2e-10, True), (1e-9, False)):
-        est = numerics.integrate_oscillatory_tail(_lorentz_cos, _lorentz_exp, 1.0, 1.0, 1e-9,
-                                                  lambda hi, b=bound: b)
+        g, check = numerics._checked_ray(_lorentz_cos, _lorentz_exp, 2.0 * math.pi)
+        est = numerics.integrate_oscillatory_tail(g, 2.0, 45.0 / numerics._RAY_COS, bound, 1e-9,
+                                                  check)
         assert est.converged == ok and est.abs_error_estimate >= bound
     # under a 30,000 cap the ripple of test_engines_share_one_evaluation_budget
     # runs out of evaluations
@@ -371,10 +374,9 @@ def test_a_lone_oscillatory_integral_reports_its_check_bound_and_budget(monkeypa
 
 
 @pytest.mark.parametrize("omega, scale", [(2.0, 0.5), (1e-3, 0.25), (2e5, 1e-6)])
-def test_the_ray_takes_a_head_panel_and_octaves(omega, scale):
-    # one GK15 panel on [0, 2s], then panels at most an octave wide out to
-    # hi = 45/(omega sin phi), all on the ray q = t e^{i pi/4}, and the 48
-    # check points of the first period on the real axis, in the first call
+def test_the_check_points_ride_in_the_first_call_on_the_real_axis(omega, scale):
+    # every node lies on the ray q = t e^{i pi/4}, and the first h call also
+    # takes the 48 check points of the first period on the real axis
     seen = []
 
     def h(z):
@@ -385,16 +387,61 @@ def test_the_ray_takes_a_head_panel_and_octaves(omega, scale):
     z, chk = seen[0][:-48], seen[0][-48:]
     assert (chk.imag == 0.0).all() and 0.0 < chk.real.min()
     assert chk.real.max() < 2.0 * math.pi / omega
-    assert (z.real == z.imag).all()
-    panels = (z.real / numerics._RAY_COS).reshape(-1, 15)
-    # each panel's edges from its middle node and its outer nodes
-    half = (panels[:, -1] - panels[:, 0]) / (2.0 * numerics._GK_NODES[-1])
-    lo, hi = panels[:, 7] - half, panels[:, 7] + half
-    end = 45.0 / (omega * numerics._RAY_COS)
-    assert abs(lo[0]) <= 1e-12 * scale and hi[0] == pytest.approx(2.0 * scale, rel=1e-9)
-    assert hi[:-1] == pytest.approx(lo[1:], rel=1e-9) and hi[-1] == pytest.approx(end, rel=1e-9)
-    assert (hi[1:] / lo[1:] <= 2.0 * (1.0 + 1e-9)).all()
-    assert panels.shape[0] == 1 + math.ceil(math.log2(end / (2.0 * scale)))
+    assert z.size % 15 == 0 and (z.real == z.imag).all() and (z.real > 0.0).all()
+    assert all((later.real == later.imag).all() for later in seen[1:])
+
+
+def _ray_layouts(monkeypatch):
+    """A list that collects (lo, hi, edges) for each member of every ray
+    integral that ``forces`` and ``thermo`` ask for: the lo and hi they pass
+    to ``integrate_oscillatory_tail`` and the edges it seeds its panels on."""
+    layouts, calls = [], []
+    entry, segments = numerics.integrate_oscillatory_tail, numerics._gk_segments
+
+    def spy_entry(g, lo, hi, *args):
+        calls.append((lo, hi))
+        return entry(g, lo, hi, *args)
+
+    def spy_segments(f, edges, seg, *args):
+        lo, hi = calls.pop()
+        if np.ndim(lo) == 0:
+            layouts.append((lo, hi, edges))
+        else:
+            layouts.extend((lo[i], hi[i], edges[seg == i]) for i in range(lo.size))
+        return segments(f, edges, seg, *args)
+
+    for module in (forces, thermo):
+        monkeypatch.setattr(module, "integrate_oscillatory_tail", spy_entry)
+    monkeypatch.setattr(numerics, "_gk_segments", spy_segments)
+    return layouts
+
+
+def test_every_ray_is_a_head_panel_and_octaves_to_its_end(monkeypatch):
+    # one GK15 panel on [0, lo], lo twice the first scale, then panels at
+    # most an octave wide, the last ending at hi, where the bound on the
+    # dropped part starts.  The density runs on figure 3a's grid and at the
+    # ends of the float range, as one batch and one member at a time, whose
+    # plain-float edges are the batch's, bit for bit.  The force's hi/lo
+    # overflows at a subnormal lo: at That = 3e-310, and below That ~ 1e-307
+    # at d = 1 and 5e-233 at d = 4e-76
+    layouts = _ray_layouts(monkeypatch)
+    grid = np.geomspace(0.5, 100.0, 48)
+    for d in (grid, np.array([1e-310, 1.0, 1e300, 1.7e308])):
+        for t in (0.5, 1.0, 2.0, 1e-300, 3e-310, 1e300):
+            entropy_density_canonical(d, t)
+            batch = layouts[-d.size:]
+            for x in d.tolist():
+                entropy_density_canonical(x, t)
+            assert [e.tobytes() for _, _, e in layouts[-d.size:]] == \
+                [e.tobytes() for _, _, e in batch]
+    for d in (*grid.tolist(), 4e-76, 1.0, 1e300):
+        for t in (0.0, 0.5, 1.0, 2.0, 1e-240, 1e-308, 3e-310):
+            casimir_force(DimensionlessPoint(d, t), "canonical")
+    assert len(layouts) == 2 * (48 + 4) * 6 + 51 * 7
+    for lo, hi, edges in layouts:
+        ratios = edges[2:] / edges[1:-1]
+        assert (edges[0], edges[1], edges[-1]) == (0.0, lo, hi), (lo, hi)
+        assert (ratios > 1.0).all() and (ratios <= 2.0 * (1.0 + 1e-15)).all(), (lo, hi)
 
 
 # five (s, omega), s the ray's first scale: a scale of the pole at q = -1
