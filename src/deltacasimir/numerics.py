@@ -405,7 +405,7 @@ def integrate_oscillatory_tail(g, lo, hi, bound, tol, check=None) -> QuadratureE
     seed pass and counts 96 evaluations: where it gives False every error
     is inf and no bisection round follows.
     """
-    one, ratio = np.ndim(lo) == 0, hi / lo
+    one, ratio = isinstance(lo, float), hi / lo
     if one:   # plain floats: a lone force makes no per-member arrays
         if ratio < math.inf:
             n = math.ceil(math.log2(ratio))
@@ -427,14 +427,14 @@ def integrate_oscillatory_tail(g, lo, hi, bound, tol, check=None) -> QuadratureE
 
     def target():   # inf: the seed pass only
         nonlocal bound
-        if check is not None and not check():
+        if check is not None and not check():   # every bound, and so every error, inf
             bound = bound + math.inf
         if one:
             return [tol - bound if bound < tol else math.inf]
         return np.where(bound < tol, tol - bound, math.inf).tolist()
 
     value, err, evals = _gk_segments(g, edges, seg, target, None if check is None
-                                     else [2 * _CHECK_POINTS.size] * np.size(lo))
+                                     else [2 * _CHECK_POINTS.size] * (1 if one else lo.size))
     if one:
         return QuadratureEstimate(float(value[0]), float(err[0] + bound), evals[0], tol)
     return QuadratureEstimate(np.array(value), np.array(err) + bound, np.array(evals), tol)
