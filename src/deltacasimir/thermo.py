@@ -83,11 +83,11 @@ def _ray_seeds(d, that):
     end hi = min(45/(2 d sin phi), 45 That/cos phi, ``MAX_Q``), where
     e^{2iqd} or the weight has decayed by e^{-45} (MAX_Q keeps 4q^2
     finite), and a bound on int_hi^inf |h| dt.  One GK15 panel takes the
-    head [0, lo]: the pole
-    -i/(2pi (d+2) q) of h is purely imaginary on the ray, so Re e^{i phi} h
-    is regular at t = 0, and it first varies on the scale s, that of
-    e^{2iqd}, of N and of the weight: a scan over the whole (d, That) box
-    finds no converged density off its oracles by more than its estimate.
+    head [0, lo]: h's pole -i/(2pi (d+2) q) is purely imaginary on the ray,
+    so Re e^{i phi} h is regular at t = 0, and it first varies on the scale
+    s, that of e^{2iqd}, of N and of the weight: a scan over the whole
+    (d, That) box finds no converged density off its oracles by more than
+    its estimate.
 
     The bound: |N| >= |2iq - 1|^2 - |e^{2iqd}| >= 4t (sin phi + t),
     |e^{2iqd}| = e^{-bt}, b = 2d sin phi, and |w| <= W(t) = |u|^2/sinh^2(Re u),
@@ -119,11 +119,11 @@ def entropy_density_canonical(dtilde, That: float,
     ``dtilde`` is a number, or a 1-D array of separations whose q-integrals
     are one batch of the force's ray engine, ``integrate_oscillatory_tail``,
     each with its own tolerance, stopping test and caps: every element gets
-    the bits its scalar call gives.  For an array,
-    ``value``, ``dtilde``, ``evaluations`` and the estimate's ``value``,
-    ``abs_error_estimate`` and ``converged`` are arrays over it: each element
-    of ``evaluations`` is its scalar call's ``estimate.evaluations``, and the
-    estimate's ``evaluations`` is their total, an int.
+    the bits its scalar call gives.  For an array, ``value``, ``dtilde``,
+    ``evaluations`` and the estimate's ``value``, ``abs_error_estimate`` and
+    ``converged`` are arrays over it: each element of ``evaluations`` is its
+    scalar call's ``estimate.evaluations``, and the estimate's
+    ``evaluations`` is their total, an int.
 
     The density is (1/2pi) int_0^inf w flux_deficit dq, w = (u/sinh u)^2,
     u = q/(2 That), and the flux deficit is -2 Re[x/(1-x)] with
@@ -143,9 +143,8 @@ def entropy_density_canonical(dtilde, That: float,
     q sin phi off the ray, and e^{2iqd} and w decay along it at every d and
     That, so the integrand is smooth: its head and octave panels (the
     engine's, from ``_ray_seeds``' lo and hi) need no edges at the dips and
-    no real-axis cut-off.  The one expm1 gives both
-    N and e^{2iqd} = expm1 + 1, and the weight (u/sinh u)^2 is one sinh
-    and a divide (``numerics._thermal_weight_raw``).  The ray ends at hi,
+    no real-axis cut-off.  The one expm1 gives both N and e^{2iqd} =
+    expm1 + 1, and the weight (u/sinh u)^2 is one sinh and a divide (``numerics._thermal_weight_raw``).  The ray ends at hi,
     where both have decayed by e^{-45}, with a bound on what it drops.
 
     The exact density is -(1/2) dS_L/dd, with S_L the Lifshitz entropy with

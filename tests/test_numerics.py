@@ -419,15 +419,16 @@ def _ray_layouts(monkeypatch):
 def test_every_ray_is_a_head_panel_and_octaves_to_its_end(monkeypatch):
     # one GK15 panel on [0, lo], lo twice the first scale, then panels at
     # most an octave wide, the last ending at hi, where the bound on the
-    # dropped part starts.  The density runs on figure 3a's grid and at the
-    # ends of the float range, as one batch and one member at a time, whose
-    # plain-float edges are the batch's, bit for bit.  The force's hi/lo
+    # dropped part starts (at That = 0.01, lo (hi/lo) rounds off hi at two
+    # of figure 3a's separations).  The density runs on figure 3a's grid and
+    # at the ends of the float range, as one batch and one member at a time,
+    # whose plain-float edges are the batch's, bit for bit.  The force's hi/lo
     # overflows at a subnormal lo: at That = 3e-310, and below That ~ 1e-307
     # at d = 1 and 5e-233 at d = 4e-76
     layouts = _ray_layouts(monkeypatch)
     grid = np.geomspace(0.5, 100.0, 48)
     for d in (grid, np.array([1e-310, 1.0, 1e300, 1.7e308])):
-        for t in (0.5, 1.0, 2.0, 1e-300, 3e-310, 1e300):
+        for t in (0.01, 0.5, 1.0, 2.0, 1e-300, 3e-310, 1e300):
             entropy_density_canonical(d, t)
             batch = layouts[-d.size:]
             for x in d.tolist():
@@ -437,7 +438,7 @@ def test_every_ray_is_a_head_panel_and_octaves_to_its_end(monkeypatch):
     for d in (*grid.tolist(), 4e-76, 1.0, 1e300):
         for t in (0.0, 0.5, 1.0, 2.0, 1e-240, 1e-308, 3e-310):
             casimir_force(DimensionlessPoint(d, t), "canonical")
-    assert len(layouts) == 2 * (48 + 4) * 6 + 51 * 7
+    assert len(layouts) == 2 * (48 + 4) * 7 + 51 * 7
     for lo, hi, edges in layouts:
         ratios = edges[2:] / edges[1:-1]
         assert (edges[0], edges[1], edges[-1]) == (0.0, lo, hi), (lo, hi)
