@@ -425,7 +425,7 @@ def integrate_oscillatory_tail(g, lo, hi, bound, tol, check=None) -> QuadratureE
         edges = lo[seg] * ratio[seg] ** (k / n[seg])
         edges[start], edges[start + m - 1] = 0.0, hi
 
-    def target():   # inf: the seed pass only
+    def target():   # the tols, after the seed pass; inf: no bisection round
         nonlocal bound
         if check is not None and not check():   # every bound, and so every error, inf
             bound = bound + math.inf
